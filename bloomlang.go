@@ -48,12 +48,12 @@ type Evaluation = core.Evaluation
 // them by name.
 type Backend = core.Backend
 
-// Membership backends: the paper's Parallel Bloom Filter, HAIL-style
-// exact direct lookup, and a classic single-vector Bloom filter for
-// ablations.
+// Membership backends: HAIL-style exact direct lookup (the default),
+// the paper's Parallel Bloom Filter, a classic single-vector Bloom
+// filter for ablations, and the cache-line-blocked Bloom filter.
 const (
-	BackendBloom   = core.BackendBloom
 	BackendDirect  = core.BackendDirect
+	BackendBloom   = core.BackendBloom
 	BackendClassic = core.BackendClassic
 	BackendBlocked = core.BackendBlocked
 )
@@ -99,7 +99,8 @@ func NewDetector(ps *ProfileSet, opts ...DetectorOption) (*Detector, error) {
 	return core.NewDetector(ps, opts...)
 }
 
-// WithBackend selects the membership backend (default BackendBloom).
+// WithBackend selects the membership backend (default BackendDirect,
+// the exact kernel).
 func WithBackend(b Backend) DetectorOption { return core.WithBackend(b) }
 
 // WithWorkers bounds DetectBatch fan-out; n <= 0 means GOMAXPROCS.

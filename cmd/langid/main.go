@@ -23,7 +23,7 @@
 //
 // Classify files (or stdin when no files are given):
 //
-//	langid classify -profiles profiles.bin [-k 4] [-m 16384] [-backend bloom|direct|classic|blocked] file1.txt file2.txt
+//	langid classify -profiles profiles.bin [-k 4] [-m 16384] [-backend direct|bloom|classic|blocked] file1.txt file2.txt
 //	echo "el consejo de la unión europea" | langid classify -profiles profiles.bin
 //
 // Segment mixed-language files into per-language spans (or stdin when
@@ -281,7 +281,7 @@ func classify(args []string) {
 	profilePath := fs.String("profiles", "profiles.bin", "trained profile file")
 	k := fs.Int("k", 4, "hash functions per Bloom filter")
 	m := fs.Uint("m", 16*1024, "bits per Bloom filter vector (power of two)")
-	backend := fs.String("backend", "bloom", "membership backend: bloom, direct, classic or blocked")
+	backend := fs.String("backend", "direct", "membership backend: direct (exact table), bloom, classic or blocked")
 	minMargin := fs.Float64("min-margin", 0, "answer unknown below this normalized winner margin")
 	minNGrams := fs.Int("min-ngrams", 1, "answer unknown below this many testable n-grams")
 	verbose := fs.Bool("v", false, "print the full language ranking")
@@ -359,7 +359,7 @@ func segment(args []string) {
 	profilePath := fs.String("profiles", "profiles.bin", "trained profile file")
 	k := fs.Int("k", 4, "hash functions per Bloom filter")
 	m := fs.Uint("m", 16*1024, "bits per Bloom filter vector (power of two)")
-	backend := fs.String("backend", "bloom", "membership backend: bloom, direct, classic or blocked")
+	backend := fs.String("backend", "direct", "membership backend: direct (exact table), bloom, classic or blocked")
 	minMargin := fs.Float64("min-margin", 0, "mark spans unknown below this normalized window margin")
 	minNGrams := fs.Int("min-ngrams", 1, "answer unknown below this many testable n-grams")
 	window := fs.Int("window", 0, "segmentation window in n-grams (0 = default 64)")

@@ -60,7 +60,7 @@ func main() {
 	corpusDir := flag.String("corpus", "", "corpus directory to train from (corpusgen layout)")
 	synthetic := flag.Bool("synthetic", false, "train from a small synthetic corpus (development)")
 	savePath := flag.String("save", "", "write trained profiles to this file before serving")
-	backendName := flag.String("backend", "bloom", "membership backend: bloom, direct, classic or blocked")
+	backendName := flag.String("backend", "direct", "membership backend: direct (exact table), bloom, classic or blocked")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	minMargin := flag.Float64("min-margin", 0, "answer unknown below this normalized winner margin")
 	minNGrams := flag.Int("min-ngrams", 1, "answer unknown below this many testable n-grams")

@@ -27,10 +27,10 @@
 // silently tie-broken guess:
 //
 //	det, _ := bloomlang.NewDetector(profiles,
-//		bloomlang.WithBackend(bloomlang.BackendBloom), // or direct / classic
-//		bloomlang.WithWorkers(8),                      // DetectBatch fan-out
-//		bloomlang.WithMinMargin(0.02),                 // ties and near-ties -> Unknown
-//		bloomlang.WithMinNGrams(8),                    // short docs -> Unknown
+//		bloomlang.WithBackend(bloomlang.BackendBlocked), // default direct; or bloom / classic
+//		bloomlang.WithWorkers(8),                        // DetectBatch fan-out
+//		bloomlang.WithMinMargin(0.02),                   // ties and near-ties -> Unknown
+//		bloomlang.WithMinNGrams(8),                      // short docs -> Unknown
 //	)
 //
 // Beyond one-shot Detect, the detector ranks candidates, fans out over
@@ -49,8 +49,8 @@
 // # Membership backends
 //
 // The membership structure is an open registry. Four ship built in:
-// the paper's Parallel Bloom Filter ("parallel-bloom"/"bloom"), HAIL's
-// exact direct lookup ("direct-lookup"/"direct"), a classic
+// an exact direct table ("direct-lookup"/"direct", the default), the
+// paper's Parallel Bloom Filter ("parallel-bloom"/"bloom"), a classic
 // single-vector Bloom filter ("classic-bloom"/"classic"), and a fused
 // cache-line-blocked Bloom filter ("blocked-bloom"/"blocked").
 // ParseBackend resolves any registered name or alias (the CLIs' -backend
@@ -60,6 +60,20 @@
 //
 //	fast := bloomlang.RegisterBackend("my-backend", myBuilder, "mine")
 //	det, _ := bloomlang.NewDetector(profiles, bloomlang.WithBackend(fast))
+//
+// The default backend is HAIL's direct table (§2) generalised from one
+// language per packed n-gram to a language bitmask per packed n-gram:
+// one uint16 plane of 2^20 entries (2 MiB at n=4) answers for up to 16
+// languages, and each further 16 languages add a plane. Scoring an
+// n-gram against every language is one table load instead of the
+// parallel backend's k probes per language, and membership is exact,
+// so there are no false positives to outvote. Long n-gram runs count
+// through a histogram of mask bytes expanded once per call; short runs
+// (segmentation chunks) walk each mask's set bits. The table grows as
+// 2^(5n), so the direct backend refuses n >= 6 (2 GiB per plane) and
+// names the blocked backend instead. Zero-value configurations —
+// NewDetector without WithBackend, ServeConfig{}, langidd and the
+// langid classify/segment commands — all serve it.
 //
 // The blocked backend is the software analogue of the paper's
 // one-clock membership test. The hardware answers all k hash probes in
@@ -88,12 +102,12 @@
 // the parallel backend's §3.1 model under the same Config; the n-gram
 // scoring loop runs several times faster than the parallel backend
 // because hashing is shared across languages and probes never leave
-// one cache line per language. Prefer "blocked" for software serving
-// throughput; prefer "bloom" when simulated-hardware and software
-// classifications must share filter state bit-for-bit (the XD1000
-// simulator borrows the parallel filters); "direct" is exact
-// membership at a much larger memory footprint; "classic" exists as
-// an ablation. SaveProfilesBlocked embeds the programmed blocked
+// one cache line per language. Prefer "direct" for software serving;
+// "blocked" when the n-gram space outgrows a table (n >= 6); "bloom"
+// when simulated-hardware and software classifications must share
+// filter state bit-for-bit (the XD1000 simulator and the paper
+// reproductions borrow the parallel filters); "classic" exists as an
+// ablation. SaveProfilesBlocked embeds the programmed blocked
 // layout in the profile file (NGPS v2), so a daemon serving "blocked"
 // skips filter programming at startup; v1 files and legacy NGPF
 // streams remain readable, and damaged files fail with errors tagged
@@ -114,9 +128,9 @@
 // The mechanism reuses the match-counting inner loop unchanged and
 // runs it exactly once per document: the n-gram stream is cut into
 // Stride-sized chunks, each chunk's per-language counts accumulate
-// through the classifier's single counting pass (the fused blocked
-// kernel scores all languages per n-gram; the other backends walk
-// their Matcher loops), and a sliding window of Window n-grams is the
+// through the classifier's single counting pass (the fused direct and
+// blocked kernels score all languages per n-gram; the other backends
+// walk their Matcher loops), and a sliding window of Window n-grams is the
 // rolling sum of a Window/Stride-row ring — add the newest chunk,
 // subtract the oldest. No n-gram is ever re-extracted or re-hashed
 // for a second window, so on the blocked backend segmenting costs

@@ -11,9 +11,9 @@ import (
 
 // Matcher is one language's membership structure: it answers whether a
 // packed n-gram belongs to that language's profile. The paper's
-// Parallel Bloom Filter, HAIL's direct lookup table, and the classic
-// single-vector Bloom filter all implement it; external packages may
-// register additional implementations via RegisterBackend.
+// Parallel Bloom Filter and the classic single-vector Bloom filter
+// implement it; external packages may register additional
+// implementations via RegisterBackend.
 type Matcher interface {
 	Test(g uint32) bool
 }
@@ -155,10 +155,11 @@ func (b Backend) builders() (BackendBuilder, SetBuilder, error) {
 }
 
 // The built-in backends register in constant order so the registry
-// slots line up with the historical enum values.
+// slots line up with the Backend constants; direct-lookup takes slot 0,
+// which makes it the zero-value default.
 func init() {
+	directB := RegisterFusedBackend("direct-lookup", buildMaskKernel, "direct")
 	bloomB := RegisterBackend("parallel-bloom", buildParallelBloom, "bloom")
-	directB := RegisterBackend("direct-lookup", buildDirectLookup, "direct")
 	classicB := RegisterBackend("classic-bloom", buildClassicBloom, "classic")
 	blockedB := RegisterFusedBackend("blocked-bloom", buildBlocked, "blocked")
 	if bloomB != BackendBloom || directB != BackendDirect || classicB != BackendClassic || blockedB != BackendBlocked {
@@ -175,16 +176,6 @@ func buildParallelBloom(cfg Config, index int, p *ngram.Profile) (Matcher, error
 	}
 	f.ProgramAll(p.Grams)
 	return f, nil
-}
-
-// buildDirectLookup is HAIL's design: an exact membership bitset over
-// the packed n-gram space.
-func buildDirectLookup(cfg Config, index int, p *ngram.Profile) (Matcher, error) {
-	t := newDirectTable(ngram.Bits(cfg.N))
-	for _, g := range p.Grams {
-		t.add(g)
-	}
-	return t, nil
 }
 
 // buildClassicBloom is the ablation: one k·m-bit vector shared by all k

@@ -11,12 +11,15 @@
 //     profile; each match increments that language's counter.
 //  3. The language with the highest match count is the classification.
 //
-// Three interchangeable membership backends are provided: the Parallel
-// Bloom Filter (the paper's design), a direct lookup table (HAIL's
-// design, exact membership), and a classic single-vector Bloom filter
-// (an ablation). The simulated FPGA datapath in internal/xd1000 uses
-// the same Parallel Bloom Filter code, so hardware-simulated and
-// software classifications agree bit-for-bit.
+// Four interchangeable membership backends are provided. The default,
+// direct-lookup, is exact: HAIL's direct table (§2) generalised to one
+// language bitmask per packed n-gram, so one table load scores an
+// n-gram against up to 16 languages. The Parallel Bloom Filter is the
+// paper's design, the classic single-vector Bloom filter its ablation,
+// and the cache-line-blocked Bloom filter a fused Bloom variant for key
+// spaces too large for a table (n >= 6). The simulated FPGA datapath in
+// internal/xd1000 uses the same Parallel Bloom Filter code, so
+// hardware-simulated and software classifications agree bit-for-bit.
 package core
 
 import (
@@ -187,10 +190,13 @@ func (ps *ProfileSet) Languages() []string {
 type Backend int
 
 const (
+	// BackendDirect, the zero value and so the default everywhere a
+	// backend is not named, uses an exact table holding one language
+	// bitmask per packed n-gram (HAIL's approach, fused across
+	// languages).
+	BackendDirect Backend = iota
 	// BackendBloom uses the paper's Parallel Bloom Filter.
-	BackendBloom Backend = iota
-	// BackendDirect uses an exact lookup table (HAIL's approach).
-	BackendDirect
+	BackendBloom
 	// BackendClassic uses a classic single-vector Bloom filter with the
 	// same total bit budget (k·m bits) as the parallel variant.
 	BackendClassic
@@ -200,19 +206,6 @@ const (
 	// n-gram's full scoring pass touches L consecutive cache lines.
 	BackendBlocked
 )
-
-// directTable is an exact membership bitset over the packed n-gram
-// space, the software equivalent of HAIL's off-chip SRAM table.
-type directTable struct {
-	bits []uint64
-}
-
-func newDirectTable(nBits uint) *directTable {
-	return &directTable{bits: make([]uint64, (uint64(1)<<nBits+63)/64)}
-}
-
-func (d *directTable) add(g uint32)       { d.bits[g>>6] |= 1 << (g & 63) }
-func (d *directTable) Test(g uint32) bool { return d.bits[g>>6]&(1<<(g&63)) != 0 }
 
 // Classifier tests document n-grams against every language profile in
 // turn and reports match counts — the software realization of the

@@ -50,7 +50,8 @@ type detectorOptions struct {
 // DetectorOption configures a Detector at construction.
 type DetectorOption func(*detectorOptions)
 
-// WithBackend selects the membership backend (default BackendBloom).
+// WithBackend selects the membership backend (default BackendDirect,
+// the exact kernel).
 // Ignored by NewDetectorFromClassifier, where the classifier already
 // fixed the backend.
 func WithBackend(b Backend) DetectorOption {
@@ -119,7 +120,7 @@ func NewDetectorFromClassifier(clf *Classifier, opts ...DetectorOption) *Detecto
 }
 
 func gatherOptions(opts []DetectorOption) detectorOptions {
-	o := detectorOptions{backend: BackendBloom}
+	var o detectorOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -178,6 +179,18 @@ func (d *Detector) Detect(doc []byte) Match {
 	m := d.detectInto(s, doc)
 	d.pool.Put(s)
 	return m
+}
+
+// DetectCounts is Detect plus the per-language match counts: it
+// appends the counts, in Languages() order, to dst and returns the
+// extended slice with the Match. With room in dst a warm call
+// allocates nothing.
+func (d *Detector) DetectCounts(dst []int, doc []byte) ([]int, Match) {
+	s := d.pool.Get().(*scratch)
+	m := d.detectInto(s, doc)
+	dst = append(dst, s.counts...)
+	d.pool.Put(s)
+	return dst, m
 }
 
 func (d *Detector) detectInto(s *scratch, doc []byte) Match {

@@ -288,5 +288,9 @@ func TestDetectZeroAllocations(t *testing.T) {
 		if allocs := testing.AllocsPerRun(200, func() { det.Detect(doc) }); allocs != 0 {
 			t.Errorf("%s: Detect allocates %.1f objects per call, want 0", backend, allocs)
 		}
+		counts := make([]int, 0, len(det.Languages()))
+		if allocs := testing.AllocsPerRun(200, func() { counts, _ = det.DetectCounts(counts[:0], doc) }); allocs != 0 {
+			t.Errorf("%s: DetectCounts allocates %.1f objects per call, want 0", backend, allocs)
+		}
 	}
 }

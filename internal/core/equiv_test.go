@@ -21,12 +21,12 @@ import (
 // suite runs over.
 var equivBackends = []Backend{BackendBloom, BackendDirect, BackendClassic, BackendBlocked}
 
-// TestDetectEquivalenceAcrossPaths pins Detect ≡ Classify ≡ Rank over
-// every built-in backend and every input path: the one-shot byte
-// path, the io.Reader path, the incremental stream path, and the
-// batch path must all return the identical Match, Rank's head must
-// agree with Detect, and Match must be derivable from the legacy
-// Classify result.
+// TestDetectEquivalenceAcrossPaths pins Detect ≡ DetectCounts ≡
+// Classify ≡ Rank over every built-in backend and every input path:
+// the one-shot byte path, the io.Reader path, the incremental stream
+// path, and the batch path must all return the identical Match, Rank's
+// head must agree with Detect, and Match and counts must be derivable
+// from the legacy Classify result.
 func TestDetectEquivalenceAcrossPaths(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
 	corp := getMiniCorpus(t)
@@ -79,8 +79,12 @@ func TestDetectEquivalenceAcrossPaths(t *testing.T) {
 					}
 				}
 
-				if got := det.MatchResult(clf.Classify(doc.Text)); got != want {
+				res := clf.Classify(doc.Text)
+				if got := det.MatchResult(res); got != want {
 					t.Errorf("doc %d: classify-derived match = %+v, detect = %+v", i, got, want)
+				}
+				if counts, got := det.DetectCounts(nil, doc.Text); got != want || !reflect.DeepEqual(counts, res.Counts) {
+					t.Errorf("doc %d: DetectCounts = %v %+v, classify = %v %+v", i, counts, got, res.Counts, want)
 				}
 			}
 		})

@@ -9,8 +9,8 @@ package core
 // The mechanism reuses the match-counting inner loop unchanged and runs
 // it exactly once per document. The n-gram stream is cut into stride-
 // sized chunks; each chunk's per-language counts are accumulated through
-// the classifier's one accumulateInto pass (the fused blocked kernel
-// scores all languages per n-gram in that pass, the Matcher-shaped
+// the classifier's one accumulateInto pass (the fused direct and blocked
+// kernels score all languages per n-gram in that pass, the Matcher-shaped
 // backends walk their languages×grams loop) into a ring of Window/Stride
 // rows. A sliding window of Window n-grams is then the rolling sum of
 // the ring — adding the newest chunk row and subtracting the oldest —

@@ -47,7 +47,8 @@ import (
 
 // Config carries the serving-layer knobs.
 type Config struct {
-	// Backend selects the membership structure; default BackendBloom.
+	// Backend selects the membership structure; the zero value is
+	// BackendDirect, the exact kernel.
 	Backend core.Backend
 	// Workers bounds /batch fan-out; 0 means GOMAXPROCS.
 	Workers int
@@ -466,16 +467,16 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request, st *endpoi
 		return
 	}
 	st.bytes.Add(int64(len(body)))
-	// /detect always reports per-language counts, so it takes the
-	// Result-carrying path and scores it under the detector's policy.
-	res := det.Classifier().Classify(body)
-	m := det.MatchResult(res)
+	// /detect always reports per-language counts; the stack buffer
+	// holds them for up to 32 languages without a heap allocation.
+	var buf [32]int
+	counts, m := det.DetectCounts(buf[:0], body)
 	if m.NGrams == 0 {
 		jsonError(w, http.StatusUnprocessableEntity, "document too short to classify")
 		return
 	}
 	st.docs.Add(1)
-	writeJSON(w, s.detection(det, "", m, res.Counts, st))
+	writeJSON(w, s.detection(det, "", m, counts, st))
 }
 
 // handleSegment segments one raw document into contiguous

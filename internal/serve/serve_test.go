@@ -120,6 +120,59 @@ func TestDetectAcrossLanguages(t *testing.T) {
 	}
 }
 
+// TestDetectMatchesLegacyPath pins the /detect wire format across the
+// move to the pooled DetectCounts path: over every test document the
+// response bytes equal the encoding of the legacy Classify+MatchResult
+// answer. It also pins the zero-value Config to the exact backend.
+func TestDetectMatchesLegacyPath(t *testing.T) {
+	corp, ps := fixtures(t)
+	srv, err := serve.New(ps, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Stats().Backend; got != "direct-lookup" {
+		t.Errorf("zero-value Config serves %q, want direct-lookup", got)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	det := srv.Detector()
+	for _, lang := range testLangs {
+		for i, doc := range corp.Test[lang] {
+			res := det.Classifier().Classify(doc.Text)
+			m := det.MatchResult(res)
+			want := serve.Detection{
+				Language: m.Lang,
+				Name:     corpus.Name(m.Lang),
+				NGrams:   m.NGrams,
+				Count:    m.Count,
+				Score:    m.Score,
+				Margin:   m.Margin,
+				Unknown:  m.Unknown,
+				Counts:   map[string]int{},
+			}
+			for j, l := range det.Languages() {
+				want.Counts[l] = res.Counts[j]
+			}
+			var wantBody bytes.Buffer
+			if err := json.NewEncoder(&wantBody).Encode(want); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/detect", "text/plain", bytes.NewReader(doc.Text))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(body, wantBody.Bytes()) {
+				t.Errorf("%s doc %d: /detect answered\n%s\nlegacy path encodes\n%s", lang, i, body, wantBody.Bytes())
+			}
+		}
+	}
+}
+
 func TestBatchPreservesOrderAcrossLanguages(t *testing.T) {
 	ts, corp := newTestServer(t, serve.Config{})
 	type reqDoc struct {
@@ -620,7 +673,7 @@ func TestStatszCountsErrors(t *testing.T) {
 // blocked backend — with profiles reloaded from an NGPS v2 file
 // carrying the embedded blocked layout, the restart path a production
 // daemon takes — and checks that HTTP detections agree with the
-// default parallel-bloom server on every test language, and that
+// default direct-lookup server on every test language, and that
 // /statsz names the backend.
 func TestBlockedBackendServesIdentically(t *testing.T) {
 	_, ps := fixtures(t)
@@ -648,11 +701,11 @@ func TestBlockedBackendServesIdentically(t *testing.T) {
 			want := postDetect(t, baselineTS, doc)
 			got := postDetect(t, blockedTS, doc)
 			if got.Language != want.Language {
-				t.Errorf("%s doc %d: blocked served %q, parallel-bloom served %q",
+				t.Errorf("%s doc %d: blocked served %q, direct-lookup served %q",
 					lang, i, got.Language, want.Language)
 			}
 			if got.NGrams != want.NGrams {
-				t.Errorf("%s doc %d: blocked tested %d n-grams, parallel-bloom %d",
+				t.Errorf("%s doc %d: blocked tested %d n-grams, direct-lookup %d",
 					lang, i, got.NGrams, want.NGrams)
 			}
 		}
