@@ -58,13 +58,13 @@ func TestGoldenAccuracyFloors(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Run(name, func(t *testing.T) {
-			clf, err := NewClassifier(ps, backend)
+			det, err := NewDetector(ps, WithBackend(backend))
 			if err != nil {
 				// Backends registered by other tests in this package may
 				// reject the golden config; the gate covers the built-ins.
 				t.Skipf("backend %s unavailable under golden config: %v", name, err)
 			}
-			ev := NewEngine(clf, 0).Evaluate(corp)
+			ev := Evaluate(det, corp)
 			if len(ev.PerLanguage) != len(g.Floors) {
 				t.Fatalf("evaluated %d languages, golden file has %d floors", len(ev.PerLanguage), len(g.Floors))
 			}

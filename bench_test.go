@@ -67,11 +67,10 @@ func BenchmarkTable1AccuracyVsParams(b *testing.B) {
 			cfg.K = cfgPoint.K
 			cfg.MBits = uint32(cfgPoint.MKbits) * 1024
 			psC := &ProfileSet{Config: cfg, Profiles: ps.Profiles}
-			clf, err := NewClassifier(psC, BackendBloom)
+			det, err := NewDetector(psC, WithBackend(BackendBloom))
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng := NewEngine(clf, 0)
 			docs := corp.TestDocuments("")
 			var bytes int64
 			for _, d := range docs {
@@ -79,12 +78,11 @@ func BenchmarkTable1AccuracyVsParams(b *testing.B) {
 			}
 			b.SetBytes(bytes)
 			b.ResetTimer()
-			var ev Evaluation
 			for i := 0; i < b.N; i++ {
-				eng.ClassifyAll(docs)
+				det.DetectBatch(docs)
 			}
 			b.StopTimer()
-			ev = eng.Evaluate(corp)
+			ev := Evaluate(det, corp)
 			b.ReportMetric(100*ev.Average, "accuracy_pct")
 			b.ReportMetric(1000*cfg.ExpectedFalsePositiveRate(), "expected_fp_per_1000")
 		})
@@ -244,15 +242,14 @@ func BenchmarkAblationBackends(b *testing.B) {
 	}
 	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic, BackendBlocked} {
 		b.Run(backend.String(), func(b *testing.B) {
-			clf, err := NewClassifier(ps, backend)
+			det, err := NewDetector(ps, WithBackend(backend))
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng := NewEngine(clf, 0)
 			b.SetBytes(bytes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.ClassifyAll(docs)
+				det.DetectBatch(docs)
 			}
 		})
 	}
@@ -262,10 +259,6 @@ func BenchmarkAblationBackends(b *testing.B) {
 // count — the document-level parallelism knob.
 func BenchmarkAblationWorkers(b *testing.B) {
 	corp, ps := benchFixtures(b)
-	clf, err := NewClassifier(ps, BackendBloom)
-	if err != nil {
-		b.Fatal(err)
-	}
 	docs := corp.TestDocuments("")
 	var bytes int64
 	for _, d := range docs {
@@ -273,11 +266,14 @@ func BenchmarkAblationWorkers(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4, 8, 16} {
 		b.Run("workers_"+itoa(workers), func(b *testing.B) {
-			eng := NewEngine(clf, workers)
+			det, err := NewDetector(ps, WithBackend(BackendBloom), WithWorkers(workers))
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.SetBytes(bytes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.ClassifyAll(docs)
+				det.DetectBatch(docs)
 			}
 		})
 	}
@@ -293,11 +289,10 @@ func BenchmarkAblationSubsample(b *testing.B) {
 			cfg := ps.Config
 			cfg.Subsample = sub
 			psC := &ProfileSet{Config: cfg, Profiles: ps.Profiles}
-			clf, err := NewClassifier(psC, BackendBloom)
+			det, err := NewDetector(psC, WithBackend(BackendBloom))
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng := NewEngine(clf, 0)
 			docs := corp.TestDocuments("")
 			var bytes int64
 			for _, d := range docs {
@@ -306,10 +301,10 @@ func BenchmarkAblationSubsample(b *testing.B) {
 			b.SetBytes(bytes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.ClassifyAll(docs)
+				det.DetectBatch(docs)
 			}
 			b.StopTimer()
-			ev := eng.Evaluate(corp)
+			ev := Evaluate(det, corp)
 			b.ReportMetric(100*ev.Average, "accuracy_pct")
 		})
 	}
@@ -354,10 +349,11 @@ func BenchmarkTrainProfiles(b *testing.B) {
 
 func BenchmarkClassifySingleDoc(b *testing.B) {
 	_, ps := benchFixtures(b)
-	clf, err := NewClassifier(ps, BackendBloom)
+	det, err := NewDetector(ps, WithBackend(BackendBloom))
 	if err != nil {
 		b.Fatal(err)
 	}
+	clf := det.Classifier()
 	doc := benchBigDocs[0].Text
 	b.SetBytes(int64(len(doc)))
 	b.ResetTimer()

@@ -36,8 +36,9 @@ type ProfileSet = core.ProfileSet
 // Profile is one language's ranked n-gram profile.
 type Profile = ngram.Profile
 
-// Result is a single-document classification outcome in the legacy
-// counter-centric form; new code should consume Match from a Detector.
+// Result is the raw per-language counter view of one document, as
+// returned by (*Detector).Classifier().Classify; detection results are
+// Matches.
 type Result = core.Result
 
 // Evaluation is an accuracy/confusion summary over a labelled test set.
@@ -58,11 +59,12 @@ const (
 	BackendBlocked = core.BackendBlocked
 )
 
-// Matcher is one language's membership structure; implement it to
-// register a custom backend.
-type Matcher = core.Matcher
+// Kernel is a backend's membership-counting kernel: AccumulateInto
+// adds each language's match count over a run of packed n-grams.
+// Implement it to register a custom backend.
+type Kernel = core.Kernel
 
-// BackendBuilder constructs the Matcher for one language profile.
+// BackendBuilder constructs a backend's Kernel over a profile set.
 type BackendBuilder = core.BackendBuilder
 
 // RegisterBackend adds a membership backend under a canonical name
@@ -131,21 +133,6 @@ type SegmentConfig = core.SegmentConfig
 // to close the document. Created by (*Detector).NewSpanStream.
 type SpanStream = core.SpanStream
 
-// Classifier tests document n-grams against every language profile and
-// reports match counts (§3.2).
-//
-// Deprecated: use Detector, which adds ranked results, confidence
-// scoring and unknown thresholding over the same pipeline. Classifier
-// remains for raw per-language counts and the hardware simulator.
-type Classifier = core.Classifier
-
-// Engine runs a Classifier over document sets with a goroutine worker
-// pool.
-//
-// Deprecated: use (*Detector).DetectBatch for classification;
-// Engine remains for Evaluate/Measure-style corpus scoring.
-type Engine = core.Engine
-
 // Train builds per-language profiles from a corpus's training split.
 func Train(cfg Config, corp *Corpus) (*ProfileSet, error) {
 	return core.Train(cfg, corp)
@@ -157,24 +144,15 @@ func TrainFromTexts(cfg Config, texts map[string][][]byte) (*ProfileSet, error) 
 	return core.TrainFromTexts(cfg, texts)
 }
 
-// NewClassifier builds a classifier over trained profiles with the
-// chosen membership backend.
-//
-// Deprecated: use NewDetector(ps, WithBackend(backend)); the detector
-// exposes the classifier via (*Detector).Classifier when raw counts
-// are needed.
-func NewClassifier(ps *ProfileSet, backend Backend) (*Classifier, error) {
-	return core.New(ps, backend)
-}
+// ThroughputReport is a measured software classification run.
+type ThroughputReport = core.ThroughputReport
 
-// NewEngine wraps a classifier in a parallel document engine;
-// workers <= 0 means GOMAXPROCS.
-//
-// Deprecated: use NewDetector(ps, WithWorkers(n)) and
-// (*Detector).DetectBatch; NewEngine remains for corpus evaluation.
-func NewEngine(c *Classifier, workers int) *Engine {
-	return core.NewEngine(c, workers)
-}
+// Evaluate classifies the corpus test split with det and scores it
+// per language.
+func Evaluate(det *Detector, corp *Corpus) Evaluation { return core.Evaluate(det, corp) }
+
+// Measure classifies docs with det and reports wall-clock throughput.
+func Measure(det *Detector, docs []Document) ThroughputReport { return core.Measure(det, docs) }
 
 // FalsePositiveRate returns the paper's §3.1 Parallel Bloom Filter
 // model f = (1 − e^(−N/m))^k.

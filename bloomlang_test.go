@@ -39,11 +39,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("trained %d languages, want 10", len(ps.Languages()))
 	}
 	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic} {
-		clf, err := NewClassifier(ps, backend)
+		det, err := NewDetector(ps, WithBackend(backend))
 		if err != nil {
 			t.Fatalf("%v: %v", backend, err)
 		}
-		ev := NewEngine(clf, 0).Evaluate(corp)
+		ev := Evaluate(det, corp)
 		if ev.Average < 0.9 {
 			t.Errorf("%v: accuracy %.3f below 0.9", backend, ev.Average)
 		}
@@ -51,8 +51,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 // TestDetectorFacade exercises the re-exported Detector surface: the
-// functional options, backend parsing, and agreement with the legacy
-// classifier path on confidently-decided documents.
+// functional options, backend parsing, and agreement with the raw
+// Classify counts on confidently-decided documents.
 func TestDetectorFacade(t *testing.T) {
 	corp, ps := fixtures(t)
 	be, err := ParseBackend("bloom")
@@ -70,10 +70,7 @@ func TestDetectorFacade(t *testing.T) {
 	if got := det.Backend().String(); got != "parallel-bloom" {
 		t.Errorf("backend = %q", got)
 	}
-	clf, err := NewClassifier(ps, BackendBloom)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clf := det.Classifier()
 	docs := corp.TestDocuments("")[:40]
 	matches := det.DetectBatch(docs)
 	decided := 0
@@ -130,10 +127,11 @@ func TestSystemSimulationMatchesSoftware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clf, err := NewClassifier(ps, BackendBloom)
+	det, err := NewDetector(ps, WithBackend(BackendBloom))
 	if err != nil {
 		t.Fatal(err)
 	}
+	clf := det.Classifier()
 	for i, dr := range rep.Results {
 		sw := clf.Classify(docs[i].Text)
 		for l := range sw.Counts {

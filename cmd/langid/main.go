@@ -97,14 +97,13 @@ func eval(args []string) {
 		log.Fatal(err)
 	}
 	applyFilterFlags(fs, ps, *k, uint32(*m))
-	clf, err := bloomlang.NewClassifier(ps, bloomlang.BackendBloom)
+	det, err := bloomlang.NewDetector(ps, bloomlang.WithBackend(bloomlang.BackendBloom), bloomlang.WithWorkers(*workers))
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng := bloomlang.NewEngine(clf, *workers)
-	rep := eng.Measure(corp.TestDocuments(""))
-	ev := eng.Evaluate(corp)
-	fmt.Printf("evaluated %d documents at %.1f MB/s with %d workers\n\n", ev.Docs, rep.MBPerSec(), eng.Workers())
+	rep := bloomlang.Measure(det, corp.TestDocuments(""))
+	ev := bloomlang.Evaluate(det, corp)
+	fmt.Printf("evaluated %d documents at %.1f MB/s with %d workers\n\n", ev.Docs, rep.MBPerSec(), det.Workers())
 	fmt.Println("per-language accuracy:")
 	for _, lang := range ev.Languages {
 		if acc, ok := ev.PerLanguage[lang]; ok {
@@ -306,11 +305,9 @@ func classify(args []string) {
 	}
 
 	classifyOne := func(name string, text []byte) {
-		// One pipeline pass covers both outputs: the Result carries the
-		// per-language counts -v prints, and MatchResult scores it under
-		// the detector's thresholds.
-		res := det.Classifier().Classify(text)
-		match := det.MatchResult(res)
+		// One pipeline pass covers both outputs: the match under the
+		// detector's thresholds and the per-language counts -v prints.
+		counts, match := det.DetectCounts(nil, text)
 		if match.Unknown {
 			fmt.Printf("%s: unknown (%d n-grams, score %.3f, margin %.3f)\n",
 				name, match.NGrams, match.Score, match.Margin)
@@ -324,13 +321,13 @@ func classify(args []string) {
 			for i := range order {
 				order[i] = i
 			}
-			sort.SliceStable(order, func(a, b int) bool { return res.Counts[order[a]] > res.Counts[order[b]] })
+			sort.SliceStable(order, func(a, b int) bool { return counts[order[a]] > counts[order[b]] })
 			for _, i := range order {
 				score := 0.0
-				if res.NGrams > 0 {
-					score = float64(res.Counts[i]) / float64(res.NGrams)
+				if match.NGrams > 0 {
+					score = float64(counts[i]) / float64(match.NGrams)
 				}
-				fmt.Printf("  %-3s %6d  score %.3f\n", langs[i], res.Counts[i], score)
+				fmt.Printf("  %-3s %6d  score %.3f\n", langs[i], counts[i], score)
 			}
 		}
 	}

@@ -105,7 +105,7 @@ func main() {
 			Smoothing:  *segSmoothing,
 		},
 	}
-	if err := cfg.Segment.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		log.Fatal(err)
 	}
 

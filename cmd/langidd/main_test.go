@@ -5,6 +5,7 @@ package main
 // daemon must never fall through to serving nothing.
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -109,5 +110,8 @@ func TestBuildServerFromRegistry(t *testing.T) {
 	}
 	if got := srv.Stats().ProfileVersion; got != m.Version {
 		t.Errorf("stats version %q, want %q", got, m.Version)
+	}
+	if _, _, err := buildServer(profileSource{registryDir: dir}, bloomlang.ServeConfig{MinMargin: math.NaN()}); err == nil {
+		t.Error("buildServer accepted a NaN min margin")
 	}
 }

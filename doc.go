@@ -42,6 +42,15 @@
 //	st := det.NewStream()                       // incremental: Write chunks, then
 //	st.Write(chunk); m = st.Match()             // read the running decision
 //
+// Raw per-language match counts ride along on every path, appended to
+// caller scratch in Languages() order, and corpus scoring runs over the
+// same batch path:
+//
+//	counts, m := det.DetectCounts(buf[:0], doc) // one document
+//	counts, ms := det.DetectBatchCounts(nil, docs) // row-major, one row per document
+//	counts = st.AppendCounts(counts[:0])        // a stream's running counts
+//	ev := bloomlang.Evaluate(det, corp)         // per-language accuracy, confusion
+//
 // The single-document hot path reuses per-call scratch from an internal
 // pool, so a warm Detect performs zero heap allocations (see
 // BenchmarkDetector).
@@ -55,11 +64,32 @@
 // cache-line-blocked Bloom filter ("blocked-bloom"/"blocked").
 // ParseBackend resolves any registered name or alias (the CLIs' -backend
 // flag is exactly this), Backend.String round-trips it back, and
-// RegisterBackend plugs in new implementations (RegisterFusedBackend
-// for backends that score all languages per n-gram in one pass):
+// RegisterBackend plugs in new implementations. A backend is a Kernel
+// built over the whole profile set; its AccumulateInto scores every
+// language for each n-gram of a run, adding into one counter per
+// language:
 //
-//	fast := bloomlang.RegisterBackend("my-backend", myBuilder, "mine")
-//	det, _ := bloomlang.NewDetector(profiles, bloomlang.WithBackend(fast))
+//	type myKernel struct{ sets []map[uint32]bool } // one set per language
+//
+//	func (k myKernel) AccumulateInto(counts []int, gs []uint32) {
+//		for i, set := range k.sets {
+//			for _, g := range gs {
+//				if set[g] {
+//					counts[i]++
+//				}
+//			}
+//		}
+//	}
+//
+//	mine := bloomlang.RegisterBackend("my-backend",
+//		func(cfg bloomlang.Config, ps *bloomlang.ProfileSet) (bloomlang.Kernel, error) {
+//			k := myKernel{}
+//			for _, p := range ps.Profiles {
+//				k.sets = append(k.sets, p.Set())
+//			}
+//			return k, nil
+//		}, "mine")
+//	det, _ := bloomlang.NewDetector(profiles, bloomlang.WithBackend(mine))
 //
 // The default backend is HAIL's direct table (§2) generalised from one
 // language per packed n-gram to a language bitmask per packed n-gram:
@@ -128,10 +158,8 @@
 // The mechanism reuses the match-counting inner loop unchanged and
 // runs it exactly once per document: the n-gram stream is cut into
 // Stride-sized chunks, each chunk's per-language counts accumulate
-// through the classifier's single counting pass (the fused direct and
-// blocked kernels score all languages per n-gram; the other backends
-// walk their Matcher loops), and a sliding window of Window n-grams is the
-// rolling sum of a Window/Stride-row ring — add the newest chunk,
+// through one pass of the backend's Kernel, and a sliding window of
+// Window n-grams is the rolling sum of a Window/Stride-row ring — add the newest chunk,
 // subtract the oldest. No n-gram is ever re-extracted or re-hashed
 // for a second window, so on the blocked backend segmenting costs
 // barely more than one Detect, at 0 allocs/op warm (AppendSpans with
@@ -280,25 +308,4 @@
 // -save), SIGHUP hot reload, and graceful drain on SIGINT/SIGTERM.
 // examples/server walks the full serving surface, admin plane
 // included, in one self-contained program.
-//
-// # Migrating from Classifier and Engine
-//
-// The pre-Detector entry points remain as thin deprecated wrappers;
-// each maps onto the Detector like so:
-//
-//	NewClassifier(ps, backend)   -> NewDetector(ps, WithBackend(backend))
-//	Classifier.Classify(doc)     -> Detector.Detect(doc)        (Match, not Result)
-//	Result.BestLanguage(langs)   -> Match.Lang                  ("" now means Unknown)
-//	Result.Margin()              -> Match.Margin                (normalized, float64)
-//	Result.Counts                -> Detector.Rank(doc, 0)       (ranked Matches)
-//	NewEngine(clf, n)            -> NewDetector(ps, WithWorkers(n))
-//	Engine.ClassifyAll(docs)     -> Detector.DetectBatch(docs)
-//	Classifier.NewStream()       -> Detector.NewStream()        (Match-producing)
-//	hand-rolled backend switch   -> ParseBackend(name)
-//
-// Raw per-language counts and corpus evaluation stay available through
-// (*Detector).Classifier and NewEngine (Evaluate/Measure); the
-// simulator keeps borrowing the classifier's Bloom filters, so
-// hardware-simulated and software classifications still agree
-// bit-for-bit.
 package bloomlang

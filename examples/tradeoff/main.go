@@ -46,11 +46,11 @@ func main() {
 		cfg.K = point.k
 		cfg.MBits = uint32(point.mKbit) * 1024
 		ps := &bloomlang.ProfileSet{Config: cfg, Profiles: profiles.Profiles}
-		clf, err := bloomlang.NewClassifier(ps, bloomlang.BackendBloom)
+		det, err := bloomlang.NewDetector(ps, bloomlang.WithBackend(bloomlang.BackendBloom))
 		if err != nil {
 			log.Fatal(err)
 		}
-		ev := bloomlang.NewEngine(clf, 0).Evaluate(corp)
+		ev := bloomlang.Evaluate(det, corp)
 		maxLangs := bloomlang.MaxLanguages(point.k, cfg.MBits, dev)
 		fmt.Printf("%8d  %d  %11.1f  %7.2f%%  %9d  %d\n",
 			point.mKbit, point.k,

@@ -29,7 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	clf, err := bloomlang.NewClassifier(profiles, bloomlang.BackendBloom)
+	det, err := bloomlang.NewDetector(profiles, bloomlang.WithBackend(bloomlang.BackendBloom))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,19 +44,16 @@ func main() {
 		len(stream), float64(total)/1e6, len(corp.Languages))
 
 	// Route documents into per-language buckets.
-	eng := bloomlang.NewEngine(clf, 0)
-	results := eng.ClassifyAll(stream)
 	buckets := map[string]int{}
 	misrouted := 0
-	for i, r := range results {
-		lang := r.BestLanguage(clf.Languages())
-		buckets[lang]++
-		if lang != stream[i].Language {
+	for i, m := range det.DetectBatch(stream) {
+		buckets[m.Lang]++
+		if m.Lang != stream[i].Language {
 			misrouted++
 		}
 	}
 	fmt.Println("routing buckets:")
-	for _, lang := range clf.Languages() {
+	for _, lang := range det.Languages() {
 		fmt.Printf("  %-3s %-12s %5d docs\n", lang, bloomlang.LanguageName(lang), buckets[lang])
 	}
 	fmt.Printf("misrouted: %d of %d (%.2f%%)\n\n", misrouted, len(stream),
@@ -67,7 +64,11 @@ func main() {
 	fmt.Println("software engine scaling (same stream):")
 	maxW := runtime.GOMAXPROCS(0)
 	for w := 1; w <= maxW; w *= 2 {
-		rep := bloomlang.NewEngine(clf, w).Measure(stream)
+		wdet, err := bloomlang.NewDetector(profiles, bloomlang.WithBackend(bloomlang.BackendBloom), bloomlang.WithWorkers(w))
+		if err != nil {
+			log.Fatal(err)
+		}
+		rep := bloomlang.Measure(wdet, stream)
 		fmt.Printf("  %2d workers: %7.1f MB/s\n", w, rep.MBPerSec())
 	}
 	fmt.Printf("\n(the paper's FPGA runs this at 470 MB/s on a single XD1000 socket;\n" +

@@ -128,16 +128,15 @@ func RunTable1(scale Scale) ([]Table1Row, error) {
 		cfg.K = c.K
 		cfg.MBits = uint32(c.MKbits) * 1024
 		psC := &core.ProfileSet{Config: cfg, Profiles: ps.Profiles}
-		clf, err := core.New(psC, core.BackendBloom)
+		det, err := core.NewDetector(psC, core.WithBackend(core.BackendBloom), core.WithWorkers(scale.Workers))
 		if err != nil {
 			return nil, err
 		}
-		eng := core.NewEngine(clf, scale.Workers)
-		ev := eng.Evaluate(corp)
+		ev := core.Evaluate(det, corp)
 		row := Table1Row{
 			MKbits:             c.MKbits,
 			K:                  c.K,
-			MeasuredFPPerMille: measureFalsePositives(clf, psC),
+			MeasuredFPPerMille: measureFalsePositives(det.Classifier(), psC),
 			Accuracy:           ev.Average,
 			MinAccuracy:        ev.Min,
 			MaxAccuracy:        ev.Max,
@@ -554,11 +553,11 @@ func RunSubsampleAblation(scale Scale) ([]SubsampleRow, error) {
 		cfg := base
 		cfg.Subsample = sub
 		psC := &core.ProfileSet{Config: cfg, Profiles: ps.Profiles}
-		clf, err := core.New(psC, core.BackendBloom)
+		det, err := core.NewDetector(psC, core.WithBackend(core.BackendBloom), core.WithWorkers(scale.Workers))
 		if err != nil {
 			return nil, err
 		}
-		ev := core.NewEngine(clf, scale.Workers).Evaluate(corp)
+		ev := core.Evaluate(det, corp)
 		copies := 4 / sub
 		if copies < 1 {
 			copies = 1
@@ -617,12 +616,11 @@ func RunConfusion(scale Scale) (ConfusionResult, error) {
 	if err != nil {
 		return out, err
 	}
-	clf, err := core.New(ps, core.BackendBloom)
+	det, err := core.NewDetector(ps, core.WithBackend(core.BackendBloom), core.WithWorkers(scale.Workers))
 	if err != nil {
 		return out, err
 	}
-	eng := core.NewEngine(clf, scale.Workers)
-	out.Evaluation = eng.Evaluate(corp)
+	out.Evaluation = core.Evaluate(det, corp)
 	for truth, row := range out.Evaluation.Confusion {
 		for pred, n := range row {
 			if pred != truth && pred != "" && n > 0 {

@@ -9,49 +9,29 @@ import (
 	"bloomlang/internal/ngram"
 )
 
-// Matcher is one language's membership structure: it answers whether a
-// packed n-gram belongs to that language's profile. The paper's
-// Parallel Bloom Filter and the classic single-vector Bloom filter
-// implement it; external packages may register additional
-// implementations via RegisterBackend.
-type Matcher interface {
-	Test(g uint32) bool
-}
-
-// BackendBuilder constructs the Matcher for one language. index is the
-// language's position in the sorted profile set, so builders can derive
-// independent per-language seeds the way the hardware gives each
-// replica its own H3 matrices.
-type BackendBuilder func(cfg Config, index int, p *ngram.Profile) (Matcher, error)
-
-// Kernel is a fused all-languages scoring kernel: instead of one
-// Matcher per language queried in a languages×grams loop, a Kernel
-// scores every language for each n-gram in a single pass — the
-// software analogue of the hardware testing one n-gram against all
-// language classifiers in the same clock (§3.2). AccumulateInto adds
-// each language's match count over gs into counts (len(Languages()))
-// and must not allocate; Test answers per-language membership for the
-// paths that need a single probe.
+// Kernel is a backend's membership-counting kernel: it scores every
+// language for each n-gram in one call — the software analogue of the
+// hardware testing one n-gram against all language classifiers in the
+// same clock (§3.2). AccumulateInto adds each language's match count
+// over gs into counts (len(Languages()), in profile order) and must
+// not allocate.
 type Kernel interface {
 	AccumulateInto(counts []int, gs []uint32)
-	Test(lang int, g uint32) bool
 }
 
-// SetBuilder constructs the fused Kernel over the whole profile set at
-// once — fused backends need every language's profile up front to lay
-// the per-language state out contiguously.
-type SetBuilder func(cfg Config, ps *ProfileSet) (Kernel, error)
+// BackendBuilder constructs a backend's Kernel over the whole profile
+// set at once, so fused backends can lay the per-language state out
+// contiguously and per-language backends can derive each language's
+// seed from its index.
+type BackendBuilder func(cfg Config, ps *ProfileSet) (Kernel, error)
 
 // backendEntry is one registered membership backend. The entry's slot
 // in the registry table is its Backend value, so the registry is an
-// open-ended extension of the original closed enum. Exactly one of
-// build and buildSet is non-nil: per-language backends provide build,
-// fused backends provide buildSet.
+// open-ended extension of the original closed enum.
 type backendEntry struct {
-	name     string
-	aliases  []string
-	build    BackendBuilder
-	buildSet SetBuilder
+	name    string
+	aliases []string
+	build   BackendBuilder
 }
 
 var (
@@ -68,35 +48,20 @@ func RegisterBackend(name string, build BackendBuilder, aliases ...string) Backe
 	if build == nil {
 		panic("core: RegisterBackend with nil builder")
 	}
-	return register(backendEntry{name: name, aliases: aliases, build: build})
-}
-
-// RegisterFusedBackend adds a fused membership backend: one whose
-// Kernel scores all languages per n-gram in a single pass instead of
-// providing per-language Matchers. Registration semantics match
-// RegisterBackend.
-func RegisterFusedBackend(name string, build SetBuilder, aliases ...string) Backend {
-	if build == nil {
-		panic("core: RegisterFusedBackend with nil builder")
-	}
-	return register(backendEntry{name: name, aliases: aliases, buildSet: build})
-}
-
-func register(e backendEntry) Backend {
 	backendMu.Lock()
 	defer backendMu.Unlock()
-	if e.name == "" {
+	if name == "" {
 		panic("core: backend registration with empty name")
 	}
-	for _, n := range append([]string{e.name}, e.aliases...) {
+	for _, n := range append([]string{name}, aliases...) {
 		if _, dup := backendIndex[n]; dup {
 			panic(fmt.Sprintf("core: backend name %q already registered", n))
 		}
 	}
 	b := Backend(len(backendTable))
-	backendTable = append(backendTable, e)
-	backendIndex[e.name] = b
-	for _, n := range e.aliases {
+	backendTable = append(backendTable, backendEntry{name: name, aliases: aliases, build: build})
+	backendIndex[name] = b
+	for _, n := range aliases {
 		backendIndex[n] = b
 	}
 	return b
@@ -142,51 +107,79 @@ func (b Backend) String() string {
 	return fmt.Sprintf("backend(%d)", int(b))
 }
 
-// builders returns the registered per-language and fused builders
-// (exactly one non-nil), or an error for a Backend value that was
-// never registered.
-func (b Backend) builders() (BackendBuilder, SetBuilder, error) {
+// builder returns the registered builder, or an error for a Backend
+// value that was never registered.
+func (b Backend) builder() (BackendBuilder, error) {
 	backendMu.RLock()
 	defer backendMu.RUnlock()
 	if int(b) < 0 || int(b) >= len(backendTable) {
-		return nil, nil, fmt.Errorf("core: unknown backend %d", int(b))
+		return nil, fmt.Errorf("core: unknown backend %d", int(b))
 	}
-	return backendTable[b].build, backendTable[b].buildSet, nil
+	return backendTable[b].build, nil
 }
 
 // The built-in backends register in constant order so the registry
 // slots line up with the Backend constants; direct-lookup takes slot 0,
 // which makes it the zero-value default.
 func init() {
-	directB := RegisterFusedBackend("direct-lookup", buildMaskKernel, "direct")
+	directB := RegisterBackend("direct-lookup", buildMaskKernel, "direct")
 	bloomB := RegisterBackend("parallel-bloom", buildParallelBloom, "bloom")
 	classicB := RegisterBackend("classic-bloom", buildClassicBloom, "classic")
-	blockedB := RegisterFusedBackend("blocked-bloom", buildBlocked, "blocked")
+	blockedB := RegisterBackend("blocked-bloom", buildBlocked, "blocked")
 	if bloomB != BackendBloom || directB != BackendDirect || classicB != BackendClassic || blockedB != BackendBlocked {
 		panic("core: built-in backends registered out of order")
 	}
 }
 
+// perLanguage is the kernel of the per-language backends: one
+// membership filter per language, queried in the languages×grams loop.
+type perLanguage[F interface{ Test(uint32) bool }] []F
+
+// AccumulateInto adds each language's match count over gs into counts.
+func (p perLanguage[F]) AccumulateInto(counts []int, gs []uint32) {
+	for i, f := range p {
+		n := 0
+		for _, g := range gs {
+			if f.Test(g) {
+				n++
+			}
+		}
+		counts[i] += n
+	}
+}
+
+// buildPerLanguage programs one filter per language, each from its own
+// seed, and wraps them in the languages×grams kernel.
+func buildPerLanguage[F interface {
+	Test(uint32) bool
+	ProgramAll([]uint32)
+}](cfg Config, ps *ProfileSet, newFilter func(seed int64) (F, error)) (Kernel, error) {
+	fs := make(perLanguage[F], len(ps.Profiles))
+	for i, p := range ps.Profiles {
+		f, err := newFilter(perLanguageSeed(cfg.Seed, i))
+		if err != nil {
+			return nil, err
+		}
+		f.ProgramAll(p.Grams)
+		fs[i] = f
+	}
+	return fs, nil
+}
+
 // buildParallelBloom is the paper's design: k H3 hashes into k
 // independent m-bit vectors per language (§3.1).
-func buildParallelBloom(cfg Config, index int, p *ngram.Profile) (Matcher, error) {
-	f, err := bloom.NewParallel(cfg.K, ngram.Bits(cfg.N), cfg.MBits, perLanguageSeed(cfg.Seed, index))
-	if err != nil {
-		return nil, err
-	}
-	f.ProgramAll(p.Grams)
-	return f, nil
+func buildParallelBloom(cfg Config, ps *ProfileSet) (Kernel, error) {
+	return buildPerLanguage(cfg, ps, func(seed int64) (*bloom.Parallel, error) {
+		return bloom.NewParallel(cfg.K, ngram.Bits(cfg.N), cfg.MBits, seed)
+	})
 }
 
 // buildClassicBloom is the ablation: one k·m-bit vector shared by all k
 // hash functions.
-func buildClassicBloom(cfg Config, index int, p *ngram.Profile) (Matcher, error) {
-	f, err := bloom.NewClassic(cfg.K, ngram.Bits(cfg.N), cfg.MBits*uint32(cfg.K), perLanguageSeed(cfg.Seed, index))
-	if err != nil {
-		return nil, err
-	}
-	f.ProgramAll(p.Grams)
-	return f, nil
+func buildClassicBloom(cfg Config, ps *ProfileSet) (Kernel, error) {
+	return buildPerLanguage(cfg, ps, func(seed int64) (*bloom.Classic, error) {
+		return bloom.NewClassic(cfg.K, ngram.Bits(cfg.N), cfg.MBits*uint32(cfg.K), seed)
+	})
 }
 
 // perLanguageSeed offsets the configured seed per language so filters
@@ -264,13 +257,3 @@ func checkBlockedLayout(cfg Config, ps *ProfileSet, set *bloom.BlockedSet) error
 	}
 	return nil
 }
-
-// kernelMatcher is the per-language view of a fused Kernel, so the
-// Matcher-shaped paths (streams, diagnostics, differential tests)
-// work identically on fused backends.
-type kernelMatcher struct {
-	k    Kernel
-	lang int
-}
-
-func (m kernelMatcher) Test(g uint32) bool { return m.k.Test(m.lang, g) }

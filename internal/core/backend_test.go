@@ -3,8 +3,6 @@ package core
 import (
 	"strings"
 	"testing"
-
-	"bloomlang/internal/ngram"
 )
 
 // TestBackendStringParseRoundTrip pins the registry contract the CLIs
@@ -71,15 +69,16 @@ func TestBackendStringUnregisteredValue(t *testing.T) {
 	}
 }
 
-// acceptAll matches every n-gram — a degenerate membership structure
-// that exists only to prove third-party backends plug in.
+// acceptAll matches every n-gram — a degenerate per-language filter
+// that exists only to prove third-party filters plug in through the
+// languages×grams kernel.
 type acceptAll struct{}
 
 func (acceptAll) Test(uint32) bool { return true }
 
 func TestRegisterBackendExtendsClassifier(t *testing.T) {
-	b := RegisterBackend("test-accept-all", func(cfg Config, index int, p *ngram.Profile) (Matcher, error) {
-		return acceptAll{}, nil
+	b := RegisterBackend("test-accept-all", func(cfg Config, ps *ProfileSet) (Kernel, error) {
+		return make(perLanguage[acceptAll], len(ps.Profiles)), nil
 	}, "accept")
 	if got, err := ParseBackend("accept"); err != nil || got != b {
 		t.Fatalf("ParseBackend(alias) = %v, %v", got, err)
@@ -109,10 +108,9 @@ func TestRegisterBackendExtendsClassifier(t *testing.T) {
 type rejectAll struct{ langs int }
 
 func (rejectAll) AccumulateInto([]int, []uint32) {}
-func (rejectAll) Test(int, uint32) bool          { return false }
 
 func TestRegisterFusedBackendExtendsClassifier(t *testing.T) {
-	b := RegisterFusedBackend("test-reject-all", func(cfg Config, ps *ProfileSet) (Kernel, error) {
+	b := RegisterBackend("test-reject-all", func(cfg Config, ps *ProfileSet) (Kernel, error) {
 		return rejectAll{langs: len(ps.Profiles)}, nil
 	}, "reject")
 	if got, err := ParseBackend("reject"); err != nil || got != b {
@@ -147,7 +145,7 @@ func TestRegisterBackendRejectsDuplicates(t *testing.T) {
 			t.Error("duplicate registration did not panic")
 		}
 	}()
-	RegisterBackend("parallel-bloom", func(cfg Config, index int, p *ngram.Profile) (Matcher, error) {
-		return acceptAll{}, nil
+	RegisterBackend("parallel-bloom", func(cfg Config, ps *ProfileSet) (Kernel, error) {
+		return rejectAll{}, nil
 	})
 }

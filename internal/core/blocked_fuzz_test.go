@@ -12,15 +12,7 @@ import (
 // accepted by the blocked backend for every language, and the blocked
 // per-language counts must dominate the exact counts.
 func FuzzBlockedNoFalseNegativesVsDirect(f *testing.F) {
-	ps := trainMini(f, Config{TopT: 800})
-	direct, err := New(ps, BackendDirect)
-	if err != nil {
-		f.Fatal(err)
-	}
-	blocked, err := New(ps, BackendBlocked)
-	if err != nil {
-		f.Fatal(err)
-	}
+	direct, blocked, exact, set := directAndBlocked(f, trainMini(f, Config{TopT: 800}))
 	corp := getMiniCorpus(f)
 	for _, lang := range []string{"en", "es", "fi", "pt"} {
 		doc := corp.Test[lang][0].Text
@@ -34,8 +26,8 @@ func FuzzBlockedNoFalseNegativesVsDirect(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		gs := direct.ExtractGrams(nil, data)
 		for _, g := range gs {
-			for i := range direct.matchers {
-				if direct.matchers[i].Test(g) && !blocked.matchers[i].Test(g) {
+			for i := range direct.langs {
+				if exact.Test(i, g) && !set.Test(i, g) {
 					t.Fatalf("blocked false negative: lang %s gram %#x", direct.langs[i], g)
 				}
 			}

@@ -11,6 +11,13 @@
 //     profile; each match increments that language's counter.
 //  3. The language with the highest match count is the classification.
 //
+// Detector is the one detection entry point: Detect, DetectCounts,
+// DetectBatch, DetectBatchCounts, Rank, NewStream and the segmentation
+// paths all count through one Kernel per backend, which scores every
+// language for each n-gram in one call (§3.2). Evaluate and Measure
+// score a Detector over a corpus. Classifier is the raw-count layer
+// underneath: the reference the paper-model tests compare against.
+//
 // Four interchangeable membership backends are provided. The default,
 // direct-lookup, is exact: HAIL's direct table (§2) generalised to one
 // language bitmask per packed n-gram, so one table load scores an
@@ -207,16 +214,14 @@ const (
 	BackendBlocked
 )
 
-// Classifier tests document n-grams against every language profile in
-// turn and reports match counts — the software realization of the
-// multiple language classifier of §3.2.
+// Classifier tests document n-grams against every language profile and
+// reports match counts — the software realization of the multiple
+// language classifier of §3.2.
 type Classifier struct {
-	cfg      Config
-	backend  Backend
-	langs    []string
-	matchers []Matcher
-	fused    Kernel            // non-nil for fused backends; scores all languages per n-gram
-	filters  []*bloom.Parallel // non-nil iff every matcher is a Parallel Bloom Filter
+	cfg     Config
+	backend Backend
+	langs   []string
+	kernel  Kernel
 	// extractor is the prototype n-gram extractor, configured once at
 	// construction. It is never fed directly: the hot paths copy it by
 	// value, giving every call (and every worker) its own sliding-window
@@ -234,7 +239,7 @@ func New(ps *ProfileSet, backend Backend) (*Classifier, error) {
 	if len(ps.Profiles) == 0 {
 		return nil, fmt.Errorf("core: empty profile set")
 	}
-	build, buildSet, err := backend.builders()
+	build, err := backend.builder()
 	if err != nil {
 		return nil, err
 	}
@@ -255,33 +260,8 @@ func New(ps *ProfileSet, backend Backend) (*Classifier, error) {
 		}
 		c.langs = append(c.langs, p.Language)
 	}
-	if buildSet != nil {
-		// Fused backend: one kernel scores every language per n-gram;
-		// matchers are per-language views of the same kernel.
-		k, err := buildSet(cfg, ps)
-		if err != nil {
-			return nil, err
-		}
-		c.fused = k
-		for i := range ps.Profiles {
-			c.matchers = append(c.matchers, kernelMatcher{k: k, lang: i})
-		}
-		return c, nil
-	}
-	for i, p := range ps.Profiles {
-		m, err := build(cfg, i, p)
-		if err != nil {
-			return nil, err
-		}
-		c.matchers = append(c.matchers, m)
-		if f, ok := m.(*bloom.Parallel); ok {
-			c.filters = append(c.filters, f)
-		}
-	}
-	// The XD1000 simulator borrows per-language Parallel Bloom Filters;
-	// expose them only when every language has one.
-	if len(c.filters) != len(c.matchers) {
-		c.filters = nil
+	if c.kernel, err = build(cfg, ps); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -297,13 +277,13 @@ func (c *Classifier) Config() Config { return c.cfg }
 func (c *Classifier) Backend() Backend { return c.backend }
 
 // Filter returns the Parallel Bloom Filter for language index i, or nil
-// for non-Bloom backends. The XD1000 simulator borrows these so the
-// simulated datapath and the software classifier share state.
+// for other backends. The XD1000, RTL and VHDL models borrow these, so
+// the simulated datapath and the software classifier share state.
 func (c *Classifier) Filter(i int) *bloom.Parallel {
-	if c.filters == nil {
-		return nil
+	if fs, ok := c.kernel.(perLanguage[*bloom.Parallel]); ok {
+		return fs[i]
 	}
-	return c.filters[i]
+	return nil
 }
 
 // Result is the outcome of classifying one document.
@@ -360,15 +340,15 @@ func (c *Classifier) ExtractGrams(dst []uint32, doc []byte) []uint32 {
 }
 
 // extractInto is the allocation-free extraction path: it translates doc
-// into the reusable codes buffer (grown only when too small) and
-// appends the packed n-grams to dst. Both slices come back for reuse.
-func (c *Classifier) extractInto(dst []uint32, codes []alphabet.Code, doc []byte) ([]uint32, []alphabet.Code) {
+// into the reusable codes buffer (grown only when too small) and feeds
+// it through e, appending the packed n-grams to dst. Both slices come
+// back for reuse.
+func extractInto(e *ngram.Extractor, dst []uint32, codes []alphabet.Code, doc []byte) ([]uint32, []alphabet.Code) {
 	if cap(codes) < len(doc) {
 		codes = make([]alphabet.Code, len(doc))
 	}
 	codes = codes[:len(doc)]
 	alphabet.TranslateInto(codes, doc)
-	e := c.extractor
 	return e.Feed(dst, codes), codes
 }
 
@@ -376,7 +356,7 @@ func (c *Classifier) extractInto(dst []uint32, codes []alphabet.Code, doc []byte
 // inner loop the hardware implements: every n-gram is tested against
 // every language's filter and counters are incremented on match.
 func (c *Classifier) ClassifyGrams(gs []uint32) Result {
-	r := Result{Counts: make([]int, len(c.matchers)), NGrams: len(gs), Best: -1, Second: -1}
+	r := Result{Counts: make([]int, len(c.langs)), NGrams: len(gs), Best: -1, Second: -1}
 	c.countInto(r.Counts, gs)
 	r.selectWinners()
 	return r
@@ -388,27 +368,7 @@ func (c *Classifier) countInto(counts []int, gs []uint32) {
 	for i := range counts {
 		counts[i] = 0
 	}
-	c.accumulateInto(counts, gs)
-}
-
-// accumulateInto adds each language's match count over gs into counts.
-// Fused backends score all languages per n-gram in one pass through
-// the kernel; per-language backends walk the languages×grams loop.
-// Streams accumulate across chunks through the same path.
-func (c *Classifier) accumulateInto(counts []int, gs []uint32) {
-	if c.fused != nil {
-		c.fused.AccumulateInto(counts, gs)
-		return
-	}
-	for i, m := range c.matchers {
-		count := 0
-		for _, g := range gs {
-			if m.Test(g) {
-				count++
-			}
-		}
-		counts[i] += count
-	}
+	c.kernel.AccumulateInto(counts, gs)
 }
 
 func (r *Result) selectWinners() {

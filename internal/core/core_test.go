@@ -261,9 +261,10 @@ func TestFilterAccessor(t *testing.T) {
 	if b.Filter(0) == nil {
 		t.Error("bloom backend returned nil filter")
 	}
-	d, _ := New(ps, BackendDirect)
-	if d.Filter(0) != nil {
-		t.Error("direct backend returned a bloom filter")
+	for _, backend := range []Backend{BackendDirect, BackendClassic, BackendBlocked} {
+		if c, _ := New(ps, backend); c.Filter(0) != nil {
+			t.Errorf("%s backend returned a parallel bloom filter", backend)
+		}
 	}
 }
 

@@ -3,11 +3,13 @@ package core
 import (
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
 	"bloomlang/internal/alphabet"
 	"bloomlang/internal/corpus"
+	"bloomlang/internal/ngram"
 )
 
 // Match is one classified document: the winning language with a
@@ -52,8 +54,6 @@ type DetectorOption func(*detectorOptions)
 
 // WithBackend selects the membership backend (default BackendDirect,
 // the exact kernel).
-// Ignored by NewDetectorFromClassifier, where the classifier already
-// fixed the backend.
 func WithBackend(b Backend) DetectorOption {
 	return func(o *detectorOptions) { o.backend = b }
 }
@@ -65,9 +65,8 @@ func WithWorkers(n int) DetectorOption {
 
 // WithMinMargin makes Detect return Unknown when the normalized winner
 // margin falls below m. The default 0 accepts everything, including
-// exact ties (broken towards the lexicographically earlier language, as
-// the legacy Classifier did); any positive threshold turns ties into
-// explicit Unknown outcomes.
+// exact ties (broken towards the lexicographically earlier language);
+// any positive threshold turns ties into explicit Unknown outcomes.
 func WithMinMargin(m float64) DetectorOption {
 	return func(o *detectorOptions) { o.minMargin = m }
 }
@@ -105,51 +104,30 @@ type scratch struct {
 
 // NewDetector builds a detector over trained profiles.
 func NewDetector(ps *ProfileSet, opts ...DetectorOption) (*Detector, error) {
-	o := gatherOptions(opts)
-	clf, err := New(ps, o.backend)
-	if err != nil {
-		return nil, err
-	}
-	return newDetector(clf, o), nil
-}
-
-// NewDetectorFromClassifier wraps an existing classifier; WithBackend
-// is ignored in favour of the classifier's own backend.
-func NewDetectorFromClassifier(clf *Classifier, opts ...DetectorOption) *Detector {
-	return newDetector(clf, gatherOptions(opts))
-}
-
-func gatherOptions(opts []DetectorOption) detectorOptions {
 	var o detectorOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.workers <= 0 {
-		o.workers = runtime.GOMAXPROCS(0)
+	clf, err := New(ps, o.backend)
+	if err != nil {
+		return nil, err
 	}
-	if o.minNGrams < 1 {
-		o.minNGrams = 1
-	}
-	if o.minMargin < 0 {
-		o.minMargin = 0
-	}
-	return o
-}
-
-func newDetector(clf *Classifier, o detectorOptions) *Detector {
 	d := &Detector{
 		clf:       clf,
 		workers:   o.workers,
-		minMargin: o.minMargin,
-		minNGrams: o.minNGrams,
+		minMargin: max(o.minMargin, 0),
+		minNGrams: max(o.minNGrams, 1),
+	}
+	if d.workers <= 0 {
+		d.workers = runtime.GOMAXPROCS(0)
 	}
 	nLangs := len(clf.langs)
 	d.pool.New = func() any { return &scratch{counts: make([]int, nLangs)} }
-	return d
+	return d, nil
 }
 
-// Classifier returns the underlying classifier (for the simulator,
-// evaluation, and migration paths).
+// Classifier returns the underlying classifier: the raw-count
+// reference and the hardware models' view of the backend.
 func (d *Detector) Classifier() *Classifier { return d.clf }
 
 // Languages returns the detector's language inventory in rank order.
@@ -194,9 +172,16 @@ func (d *Detector) DetectCounts(dst []int, doc []byte) ([]int, Match) {
 }
 
 func (d *Detector) detectInto(s *scratch, doc []byte) Match {
-	s.grams, s.codes = d.clf.extractInto(s.grams[:0], s.codes, doc)
+	return d.match(s.counts, d.count(s, doc))
+}
+
+// count extracts doc's n-grams into s and counts them into s.counts,
+// returning the number of n-grams tested.
+func (d *Detector) count(s *scratch, doc []byte) int {
+	e := d.clf.extractor
+	s.grams, s.codes = extractInto(&e, s.grams[:0], s.codes, doc)
 	d.clf.countInto(s.counts, s.grams)
-	return d.match(s.counts, len(s.grams))
+	return len(s.grams)
 }
 
 // match applies winner selection and the unknown policy to a finished
@@ -223,13 +208,6 @@ func (d *Detector) match(counts []int, ngrams int) Match {
 	return m
 }
 
-// MatchResult converts a legacy Result into a Match under this
-// detector's thresholding policy — the bridge for callers migrating
-// from Classifier.Classify.
-func (d *Detector) MatchResult(r Result) Match {
-	return d.match(r.Counts, r.NGrams)
-}
-
 // Rank returns the top k languages by match count, best first; k <= 0
 // (or k beyond the language count) means all. Ties order by language
 // code, matching Detect's tie-break. Each entry's Margin is its
@@ -238,9 +216,7 @@ func (d *Detector) MatchResult(r Result) Match {
 // applies to Detect, not to the list.
 func (d *Detector) Rank(doc []byte, k int) []Match {
 	s := d.pool.Get().(*scratch)
-	s.grams, s.codes = d.clf.extractInto(s.grams[:0], s.codes, doc)
-	d.clf.countInto(s.counts, s.grams)
-	ms := d.rankCounts(s.counts, len(s.grams), k)
+	ms := d.rankCounts(s.counts, d.count(s, doc), k)
 	d.pool.Put(s)
 	return ms
 }
@@ -279,23 +255,38 @@ func (d *Detector) rankCounts(counts []int, ngrams, k int) []Match {
 // paper's hardware, with each worker holding one scratch set for the
 // whole batch.
 func (d *Detector) DetectBatch(docs []corpus.Document) []Match {
+	return d.detectBatch(docs, nil)
+}
+
+// DetectBatchCounts is DetectBatch plus the per-language match counts:
+// it appends each document's counts, in Languages() order, to dst
+// row-major (document i's row starts at len(dst)+i*len(Languages())).
+func (d *Detector) DetectBatchCounts(dst []int, docs []corpus.Document) ([]int, []Match) {
+	n := len(dst)
+	dst = slices.Grow(dst, len(docs)*len(d.clf.langs))[:n+len(docs)*len(d.clf.langs)]
+	return dst, d.detectBatch(docs, dst[n:])
+}
+
+// detectBatch is the one batch worker loop. rows, when non-nil,
+// receives each document's counts row-major.
+func (d *Detector) detectBatch(docs []corpus.Document, rows []int) []Match {
 	out := make([]Match, len(docs))
 	if len(docs) == 0 {
 		return out
 	}
-	workers := d.workers
-	if workers > len(docs) {
-		workers = len(docs)
-	}
+	nLangs := len(d.clf.langs)
 	next := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(d.workers, len(docs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			s := d.pool.Get().(*scratch)
 			for i := range next {
 				out[i] = d.detectInto(s, docs[i].Text)
+				if rows != nil {
+					copy(rows[i*nLangs:], s.counts)
+				}
 			}
 			d.pool.Put(s)
 		}()
@@ -319,32 +310,51 @@ func (d *Detector) DetectReader(r io.Reader) (Match, error) {
 	return st.Match(), nil
 }
 
-// Stream classifies one document incrementally under the detector's
-// policy: bytes arrive in arbitrary chunks via Write, and Match reports
-// the decision over everything written so far. Reset starts the next
-// document. A Stream is not safe for concurrent use; create one per
-// goroutine.
+// Stream classifies one document incrementally with bounded memory:
+// bytes arrive in arbitrary chunks via Write, n-grams are counted as
+// they complete, and Match reports the decision over everything written
+// so far. This is the software mirror of the hardware datapath, which
+// consumes the DMA stream burst by burst and never buffers whole
+// documents (§3.3). Reset starts the next document — the
+// End-of-Document boundary. A Stream is not safe for concurrent use;
+// create one per goroutine.
 type Stream struct {
-	d  *Detector
-	ds *DocumentStream
+	d      *Detector
+	e      ngram.Extractor
+	counts []int
+	ngrams int
+	codes  []alphabet.Code
+	grams  []uint32
 }
 
-// NewStream starts an empty document stream on the detector.
+// NewStream starts an empty document stream on the detector. The
+// extractor is a value copy of the classifier's prototype, so streams
+// are independent of each other and of the one-shot paths.
 func (d *Detector) NewStream() *Stream {
-	return &Stream{d: d, ds: d.clf.NewStream()}
+	return &Stream{d: d, e: d.clf.extractor, counts: make([]int, len(d.clf.langs))}
 }
 
 // Write feeds the next chunk. It never fails; the error satisfies
 // io.Writer.
-func (s *Stream) Write(p []byte) (int, error) { return s.ds.Write(p) }
+func (s *Stream) Write(p []byte) (int, error) {
+	s.grams, s.codes = extractInto(&s.e, s.grams[:0], s.codes, p)
+	s.ngrams += len(s.grams)
+	s.d.clf.kernel.AccumulateInto(s.counts, s.grams)
+	return len(p), nil
+}
 
 // Match returns the detection over everything written so far; the
 // stream stays usable for more chunks.
-func (s *Stream) Match() Match { return s.d.match(s.ds.counts, s.ds.ngrams) }
+func (s *Stream) Match() Match { return s.d.match(s.counts, s.ngrams) }
 
-// Result returns the legacy per-language counter view of the stream,
-// for callers that need raw counts alongside the Match.
-func (s *Stream) Result() Result { return s.ds.Result() }
+// AppendCounts appends the per-language match counts over everything
+// written so far, in Languages() order, to dst. With room in dst it
+// allocates nothing.
+func (s *Stream) AppendCounts(dst []int) []int { return append(dst, s.counts...) }
 
 // Reset prepares the stream for a new document.
-func (s *Stream) Reset() { s.ds.Reset() }
+func (s *Stream) Reset() {
+	s.e.Reset()
+	clear(s.counts)
+	s.ngrams = 0
+}

@@ -39,7 +39,7 @@ func TestWinnerSelectionEdgeCases(t *testing.T) {
 	}
 }
 
-// TestMatchThresholding drives MatchResult through the margin and
+// TestMatchThresholding drives the match policy through the margin and
 // n-gram floors on synthetic counters, including the tie and empty
 // cases the legacy API handled implicitly.
 func TestMatchThresholding(t *testing.T) {
@@ -106,7 +106,7 @@ func TestMatchThresholding(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := det.MatchResult(Result{Counts: tc.counts, NGrams: tc.ngrams, Best: -1, Second: -1})
+			m := det.match(tc.counts, tc.ngrams)
 			if m.Unknown != tc.wantUnknown {
 				t.Fatalf("Unknown = %v, want %v (%+v)", m.Unknown, tc.wantUnknown, m)
 			}
@@ -157,11 +157,11 @@ func TestDetectorAgreesWithLegacyClassifier(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
 	corp := getMiniCorpus(t)
 	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic} {
-		clf, err := New(ps, backend)
+		det, err := NewDetector(ps, WithBackend(backend), WithWorkers(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		det := NewDetectorFromClassifier(clf, WithWorkers(3))
+		clf := det.Classifier()
 		var docs []corpus.Document
 		for _, lang := range []string{"en", "es", "fi", "pt"} {
 			docs = append(docs, corp.Test[lang][:4]...)
@@ -291,6 +291,11 @@ func TestDetectZeroAllocations(t *testing.T) {
 		counts := make([]int, 0, len(det.Languages()))
 		if allocs := testing.AllocsPerRun(200, func() { counts, _ = det.DetectCounts(counts[:0], doc) }); allocs != 0 {
 			t.Errorf("%s: DetectCounts allocates %.1f objects per call, want 0", backend, allocs)
+		}
+		st := det.NewStream()
+		st.Write(doc)
+		if allocs := testing.AllocsPerRun(200, func() { counts = st.AppendCounts(counts[:0]) }); allocs != 0 {
+			t.Errorf("%s: Stream.AppendCounts allocates %.1f objects per call, want 0", backend, allocs)
 		}
 	}
 }

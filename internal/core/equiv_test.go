@@ -2,10 +2,10 @@ package core
 
 // Equivalence guarantees the serving layer leans on: every backend —
 // the fused blocked kernel included — produces the identical decision
-// on every input path (one-shot bytes, reader, incremental stream,
-// batch), a document fed to DocumentStream in any chunking — including
-// splits landing mid-n-gram — produces the identical Result as
-// one-shot classification, and the engine's parallel fan-out returns
+// and counts on every input path (one-shot bytes, reader, incremental
+// stream, batch), a document fed to a Stream in any chunking —
+// including splits landing mid-n-gram — produces the identical match
+// and counts as one-shot classification, and the batch fan-out returns
 // results in input order at any worker count.
 
 import (
@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"testing"
 
+	"bloomlang/internal/bloom"
 	"bloomlang/internal/corpus"
 )
 
@@ -25,8 +26,8 @@ var equivBackends = []Backend{BackendBloom, BackendDirect, BackendClassic, Backe
 // Classify ≡ Rank over every built-in backend and every input path:
 // the one-shot byte path, the io.Reader path, the incremental stream
 // path, and the batch path must all return the identical Match, Rank's
-// head must agree with Detect, and Match and counts must be derivable
-// from the legacy Classify result.
+// head must agree with Detect, and every counts-carrying path must
+// report the raw Classify counts and winner.
 func TestDetectEquivalenceAcrossPaths(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
 	corp := getMiniCorpus(t)
@@ -43,6 +44,8 @@ func TestDetectEquivalenceAcrossPaths(t *testing.T) {
 			}
 			docs = append(docs, corpus.Document{}) // empty document -> Unknown on every path
 			batch := det.DetectBatch(docs)
+			nLangs := len(det.Languages())
+			batchCounts, batchMatches := det.DetectBatchCounts(nil, docs)
 			for i, doc := range docs {
 				want := det.Detect(doc.Text)
 
@@ -62,8 +65,8 @@ func TestDetectEquivalenceAcrossPaths(t *testing.T) {
 					t.Errorf("doc %d: stream path = %+v, detect = %+v", i, got, want)
 				}
 
-				if batch[i] != want {
-					t.Errorf("doc %d: batch path = %+v, detect = %+v", i, batch[i], want)
+				if batch[i] != want || batchMatches[i] != want {
+					t.Errorf("doc %d: batch paths = %+v, %+v, detect = %+v", i, batch[i], batchMatches[i], want)
 				}
 
 				ranked := det.Rank(doc.Text, 0)
@@ -80,11 +83,17 @@ func TestDetectEquivalenceAcrossPaths(t *testing.T) {
 				}
 
 				res := clf.Classify(doc.Text)
-				if got := det.MatchResult(res); got != want {
-					t.Errorf("doc %d: classify-derived match = %+v, detect = %+v", i, got, want)
+				if got := res.BestLanguage(clf.Languages()); got != want.Lang || res.NGrams != want.NGrams {
+					t.Errorf("doc %d: classify winner %q over %d n-grams, detect = %+v", i, got, res.NGrams, want)
 				}
 				if counts, got := det.DetectCounts(nil, doc.Text); got != want || !reflect.DeepEqual(counts, res.Counts) {
 					t.Errorf("doc %d: DetectCounts = %v %+v, classify = %v %+v", i, counts, got, res.Counts, want)
+				}
+				if got := st.AppendCounts(nil); !reflect.DeepEqual(got, res.Counts) {
+					t.Errorf("doc %d: stream counts = %v, classify = %v", i, got, res.Counts)
+				}
+				if got := batchCounts[i*nLangs : (i+1)*nLangs]; !reflect.DeepEqual(got, res.Counts) {
+					t.Errorf("doc %d: batch counts = %v, classify = %v", i, got, res.Counts)
 				}
 			}
 		})
@@ -98,22 +107,14 @@ func TestDetectEquivalenceAcrossPaths(t *testing.T) {
 // by the blocked filter, so the blocked per-language counts dominate
 // the exact counts.
 func TestBlockedNeverFalseNegativeVsDirect(t *testing.T) {
-	ps := trainMini(t, Config{TopT: 1000})
-	direct, err := New(ps, BackendDirect)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocked, err := New(ps, BackendBlocked)
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct, blocked, exact, set := directAndBlocked(t, trainMini(t, Config{TopT: 1000}))
 	corp := getMiniCorpus(t)
 	for _, lang := range []string{"en", "es", "fi", "pt"} {
 		for _, doc := range corp.Test[lang][:5] {
 			gs := direct.ExtractGrams(nil, doc.Text)
 			for _, g := range gs {
-				for i := range direct.matchers {
-					if direct.matchers[i].Test(g) && !blocked.matchers[i].Test(g) {
+				for i := range direct.langs {
+					if exact.Test(i, g) && !set.Test(i, g) {
 						t.Fatalf("blocked false negative: lang %s gram %#x", direct.langs[i], g)
 					}
 				}
@@ -127,6 +128,21 @@ func TestBlockedNeverFalseNegativeVsDirect(t *testing.T) {
 			}
 		}
 	}
+}
+
+// directAndBlocked builds the exact and blocked classifiers over ps and
+// returns them with their kernels, whose concrete Test methods answer
+// per-language membership.
+func directAndBlocked(t testing.TB, ps *ProfileSet) (direct, blocked *Classifier, exact *maskKernel, set *bloom.BlockedSet) {
+	t.Helper()
+	var err error
+	if direct, err = New(ps, BackendDirect); err != nil {
+		t.Fatal(err)
+	}
+	if blocked, err = New(ps, BackendBlocked); err != nil {
+		t.Fatal(err)
+	}
+	return direct, blocked, direct.kernel.(*maskKernel), blocked.kernel.(*bloom.BlockedSet)
 }
 
 // splitPoints returns deterministic pseudo-random cut offsets for a
@@ -149,25 +165,21 @@ func splitPoints(rng *rand.Rand, n, cuts int) []int {
 func TestStreamArbitraryChunkSplitsMatchOneShot(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
 	for _, backend := range equivBackends {
-		c, err := New(ps, backend)
+		det, err := NewDetector(ps, WithBackend(backend))
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(99))
 		for _, lang := range []string{"en", "es", "fi", "pt"} {
 			doc := getMiniCorpus(t).Test[lang][0].Text
-			want := c.Classify(doc)
-			s := c.NewStream()
+			s := det.NewStream()
 			for trial := 0; trial < 20; trial++ {
 				pts := splitPoints(rng, len(doc), 1+rng.Intn(12))
 				s.Reset()
 				for i := 1; i < len(pts); i++ {
 					s.Write(doc[pts[i-1]:pts[i]])
 				}
-				if got := s.Result(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%s: split %v: stream %+v != one-shot %+v",
-						backend, lang, pts, got, want)
-				}
+				checkStream(t, det, s, doc, backend.String()+"/"+lang)
 			}
 		}
 	}
@@ -179,7 +191,7 @@ func TestStreamArbitraryChunkSplitsMatchOneShot(t *testing.T) {
 func TestStreamMidNGramBoundarySplits(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
 	for _, backend := range []Backend{BackendBloom, BackendBlocked} {
-		c, err := New(ps, backend)
+		det, err := NewDetector(ps, WithBackend(backend))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,25 +199,18 @@ func TestStreamMidNGramBoundarySplits(t *testing.T) {
 		if len(doc) > 64 {
 			doc = doc[:64]
 		}
-		want := c.Classify(doc)
-		s := c.NewStream()
+		s := det.NewStream()
 		for cut := 0; cut <= len(doc); cut++ {
 			s.Reset()
 			s.Write(doc[:cut])
 			s.Write(doc[cut:])
-			if got := s.Result(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: cut at %d: stream %+v != one-shot %+v", backend, cut, got, want)
-			}
+			checkStream(t, det, s, doc, backend.String())
 		}
 	}
 }
 
 func TestClassifyAllPreservesInputOrder(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
-	c, err := New(ps, BackendBloom)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Interleave languages so a reordering cannot produce the same
 	// language sequence.
 	var docs []corpus.Document
@@ -217,22 +222,23 @@ func TestClassifyAllPreservesInputOrder(t *testing.T) {
 			wantLangs = append(wantLangs, lang)
 		}
 	}
-	want := make([]Result, len(docs))
-	for i, d := range docs {
-		want[i] = c.Classify(d.Text)
-	}
 	for _, workers := range []int{1, 3, len(docs) * 4} {
-		e := NewEngine(c, workers)
-		got := e.ClassifyAll(docs)
+		det, err := NewDetector(ps, WithBackend(BackendBloom), WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nLangs := len(det.Languages())
+		counts, got := det.DetectBatchCounts(nil, docs)
 		if len(got) != len(docs) {
 			t.Fatalf("workers=%d: %d results for %d docs", workers, len(got), len(docs))
 		}
-		for i := range got {
-			if !reflect.DeepEqual(got[i], want[i]) {
+		for i, d := range docs {
+			want := det.Classifier().Classify(d.Text)
+			if got[i] != det.Detect(d.Text) || !reflect.DeepEqual(counts[i*nLangs:(i+1)*nLangs], want.Counts) {
 				t.Errorf("workers=%d: result %d differs from sequential", workers, i)
 			}
-			if lang := got[i].BestLanguage(c.Languages()); lang != wantLangs[i] {
-				t.Errorf("workers=%d: position %d classified %q, want %q", workers, i, lang, wantLangs[i])
+			if got[i].Lang != wantLangs[i] {
+				t.Errorf("workers=%d: position %d classified %q, want %q", workers, i, got[i].Lang, wantLangs[i])
 			}
 		}
 	}

@@ -1,68 +1,10 @@
 package core
 
 import (
-	"runtime"
-	"sync"
 	"time"
 
 	"bloomlang/internal/corpus"
 )
-
-// Engine fans document classification out over a pool of goroutines.
-// It is the software analogue of the hardware's document-level
-// parallelism ("parallel document processing", §1): each worker owns
-// its extraction buffer and the classifier's membership structures are
-// read-only after construction, so the hot path shares nothing mutable.
-type Engine struct {
-	c       *Classifier
-	workers int
-}
-
-// NewEngine wraps a classifier; workers <= 0 means GOMAXPROCS.
-func NewEngine(c *Classifier, workers int) *Engine {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Engine{c: c, workers: workers}
-}
-
-// Classifier returns the wrapped classifier.
-func (e *Engine) Classifier() *Classifier { return e.c }
-
-// Workers returns the configured pool size.
-func (e *Engine) Workers() int { return e.workers }
-
-// ClassifyAll classifies every document, preserving input order in the
-// returned results.
-func (e *Engine) ClassifyAll(docs []corpus.Document) []Result {
-	results := make([]Result, len(docs))
-	if len(docs) == 0 {
-		return results
-	}
-	workers := e.workers
-	if workers > len(docs) {
-		workers = len(docs)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf []uint32
-			for i := range next {
-				buf = e.c.ExtractGrams(buf[:0], docs[i].Text)
-				results[i] = e.c.ClassifyGrams(buf)
-			}
-		}()
-	}
-	for i := range docs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return results
-}
 
 // ThroughputReport is a measured software classification run.
 type ThroughputReport struct {
@@ -83,15 +25,16 @@ func (r ThroughputReport) MBPerSec() float64 {
 	return float64(r.Bytes) / (1 << 20) / r.Elapsed.Seconds()
 }
 
-// Measure classifies all documents and reports wall-clock throughput.
-// Results are discarded; use ClassifyAll when they matter.
-func (e *Engine) Measure(docs []corpus.Document) ThroughputReport {
+// Measure classifies all documents through det.DetectBatch and reports
+// wall-clock throughput. The matches are discarded; use DetectBatch
+// when they matter.
+func Measure(det *Detector, docs []corpus.Document) ThroughputReport {
 	var bytes int64
 	for _, d := range docs {
 		bytes += int64(len(d.Text))
 	}
 	start := time.Now()
-	e.ClassifyAll(docs)
+	det.DetectBatch(docs)
 	return ThroughputReport{Bytes: bytes, Elapsed: time.Since(start), Docs: len(docs)}
 }
 
@@ -118,9 +61,12 @@ type Evaluation struct {
 	Docs int
 }
 
-// Evaluate classifies the corpus test split and scores it.
-func (e *Engine) Evaluate(corp *corpus.Corpus) Evaluation {
-	langs := e.c.Languages()
+// Evaluate classifies the corpus test split through det.DetectBatch and
+// scores it. A document det answers Unknown counts as predicted "";
+// under the default policy that happens only for documents without
+// n-grams.
+func Evaluate(det *Detector, corp *corpus.Corpus) Evaluation {
+	langs := det.Languages()
 	ev := Evaluation{
 		Languages:   langs,
 		PerLanguage: make(map[string]float64, len(langs)),
@@ -131,11 +77,10 @@ func (e *Engine) Evaluate(corp *corpus.Corpus) Evaluation {
 		if len(docs) == 0 {
 			continue
 		}
-		results := e.ClassifyAll(docs)
 		row := make(map[string]int)
 		correct := 0
-		for _, r := range results {
-			pred := r.BestLanguage(langs)
+		for _, m := range det.DetectBatch(docs) {
+			pred := m.Lang
 			row[pred]++
 			if pred == truth {
 				correct++

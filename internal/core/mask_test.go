@@ -97,9 +97,9 @@ func maskKernelFor(t testing.TB, ps *ProfileSet) *maskKernel {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, ok := c.fused.(*maskKernel)
+	k, ok := c.kernel.(*maskKernel)
 	if !ok {
-		t.Fatalf("direct backend built %T, want *maskKernel", c.fused)
+		t.Fatalf("direct backend built %T, want *maskKernel", c.kernel)
 	}
 	return k
 }
@@ -240,9 +240,9 @@ func FuzzMaskKernelVsReference(f *testing.F) {
 }
 
 // BenchmarkDetectCount times the membership-counting stage alone —
-// accumulateInto over pre-extracted grams — on every backend, for a
-// whole 5 KB document and for one 16-gram segmentation chunk. It is
-// the per-stage figure for the counting layer.
+// the kernel's AccumulateInto over pre-extracted grams — on every
+// backend, for a whole 5 KB document and for one 16-gram segmentation
+// chunk. It is the per-stage figure for the counting layer.
 func BenchmarkDetectCount(b *testing.B) {
 	corp, err := corpus.Generate(corpus.Config{DocsPerLanguage: 30, WordsPerDoc: 300, TrainFraction: 0.5, Seed: 17})
 	if err != nil {
@@ -271,7 +271,7 @@ func BenchmarkDetectCount(b *testing.B) {
 			b.Run(backend.String()+"/"+size.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					c.accumulateInto(counts, size.gs)
+					c.kernel.AccumulateInto(counts, size.gs)
 				}
 			})
 		}

@@ -9,14 +9,12 @@ package core
 // The mechanism reuses the match-counting inner loop unchanged and runs
 // it exactly once per document. The n-gram stream is cut into stride-
 // sized chunks; each chunk's per-language counts are accumulated through
-// the classifier's one accumulateInto pass (the fused direct and blocked
-// kernels score all languages per n-gram in that pass, the Matcher-shaped
-// backends walk their languages×grams loop) into a ring of Window/Stride
-// rows. A sliding window of Window n-grams is then the rolling sum of
-// the ring — adding the newest chunk row and subtracting the oldest —
-// so per-window scoring costs O(L) per stride regardless of window
-// size, and no n-gram is ever re-extracted or re-hashed for a second
-// window. Window arg-max decisions pass through hysteresis (a new
+// one pass of the backend's Kernel, which scores every language per
+// n-gram, into a ring of Window/Stride rows. A sliding window of Window
+// n-grams is then the rolling sum of the ring — adding the newest chunk
+// row and subtracting the oldest — so per-window scoring costs O(L) per
+// stride regardless of window size, and no n-gram is ever re-extracted
+// or re-hashed for a second window. Window arg-max decisions pass through hysteresis (a new
 // language must win Hysteresis consecutive windows before a boundary is
 // emitted) and adjacent same-language windows merge into Spans.
 
@@ -396,7 +394,7 @@ func (s *SpanStream) completeChunk(chunk []uint32) {
 	for i := range row {
 		row[i] = 0
 	}
-	s.d.clf.accumulateInto(row, chunk)
+	s.d.clf.kernel.AccumulateInto(row, chunk)
 	for i, v := range row {
 		s.win[i] += v
 		s.totals[i] += v
@@ -533,18 +531,14 @@ func (s *SpanStream) Spans() []Span { return s.spans }
 // and the complete tiling of [0, bytes written) is returned. A
 // document that never filled one window is decided whole, exactly as
 // Detect would decide it. After Finish the stream rejects further
-// writes until Reset; Match and Result stay readable.
+// writes until Reset; Match and AppendCounts stay readable.
 func (s *SpanStream) Finish() []Span {
 	if s.done {
 		return s.spans
 	}
 	s.done = true
 	if s.chunkFill > 0 {
-		tmp := s.scratchCounts()
-		s.d.clf.accumulateInto(tmp, s.chunkBuf[:s.chunkFill])
-		for i, v := range tmp {
-			s.totals[i] += v
-		}
+		copy(s.totals, s.counts())
 		s.chunkFill = 0
 	}
 	if s.bytesSeen == 0 {
@@ -573,42 +567,26 @@ func (s *SpanStream) Finish() []Span {
 // caller wanting both the document-level match and its spans (the
 // serving layer's /stream spans mode) pays for one counting pass, not
 // two.
-func (s *SpanStream) Match() Match {
-	counts := s.totals
-	if s.chunkFill > 0 {
-		// Fold the buffered tail into a scratch copy; the tail's real
-		// pass happens when its chunk completes or at Finish.
-		tmp := s.scratchCounts()
-		s.d.clf.accumulateInto(tmp, s.chunkBuf[:s.chunkFill])
-		for i, v := range s.totals {
-			tmp[i] += v
-		}
-		counts = tmp
-	}
-	return s.d.match(counts, s.gramsSeen)
-}
+func (s *SpanStream) Match() Match { return s.d.match(s.counts(), s.gramsSeen) }
 
-// Result returns the legacy per-language counter view of everything
-// written so far, for callers that need raw counts alongside the
-// spans.
-func (s *SpanStream) Result() Result {
-	counts := s.totals
-	if s.chunkFill > 0 {
-		tmp := s.scratchCounts()
-		s.d.clf.accumulateInto(tmp, s.chunkBuf[:s.chunkFill])
-		for i, v := range s.totals {
-			tmp[i] += v
-		}
-		counts = tmp
+// AppendCounts appends the whole-document per-language match counts
+// over everything written so far, in Languages() order, to dst. With
+// room in dst it allocates nothing.
+func (s *SpanStream) AppendCounts(dst []int) []int { return append(dst, s.counts()...) }
+
+// counts returns the whole-document counts: the completed-chunk totals
+// with the buffered tail folded into a scratch copy. The tail's real
+// pass happens when its chunk completes or at Finish.
+func (s *SpanStream) counts() []int {
+	if s.chunkFill == 0 {
+		return s.totals
 	}
-	r := Result{
-		Counts: append([]int(nil), counts...),
-		NGrams: s.gramsSeen,
-		Best:   -1,
-		Second: -1,
+	tmp := s.scratchCounts()
+	s.d.clf.kernel.AccumulateInto(tmp, s.chunkBuf[:s.chunkFill])
+	for i, v := range s.totals {
+		tmp[i] += v
 	}
-	r.selectWinners()
-	return r
+	return tmp
 }
 
 // scratchCounts returns the zeroed language-count scratch row.

@@ -327,8 +327,8 @@ func TestSpanStreamMatchAgreesWithDetect(t *testing.T) {
 				if got, want := st.Match(), det.Detect(doc[:cut]); got != want {
 					t.Errorf("prefix %d: stream match %+v != detect %+v", cut, got, want)
 				}
-				if got, want := st.Result().NGrams, det.Detect(doc[:cut]).NGrams; got != want {
-					t.Errorf("prefix %d: stream result ngrams %d != %d", cut, got, want)
+				if got, want := st.AppendCounts(nil), det.Classifier().Classify(doc[:cut]).Counts; !reflect.DeepEqual(got, want) {
+					t.Errorf("prefix %d: stream counts %v != classify %v", cut, got, want)
 				}
 			}
 			st.Reset()
@@ -336,6 +336,9 @@ func TestSpanStreamMatchAgreesWithDetect(t *testing.T) {
 			st.Finish()
 			if got, want := st.Match(), det.Detect(doc); got != want {
 				t.Errorf("post-Finish match %+v != detect %+v", got, want)
+			}
+			if got, want := st.AppendCounts(nil), det.Classifier().Classify(doc).Counts; !reflect.DeepEqual(got, want) {
+				t.Errorf("post-Finish counts %v != classify %v", got, want)
 			}
 		})
 	}

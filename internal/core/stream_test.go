@@ -3,70 +3,64 @@ package core
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"testing"
 )
 
+// checkStream asserts a stream fed doc reports Detect's match and the
+// raw Classify counts.
+func checkStream(t *testing.T, det *Detector, s *Stream, doc []byte, what string) {
+	t.Helper()
+	if got, want := s.Match(), det.Detect(doc); got != want {
+		t.Fatalf("%s: stream match %+v != detect %+v", what, got, want)
+	}
+	if got, want := s.AppendCounts(nil), det.Classifier().Classify(doc).Counts; !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: stream counts %v != classify %v", what, got, want)
+	}
+}
+
 func TestStreamMatchesBatch(t *testing.T) {
-	ps := trainMini(t, Config{TopT: 1000})
-	c, err := New(ps, BackendBloom)
+	det, err := NewDetector(trainMini(t, Config{TopT: 1000}), WithBackend(BackendBloom))
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc := getMiniCorpus(t).Test["es"][0].Text
-	want := c.Classify(doc)
 
 	// Feed the same document in chunks of varying sizes.
 	for _, chunk := range []int{1, 3, 7, 64, len(doc)} {
-		s := c.NewStream()
+		s := det.NewStream()
 		for off := 0; off < len(doc); off += chunk {
-			end := off + chunk
-			if end > len(doc) {
-				end = len(doc)
-			}
+			end := min(off+chunk, len(doc))
 			n, err := s.Write(doc[off:end])
 			if err != nil || n != end-off {
 				t.Fatalf("Write = %d, %v", n, err)
 			}
 		}
-		got := s.Result()
-		if got.NGrams != want.NGrams {
-			t.Fatalf("chunk %d: NGrams %d != batch %d", chunk, got.NGrams, want.NGrams)
-		}
-		for i := range want.Counts {
-			if got.Counts[i] != want.Counts[i] {
-				t.Fatalf("chunk %d: count %d differs", chunk, i)
-			}
-		}
-		if got.Best != want.Best {
-			t.Fatalf("chunk %d: winner differs", chunk)
-		}
+		checkStream(t, det, s, doc, "chunked")
 	}
 }
 
 func TestStreamImplementsWriter(t *testing.T) {
-	ps := trainMini(t, Config{TopT: 500})
-	c, _ := New(ps, BackendDirect)
-	s := c.NewStream()
+	det, _ := NewDetector(trainMini(t, Config{TopT: 500}))
+	s := det.NewStream()
 	var _ io.Writer = s
 	doc := getMiniCorpus(t).Test["en"][0].Text
 	if _, err := io.Copy(s, bytes.NewReader(doc)); err != nil {
 		t.Fatal(err)
 	}
-	r := s.Result()
-	if r.BestLanguage(c.Languages()) != "en" {
-		t.Errorf("io.Copy path classified as %q", r.BestLanguage(c.Languages()))
+	if m := s.Match(); m.Lang != "en" {
+		t.Errorf("io.Copy path classified as %q", m.Lang)
 	}
 }
 
 func TestStreamIntermediateResults(t *testing.T) {
-	ps := trainMini(t, Config{TopT: 1000})
-	c, _ := New(ps, BackendBloom)
+	det, _ := NewDetector(trainMini(t, Config{TopT: 1000}), WithBackend(BackendBloom))
 	doc := getMiniCorpus(t).Test["fi"][0].Text
-	s := c.NewStream()
+	s := det.NewStream()
 	s.Write(doc[:len(doc)/2])
-	mid := s.Result()
+	mid, midCounts := s.Match(), s.AppendCounts(nil)
 	s.Write(doc[len(doc)/2:])
-	full := s.Result()
+	full, fullCounts := s.Match(), s.AppendCounts(nil)
 	if mid.NGrams >= full.NGrams {
 		t.Error("intermediate result saw as many n-grams as the full document")
 	}
@@ -74,61 +68,50 @@ func TestStreamIntermediateResults(t *testing.T) {
 		t.Error("no n-grams at midpoint")
 	}
 	// Counts only grow.
-	for i := range mid.Counts {
-		if full.Counts[i] < mid.Counts[i] {
+	for i := range midCounts {
+		if fullCounts[i] < midCounts[i] {
 			t.Error("counts decreased as the stream grew")
 		}
 	}
 }
 
 func TestStreamReset(t *testing.T) {
-	ps := trainMini(t, Config{TopT: 1000})
-	c, _ := New(ps, BackendBloom)
+	det, _ := NewDetector(trainMini(t, Config{TopT: 1000}), WithBackend(BackendBloom))
 	docA := getMiniCorpus(t).Test["en"][0].Text
 	docB := getMiniCorpus(t).Test["pt"][0].Text
-	s := c.NewStream()
+	s := det.NewStream()
 	s.Write(docA)
 	s.Reset()
 	s.Write(docB)
-	got := s.Result()
-	want := c.Classify(docB)
-	if got.NGrams != want.NGrams || got.Best != want.Best {
-		t.Error("Reset leaked state from the previous document")
-	}
+	checkStream(t, det, s, docB, "after Reset")
 }
 
 func TestStreamEmpty(t *testing.T) {
-	ps := trainMini(t, Config{TopT: 500})
-	c, _ := New(ps, BackendDirect)
-	s := c.NewStream()
-	r := s.Result()
-	if r.Best != -1 || r.NGrams != 0 {
-		t.Errorf("empty stream result = %+v", r)
+	det, _ := NewDetector(trainMini(t, Config{TopT: 500}))
+	s := det.NewStream()
+	if m := s.Match(); !m.Unknown || m.NGrams != 0 {
+		t.Errorf("empty stream match = %+v", m)
+	}
+	if got := s.AppendCounts(nil); !reflect.DeepEqual(got, make([]int, len(det.Languages()))) {
+		t.Errorf("empty stream counts = %v", got)
 	}
 }
 
 func TestStreamSubsample(t *testing.T) {
-	cfg := Config{TopT: 500, Subsample: 2}
-	ps := trainMini(t, cfg)
-	c, _ := New(ps, BackendDirect)
+	det, _ := NewDetector(trainMini(t, Config{TopT: 500, Subsample: 2}))
 	doc := getMiniCorpus(t).Test["en"][0].Text
-	s := c.NewStream()
+	s := det.NewStream()
 	s.Write(doc)
-	got := s.Result()
-	want := c.Classify(doc)
-	if got.NGrams != want.NGrams {
-		t.Errorf("subsampled stream NGrams %d != batch %d", got.NGrams, want.NGrams)
-	}
+	checkStream(t, det, s, doc, "subsampled")
 }
 
 func BenchmarkStreamWrite(b *testing.B) {
-	ps := trainMini(b, Config{TopT: 1000})
-	c, err := New(ps, BackendBloom)
+	det, err := NewDetector(trainMini(b, Config{TopT: 1000}), WithBackend(BackendBloom))
 	if err != nil {
 		b.Fatal(err)
 	}
 	doc := getMiniCorpus(b).Test["en"][0].Text
-	s := c.NewStream()
+	s := det.NewStream()
 	b.SetBytes(int64(len(doc)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -103,6 +104,16 @@ func (c *Config) applyDefaults() {
 	}
 }
 
+// Validate reports the configuration errors New fails on: invalid
+// segmentation geometry, or a MinMargin that is NaN or infinite (a NaN
+// floor would silently disable unknown thresholding).
+func (c Config) Validate() error {
+	if math.IsNaN(c.MinMargin) || math.IsInf(c.MinMargin, 0) {
+		return fmt.Errorf("serve: min margin %v is not a finite number", c.MinMargin)
+	}
+	return c.Segment.Validate()
+}
+
 // Server owns the hot-swappable detector handle and the serving
 // counters. It is safe for concurrent use by any number of
 // connections, including concurrent profile reloads.
@@ -129,28 +140,19 @@ type Server struct {
 // reloaded.
 func New(ps *core.ProfileSet, cfg Config) (*Server, error) {
 	cfg.applyDefaults()
-	if err := cfg.Segment.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	clf, err := core.New(ps, cfg.Backend)
+	det, err := cfg.newDetector(ps)
 	if err != nil {
 		return nil, err
 	}
-	return NewFromClassifier(clf, cfg), nil
-}
-
-// NewFromClassifier wraps an existing classifier; cfg.Backend is
-// ignored in favour of the classifier's own.
-func NewFromClassifier(clf *core.Classifier, cfg Config) *Server {
-	cfg.applyDefaults()
-	cfg.Backend = clf.Backend()
-	s := &Server{
-		cfg:   cfg,
-		reg:   cfg.Registry,
-		start: time.Now(),
-	}
-	s.handle = registry.NewHandle(s.buildDetector(clf), "")
-	return s
+	return &Server{
+		cfg:    cfg,
+		handle: registry.NewHandle(det, ""),
+		reg:    cfg.Registry,
+		start:  time.Now(),
+	}, nil
 }
 
 // NewFromRegistry builds a server from the registry's active profile
@@ -171,20 +173,19 @@ func NewFromRegistry(reg *registry.Registry, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// buildDetector applies the server's detection policy to a classifier.
-func (s *Server) buildDetector(clf *core.Classifier) *core.Detector {
-	return core.NewDetectorFromClassifier(clf,
-		core.WithWorkers(s.cfg.Workers),
-		core.WithMinMargin(s.cfg.MinMargin),
-		core.WithMinNGrams(s.cfg.MinNGrams))
+// newDetector builds a detector over ps under the configured backend and
+// detection policy.
+func (c *Config) newDetector(ps *core.ProfileSet) (*core.Detector, error) {
+	return core.NewDetector(ps,
+		core.WithBackend(c.Backend),
+		core.WithWorkers(c.Workers),
+		core.WithMinMargin(c.MinMargin),
+		core.WithMinNGrams(c.MinNGrams))
 }
 
 // Detector returns the detector currently serving requests. Callers
 // needing the detector and its version to agree should use Snapshot.
 func (s *Server) Detector() *core.Detector { return s.handle.Detector() }
-
-// Classifier returns the classifier currently serving requests.
-func (s *Server) Classifier() *core.Classifier { return s.handle.Detector().Classifier() }
 
 // Snapshot returns the current (detector, version) pairing.
 func (s *Server) Snapshot() *registry.Snapshot { return s.handle.Snapshot() }
@@ -238,11 +239,10 @@ func (s *Server) Reload() (ReloadStatus, error) {
 	if err != nil {
 		return ReloadStatus{}, err
 	}
-	clf, err := core.New(ps, s.cfg.Backend)
+	det, err := s.cfg.newDetector(ps)
 	if err != nil {
 		return ReloadStatus{}, err
 	}
-	det := s.buildDetector(clf)
 	s.handle.Swap(det, m.Version)
 	return ReloadStatus{Previous: prev, Active: m.Version, Changed: true, Languages: det.Languages()}, nil
 }
@@ -498,9 +498,7 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request, st *endpo
 	}
 	spans, err := det.DetectSpans(body, s.cfg.Segment)
 	if err != nil {
-		// Geometry is validated at construction on the New path; an
-		// error here means an embedder handed NewFromClassifier a bad
-		// config.
+		// Unreachable while New validates the geometry.
 		jsonError(w, http.StatusInternalServerError, "segmentation misconfigured: "+err.Error())
 		return
 	}
@@ -561,11 +559,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, st *endpoin
 	st.docs.Add(int64(len(docs)))
 	out := make([]Detection, len(docs))
 	if s.cfg.IncludeCounts {
-		// Counts requested: run the Result-carrying engine path and
-		// score each result under the detector's policy.
-		results := core.NewEngine(det.Classifier(), det.Workers()).ClassifyAll(docs)
-		for i, res := range results {
-			out[i] = s.detection(det, reqDocs[i].ID, det.MatchResult(res), res.Counts, st)
+		nLangs := len(det.Languages())
+		counts, ms := det.DetectBatchCounts(nil, docs)
+		for i, m := range ms {
+			out[i] = s.detection(det, reqDocs[i].ID, m, counts[i*nLangs:(i+1)*nLangs], st)
 		}
 	} else {
 		for i, m := range det.DetectBatch(docs) {
@@ -578,8 +575,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, st *endpoin
 // handleStream reads NDJSON documents (one JSON string or {id, text}
 // object per line) and writes one NDJSON Detection per line, flushed as
 // produced. The whole exchange uses bounded memory regardless of how
-// many documents flow through: one line buffer, one DocumentStream
-// reset at each document boundary — the software mirror of the
+// many documents flow through: one line buffer, one Stream reset at
+// each document boundary — the software mirror of the
 // hardware's End-of-Document marker in the DMA stream (§3.3). The
 // stream keeps its request-start detector for its whole life, even
 // across hot swaps. With ?spans=1 every result line also carries the
@@ -593,9 +590,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpoi
 	if queryFlag(r, "spans") {
 		var err error
 		if spanStream, err = det.NewSpanStream(s.cfg.Segment); err != nil {
-			// Geometry is validated at construction on the New path; an
-			// error here means an embedder handed NewFromClassifier a bad
-			// config.
+			// Unreachable while New validates the geometry.
 			jsonError(w, http.StatusInternalServerError, "segmentation misconfigured: "+err.Error())
 			return
 		}
@@ -619,6 +614,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpoi
 		bufCap = s.cfg.MaxLineBytes
 	}
 	sc.Buffer(make([]byte, 0, bufCap), s.cfg.MaxLineBytes)
+	var countsBuf []int
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -632,21 +628,22 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpoi
 		st.bytes.Add(int64(len(doc.Text)))
 		st.docs.Add(1)
 		var m core.Match
-		var result func() core.Result
+		var appendCounts func([]int) []int
 		var spans []core.Span
 		if spanStream != nil {
 			spanStream.Reset()
 			io.WriteString(spanStream, doc.Text)
 			spans = spanStream.Finish()
-			m, result = spanStream.Match(), spanStream.Result
+			m, appendCounts = spanStream.Match(), spanStream.AppendCounts
 		} else {
 			ds.Reset()
 			io.WriteString(ds, doc.Text)
-			m, result = ds.Match(), ds.Result
+			m, appendCounts = ds.Match(), ds.AppendCounts
 		}
 		var counts []int
 		if s.cfg.IncludeCounts {
-			counts = result().Counts
+			countsBuf = appendCounts(countsBuf[:0])
+			counts = countsBuf
 		}
 		d := s.detection(det, doc.ID, m, counts, st)
 		if spanStream != nil {

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -120,10 +121,10 @@ func TestDetectAcrossLanguages(t *testing.T) {
 	}
 }
 
-// TestDetectMatchesLegacyPath pins the /detect wire format across the
-// move to the pooled DetectCounts path: over every test document the
-// response bytes equal the encoding of the legacy Classify+MatchResult
-// answer. It also pins the zero-value Config to the exact backend.
+// TestDetectMatchesLegacyPath pins the /detect wire format: over every
+// test document the response bytes equal the encoding of Detect's match
+// with the raw Classify counts. It also pins the zero-value Config to
+// the exact backend.
 func TestDetectMatchesLegacyPath(t *testing.T) {
 	corp, ps := fixtures(t)
 	srv, err := serve.New(ps, serve.Config{})
@@ -139,7 +140,7 @@ func TestDetectMatchesLegacyPath(t *testing.T) {
 	for _, lang := range testLangs {
 		for i, doc := range corp.Test[lang] {
 			res := det.Classifier().Classify(doc.Text)
-			m := det.MatchResult(res)
+			m := det.Detect(doc.Text)
 			want := serve.Detection{
 				Language: m.Lang,
 				Name:     corpus.Name(m.Lang),
@@ -169,6 +170,33 @@ func TestDetectMatchesLegacyPath(t *testing.T) {
 			if !bytes.Equal(body, wantBody.Bytes()) {
 				t.Errorf("%s doc %d: /detect answered\n%s\nlegacy path encodes\n%s", lang, i, body, wantBody.Bytes())
 			}
+		}
+	}
+}
+
+// TestNewRejectsNonFiniteMinMargin: a NaN margin floor compares false
+// against every margin, silently disabling unknown thresholding, and
+// an infinite one is meaningless, so construction refuses both.
+func TestNewRejectsNonFiniteMinMargin(t *testing.T) {
+	_, ps := fixtures(t)
+	for _, tc := range []struct {
+		margin float64
+		ok     bool
+	}{
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{0, true},
+		{0.05, true},
+		{-0.5, true}, // clamped to 0, as core.WithMinMargin does
+	} {
+		cfg := serve.Config{MinMargin: tc.margin}
+		_, err := serve.New(ps, cfg)
+		if (err == nil) != tc.ok {
+			t.Errorf("New(MinMargin %v) err = %v, want ok=%v", tc.margin, err, tc.ok)
+		}
+		if (cfg.Validate() == nil) != tc.ok {
+			t.Errorf("Validate(MinMargin %v) disagrees with New", tc.margin)
 		}
 	}
 }

@@ -29,7 +29,7 @@ var ErrCorruptProfiles = core.ErrCorruptProfiles
 
 // LoadProfiles reads a profile file written by SaveProfiles (or a
 // legacy bare-profile file from older cmd/langid builds), ready to
-// hand to NewClassifier or NewServer without re-training.
+// hand to NewDetector or NewServer without re-training.
 func LoadProfiles(path string) (*ProfileSet, error) {
 	return core.LoadProfileSetFile(path)
 }
@@ -45,17 +45,6 @@ func WriteProfiles(w io.Writer, ps *ProfileSet) (int64, error) {
 // configuration.
 func ReadProfiles(r io.Reader) (*ProfileSet, error) {
 	return core.ReadProfileSet(r)
-}
-
-// DocumentStream classifies one document incrementally with bounded
-// memory; it implements io.Writer. See (*Classifier).NewStream via
-// NewDocumentStream.
-type DocumentStream = core.DocumentStream
-
-// NewDocumentStream starts an incremental classification stream on the
-// classifier.
-func NewDocumentStream(c *Classifier) *DocumentStream {
-	return c.NewStream()
 }
 
 // WideClassifier is the §3.3 Unicode extension: the same match-counting

@@ -3,6 +3,7 @@ package bloomlang
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -30,20 +31,19 @@ func TestSaveLoadProfiles(t *testing.T) {
 	}
 	// A classifier built from reloaded profiles classifies identically:
 	// the Config seed is what fixes the hash matrices.
-	a, err := NewClassifier(ps, BackendBloom)
+	a, err := NewDetector(ps, WithBackend(BackendBloom))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewClassifier(back, BackendBloom)
+	b, err := NewDetector(back, WithBackend(BackendBloom))
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc := fixCorpus.Test["fr"][0].Text
-	ra, rb := a.Classify(doc), b.Classify(doc)
-	for i := range ra.Counts {
-		if ra.Counts[i] != rb.Counts[i] {
-			t.Fatal("reloaded profiles classify differently")
-		}
+	ca, ma := a.DetectCounts(nil, doc)
+	cb, mb := b.DetectCounts(nil, doc)
+	if ma != mb || !reflect.DeepEqual(ca, cb) {
+		t.Fatal("reloaded profiles classify differently")
 	}
 }
 
@@ -76,19 +76,21 @@ func TestReadProfilesErrors(t *testing.T) {
 
 func TestDocumentStreamPublicAPI(t *testing.T) {
 	corp, ps := fixtures(t)
-	clf, err := NewClassifier(ps, BackendBloom)
+	det, err := NewDetector(ps, WithBackend(BackendBloom))
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc := corp.Test["sv"][0].Text
-	s := NewDocumentStream(clf)
+	s := det.NewStream()
 	half := len(doc) / 2
 	s.Write(doc[:half])
 	s.Write(doc[half:])
-	got := s.Result()
-	want := clf.Classify(doc)
-	if got.Best != want.Best || got.NGrams != want.NGrams {
-		t.Error("streamed result differs from batch result")
+	wantCounts, want := det.DetectCounts(nil, doc)
+	if got := s.Match(); got != want {
+		t.Errorf("streamed match %+v differs from one-shot %+v", got, want)
+	}
+	if got := s.AppendCounts(nil); !reflect.DeepEqual(got, wantCounts) {
+		t.Errorf("streamed counts %v differ from one-shot %v", got, wantCounts)
 	}
 }
 

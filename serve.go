@@ -8,7 +8,7 @@ import (
 // pool, and request/line/batch size limits.
 type ServeConfig = serve.Config
 
-// Server is the HTTP serving subsystem over a trained classifier; see
+// Server is the HTTP serving subsystem over a trained detector; see
 // (*Server).Handler for the endpoint surface.
 type Server = serve.Server
 
@@ -27,12 +27,6 @@ type ServeStats = serve.Snapshot
 // NewServer builds the serving subsystem from trained profiles.
 func NewServer(ps *ProfileSet, cfg ServeConfig) (*Server, error) {
 	return serve.New(ps, cfg)
-}
-
-// NewServerFromClassifier wraps an already-built classifier in the
-// serving subsystem.
-func NewServerFromClassifier(clf *Classifier, cfg ServeConfig) *Server {
-	return serve.NewFromClassifier(clf, cfg)
 }
 
 // ReloadStatus reports one profile hot-swap outcome.
