@@ -72,6 +72,7 @@ func BenchmarkTable1AccuracyVsParams(b *testing.B) {
 				b.Fatal(err)
 			}
 			docs := corp.TestDocuments("")
+			texts := DocumentTexts(docs)
 			var bytes int64
 			for _, d := range docs {
 				bytes += int64(len(d.Text))
@@ -79,7 +80,7 @@ func BenchmarkTable1AccuracyVsParams(b *testing.B) {
 			b.SetBytes(bytes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				det.DetectBatch(docs)
+				det.DetectBatch(texts)
 			}
 			b.StopTimer()
 			ev := Evaluate(det, corp)
@@ -236,6 +237,7 @@ func BenchmarkTable4SystemComparison(b *testing.B) {
 func BenchmarkAblationBackends(b *testing.B) {
 	corp, ps := benchFixtures(b)
 	docs := corp.TestDocuments("")[:100]
+	texts := DocumentTexts(docs)
 	var bytes int64
 	for _, d := range docs {
 		bytes += int64(len(d.Text))
@@ -249,7 +251,7 @@ func BenchmarkAblationBackends(b *testing.B) {
 			b.SetBytes(bytes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				det.DetectBatch(docs)
+				det.DetectBatch(texts)
 			}
 		})
 	}
@@ -260,6 +262,7 @@ func BenchmarkAblationBackends(b *testing.B) {
 func BenchmarkAblationWorkers(b *testing.B) {
 	corp, ps := benchFixtures(b)
 	docs := corp.TestDocuments("")
+	texts := DocumentTexts(docs)
 	var bytes int64
 	for _, d := range docs {
 		bytes += int64(len(d.Text))
@@ -273,7 +276,7 @@ func BenchmarkAblationWorkers(b *testing.B) {
 			b.SetBytes(bytes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				det.DetectBatch(docs)
+				det.DetectBatch(texts)
 			}
 		})
 	}
@@ -294,6 +297,7 @@ func BenchmarkAblationSubsample(b *testing.B) {
 				b.Fatal(err)
 			}
 			docs := corp.TestDocuments("")
+			texts := DocumentTexts(docs)
 			var bytes int64
 			for _, d := range docs {
 				bytes += int64(len(d.Text))
@@ -301,7 +305,7 @@ func BenchmarkAblationSubsample(b *testing.B) {
 			b.SetBytes(bytes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				det.DetectBatch(docs)
+				det.DetectBatch(texts)
 			}
 			b.StopTimer()
 			ev := Evaluate(det, corp)

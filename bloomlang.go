@@ -41,9 +41,6 @@ type Profile = ngram.Profile
 // Matches.
 type Result = core.Result
 
-// Evaluation is an accuracy/confusion summary over a labelled test set.
-type Evaluation = core.Evaluation
-
 // Backend selects the membership structure used for match counting.
 // The set is open: RegisterBackend adds new ones, ParseBackend resolves
 // them by name.
@@ -128,14 +125,15 @@ type Span = core.Span
 // the zero value selects the defaults.
 type SegmentConfig = core.SegmentConfig
 
-// SpanStream segments one document incrementally: Write bytes in any
-// chunking, read finalized spans as boundaries are confirmed, Finish
-// to close the document. Created by (*Detector).NewSpanStream.
-type SpanStream = core.SpanStream
+// Stream counts one document incrementally: Write bytes in any
+// chunking, then read the Match. Created by (*Detector).NewStream, or
+// by (*Detector).NewSpanStream to also segment: read finalized spans
+// as boundaries are confirmed, Finish to close the document.
+type Stream = core.Stream
 
 // Train builds per-language profiles from a corpus's training split.
 func Train(cfg Config, corp *Corpus) (*ProfileSet, error) {
-	return core.Train(cfg, corp)
+	return core.TrainFromTexts(cfg, corp.TrainTextsByLanguage())
 }
 
 // TrainFromTexts builds profiles from raw training texts keyed by
@@ -143,16 +141,6 @@ func Train(cfg Config, corp *Corpus) (*ProfileSet, error) {
 func TrainFromTexts(cfg Config, texts map[string][][]byte) (*ProfileSet, error) {
 	return core.TrainFromTexts(cfg, texts)
 }
-
-// ThroughputReport is a measured software classification run.
-type ThroughputReport = core.ThroughputReport
-
-// Evaluate classifies the corpus test split with det and scores it
-// per language.
-func Evaluate(det *Detector, corp *Corpus) Evaluation { return core.Evaluate(det, corp) }
-
-// Measure classifies docs with det and reports wall-clock throughput.
-func Measure(det *Detector, docs []Document) ThroughputReport { return core.Measure(det, docs) }
 
 // FalsePositiveRate returns the paper's §3.1 Parallel Bloom Filter
 // model f = (1 − e^(−N/m))^k.
@@ -169,6 +157,10 @@ type CorpusConfig = corpus.Config
 
 // Document is one labelled text.
 type Document = corpus.Document
+
+// DocumentTexts returns the documents' raw texts in order, the input
+// of (*Detector).DetectBatch.
+func DocumentTexts(docs []Document) [][]byte { return corpus.Texts(docs) }
 
 // GenerateCorpus builds a synthetic JRC-Acquis-like corpus (see
 // internal/corpus for the substitution rationale).

@@ -72,7 +72,7 @@ func TestDetectorFacade(t *testing.T) {
 	}
 	clf := det.Classifier()
 	docs := corp.TestDocuments("")[:40]
-	matches := det.DetectBatch(docs)
+	matches := det.DetectBatch(DocumentTexts(docs))
 	decided := 0
 	for i, d := range docs {
 		legacy := clf.Classify(d.Text)

@@ -105,13 +105,14 @@ func BenchmarkDetectorBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	texts := DocumentTexts(benchBigDocs)
 	var bytes int64
-	for _, d := range benchBigDocs {
-		bytes += int64(len(d.Text))
+	for _, t := range texts {
+		bytes += int64(len(t))
 	}
 	b.SetBytes(bytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.DetectBatch(benchBigDocs)
+		det.DetectBatch(texts)
 	}
 }

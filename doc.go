@@ -37,23 +37,28 @@
 // batches, and consumes streams:
 //
 //	ranked := det.Rank(doc, 3)                  // top-3 languages by match count
-//	matches := det.DetectBatch(docs)            // worker-pool, input order kept
+//	matches := det.DetectBatch(docs)            // docs [][]byte; input order kept
 //	m, err := det.DetectReader(file)            // bounded memory
 //	st := det.NewStream()                       // incremental: Write chunks, then
 //	st.Write(chunk); m = st.Match()             // read the running decision
 //
-// Raw per-language match counts ride along on every path, appended to
-// caller scratch in Languages() order, and corpus scoring runs over the
-// same batch path:
+// All of these count through one Stream type: Detect, Rank and the
+// batch workers borrow pooled Streams, so there is one chunk-and-count
+// loop for every path. Raw per-language match counts ride along on
+// every path, appended to caller scratch in Languages() order, and
+// corpus scoring (Evaluate, Measure) runs over the same batch path:
 //
 //	counts, m := det.DetectCounts(buf[:0], doc) // one document
 //	counts, ms := det.DetectBatchCounts(nil, docs) // row-major, one row per document
 //	counts = st.AppendCounts(counts[:0])        // a stream's running counts
 //	ev := bloomlang.Evaluate(det, corp)         // per-language accuracy, confusion
+//	rep := bloomlang.Measure(det, corp.TestDocuments("")) // MB/s over DetectBatch
 //
-// The single-document hot path reuses per-call scratch from an internal
-// pool, so a warm Detect performs zero heap allocations (see
-// BenchmarkDetector).
+// DocumentTexts turns a corpus's []Document into the [][]byte the batch
+// paths take. The single-document hot path reuses a Stream from the
+// detector's pool, so a warm Detect performs zero heap allocations (see
+// BenchmarkDetector), and a Stream's WriteString counts a string
+// without copying it.
 //
 // # Membership backends
 //
@@ -186,9 +191,11 @@
 //
 // Streaming and reader variants mirror the detection paths —
 // DetectSpansReader for bounded-memory files, NewSpanStream for
-// incremental feeds (Write chunks in any splits; Spans returns the
-// boundaries finalized so far, Finish closes the document; identical
-// output to one-shot for identical bytes):
+// incremental feeds. NewSpanStream returns the same Stream type as
+// NewStream with windowing on (Write chunks in any splits; Spans
+// returns the boundaries finalized so far, Finish closes the document;
+// identical output to one-shot for identical bytes; Match and
+// AppendCounts still give the whole-document answer):
 //
 //	st, _ := det.NewSpanStream(bloomlang.SegmentConfig{})
 //	st.Write(chunk)

@@ -1,10 +1,13 @@
-package core
+package bloomlang
 
 import (
 	"time"
 
 	"bloomlang/internal/corpus"
 )
+
+// This file scores a Detector over a labelled corpus: the accuracy and
+// throughput measurements of §5.1 and §5.4.
 
 // ThroughputReport is a measured software classification run.
 type ThroughputReport struct {
@@ -28,13 +31,14 @@ func (r ThroughputReport) MBPerSec() float64 {
 // Measure classifies all documents through det.DetectBatch and reports
 // wall-clock throughput. The matches are discarded; use DetectBatch
 // when they matter.
-func Measure(det *Detector, docs []corpus.Document) ThroughputReport {
+func Measure(det *Detector, docs []Document) ThroughputReport {
+	texts := corpus.Texts(docs)
 	var bytes int64
-	for _, d := range docs {
-		bytes += int64(len(d.Text))
+	for _, t := range texts {
+		bytes += int64(len(t))
 	}
 	start := time.Now()
-	det.DetectBatch(docs)
+	det.DetectBatch(texts)
 	return ThroughputReport{Bytes: bytes, Elapsed: time.Since(start), Docs: len(docs)}
 }
 
@@ -65,7 +69,7 @@ type Evaluation struct {
 // scores it. A document det answers Unknown counts as predicted "";
 // under the default policy that happens only for documents without
 // n-grams.
-func Evaluate(det *Detector, corp *corpus.Corpus) Evaluation {
+func Evaluate(det *Detector, corp *Corpus) Evaluation {
 	langs := det.Languages()
 	ev := Evaluation{
 		Languages:   langs,
@@ -79,7 +83,7 @@ func Evaluate(det *Detector, corp *corpus.Corpus) Evaluation {
 		}
 		row := make(map[string]int)
 		correct := 0
-		for _, m := range det.DetectBatch(docs) {
+		for _, m := range det.DetectBatch(corpus.Texts(docs)) {
 			pred := m.Lang
 			row[pred]++
 			if pred == truth {

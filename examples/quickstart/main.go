@@ -79,7 +79,7 @@ func main() {
 
 	// 6. Score the whole test split with the batch path.
 	docs := corp.TestDocuments("")
-	matches := det.DetectBatch(docs)
+	matches := det.DetectBatch(bloomlang.DocumentTexts(docs))
 	correct, unknown := 0, 0
 	for i, m := range matches {
 		switch {

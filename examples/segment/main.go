@@ -2,7 +2,7 @@
 // kernel. Trains profiles on a synthetic corpus, builds a
 // mixed-language document with known boundaries, and recovers the
 // per-language spans three ways: one-shot DetectSpans, the streaming
-// SpanStream, and against the generator's ground truth.
+// segmenting Stream, and against the generator's ground truth.
 package main
 
 import (

@@ -46,7 +46,7 @@ func main() {
 	// Route documents into per-language buckets.
 	buckets := map[string]int{}
 	misrouted := 0
-	for i, m := range det.DetectBatch(stream) {
+	for i, m := range det.DetectBatch(bloomlang.DocumentTexts(stream)) {
 		buckets[m.Lang]++
 		if m.Lang != stream[i].Language {
 			misrouted++

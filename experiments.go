@@ -118,7 +118,7 @@ func RunTable1(scale Scale) ([]Table1Row, error) {
 	}
 	base := core.DefaultConfig()
 	base.Seed = scale.Seed
-	ps, err := core.Train(base, corp)
+	ps, err := Train(base, corp)
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +132,7 @@ func RunTable1(scale Scale) ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		ev := core.Evaluate(det, corp)
+		ev := Evaluate(det, corp)
 		row := Table1Row{
 			MKbits:             c.MKbits,
 			K:                  c.K,
@@ -340,7 +340,7 @@ func RunFigure4(scale Scale) (Figure4Result, error) {
 	}
 	base := core.DefaultConfig()
 	base.Seed = scale.Seed
-	ps, err := core.Train(base, corp)
+	ps, err := Train(base, corp)
 	if err != nil {
 		return out, err
 	}
@@ -461,7 +461,7 @@ func RunTable4(scale Scale) (Table4Result, error) {
 	// Bloom filter profiles shared by HAIL and the XD1000 sim.
 	base := core.DefaultConfig()
 	base.Seed = scale.Seed
-	ps, err := core.Train(base, corp)
+	ps, err := Train(base, corp)
 	if err != nil {
 		return out, err
 	}
@@ -543,7 +543,7 @@ func RunSubsampleAblation(scale Scale) ([]SubsampleRow, error) {
 	}
 	base := core.DefaultConfig()
 	base.Seed = scale.Seed
-	ps, err := core.Train(base, corp)
+	ps, err := Train(base, corp)
 	if err != nil {
 		return nil, err
 	}
@@ -557,7 +557,7 @@ func RunSubsampleAblation(scale Scale) ([]SubsampleRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		ev := core.Evaluate(det, corp)
+		ev := Evaluate(det, corp)
 		copies := 4 / sub
 		if copies < 1 {
 			copies = 1
@@ -590,7 +590,7 @@ func FormatSubsampleAblation(rows []SubsampleRow) string {
 // confuse: "consistently more Spanish documents were misclassified as
 // Portuguese, and Estonian documents as Finnish".
 type ConfusionResult struct {
-	Evaluation core.Evaluation
+	Evaluation Evaluation
 	// TopPairs lists (truth, predicted, count) misclassifications in
 	// descending count order.
 	TopPairs []ConfusionPair
@@ -612,7 +612,7 @@ func RunConfusion(scale Scale) (ConfusionResult, error) {
 	}
 	base := core.DefaultConfig()
 	base.Seed = scale.Seed
-	ps, err := core.Train(base, corp)
+	ps, err := Train(base, corp)
 	if err != nil {
 		return out, err
 	}
@@ -620,7 +620,7 @@ func RunConfusion(scale Scale) (ConfusionResult, error) {
 	if err != nil {
 		return out, err
 	}
-	out.Evaluation = core.Evaluate(det, corp)
+	out.Evaluation = Evaluate(det, corp)
 	for truth, row := range out.Evaluation.Confusion {
 		for pred, n := range row {
 			if pred != truth && pred != "" && n > 0 {

@@ -109,7 +109,7 @@ type rejectAll struct{ langs int }
 
 func (rejectAll) AccumulateInto([]int, []uint32) {}
 
-func TestRegisterFusedBackendExtendsClassifier(t *testing.T) {
+func TestRegisterBackendAcceptsFusedKernel(t *testing.T) {
 	b := RegisterBackend("test-reject-all", func(cfg Config, ps *ProfileSet) (Kernel, error) {
 		return rejectAll{langs: len(ps.Profiles)}, nil
 	}, "reject")

@@ -12,11 +12,15 @@
 //  3. The language with the highest match count is the classification.
 //
 // Detector is the one detection entry point: Detect, DetectCounts,
-// DetectBatch, DetectBatchCounts, Rank, NewStream and the segmentation
-// paths all count through one Kernel per backend, which scores every
-// language for each n-gram in one call (§3.2). Evaluate and Measure
-// score a Detector over a corpus. Classifier is the raw-count layer
-// underneath: the reference the paper-model tests compare against.
+// DetectBatch, DetectBatchCounts, Rank and the segmentation paths all
+// count through one Stream type, borrowed from the detector's pool,
+// and every Stream counts through one Kernel per backend, which scores
+// every language for each n-gram in one call (§3.2). NewStream and
+// NewSpanStream hand out the same Stream for incremental input, with
+// segmentation off or on. Classifier is the raw-count layer underneath:
+// the reference the paper-model tests compare against. The package
+// takes documents as bytes; corpus scoring lives in the root bloomlang
+// package.
 //
 // Four interchangeable membership backends are provided. The default,
 // direct-lookup, is exact: HAIL's direct table (§2) generalised to one
@@ -35,7 +39,6 @@ import (
 
 	"bloomlang/internal/alphabet"
 	"bloomlang/internal/bloom"
-	"bloomlang/internal/corpus"
 	"bloomlang/internal/ngram"
 )
 
@@ -143,15 +146,6 @@ type ProfileSet struct {
 // blocked-backend layout (read from an NGPS v2 file or materialized by
 // WriteToBlocked).
 func (ps *ProfileSet) HasBlockedLayout() bool { return ps.blocked != nil }
-
-// Train builds per-language profiles from the corpus training split.
-func Train(cfg Config, corp *corpus.Corpus) (*ProfileSet, error) {
-	texts := make(map[string][][]byte, len(corp.Languages))
-	for _, lang := range corp.Languages {
-		texts[lang] = corp.TrainTexts(lang)
-	}
-	return TrainFromTexts(cfg, texts)
-}
 
 // TrainFromTexts builds per-language profiles from raw training texts
 // keyed by language code.
@@ -337,19 +331,6 @@ func (c *Classifier) ExtractGrams(dst []uint32, doc []byte) []uint32 {
 	e := c.extractor
 	codes := alphabet.TranslateAll(doc)
 	return e.Feed(dst, codes)
-}
-
-// extractInto is the allocation-free extraction path: it translates doc
-// into the reusable codes buffer (grown only when too small) and feeds
-// it through e, appending the packed n-grams to dst. Both slices come
-// back for reuse.
-func extractInto(e *ngram.Extractor, dst []uint32, codes []alphabet.Code, doc []byte) ([]uint32, []alphabet.Code) {
-	if cap(codes) < len(doc) {
-		codes = make([]alphabet.Code, len(doc))
-	}
-	codes = codes[:len(doc)]
-	alphabet.TranslateInto(codes, doc)
-	return e.Feed(dst, codes), codes
 }
 
 // ClassifyGrams counts matches for pre-extracted n-grams. This is the

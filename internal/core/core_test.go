@@ -32,7 +32,7 @@ func getMiniCorpus(t testing.TB) *corpus.Corpus {
 
 func trainMini(t testing.TB, cfg Config) *ProfileSet {
 	t.Helper()
-	ps, err := Train(cfg, getMiniCorpus(t))
+	ps, err := TrainFromTexts(cfg, getMiniCorpus(t).TrainTextsByLanguage())
 	if err != nil {
 		t.Fatal(err)
 	}

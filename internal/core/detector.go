@@ -6,10 +6,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-
-	"bloomlang/internal/alphabet"
-	"bloomlang/internal/corpus"
-	"bloomlang/internal/ngram"
 )
 
 // Match is one classified document: the winning language with a
@@ -80,7 +76,7 @@ func WithMinNGrams(n int) DetectorOption {
 
 // Detector is the single entry point for language detection: it owns a
 // classifier, a worker bound for batch work, the unknown-thresholding
-// policy, and reusable per-call scratch buffers, so the one-document
+// policy, and a pool of reusable counting streams, so the one-document
 // hot path allocates nothing after warm-up. A Detector is safe for
 // concurrent use by any number of goroutines.
 type Detector struct {
@@ -88,18 +84,7 @@ type Detector struct {
 	workers   int
 	minMargin float64
 	minNGrams int
-	pool      sync.Pool // of *scratch
-	segPool   sync.Pool // of *SpanStream, for the one-shot segmentation paths
-}
-
-// scratch is the per-call working set: the translated-code buffer, the
-// extracted n-gram buffer, and the per-language counters. Detect
-// borrows one from the pool and returns it, so a warm Detector's hot
-// path performs zero allocations.
-type scratch struct {
-	codes  []alphabet.Code
-	grams  []uint32
-	counts []int
+	pool      sync.Pool // of *Stream; every detection path borrows one
 }
 
 // NewDetector builds a detector over trained profiles.
@@ -121,8 +106,7 @@ func NewDetector(ps *ProfileSet, opts ...DetectorOption) (*Detector, error) {
 	if d.workers <= 0 {
 		d.workers = runtime.GOMAXPROCS(0)
 	}
-	nLangs := len(clf.langs)
-	d.pool.New = func() any { return &scratch{counts: make([]int, nLangs)} }
+	d.pool.New = func() any { return &Stream{d: d} }
 	return d, nil
 }
 
@@ -150,11 +134,11 @@ func (d *Detector) MinNGrams() int { return d.minNGrams }
 
 // Detect classifies one raw ISO-8859-1 document: alphabet translation,
 // n-gram extraction, membership counting, winner selection, and
-// unknown thresholding. All working memory comes from the detector's
-// scratch pool, so a warm call allocates nothing.
+// unknown thresholding. The working memory is a pooled Stream, so a
+// warm call allocates nothing.
 func (d *Detector) Detect(doc []byte) Match {
-	s := d.pool.Get().(*scratch)
-	m := d.detectInto(s, doc)
+	s := d.borrow(doc)
+	m := s.Match()
 	d.pool.Put(s)
 	return m
 }
@@ -164,24 +148,19 @@ func (d *Detector) Detect(doc []byte) Match {
 // extended slice with the Match. With room in dst a warm call
 // allocates nothing.
 func (d *Detector) DetectCounts(dst []int, doc []byte) ([]int, Match) {
-	s := d.pool.Get().(*scratch)
-	m := d.detectInto(s, doc)
-	dst = append(dst, s.counts...)
+	s := d.borrow(doc)
+	dst, m := s.AppendCounts(dst), s.Match()
 	d.pool.Put(s)
 	return dst, m
 }
 
-func (d *Detector) detectInto(s *scratch, doc []byte) Match {
-	return d.match(s.counts, d.count(s, doc))
-}
-
-// count extracts doc's n-grams into s and counts them into s.counts,
-// returning the number of n-grams tested.
-func (d *Detector) count(s *scratch, doc []byte) int {
-	e := d.clf.extractor
-	s.grams, s.codes = extractInto(&e, s.grams[:0], s.codes, doc)
-	d.clf.countInto(s.counts, s.grams)
-	return len(s.grams)
+// borrow takes a pooled stream with windowing off and counts doc into
+// it; the caller returns the stream to the pool.
+func (d *Detector) borrow(doc []byte) *Stream {
+	s := d.pool.Get().(*Stream)
+	s.configure(SegmentConfig{})
+	s.Write(doc)
+	return s
 }
 
 // match applies winner selection and the unknown policy to a finished
@@ -215,8 +194,8 @@ func (d *Detector) match(counts []int, ngrams int) Match {
 // for the last one). Rank reports the raw ranking: the unknown policy
 // applies to Detect, not to the list.
 func (d *Detector) Rank(doc []byte, k int) []Match {
-	s := d.pool.Get().(*scratch)
-	ms := d.rankCounts(s.counts, d.count(s, doc), k)
+	s := d.borrow(doc)
+	ms := d.rankCounts(s.totals, s.gramsSeen, k)
 	d.pool.Put(s)
 	return ms
 }
@@ -252,16 +231,15 @@ func (d *Detector) rankCounts(counts []int, ngrams, k int) []Match {
 
 // DetectBatch classifies every document over the detector's worker
 // pool, preserving input order — the document-level parallelism of the
-// paper's hardware, with each worker holding one scratch set for the
-// whole batch.
-func (d *Detector) DetectBatch(docs []corpus.Document) []Match {
+// paper's hardware, each document counted on a pooled stream.
+func (d *Detector) DetectBatch(docs [][]byte) []Match {
 	return d.detectBatch(docs, nil)
 }
 
 // DetectBatchCounts is DetectBatch plus the per-language match counts:
 // it appends each document's counts, in Languages() order, to dst
 // row-major (document i's row starts at len(dst)+i*len(Languages())).
-func (d *Detector) DetectBatchCounts(dst []int, docs []corpus.Document) ([]int, []Match) {
+func (d *Detector) DetectBatchCounts(dst []int, docs [][]byte) ([]int, []Match) {
 	n := len(dst)
 	dst = slices.Grow(dst, len(docs)*len(d.clf.langs))[:n+len(docs)*len(d.clf.langs)]
 	return dst, d.detectBatch(docs, dst[n:])
@@ -269,7 +247,7 @@ func (d *Detector) DetectBatchCounts(dst []int, docs []corpus.Document) ([]int, 
 
 // detectBatch is the one batch worker loop. rows, when non-nil,
 // receives each document's counts row-major.
-func (d *Detector) detectBatch(docs []corpus.Document, rows []int) []Match {
+func (d *Detector) detectBatch(docs [][]byte, rows []int) []Match {
 	out := make([]Match, len(docs))
 	if len(docs) == 0 {
 		return out
@@ -281,14 +259,14 @@ func (d *Detector) detectBatch(docs []corpus.Document, rows []int) []Match {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := d.pool.Get().(*scratch)
 			for i := range next {
-				out[i] = d.detectInto(s, docs[i].Text)
+				s := d.borrow(docs[i])
+				out[i] = s.Match()
 				if rows != nil {
-					copy(rows[i*nLangs:], s.counts)
+					copy(rows[i*nLangs:], s.totals)
 				}
+				d.pool.Put(s)
 			}
-			d.pool.Put(s)
 		}()
 	}
 	for i := range docs {
@@ -308,53 +286,4 @@ func (d *Detector) DetectReader(r io.Reader) (Match, error) {
 		return Match{Unknown: true}, err
 	}
 	return st.Match(), nil
-}
-
-// Stream classifies one document incrementally with bounded memory:
-// bytes arrive in arbitrary chunks via Write, n-grams are counted as
-// they complete, and Match reports the decision over everything written
-// so far. This is the software mirror of the hardware datapath, which
-// consumes the DMA stream burst by burst and never buffers whole
-// documents (§3.3). Reset starts the next document — the
-// End-of-Document boundary. A Stream is not safe for concurrent use;
-// create one per goroutine.
-type Stream struct {
-	d      *Detector
-	e      ngram.Extractor
-	counts []int
-	ngrams int
-	codes  []alphabet.Code
-	grams  []uint32
-}
-
-// NewStream starts an empty document stream on the detector. The
-// extractor is a value copy of the classifier's prototype, so streams
-// are independent of each other and of the one-shot paths.
-func (d *Detector) NewStream() *Stream {
-	return &Stream{d: d, e: d.clf.extractor, counts: make([]int, len(d.clf.langs))}
-}
-
-// Write feeds the next chunk. It never fails; the error satisfies
-// io.Writer.
-func (s *Stream) Write(p []byte) (int, error) {
-	s.grams, s.codes = extractInto(&s.e, s.grams[:0], s.codes, p)
-	s.ngrams += len(s.grams)
-	s.d.clf.kernel.AccumulateInto(s.counts, s.grams)
-	return len(p), nil
-}
-
-// Match returns the detection over everything written so far; the
-// stream stays usable for more chunks.
-func (s *Stream) Match() Match { return s.d.match(s.counts, s.ngrams) }
-
-// AppendCounts appends the per-language match counts over everything
-// written so far, in Languages() order, to dst. With room in dst it
-// allocates nothing.
-func (s *Stream) AppendCounts(dst []int) []int { return append(dst, s.counts...) }
-
-// Reset prepares the stream for a new document.
-func (s *Stream) Reset() {
-	s.e.Reset()
-	clear(s.counts)
-	s.ngrams = 0
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"reflect"
 	"testing"
@@ -166,7 +167,7 @@ func TestDetectorAgreesWithLegacyClassifier(t *testing.T) {
 		for _, lang := range []string{"en", "es", "fi", "pt"} {
 			docs = append(docs, corp.Test[lang][:4]...)
 		}
-		batch := det.DetectBatch(docs)
+		batch := det.DetectBatch(corpus.Texts(docs))
 		if len(batch) != len(docs) {
 			t.Fatalf("%v: %d batch results for %d docs", backend, len(batch), len(docs))
 		}
@@ -296,6 +297,12 @@ func TestDetectZeroAllocations(t *testing.T) {
 		st.Write(doc)
 		if allocs := testing.AllocsPerRun(200, func() { counts = st.AppendCounts(counts[:0]) }); allocs != 0 {
 			t.Errorf("%s: Stream.AppendCounts allocates %.1f objects per call, want 0", backend, allocs)
+		}
+		// The /stream line path: a JSON-decoded string document counted
+		// without a []byte copy.
+		text := string(doc)
+		if allocs := testing.AllocsPerRun(200, func() { st.Reset(); io.WriteString(st, text) }); allocs != 0 {
+			t.Errorf("%s: Stream WriteString allocates %.1f objects per call, want 0", backend, allocs)
 		}
 	}
 }

@@ -43,9 +43,9 @@ func TestDetectEquivalenceAcrossPaths(t *testing.T) {
 				docs = append(docs, corp.Test[lang][0], corp.Test[lang][1])
 			}
 			docs = append(docs, corpus.Document{}) // empty document -> Unknown on every path
-			batch := det.DetectBatch(docs)
+			batch := det.DetectBatch(corpus.Texts(docs))
 			nLangs := len(det.Languages())
-			batchCounts, batchMatches := det.DetectBatchCounts(nil, docs)
+			batchCounts, batchMatches := det.DetectBatchCounts(nil, corpus.Texts(docs))
 			for i, doc := range docs {
 				want := det.Detect(doc.Text)
 
@@ -170,16 +170,18 @@ func TestStreamArbitraryChunkSplitsMatchOneShot(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(99))
-		for _, lang := range []string{"en", "es", "fi", "pt"} {
-			doc := getMiniCorpus(t).Test[lang][0].Text
-			s := det.NewStream()
-			for trial := 0; trial < 20; trial++ {
-				pts := splitPoints(rng, len(doc), 1+rng.Intn(12))
-				s.Reset()
-				for i := 1; i < len(pts); i++ {
-					s.Write(doc[pts[i-1]:pts[i]])
+		for _, mode := range streamModes(t, det) {
+			for _, lang := range []string{"en", "es", "fi", "pt"} {
+				doc := getMiniCorpus(t).Test[lang][0].Text
+				s := mode.newStream()
+				for trial := 0; trial < 20; trial++ {
+					pts := splitPoints(rng, len(doc), 1+rng.Intn(12))
+					s.Reset()
+					for i := 1; i < len(pts); i++ {
+						s.Write(doc[pts[i-1]:pts[i]])
+					}
+					checkStream(t, det, s, doc, backend.String()+"/"+mode.name+"/"+lang)
 				}
-				checkStream(t, det, s, doc, backend.String()+"/"+lang)
 			}
 		}
 	}
@@ -199,17 +201,19 @@ func TestStreamMidNGramBoundarySplits(t *testing.T) {
 		if len(doc) > 64 {
 			doc = doc[:64]
 		}
-		s := det.NewStream()
-		for cut := 0; cut <= len(doc); cut++ {
-			s.Reset()
-			s.Write(doc[:cut])
-			s.Write(doc[cut:])
-			checkStream(t, det, s, doc, backend.String())
+		for _, mode := range streamModes(t, det) {
+			s := mode.newStream()
+			for cut := 0; cut <= len(doc); cut++ {
+				s.Reset()
+				s.Write(doc[:cut])
+				s.Write(doc[cut:])
+				checkStream(t, det, s, doc, backend.String()+"/"+mode.name)
+			}
 		}
 	}
 }
 
-func TestClassifyAllPreservesInputOrder(t *testing.T) {
+func TestDetectBatchPreservesInputOrder(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
 	// Interleave languages so a reordering cannot produce the same
 	// language sequence.
@@ -228,7 +232,7 @@ func TestClassifyAllPreservesInputOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		nLangs := len(det.Languages())
-		counts, got := det.DetectBatchCounts(nil, docs)
+		counts, got := det.DetectBatchCounts(nil, corpus.Texts(docs))
 		if len(got) != len(docs) {
 			t.Fatalf("workers=%d: %d results for %d docs", workers, len(got), len(docs))
 		}

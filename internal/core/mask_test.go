@@ -248,7 +248,7 @@ func BenchmarkDetectCount(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ps, err := Train(DefaultConfig(), corp)
+	ps, err := TrainFromTexts(DefaultConfig(), corp.TrainTextsByLanguage())
 	if err != nil {
 		b.Fatal(err)
 	}

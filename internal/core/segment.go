@@ -6,17 +6,19 @@ package core
 // detector meets that the paper's whole-document classifier (§2) cannot
 // answer with a single language.
 //
-// The mechanism reuses the match-counting inner loop unchanged and runs
-// it exactly once per document. The n-gram stream is cut into stride-
-// sized chunks; each chunk's per-language counts are accumulated through
-// one pass of the backend's Kernel, which scores every language per
-// n-gram, into a ring of Window/Stride rows. A sliding window of Window
-// n-grams is then the rolling sum of the ring — adding the newest chunk
-// row and subtracting the oldest — so per-window scoring costs O(L) per
-// stride regardless of window size, and no n-gram is ever re-extracted
-// or re-hashed for a second window. Window arg-max decisions pass through hysteresis (a new
-// language must win Hysteresis consecutive windows before a boundary is
-// emitted) and adjacent same-language windows merge into Spans.
+// Segmentation is a mode of Stream, the one counting stream every
+// detection path uses, so it reuses the match-counting inner loop
+// unchanged and runs it exactly once per document. The n-gram stream is
+// cut into stride-sized chunks; each chunk's per-language counts are
+// accumulated through one pass of the backend's Kernel, which scores
+// every language per n-gram, into a ring of Window/Stride rows. A
+// sliding window of Window n-grams is then the rolling sum of the ring
+// — adding the newest chunk row and subtracting the oldest — so
+// per-window scoring costs O(L) per stride regardless of window size,
+// and no n-gram is ever re-extracted or re-hashed for a second window.
+// Window arg-max decisions pass through hysteresis (a new language must
+// win Hysteresis consecutive windows before a boundary is emitted) and
+// adjacent same-language windows merge into Spans.
 
 import (
 	"fmt"
@@ -156,13 +158,13 @@ func (d *Detector) DetectSpans(doc []byte, cfg SegmentConfig) ([]Span, error) {
 // a reused dst (and a warm detector) the whole segmentation pass
 // allocates nothing, matching the Detect hot-path discipline.
 func (d *Detector) AppendSpans(dst []Span, doc []byte, cfg SegmentConfig) ([]Span, error) {
-	s, err := d.borrowSpanStream(cfg)
+	s, err := d.borrowSpans(cfg)
 	if err != nil {
 		return dst, err
 	}
 	s.Write(doc)
 	dst = append(dst, s.Finish()...)
-	d.segPool.Put(s)
+	d.pool.Put(s)
 	return dst, nil
 }
 
@@ -170,30 +172,26 @@ func (d *Detector) AppendSpans(dst []Span, doc []byte, cfg SegmentConfig) ([]Spa
 // memory: no window ever re-reads earlier bytes, so only the ring of
 // chunk counters and one partial chunk are retained.
 func (d *Detector) DetectSpansReader(r io.Reader, cfg SegmentConfig) ([]Span, error) {
-	s, err := d.borrowSpanStream(cfg)
+	s, err := d.borrowSpans(cfg)
 	if err != nil {
 		return nil, err
 	}
+	defer d.pool.Put(s)
 	if _, err := io.Copy(s, r); err != nil {
-		d.segPool.Put(s)
 		return nil, err
 	}
-	spans := append([]Span(nil), s.Finish()...)
-	d.segPool.Put(s)
-	return spans, nil
+	return append([]Span(nil), s.Finish()...), nil
 }
 
-// borrowSpanStream checks the configuration and takes a pooled stream,
-// so the one-shot paths reuse all segmentation scratch across calls.
-func (d *Detector) borrowSpanStream(cfg SegmentConfig) (*SpanStream, error) {
+// borrowSpans checks the configuration and takes a pooled stream with
+// windowing on, so the one-shot paths reuse all segmentation buffers
+// across calls.
+func (d *Detector) borrowSpans(cfg SegmentConfig) (*Stream, error) {
 	resolved, err := resolveSegmentConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s, _ := d.segPool.Get().(*SpanStream)
-	if s == nil {
-		s = &SpanStream{d: d}
-	}
+	s := d.pool.Get().(*Stream)
 	s.configure(resolved)
 	return s, nil
 }
@@ -219,20 +217,30 @@ func (r *segRun) absorb(o segRun) {
 	r.marginSum += o.marginSum
 }
 
-// SpanStream segments one document incrementally: bytes arrive in
-// arbitrary chunks via Write, finalized spans are available from Spans
-// as boundaries are confirmed, and Finish closes the document and
-// returns the complete tiling. This is the streaming variant of
-// DetectSpans — identical output for identical bytes, any chunking —
-// and the engine behind the one-shot paths. Like Stream, a SpanStream
-// is not safe for concurrent use; create one per goroutine.
-type SpanStream struct {
+// Stream counts one document incrementally with bounded memory: bytes
+// arrive in arbitrary chunks via Write or WriteString, n-grams are
+// counted as they complete, and Match reports the decision over
+// everything written so far — the software mirror of the hardware
+// datapath, which consumes the DMA stream burst by burst and never
+// buffers whole documents (§3.3). Reset starts the next document, the
+// End-of-Document boundary. Every detection path counts through a
+// Stream: Detect and the batch workers borrow pooled ones.
+//
+// A stream from NewStream counts each write whole. A stream from
+// NewSpanStream also segments: the n-grams are cut into stride-sized
+// chunks whose counts roll through the window ring, finalized spans are
+// available from Spans as boundaries are confirmed, and Finish returns
+// the complete tiling — identical output for identical bytes, any
+// chunking. Either way every n-gram is extracted and counted exactly
+// once, and Match and AppendCounts give the whole-document answer. A
+// Stream is not safe for concurrent use; create one per goroutine.
+type Stream struct {
 	d   *Detector
-	cfg SegmentConfig // resolved: defaults applied, validated
+	cfg SegmentConfig // resolved; the zero value turns windowing off
 	e   ngram.Extractor
 	sub int // extractor subsample: gram index i starts at byte i*sub
 
-	rows  int // ring rows = Window/Stride
+	rows  int // ring rows = Window/Stride; 0 without windowing
 	langs int
 
 	codes     []alphabet.Code
@@ -244,7 +252,7 @@ type SpanStream struct {
 	win    []int     // rolling window counts (sum of the ring)
 	smooth []float64 // EWMA-smoothed window counts
 	totals []int     // whole-document counts over completed chunks
-	tmp    []int     // scratch for folding the buffered tail into totals
+	tmp    []int     // totals with the buffered tail folded in
 
 	bytesSeen int
 	gramsSeen int
@@ -261,27 +269,51 @@ type SpanStream struct {
 	done  bool
 }
 
+// NewStream starts an empty document stream on the detector, counting
+// without segmentation. The extractor is a value copy of the
+// classifier's prototype, so streams are independent of each other and
+// of the one-shot paths.
+func (d *Detector) NewStream() *Stream {
+	s := &Stream{d: d}
+	s.configure(SegmentConfig{})
+	return s
+}
+
 // NewSpanStream starts an empty segmenting stream on the detector. The
 // zero SegmentConfig selects the defaults.
-func (d *Detector) NewSpanStream(cfg SegmentConfig) (*SpanStream, error) {
+func (d *Detector) NewSpanStream(cfg SegmentConfig) (*Stream, error) {
 	resolved, err := resolveSegmentConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &SpanStream{d: d}
+	s := &Stream{d: d}
 	s.configure(resolved)
 	return s, nil
 }
 
-// configure (re)arms the stream for a new document under cfg, growing
-// scratch only when the geometry outgrew what a previous use left.
-func (s *SpanStream) configure(cfg SegmentConfig) {
+// configure (re)arms the stream for a new document under cfg — a
+// resolved geometry, or the zero value for whole-document counting —
+// growing buffers only when the geometry outgrew what a previous use
+// left.
+func (s *Stream) configure(cfg SegmentConfig) {
 	s.cfg = cfg
-	s.rows = cfg.Window / cfg.Stride
 	s.langs = len(s.d.clf.langs)
 	s.e = s.d.clf.extractor
-	s.e.Reset()
 	s.sub = s.d.clf.cfg.Subsample
+	if cap(s.totals) < s.langs {
+		s.totals = make([]int, s.langs)
+	}
+	s.totals = s.totals[:s.langs]
+	clear(s.totals)
+	s.chunkFill, s.bytesSeen, s.gramsSeen, s.chunks, s.windows = 0, 0, 0, 0, 0
+	s.started, s.hasFlip, s.done = false, false, false
+	s.cur, s.flip = segRun{}, segRun{}
+	s.spans = s.spans[:0]
+	s.rows = 0
+	if cfg.Window == 0 {
+		return
+	}
+	s.rows = cfg.Window / cfg.Stride
 	if cap(s.chunkBuf) < cfg.Stride {
 		s.chunkBuf = make([]uint32, cfg.Stride)
 	}
@@ -294,75 +326,78 @@ func (s *SpanStream) configure(cfg SegmentConfig) {
 	if cap(s.win) < s.langs {
 		s.win = make([]int, s.langs)
 		s.smooth = make([]float64, s.langs)
-		s.totals = make([]int, s.langs)
-	} else {
-		s.win = s.win[:s.langs]
-		s.smooth = s.smooth[:s.langs]
-		s.totals = s.totals[:s.langs]
 	}
-	for i := range s.win {
-		s.win[i] = 0
-		s.totals[i] = 0
-	}
-	s.chunkFill, s.bytesSeen, s.gramsSeen, s.chunks, s.windows = 0, 0, 0, 0, 0
-	s.started, s.hasFlip, s.done = false, false, false
-	s.cur, s.flip = segRun{}, segRun{}
-	s.spans = s.spans[:0]
+	s.win, s.smooth = s.win[:s.langs], s.smooth[:s.langs]
+	clear(s.win)
 }
 
 // Reset prepares the stream for a new document under the same
 // configuration.
-func (s *SpanStream) Reset() { s.configure(s.cfg) }
+func (s *Stream) Reset() { s.configure(s.cfg) }
 
 // Write feeds the next chunk of the document. It fails only on a
 // stream already closed by Finish; the signature satisfies io.Writer.
-func (s *SpanStream) Write(p []byte) (int, error) {
-	if s.done {
-		return 0, errSpanStreamFinished
+func (s *Stream) Write(p []byte) (int, error) {
+	codes, err := s.codeBuf(len(p))
+	if err != nil {
+		return 0, err
 	}
-	if cap(s.codes) < len(p) {
-		s.codes = make([]alphabet.Code, len(p))
-	}
-	alphabet.TranslateInto(s.codes[:len(p)], p)
-	s.feedCodes(len(p))
+	alphabet.TranslateInto(codes, p)
+	s.count(codes)
 	return len(p), nil
 }
 
 // WriteString is Write for string chunks without the []byte copy —
-// SpanStream is an io.StringWriter, so io.WriteString segments
-// JSON-decoded documents allocation-free.
-func (s *SpanStream) WriteString(p string) (int, error) {
-	if s.done {
-		return 0, errSpanStreamFinished
+// Stream is an io.StringWriter, so io.WriteString counts JSON-decoded
+// documents allocation-free.
+func (s *Stream) WriteString(p string) (int, error) {
+	codes, err := s.codeBuf(len(p))
+	if err != nil {
+		return 0, err
 	}
-	if cap(s.codes) < len(p) {
-		s.codes = make([]alphabet.Code, len(p))
-	}
-	codes := s.codes[:len(p)]
 	for i := 0; i < len(p); i++ {
 		codes[i] = alphabet.Translate(p[i])
 	}
-	s.feedCodes(len(p))
+	s.count(codes)
 	return len(p), nil
 }
 
-var errSpanStreamFinished = fmt.Errorf("core: SpanStream written after Finish (Reset starts a new document)")
+var errStreamFinished = fmt.Errorf("core: Stream written after Finish (Reset starts a new document)")
 
-// feedCodes runs the translated first n codes through extraction and
-// chunk counting. The bytes are counted before consuming: a boundary
-// confirmed inside this write starts within these bytes, and gramByte
-// clamps against the running total.
-func (s *SpanStream) feedCodes(n int) {
-	s.bytesSeen += n
-	s.grams = s.e.Feed(s.grams[:0], s.codes[:n])
+// codeBuf returns the translation buffer sized for an n-byte write,
+// growing it only when too small, or an error once Finish has closed
+// the document.
+func (s *Stream) codeBuf(n int) ([]alphabet.Code, error) {
+	if s.done {
+		return nil, errStreamFinished
+	}
+	if cap(s.codes) < n {
+		s.codes = make([]alphabet.Code, n)
+	}
+	return s.codes[:n], nil
+}
+
+// count is the one extract-and-count step. Without windowing the
+// write's n-grams take one kernel pass straight into the totals, so a
+// whole document reaches the kernel in one call. With windowing they
+// are cut into chunks instead. The bytes are counted before consuming:
+// a boundary confirmed inside this write starts within these bytes,
+// and gramByte clamps against the running total.
+func (s *Stream) count(codes []alphabet.Code) {
+	s.bytesSeen += len(codes)
+	s.grams = s.e.Feed(s.grams[:0], codes)
+	s.gramsSeen += len(s.grams)
+	if s.rows == 0 {
+		s.d.clf.kernel.AccumulateInto(s.totals, s.grams)
+		return
+	}
 	s.consume(s.grams)
 }
 
 // consume cuts the incoming n-gram stream into stride-sized chunks.
 // Chunks completing inside gs are counted straight out of the caller's
 // slice; a trailing partial chunk is buffered for the next Write.
-func (s *SpanStream) consume(gs []uint32) {
-	s.gramsSeen += len(gs)
+func (s *Stream) consume(gs []uint32) {
 	stride := s.cfg.Stride
 	for len(gs) > 0 {
 		if s.chunkFill == 0 && len(gs) >= stride {
@@ -384,16 +419,14 @@ func (s *SpanStream) consume(gs []uint32) {
 // the classifier's counting loop these grams will ever take — and
 // rolls the window sum forward: the ring row being replaced leaves the
 // window, the fresh row enters it.
-func (s *SpanStream) completeChunk(chunk []uint32) {
+func (s *Stream) completeChunk(chunk []uint32) {
 	row := s.ring[(s.chunks%s.rows)*s.langs:][:s.langs]
 	if s.chunks >= s.rows {
 		for i, v := range row {
 			s.win[i] -= v
 		}
 	}
-	for i := range row {
-		row[i] = 0
-	}
+	clear(row)
 	s.d.clf.kernel.AccumulateInto(row, chunk)
 	for i, v := range row {
 		s.win[i] += v
@@ -408,7 +441,7 @@ func (s *SpanStream) completeChunk(chunk []uint32) {
 // windowDone decides the window that just completed — smoothing,
 // arg-max, the detector's unknown policy — and feeds the decision to
 // the hysteresis merger.
-func (s *SpanStream) windowDone() {
+func (s *Stream) windowDone() {
 	w := s.chunks - s.rows // index of the completed window
 	alpha := s.cfg.Smoothing
 	if s.windows == 0 || alpha == 0 {
@@ -441,7 +474,7 @@ func (s *SpanStream) windowDone() {
 // Hysteresis windows confirms a boundary. Pending windows interrupted
 // before confirmation fold back into the current run, so one noisy
 // window can never fragment a span.
-func (s *SpanStream) observe(w, label int, score, margin float64) {
+func (s *Stream) observe(w, label int, score, margin float64) {
 	if !s.started {
 		s.started = true
 		s.cur = segRun{label: label, scoreSum: score, marginSum: margin, windows: 1}
@@ -473,14 +506,14 @@ func (s *SpanStream) observe(w, label int, score, margin float64) {
 // the incumbent span, but their score/margin sums are discarded — they
 // voted for a different language, and Span confidence averages only
 // the windows that voted for the span's own language.
-func (s *SpanStream) foldFlip() { s.hasFlip = false }
+func (s *Stream) foldFlip() { s.hasFlip = false }
 
 // confirmFlip emits the boundary for a persisted language change. The
 // boundary is attributed to the center of the first window that voted
 // for the new language — each window's decision describes its middle
 // best — which keeps boundaries within one stride of where decisions
 // actually flipped.
-func (s *SpanStream) confirmFlip() {
+func (s *Stream) confirmFlip() {
 	boundary := (s.flipStart + s.rows/2) * s.cfg.Stride
 	if boundary <= s.cur.startGram {
 		boundary = s.cur.startGram + s.cfg.Stride
@@ -492,11 +525,11 @@ func (s *SpanStream) confirmFlip() {
 }
 
 // emit finalizes the run as a span ending at endGram.
-func (s *SpanStream) emit(r segRun, endGram int) {
+func (s *Stream) emit(r segRun, endGram int) {
 	s.appendSpan(r, s.gramByte(r.startGram), s.gramByte(endGram))
 }
 
-func (s *SpanStream) appendSpan(r segRun, startByte, endByte int) {
+func (s *Stream) appendSpan(r segRun, startByte, endByte int) {
 	sp := Span{Start: startByte, End: endByte}
 	if r.label == unknownLabel {
 		sp.Unknown = true
@@ -513,7 +546,7 @@ func (s *SpanStream) appendSpan(r segRun, startByte, endByte int) {
 // gramByte maps an n-gram index to the byte offset where that n-gram
 // starts. Alphabet translation is one code per byte, so emitted n-gram
 // i begins at character — byte — i·subsample.
-func (s *SpanStream) gramByte(g int) int {
+func (s *Stream) gramByte(g int) int {
 	b := g * s.sub
 	if b > s.bytesSeen {
 		b = s.bytesSeen
@@ -523,16 +556,18 @@ func (s *SpanStream) gramByte(g int) int {
 
 // Spans returns the spans finalized so far; the span in progress at
 // the stream head is excluded until Finish confirms where it ends. The
-// returned slice is valid until the next Reset.
-func (s *SpanStream) Spans() []Span { return s.spans }
+// returned slice is valid until the next Reset. A stream without
+// windowing has no spans.
+func (s *Stream) Spans() []Span { return s.spans }
 
-// Finish closes the document: the buffered tail takes its one
-// counting pass into the running totals, the final span is emitted,
-// and the complete tiling of [0, bytes written) is returned. A
-// document that never filled one window is decided whole, exactly as
-// Detect would decide it. After Finish the stream rejects further
-// writes until Reset; Match and AppendCounts stay readable.
-func (s *SpanStream) Finish() []Span {
+// Finish closes the document and returns its complete span tiling of
+// [0, bytes written); without windowing it returns no spans. On a
+// segmenting stream the buffered tail takes its one counting pass into
+// the running totals and the final span is emitted; a document that
+// never filled one window is decided whole, exactly as Detect would
+// decide it. After Finish the stream rejects further writes until
+// Reset; Match and AppendCounts stay readable.
+func (s *Stream) Finish() []Span {
 	if s.done {
 		return s.spans
 	}
@@ -541,13 +576,13 @@ func (s *SpanStream) Finish() []Span {
 		copy(s.totals, s.counts())
 		s.chunkFill = 0
 	}
-	if s.bytesSeen == 0 {
+	if s.rows == 0 || s.bytesSeen == 0 {
 		return s.spans
 	}
 	if s.windows == 0 {
 		// Shorter than one window: a single whole-document decision over
 		// the full totals.
-		m := s.d.match(s.totals, s.gramsSeen)
+		m := s.Match()
 		s.spans = append(s.spans, Span{
 			Start: 0, End: s.bytesSeen,
 			Lang: m.Lang, Score: m.Score, Margin: m.Margin, Unknown: m.Unknown,
@@ -563,41 +598,27 @@ func (s *SpanStream) Finish() []Span {
 
 // Match reports the whole-document detection over everything written
 // so far, under the detector's policy — the same answer Detect gives
-// on the same bytes. The totals ride along with chunk counting, so a
+// on the same bytes; the stream stays usable for more chunks. On a
+// segmenting stream the totals ride along with chunk counting, so a
 // caller wanting both the document-level match and its spans (the
 // serving layer's /stream spans mode) pays for one counting pass, not
 // two.
-func (s *SpanStream) Match() Match { return s.d.match(s.counts(), s.gramsSeen) }
+func (s *Stream) Match() Match { return s.d.match(s.counts(), s.gramsSeen) }
 
 // AppendCounts appends the whole-document per-language match counts
 // over everything written so far, in Languages() order, to dst. With
 // room in dst it allocates nothing.
-func (s *SpanStream) AppendCounts(dst []int) []int { return append(dst, s.counts()...) }
+func (s *Stream) AppendCounts(dst []int) []int { return append(dst, s.counts()...) }
 
 // counts returns the whole-document counts: the completed-chunk totals
-// with the buffered tail folded into a scratch copy. The tail's real
+// with any buffered tail folded into a copy. The tail's real
 // pass happens when its chunk completes or at Finish.
-func (s *SpanStream) counts() []int {
+func (s *Stream) counts() []int {
 	if s.chunkFill == 0 {
 		return s.totals
 	}
-	tmp := s.scratchCounts()
-	s.d.clf.kernel.AccumulateInto(tmp, s.chunkBuf[:s.chunkFill])
-	for i, v := range s.totals {
-		tmp[i] += v
-	}
-	return tmp
-}
-
-// scratchCounts returns the zeroed language-count scratch row.
-func (s *SpanStream) scratchCounts() []int {
-	if cap(s.tmp) < s.langs {
-		s.tmp = make([]int, s.langs)
-	}
-	s.tmp = s.tmp[:s.langs]
-	for i := range s.tmp {
-		s.tmp[i] = 0
-	}
+	s.tmp = append(s.tmp[:0], s.totals...)
+	s.d.clf.kernel.AccumulateInto(s.tmp, s.chunkBuf[:s.chunkFill])
 	return s.tmp
 }
 

@@ -45,7 +45,7 @@ func getSegCorpus(t testing.TB) *corpus.Corpus {
 func segDetector(t testing.TB, backend Backend) *Detector {
 	t.Helper()
 	if segProfiles == nil {
-		ps, err := Train(Config{TopT: 1000}, getSegCorpus(t))
+		ps, err := TrainFromTexts(Config{TopT: 1000}, getSegCorpus(t).TrainTextsByLanguage())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestDetectSpansFindsMixedBoundary(t *testing.T) {
 }
 
 // TestSpanStreamMatchesOneShot is the chunking-independence guarantee:
-// feeding a document to a SpanStream in arbitrary splits — including
+// feeding a document to a segmenting Stream in arbitrary splits — including
 // cuts landing mid-n-gram and mid-chunk — produces the identical spans
 // as one-shot DetectSpans.
 func TestSpanStreamMatchesOneShot(t *testing.T) {
@@ -512,7 +512,7 @@ func TestDetectSpansUnknownPolicy(t *testing.T) {
 // tile the document.
 func TestDetectSpansSubsample(t *testing.T) {
 	corp := getSegCorpus(t)
-	ps, err := Train(Config{TopT: 1000, Subsample: 2}, corp)
+	ps, err := TrainFromTexts(Config{TopT: 1000, Subsample: 2}, corp.TrainTextsByLanguage())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,30 @@ import (
 	"testing"
 )
 
+// streamMode is one way to build a Stream: whole-document counting
+// (NewStream) or segmentation (NewSpanStream). Every stream test runs
+// both, because Match and AppendCounts must not depend on the mode.
+type streamMode struct {
+	name      string
+	windowed  bool
+	newStream func() *Stream
+}
+
+func streamModes(t testing.TB, det *Detector) []streamMode {
+	t.Helper()
+	newSpanStream := func() *Stream {
+		s, err := det.NewSpanStream(segTestConfig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	return []streamMode{
+		{name: "counting", newStream: det.NewStream},
+		{name: "segmenting", windowed: true, newStream: newSpanStream},
+	}
+}
+
 // checkStream asserts a stream fed doc reports Detect's match and the
 // raw Classify counts.
 func checkStream(t *testing.T, det *Detector, s *Stream, doc []byte, what string) {
@@ -27,82 +51,116 @@ func TestStreamMatchesBatch(t *testing.T) {
 	doc := getMiniCorpus(t).Test["es"][0].Text
 
 	// Feed the same document in chunks of varying sizes.
-	for _, chunk := range []int{1, 3, 7, 64, len(doc)} {
-		s := det.NewStream()
-		for off := 0; off < len(doc); off += chunk {
-			end := min(off+chunk, len(doc))
-			n, err := s.Write(doc[off:end])
-			if err != nil || n != end-off {
-				t.Fatalf("Write = %d, %v", n, err)
+	for _, mode := range streamModes(t, det) {
+		for _, chunk := range []int{1, 3, 7, 64, len(doc)} {
+			s := mode.newStream()
+			for off := 0; off < len(doc); off += chunk {
+				end := min(off+chunk, len(doc))
+				n, err := s.Write(doc[off:end])
+				if err != nil || n != end-off {
+					t.Fatalf("%s: Write = %d, %v", mode.name, n, err)
+				}
 			}
+			checkStream(t, det, s, doc, mode.name+"/chunked")
 		}
-		checkStream(t, det, s, doc, "chunked")
 	}
 }
 
 func TestStreamImplementsWriter(t *testing.T) {
 	det, _ := NewDetector(trainMini(t, Config{TopT: 500}))
-	s := det.NewStream()
-	var _ io.Writer = s
 	doc := getMiniCorpus(t).Test["en"][0].Text
-	if _, err := io.Copy(s, bytes.NewReader(doc)); err != nil {
-		t.Fatal(err)
-	}
-	if m := s.Match(); m.Lang != "en" {
-		t.Errorf("io.Copy path classified as %q", m.Lang)
+	for _, mode := range streamModes(t, det) {
+		s := mode.newStream()
+		var _ io.Writer = s
+		var _ io.StringWriter = s
+		if _, err := io.Copy(s, bytes.NewReader(doc)); err != nil {
+			t.Fatal(err)
+		}
+		if m := s.Match(); m.Lang != "en" {
+			t.Errorf("%s: io.Copy path classified as %q", mode.name, m.Lang)
+		}
+		s.Reset()
+		if _, err := io.WriteString(s, string(doc)); err != nil {
+			t.Fatal(err)
+		}
+		checkStream(t, det, s, doc, mode.name+"/io.WriteString")
 	}
 }
 
 func TestStreamIntermediateResults(t *testing.T) {
 	det, _ := NewDetector(trainMini(t, Config{TopT: 1000}), WithBackend(BackendBloom))
 	doc := getMiniCorpus(t).Test["fi"][0].Text
-	s := det.NewStream()
-	s.Write(doc[:len(doc)/2])
-	mid, midCounts := s.Match(), s.AppendCounts(nil)
-	s.Write(doc[len(doc)/2:])
-	full, fullCounts := s.Match(), s.AppendCounts(nil)
-	if mid.NGrams >= full.NGrams {
-		t.Error("intermediate result saw as many n-grams as the full document")
-	}
-	if mid.NGrams == 0 {
-		t.Error("no n-grams at midpoint")
-	}
-	// Counts only grow.
-	for i := range midCounts {
-		if fullCounts[i] < midCounts[i] {
-			t.Error("counts decreased as the stream grew")
+	for _, mode := range streamModes(t, det) {
+		s := mode.newStream()
+		s.Write(doc[:len(doc)/2])
+		mid, midCounts := s.Match(), s.AppendCounts(nil)
+		s.Write(doc[len(doc)/2:])
+		full, fullCounts := s.Match(), s.AppendCounts(nil)
+		if mid.NGrams >= full.NGrams {
+			t.Errorf("%s: intermediate result saw as many n-grams as the full document", mode.name)
+		}
+		if mid.NGrams == 0 {
+			t.Errorf("%s: no n-grams at midpoint", mode.name)
+		}
+		// Counts only grow.
+		for i := range midCounts {
+			if fullCounts[i] < midCounts[i] {
+				t.Errorf("%s: counts decreased as the stream grew", mode.name)
+			}
 		}
 	}
 }
 
+// TestStreamReset checks the End-of-Document boundary in both modes:
+// after Finish the stream refuses writes, and Reset starts a fresh
+// document whose counts carry nothing over. A stream without windowing
+// finishes with no spans.
 func TestStreamReset(t *testing.T) {
 	det, _ := NewDetector(trainMini(t, Config{TopT: 1000}), WithBackend(BackendBloom))
 	docA := getMiniCorpus(t).Test["en"][0].Text
 	docB := getMiniCorpus(t).Test["pt"][0].Text
-	s := det.NewStream()
-	s.Write(docA)
-	s.Reset()
-	s.Write(docB)
-	checkStream(t, det, s, docB, "after Reset")
+	for _, mode := range streamModes(t, det) {
+		s := mode.newStream()
+		s.Write(docA)
+		if spans := s.Finish(); mode.windowed == (len(spans) == 0) {
+			t.Errorf("%s: Finish returned %d spans", mode.name, len(spans))
+		}
+		if _, err := s.Write(docB); err == nil {
+			t.Errorf("%s: Write after Finish succeeded", mode.name)
+		}
+		if _, err := s.WriteString(string(docB)); err == nil {
+			t.Errorf("%s: WriteString after Finish succeeded", mode.name)
+		}
+		s.Reset()
+		s.Write(docB)
+		checkStream(t, det, s, docB, mode.name+"/after Reset")
+	}
 }
 
 func TestStreamEmpty(t *testing.T) {
 	det, _ := NewDetector(trainMini(t, Config{TopT: 500}))
-	s := det.NewStream()
-	if m := s.Match(); !m.Unknown || m.NGrams != 0 {
-		t.Errorf("empty stream match = %+v", m)
-	}
-	if got := s.AppendCounts(nil); !reflect.DeepEqual(got, make([]int, len(det.Languages()))) {
-		t.Errorf("empty stream counts = %v", got)
+	for _, mode := range streamModes(t, det) {
+		s := mode.newStream()
+		if m := s.Match(); !m.Unknown || m.NGrams != 0 {
+			t.Errorf("%s: empty stream match = %+v", mode.name, m)
+		}
+		if got := s.AppendCounts(nil); !reflect.DeepEqual(got, make([]int, len(det.Languages()))) {
+			t.Errorf("%s: empty stream counts = %v", mode.name, got)
+		}
+		if spans := s.Finish(); len(spans) != 0 {
+			t.Errorf("%s: empty stream spans = %+v", mode.name, spans)
+		}
 	}
 }
 
 func TestStreamSubsample(t *testing.T) {
 	det, _ := NewDetector(trainMini(t, Config{TopT: 500, Subsample: 2}))
 	doc := getMiniCorpus(t).Test["en"][0].Text
-	s := det.NewStream()
-	s.Write(doc)
-	checkStream(t, det, s, doc, "subsampled")
+	for _, mode := range streamModes(t, det) {
+		s := mode.newStream()
+		s.Write(doc)
+		checkStream(t, det, s, doc, mode.name+"/subsampled")
+	}
 }
 
 func BenchmarkStreamWrite(b *testing.B) {

@@ -171,8 +171,21 @@ func docSeed(seed int64, lang string, id int) int64 {
 
 // TrainTexts returns the training documents of one language as raw
 // byte slices, the shape profile training consumes.
-func (c *Corpus) TrainTexts(lang string) [][]byte {
-	docs := c.Train[lang]
+func (c *Corpus) TrainTexts(lang string) [][]byte { return Texts(c.Train[lang]) }
+
+// TrainTextsByLanguage returns every language's training texts keyed
+// by language code, the input of core.TrainFromTexts.
+func (c *Corpus) TrainTextsByLanguage() map[string][][]byte {
+	texts := make(map[string][][]byte, len(c.Languages))
+	for _, lang := range c.Languages {
+		texts[lang] = c.TrainTexts(lang)
+	}
+	return texts
+}
+
+// Texts returns the documents' raw texts in order, the shape the
+// detector's batch paths take.
+func Texts(docs []Document) [][]byte {
 	texts := make([][]byte, len(docs))
 	for i, d := range docs {
 		texts[i] = d.Text

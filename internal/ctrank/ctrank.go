@@ -81,11 +81,7 @@ func Train(cfg Config, texts map[string][][]byte) (*Classifier, error) {
 
 // TrainCorpus trains from a generated corpus's training split.
 func TrainCorpus(cfg Config, corp *corpus.Corpus) (*Classifier, error) {
-	texts := make(map[string][][]byte, len(corp.Languages))
-	for _, lang := range corp.Languages {
-		texts[lang] = corp.TrainTexts(lang)
-	}
-	return Train(cfg, texts)
+	return Train(cfg, corp.TrainTextsByLanguage())
 }
 
 // Languages returns the trained language codes in distance-vector order.

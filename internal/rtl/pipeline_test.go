@@ -21,7 +21,7 @@ func testClassifier(t testing.TB) (*core.Classifier, *corpus.Corpus) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := core.Train(core.Config{TopT: 1500, Seed: 21}, corp)
+	ps, err := core.TrainFromTexts(core.Config{TopT: 1500, Seed: 21}, corp.TrainTextsByLanguage())
 	if err != nil {
 		t.Fatal(err)
 	}

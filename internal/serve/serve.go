@@ -549,10 +549,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, st *endpoin
 		jsonError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch of %d documents exceeds limit %d", len(reqDocs), s.cfg.MaxBatchDocs))
 		return
 	}
-	docs := make([]corpus.Document, len(reqDocs))
+	docs := make([][]byte, len(reqDocs))
 	var bytes int64
 	for i, d := range reqDocs {
-		docs[i].Text = []byte(d.Text)
+		docs[i] = []byte(d.Text)
 		bytes += int64(len(d.Text))
 	}
 	st.bytes.Add(bytes)
@@ -575,25 +575,28 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, st *endpoin
 // handleStream reads NDJSON documents (one JSON string or {id, text}
 // object per line) and writes one NDJSON Detection per line, flushed as
 // produced. The whole exchange uses bounded memory regardless of how
-// many documents flow through: one line buffer, one Stream reset at
-// each document boundary — the software mirror of the
-// hardware's End-of-Document marker in the DMA stream (§3.3). The
-// stream keeps its request-start detector for its whole life, even
-// across hot swaps. With ?spans=1 every result line also carries the
-// document's mixed-language segmentation, produced by one SpanStream
-// reset per document; the stream's running totals double as the
-// document-level detection, so spans mode still extracts and hashes
-// each n-gram exactly once and makes no per-line copies.
+// many documents flow through: one line buffer, one core.Stream reset
+// at each document boundary — the software mirror of the hardware's
+// End-of-Document marker in the DMA stream (§3.3). The stream keeps its
+// request-start detector for its whole life, even across hot swaps.
+// Both modes run the same per-line body and count each JSON-decoded
+// line without copying it; with ?spans=1 the stream is built to
+// segment and every result line also carries the document's spans.
+// The stream's running totals are the document-level detection, so
+// spans mode still extracts and hashes each n-gram exactly once.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	det := s.handle.Detector()
-	var spanStream *core.SpanStream
-	if queryFlag(r, "spans") {
+	spansMode := queryFlag(r, "spans")
+	var stream *core.Stream
+	if spansMode {
 		var err error
-		if spanStream, err = det.NewSpanStream(s.cfg.Segment); err != nil {
+		if stream, err = det.NewSpanStream(s.cfg.Segment); err != nil {
 			// Unreachable while New validates the geometry.
 			jsonError(w, http.StatusInternalServerError, "segmentation misconfigured: "+err.Error())
 			return
 		}
+	} else {
+		stream = det.NewStream()
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	// Result lines go out while request lines are still coming in; for
@@ -602,10 +605,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpoi
 	http.NewResponseController(w).EnableFullDuplex()
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	var ds *core.Stream
-	if spanStream == nil {
-		ds = det.NewStream()
-	}
 	sc := bufio.NewScanner(r.Body)
 	// Scanner's effective cap is max(cap(buf), max), so the initial
 	// buffer must not exceed the configured line limit.
@@ -627,26 +626,16 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpoi
 		}
 		st.bytes.Add(int64(len(doc.Text)))
 		st.docs.Add(1)
-		var m core.Match
-		var appendCounts func([]int) []int
-		var spans []core.Span
-		if spanStream != nil {
-			spanStream.Reset()
-			io.WriteString(spanStream, doc.Text)
-			spans = spanStream.Finish()
-			m, appendCounts = spanStream.Match(), spanStream.AppendCounts
-		} else {
-			ds.Reset()
-			io.WriteString(ds, doc.Text)
-			m, appendCounts = ds.Match(), ds.AppendCounts
-		}
+		stream.Reset()
+		io.WriteString(stream, doc.Text)
+		spans := stream.Finish()
 		var counts []int
 		if s.cfg.IncludeCounts {
-			countsBuf = appendCounts(countsBuf[:0])
+			countsBuf = stream.AppendCounts(countsBuf[:0])
 			counts = countsBuf
 		}
-		d := s.detection(det, doc.ID, m, counts, st)
-		if spanStream != nil {
+		d := s.detection(det, doc.ID, stream.Match(), counts, st)
+		if spansMode {
 			d.Spans = spanDetections(spans, st)
 		}
 		enc.Encode(d)

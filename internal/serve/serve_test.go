@@ -52,7 +52,7 @@ func fixtures(t testing.TB) (*corpus.Corpus, *core.ProfileSet) {
 			fixErr = err
 			return
 		}
-		trained, err := core.Train(core.Config{TopT: 1500}, corp)
+		trained, err := core.TrainFromTexts(core.Config{TopT: 1500}, corp.TrainTextsByLanguage())
 		if err != nil {
 			fixErr = err
 			return

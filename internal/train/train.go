@@ -1,13 +1,13 @@
 // Package train is the streaming, sharded profile trainer: the offline
 // preprocessing step of the paper (§2, step 1) rebuilt for production
-// scale. Where core.Train consumes a fully materialized corpus.Corpus,
+// scale. Where core.TrainFromTexts consumes fully materialized texts,
 // a Trainer ingests documents incrementally — one Add call, one
 // io.Reader, one NDJSON line, or one file of a directory tree at a
 // time — and fans the n-gram counting across sharded, mergeable
 // accumulators so ingest parallelism never contends on a shared
 // counter. Finalize merges the shards and ranks the top-t n-grams per
 // language, producing a core.ProfileSet byte-identical to what
-// core.Train builds from the same documents: counting is additive, so
+// core.TrainFromTexts builds from the same documents: counting is additive, so
 // any partition of the stream across shards merges back to the exact
 // single-counter totals, and the top-t ranking breaks ties
 // deterministically.
@@ -118,7 +118,7 @@ type Trainer struct {
 
 // New builds a trainer for the given classifier configuration; the
 // finalized ProfileSet records cfg (with defaults applied) exactly as
-// core.Train would.
+// core.TrainFromTexts would.
 func New(cfg core.Config, opts ...Option) (*Trainer, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -327,8 +327,8 @@ type Stats struct {
 }
 
 // Finalize ends ingest, merges the shards, and ranks each language's
-// top-t n-grams into a ProfileSet identical to what core.Train builds
-// from the same documents. All Add/AddReader/AddNDJSON/AddDir calls
+// top-t n-grams into a ProfileSet identical to what core.TrainFromTexts
+// builds from the same documents. All Add/AddReader/AddNDJSON/AddDir calls
 // must have returned before Finalize starts (concurrent ingest is
 // fine; ingest concurrent with Finalize is not). The trainer cannot
 // be reused afterwards. If any document failed after part of it

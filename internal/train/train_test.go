@@ -72,7 +72,7 @@ func TestStreamedEqualsCoreTrain(t *testing.T) {
 		{N: 3, TopT: 800},
 		{N: 5, TopT: 200}, // map-backed counters
 	} {
-		want, err := core.Train(cfg, corp)
+		want, err := core.TrainFromTexts(cfg, corp.TrainTextsByLanguage())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestDirEqualsCoreTrain(t *testing.T) {
 	if err := corp.WriteDir(root); err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Train(core.Config{}, corp)
+	want, err := core.TrainFromTexts(core.Config{}, corp.TrainTextsByLanguage())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestAddReaderChunksMatchAdd(t *testing.T) {
 // sequential baseline.
 func TestConcurrentAdd(t *testing.T) {
 	corp := testCorpus(t)
-	want, err := core.Train(core.Config{}, corp)
+	want, err := core.TrainFromTexts(core.Config{}, corp.TrainTextsByLanguage())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func setup(t testing.TB) (*corpus.Corpus, *core.ProfileSet) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, err := core.Train(core.DefaultConfig(), c)
+		ps, err := core.TrainFromTexts(core.DefaultConfig(), c.TrainTextsByLanguage())
 		if err != nil {
 			t.Fatal(err)
 		}
