@@ -56,10 +56,25 @@ const (
 	BackendBlocked = core.BackendBlocked
 )
 
-// Kernel is a backend's membership-counting kernel: AccumulateInto
-// adds each language's match count over a run of packed n-grams.
-// Implement it to register a custom backend.
+// Kernel is a backend's membership-counting kernel. Count is the
+// serving path: it counts the n-grams that a piece of raw document
+// bytes completes, carrying the n-gram register across pieces in a
+// Window. AccumulateInto counts pre-extracted packed n-grams and is the
+// reference path. Both add each language's match count into one
+// counter per language. Implement it to register a custom backend; a
+// backend without a fused loop implements Count with CountGrams.
 type Kernel = core.Kernel
+
+// Window is the n-gram shift register a Kernel's Count carries from
+// one piece of a document to the next.
+type Window = core.Window
+
+// CountGrams implements Kernel.Count for a kernel that scores packed
+// n-grams: it extracts the bytes' n-grams through w a block at a time
+// and calls k.AccumulateInto once per block.
+func CountGrams(k Kernel, counts []int, w *Window, p []byte) int {
+	return core.CountGrams(k, counts, w, p)
+}
 
 // BackendBuilder constructs a backend's Kernel over a profile set.
 type BackendBuilder = core.BackendBuilder

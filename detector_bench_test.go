@@ -51,11 +51,12 @@ func BenchmarkDetectorBackends(b *testing.B) {
 }
 
 // BenchmarkDetectSpans measures the mixed-language segmentation hot
-// path on every backend: one hashing pass over a paper-sized document
-// feeding ring-buffered window accumulators. With pooled scratch warm
-// and a reused destination slice the discipline bar is 0 allocs/op —
-// on the blocked backend the fused kernel makes per-span labeling cost
-// barely more than a single Detect.
+// path on every backend: one counting pass over a paper-sized document,
+// cut at stride boundaries straight into ring-buffered window
+// accumulators. With pooled scratch warm and a reused destination slice
+// the discipline bar is 0 allocs/op; the gap to BenchmarkDetectorBackends
+// on the same backend is the cost of per-stride kernel calls, the ring
+// add/subtract and the window decisions.
 func BenchmarkDetectSpans(b *testing.B) {
 	_, ps := benchFixtures(b)
 	doc := benchBigDocs[0].Text

@@ -43,8 +43,8 @@
 //	st.Write(chunk); m = st.Match()             // read the running decision
 //
 // All of these count through one Stream type: Detect, Rank and the
-// batch workers borrow pooled Streams, so there is one chunk-and-count
-// loop for every path. Raw per-language match counts ride along on
+// batch workers borrow pooled Streams, so there is one counting loop
+// for every path, and it runs from raw bytes to counts in one pass. Raw per-language match counts ride along on
 // every path, appended to caller scratch in Languages() order, and
 // corpus scoring (Evaluate, Measure) runs over the same batch path:
 //
@@ -70,13 +70,16 @@
 // ParseBackend resolves any registered name or alias (the CLIs' -backend
 // flag is exactly this), Backend.String round-trips it back, and
 // RegisterBackend plugs in new implementations. A backend is a Kernel
-// built over the whole profile set; its AccumulateInto scores every
-// language for each n-gram of a run, adding into one counter per
-// language:
+// built over the whole profile set. Its AccumulateInto scores every
+// language for each n-gram of a run of packed n-grams, adding into one
+// counter per language; its Count does the same for the n-grams a piece
+// of raw document bytes completes, carrying the n-gram register across
+// pieces in a Window. CountGrams implements Count for any kernel in one
+// line, by extracting n-grams a block at a time:
 //
 //	type myKernel struct{ sets []map[uint32]bool } // one set per language
 //
-//	func (k myKernel) AccumulateInto(counts []int, gs []uint32) {
+//	func (k *myKernel) AccumulateInto(counts []int, gs []uint32) {
 //		for i, set := range k.sets {
 //			for _, g := range gs {
 //				if set[g] {
@@ -86,9 +89,13 @@
 //		}
 //	}
 //
+//	func (k *myKernel) Count(counts []int, w *bloomlang.Window, p []byte) int {
+//		return bloomlang.CountGrams(k, counts, w, p)
+//	}
+//
 //	mine := bloomlang.RegisterBackend("my-backend",
 //		func(cfg bloomlang.Config, ps *bloomlang.ProfileSet) (bloomlang.Kernel, error) {
-//			k := myKernel{}
+//			k := &myKernel{}
 //			for _, p := range ps.Profiles {
 //				k.sets = append(k.sets, p.Set())
 //			}
@@ -102,9 +109,11 @@
 // languages, and each further 16 languages add a plane. Scoring an
 // n-gram against every language is one table load instead of the
 // parallel backend's k probes per language, and membership is exact,
-// so there are no false positives to outvote. Long n-gram runs count
-// through a histogram of mask bytes expanded once per call; short runs
-// (segmentation chunks) walk each mask's set bits. The table grows as
+// so there are no false positives to outvote. Its Count is the paper's
+// datapath in one loop: translate a byte, shift it into the n-gram
+// register, load the n-gram's language mask, and add the mask into
+// per-language byte lanes held in two registers, four characters per
+// step, with no n-gram stored on the way. The table grows as
 // 2^(5n), so the direct backend refuses n >= 6 (2 GiB per plane) and
 // names the blocked backend instead. Zero-value configurations —
 // NewDetector without WithBackend, ServeConfig{}, langidd and the
@@ -160,15 +169,15 @@
 //		fmt.Printf("[%d,%d) %s score %.2f\n", sp.Start, sp.End, sp.Lang, sp.Score)
 //	}
 //
-// The mechanism reuses the match-counting inner loop unchanged and
-// runs it exactly once per document: the n-gram stream is cut into
-// Stride-sized chunks, each chunk's per-language counts accumulate
-// through one pass of the backend's Kernel, and a sliding window of
-// Window n-grams is the rolling sum of a Window/Stride-row ring — add the newest chunk,
-// subtract the oldest. No n-gram is ever re-extracted or re-hashed
-// for a second window, so on the blocked backend segmenting costs
-// barely more than one Detect, at 0 allocs/op warm (AppendSpans with
-// a reused destination; see BenchmarkDetectSpans).
+// The mechanism reuses the counting pass unchanged and runs it exactly
+// once per document: the bytes are cut where each Stride of n-grams
+// completes, each piece is counted by the backend's Kernel straight
+// into one row of a Window/Stride-row ring, and a sliding window of
+// Window n-grams is the rolling sum of the ring — add the newest
+// chunk, subtract the oldest. No n-gram is ever re-extracted or
+// re-hashed for a second window, and warm segmentation makes 0
+// allocs/op (AppendSpans with a reused destination; see
+// BenchmarkDetectSpans).
 //
 // Window arg-max decisions pass through hysteresis before a boundary
 // is believed: a new language must win Hysteresis consecutive windows,

@@ -12,11 +12,54 @@ import (
 // Kernel is a backend's membership-counting kernel: it scores every
 // language for each n-gram in one call — the software analogue of the
 // hardware testing one n-gram against all language classifiers in the
-// same clock (§3.2). AccumulateInto adds each language's match count
-// over gs into counts (len(Languages()), in profile order) and must
-// not allocate.
+// same clock (§3.2). Both methods add each language's match count into
+// counts (len(Languages()), in profile order); neither may allocate,
+// write to its n-gram or byte input, or keep its arguments past the
+// call.
 type Kernel interface {
+	// AccumulateInto counts pre-extracted packed n-grams. It is the
+	// gram-level reference path that ClassifyGrams runs.
 	AccumulateInto(counts []int, gs []uint32)
+	// Count is the serving path, one pass from bytes to counts: it
+	// shifts the raw ISO-8859-1 bytes of p through the window w,
+	// counts every n-gram they complete, and returns how many that
+	// was. w carries the register from one call to the next, so a
+	// document counted in any number of pieces gets the counts of one
+	// call over all of it.
+	Count(counts []int, w *Window, p []byte) (grams int)
+}
+
+// Window is the n-gram shift register a Kernel's Count carries across
+// the pieces of one document: the packed recent codes, how full the
+// register is, and the subsample phase.
+type Window = ngram.Window
+
+// gramBlock is the most n-grams CountGrams hands AccumulateInto at once.
+const gramBlock = 256
+
+// gramBlocks recycles CountGrams' extraction blocks. A block passed to
+// AccumulateInto through an interface escapes, so it cannot live on
+// CountGrams' stack; a pooled one keeps warm calls allocation-free.
+var gramBlocks = sync.Pool{New: func() any { return new([gramBlock]uint32) }}
+
+// CountGrams is Count for a kernel that scores packed n-grams: it
+// extracts p's n-grams through w into a block of at most 256 and calls
+// k.AccumulateInto once per block. A backend without a fused loop of
+// its own implements Count with it in one line.
+func CountGrams(k Kernel, counts []int, w *Window, p []byte) (grams int) {
+	if len(p) == 0 {
+		return 0
+	}
+	block := gramBlocks.Get().(*[gramBlock]uint32)
+	for len(p) > 0 {
+		n := min(len(p), gramBlock)
+		gs := w.FeedBytes(block[:0], p[:n])
+		k.AccumulateInto(counts, gs)
+		grams += len(gs)
+		p = p[n:]
+	}
+	gramBlocks.Put(block)
+	return grams
 }
 
 // BackendBuilder constructs a backend's Kernel over the whole profile
@@ -133,11 +176,11 @@ func init() {
 
 // perLanguage is the kernel of the per-language backends: one
 // membership filter per language, queried in the languages×grams loop.
-type perLanguage[F interface{ Test(uint32) bool }] []F
+type perLanguage[F interface{ Test(uint32) bool }] struct{ filters []F }
 
 // AccumulateInto adds each language's match count over gs into counts.
-func (p perLanguage[F]) AccumulateInto(counts []int, gs []uint32) {
-	for i, f := range p {
+func (p *perLanguage[F]) AccumulateInto(counts []int, gs []uint32) {
+	for i, f := range p.filters {
 		n := 0
 		for _, g := range gs {
 			if f.Test(g) {
@@ -148,20 +191,25 @@ func (p perLanguage[F]) AccumulateInto(counts []int, gs []uint32) {
 	}
 }
 
+// Count counts the n-grams of b block by block.
+func (p *perLanguage[F]) Count(counts []int, w *Window, b []byte) int {
+	return CountGrams(p, counts, w, b)
+}
+
 // buildPerLanguage programs one filter per language, each from its own
 // seed, and wraps them in the languages×grams kernel.
 func buildPerLanguage[F interface {
 	Test(uint32) bool
 	ProgramAll([]uint32)
 }](cfg Config, ps *ProfileSet, newFilter func(seed int64) (F, error)) (Kernel, error) {
-	fs := make(perLanguage[F], len(ps.Profiles))
+	fs := &perLanguage[F]{filters: make([]F, len(ps.Profiles))}
 	for i, p := range ps.Profiles {
 		f, err := newFilter(perLanguageSeed(cfg.Seed, i))
 		if err != nil {
 			return nil, err
 		}
 		f.ProgramAll(p.Grams)
-		fs[i] = f
+		fs.filters[i] = f
 	}
 	return fs, nil
 }
@@ -211,13 +259,26 @@ func buildBlocked(cfg Config, ps *ProfileSet) (Kernel, error) {
 	if cfg.K < 2 {
 		return nil, fmt.Errorf("core: blocked backend needs k >= 2 (one block-select hash plus k-1 bit probes), got k=%d", cfg.K)
 	}
-	if set := ps.blocked; set != nil {
-		if err := checkBlockedLayout(cfg, ps, set); err != nil {
-			return nil, err
-		}
-		return set, nil
+	set := ps.blocked
+	var err error
+	if set != nil {
+		err = checkBlockedLayout(cfg, ps, set)
+	} else {
+		set, err = buildBlockedSet(cfg, ps.Profiles)
 	}
-	return buildBlockedSet(cfg, ps.Profiles)
+	if err != nil {
+		return nil, err
+	}
+	return blockedKernel{set}, nil
+}
+
+// blockedKernel serves the fused blocked filter set, whose
+// AccumulateInto scores every language per n-gram, as a Kernel.
+type blockedKernel struct{ *bloom.BlockedSet }
+
+// Count counts the n-grams of p block by block.
+func (k blockedKernel) Count(counts []int, w *Window, p []byte) int {
+	return CountGrams(k, counts, w, p)
 }
 
 // buildBlockedSet programs a fused blocked filter set from profiles.

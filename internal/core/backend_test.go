@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -78,7 +79,7 @@ func (acceptAll) Test(uint32) bool { return true }
 
 func TestRegisterBackendExtendsClassifier(t *testing.T) {
 	b := RegisterBackend("test-accept-all", func(cfg Config, ps *ProfileSet) (Kernel, error) {
-		return make(perLanguage[acceptAll], len(ps.Profiles)), nil
+		return &perLanguage[acceptAll]{filters: make([]acceptAll, len(ps.Profiles))}, nil
 	}, "accept")
 	if got, err := ParseBackend("accept"); err != nil || got != b {
 		t.Fatalf("ParseBackend(alias) = %v, %v", got, err)
@@ -108,6 +109,8 @@ func TestRegisterBackendExtendsClassifier(t *testing.T) {
 type rejectAll struct{ langs int }
 
 func (rejectAll) AccumulateInto([]int, []uint32) {}
+
+func (k rejectAll) Count(counts []int, w *Window, p []byte) int { return CountGrams(k, counts, w, p) }
 
 func TestRegisterBackendAcceptsFusedKernel(t *testing.T) {
 	b := RegisterBackend("test-reject-all", func(cfg Config, ps *ProfileSet) (Kernel, error) {
@@ -147,5 +150,49 @@ func TestRegisterBackendRejectsDuplicates(t *testing.T) {
 	}()
 	RegisterBackend("parallel-bloom", func(cfg Config, ps *ProfileSet) (Kernel, error) {
 		return rejectAll{}, nil
+	})
+}
+
+// FuzzKernelCount is the differential check of the serving path against
+// the staged reference on every built-in backend, at subsample 1 and 3:
+// Count over the fuzzer's bytes, split at two fuzzer-chosen points with
+// one carried Window, must return AccumulateInto's counts over
+// ExtractGrams of the same bytes, and as many n-grams as ExtractGrams
+// extracts.
+func FuzzKernelCount(f *testing.F) {
+	base := trainMini(f, Config{TopT: 800})
+	var clfs []*Classifier
+	for _, sub := range []int{1, 3} {
+		ps := &ProfileSet{Config: base.Config, Profiles: base.Profiles}
+		ps.Config.Subsample = sub
+		for _, b := range []Backend{BackendDirect, BackendBloom, BackendClassic, BackendBlocked} {
+			c, err := New(ps, b)
+			if err != nil {
+				f.Fatal(err)
+			}
+			clfs = append(clfs, c)
+		}
+	}
+	f.Add([]byte(""), uint16(0), uint16(0))
+	f.Add([]byte("the quick brown fox"), uint16(2), uint16(9))
+	f.Add([]byte("\x00\xff un documento tr\xe8s fran\xe7ais \x01\x02"), uint16(7), uint16(3))
+	f.Add(getMiniCorpus(f).Test["fi"][0].Text, uint16(301), uint16(1000))
+	f.Fuzz(func(t *testing.T, data []byte, cutA, cutB uint16) {
+		a, b := int(cutA)%(len(data)+1), int(cutB)%(len(data)+1)
+		if a > b {
+			a, b = b, a
+		}
+		for _, c := range clfs {
+			gs := c.ExtractGrams(nil, data)
+			want := make([]int, len(c.Languages()))
+			c.kernel.AccumulateInto(want, gs)
+			got := make([]int, len(c.Languages()))
+			w := c.window
+			n := c.kernel.Count(got, &w, data[:a]) + c.kernel.Count(got, &w, data[a:b]) + c.kernel.Count(got, &w, data[b:])
+			if n != len(gs) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s subsample %d, %d bytes cut at %d,%d: Count = %d grams, counts %v; reference %d grams, counts %v",
+					c.Backend(), c.Config().Subsample, len(data), a, b, n, got, len(gs), want)
+			}
+		}
 	})
 }

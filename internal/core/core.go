@@ -216,11 +216,11 @@ type Classifier struct {
 	backend Backend
 	langs   []string
 	kernel  Kernel
-	// extractor is the prototype n-gram extractor, configured once at
-	// construction. It is never fed directly: the hot paths copy it by
-	// value, giving every call (and every worker) its own sliding-window
-	// state without a per-call allocation.
-	extractor ngram.Extractor
+	// window is the prototype n-gram register, configured once at
+	// construction. It is never fed directly: every document copies it
+	// by value, getting its own sliding-window state without a per-call
+	// allocation.
+	window ngram.Window
 }
 
 // New builds a classifier over the profile set with the chosen backend.
@@ -237,17 +237,7 @@ func New(ps *ProfileSet, backend Backend) (*Classifier, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Classifier{cfg: cfg, backend: backend}
-	e, err := ngram.NewExtractor(cfg.N)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Subsample > 1 {
-		if err := e.SetSubsample(cfg.Subsample); err != nil {
-			return nil, err
-		}
-	}
-	c.extractor = *e
+	c := &Classifier{cfg: cfg, backend: backend, window: ngram.Window{N: cfg.N, Subsample: cfg.Subsample}}
 	for _, p := range ps.Profiles {
 		if p.N != cfg.N {
 			return nil, fmt.Errorf("core: profile %q has n=%d, config has n=%d", p.Language, p.N, cfg.N)
@@ -274,8 +264,8 @@ func (c *Classifier) Backend() Backend { return c.backend }
 // for other backends. The XD1000, RTL and VHDL models borrow these, so
 // the simulated datapath and the software classifier share state.
 func (c *Classifier) Filter(i int) *bloom.Parallel {
-	if fs, ok := c.kernel.(perLanguage[*bloom.Parallel]); ok {
-		return fs[i]
+	if fs, ok := c.kernel.(*perLanguage[*bloom.Parallel]); ok {
+		return fs.filters[i]
 	}
 	return nil
 }
@@ -324,13 +314,12 @@ func (c *Classifier) Classify(doc []byte) Result {
 
 // ExtractGrams translates and extracts the document's packed n-grams
 // into dst (which may be nil), honouring the configured subsampling.
-// The extractor state is a value copy of the construction-time
-// prototype, so concurrent calls share nothing and nothing is
-// allocated beyond dst growth.
+// It is the staged reference for the serving path's Kernel.Count:
+// translation to a code slice, then extraction through a value copy of
+// the construction-time window.
 func (c *Classifier) ExtractGrams(dst []uint32, doc []byte) []uint32 {
-	e := c.extractor
-	codes := alphabet.TranslateAll(doc)
-	return e.Feed(dst, codes)
+	w := c.window
+	return w.Feed(dst, alphabet.TranslateAll(doc))
 }
 
 // ClassifyGrams counts matches for pre-extracted n-grams. This is the

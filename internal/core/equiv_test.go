@@ -142,7 +142,7 @@ func directAndBlocked(t testing.TB, ps *ProfileSet) (direct, blocked *Classifier
 	if blocked, err = New(ps, BackendBlocked); err != nil {
 		t.Fatal(err)
 	}
-	return direct, blocked, direct.kernel.(*maskKernel), blocked.kernel.(*bloom.BlockedSet)
+	return direct, blocked, direct.kernel.(*maskKernel), blocked.kernel.(blockedKernel).BlockedSet
 }
 
 // splitPoints returns deterministic pseudo-random cut offsets for a

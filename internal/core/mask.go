@@ -2,22 +2,48 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
+	"bloomlang/internal/alphabet"
 	"bloomlang/internal/ngram"
 )
 
-// maskHistogramMin is the gram-slice length at which AccumulateInto
-// switches from iterating each mask's set bits to histogramming mask
-// bytes. The histogram path pays a fixed cost per call (clearing and
-// expanding 2×256 bins, ~0.6 µs) that only a long slice amortizes;
-// segmentation feeds 16-gram chunks, whole documents feed thousands of
-// grams. Timing both paths on the ten paper languages over slices of
-// 16 to 1024 grams puts the break-even between 128 and 192 grams.
-const maskHistogramMin = 160
+// The mask kernel counts with lane counters: each uint16 mask plane
+// splits into a low and a high byte, spread[b] widens a mask byte into
+// eight 8-bit lanes (lane j is 1 iff bit j of b is set), and adding
+// spread values into two uint64 accumulators counts eight languages
+// per add — a positional population count held in registers
+// (Klarqvist, Muła & Lemire, arXiv:1911.02696). A lane holds at most
+// 255, so the accumulators flush into the int counters at least once
+// every laneFlush n-grams.
 
 // maskPlaneLangs is the number of languages one uint16 mask plane holds.
 const maskPlaneLangs = 16
+
+// laneFlush is the most n-grams counted into the lane accumulators
+// between flushes: below the 255 a byte lane can hold, and a multiple
+// of the fused loop's four-character step.
+const laneFlush = 252
+
+// spread maps a mask byte to its eight bits, one per byte lane.
+var spread = func() (t [256]uint64) {
+	for b := range t {
+		for j := 0; j < 8; j++ {
+			t[b] |= uint64(b>>j&1) << (8 * j)
+		}
+	}
+	return t
+}()
+
+// flushLanes adds the lane counts of one plane's low and high mask
+// bytes into that plane's slice of counters.
+func flushLanes(counts []int, lo, hi uint64) {
+	for j := range min(len(counts), 8) {
+		counts[j] += int(lo >> (8 * j) & 0xff)
+	}
+	for j := range min(len(counts)-8, 8) {
+		counts[8+j] += int(hi >> (8 * j) & 0xff)
+	}
+}
 
 // maskKernel is the exact fused membership kernel: HAIL's direct table
 // (§2), generalised from one language per packed n-gram to a language
@@ -60,45 +86,75 @@ func (k *maskKernel) Test(lang int, g uint32) bool {
 	return k.planes[lang/maskPlaneLangs][g]>>(lang%maskPlaneLangs)&1 != 0
 }
 
-// AccumulateInto adds each language's match count over gs into counts.
-// Short slices walk each mask's set bits; long slices count how often
-// each low and high mask byte occurs and expand the two histograms into
-// per-language counts once, so the per-gram work is one load and two
-// increments whatever the number of matching languages.
+// AccumulateInto adds each language's match count over gs into counts:
+// per plane, one table load and two lane adds per n-gram, four n-grams
+// per step so the adds form a tree instead of one serial chain.
 func (k *maskKernel) AccumulateInto(counts []int, gs []uint32) {
 	for p, plane := range k.planes {
-		base := p * maskPlaneLangs
-		if len(gs) < maskHistogramMin {
-			for _, g := range gs {
-				for m := plane[g]; m != 0; m &= m - 1 {
-					counts[base+bits.TrailingZeros16(m)]++
-				}
+		c := counts[p*maskPlaneLangs:]
+		for rest := gs; len(rest) > 0; {
+			b := rest[:min(len(rest), laneFlush)]
+			rest = rest[len(b):]
+			var lo, hi uint64
+			i := 0
+			for ; i+4 <= len(b); i += 4 {
+				m0, m1, m2, m3 := plane[b[i]], plane[b[i+1]], plane[b[i+2]], plane[b[i+3]]
+				lo += spread[uint8(m0)] + spread[uint8(m1)] + spread[uint8(m2)] + spread[uint8(m3)]
+				hi += spread[m0>>8] + spread[m1>>8] + spread[m2>>8] + spread[m3>>8]
 			}
-			continue
-		}
-		var lo, hi [256]int
-		for _, g := range gs {
-			m := plane[g]
-			lo[m&0xff]++
-			hi[m>>8]++
-		}
-		expandByteHistogram(counts[base:], &lo)
-		if len(counts) > base+8 {
-			expandByteHistogram(counts[base+8:], &hi)
+			for ; i < len(b); i++ {
+				m := plane[b[i]]
+				lo += spread[uint8(m)]
+				hi += spread[m>>8]
+			}
+			flushLanes(c, lo, hi)
 		}
 	}
 }
 
-// expandByteHistogram adds hist[b] to counts[j] for every bit j set in
-// mask byte b.
-func expandByteHistogram(counts []int, hist *[256]int) {
-	for b := 1; b < 256; b++ {
-		n := hist[b]
-		if n == 0 {
-			continue
-		}
-		for m := uint8(b); m != 0; m &= m - 1 {
-			counts[bits.TrailingZeros8(m)] += n
-		}
+// Count is the fused datapath of §3.2–3.3 in one loop: translate each
+// byte, shift it into the n-gram register, look the n-gram's language
+// mask up and add it into the lane counters, with no n-gram stored on
+// the way. The loop takes four characters per step: their codes form
+// one 20-bit word q, w = w<<20 | q in a uint64, and the step's four
+// n-grams are read off w by shifting, so the serial shift chain runs
+// once per four characters. That is exact for every n <= 5 (the
+// deepest read, 15+5n bits, fits in 64). Subsampled windows and
+// profile sets of more than 16 languages take the block path.
+func (k *maskKernel) Count(counts []int, w *Window, p []byte) int {
+	if w.Subsample > 1 || len(k.planes) != 1 {
+		return CountGrams(k, counts, w, p)
 	}
+	reg, filled := w.Reg, w.Filled
+	for ; filled < w.N-1 && len(p) > 0; filled++ {
+		reg = reg<<alphabet.Bits | uint64(alphabet.Translate(p[0]))
+		p = p[1:]
+	}
+	w.Filled = filled
+	grams := len(p)
+	plane := k.planes[0]
+	mask := uint64(len(plane) - 1)
+	for len(p) > 0 {
+		b := p[:min(len(p), laneFlush)]
+		p = p[len(b):]
+		var lo, hi uint64
+		i := 0
+		for ; i+4 <= len(b); i += 4 {
+			q := uint64(alphabet.Translate(b[i]))<<15 | uint64(alphabet.Translate(b[i+1]))<<10 |
+				uint64(alphabet.Translate(b[i+2]))<<5 | uint64(alphabet.Translate(b[i+3]))
+			reg = reg<<20 | q
+			m0, m1, m2, m3 := plane[reg>>15&mask], plane[reg>>10&mask], plane[reg>>5&mask], plane[reg&mask]
+			lo += spread[uint8(m0)] + spread[uint8(m1)] + spread[uint8(m2)] + spread[uint8(m3)]
+			hi += spread[m0>>8] + spread[m1>>8] + spread[m2>>8] + spread[m3>>8]
+		}
+		for ; i < len(b); i++ {
+			reg = reg<<alphabet.Bits | uint64(alphabet.Translate(b[i]))
+			m := plane[reg&mask]
+			lo += spread[uint8(m)]
+			hi += spread[m>>8]
+		}
+		flushLanes(counts, lo, hi)
+	}
+	w.Reg = reg
+	return grams
 }

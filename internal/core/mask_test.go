@@ -1,13 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"bloomlang/internal/alphabet"
 	"bloomlang/internal/corpus"
 	"bloomlang/internal/ngram"
 )
@@ -104,11 +107,13 @@ func maskKernelFor(t testing.TB, ps *ProfileSet) *maskKernel {
 	return k
 }
 
-// TestMaskKernelMatchesReference is the exactness property: on slices
-// either side of the histogram cut-over, for language counts inside
-// one mask plane, exactly filling one, and spilling into further
-// planes, the kernel's counts equal the naive per-language sets', and
-// Test agrees with set membership on members and non-members.
+// TestMaskKernelMatchesReference is the exactness property: for
+// language counts inside one mask plane, exactly filling one, and
+// spilling into further planes, the kernel's counts equal the naive
+// per-language sets', through both AccumulateInto and Count, and Test
+// agrees with set membership on members and non-members. The sizes
+// straddle the old histogram cut-over (159–161), one lane flush
+// (255–257) and many flushes (8192).
 func TestMaskKernelMatchesReference(t *testing.T) {
 	for _, langs := range []int{1, 9, 16, 17, 40} {
 		t.Run(fmt.Sprintf("L=%d", langs), func(t *testing.T) {
@@ -116,14 +121,25 @@ func TestMaskKernelMatchesReference(t *testing.T) {
 			k := maskKernelFor(t, ps)
 			ref := newMaskReference(ps)
 			rng := rand.New(rand.NewSource(int64(langs) * 7))
-			for _, n := range []int{0, 1, maskHistogramMin - 1, maskHistogramMin, maskHistogramMin + 1, 8192} {
-				gs := synthGrams(rng, pool, n)
-				got := make([]int, langs)
-				k.AccumulateInto(got, gs)
-				if want := ref.counts(gs); !reflect.DeepEqual(got, want) {
-					t.Errorf("%d grams: kernel counts %v, reference %v", n, got, want)
-				}
+			for _, n := range []int{0, 1, 159, 160, 161, 255, 256, 257, 8192} {
+				checkMaskAccumulate(t, k, ref, synthGrams(rng, pool, n))
+				checkMaskCount(t, k, ref, memberDoc(rng, pool, n))
 			}
+			// Every profile holds pool[:20], so on these streams every
+			// language hits every n-gram: a lane that overflowed past 255
+			// would show.
+			allHit := make([]uint32, 8192)
+			for i := range allHit {
+				allHit[i] = pool[rng.Intn(20)]
+			}
+			checkMaskAccumulate(t, k, ref, allHit)
+			doc := bytes.Repeat([]byte("abcd"), 8192/4+1)[:8192+3]
+			docGrams, err := ngram.ExtractBytes(doc, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared := withGrams(ps, docGrams)
+			checkMaskCount(t, maskKernelFor(t, shared), newMaskReference(shared), doc)
 			probe := synthGrams(rng, pool, 2000)
 			for lang, set := range ref {
 				for _, g := range append(probe, ps.Profiles[lang].Grams...) {
@@ -134,6 +150,71 @@ func TestMaskKernelMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+func checkMaskAccumulate(t *testing.T, k *maskKernel, ref maskReference, gs []uint32) {
+	t.Helper()
+	got := make([]int, len(ref))
+	k.AccumulateInto(got, gs)
+	if want := ref.counts(gs); !reflect.DeepEqual(got, want) {
+		t.Errorf("%d grams: AccumulateInto counts %v, reference %v", len(gs), got, want)
+	}
+}
+
+// checkMaskCount counts doc through Count in one call and in three
+// pieces with one carried window, against the reference over the
+// document's extracted n-grams.
+func checkMaskCount(t *testing.T, k *maskKernel, ref maskReference, doc []byte) {
+	t.Helper()
+	gs, err := ngram.ExtractBytes(doc, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.counts(gs)
+	for _, cuts := range [][2]int{{0, 0}, {len(doc) / 3, 2 * len(doc) / 3}, {1, len(doc) - 2}} {
+		w := ngram.Window{N: 4, Subsample: 1}
+		got := make([]int, len(ref))
+		a := min(cuts[0], len(doc))
+		b := min(max(cuts[1], a), len(doc))
+		n := k.Count(got, &w, doc[:a]) + k.Count(got, &w, doc[a:b]) + k.Count(got, &w, doc[b:])
+		if n != len(gs) || !reflect.DeepEqual(got, want) {
+			t.Errorf("%d bytes cut at %d,%d: Count = %d grams, counts %v; reference %d grams, counts %v", len(doc), a, b, n, got, len(gs), want)
+		}
+	}
+}
+
+// memberDoc builds a document of exactly n 4-grams (n+3 bytes) by
+// spelling out pool members whose codes all stand for characters, so
+// every fourth n-gram is a member and the ones between are mixtures.
+func memberDoc(rng *rand.Rand, pool []uint32, n int) []byte {
+	var doc []byte
+	for len(doc) < n+3 {
+		codes := ngram.Unpack(pool[rng.Intn(len(pool))], 4)
+		if slices.ContainsFunc(codes, func(c alphabet.Code) bool { return c >= alphabet.NumCodes }) {
+			continue
+		}
+		for _, c := range codes {
+			doc = append(doc, c.Byte())
+		}
+	}
+	if n == 0 {
+		return doc[:rng.Intn(4)]
+	}
+	return doc[:n+3]
+}
+
+// withGrams returns a copy of ps in which every profile also holds the
+// given n-grams.
+func withGrams(ps *ProfileSet, extra []uint32) *ProfileSet {
+	out := &ProfileSet{Config: ps.Config}
+	for _, p := range ps.Profiles {
+		q := *p
+		q.Grams = append(slices.Clone(p.Grams), extra...)
+		slices.Sort(q.Grams)
+		q.Grams = slices.Compact(q.Grams)
+		out.Profiles = append(out.Profiles, &q)
+	}
+	return out
 }
 
 // TestMaskKernelMatchesReferenceOnCorpus runs the same property on
@@ -192,8 +273,8 @@ func TestDefaultBackendIsDirect(t *testing.T) {
 // per-language sets on fuzzer-chosen gram streams over a 17-language
 // set (two planes): each 4-byte word of the input picks a pool member
 // or a raw packed gram, and the stream is also counted as two chunks
-// split at a fuzzer-chosen point, so one side often lands below the
-// histogram cut-over. The input is also classified as a document
+// split at a fuzzer-chosen point, so one side often ends inside a lane
+// flush interval. The input is also classified as a document
 // against trained profiles. Direct is the exact reference other
 // backends are fuzzed against, so this closes that loop.
 func FuzzMaskKernelVsReference(f *testing.F) {
@@ -242,7 +323,9 @@ func FuzzMaskKernelVsReference(f *testing.F) {
 // BenchmarkDetectCount times the membership-counting stage alone —
 // the kernel's AccumulateInto over pre-extracted grams — on every
 // backend, for a whole 5 KB document and for one 16-gram segmentation
-// chunk. It is the per-stage figure for the counting layer.
+// chunk. It is the per-stage figure for the counting layer. The
+// 5KB-bytes case times the fused serving stage instead: Count over the
+// raw document, translation and extraction included.
 func BenchmarkDetectCount(b *testing.B) {
 	corp, err := corpus.Generate(corpus.Config{DocsPerLanguage: 30, WordsPerDoc: 300, TrainFraction: 0.5, Seed: 17})
 	if err != nil {
@@ -275,5 +358,13 @@ func BenchmarkDetectCount(b *testing.B) {
 				}
 			})
 		}
+		b.Run(backend.String()+"/5KB-bytes", func(b *testing.B) {
+			w := c.window
+			b.ReportAllocs()
+			for b.Loop() {
+				w.Reset()
+				c.kernel.Count(counts, &w, doc)
+			}
+		})
 	}
 }

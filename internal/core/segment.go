@@ -7,25 +7,25 @@ package core
 // answer with a single language.
 //
 // Segmentation is a mode of Stream, the one counting stream every
-// detection path uses, so it reuses the match-counting inner loop
-// unchanged and runs it exactly once per document. The n-gram stream is
-// cut into stride-sized chunks; each chunk's per-language counts are
-// accumulated through one pass of the backend's Kernel, which scores
-// every language per n-gram, into a ring of Window/Stride rows. A
-// sliding window of Window n-grams is then the rolling sum of the ring
-// — adding the newest chunk row and subtracting the oldest — so
-// per-window scoring costs O(L) per stride regardless of window size,
-// and no n-gram is ever re-extracted or re-hashed for a second window.
-// Window arg-max decisions pass through hysteresis (a new language must
-// win Hysteresis consecutive windows before a boundary is emitted) and
-// adjacent same-language windows merge into Spans.
+// detection path uses, so it reuses the backend's counting pass
+// unchanged and runs it exactly once per document. The byte stream is
+// cut where each stride of n-grams completes, and each piece goes
+// straight from bytes to counts through the backend's Kernel.Count,
+// which scores every language per n-gram, into the open row of a ring
+// of Window/Stride rows; a chunk that spans writes is a row filled in
+// parts, with no chunk buffer. A sliding window of Window n-grams is
+// then the rolling sum of the ring — adding the newest chunk row and
+// subtracting the oldest — so per-window scoring costs O(L) per stride
+// regardless of window size, and no n-gram is ever re-extracted or
+// re-hashed for a second window. Window arg-max decisions pass through
+// hysteresis (a new language must win Hysteresis consecutive windows
+// before a boundary is emitted) and adjacent same-language windows
+// merge into Spans.
 
 import (
 	"fmt"
 	"io"
-
-	"bloomlang/internal/alphabet"
-	"bloomlang/internal/ngram"
+	"unsafe"
 )
 
 // Span is one contiguous single-language region of a segmented
@@ -170,7 +170,7 @@ func (d *Detector) AppendSpans(dst []Span, doc []byte, cfg SegmentConfig) ([]Spa
 
 // DetectSpansReader segments a document streamed from r with bounded
 // memory: no window ever re-reads earlier bytes, so only the ring of
-// chunk counters and one partial chunk are retained.
+// chunk counters and the n-gram register are retained.
 func (d *Detector) DetectSpansReader(r io.Reader, cfg SegmentConfig) ([]Span, error) {
 	s, err := d.borrowSpans(cfg)
 	if err != nil {
@@ -222,40 +222,41 @@ func (r *segRun) absorb(o segRun) {
 // counted as they complete, and Match reports the decision over
 // everything written so far — the software mirror of the hardware
 // datapath, which consumes the DMA stream burst by burst and never
-// buffers whole documents (§3.3). Reset starts the next document, the
+// buffers whole documents (§3.3). Every write goes straight from bytes
+// to counts through the backend's Kernel.Count, with the n-gram
+// register carried in the stream's Window, so no code or n-gram buffer
+// sits between the stages. Reset starts the next document, the
 // End-of-Document boundary. Every detection path counts through a
 // Stream: Detect and the batch workers borrow pooled ones.
 //
-// A stream from NewStream counts each write whole. A stream from
-// NewSpanStream also segments: the n-grams are cut into stride-sized
-// chunks whose counts roll through the window ring, finalized spans are
-// available from Spans as boundaries are confirmed, and Finish returns
-// the complete tiling — identical output for identical bytes, any
-// chunking. Either way every n-gram is extracted and counted exactly
-// once, and Match and AppendCounts give the whole-document answer. A
-// Stream is not safe for concurrent use; create one per goroutine.
+// A stream from NewStream counts each write whole into the document
+// totals. A stream from NewSpanStream also segments: each write is cut
+// at the bytes that complete a stride of n-grams, and each piece is
+// counted straight into the open row of the window ring, so a chunk
+// that spans writes is simply a row filled in parts. Finalized spans
+// are available from Spans as boundaries are confirmed, and Finish
+// returns the complete tiling — identical output for identical bytes,
+// any chunking. Either way every n-gram is counted exactly once, and
+// Match and AppendCounts give the whole-document answer. A Stream is
+// not safe for concurrent use; create one per goroutine.
 type Stream struct {
 	d   *Detector
 	cfg SegmentConfig // resolved; the zero value turns windowing off
-	e   ngram.Extractor
-	sub int // extractor subsample: gram index i starts at byte i*sub
+	w   Window
 
 	rows  int // ring rows = Window/Stride; 0 without windowing
 	langs int
 
-	codes     []alphabet.Code
-	grams     []uint32
-	chunkBuf  []uint32
-	chunkFill int
-
 	ring   []int     // rows × langs per-chunk match counts
-	win    []int     // rolling window counts (sum of the ring)
+	open   []int     // the ring row of the chunk in progress
+	win    []int     // rolling window counts (sum of the completed rows)
 	smooth []float64 // EWMA-smoothed window counts
 	totals []int     // whole-document counts over completed chunks
-	tmp    []int     // totals with the buffered tail folded in
+	tmp    []int     // totals with the open row folded in
 
 	bytesSeen int
 	gramsSeen int
+	fill      int // n-grams counted into the open row
 	chunks    int // completed chunks
 	windows   int // completed window decisions
 
@@ -270,9 +271,9 @@ type Stream struct {
 }
 
 // NewStream starts an empty document stream on the detector, counting
-// without segmentation. The extractor is a value copy of the
-// classifier's prototype, so streams are independent of each other and
-// of the one-shot paths.
+// without segmentation. Its Window is a value copy of the classifier's
+// prototype, so streams are independent of each other and of the
+// one-shot paths.
 func (d *Detector) NewStream() *Stream {
 	s := &Stream{d: d}
 	s.configure(SegmentConfig{})
@@ -298,14 +299,13 @@ func (d *Detector) NewSpanStream(cfg SegmentConfig) (*Stream, error) {
 func (s *Stream) configure(cfg SegmentConfig) {
 	s.cfg = cfg
 	s.langs = len(s.d.clf.langs)
-	s.e = s.d.clf.extractor
-	s.sub = s.d.clf.cfg.Subsample
+	s.w = s.d.clf.window
 	if cap(s.totals) < s.langs {
 		s.totals = make([]int, s.langs)
 	}
 	s.totals = s.totals[:s.langs]
 	clear(s.totals)
-	s.chunkFill, s.bytesSeen, s.gramsSeen, s.chunks, s.windows = 0, 0, 0, 0, 0
+	s.bytesSeen, s.gramsSeen, s.fill, s.chunks, s.windows = 0, 0, 0, 0, 0
 	s.started, s.hasFlip, s.done = false, false, false
 	s.cur, s.flip = segRun{}, segRun{}
 	s.spans = s.spans[:0]
@@ -314,15 +314,13 @@ func (s *Stream) configure(cfg SegmentConfig) {
 		return
 	}
 	s.rows = cfg.Window / cfg.Stride
-	if cap(s.chunkBuf) < cfg.Stride {
-		s.chunkBuf = make([]uint32, cfg.Stride)
-	}
-	s.chunkBuf = s.chunkBuf[:cfg.Stride]
 	if n := s.rows * s.langs; cap(s.ring) < n {
 		s.ring = make([]int, n)
 	} else {
 		s.ring = s.ring[:n]
 	}
+	s.open = s.ring[:s.langs]
+	clear(s.open)
 	if cap(s.win) < s.langs {
 		s.win = make([]int, s.langs)
 		s.smooth = make([]float64, s.langs)
@@ -338,104 +336,69 @@ func (s *Stream) Reset() { s.configure(s.cfg) }
 // Write feeds the next chunk of the document. It fails only on a
 // stream already closed by Finish; the signature satisfies io.Writer.
 func (s *Stream) Write(p []byte) (int, error) {
-	codes, err := s.codeBuf(len(p))
-	if err != nil {
-		return 0, err
+	if s.done {
+		return 0, errStreamFinished
 	}
-	alphabet.TranslateInto(codes, p)
-	s.count(codes)
+	s.count(p)
 	return len(p), nil
 }
 
 // WriteString is Write for string chunks without the []byte copy —
 // Stream is an io.StringWriter, so io.WriteString counts JSON-decoded
-// documents allocation-free.
+// documents allocation-free. Kernels only read the bytes they count,
+// so viewing the string's bytes in place is safe.
 func (s *Stream) WriteString(p string) (int, error) {
-	codes, err := s.codeBuf(len(p))
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < len(p); i++ {
-		codes[i] = alphabet.Translate(p[i])
-	}
-	s.count(codes)
-	return len(p), nil
+	return s.Write(unsafe.Slice(unsafe.StringData(p), len(p)))
 }
 
 var errStreamFinished = fmt.Errorf("core: Stream written after Finish (Reset starts a new document)")
 
-// codeBuf returns the translation buffer sized for an n-byte write,
-// growing it only when too small, or an error once Finish has closed
-// the document.
-func (s *Stream) codeBuf(n int) ([]alphabet.Code, error) {
-	if s.done {
-		return nil, errStreamFinished
-	}
-	if cap(s.codes) < n {
-		s.codes = make([]alphabet.Code, n)
-	}
-	return s.codes[:n], nil
-}
-
-// count is the one extract-and-count step. Without windowing the
-// write's n-grams take one kernel pass straight into the totals, so a
-// whole document reaches the kernel in one call. With windowing they
-// are cut into chunks instead. The bytes are counted before consuming:
-// a boundary confirmed inside this write starts within these bytes,
-// and gramByte clamps against the running total.
-func (s *Stream) count(codes []alphabet.Code) {
-	s.bytesSeen += len(codes)
-	s.grams = s.e.Feed(s.grams[:0], codes)
-	s.gramsSeen += len(s.grams)
+// count is the one counting step. Without windowing the write takes one
+// Kernel.Count straight into the totals, so a whole document reaches
+// the kernel in one call. With windowing the write is cut where each
+// stride of n-grams completes, and each piece is counted into the open
+// ring row. The bytes are counted before any chunk completes: a
+// boundary confirmed inside this write starts within these bytes, and
+// gramByte clamps against the running total.
+func (s *Stream) count(p []byte) {
+	s.bytesSeen += len(p)
+	kernel := s.d.clf.kernel
 	if s.rows == 0 {
-		s.d.clf.kernel.AccumulateInto(s.totals, s.grams)
+		s.gramsSeen += kernel.Count(s.totals, &s.w, p)
 		return
 	}
-	s.consume(s.grams)
-}
-
-// consume cuts the incoming n-gram stream into stride-sized chunks.
-// Chunks completing inside gs are counted straight out of the caller's
-// slice; a trailing partial chunk is buffered for the next Write.
-func (s *Stream) consume(gs []uint32) {
-	stride := s.cfg.Stride
-	for len(gs) > 0 {
-		if s.chunkFill == 0 && len(gs) >= stride {
-			s.completeChunk(gs[:stride])
-			gs = gs[stride:]
-			continue
-		}
-		n := copy(s.chunkBuf[s.chunkFill:stride], gs)
-		s.chunkFill += n
-		gs = gs[n:]
-		if s.chunkFill == stride {
-			s.completeChunk(s.chunkBuf[:stride])
-			s.chunkFill = 0
+	for len(p) > 0 {
+		n := min(s.w.BytesFor(s.cfg.Stride-s.fill), len(p))
+		grams := kernel.Count(s.open, &s.w, p[:n])
+		p = p[n:]
+		s.gramsSeen += grams
+		if s.fill += grams; s.fill == s.cfg.Stride {
+			s.completeChunk()
 		}
 	}
 }
 
-// completeChunk scores one stride of n-grams — the single pass through
-// the classifier's counting loop these grams will ever take — and
-// rolls the window sum forward: the ring row being replaced leaves the
-// window, the fresh row enters it.
-func (s *Stream) completeChunk(chunk []uint32) {
-	row := s.ring[(s.chunks%s.rows)*s.langs:][:s.langs]
-	if s.chunks >= s.rows {
-		for i, v := range row {
-			s.win[i] -= v
-		}
-	}
-	clear(row)
-	s.d.clf.kernel.AccumulateInto(row, chunk)
-	for i, v := range row {
+// completeChunk closes the open ring row — its stride of n-grams has
+// taken its one counting pass — and rolls the window sum forward: the
+// fresh row enters the window, and the next open row, the oldest,
+// leaves it and is cleared.
+func (s *Stream) completeChunk() {
+	for i, v := range s.open {
 		s.win[i] += v
 		s.totals[i] += v
 	}
+	s.fill = 0
 	s.chunks++
 	if s.chunks >= s.rows {
 		s.windowDone()
 	}
+	s.open = s.ring[(s.chunks%s.rows)*s.langs:][:s.langs]
+	if s.chunks >= s.rows {
+		for i, v := range s.open {
+			s.win[i] -= v
+		}
+	}
+	clear(s.open)
 }
 
 // windowDone decides the window that just completed — smoothing,
@@ -547,7 +510,7 @@ func (s *Stream) appendSpan(r segRun, startByte, endByte int) {
 // starts. Alphabet translation is one code per byte, so emitted n-gram
 // i begins at character — byte — i·subsample.
 func (s *Stream) gramByte(g int) int {
-	b := g * s.sub
+	b := g * s.w.Subsample
 	if b > s.bytesSeen {
 		b = s.bytesSeen
 	}
@@ -562,7 +525,7 @@ func (s *Stream) Spans() []Span { return s.spans }
 
 // Finish closes the document and returns its complete span tiling of
 // [0, bytes written); without windowing it returns no spans. On a
-// segmenting stream the buffered tail takes its one counting pass into
+// segmenting stream the open row of a partial last chunk folds into
 // the running totals and the final span is emitted; a document that
 // never filled one window is decided whole, exactly as Detect would
 // decide it. After Finish the stream rejects further writes until
@@ -572,9 +535,11 @@ func (s *Stream) Finish() []Span {
 		return s.spans
 	}
 	s.done = true
-	if s.chunkFill > 0 {
-		copy(s.totals, s.counts())
-		s.chunkFill = 0
+	if s.fill > 0 {
+		for i, v := range s.open {
+			s.totals[i] += v
+		}
+		s.fill = 0
 	}
 	if s.rows == 0 || s.bytesSeen == 0 {
 		return s.spans
@@ -610,15 +575,17 @@ func (s *Stream) Match() Match { return s.d.match(s.counts(), s.gramsSeen) }
 // room in dst it allocates nothing.
 func (s *Stream) AppendCounts(dst []int) []int { return append(dst, s.counts()...) }
 
-// counts returns the whole-document counts: the completed-chunk totals
-// with any buffered tail folded into a copy. The tail's real
-// pass happens when its chunk completes or at Finish.
+// counts returns the whole-document counts: the completed-chunk totals,
+// plus the open ring row folded into a copy while a chunk is in
+// progress.
 func (s *Stream) counts() []int {
-	if s.chunkFill == 0 {
+	if s.fill == 0 {
 		return s.totals
 	}
 	s.tmp = append(s.tmp[:0], s.totals...)
-	s.d.clf.kernel.AccumulateInto(s.tmp, s.chunkBuf[:s.chunkFill])
+	for i, v := range s.open {
+		s.tmp[i] += v
+	}
 	return s.tmp
 }
 

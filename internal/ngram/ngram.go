@@ -68,22 +68,102 @@ func Render(g uint32, n int) string {
 	return string(b)
 }
 
+// Window is the n-gram shift register of one document in flight: the
+// hardware's character buffer (§3.3), held as a value the caller
+// carries from one chunk of the document to the next, so an n-gram that
+// straddles a chunk boundary is still emitted exactly once. N and
+// Subsample configure it; Reg, Filled and Phase are its state, empty
+// after Reset. The state fields are exported so that a counting kernel
+// outside this package can run its own fused translate-and-shift loop
+// over them.
+type Window struct {
+	// N is the n-gram length, 1..MaxN.
+	N int
+	// Subsample, when s > 1, emits only every s-th n-gram, the
+	// bandwidth-reduction technique HAIL uses and §3.3 mentions as an
+	// option when on-chip memory bandwidth is limited.
+	Subsample int
+	// Reg holds the most recent codes, newest in the low alphabet.Bits
+	// bits. Only the low Bits(N) bits are an n-gram; a kernel may leave
+	// older codes above them.
+	Reg uint64
+	// Filled counts the codes shifted in, saturating at N-1: from then
+	// on every code completes an n-gram.
+	Filled int
+	// Phase is the position of the next completed n-gram in the
+	// subsample cycle; it is emitted when Phase is 0.
+	Phase int
+}
+
+// Reset clears the register and the subsample phase, ready for a new
+// document. The hardware equivalent is the End-of-Document command
+// clearing the character buffer.
+func (w *Window) Reset() { w.Reg, w.Filled, w.Phase = 0, 0, 0 }
+
+// Feed shifts the translated codes into the window and appends every
+// complete n-gram to dst, returning the extended slice. A document of d
+// characters yields exactly max(0, d-n+1) n-grams (before subsampling).
+func (w *Window) Feed(dst []uint32, codes []alphabet.Code) []uint32 {
+	reg, filled, phase := uint32(w.Reg), w.Filled, w.Phase
+	warm, sub, mask := w.N-1, max(w.Subsample, 1), uint32(uint64(1)<<Bits(w.N)-1)
+	for _, c := range codes {
+		reg = (reg<<alphabet.Bits | uint32(c)) & mask
+		if filled < warm {
+			filled++
+			continue
+		}
+		if phase == 0 {
+			dst = append(dst, reg)
+		}
+		if phase++; phase == sub {
+			phase = 0
+		}
+	}
+	w.Reg, w.Filled, w.Phase = uint64(reg), filled, phase
+	return dst
+}
+
+// FeedBytes is Feed over raw ISO-8859-1 bytes, translating each one on
+// the way in: the translate and shift stages of the datapath in one
+// loop, with no code buffer between them.
+func (w *Window) FeedBytes(dst []uint32, p []byte) []uint32 {
+	reg, filled, phase := uint32(w.Reg), w.Filled, w.Phase
+	warm, sub, mask := w.N-1, max(w.Subsample, 1), uint32(uint64(1)<<Bits(w.N)-1)
+	for _, b := range p {
+		reg = (reg<<alphabet.Bits | uint32(alphabet.Translate(b))) & mask
+		if filled < warm {
+			filled++
+			continue
+		}
+		if phase == 0 {
+			dst = append(dst, reg)
+		}
+		if phase++; phase == sub {
+			phase = 0
+		}
+	}
+	w.Reg, w.Filled, w.Phase = uint64(reg), filled, phase
+	return dst
+}
+
+// BytesFor returns how many more characters complete exactly grams
+// (>= 1) more emitted n-grams, the last of them on the final character:
+// the characters still needed to fill the register, the ones the
+// subsample phase skips before the next emitted n-gram, and one
+// subsample period per n-gram after it.
+func (w *Window) BytesFor(grams int) int {
+	sub := max(w.Subsample, 1)
+	return w.N - 1 - w.Filled + (sub-w.Phase)%sub + (grams-1)*sub + 1
+}
+
 // Extractor produces the stream of packed n-grams for a document. It is
 // a software rendering of the hardware's character buffer: an input word
 // containing multiple translated characters is buffered and an n-gram is
 // generated at each character position (§3.3). The implementation is
 // oblivious to word boundaries and treats the input as a continuous
-// character stream, exactly like the hardware.
+// character stream, exactly like the hardware. Its state is one Window.
 type Extractor struct {
-	n      int
-	mask   uint32
-	window uint32
-	filled int
-	// Subsample, when s > 1, emits only every s-th n-gram, the
-	// bandwidth-reduction technique HAIL uses and §3.3 mentions as an
-	// option when on-chip memory bandwidth is limited.
-	subsample int
-	phase     int
+	w Window
 }
 
 // NewExtractor returns an extractor for n-grams of length n (1..MaxN).
@@ -91,11 +171,7 @@ func NewExtractor(n int) (*Extractor, error) {
 	if n < 1 || n > MaxN {
 		return nil, fmt.Errorf("ngram: length %d out of range [1,%d]", n, MaxN)
 	}
-	return &Extractor{
-		n:         n,
-		mask:      uint32(uint64(1)<<Bits(n) - 1),
-		subsample: 1,
-	}, nil
+	return &Extractor{w: Window{N: n, Subsample: 1}}, nil
 }
 
 // SetSubsample makes the extractor emit every s-th n-gram (s >= 1).
@@ -103,41 +179,20 @@ func (e *Extractor) SetSubsample(s int) error {
 	if s < 1 {
 		return fmt.Errorf("ngram: subsample factor %d must be >= 1", s)
 	}
-	e.subsample = s
+	e.w.Subsample = s
 	return nil
 }
 
 // N returns the configured n-gram length.
-func (e *Extractor) N() int { return e.n }
+func (e *Extractor) N() int { return e.w.N }
 
-// Reset clears the sliding window, ready for a new document. The
-// hardware equivalent is the End-of-Document command clearing the
-// character buffer.
-func (e *Extractor) Reset() {
-	e.window = 0
-	e.filled = 0
-	e.phase = 0
-}
+// Reset clears the sliding window, ready for a new document.
+func (e *Extractor) Reset() { e.w.Reset() }
 
 // Feed shifts the translated codes into the window and appends every
-// complete n-gram to dst, returning the extended slice. A document of d
-// characters yields exactly max(0, d-n+1) n-grams (before subsampling).
+// complete n-gram to dst, returning the extended slice; see Window.Feed.
 func (e *Extractor) Feed(dst []uint32, codes []alphabet.Code) []uint32 {
-	for _, c := range codes {
-		e.window = (e.window<<alphabet.Bits | uint32(c)) & e.mask
-		if e.filled < e.n-1 {
-			e.filled++
-			continue
-		}
-		if e.phase == 0 {
-			dst = append(dst, e.window)
-		}
-		e.phase++
-		if e.phase == e.subsample {
-			e.phase = 0
-		}
-	}
-	return dst
+	return e.w.Feed(dst, codes)
 }
 
 // ExtractBytes translates raw ISO-8859-1 bytes and returns all packed
