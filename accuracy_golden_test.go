@@ -36,7 +36,7 @@ func loadGolden(t testing.TB) goldenAccuracy {
 	return g
 }
 
-// TestGoldenAccuracyFloors evaluates every registered built-in backend
+// TestGoldenAccuracyFloors evaluates every membership backend
 // on the committed corpus spec and fails if any language's accuracy
 // falls below its golden floor.
 func TestGoldenAccuracyFloors(t *testing.T) {
@@ -60,9 +60,7 @@ func TestGoldenAccuracyFloors(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			det, err := NewDetector(ps, WithBackend(backend))
 			if err != nil {
-				// Backends registered by other tests in this package may
-				// reject the golden config; the gate covers the built-ins.
-				t.Skipf("backend %s unavailable under golden config: %v", name, err)
+				t.Fatalf("backend %s unavailable under golden config: %v", name, err)
 			}
 			ev := Evaluate(det, corp)
 			if len(ev.PerLanguage) != len(g.Floors) {

@@ -1,12 +1,8 @@
 package bloomlang
 
 import (
-	"bloomlang/internal/bloom"
 	"bloomlang/internal/core"
 	"bloomlang/internal/corpus"
-	"bloomlang/internal/ctrank"
-	"bloomlang/internal/fpga"
-	"bloomlang/internal/hail"
 	"bloomlang/internal/ngram"
 )
 
@@ -19,17 +15,6 @@ type Config = core.Config
 // 4-grams, t=5000, k=4, m=16 Kbit.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// SpaceEfficientConfig returns the paper's most space-efficient
-// operating point (§5.2): k=6 hash functions and one 4 Kbit embedded
-// RAM per bit-vector, 24 Kbit per language, supporting thirty languages
-// on the target device.
-func SpaceEfficientConfig() Config {
-	cfg := core.DefaultConfig()
-	cfg.K = 6
-	cfg.MBits = 4 * 1024
-	return cfg
-}
-
 // ProfileSet is a trained set of per-language n-gram profiles.
 type ProfileSet = core.ProfileSet
 
@@ -41,9 +26,8 @@ type Profile = ngram.Profile
 // Matches.
 type Result = core.Result
 
-// Backend selects the membership structure used for match counting.
-// The set is open: RegisterBackend adds new ones, ParseBackend resolves
-// them by name.
+// Backend selects the membership structure used for match counting,
+// one of the four constants below; ParseBackend resolves them by name.
 type Backend = core.Backend
 
 // Membership backends: HAIL-style exact direct lookup (the default),
@@ -56,42 +40,13 @@ const (
 	BackendBlocked = core.BackendBlocked
 )
 
-// Kernel is a backend's membership-counting kernel. Count is the
-// serving path: it counts the n-grams that a piece of raw document
-// bytes completes, carrying the n-gram register across pieces in a
-// Window. AccumulateInto counts pre-extracted packed n-grams and is the
-// reference path. Both add each language's match count into one
-// counter per language. Implement it to register a custom backend; a
-// backend without a fused loop implements Count with CountGrams.
-type Kernel = core.Kernel
-
-// Window is the n-gram shift register a Kernel's Count carries from
-// one piece of a document to the next.
-type Window = core.Window
-
-// CountGrams implements Kernel.Count for a kernel that scores packed
-// n-grams: it extracts the bytes' n-grams through w a block at a time
-// and calls k.AccumulateInto once per block.
-func CountGrams(k Kernel, counts []int, w *Window, p []byte) int {
-	return core.CountGrams(k, counts, w, p)
-}
-
-// BackendBuilder constructs a backend's Kernel over a profile set.
-type BackendBuilder = core.BackendBuilder
-
-// RegisterBackend adds a membership backend under a canonical name
-// plus optional parse aliases, returning the Backend that selects it.
-func RegisterBackend(name string, build BackendBuilder, aliases ...string) Backend {
-	return core.RegisterBackend(name, build, aliases...)
-}
-
 // ParseBackend resolves a backend by canonical name or alias
 // ("parallel-bloom"/"bloom", "direct-lookup"/"direct",
-// "classic-bloom"/"classic", plus anything registered). It is the
+// "classic-bloom"/"classic", "blocked-bloom"/"blocked"). It is the
 // inverse of Backend.String.
 func ParseBackend(name string) (Backend, error) { return core.ParseBackend(name) }
 
-// Backends lists every registered backend's canonical name.
+// Backends lists every backend's canonical name.
 func Backends() []string { return core.Backends() }
 
 // Detector is the single entry point for language detection: ranked
@@ -157,12 +112,6 @@ func TrainFromTexts(cfg Config, texts map[string][][]byte) (*ProfileSet, error) 
 	return core.TrainFromTexts(cfg, texts)
 }
 
-// FalsePositiveRate returns the paper's §3.1 Parallel Bloom Filter
-// model f = (1 − e^(−N/m))^k.
-func FalsePositiveRate(n int, mBits uint32, k int) float64 {
-	return bloom.FalsePositiveRate(n, mBits, k)
-}
-
 // Corpus is a multilingual labelled document collection with train and
 // test splits.
 type Corpus = corpus.Corpus
@@ -210,66 +159,8 @@ func PaperCorpusConfig() CorpusConfig { return corpus.PaperConfig() }
 func Languages() []string { return corpus.Languages() }
 
 // LanguageName returns the English name for a language code.
-func LanguageName(code string) string { return corpus.Name(code) }
+func LanguageName(code string) string { return core.LanguageName(code) }
 
 // ReadCorpusDir loads a corpus from the on-disk layout written by
 // (*Corpus).WriteDir or cmd/corpusgen.
 func ReadCorpusDir(root string) (*Corpus, error) { return corpus.ReadDir(root) }
-
-// CavnarTrenkle is the Mguesser-style software baseline (§5.5).
-type CavnarTrenkle = ctrank.Classifier
-
-// CavnarTrenkleConfig parameterizes the rank-order baseline.
-type CavnarTrenkleConfig = ctrank.Config
-
-// NewCavnarTrenkle trains the rank-order baseline on a corpus.
-func NewCavnarTrenkle(cfg CavnarTrenkleConfig, corp *Corpus) (*CavnarTrenkle, error) {
-	return ctrank.TrainCorpus(cfg, corp)
-}
-
-// HAIL is the competing FPGA design modelled functionally and
-// architecturally (§2, §5.5).
-type HAIL = hail.Classifier
-
-// HAILConfig parameterizes the HAIL model.
-type HAILConfig = hail.Config
-
-// DefaultHAILConfig returns the published HAIL operating point
-// (324 MB/sec on a Xilinx XCV2000E-8).
-func DefaultHAILConfig() HAILConfig { return hail.DefaultConfig() }
-
-// NewHAIL builds the HAIL model from trained profiles.
-func NewHAIL(cfg HAILConfig, ps *ProfileSet) (*HAIL, error) {
-	return hail.Build(cfg, ps.Profiles)
-}
-
-// FPGADevice describes an FPGA resource inventory.
-type FPGADevice = fpga.Device
-
-// EP2S180 returns the paper's target device.
-func EP2S180() FPGADevice { return fpga.EP2S180() }
-
-// ModuleConfig describes one classifier module for resource estimation.
-type ModuleConfig = fpga.ModuleConfig
-
-// ModuleReport is a modelled module synthesis result (Table 2).
-type ModuleReport = fpga.ModuleReport
-
-// SystemReport is a modelled device build (Table 3).
-type SystemReport = fpga.SystemReport
-
-// EstimateModule models one classifier module's synthesis (Table 2).
-func EstimateModule(cfg ModuleConfig, dev FPGADevice) (ModuleReport, error) {
-	return fpga.EstimateModule(cfg, dev)
-}
-
-// EstimateFPGASystem models a full-device build (Table 3).
-func EstimateFPGASystem(cfg ModuleConfig, dev FPGADevice) (SystemReport, error) {
-	return fpga.EstimateSystem(cfg, dev)
-}
-
-// MaxLanguages returns the number of languages supportable at 8
-// n-grams/clock after infrastructure overhead (§5.2).
-func MaxLanguages(k int, mBits uint32, dev FPGADevice) int {
-	return fpga.MaxLanguages(k, mBits, 4, dev)
-}

@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"log"
 
-	"bloomlang"
+	"bloomlang/internal/bloom"
 	"bloomlang/internal/fpga"
 	"bloomlang/internal/report"
 )
@@ -28,7 +28,7 @@ func main() {
 	maxK := flag.Int("maxk", 8, "largest hash-function count to explore")
 	flag.Parse()
 
-	dev := bloomlang.EP2S180()
+	dev := fpga.EP2S180()
 	t := report.NewTable(
 		fmt.Sprintf("Design space at N=%d n-grams per profile (EP2S180, 8 n-grams/clock)", *load),
 		"m (Kbit)", "k", "FP/1000", "Kbit/lang", "langs", "langs+sub2", "ideal", "module MHz",
@@ -36,13 +36,13 @@ func main() {
 	for _, mKbit := range []int{4, 8, 16, 32} {
 		mBits := uint32(mKbit) * 1024
 		for k := 2; k <= *maxK; k++ {
-			fp := bloomlang.FalsePositiveRate(*load, mBits, k)
-			langs := bloomlang.MaxLanguages(k, mBits, dev)
+			fp := bloom.FalsePositiveRate(*load, mBits, k)
+			langs := fpga.MaxLanguages(k, mBits, 4, dev)
 			// Subsampling every other n-gram halves the copies needed
 			// (§5.2: "This doubles the number of supported languages").
 			langsSub := fpga.MaxLanguages(k, mBits, 2, dev)
 			ideal := fpga.MaxLanguagesIdeal(k, mBits, 4, dev)
-			mod, err := bloomlang.EstimateModule(fpga.Table2Config(k, mBits), dev)
+			mod, err := fpga.EstimateModule(fpga.Table2Config(k, mBits), dev)
 			if err != nil {
 				log.Fatal(err)
 			}

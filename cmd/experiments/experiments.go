@@ -1,9 +1,10 @@
-package bloomlang
+package main
 
 import (
 	"fmt"
 	"math/rand"
 
+	"bloomlang"
 	"bloomlang/internal/bloom"
 	"bloomlang/internal/core"
 	"bloomlang/internal/corpus"
@@ -18,8 +19,8 @@ import (
 // This file implements the experiment harness: one Run function per
 // table and figure in the paper's evaluation (§5), each returning
 // structured results plus a Format function rendering them alongside
-// the paper's published numbers. cmd/experiments and the root
-// benchmarks are thin wrappers over these.
+// the paper's published numbers. main and the package benchmarks are
+// thin wrappers over these.
 
 // Scale controls the synthetic corpus size an experiment runs on. The
 // paper's corpus is 52,581 test documents (484 MB); the default scale
@@ -118,7 +119,7 @@ func RunTable1(scale Scale) ([]Table1Row, error) {
 	}
 	base := core.DefaultConfig()
 	base.Seed = scale.Seed
-	ps, err := Train(base, corp)
+	ps, err := bloomlang.Train(base, corp)
 	if err != nil {
 		return nil, err
 	}
@@ -132,11 +133,15 @@ func RunTable1(scale Scale) ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		ev := Evaluate(det, corp)
+		filters, err := psC.ParallelFilters()
+		if err != nil {
+			return nil, err
+		}
+		ev := bloomlang.Evaluate(det, corp)
 		row := Table1Row{
 			MKbits:             c.MKbits,
 			K:                  c.K,
-			MeasuredFPPerMille: measureFalsePositives(det.Classifier(), psC),
+			MeasuredFPPerMille: measureFalsePositives(filters, psC),
 			Accuracy:           ev.Average,
 			MinAccuracy:        ev.Min,
 			MaxAccuracy:        ev.Max,
@@ -158,13 +163,13 @@ func RunTable1(scale Scale) ([]Table1Row, error) {
 
 // measureFalsePositives probes each language's filter with random
 // non-member n-grams and returns the hit rate per thousand.
-func measureFalsePositives(clf *core.Classifier, ps *core.ProfileSet) float64 {
+func measureFalsePositives(filters []*bloom.Parallel, ps *core.ProfileSet) float64 {
 	const probesPerLanguage = 20000
 	rng := rand.New(rand.NewSource(ps.Config.Seed + 99))
 	totalProbes, hits := 0, 0
 	for i, p := range ps.Profiles {
 		members := p.Set()
-		f := clf.Filter(i)
+		f := filters[i]
 		for n := 0; n < probesPerLanguage; {
 			g := rng.Uint32() & 0xFFFFF
 			if members[g] {
@@ -340,7 +345,7 @@ func RunFigure4(scale Scale) (Figure4Result, error) {
 	}
 	base := core.DefaultConfig()
 	base.Seed = scale.Seed
-	ps, err := Train(base, corp)
+	ps, err := bloomlang.Train(base, corp)
 	if err != nil {
 		return out, err
 	}
@@ -461,7 +466,7 @@ func RunTable4(scale Scale) (Table4Result, error) {
 	// Bloom filter profiles shared by HAIL and the XD1000 sim.
 	base := core.DefaultConfig()
 	base.Seed = scale.Seed
-	ps, err := Train(base, corp)
+	ps, err := bloomlang.Train(base, corp)
 	if err != nil {
 		return out, err
 	}
@@ -543,7 +548,7 @@ func RunSubsampleAblation(scale Scale) ([]SubsampleRow, error) {
 	}
 	base := core.DefaultConfig()
 	base.Seed = scale.Seed
-	ps, err := Train(base, corp)
+	ps, err := bloomlang.Train(base, corp)
 	if err != nil {
 		return nil, err
 	}
@@ -557,7 +562,7 @@ func RunSubsampleAblation(scale Scale) ([]SubsampleRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		ev := Evaluate(det, corp)
+		ev := bloomlang.Evaluate(det, corp)
 		copies := 4 / sub
 		if copies < 1 {
 			copies = 1
@@ -590,7 +595,7 @@ func FormatSubsampleAblation(rows []SubsampleRow) string {
 // confuse: "consistently more Spanish documents were misclassified as
 // Portuguese, and Estonian documents as Finnish".
 type ConfusionResult struct {
-	Evaluation Evaluation
+	Evaluation bloomlang.Evaluation
 	// TopPairs lists (truth, predicted, count) misclassifications in
 	// descending count order.
 	TopPairs []ConfusionPair
@@ -612,7 +617,7 @@ func RunConfusion(scale Scale) (ConfusionResult, error) {
 	}
 	base := core.DefaultConfig()
 	base.Seed = scale.Seed
-	ps, err := Train(base, corp)
+	ps, err := bloomlang.Train(base, corp)
 	if err != nil {
 		return out, err
 	}
@@ -620,7 +625,7 @@ func RunConfusion(scale Scale) (ConfusionResult, error) {
 	if err != nil {
 		return out, err
 	}
-	out.Evaluation = Evaluate(det, corp)
+	out.Evaluation = bloomlang.Evaluate(det, corp)
 	for truth, row := range out.Evaluation.Confusion {
 		for pred, n := range row {
 			if pred != truth && pred != "" && n > 0 {
@@ -651,7 +656,7 @@ func FormatConfusion(r ConfusionResult) string {
 		limit = 8
 	}
 	for _, p := range r.TopPairs[:limit] {
-		t.AddRow(corpus.Name(p.Truth), corpus.Name(p.Predicted), fmt.Sprint(p.Count))
+		t.AddRow(core.LanguageName(p.Truth), core.LanguageName(p.Predicted), fmt.Sprint(p.Count))
 	}
 	s := t.String()
 	s += fmt.Sprintf("Average accuracy %s (min %s, max %s) over %d documents\n",

@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-
-	"bloomlang"
 )
 
 func main() {
@@ -38,53 +36,53 @@ func main() {
 	run := func(name string) bool { return *only == "" || *only == name }
 
 	if run("1") {
-		rows, err := bloomlang.RunTable1(scale)
+		rows, err := RunTable1(scale)
 		if err != nil {
 			log.Fatalf("table 1: %v", err)
 		}
-		fmt.Println(bloomlang.FormatTable1(rows))
+		fmt.Println(FormatTable1(rows))
 	}
 	if run("2") {
-		rows, err := bloomlang.RunTable2()
+		rows, err := RunTable2()
 		if err != nil {
 			log.Fatalf("table 2: %v", err)
 		}
-		fmt.Println(bloomlang.FormatTable2(rows))
+		fmt.Println(FormatTable2(rows))
 	}
 	if run("3") {
-		rows, err := bloomlang.RunTable3()
+		rows, err := RunTable3()
 		if err != nil {
 			log.Fatalf("table 3: %v", err)
 		}
-		fmt.Println(bloomlang.FormatTable3(rows))
+		fmt.Println(FormatTable3(rows))
 	}
 	if run("fig4") {
-		fig, err := bloomlang.RunFigure4(figScale)
+		fig, err := RunFigure4(figScale)
 		if err != nil {
 			log.Fatalf("figure 4: %v", err)
 		}
-		fmt.Println(bloomlang.FormatFigure4(fig))
+		fmt.Println(FormatFigure4(fig))
 	}
 	if run("4") {
-		t4, err := bloomlang.RunTable4(figScale)
+		t4, err := RunTable4(figScale)
 		if err != nil {
 			log.Fatalf("table 4: %v", err)
 		}
-		fmt.Println(bloomlang.FormatTable4(t4))
+		fmt.Println(FormatTable4(t4))
 	}
 	if run("confusion") {
-		conf, err := bloomlang.RunConfusion(scale)
+		conf, err := RunConfusion(scale)
 		if err != nil {
 			log.Fatalf("confusion: %v", err)
 		}
-		fmt.Println(bloomlang.FormatConfusion(conf))
+		fmt.Println(FormatConfusion(conf))
 	}
 	if run("subsample") {
-		rows, err := bloomlang.RunSubsampleAblation(scale)
+		rows, err := RunSubsampleAblation(scale)
 		if err != nil {
 			log.Fatalf("subsample: %v", err)
 		}
-		fmt.Println(bloomlang.FormatSubsampleAblation(rows))
+		fmt.Println(FormatSubsampleAblation(rows))
 	}
 	if *only != "" && !validOnly(*only) {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (want 1, 2, 3, 4, fig4, confusion or subsample)\n", *only)
@@ -100,20 +98,20 @@ func validOnly(s string) bool {
 	return false
 }
 
-func scales(name string) (accuracy, throughput bloomlang.Scale, err error) {
+func scales(name string) (accuracy, throughput Scale, err error) {
 	switch name {
 	case "small":
-		s := bloomlang.Scale{DocsPerLanguage: 60, WordsPerDoc: 250, TrainFraction: 0.15, Seed: 1}
-		f := bloomlang.Scale{DocsPerLanguage: 25, WordsPerDoc: 1300, TrainFraction: 0.15, Seed: 1}
+		s := Scale{DocsPerLanguage: 60, WordsPerDoc: 250, TrainFraction: 0.15, Seed: 1}
+		f := Scale{DocsPerLanguage: 25, WordsPerDoc: 1300, TrainFraction: 0.15, Seed: 1}
 		return s, f, nil
 	case "default":
-		return bloomlang.DefaultScale(), bloomlang.Figure4Scale(), nil
+		return DefaultScale(), Figure4Scale(), nil
 	case "large":
-		s := bloomlang.Scale{DocsPerLanguage: 600, WordsPerDoc: 700, TrainFraction: 0.10, Seed: 1}
-		f := bloomlang.Scale{DocsPerLanguage: 200, WordsPerDoc: 1300, TrainFraction: 0.10, Seed: 1}
+		s := Scale{DocsPerLanguage: 600, WordsPerDoc: 700, TrainFraction: 0.10, Seed: 1}
+		f := Scale{DocsPerLanguage: 200, WordsPerDoc: 1300, TrainFraction: 0.10, Seed: 1}
 		return s, f, nil
 	case "paper":
-		return bloomlang.PaperScale(), bloomlang.PaperScale(), nil
+		return PaperScale(), PaperScale(), nil
 	}
 	return accuracy, throughput, fmt.Errorf("unknown scale %q (want small, default, large or paper)", name)
 }

@@ -19,11 +19,11 @@
 //
 //	langidd -corpus corpusdir -save profiles.bin
 //
-// Bootstrap against a synthetic corpus when no trained profiles exist
-// yet (development convenience; profiles are saved for next time when
-// -save is given):
+// For development without a real corpus, generate a synthetic one
+// first:
 //
-//	langidd -synthetic -save profiles.bin
+//	corpusgen -out corpusdir -docs 80 -words 300 -train 0.2 -seed 8
+//	langidd -corpus corpusdir -save profiles.bin
 //
 // Endpoints: POST /detect, POST /batch, POST /stream (NDJSON; ?spans=1
 // adds per-document mixed-language spans), POST /segment
@@ -34,6 +34,10 @@
 // answered with JSON error bodies (413 for oversized bodies, 408 for
 // request read timeouts). The daemon drains in-flight requests on
 // SIGINT/SIGTERM before exiting.
+//
+// The daemon links the product packages alone (internal/core, serve,
+// registry and train); the paper's hardware models and experiment
+// harness live with their own commands.
 package main
 
 import (
@@ -47,7 +51,10 @@ import (
 	"syscall"
 	"time"
 
-	"bloomlang"
+	"bloomlang/internal/core"
+	"bloomlang/internal/registry"
+	"bloomlang/internal/serve"
+	"bloomlang/internal/train"
 )
 
 func main() {
@@ -58,7 +65,6 @@ func main() {
 	registryDir := flag.String("registry", "", "profile registry directory to serve the active version of")
 	profilePath := flag.String("profiles", "", "trained profile file to serve from")
 	corpusDir := flag.String("corpus", "", "corpus directory to train from (corpusgen layout)")
-	synthetic := flag.Bool("synthetic", false, "train from a small synthetic corpus (development)")
 	savePath := flag.String("save", "", "write trained profiles to this file before serving")
 	backendName := flag.String("backend", "direct", "membership backend: direct (exact table), bloom, classic or blocked")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
@@ -82,11 +88,11 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 	flag.Parse()
 
-	backend, err := bloomlang.ParseBackend(*backendName)
+	backend, err := core.ParseBackend(*backendName)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := bloomlang.ServeConfig{
+	cfg := serve.Config{
 		Backend:       backend,
 		Workers:       *workers,
 		MinMargin:     *minMargin,
@@ -98,7 +104,7 @@ func main() {
 		WriteTimeout:  *writeTimeout,
 		IdleTimeout:   *idleTimeout,
 		IncludeCounts: *counts,
-		Segment: bloomlang.SegmentConfig{
+		Segment: core.SegmentConfig{
 			Window:     *segWindow,
 			Stride:     *segStride,
 			Hysteresis: *segHysteresis,
@@ -113,7 +119,6 @@ func main() {
 		registryDir: *registryDir,
 		profilePath: *profilePath,
 		corpusDir:   *corpusDir,
-		synthetic:   *synthetic,
 		savePath:    *savePath,
 	}, cfg)
 	if err != nil {
@@ -166,7 +171,6 @@ type profileSource struct {
 	registryDir string
 	profilePath string
 	corpusDir   string
-	synthetic   bool
 	savePath    string
 }
 
@@ -175,17 +179,17 @@ type profileSource struct {
 // non-registry sources). Every misconfiguration fails fast with a
 // clear message instead of falling through to a half-configured
 // server.
-func buildServer(src profileSource, cfg bloomlang.ServeConfig) (*bloomlang.Server, string, error) {
+func buildServer(src profileSource, cfg serve.Config) (*serve.Server, string, error) {
 	if src.registryDir != "" {
-		if src.profilePath != "" || src.corpusDir != "" || src.synthetic || src.savePath != "" {
-			return nil, "", errors.New("-registry cannot be combined with -profiles, -corpus, -synthetic or -save")
+		if src.profilePath != "" || src.corpusDir != "" || src.savePath != "" {
+			return nil, "", errors.New("-registry cannot be combined with -profiles, -corpus or -save")
 		}
-		reg, err := bloomlang.OpenRegistry(src.registryDir)
+		reg, err := registry.Open(src.registryDir)
 		if err != nil {
 			return nil, "", err
 		}
-		srv, err := bloomlang.NewServerFromRegistry(reg, cfg)
-		if errors.Is(err, bloomlang.ErrNoActiveProfile) {
+		srv, err := serve.NewFromRegistry(reg, cfg)
+		if errors.Is(err, registry.ErrNoActive) {
 			return nil, "", fmt.Errorf("registry %s has no active version: create one with 'langid train -registry %s -activate'",
 				src.registryDir, src.registryDir)
 		}
@@ -199,55 +203,41 @@ func buildServer(src profileSource, cfg bloomlang.ServeConfig) (*bloomlang.Serve
 		return nil, "", err
 	}
 	if src.savePath != "" {
-		if err := bloomlang.SaveProfiles(ps, src.savePath); err != nil {
+		if err := ps.SaveFile(src.savePath); err != nil {
 			return nil, "", fmt.Errorf("saving profiles: %w", err)
 		}
 		log.Printf("saved %d profiles to %s", len(ps.Profiles), src.savePath)
 	}
-	srv, err := bloomlang.NewServer(ps, cfg)
+	srv, err := serve.New(ps, cfg)
 	return srv, "", err
 }
 
 // resolveProfiles resolves a non-registry profile source from, in
-// order of preference: an existing profile file, a corpus directory,
-// or (with -synthetic) a generated development corpus.
-func resolveProfiles(src profileSource) (*bloomlang.ProfileSet, error) {
+// order of preference: an existing profile file or a corpus directory.
+func resolveProfiles(src profileSource) (*core.ProfileSet, error) {
 	if src.profilePath != "" {
-		ps, err := bloomlang.LoadProfiles(src.profilePath)
+		ps, err := core.LoadProfileSetFile(src.profilePath)
 		if err == nil {
 			log.Printf("loaded %d profiles from %s", len(ps.Profiles), src.profilePath)
 			return ps, nil
 		}
-		if errors.Is(err, os.ErrNotExist) && (src.corpusDir != "" || src.synthetic) {
+		if errors.Is(err, os.ErrNotExist) && src.corpusDir != "" {
 			log.Printf("profile file %s not found, training", src.profilePath)
 		} else if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("profile file %s does not exist: train one with 'langid train -out %s', or pass -corpus/-synthetic to train at startup",
+			return nil, fmt.Errorf("profile file %s does not exist: train one with 'langid train -out %s', or pass -corpus to train at startup",
 				src.profilePath, src.profilePath)
 		} else {
 			return nil, fmt.Errorf("loading profiles: %w", err)
 		}
 	}
-	switch {
-	case src.corpusDir != "":
+	if src.corpusDir != "" {
 		log.Printf("training from corpus %s (streaming)", src.corpusDir)
-		ps, stats, err := bloomlang.TrainDir(bloomlang.DefaultConfig(), src.corpusDir)
+		ps, stats, err := train.Dir(core.DefaultConfig(), src.corpusDir)
 		if err != nil {
 			return nil, err
 		}
 		log.Printf("trained on %d documents (%.1f MB)", stats.Docs, float64(stats.Bytes)/1e6)
 		return ps, nil
-	case src.synthetic:
-		corp, err := bloomlang.GenerateCorpus(bloomlang.CorpusConfig{
-			DocsPerLanguage: 80,
-			WordsPerDoc:     300,
-			TrainFraction:   0.2,
-			Seed:            8,
-		})
-		if err != nil {
-			return nil, err
-		}
-		log.Print("training from synthetic corpus")
-		return bloomlang.Train(bloomlang.DefaultConfig(), corp)
 	}
-	return nil, errors.New("no profiles to serve: pass -registry DIR, -profiles FILE, -corpus DIR, or -synthetic")
+	return nil, errors.New("no profiles to serve: pass -registry DIR, -profiles FILE or -corpus DIR")
 }

@@ -11,15 +11,38 @@ import (
 	"strings"
 	"testing"
 
-	"bloomlang"
+	"bloomlang/internal/core"
+	"bloomlang/internal/registry"
+	"bloomlang/internal/serve"
+	"bloomlang/internal/train"
 )
+
+// writeCorpus writes a tiny two-language training corpus in the
+// cmd/corpusgen layout (LANG/train/NNNNNN.txt) and returns its root.
+func writeCorpus(t *testing.T) string {
+	t.Helper()
+	root := t.TempDir()
+	for lang, text := range map[string]string{
+		"en": "the council shall adopt the measures necessary for the application of this regulation",
+		"fi": "neuvosto hyväksyy tämän asetuksen soveltamiseksi tarvittavat toimenpiteet",
+	} {
+		dir := filepath.Join(root, lang, "train")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "000000.txt"), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
+}
 
 func TestResolveProfilesNoSource(t *testing.T) {
 	_, err := resolveProfiles(profileSource{})
 	if err == nil {
 		t.Fatal("no profile source resolved without error")
 	}
-	for _, want := range []string{"-registry", "-profiles", "-corpus", "-synthetic"} {
+	for _, want := range []string{"-registry", "-profiles", "-corpus"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %s", err, want)
 		}
@@ -37,9 +60,9 @@ func TestResolveProfilesMissingFileNoFallback(t *testing.T) {
 	}
 }
 
-func TestResolveProfilesMissingFileWithSyntheticFallback(t *testing.T) {
+func TestResolveProfilesMissingFileWithCorpusFallback(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "nope.bin")
-	ps, err := resolveProfiles(profileSource{profilePath: path, synthetic: true})
+	ps, err := resolveProfiles(profileSource{profilePath: path, corpusDir: writeCorpus(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,21 +80,21 @@ func TestResolveProfilesCorruptFileIsNotFallthrough(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a profile file"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := resolveProfiles(profileSource{profilePath: path, synthetic: true})
+	_, err := resolveProfiles(profileSource{profilePath: path, corpusDir: writeCorpus(t)})
 	if err == nil {
 		t.Fatal("corrupt profile file fell through to training")
 	}
 }
 
 func TestBuildServerRegistryExclusivity(t *testing.T) {
-	_, _, err := buildServer(profileSource{registryDir: t.TempDir(), synthetic: true}, bloomlang.ServeConfig{})
+	_, _, err := buildServer(profileSource{registryDir: t.TempDir(), corpusDir: writeCorpus(t)}, serve.Config{})
 	if err == nil || !strings.Contains(err.Error(), "cannot be combined") {
-		t.Fatalf("registry+synthetic err = %v", err)
+		t.Fatalf("registry+corpus err = %v", err)
 	}
 }
 
 func TestBuildServerEmptyRegistry(t *testing.T) {
-	_, _, err := buildServer(profileSource{registryDir: filepath.Join(t.TempDir(), "reg")}, bloomlang.ServeConfig{})
+	_, _, err := buildServer(profileSource{registryDir: filepath.Join(t.TempDir(), "reg")}, serve.Config{})
 	if err == nil || !strings.Contains(err.Error(), "no active version") || !strings.Contains(err.Error(), "langid train") {
 		t.Fatalf("empty registry err = %v, want actionable no-active-version message", err)
 	}
@@ -79,11 +102,11 @@ func TestBuildServerEmptyRegistry(t *testing.T) {
 
 func TestBuildServerFromRegistry(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "reg")
-	reg, err := bloomlang.OpenRegistry(dir)
+	reg, err := registry.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := bloomlang.NewTrainer(bloomlang.Config{TopT: 200}, bloomlang.WithShards(1))
+	tr, err := train.New(core.Config{TopT: 200}, train.WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +124,7 @@ func TestBuildServerFromRegistry(t *testing.T) {
 	if err := reg.Activate(m.Version); err != nil {
 		t.Fatal(err)
 	}
-	srv, version, err := buildServer(profileSource{registryDir: dir}, bloomlang.ServeConfig{})
+	srv, version, err := buildServer(profileSource{registryDir: dir}, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +134,7 @@ func TestBuildServerFromRegistry(t *testing.T) {
 	if got := srv.Stats().ProfileVersion; got != m.Version {
 		t.Errorf("stats version %q, want %q", got, m.Version)
 	}
-	if _, _, err := buildServer(profileSource{registryDir: dir}, bloomlang.ServeConfig{MinMargin: math.NaN()}); err == nil {
+	if _, _, err := buildServer(profileSource{registryDir: dir}, serve.Config{MinMargin: math.NaN()}); err == nil {
 		t.Error("buildServer accepted a NaN min margin")
 	}
 }

@@ -1,85 +1,98 @@
 // Command vhdlgen exports a trained classifier configuration as
 // synthesizable VHDL — the form the paper's implementation took (§4).
-// Profiles come from cmd/langid train; the H3 matrices are fixed by the
-// seed, so software classification, the cycle simulator, and the
-// generated hardware all implement the same function.
+// Profiles come from cmd/langid train (or langidd -save); the H3
+// matrices are fixed by the seed, so software classification, the
+// cycle simulator, and the generated hardware all implement the same
+// function.
 //
 // Usage:
 //
 //	vhdlgen -profiles profiles.bin [-k 4] [-m 16384] [-seed 1] [-out classifier.vhd]
+//
+// The hardware is generated for the configuration recorded in the
+// profile file, the one the software serving that file runs; -k, -m and
+// -seed override it only when given. Legacy bare-profile files carry no
+// configuration and are read under the defaults.
 package main
 
 import (
 	"bufio"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
 
-	"bloomlang"
 	"bloomlang/internal/core"
-	"bloomlang/internal/ngram"
 	"bloomlang/internal/vhdl"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vhdlgen: ")
-	profilePath := flag.String("profiles", "profiles.bin", "trained profile file (langid train)")
-	k := flag.Int("k", 4, "hash functions per Bloom filter")
-	m := flag.Uint("m", 16*1024, "bits per bit-vector (power of two)")
-	seed := flag.Int64("seed", 1, "H3 matrix seed (must match the software deployment)")
-	out := flag.String("out", "classifier.vhd", "output VHDL file ('-' for stdout)")
-	flag.Parse()
-
-	f, err := os.Open(*profilePath)
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	cfg := bloomlang.DefaultConfig()
-	cfg.K = *k
-	cfg.MBits = uint32(*m)
-	cfg.Seed = *seed
-	ps := &core.ProfileSet{Config: cfg}
-	for {
-		p, err := ngram.ReadProfile(br)
-		if err != nil {
-			if errors.Is(err, io.EOF) && len(ps.Profiles) > 0 {
-				break
-			}
-			log.Fatal(err)
+}
+
+// run parses args, loads the profile file and writes the VHDL listing
+// to -out (stdout for "-").
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("vhdlgen", flag.ContinueOnError)
+	profilePath := fs.String("profiles", "profiles.bin", "trained profile file (langid train -out, langidd -save)")
+	k := fs.Int("k", 4, "hash functions per Bloom filter (default: the file's)")
+	m := fs.Uint("m", 16*1024, "bits per bit-vector, a power of two (default: the file's)")
+	seed := fs.Int64("seed", 1, "H3 matrix seed (default: the file's; must match the software deployment)")
+	out := fs.String("out", "classifier.vhd", "output VHDL file ('-' for stdout)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	ps, err := core.LoadProfileSetFile(*profilePath)
+	if err != nil {
+		return err
+	}
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "k":
+			ps.Config.K = *k
+		case "m":
+			ps.Config.MBits = uint32(*m)
+		case "seed":
+			ps.Config.Seed = *seed
 		}
-		ps.Config.N = p.N
-		ps.Profiles = append(ps.Profiles, p)
+	})
+	if err := ps.Config.Validate(); err != nil {
+		return err
 	}
-
-	clf, err := core.New(ps, core.BackendBloom)
+	filters, err := ps.ParallelFilters()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	var w io.Writer = os.Stdout
+	w := stdout
+	var of *os.File
 	if *out != "-" {
-		of, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
+		if of, err = os.Create(*out); err != nil {
+			return err
 		}
-		defer of.Close()
+		defer of.Close() // error paths; success checks Close below
 		w = of
 	}
 	bw := bufio.NewWriter(w)
-	if err := vhdl.Generate(bw, clf); err != nil {
-		log.Fatal(err)
+	cfg := ps.Config
+	if err := vhdl.Generate(bw, cfg, ps.Languages(), filters); err != nil {
+		return err
 	}
 	if err := bw.Flush(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if *out != "-" {
-		fmt.Printf("wrote %s: %d languages, k=%d, m=%d bits, n=%d\n",
-			*out, len(clf.Languages()), cfg.K, cfg.MBits, ps.Config.N)
+	if of != nil {
+		if err := of.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s: %d languages, k=%d, m=%d bits, n=%d\n",
+			*out, len(filters), cfg.K, cfg.MBits, cfg.N)
 	}
+	return nil
 }

@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"bloomlang"
+	"bloomlang/internal/ht"
 	"bloomlang/internal/xd1000"
 )
 
@@ -56,7 +57,7 @@ func main() {
 		log.Fatalf("no test documents for language %q", *lang)
 	}
 
-	modes := []bloomlang.DriverMode{bloomlang.ModeSync, bloomlang.ModeAsync}
+	modes := []xd1000.Mode{xd1000.ModeSync, xd1000.ModeAsync}
 	switch *mode {
 	case "sync":
 		modes = modes[:1]
@@ -68,16 +69,16 @@ func main() {
 	}
 
 	for _, md := range modes {
-		opts := bloomlang.SystemOptions{}
+		opts := xd1000.Options{}
 		if *improved {
-			opts.Link = bloomlang.ImprovedLink()
+			opts.Link = ht.ImprovedConfig()
 		}
 		var tr *xd1000.Trace
 		if *trace > 0 {
 			tr = xd1000.NewTrace(*trace)
 			opts.Trace = tr
 		}
-		sys, err := bloomlang.NewSystem(ps, opts)
+		sys, err := xd1000.New(ps, opts)
 		if err != nil {
 			log.Fatal(err)
 		}

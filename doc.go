@@ -1,10 +1,15 @@
 // Package bloomlang is a pure-Go reproduction of "Language
 // Classification using N-grams Accelerated by FPGA-based Bloom Filters"
 // (Jacob & Gokhale, HPRCTA'07): n-gram language classification with
-// Parallel Bloom Filter membership testing, together with a
-// cycle-accounted simulation of the XtremeData XD1000 hardware platform
-// the paper deployed on and the two baselines it compares against
-// (the HAIL FPGA design and Mguesser-style Cavnar-Trenkle software).
+// Parallel Bloom Filter membership testing (§3.2), served as a library
+// and an HTTP daemon. This package is the product API: detection,
+// training, profile files and the registry, serving, plus the
+// synthetic corpus and the accuracy and throughput scoring the
+// examples and langid eval use. The paper's measurement apparatus — a
+// cycle-accounted simulation of the XtremeData XD1000 platform, the
+// HAIL and Mguesser-style Cavnar-Trenkle baselines, the Stratix II
+// resource models and the Table 1–4 harness — lives in internal
+// packages reached through its own commands (see Architecture).
 //
 // # Quick start
 //
@@ -62,46 +67,16 @@
 //
 // # Membership backends
 //
-// The membership structure is an open registry. Four ship built in:
+// The membership structure is one of a closed set of four backends:
 // an exact direct table ("direct-lookup"/"direct", the default), the
 // paper's Parallel Bloom Filter ("parallel-bloom"/"bloom"), a classic
 // single-vector Bloom filter ("classic-bloom"/"classic"), and a fused
 // cache-line-blocked Bloom filter ("blocked-bloom"/"blocked").
-// ParseBackend resolves any registered name or alias (the CLIs' -backend
-// flag is exactly this), Backend.String round-trips it back, and
-// RegisterBackend plugs in new implementations. A backend is a Kernel
-// built over the whole profile set. Its AccumulateInto scores every
-// language for each n-gram of a run of packed n-grams, adding into one
-// counter per language; its Count does the same for the n-grams a piece
-// of raw document bytes completes, carrying the n-gram register across
-// pieces in a Window. CountGrams implements Count for any kernel in one
-// line, by extracting n-grams a block at a time:
-//
-//	type myKernel struct{ sets []map[uint32]bool } // one set per language
-//
-//	func (k *myKernel) AccumulateInto(counts []int, gs []uint32) {
-//		for i, set := range k.sets {
-//			for _, g := range gs {
-//				if set[g] {
-//					counts[i]++
-//				}
-//			}
-//		}
-//	}
-//
-//	func (k *myKernel) Count(counts []int, w *bloomlang.Window, p []byte) int {
-//		return bloomlang.CountGrams(k, counts, w, p)
-//	}
-//
-//	mine := bloomlang.RegisterBackend("my-backend",
-//		func(cfg bloomlang.Config, ps *bloomlang.ProfileSet) (bloomlang.Kernel, error) {
-//			k := &myKernel{}
-//			for _, p := range ps.Profiles {
-//				k.sets = append(k.sets, p.Set())
-//			}
-//			return k, nil
-//		}, "mine")
-//	det, _ := bloomlang.NewDetector(profiles, bloomlang.WithBackend(mine))
+// ParseBackend resolves a canonical name or alias (the CLIs' -backend
+// flag is exactly this) and Backend.String round-trips it back. Each
+// backend counts through one kernel built over the whole profile set,
+// which scores every language for each n-gram in one call and counts
+// straight from a document's raw bytes.
 //
 // The default backend is HAIL's direct table (§2) generalised from one
 // language per packed n-gram to a language bitmask per packed n-gram:
@@ -148,10 +123,9 @@
 // because hashing is shared across languages and probes never leave
 // one cache line per language. Prefer "direct" for software serving;
 // "blocked" when the n-gram space outgrows a table (n >= 6); "bloom"
-// when simulated-hardware and software classifications must share
-// filter state bit-for-bit (the XD1000 simulator and the paper
-// reproductions borrow the parallel filters); "classic" exists as an
-// ablation. SaveProfilesBlocked embeds the programmed blocked
+// when software classifications must match the simulated hardware
+// bit-for-bit (the XD1000, RTL and VHDL models build the same parallel
+// filters from the profile set); "classic" exists as an ablation. SaveProfilesBlocked embeds the programmed blocked
 // layout in the profile file (NGPS v2), so a daemon serving "blocked"
 // skips filter programming at startup; v1 files and legacy NGPF
 // streams remain readable, and damaged files fail with errors tagged
@@ -234,8 +208,16 @@
 //   - baselines: HAIL (direct SRAM lookup) and Cavnar-Trenkle rank
 //     ordering.
 //
-// Every table and figure of the paper's evaluation can be regenerated;
-// see the Run* experiment functions and cmd/experiments.
+// The first four are the product, exported here; cmd/langidd links
+// them with the serving layer, the registry and the trainer, and
+// nothing else. The hardware models and baselines are the paper's
+// measurement apparatus, reached through their commands:
+// cmd/experiments regenerates every table and figure of the paper's
+// evaluation (Tables 1–4, Figure 4, the confusion and subsampling
+// studies), cmd/xd1000sim streams a corpus through the simulated
+// XD1000, cmd/designspace sweeps the §5.2 Bloom filter design space,
+// and cmd/vhdlgen exports a trained profile file as synthesizable
+// VHDL.
 //
 // # Profile lifecycle
 //
@@ -320,8 +302,8 @@
 // cmd/langidd is the production daemon around this handler: flags for
 // address, backend, worker pool, confidence thresholds (-min-margin,
 // -min-ngrams), body/batch/line limits and read/write/idle timeouts,
-// profile sources (-registry, -profiles, -corpus, -synthetic, with
-// -save), SIGHUP hot reload, and graceful drain on SIGINT/SIGTERM.
+// profile sources (-registry, -profiles, -corpus, with -save), SIGHUP
+// hot reload, and graceful drain on SIGINT/SIGTERM.
 // examples/server walks the full serving surface, admin plane
 // included, in one self-contained program.
 package bloomlang

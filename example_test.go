@@ -57,34 +57,3 @@ func ExampleDetector_Detect() {
 	fmt.Println(m.Unknown, m.Lang == "")
 	// Output: true true
 }
-
-// FalsePositiveRate evaluates the paper's §3.1 model: a 5,000-n-gram
-// profile in four 16 Kbit vectors gives about five false positives per
-// thousand lookups (Table 1, row 1).
-func ExampleFalsePositiveRate() {
-	f := bloomlang.FalsePositiveRate(5000, 16*1024, 4)
-	fmt.Printf("%.0f per thousand\n", f*1000)
-	// Output: 5 per thousand
-}
-
-// MaxLanguages reproduces the §5.2 capacity arithmetic: the
-// space-efficient configuration (k=6, one 4 Kbit RAM per vector)
-// supports thirty languages on the EP2S180.
-func ExampleMaxLanguages() {
-	n := bloomlang.MaxLanguages(6, 4*1024, bloomlang.EP2S180())
-	fmt.Println(n, "languages")
-	// Output: 30 languages
-}
-
-// EstimateFPGASystem reproduces a Table 3 row: the ten-language
-// conservative build.
-func ExampleEstimateFPGASystem() {
-	rep, err := bloomlang.EstimateFPGASystem(bloomlang.ModuleConfig{
-		K: 4, MBits: 16 * 1024, Languages: 10, Copies: 4,
-	}, bloomlang.EP2S180())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%d M4Ks at %.0f MHz, fits: %v\n", rep.M4Ks, rep.FreqMHz, rep.Fits)
-	// Output: 680 M4Ks at 194 MHz, fits: true
-}

@@ -9,6 +9,8 @@ import (
 	"log"
 
 	"bloomlang"
+	"bloomlang/internal/ht"
+	"bloomlang/internal/xd1000"
 )
 
 func main() {
@@ -28,7 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sys, err := bloomlang.NewSystem(profiles, bloomlang.SystemOptions{})
+	sys, err := xd1000.New(profiles, xd1000.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func main() {
 
 	// Stream the combined test set with the asynchronous driver.
 	docs := corp.TestDocuments("")
-	rep, err := sys.Stream(docs, bloomlang.ModeAsync, true)
+	rep, err := sys.Stream(docs, xd1000.ModeAsync, true)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,12 +69,12 @@ func main() {
 
 	// Compare against the interrupt-synchronized driver (the paper's
 	// first software version, half the throughput).
-	sysSync, err := bloomlang.NewSystem(profiles, bloomlang.SystemOptions{})
+	sysSync, err := xd1000.New(profiles, xd1000.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	sysSync.Program()
-	repSync, err := sysSync.Stream(docs, bloomlang.ModeSync, false)
+	repSync, err := sysSync.Stream(docs, xd1000.ModeSync, false)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,12 +83,12 @@ func main() {
 		repSync.MBPerSec(), rep.MBPerSec()/repSync.MBPerSec())
 
 	// §5.5 projection: remove the platform's 500 MB/s cap.
-	sysFast, err := bloomlang.NewSystem(profiles, bloomlang.SystemOptions{Link: bloomlang.ImprovedLink()})
+	sysFast, err := xd1000.New(profiles, xd1000.Options{Link: ht.ImprovedConfig()})
 	if err != nil {
 		log.Fatal(err)
 	}
 	sysFast.Program()
-	repFast, err := sysFast.Stream(docs, bloomlang.ModeAsync, false)
+	repFast, err := sysFast.Stream(docs, xd1000.ModeAsync, false)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"bloomlang"
+	"bloomlang/internal/fpga"
 )
 
 func main() {
@@ -30,7 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dev := bloomlang.EP2S180()
+	dev := fpga.EP2S180()
 
 	fmt.Println("m (Kbit)  k  exp FP/1000  accuracy   Kbit/lang  languages@8ngrams/clk")
 	fmt.Println("-----------------------------------------------------------------------")
@@ -51,7 +52,7 @@ func main() {
 			log.Fatal(err)
 		}
 		ev := bloomlang.Evaluate(det, corp)
-		maxLangs := bloomlang.MaxLanguages(point.k, cfg.MBits, dev)
+		maxLangs := fpga.MaxLanguages(point.k, cfg.MBits, 4, dev)
 		fmt.Printf("%8d  %d  %11.1f  %7.2f%%  %9d  %d\n",
 			point.mKbit, point.k,
 			1000*cfg.ExpectedFalsePositiveRate(),

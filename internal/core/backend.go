@@ -62,116 +62,50 @@ func CountGrams(k Kernel, counts []int, w *Window, p []byte) (grams int) {
 	return grams
 }
 
-// BackendBuilder constructs a backend's Kernel over the whole profile
-// set at once, so fused backends can lay the per-language state out
-// contiguously and per-language backends can derive each language's
-// seed from its index.
-type BackendBuilder func(cfg Config, ps *ProfileSet) (Kernel, error)
-
-// backendEntry is one registered membership backend. The entry's slot
-// in the registry table is its Backend value, so the registry is an
-// open-ended extension of the original closed enum.
-type backendEntry struct {
-	name    string
-	aliases []string
-	build   BackendBuilder
-}
-
-var (
-	backendMu    sync.RWMutex
-	backendTable []backendEntry
-	backendIndex = map[string]Backend{} // canonical names and aliases
-)
-
-// RegisterBackend adds a membership backend under a canonical name plus
-// optional parse aliases, returning the Backend value that now selects
-// it. Registration panics on a duplicate or empty name — backends are
-// wired up in init functions, where a clash is a programming error.
-func RegisterBackend(name string, build BackendBuilder, aliases ...string) Backend {
-	if build == nil {
-		panic("core: RegisterBackend with nil builder")
-	}
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	if name == "" {
-		panic("core: backend registration with empty name")
-	}
-	for _, n := range append([]string{name}, aliases...) {
-		if _, dup := backendIndex[n]; dup {
-			panic(fmt.Sprintf("core: backend name %q already registered", n))
-		}
-	}
-	b := Backend(len(backendTable))
-	backendTable = append(backendTable, backendEntry{name: name, aliases: aliases, build: build})
-	backendIndex[name] = b
-	for _, n := range aliases {
-		backendIndex[n] = b
-	}
-	return b
+// backends is the closed set of membership backends, indexed by
+// their Backend constant: canonical name, parse alias and the function
+// that builds the backend's Kernel over the whole profile set.
+var backends = [...]struct {
+	name, alias string
+	build       func(cfg Config, ps *ProfileSet) (Kernel, error)
+}{
+	BackendDirect:  {"direct-lookup", "direct", buildMaskKernel},
+	BackendBloom:   {"parallel-bloom", "bloom", buildParallelBloom},
+	BackendClassic: {"classic-bloom", "classic", buildClassicBloom},
+	BackendBlocked: {"blocked-bloom", "blocked", buildBlocked},
 }
 
 // ParseBackend resolves a backend by canonical name or alias. It is the
 // inverse of Backend.String: ParseBackend(b.String()) == b for every
-// registered backend.
+// backend.
 func ParseBackend(name string) (Backend, error) {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	if b, ok := backendIndex[name]; ok {
-		return b, nil
+	names := make([]string, len(backends))
+	for b, e := range backends {
+		if name == e.name || name == e.alias {
+			return Backend(b), nil
+		}
+		names[b] = e.name
 	}
-	return 0, fmt.Errorf("core: unknown backend %q (have %v)", name, backendNamesLocked())
+	return 0, fmt.Errorf("core: unknown backend %q (have %v)", name, names)
 }
 
-// Backends returns every registered backend's canonical name, sorted.
+// Backends returns every backend's canonical name, sorted.
 func Backends() []string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	names := backendNamesLocked()
-	sort.Strings(names)
-	return names
-}
-
-func backendNamesLocked() []string {
-	names := make([]string, len(backendTable))
-	for i, e := range backendTable {
-		names[i] = e.name
+	names := make([]string, len(backends))
+	for b, e := range backends {
+		names[b] = e.name
 	}
+	sort.Strings(names)
 	return names
 }
 
 // String names the backend for reports and round-trips through
 // ParseBackend.
 func (b Backend) String() string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	if int(b) >= 0 && int(b) < len(backendTable) {
-		return backendTable[b].name
+	if b < 0 || int(b) >= len(backends) {
+		return fmt.Sprintf("backend(%d)", int(b))
 	}
-	return fmt.Sprintf("backend(%d)", int(b))
-}
-
-// builder returns the registered builder, or an error for a Backend
-// value that was never registered.
-func (b Backend) builder() (BackendBuilder, error) {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	if int(b) < 0 || int(b) >= len(backendTable) {
-		return nil, fmt.Errorf("core: unknown backend %d", int(b))
-	}
-	return backendTable[b].build, nil
-}
-
-// The built-in backends register in constant order so the registry
-// slots line up with the Backend constants; direct-lookup takes slot 0,
-// which makes it the zero-value default.
-func init() {
-	directB := RegisterBackend("direct-lookup", buildMaskKernel, "direct")
-	bloomB := RegisterBackend("parallel-bloom", buildParallelBloom, "bloom")
-	classicB := RegisterBackend("classic-bloom", buildClassicBloom, "classic")
-	blockedB := RegisterBackend("blocked-bloom", buildBlocked, "blocked")
-	if bloomB != BackendBloom || directB != BackendDirect || classicB != BackendClassic || blockedB != BackendBlocked {
-		panic("core: built-in backends registered out of order")
-	}
+	return backends[b].name
 }
 
 // perLanguage is the kernel of the per-language backends: one
@@ -196,38 +130,53 @@ func (p *perLanguage[F]) Count(counts []int, w *Window, b []byte) int {
 	return CountGrams(p, counts, w, b)
 }
 
-// buildPerLanguage programs one filter per language, each from its own
-// seed, and wraps them in the languages×grams kernel.
-func buildPerLanguage[F interface {
-	Test(uint32) bool
-	ProgramAll([]uint32)
-}](cfg Config, ps *ProfileSet, newFilter func(seed int64) (F, error)) (Kernel, error) {
-	fs := &perLanguage[F]{filters: make([]F, len(ps.Profiles))}
+// programPerLanguage programs one filter per language, each from its
+// own seed.
+func programPerLanguage[F interface{ ProgramAll([]uint32) }](cfg Config, ps *ProfileSet, newFilter func(seed int64) (F, error)) ([]F, error) {
+	fs := make([]F, len(ps.Profiles))
 	for i, p := range ps.Profiles {
 		f, err := newFilter(perLanguageSeed(cfg.Seed, i))
 		if err != nil {
 			return nil, err
 		}
 		f.ProgramAll(p.Grams)
-		fs.filters[i] = f
+		fs[i] = f
 	}
 	return fs, nil
 }
 
-// buildParallelBloom is the paper's design: k H3 hashes into k
-// independent m-bit vectors per language (§3.1).
-func buildParallelBloom(cfg Config, ps *ProfileSet) (Kernel, error) {
-	return buildPerLanguage(cfg, ps, func(seed int64) (*bloom.Parallel, error) {
+// ParallelFilters programs the paper's Parallel Bloom Filter for every
+// language of the set, in profile order: k H3 hashes into k
+// independent m-bit vectors per language (§3.1), each language under
+// its own seed. The parallel-bloom backend scores through these
+// filters, and the XD1000, RTL and VHDL models build theirs here, so
+// simulated hardware and software agree bit for bit.
+func (ps *ProfileSet) ParallelFilters() ([]*bloom.Parallel, error) {
+	cfg := ps.Config.WithDefaults()
+	return programPerLanguage(cfg, ps, func(seed int64) (*bloom.Parallel, error) {
 		return bloom.NewParallel(cfg.K, ngram.Bits(cfg.N), cfg.MBits, seed)
 	})
+}
+
+// buildParallelBloom is the paper's design over ps.ParallelFilters.
+func buildParallelBloom(_ Config, ps *ProfileSet) (Kernel, error) {
+	fs, err := ps.ParallelFilters()
+	if err != nil {
+		return nil, err
+	}
+	return &perLanguage[*bloom.Parallel]{fs}, nil
 }
 
 // buildClassicBloom is the ablation: one k·m-bit vector shared by all k
 // hash functions.
 func buildClassicBloom(cfg Config, ps *ProfileSet) (Kernel, error) {
-	return buildPerLanguage(cfg, ps, func(seed int64) (*bloom.Classic, error) {
+	fs, err := programPerLanguage(cfg, ps, func(seed int64) (*bloom.Classic, error) {
 		return bloom.NewClassic(cfg.K, ngram.Bits(cfg.N), cfg.MBits*uint32(cfg.K), seed)
 	})
+	if err != nil {
+		return nil, err
+	}
+	return &perLanguage[*bloom.Classic]{fs}, nil
 }
 
 // perLanguageSeed offsets the configured seed per language so filters

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// TestBackendStringParseRoundTrip pins the registry contract the CLIs
-// rely on: every registered backend's String() parses back to itself,
+// TestBackendStringParseRoundTrip pins the contract the CLIs rely on:
+// every backend's String() parses back to itself,
 // and the historical aliases keep working.
 func TestBackendStringParseRoundTrip(t *testing.T) {
 	for _, b := range []Backend{BackendBloom, BackendDirect, BackendClassic, BackendBlocked} {
@@ -70,69 +70,6 @@ func TestBackendStringUnregisteredValue(t *testing.T) {
 	}
 }
 
-// acceptAll matches every n-gram — a degenerate per-language filter
-// that exists only to prove third-party filters plug in through the
-// languages×grams kernel.
-type acceptAll struct{}
-
-func (acceptAll) Test(uint32) bool { return true }
-
-func TestRegisterBackendExtendsClassifier(t *testing.T) {
-	b := RegisterBackend("test-accept-all", func(cfg Config, ps *ProfileSet) (Kernel, error) {
-		return &perLanguage[acceptAll]{filters: make([]acceptAll, len(ps.Profiles))}, nil
-	}, "accept")
-	if got, err := ParseBackend("accept"); err != nil || got != b {
-		t.Fatalf("ParseBackend(alias) = %v, %v", got, err)
-	}
-	if b.String() != "test-accept-all" {
-		t.Fatalf("String() = %q", b.String())
-	}
-	ps := trainMini(t, Config{TopT: 500})
-	det, err := NewDetector(ps, WithBackend(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := []byte("the registry must accept custom membership structures")
-	m := det.Detect(doc)
-	// Every language matches every n-gram, so the winner is an exact tie
-	// broken to the first language, with score 1.
-	if m.Unknown || m.Score != 1 || m.Count != m.NGrams {
-		t.Errorf("accept-all detect = %+v", m)
-	}
-	if m.Lang != det.Languages()[0] {
-		t.Errorf("tie broke to %q, want first language %q", m.Lang, det.Languages()[0])
-	}
-}
-
-// rejectAll is a fused kernel that matches nothing — it exists only to
-// prove third-party fused backends plug in through the registry.
-type rejectAll struct{ langs int }
-
-func (rejectAll) AccumulateInto([]int, []uint32) {}
-
-func (k rejectAll) Count(counts []int, w *Window, p []byte) int { return CountGrams(k, counts, w, p) }
-
-func TestRegisterBackendAcceptsFusedKernel(t *testing.T) {
-	b := RegisterBackend("test-reject-all", func(cfg Config, ps *ProfileSet) (Kernel, error) {
-		return rejectAll{langs: len(ps.Profiles)}, nil
-	}, "reject")
-	if got, err := ParseBackend("reject"); err != nil || got != b {
-		t.Fatalf("ParseBackend(alias) = %v, %v", got, err)
-	}
-	ps := trainMini(t, Config{TopT: 500})
-	det, err := NewDetector(ps, WithBackend(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := []byte("fused registrations must flow through the same registry")
-	m := det.Detect(doc)
-	// Nothing matches anything: zero counts everywhere, tie broken to
-	// the first language with score 0.
-	if m.Count != 0 || m.Score != 0 || m.NGrams == 0 {
-		t.Errorf("reject-all detect = %+v", m)
-	}
-}
-
 func TestBlockedBackendRejectsSingleHash(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 500})
 	single := &ProfileSet{Config: ps.Config, Profiles: ps.Profiles}
@@ -140,17 +77,6 @@ func TestBlockedBackendRejectsSingleHash(t *testing.T) {
 	if _, err := New(single, BackendBlocked); err == nil {
 		t.Error("blocked backend accepted k=1 (no bit probes left after block select)")
 	}
-}
-
-func TestRegisterBackendRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate registration did not panic")
-		}
-	}()
-	RegisterBackend("parallel-bloom", func(cfg Config, ps *ProfileSet) (Kernel, error) {
-		return rejectAll{}, nil
-	})
 }
 
 // FuzzKernelCount is the differential check of the serving path against

@@ -6,7 +6,7 @@
 // The flow is exactly the paper's:
 //
 //  1. Preprocessing generates an n-gram profile per language from a
-//     representative sample of documents (Train).
+//     representative sample of documents (TrainFromTexts).
 //  2. A document's n-grams are tested for membership in every language
 //     profile; each match increments that language's counter.
 //  3. The language with the highest match count is the classification.
@@ -22,15 +22,18 @@
 // takes documents as bytes; corpus scoring lives in the root bloomlang
 // package.
 //
-// Four interchangeable membership backends are provided. The default,
+// The membership backends are a closed set of four. The default,
 // direct-lookup, is exact: HAIL's direct table (§2) generalised to one
 // language bitmask per packed n-gram, so one table load scores an
 // n-gram against up to 16 languages. The Parallel Bloom Filter is the
 // paper's design, the classic single-vector Bloom filter its ablation,
 // and the cache-line-blocked Bloom filter a fused Bloom variant for key
-// spaces too large for a table (n >= 6). The simulated FPGA datapath in
-// internal/xd1000 uses the same Parallel Bloom Filter code, so
-// hardware-simulated and software classifications agree bit-for-bit.
+// spaces too large for a table (n >= 6). The paper's hardware models
+// (internal/xd1000, internal/rtl, internal/vhdl) do not link a
+// Classifier: they build their own filters with
+// ProfileSet.ParallelFilters, the function the parallel-bloom backend
+// builds through, so hardware-simulated and software classifications
+// agree bit-for-bit.
 package core
 
 import (
@@ -185,9 +188,23 @@ func (ps *ProfileSet) Languages() []string {
 	return langs
 }
 
-// Backend selects the membership structure a Classifier uses. The
-// built-in values below are registered in backend.go; additional
-// backends can be added at init time with RegisterBackend.
+// languageNames are the English names of the paper's ten languages.
+var languageNames = map[string]string{
+	"cs": "Czech", "da": "Danish", "en": "English", "es": "Spanish", "et": "Estonian",
+	"fi": "Finnish", "fr": "French", "pt": "Portuguese", "sk": "Slovak", "sv": "Swedish",
+}
+
+// LanguageName returns the English name for a language code, or the
+// code itself when it is not one of the paper's ten languages.
+func LanguageName(code string) string {
+	if name, ok := languageNames[code]; ok {
+		return name
+	}
+	return code
+}
+
+// Backend selects the membership structure a Classifier uses, one of
+// the four below; backend.go names them and builds their kernels.
 type Backend int
 
 const (
@@ -233,9 +250,8 @@ func New(ps *ProfileSet, backend Backend) (*Classifier, error) {
 	if len(ps.Profiles) == 0 {
 		return nil, fmt.Errorf("core: empty profile set")
 	}
-	build, err := backend.builder()
-	if err != nil {
-		return nil, err
+	if backend < 0 || int(backend) >= len(backends) {
+		return nil, fmt.Errorf("core: unknown backend %d", int(backend))
 	}
 	c := &Classifier{cfg: cfg, backend: backend, window: ngram.Window{N: cfg.N, Subsample: cfg.Subsample}}
 	for _, p := range ps.Profiles {
@@ -244,7 +260,8 @@ func New(ps *ProfileSet, backend Backend) (*Classifier, error) {
 		}
 		c.langs = append(c.langs, p.Language)
 	}
-	if c.kernel, err = build(cfg, ps); err != nil {
+	var err error
+	if c.kernel, err = backends[backend].build(cfg, ps); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -259,16 +276,6 @@ func (c *Classifier) Config() Config { return c.cfg }
 
 // Backend returns the membership backend in use.
 func (c *Classifier) Backend() Backend { return c.backend }
-
-// Filter returns the Parallel Bloom Filter for language index i, or nil
-// for other backends. The XD1000, RTL and VHDL models borrow these, so
-// the simulated datapath and the software classifier share state.
-func (c *Classifier) Filter(i int) *bloom.Parallel {
-	if fs, ok := c.kernel.(*perLanguage[*bloom.Parallel]); ok {
-		return fs.filters[i]
-	}
-	return nil
-}
 
 // Result is the outcome of classifying one document.
 type Result struct {

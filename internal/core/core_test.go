@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -37,6 +38,24 @@ func trainMini(t testing.TB, cfg Config) *ProfileSet {
 		t.Fatal(err)
 	}
 	return ps
+}
+
+// TestLanguageNameCoversCorpus checks that the name table the serving
+// layer reports from gives a real name, not the code, for every
+// language the synthetic corpus generates, and passes unknown codes
+// through.
+func TestLanguageNameCoversCorpus(t *testing.T) {
+	for _, code := range corpus.Languages() {
+		if name := LanguageName(code); name == code || name == "" {
+			t.Errorf("LanguageName(%q) = %q, want an English name", code, name)
+		}
+	}
+	if LanguageName("es") != "Spanish" || LanguageName("fi") != "Finnish" {
+		t.Errorf("LanguageName(es), (fi) = %q, %q", LanguageName("es"), LanguageName("fi"))
+	}
+	if LanguageName("zz") != "zz" {
+		t.Errorf("LanguageName(zz) = %q, want passthrough", LanguageName("zz"))
+	}
 }
 
 func TestConfigDefaults(t *testing.T) {
@@ -255,16 +274,46 @@ func TestResultMarginAndWinners(t *testing.T) {
 	}
 }
 
+// TestFilterAccessor pins the filters the hardware models build: each
+// language's ParallelFilters entry answers Test exactly as the
+// parallel-bloom kernel scores that language, on member and non-member
+// n-grams alike.
 func TestFilterAccessor(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 200})
-	b, _ := New(ps, BackendBloom)
-	if b.Filter(0) == nil {
-		t.Error("bloom backend returned nil filter")
+	filters, err := ps.ParallelFilters()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, backend := range []Backend{BackendDirect, BackendClassic, BackendBlocked} {
-		if c, _ := New(ps, backend); c.Filter(0) != nil {
-			t.Errorf("%s backend returned a parallel bloom filter", backend)
+	if len(filters) != len(ps.Profiles) {
+		t.Fatalf("%d filters for %d languages", len(filters), len(ps.Profiles))
+	}
+	c, err := New(ps, BackendBloom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	var grams []uint32
+	for _, p := range ps.Profiles {
+		grams = append(grams, p.Grams...)
+	}
+	for i := 0; i < 5000; i++ {
+		grams = append(grams, rng.Uint32()&(1<<ngram.Bits(ps.Config.N)-1))
+	}
+	hits := 0
+	counts := make([]int, len(ps.Profiles))
+	for _, g := range grams {
+		clear(counts)
+		c.kernel.AccumulateInto(counts, []uint32{g})
+		for l, f := range filters {
+			if got := f.Test(g); got != (counts[l] == 1) {
+				t.Fatalf("language %d gram %#x: filter Test = %v, kernel count %d", l, g, got, counts[l])
+			} else if got {
+				hits++
+			}
 		}
+	}
+	if hits < len(grams)-5000 {
+		t.Errorf("only %d hits over %d member n-grams", hits, len(grams)-5000)
 	}
 }
 

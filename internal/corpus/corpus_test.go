@@ -24,17 +24,11 @@ func TestByCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name != "Spanish" {
-		t.Errorf("es Name = %q", s.Name)
+	if s.Code != "es" {
+		t.Errorf("es Code = %q", s.Code)
 	}
 	if _, err := ByCode("xx"); err == nil {
 		t.Error("ByCode(xx) succeeded")
-	}
-	if Name("fi") != "Finnish" {
-		t.Errorf("Name(fi) = %q", Name("fi"))
-	}
-	if Name("zz") != "zz" {
-		t.Errorf("Name(zz) = %q, want passthrough", Name("zz"))
 	}
 }
 

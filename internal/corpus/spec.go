@@ -25,8 +25,6 @@ import (
 type Spec struct {
 	// Code is the two-letter language code, e.g. "es".
 	Code string
-	// Name is the English language name, e.g. "Spanish".
-	Name string
 	// Words is the vocabulary in descending frequency rank; the
 	// generator applies a Zipf law over this order. Entries are stored
 	// as ISO-8859-1 bytes (converted from the UTF-8 literals below at
@@ -103,15 +101,6 @@ func ByCode(code string) (*Spec, error) {
 	return s, nil
 }
 
-// Name returns the English name for a language code, or the code itself
-// if unknown.
-func Name(code string) string {
-	if s, ok := specs[code]; ok {
-		return s.Name
-	}
-	return code
-}
-
 // specs is populated by init from the UTF-8 word tables below.
 var specs = map[string]*Spec{}
 
@@ -164,8 +153,8 @@ func latin1(s string) []byte {
 // or untranslated term common to all language versions.
 const sharedRate = 0.15
 
-func register(code, name string, suffixRate float64, suffixes []string, words []string) {
-	s := &Spec{Code: code, Name: name, SuffixRate: suffixRate, SharedRate: sharedRate}
+func register(code string, suffixRate float64, suffixes []string, words []string) {
+	s := &Spec{Code: code, SuffixRate: suffixRate, SharedRate: sharedRate}
 	s.Words = make([][]byte, len(words))
 	for i, w := range words {
 		s.Words[i] = latin1(w)
@@ -194,7 +183,7 @@ func wireSiblings() {
 }
 
 func init() {
-	register("en", "English", 0.05,
+	register("en", 0.05,
 		[]string{"s", "ed", "ing", "ly", "tion", "ment"},
 		[]string{
 			"the", "of", "to", "and", "in", "a", "is", "that", "for", "be",
@@ -214,7 +203,7 @@ func init() {
 			"programme", "budget", "expenditure", "revenue", "value", "added", "tax", "goods", "services", "persons",
 		})
 
-	register("es", "Spanish", 0.07,
+	register("es", 0.07,
 		[]string{"s", "es", "ción", "mente", "ado", "ada", "idad"},
 		[]string{
 			"de", "la", "que", "el", "en", "y", "a", "los", "del", "se",
@@ -234,7 +223,7 @@ func init() {
 			"dicho", "dicha", "deben", "debe", "puede", "pueden", "mediante", "través", "parte", "partes",
 		})
 
-	register("pt", "Portuguese", 0.07,
+	register("pt", 0.07,
 		[]string{"s", "es", "ção", "mente", "ado", "ada", "idade"},
 		[]string{
 			"de", "a", "o", "que", "e", "do", "da", "em", "um", "para",
@@ -254,7 +243,7 @@ func init() {
 			"dito", "dita", "devem", "deve", "pode", "podem", "mediante", "através", "parte", "partes",
 		})
 
-	register("fr", "French", 0.06,
+	register("fr", 0.06,
 		[]string{"s", "es", "tion", "ment", "és", "ée"},
 		[]string{
 			"de", "la", "le", "et", "les", "des", "en", "un", "du", "une",
@@ -274,7 +263,7 @@ func init() {
 			"titre", "chapitre", "section", "point", "alinéa", "modifié", "modifiée", "relatif", "relative", "concernant",
 		})
 
-	register("cs", "Czech", 0.12,
+	register("cs", 0.12,
 		[]string{"ch", "mi", "ou", "ého", "ých", "um", "ami", "ech", "em", "y"},
 		[]string{
 			"a", "se", "na", "je", "v", "ze", "s", "z", "do", "o",
@@ -293,7 +282,7 @@ func init() {
 			"predpisy", "pozadavky", "kontrola", "rízení", "úcely", "výjimky", "lhuta", "lhuty", "platné", "znení",
 		})
 
-	register("sk", "Slovak", 0.12,
+	register("sk", 0.12,
 		[]string{"ch", "mi", "ou", "ého", "ých", "om", "ami", "och", "om", "y"},
 		[]string{
 			"a", "sa", "na", "je", "v", "ze", "s", "z", "do", "o",
@@ -312,7 +301,7 @@ func init() {
 			"predpisy", "poziadavky", "kontrola", "konanie", "úcely", "výnimky", "lehota", "lehoty", "platné", "znenie",
 		})
 
-	register("da", "Danish", 0.08,
+	register("da", 0.08,
 		[]string{"en", "et", "er", "erne", "ene", "s", "ede", "ning"},
 		[]string{
 			"og", "i", "at", "det", "en", "den", "til", "er", "som", "på",
@@ -332,7 +321,7 @@ func init() {
 			"stk", "nr", "litra", "artikler", "vedtaget", "ændret", "fastsat", "fastsættes", "gælder", "gældende",
 		})
 
-	register("sv", "Swedish", 0.08,
+	register("sv", 0.08,
 		[]string{"en", "et", "er", "erna", "arna", "s", "ade", "ning"},
 		[]string{
 			"och", "i", "att", "det", "som", "en", "på", "är", "av", "för",
@@ -352,7 +341,7 @@ func init() {
 			"gäller", "gällande", "följande", "första", "fjärde", "tredje", "senast", "inom", "utanför", "övriga",
 		})
 
-	register("fi", "Finnish", 0.14,
+	register("fi", 0.14,
 		[]string{"ssa", "ssä", "sta", "stä", "lla", "llä", "lle", "ksi", "n", "t", "en", "in", "iin", "ista", "issa"},
 		[]string{
 			"ja", "on", "ei", "että", "se", "hän", "oli", "joka", "mutta", "niin",
@@ -371,7 +360,7 @@ func init() {
 			"kohdan", "artiklan", "liitteessä", "määräykset", "vaatimukset", "valvonta", "hallinto", "tarkoitus", "tavoite", "tavoitteet",
 		})
 
-	register("et", "Estonian", 0.13,
+	register("et", 0.13,
 		[]string{"s", "st", "le", "lt", "ga", "ks", "d", "te", "de", "sse", "ni"},
 		[]string{
 			"ja", "on", "ei", "et", "ta", "see", "oli", "mis", "aga", "nii",

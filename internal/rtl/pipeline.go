@@ -66,10 +66,10 @@ type Pipeline struct {
 	k     int
 	langs int
 
-	// Borrowed filter state: vectors[lang][hash] is the 1×m bit-vector,
-	// hashers[lang] the language's H3 family — the same objects the
-	// functional classifier uses, so RTL and functional results cannot
-	// drift apart.
+	// Filter state: filters[lang] holds the language's k 1×m
+	// bit-vectors and H3 family, built by the same function as the
+	// functional classifier's (core.ProfileSet.ParallelFilters), so RTL
+	// and functional results cannot drift apart.
 	filters []*bloom.Parallel
 
 	// Architectural state.
@@ -91,27 +91,20 @@ type Pipeline struct {
 	ramReads [][]int
 }
 
-// New builds a pipeline over the classifier's Bloom filters. The
-// classifier must use the parallel-bloom backend.
-func New(c *core.Classifier) (*Pipeline, error) {
-	if c.Backend() != core.BackendBloom {
-		return nil, fmt.Errorf("rtl: pipeline requires the parallel-bloom backend, got %v", c.Backend())
-	}
-	cfg := c.Config()
-	if cfg.Subsample != 1 {
+// New builds a pipeline over one Parallel Bloom Filter per language
+// (core.ProfileSet.ParallelFilters) for the configuration cfg.
+func New(cfg core.Config, filters []*bloom.Parallel) (*Pipeline, error) {
+	if cfg.Subsample > 1 {
 		return nil, fmt.Errorf("rtl: subsampling not modelled at RTL level")
 	}
-	langs := len(c.Languages())
+	langs := len(filters)
 	p := &Pipeline{
 		n:        cfg.N,
 		k:        cfg.K,
 		langs:    langs,
 		mask:     uint32(uint64(1)<<ngram.Bits(cfg.N) - 1),
 		counters: make([]int, langs),
-	}
-	p.filters = make([]*bloom.Parallel, langs)
-	for i := 0; i < langs; i++ {
-		p.filters[i] = c.Filter(i)
+		filters:  filters,
 	}
 	p.ramReads = make([][]int, langs)
 	for i := range p.ramReads {

@@ -8,7 +8,9 @@ import (
 	"bloomlang/internal/corpus"
 )
 
-func testClassifier(t testing.TB) (*core.Classifier, *corpus.Corpus) {
+// testPipeline builds a pipeline and the functional parallel-bloom
+// classifier over the same small three-language profile set.
+func testPipeline(t testing.TB) (*Pipeline, *core.Classifier, *corpus.Corpus) {
 	t.Helper()
 	cfg := corpus.Config{
 		Languages:       []string{"en", "fi", "es"},
@@ -29,26 +31,24 @@ func testClassifier(t testing.TB) (*core.Classifier, *corpus.Corpus) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, corp
+	filters, err := ps.ParallelFilters()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(ps.Config, filters)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	return p, c, corp
 }
 
 func TestNewValidation(t *testing.T) {
-	c, _ := testClassifier(t)
-	if _, err := New(c); err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ps, _ := core.TrainFromTexts(core.Config{TopT: 100}, map[string][][]byte{
-		"en": {[]byte("enough text for a tiny profile here")},
-	})
-	direct, _ := core.New(ps, core.BackendDirect)
-	if _, err := New(direct); err == nil {
-		t.Error("New accepted a direct-lookup classifier")
-	}
+	testPipeline(t)
 	subPS, _ := core.TrainFromTexts(core.Config{TopT: 100, Subsample: 2}, map[string][][]byte{
 		"en": {[]byte("enough text for a tiny profile here")},
 	})
-	subC, _ := core.New(subPS, core.BackendBloom)
-	if _, err := New(subC); err == nil {
+	subFilters, _ := subPS.ParallelFilters()
+	if _, err := New(subPS.Config, subFilters); err == nil {
 		t.Error("New accepted a subsampling classifier")
 	}
 }
@@ -56,11 +56,7 @@ func TestNewValidation(t *testing.T) {
 // The RTL ground truth: pipeline counters equal the functional
 // classifier's match counts for every document.
 func TestPipelineMatchesFunctional(t *testing.T) {
-	c, corp := testClassifier(t)
-	p, err := New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, c, corp := testPipeline(t)
 	for _, lang := range corp.Languages {
 		for _, d := range corp.Test[lang][:3] {
 			counters, _ := p.RunDocument(d.Text)
@@ -78,11 +74,7 @@ func TestPipelineMatchesFunctional(t *testing.T) {
 // Latency model: a document of c characters takes ceil(c/2) input
 // cycles plus Depth drain cycles.
 func TestPipelineCycleCount(t *testing.T) {
-	c, corp := testClassifier(t)
-	p, err := New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, _, corp := testPipeline(t)
 	doc := corp.Test["en"][0].Text
 	_, cycles := p.RunDocument(doc)
 	wantInput := (int64(len(doc)) + 1) / 2
@@ -92,8 +84,7 @@ func TestPipelineCycleCount(t *testing.T) {
 }
 
 func TestPipelineOddLengthDocument(t *testing.T) {
-	c, _ := testClassifier(t)
-	p, _ := New(c)
+	p, c, _ := testPipeline(t)
 	doc := []byte("seven ch") // 8 bytes
 	odd := []byte("seven chr")
 	countersEven, _ := p.RunDocument(doc)
@@ -113,8 +104,7 @@ func TestPipelineOddLengthDocument(t *testing.T) {
 }
 
 func TestPipelineShortDocuments(t *testing.T) {
-	c, _ := testClassifier(t)
-	p, _ := New(c)
+	p, c, _ := testPipeline(t)
 	for _, doc := range []string{"", "a", "ab", "abc", "abcd", "abcde"} {
 		counters, _ := p.RunDocument([]byte(doc))
 		want := c.Classify([]byte(doc))
@@ -127,8 +117,7 @@ func TestPipelineShortDocuments(t *testing.T) {
 }
 
 func TestPipelineResetBetweenDocuments(t *testing.T) {
-	c, corp := testClassifier(t)
-	p, _ := New(c)
+	p, c, corp := testPipeline(t)
 	docA := corp.Test["fi"][0].Text
 	docB := corp.Test["es"][0].Text
 	p.RunDocument(docA)
@@ -144,8 +133,7 @@ func TestPipelineResetBetweenDocuments(t *testing.T) {
 func TestPipelineIncrementalClocking(t *testing.T) {
 	// Drive the pipeline manually one character per cycle (half rate):
 	// results must still match, and cycles double.
-	c, corp := testClassifier(t)
-	p, _ := New(c)
+	p, c, corp := testPipeline(t)
 	doc := corp.Test["es"][0].Text[:200]
 	p.Reset()
 	codes := alphabet.TranslateAll(doc)
@@ -166,8 +154,7 @@ func TestPipelineIncrementalClocking(t *testing.T) {
 }
 
 func TestPipelineInvalidInputCount(t *testing.T) {
-	c, _ := testClassifier(t)
-	p, _ := New(c)
+	p, _, _ := testPipeline(t)
 	defer func() {
 		if recover() == nil {
 			t.Error("Clock with nValid=3 did not panic")
@@ -181,18 +168,13 @@ func TestPipelineInvalidInputCount(t *testing.T) {
 // would panic inside Clock; streaming a long document proves the
 // schedule never violates it.
 func TestPipelineRAMPortDiscipline(t *testing.T) {
-	c, corp := testClassifier(t)
-	p, _ := New(c)
+	p, _, corp := testPipeline(t)
 	long := corp.Test["en"][0].Text
 	p.RunDocument(long) // panics on violation
 }
 
 func BenchmarkPipelineRTL(b *testing.B) {
-	c, corp := testClassifier(b)
-	p, err := New(c)
-	if err != nil {
-		b.Fatal(err)
-	}
+	p, _, corp := testPipeline(b)
 	doc := corp.Test["en"][0].Text
 	b.SetBytes(int64(len(doc)))
 	b.ResetTimer()

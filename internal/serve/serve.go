@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"bloomlang/internal/core"
-	"bloomlang/internal/corpus"
 	"bloomlang/internal/registry"
 )
 
@@ -420,7 +419,7 @@ func spanDetections(spans []core.Span, st *endpointStats) []SpanDetection {
 			Start:    sp.Start,
 			End:      sp.End,
 			Language: sp.Lang,
-			Name:     corpus.Name(sp.Lang),
+			Name:     core.LanguageName(sp.Lang),
 			Score:    sp.Score,
 			Margin:   sp.Margin,
 			Unknown:  sp.Unknown,
@@ -437,7 +436,7 @@ func (s *Server) detection(det *core.Detector, id string, m core.Match, counts [
 	d := Detection{
 		ID:       id,
 		Language: m.Lang,
-		Name:     corpus.Name(m.Lang),
+		Name:     core.LanguageName(m.Lang),
 		NGrams:   m.NGrams,
 		Count:    m.Count,
 		Score:    m.Score,

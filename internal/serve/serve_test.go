@@ -115,8 +115,8 @@ func TestDetectAcrossLanguages(t *testing.T) {
 		if d.NGrams == 0 || d.Counts == nil {
 			t.Errorf("%s: degenerate detection %+v", lang, d)
 		}
-		if d.Name != corpus.Name(lang) {
-			t.Errorf("%s: name %q, want %q", lang, d.Name, corpus.Name(lang))
+		if d.Name != core.LanguageName(lang) {
+			t.Errorf("%s: name %q, want %q", lang, d.Name, core.LanguageName(lang))
 		}
 	}
 }
@@ -143,7 +143,7 @@ func TestDetectMatchesLegacyPath(t *testing.T) {
 			m := det.Detect(doc.Text)
 			want := serve.Detection{
 				Language: m.Lang,
-				Name:     corpus.Name(m.Lang),
+				Name:     core.LanguageName(m.Lang),
 				NGrams:   m.NGrams,
 				Count:    m.Count,
 				Score:    m.Score,

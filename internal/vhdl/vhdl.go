@@ -18,10 +18,11 @@
 //     and AND-reducing the read bits (Figure 1b);
 //   - a classifier top with per-language match counters (Figure 2a).
 //
-// The output is deterministic for a given classifier, so hardware
-// regeneration is reproducible. Tests validate structure (entity
-// counts, port widths, XOR term counts against matrix population) —
-// synthesis itself is outside this repository's scope.
+// The output is deterministic for a given configuration and profile
+// set, so hardware regeneration is reproducible. Tests validate
+// structure (entity counts, port widths, XOR term counts against
+// matrix population) — synthesis itself is outside this repository's
+// scope.
 package vhdl
 
 import (
@@ -30,25 +31,26 @@ import (
 	"strings"
 
 	"bloomlang/internal/alphabet"
+	"bloomlang/internal/bloom"
 	"bloomlang/internal/core"
 	"bloomlang/internal/ngram"
 )
 
-// Generate writes the complete VHDL listing for the classifier. The
-// classifier must use the parallel-bloom backend (the generator reads
-// its H3 matrices).
-func Generate(w io.Writer, c *core.Classifier) error {
-	if c.Backend() != core.BackendBloom {
-		return fmt.Errorf("vhdl: generator requires the parallel-bloom backend, got %v", c.Backend())
+// Generate writes the complete VHDL listing for a classifier of the
+// configuration cfg over the languages langs, reading each language's
+// H3 matrices from its Parallel Bloom Filter (filters[i] for langs[i],
+// as core.ProfileSet.ParallelFilters builds them).
+func Generate(w io.Writer, cfg core.Config, langs []string, filters []*bloom.Parallel) error {
+	if len(filters) != len(langs) {
+		return fmt.Errorf("vhdl: %d filters for %d languages", len(filters), len(langs))
 	}
-	cfg := c.Config()
 	g := &generator{
-		w:     w,
-		cfg:   cfg,
-		langs: c.Languages(),
-		c:     c,
-		inW:   int(ngram.Bits(cfg.N)),
-		addrW: addrWidth(cfg.MBits),
+		w:       w,
+		cfg:     cfg,
+		langs:   langs,
+		filters: filters,
+		inW:     int(ngram.Bits(cfg.N)),
+		addrW:   addrWidth(cfg.MBits),
 	}
 	return g.run()
 }
@@ -62,13 +64,13 @@ func addrWidth(m uint32) int {
 }
 
 type generator struct {
-	w     io.Writer
-	cfg   core.Config
-	langs []string
-	c     *core.Classifier
-	inW   int
-	addrW int
-	err   error
+	w       io.Writer
+	cfg     core.Config
+	langs   []string
+	filters []*bloom.Parallel
+	inW     int
+	addrW   int
+	err     error
 }
 
 func (g *generator) p(format string, args ...any) {
@@ -155,7 +157,7 @@ func (g *generator) alphabetEntity() {
 // of XOR gates per output bit.
 func (g *generator) hashEntity(lang, h int) {
 	name := g.hashName(lang, h)
-	f := g.c.Filter(lang).Func(h)
+	f := g.filters[lang].Func(h)
 	g.p("entity %s is", name)
 	g.p("  port (")
 	g.p("    gram : in  std_logic_vector(%d downto 0);", g.inW-1)

@@ -6,10 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"bloomlang/internal/bloom"
 	"bloomlang/internal/core"
 )
 
-func testClassifier(t *testing.T, k int, mBits uint32) *core.Classifier {
+func testProfiles(t *testing.T, k int, mBits uint32) *core.ProfileSet {
 	t.Helper()
 	cfg := core.Config{TopT: 200, K: k, MBits: mBits, Seed: 5}
 	ps, err := core.TrainFromTexts(cfg, map[string][][]byte{
@@ -19,36 +20,30 @@ func testClassifier(t *testing.T, k int, mBits uint32) *core.Classifier {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := core.New(ps, core.BackendBloom)
+	return ps
+}
+
+func filters(t *testing.T, ps *core.ProfileSet) []*bloom.Parallel {
+	t.Helper()
+	fs, err := ps.ParallelFilters()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return fs
 }
 
-func generate(t *testing.T, c *core.Classifier) string {
+func generate(t *testing.T, ps *core.ProfileSet) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Generate(&buf, c); err != nil {
+	if err := Generate(&buf, ps.Config, ps.Languages(), filters(t, ps)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
 }
 
-func TestGenerateRequiresBloomBackend(t *testing.T) {
-	cfg := core.Config{TopT: 100, Seed: 1}
-	ps, _ := core.TrainFromTexts(cfg, map[string][][]byte{
-		"en": {[]byte("sufficient training text for a small profile")},
-	})
-	direct, _ := core.New(ps, core.BackendDirect)
-	if err := Generate(&bytes.Buffer{}, direct); err == nil {
-		t.Error("Generate accepted a direct-lookup classifier")
-	}
-}
-
 func TestGeneratedEntities(t *testing.T) {
-	c := testClassifier(t, 4, 16*1024)
-	src := generate(t, c)
+	ps := testProfiles(t, 4, 16*1024)
+	src := generate(t, ps)
 	// One alphabet converter, one RAM template, one top.
 	for _, entity := range []string{"alphabet_conv", "bitvector_ram", "classifier_top"} {
 		if n := strings.Count(src, "entity "+entity+" is"); n != 1 {
@@ -70,8 +65,8 @@ func TestGeneratedEntities(t *testing.T) {
 }
 
 func TestGeneratedPortWidths(t *testing.T) {
-	c := testClassifier(t, 4, 16*1024)
-	src := generate(t, c)
+	ps := testProfiles(t, 4, 16*1024)
+	src := generate(t, ps)
 	// 4-gram input: 20 bits -> "19 downto 0"; m=16Kbit -> 14-bit
 	// addresses -> "13 downto 0".
 	if !strings.Contains(src, "gram : in  std_logic_vector(19 downto 0)") {
@@ -86,8 +81,8 @@ func TestGeneratedPortWidths(t *testing.T) {
 }
 
 func TestGeneratedWidthsFollowConfig(t *testing.T) {
-	c := testClassifier(t, 6, 4*1024)
-	src := generate(t, c)
+	ps := testProfiles(t, 6, 4*1024)
+	src := generate(t, ps)
 	// m=4Kbit -> 12-bit addresses; 6 hash entities per language.
 	if !strings.Contains(src, "addr : out std_logic_vector(11 downto 0)") {
 		t.Error("4Kbit vectors should give 12-bit addresses")
@@ -105,9 +100,9 @@ func TestGeneratedWidthsFollowConfig(t *testing.T) {
 // Every XOR expression in a hash entity must reference exactly the
 // input bits whose matrix rows have that output bit set.
 func TestHashXORTermsMatchMatrix(t *testing.T) {
-	c := testClassifier(t, 2, 4*1024)
-	src := generate(t, c)
-	f := c.Filter(0).Func(0) // language "en", hash 0
+	ps := testProfiles(t, 2, 4*1024)
+	src := generate(t, ps)
+	f := filters(t, ps)[0].Func(0) // language "en", hash 0
 	// Count expected terms for output bit 0.
 	expected := 0
 	for i := uint(0); i < f.InputBits(); i++ {
@@ -144,16 +139,16 @@ func TestHashXORTermsMatchMatrix(t *testing.T) {
 }
 
 func TestGeneratedDeterministic(t *testing.T) {
-	a := generate(t, testClassifier(t, 3, 8*1024))
-	b := generate(t, testClassifier(t, 3, 8*1024))
+	a := generate(t, testProfiles(t, 3, 8*1024))
+	b := generate(t, testProfiles(t, 3, 8*1024))
 	if a != b {
 		t.Error("generation is not deterministic for identical classifiers")
 	}
 }
 
 func TestAlphabetCaseStatement(t *testing.T) {
-	c := testClassifier(t, 2, 4*1024)
-	src := generate(t, c)
+	ps := testProfiles(t, 2, 4*1024)
+	src := generate(t, ps)
 	// 'A' (65) and 'a' (97) fold to code 1; 'Z' (90) and 'z' (122) to 26.
 	for _, want := range []string{
 		"when 65 => code_out <= \"00001\";",
@@ -176,8 +171,8 @@ func TestAlphabetCaseStatement(t *testing.T) {
 }
 
 func TestTopCountersPerLanguage(t *testing.T) {
-	c := testClassifier(t, 2, 4*1024)
-	src := generate(t, c)
+	ps := testProfiles(t, 2, 4*1024)
+	src := generate(t, ps)
 	for _, lang := range []string{"en", "fi"} {
 		if !strings.Contains(src, "count_"+lang) {
 			t.Errorf("top entity missing counter for %s", lang)

@@ -5,9 +5,10 @@
 //
 // The simulation has two layers:
 //
-//   - a functional layer — the device classifies documents with the
-//     same Parallel Bloom Filter code the software classifier uses, so
-//     simulated hardware results and software results agree exactly;
+//   - a functional layer — the device classifies documents with
+//     Parallel Bloom Filters built by core.ProfileSet.ParallelFilters,
+//     as the software's parallel-bloom backend is, so simulated
+//     hardware results and software results agree exactly;
 //   - a timing layer — DMA transfers, PIO command writes, interrupts
 //     and datapath cycles advance a deterministic simulated clock, from
 //     which the throughput figures of Figure 4 and Table 4 are derived.
@@ -17,6 +18,7 @@ import (
 	"fmt"
 
 	"bloomlang/internal/alphabet"
+	"bloomlang/internal/bloom"
 	"bloomlang/internal/core"
 	"bloomlang/internal/fpga"
 	"bloomlang/internal/ht"
@@ -50,10 +52,12 @@ func (e *DeviceError) Error() string {
 // Device is the FPGA-side model: command decoding, DMA reassembly,
 // per-copy match counters and the adder tree.
 type Device struct {
-	classifier *core.Classifier
-	copies     int
-	extractor  *ngram.Extractor
-	watchdog   *ht.Watchdog
+	// filters[l] is language l's Parallel Bloom Filter, the RAMs
+	// CmdProgram writes and the datapath reads.
+	filters   []*bloom.Parallel
+	copies    int
+	extractor *ngram.Extractor
+	watchdog  *ht.Watchdog
 
 	state       deviceState
 	expectWords int64
@@ -108,31 +112,28 @@ const (
 // counters plus checksum, status and n-gram count words.
 func (q *QueryResult) SizeBytes() int64 { return 32*4 + 8 + 4 + 4 }
 
-// NewDevice builds the device model around a Bloom-backed classifier.
-// The classifier's filters are shared, not copied: programming either
-// side programs both, which is exactly the property the integration
-// tests rely on.
-func NewDevice(c *core.Classifier, copies int, watchdogTimeout ht.Time) (*Device, error) {
-	if c.Backend() != core.BackendBloom {
-		return nil, fmt.Errorf("xd1000: device requires the parallel-bloom backend, got %v", c.Backend())
-	}
+// NewDevice builds the device model over one Parallel Bloom Filter
+// per language (core.ProfileSet.ParallelFilters), extracting n-grams
+// as cfg says. The device owns the filters from then on: CmdProgram
+// writes them and the datapath reads them.
+func NewDevice(cfg core.Config, filters []*bloom.Parallel, copies int, watchdogTimeout ht.Time) (*Device, error) {
 	if copies < 1 {
 		return nil, fmt.Errorf("xd1000: copies=%d must be positive", copies)
 	}
-	e, err := ngram.NewExtractor(c.Config().N)
+	e, err := ngram.NewExtractor(cfg.N)
 	if err != nil {
 		return nil, err
 	}
-	if s := c.Config().Subsample; s > 1 {
-		if err := e.SetSubsample(s); err != nil {
+	if cfg.Subsample > 1 {
+		if err := e.SetSubsample(cfg.Subsample); err != nil {
 			return nil, err
 		}
 	}
 	d := &Device{
-		classifier: c,
-		copies:     copies,
-		extractor:  e,
-		watchdog:   ht.NewWatchdog(watchdogTimeout),
+		filters:   filters,
+		copies:    copies,
+		extractor: e,
+		watchdog:  ht.NewWatchdog(watchdogTimeout),
 	}
 	d.resetCounters()
 	return d, nil
@@ -141,7 +142,7 @@ func NewDevice(c *core.Classifier, copies int, watchdogTimeout ht.Time) (*Device
 func (d *Device) resetCounters() {
 	d.perCopy = make([][]int, d.copies)
 	for i := range d.perCopy {
-		d.perCopy[i] = make([]int, len(d.classifier.Languages()))
+		d.perCopy[i] = make([]int, len(d.filters))
 	}
 }
 
@@ -234,14 +235,13 @@ func (d *Device) execute(now ht.Time, cmd ht.Command) {
 			d.Errors++
 		}
 	case ht.CmdSelectLanguage:
-		if int(cmd.Arg) >= len(d.classifier.Languages()) {
+		if int(cmd.Arg) >= len(d.filters) {
 			d.Errors++
 			return
 		}
 		d.selectedLang = int(cmd.Arg)
 	case ht.CmdProgram:
-		f := d.classifier.Filter(d.selectedLang)
-		f.Program(uint32(cmd.Arg))
+		d.filters[d.selectedLang].Program(uint32(cmd.Arg))
 	default:
 		d.Errors++
 	}
@@ -260,21 +260,20 @@ func (d *Device) fold() {
 			d.perCopy[i][j] = 0
 		}
 	}
-	langs := d.classifier.Languages()
 	// Each copy tests two consecutive n-grams per clock; the stream is
 	// dealt to copies in blocks of two, matching the hardware's input
 	// word fan-out.
 	for i, g := range grams {
 		copyIdx := (i / 2) % d.copies
-		for l := range langs {
-			if d.classifier.Filter(l).Test(g) {
+		for l, f := range d.filters {
+			if f.Test(g) {
 				d.perCopy[copyIdx][l]++
 			}
 		}
 	}
 	// Adder tree: fold per-copy counters pairwise (log2(copies) levels
 	// in hardware; associative sum here).
-	counts := make([]int, len(langs))
+	counts := make([]int, len(d.filters))
 	for _, copyCounts := range d.perCopy {
 		for l, n := range copyCounts {
 			counts[l] += n
@@ -353,14 +352,14 @@ func (d *Device) protocolReset() {
 	d.pending = nil
 }
 
-// Fits verifies the classifier configuration fits the device and
-// returns the modelled build report (§5.3).
-func Fits(c *core.Classifier, copies int) (fpga.SystemReport, error) {
-	cfg := c.Config()
+// Fits verifies that a classifier of the given configuration and
+// language count fits the device and returns the modelled build report
+// (§5.3).
+func Fits(cfg core.Config, languages, copies int) (fpga.SystemReport, error) {
 	return fpga.EstimateSystem(fpga.ModuleConfig{
 		K:         cfg.K,
 		MBits:     cfg.MBits,
-		Languages: len(c.Languages()),
+		Languages: languages,
 		Copies:    copies,
 	}, fpga.EP2S180())
 }

@@ -8,9 +8,8 @@ import (
 	"bloomlang/internal/ht"
 )
 
-// newTestDevice builds a device over a small two-language profile set
-// programmed through the software path.
-func newTestDevice(t *testing.T, watchdog ht.Time) *Device {
+// testProfiles trains a small two-language profile set.
+func testProfiles(t *testing.T) *core.ProfileSet {
 	t.Helper()
 	ps, err := core.TrainFromTexts(core.Config{TopT: 500, Seed: 3}, map[string][][]byte{
 		"en": {[]byte("the quick brown fox jumps over the lazy dog and then the fox rests")},
@@ -19,11 +18,19 @@ func newTestDevice(t *testing.T, watchdog ht.Time) *Device {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := core.New(ps, core.BackendBloom)
+	return ps
+}
+
+// newTestDevice builds a device over testProfiles' filters, programmed
+// through the software path.
+func newTestDevice(t *testing.T, watchdog ht.Time) *Device {
+	t.Helper()
+	ps := testProfiles(t)
+	filters, err := ps.ParallelFilters()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDevice(c, 4, watchdog)
+	d, err := NewDevice(ps.Config, filters, 4, watchdog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,12 +49,8 @@ func TestNewDeviceValidation(t *testing.T) {
 	ps, _ := core.TrainFromTexts(core.Config{TopT: 100, Seed: 1}, map[string][][]byte{
 		"en": {[]byte("validation text that is long enough for n-grams")},
 	})
-	direct, _ := core.New(ps, core.BackendDirect)
-	if _, err := NewDevice(direct, 4, ht.Millisecond); err == nil {
-		t.Error("device accepted a non-bloom classifier")
-	}
-	bloom, _ := core.New(ps, core.BackendBloom)
-	if _, err := NewDevice(bloom, 0, ht.Millisecond); err == nil {
+	filters, _ := ps.ParallelFilters()
+	if _, err := NewDevice(ps.Config, filters, 0, ht.Millisecond); err == nil {
 		t.Error("device accepted zero copies")
 	}
 }
@@ -258,7 +261,11 @@ func TestDevicePerCopyFoldEqualsTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := d.classifier.Classify(doc)
+	sw, err := core.New(testProfiles(t), core.BackendBloom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sw.Classify(doc)
 	for l := range want.Counts {
 		if qr.Counts[l] != want.Counts[l] {
 			t.Errorf("language %d: device %d != classifier %d", l, qr.Counts[l], want.Counts[l])

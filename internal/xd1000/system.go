@@ -76,18 +76,16 @@ type System struct {
 // included) before classifying.
 func New(ps *core.ProfileSet, opts Options) (*System, error) {
 	opts.applyDefaults()
-	// The device classifier starts with empty filters: build it from an
-	// empty-but-configured profile set, then Program() fills it through
+	// The device starts with empty filters; Program fills them through
 	// the command interface exactly as the hardware is filled.
-	c, err := core.New(ps, core.BackendBloom)
+	filters, err := ps.ParallelFilters()
 	if err != nil {
 		return nil, err
 	}
-	// Clear the filters; Program re-fills them through CmdProgram.
-	for i := range c.Languages() {
-		c.Filter(i).Reset()
+	for _, f := range filters {
+		f.Reset()
 	}
-	dev, err := NewDevice(c, opts.Copies, opts.WatchdogTimeout)
+	dev, err := NewDevice(ps.Config, filters, opts.Copies, opts.WatchdogTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +93,7 @@ func New(ps *core.ProfileSet, opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	build, err := Fits(c, opts.Copies)
+	build, err := Fits(ps.Config, len(filters), opts.Copies)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +102,7 @@ func New(ps *core.ProfileSet, opts Options) (*System, error) {
 	}
 	if !build.Fits {
 		return nil, fmt.Errorf("xd1000: configuration does not fit the EP2S180 (%d languages, k=%d, m=%d bits: %d M4Ks)",
-			len(c.Languages()), ps.Config.K, ps.Config.MBits, build.M4Ks)
+			len(filters), ps.Config.K, ps.Config.MBits, build.M4Ks)
 	}
 	return &System{dev: dev, link: link, opts: opts, build: build, profileSet: ps}, nil
 }
@@ -254,7 +252,7 @@ func (s *System) Stream(docs []corpus.Document, mode Mode, keepResults bool) (Ru
 	}
 	rep := RunReport{Docs: len(docs), ProgramTime: s.programTime}
 	start := s.now
-	langs := s.dev.classifier.Languages()
+	langs := s.profileSet.Languages()
 	cycle := s.cycleTime()
 	trips0 := s.dev.Watchdog().Trips
 	for i, d := range docs {

@@ -167,8 +167,9 @@ func TestAccuracyThroughHardwarePath(t *testing.T) {
 }
 
 // The integration guarantee: the simulated hardware datapath and the
-// pure-software classifier produce identical match counts, because they
-// share the same Bloom filter state.
+// pure-software classifier produce identical match counts, because both
+// build their Bloom filters with core.ProfileSet.ParallelFilters (the
+// device's programmed through the command interface).
 func TestHardwareMatchesSoftwareExactly(t *testing.T) {
 	corp, ps := setup(t)
 	s := newSystem(t, Options{})

@@ -122,9 +122,7 @@ func TestGoldenSegmentationFloors(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			det, err := NewDetector(ps, WithBackend(backend))
 			if err != nil {
-				// Backends registered by other tests in this package may
-				// reject the golden config; the gate covers the built-ins.
-				t.Skipf("backend %s unavailable under golden config: %v", name, err)
+				t.Fatalf("backend %s unavailable under golden config: %v", name, err)
 			}
 			f1 := segmentationF1(t, det, g.Segment, docs)
 			if len(f1) != len(g.Floors) {
