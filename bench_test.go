@@ -39,11 +39,10 @@ func benchFixtures(b *testing.B) (*Corpus, *ProfileSet) {
 // ---------------------------------------------------------------------------
 // Ablation benchmarks (DESIGN.md §5).
 
-// BenchmarkAblationBackends compares the four membership backends on
+// BenchmarkAblationBackends compares the three membership backends on
 // identical work: the paper's parallel Bloom filter, exact direct
-// lookup, a classic single-vector Bloom filter of the same total bit
-// budget, and the fused cache-line-blocked filter sized for the same
-// modelled false-positive rate.
+// lookup, and a classic single-vector Bloom filter of the same total
+// bit budget.
 func BenchmarkAblationBackends(b *testing.B) {
 	corp, ps := benchFixtures(b)
 	docs := corp.TestDocuments("")[:100]
@@ -52,7 +51,7 @@ func BenchmarkAblationBackends(b *testing.B) {
 	for _, d := range docs {
 		bytes += int64(len(d.Text))
 	}
-	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic, BackendBlocked} {
+	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic} {
 		b.Run(backend.String(), func(b *testing.B) {
 			det, err := NewDetector(ps, WithBackend(backend))
 			if err != nil {

@@ -27,23 +27,21 @@ type Profile = ngram.Profile
 type Result = core.Result
 
 // Backend selects the membership structure used for match counting,
-// one of the four constants below; ParseBackend resolves them by name.
+// one of the three constants below; ParseBackend resolves them by name.
 type Backend = core.Backend
 
 // Membership backends: HAIL-style exact direct lookup (the default),
-// the paper's Parallel Bloom Filter, a classic single-vector Bloom
-// filter for ablations, and the cache-line-blocked Bloom filter.
+// the paper's Parallel Bloom Filter, and a classic single-vector Bloom
+// filter for ablations.
 const (
 	BackendDirect  = core.BackendDirect
 	BackendBloom   = core.BackendBloom
 	BackendClassic = core.BackendClassic
-	BackendBlocked = core.BackendBlocked
 )
 
 // ParseBackend resolves a backend by canonical name or alias
 // ("parallel-bloom"/"bloom", "direct-lookup"/"direct",
-// "classic-bloom"/"classic", "blocked-bloom"/"blocked"). It is the
-// inverse of Backend.String.
+// "classic-bloom"/"classic"). It is the inverse of Backend.String.
 func ParseBackend(name string) (Backend, error) { return core.ParseBackend(name) }
 
 // Backends lists every backend's canonical name.
@@ -91,8 +89,8 @@ func WithMinNGrams(n int) DetectorOption { return core.WithMinNGrams(n) }
 type Span = core.Span
 
 // SegmentConfig carries the sliding-window segmentation knobs
-// (window/stride in n-grams, boundary hysteresis, count smoothing);
-// the zero value selects the defaults.
+// (window/stride in n-grams, boundary hysteresis); the zero value
+// selects the defaults.
 type SegmentConfig = core.SegmentConfig
 
 // Stream counts one document incrementally: Write bytes in any

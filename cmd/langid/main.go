@@ -8,7 +8,6 @@
 // versioned registry:
 //
 //	langid train -corpus corpusdir -out profiles.bin [-n 4] [-t 5000] [-shards 4]
-//	langid train -corpus corpusdir -out profiles.bin -blocked   # embed the blocked layout
 //	langid train -ndjson docs.ndjson -registry /var/lib/langid -activate
 //	cat docs.ndjson | langid train -ndjson - -registry /var/lib/langid
 //
@@ -23,14 +22,14 @@
 //
 // Classify files (or stdin when no files are given):
 //
-//	langid classify -profiles profiles.bin [-k 4] [-m 16384] [-backend direct|bloom|classic|blocked] file1.txt file2.txt
+//	langid classify -profiles profiles.bin [-k 4] [-m 16384] [-backend direct|bloom|classic] file1.txt file2.txt
 //	echo "el consejo de la unión europea" | langid classify -profiles profiles.bin
 //
 // Segment mixed-language files into per-language spans (or stdin when
 // no files are given); -tsv emits machine-readable rows, -color paints
 // the document text span by span:
 //
-//	langid segment -profiles profiles.bin [-backend blocked] [-window 64] [-stride 16] file1.txt
+//	langid segment -profiles profiles.bin [-backend bloom] [-window 64] [-stride 16] file1.txt
 //	langid segment -profiles profiles.bin -tsv file1.txt | cut -f4
 //	langid segment -profiles profiles.bin -color mixed.txt
 package main
@@ -130,7 +129,6 @@ func train(args []string) {
 	n := fs.Int("n", 4, "n-gram length")
 	t := fs.Int("t", 5000, "profile size (top-t n-grams)")
 	shards := fs.Int("shards", 0, "trainer accumulator shards (0 = min(GOMAXPROCS, 4))")
-	blocked := fs.Bool("blocked", false, "embed the pre-programmed blocked-backend layout in -out (NGPS v2)")
 	fs.Parse(args)
 	if (*corpusDir == "") == (*ndjson == "") {
 		log.Fatal("train: pass exactly one of -corpus or -ndjson")
@@ -140,9 +138,6 @@ func train(args []string) {
 	}
 	if *activate && *registryDir == "" {
 		log.Fatal("train: -activate requires -registry")
-	}
-	if *blocked && *out == "" {
-		log.Fatal("train: -blocked requires -out (registry versions store the standard NGPS v1 format)")
 	}
 	cfg := bloomlang.DefaultConfig()
 	cfg.N = *n
@@ -178,18 +173,10 @@ func train(args []string) {
 			p.Language, bloomlang.LanguageName(p.Language), p.Size(), ls.Docs)
 	}
 	if *out != "" {
-		save := bloomlang.SaveProfiles
-		if *blocked {
-			save = bloomlang.SaveProfilesBlocked
-		}
-		if err := save(ps, *out); err != nil {
+		if err := bloomlang.SaveProfiles(ps, *out); err != nil {
 			log.Fatal(err)
 		}
-		if *blocked {
-			fmt.Printf("wrote %s (blocked layout embedded)\n", *out)
-		} else {
-			fmt.Printf("wrote %s\n", *out)
-		}
+		fmt.Printf("wrote %s\n", *out)
 	}
 	if *registryDir != "" {
 		reg, err := bloomlang.OpenRegistry(*registryDir)
@@ -280,7 +267,7 @@ func classify(args []string) {
 	profilePath := fs.String("profiles", "profiles.bin", "trained profile file")
 	k := fs.Int("k", 4, "hash functions per Bloom filter")
 	m := fs.Uint("m", 16*1024, "bits per Bloom filter vector (power of two)")
-	backend := fs.String("backend", "direct", "membership backend: direct (exact table), bloom, classic or blocked")
+	backend := fs.String("backend", "direct", "membership backend: direct (exact table), bloom (parallel Bloom filter) or classic")
 	minMargin := fs.Float64("min-margin", 0, "answer unknown below this normalized winner margin")
 	minNGrams := fs.Int("min-ngrams", 1, "answer unknown below this many testable n-grams")
 	verbose := fs.Bool("v", false, "print the full language ranking")
@@ -356,13 +343,12 @@ func segment(args []string) {
 	profilePath := fs.String("profiles", "profiles.bin", "trained profile file")
 	k := fs.Int("k", 4, "hash functions per Bloom filter")
 	m := fs.Uint("m", 16*1024, "bits per Bloom filter vector (power of two)")
-	backend := fs.String("backend", "direct", "membership backend: direct (exact table), bloom, classic or blocked")
+	backend := fs.String("backend", "direct", "membership backend: direct (exact table), bloom (parallel Bloom filter) or classic")
 	minMargin := fs.Float64("min-margin", 0, "mark spans unknown below this normalized window margin")
 	minNGrams := fs.Int("min-ngrams", 1, "answer unknown below this many testable n-grams")
 	window := fs.Int("window", 0, "segmentation window in n-grams (0 = default 64)")
 	stride := fs.Int("stride", 0, "window hop in n-grams, must divide window (0 = window/4)")
 	hysteresis := fs.Int("hysteresis", 0, "windows a new language must persist before a boundary (0 = default 2)")
-	smoothing := fs.Float64("smoothing", 0, "window count smoothing in [0,1)")
 	tsv := fs.Bool("tsv", false, "tab-separated output: file, start, end, lang, score, margin")
 	colored := fs.Bool("color", false, "print the document text with one ANSI color per language")
 	fs.Parse(args)
@@ -387,7 +373,6 @@ func segment(args []string) {
 		Window:     *window,
 		Stride:     *stride,
 		Hysteresis: *hysteresis,
-		Smoothing:  *smoothing,
 	}
 	if err := segCfg.Validate(); err != nil {
 		log.Fatal(err)

@@ -28,12 +28,17 @@
 // Endpoints: POST /detect, POST /batch, POST /stream (NDJSON; ?spans=1
 // adds per-document mixed-language spans), POST /segment
 // (mixed-language span tiling; geometry via -segment-window,
-// -segment-stride, -segment-hysteresis, -segment-smoothing),
+// -segment-stride, -segment-hysteresis),
 // GET /healthz, GET /statsz, and — when registry-backed —
 // GET /admin/profiles and POST /admin/reload. Failed requests are
 // answered with JSON error bodies (413 for oversized bodies, 408 for
 // request read timeouts). The daemon drains in-flight requests on
 // SIGINT/SIGTERM before exiting.
+//
+// There is no backend flag: profiles are served on the exact
+// direct-lookup table, or on the paper's parallel Bloom filter when
+// they were trained at an n too large for the table (n = 6). /statsz
+// reports which.
 //
 // The daemon links the product packages alone (internal/core, serve,
 // registry and train); the paper's hardware models and experiment
@@ -66,7 +71,6 @@ func main() {
 	profilePath := flag.String("profiles", "", "trained profile file to serve from")
 	corpusDir := flag.String("corpus", "", "corpus directory to train from (corpusgen layout)")
 	savePath := flag.String("save", "", "write trained profiles to this file before serving")
-	backendName := flag.String("backend", "direct", "membership backend: direct (exact table), bloom, classic or blocked")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	minMargin := flag.Float64("min-margin", 0, "answer unknown below this normalized winner margin")
 	minNGrams := flag.Int("min-ngrams", 1, "answer unknown below this many testable n-grams")
@@ -84,16 +88,10 @@ func main() {
 	segWindow := flag.Int("segment-window", 0, "/segment sliding window in n-grams (0 = default 64)")
 	segStride := flag.Int("segment-stride", 0, "/segment window hop in n-grams, must divide the window (0 = window/4)")
 	segHysteresis := flag.Int("segment-hysteresis", 0, "/segment windows a new language must persist before a boundary (0 = default 2)")
-	segSmoothing := flag.Float64("segment-smoothing", 0, "/segment window count smoothing in [0,1)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 	flag.Parse()
 
-	backend, err := core.ParseBackend(*backendName)
-	if err != nil {
-		log.Fatal(err)
-	}
 	cfg := serve.Config{
-		Backend:       backend,
 		Workers:       *workers,
 		MinMargin:     *minMargin,
 		MinNGrams:     *minNGrams,
@@ -108,7 +106,6 @@ func main() {
 			Window:     *segWindow,
 			Stride:     *segStride,
 			Hysteresis: *segHysteresis,
-			Smoothing:  *segSmoothing,
 		},
 	}
 	if err := cfg.Validate(); err != nil {
@@ -137,7 +134,7 @@ func main() {
 		version = "unversioned"
 	}
 	log.Printf("serving %d languages on %s (profiles %s, backend %s, %d workers)",
-		len(stats.Languages), *addr, version, backend, stats.Workers)
+		len(stats.Languages), *addr, version, stats.Backend, stats.Workers)
 
 	for {
 		select {

@@ -26,14 +26,11 @@ func BenchmarkDetector(b *testing.B) {
 }
 
 // BenchmarkDetectorBackends runs the same hot path on every built-in
-// membership backend. The blocked backend's filters are sized for a
-// modelled false-positive rate no worse than the parallel variant's at
-// the same Config, so its entry is an equal-FPR comparison, not an
-// accuracy trade.
+// membership backend.
 func BenchmarkDetectorBackends(b *testing.B) {
 	_, ps := benchFixtures(b)
 	doc := benchBigDocs[0].Text
-	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic, BackendBlocked} {
+	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic} {
 		b.Run(backend.String(), func(b *testing.B) {
 			det, err := NewDetector(ps, WithBackend(backend))
 			if err != nil {
@@ -61,7 +58,7 @@ func BenchmarkDetectSpans(b *testing.B) {
 	_, ps := benchFixtures(b)
 	doc := benchBigDocs[0].Text
 	cfg := SegmentConfig{Window: 64, Stride: 16, Hysteresis: 2}
-	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic, BackendBlocked} {
+	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic} {
 		b.Run(backend.String(), func(b *testing.B) {
 			det, err := NewDetector(ps, WithBackend(backend))
 			if err != nil {

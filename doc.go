@@ -32,10 +32,10 @@
 // silently tie-broken guess:
 //
 //	det, _ := bloomlang.NewDetector(profiles,
-//		bloomlang.WithBackend(bloomlang.BackendBlocked), // default direct; or bloom / classic
-//		bloomlang.WithWorkers(8),                        // DetectBatch fan-out
-//		bloomlang.WithMinMargin(0.02),                   // ties and near-ties -> Unknown
-//		bloomlang.WithMinNGrams(8),                      // short docs -> Unknown
+//		bloomlang.WithBackend(bloomlang.BackendBloom), // default direct; or classic
+//		bloomlang.WithWorkers(8),                      // DetectBatch fan-out
+//		bloomlang.WithMinMargin(0.02),                 // ties and near-ties -> Unknown
+//		bloomlang.WithMinNGrams(8),                    // short docs -> Unknown
 //	)
 //
 // Beyond one-shot Detect, the detector ranks candidates, fans out over
@@ -67,11 +67,10 @@
 //
 // # Membership backends
 //
-// The membership structure is one of a closed set of four backends:
+// The membership structure is one of a closed set of three backends:
 // an exact direct table ("direct-lookup"/"direct", the default), the
-// paper's Parallel Bloom Filter ("parallel-bloom"/"bloom"), a classic
-// single-vector Bloom filter ("classic-bloom"/"classic"), and a fused
-// cache-line-blocked Bloom filter ("blocked-bloom"/"blocked").
+// paper's Parallel Bloom Filter ("parallel-bloom"/"bloom"), and a
+// classic single-vector Bloom filter ("classic-bloom"/"classic").
 // ParseBackend resolves a canonical name or alias (the CLIs' -backend
 // flag is exactly this) and Backend.String round-trips it back. Each
 // backend counts through one kernel built over the whole profile set,
@@ -90,44 +89,18 @@
 // per-language byte lanes held in two registers, four characters per
 // step, with no n-gram stored on the way. The table grows as
 // 2^(5n), so the direct backend refuses n >= 6 (2 GiB per plane) and
-// names the blocked backend instead. Zero-value configurations —
-// NewDetector without WithBackend, ServeConfig{}, langidd and the
-// langid classify/segment commands — all serve it.
+// names the parallel Bloom filter instead. NewDetector without
+// WithBackend and the langid classify/segment commands serve it.
+// Servers have no backend option: ServeConfig{} and langidd serve
+// every profile set on the direct table, or on the parallel Bloom
+// filter when the set was trained at n = 6.
 //
-// The blocked backend is the software analogue of the paper's
-// one-clock membership test. The hardware answers all k hash probes in
-// a single cycle because its bit-vectors are physically parallel RAMs
-// (§3.1); the blocked filter gets the same effect from the cache
-// hierarchy: the first H3 hash selects one 64-byte block — a single
-// cache line — and the remaining k−1 hashes select bits inside it, so
-// a membership test costs one line fill regardless of k. The filters
-// of all L languages are fused into one structure, laid out
-// block-major and language-minor with one shared hash stage:
-//
-//	                 lang 0     lang 1         lang L-1
-//	block 0      [64 bytes] [64 bytes] ... [64 bytes]
-//	block 1      [64 bytes] [64 bytes] ... [64 bytes]
-//	...
-//	block B-1    [64 bytes] [64 bytes] ... [64 bytes]
-//
-//	n-gram g:  h0(g) picks the block row — computed once —
-//	           h1..h(k-1)(g) pick the probe bits — computed once —
-//	           then the L adjacent blocks of that row are tested in
-//	           sequence: one pass over L consecutive cache lines
-//	           scores every language (AccumulateInto).
-//
-// Per-language filters are sized (power-of-two block count) so the
-// modelled false-positive rate at full profile load is no worse than
-// the parallel backend's §3.1 model under the same Config; the n-gram
-// scoring loop runs several times faster than the parallel backend
-// because hashing is shared across languages and probes never leave
-// one cache line per language. Prefer "direct" for software serving;
-// "blocked" when the n-gram space outgrows a table (n >= 6); "bloom"
-// when software classifications must match the simulated hardware
-// bit-for-bit (the XD1000, RTL and VHDL models build the same parallel
-// filters from the profile set); "classic" exists as an ablation. SaveProfilesBlocked embeds the programmed blocked
-// layout in the profile file (NGPS v2), so a daemon serving "blocked"
-// skips filter programming at startup; v1 files and legacy NGPF
+// Use "bloom" when software classifications must match the simulated
+// hardware bit-for-bit (the XD1000, RTL and VHDL models build the same
+// parallel filters from the profile set); "classic" exists as an
+// ablation. Profile files written by older builds with an embedded
+// filter layout (NGPS v2) still load: the layout is skipped and only
+// the configuration and profiles are read. v1 files and legacy NGPF
 // streams remain readable, and damaged files fail with errors tagged
 // ErrCorruptProfiles.
 //
@@ -158,19 +131,17 @@
 // and interrupted challenges fold back into the incumbent, so one
 // noisy window never fragments a span. Boundaries are attributed to
 // the center of the first window that voted for the new language and
-// land within about one stride of the decision flip. Optional
-// Smoothing (an EWMA over window counts) further steadies boundaries
-// on choppy text. Windows that fail the detector's MinMargin /
+// land within about one stride of the decision flip. Each window is
+// decided by the same integer arg-max as Detect. Windows that fail the detector's MinMargin /
 // MinNGrams policy become explicit Unknown spans. The returned spans
 // always tile [0, len(doc)) with no gaps or overlaps; a document
 // shorter than one window is decided whole, exactly as Detect decides
 // it.
 //
-// All four backends segment; geometry is per call:
+// All three backends segment; geometry is per call:
 //
 //	SegmentConfig{Window: 96, Stride: 24}  // finer boundaries: smaller Stride
 //	SegmentConfig{Hysteresis: 3}           // calmer boundaries: more persistence
-//	SegmentConfig{Smoothing: 0.5}          // steadier arg-max on choppy text
 //
 // Streaming and reader variants mirror the detection paths —
 // DetectSpansReader for bounded-memory files, NewSpanStream for
@@ -300,7 +271,7 @@
 //	http.ListenAndServe(":8080", srv.Handler())
 //
 // cmd/langidd is the production daemon around this handler: flags for
-// address, backend, worker pool, confidence thresholds (-min-margin,
+// address, worker pool, confidence thresholds (-min-margin,
 // -min-ngrams), body/batch/line limits and read/write/idle timeouts,
 // profile sources (-registry, -profiles, -corpus, with -save), SIGHUP
 // hot reload, and graceful drain on SIGINT/SIGTERM.

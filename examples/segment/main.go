@@ -1,5 +1,5 @@
-// Segment: mixed-language span detection over the fused blocked
-// kernel. Trains profiles on a synthetic corpus, builds a
+// Segment: mixed-language span detection on the default detector's
+// exact kernel. Trains profiles on a synthetic corpus, builds a
 // mixed-language document with known boundaries, and recovers the
 // per-language spans three ways: one-shot DetectSpans, the streaming
 // segmenting Stream, and against the generator's ground truth.
@@ -30,11 +30,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. The blocked backend is the fastest Bloom backend: its fused
-	// kernel scores every language per n-gram in one pass, and
-	// segmentation hashes each n-gram exactly once no matter how many
-	// windows overlap it. (The exact default, direct, is faster still.)
-	det, err := bloomlang.NewDetector(profiles, bloomlang.WithBackend(bloomlang.BackendBlocked))
+	// 2. The default detector counts on the exact direct table, whose
+	// kernel scores every language per n-gram in one table load, and
+	// segmentation counts each n-gram exactly once no matter how many
+	// windows overlap it.
+	det, err := bloomlang.NewDetector(profiles)
 	if err != nil {
 		log.Fatal(err)
 	}

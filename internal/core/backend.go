@@ -72,7 +72,6 @@ var backends = [...]struct {
 	BackendDirect:  {"direct-lookup", "direct", buildMaskKernel},
 	BackendBloom:   {"parallel-bloom", "bloom", buildParallelBloom},
 	BackendClassic: {"classic-bloom", "classic", buildClassicBloom},
-	BackendBlocked: {"blocked-bloom", "blocked", buildBlocked},
 }
 
 // ParseBackend resolves a backend by canonical name or alias. It is the
@@ -184,86 +183,4 @@ func buildClassicBloom(cfg Config, ps *ProfileSet) (Kernel, error) {
 // matrices.
 func perLanguageSeed(seed int64, index int) int64 {
 	return seed + int64(index)*1000003
-}
-
-// blockedSeed derives the shared-hash seed for the blocked backend.
-// All languages share one hash stage (that is what makes the fused
-// layout possible), so the seed is offset once, away from the
-// per-language seed sequence the other backends draw from.
-func blockedSeed(seed int64) int64 {
-	return seed + 982451653
-}
-
-// buildBlocked is the fourth backend: a cache-line-blocked Bloom
-// filter fused across all languages. The first hash selects a 512-bit
-// block, the remaining k−1 hashes select bits inside it, and the
-// per-language blocks for a block index are contiguous, so scoring
-// one n-gram touches L consecutive cache lines. The block count is
-// sized so the modelled false positive rate at full profile load
-// matches the parallel backend's §3.1 model at the same Config. A
-// profile set loaded from an NGPS v2 file may carry the programmed
-// layout; when it is consistent with the configuration it is used
-// directly instead of re-programming.
-func buildBlocked(cfg Config, ps *ProfileSet) (Kernel, error) {
-	if cfg.K < 2 {
-		return nil, fmt.Errorf("core: blocked backend needs k >= 2 (one block-select hash plus k-1 bit probes), got k=%d", cfg.K)
-	}
-	set := ps.blocked
-	var err error
-	if set != nil {
-		err = checkBlockedLayout(cfg, ps, set)
-	} else {
-		set, err = buildBlockedSet(cfg, ps.Profiles)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return blockedKernel{set}, nil
-}
-
-// blockedKernel serves the fused blocked filter set, whose
-// AccumulateInto scores every language per n-gram, as a Kernel.
-type blockedKernel struct{ *bloom.BlockedSet }
-
-// Count counts the n-grams of p block by block.
-func (k blockedKernel) Count(counts []int, w *Window, p []byte) int {
-	return CountGrams(k, counts, w, p)
-}
-
-// buildBlockedSet programs a fused blocked filter set from profiles.
-func buildBlockedSet(cfg Config, profiles []*ngram.Profile) (*bloom.BlockedSet, error) {
-	target := bloom.FalsePositiveRate(cfg.TopT, cfg.MBits, cfg.K)
-	blocks := bloom.BlocksForTarget(cfg.TopT, cfg.K, target)
-	set, err := bloom.NewBlockedSet(len(profiles), cfg.K, ngram.Bits(cfg.N), blocks, blockedSeed(cfg.Seed))
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range profiles {
-		set.AddAll(i, p.Grams)
-	}
-	return set, nil
-}
-
-// checkBlockedLayout verifies a deserialized blocked layout against
-// the profile set it arrived with, so a stale or hand-edited layout
-// section fails loudly instead of silently misclassifying.
-func checkBlockedLayout(cfg Config, ps *ProfileSet, set *bloom.BlockedSet) error {
-	if set.Langs() != len(ps.Profiles) {
-		return fmt.Errorf("core: embedded blocked layout has %d languages, profile set has %d", set.Langs(), len(ps.Profiles))
-	}
-	if set.K() != cfg.K {
-		return fmt.Errorf("core: embedded blocked layout has k=%d, config has k=%d", set.K(), cfg.K)
-	}
-	if set.InputBits() != ngram.Bits(cfg.N) {
-		return fmt.Errorf("core: embedded blocked layout hashes %d-bit n-grams, config needs %d", set.InputBits(), ngram.Bits(cfg.N))
-	}
-	if set.Seed() != blockedSeed(cfg.Seed) {
-		return fmt.Errorf("core: embedded blocked layout was built under a different seed")
-	}
-	for i, p := range ps.Profiles {
-		if set.N(i) != len(p.Grams) {
-			return fmt.Errorf("core: embedded blocked layout programmed %d n-grams for %q, profile has %d", set.N(i), p.Language, len(p.Grams))
-		}
-	}
-	return nil
 }

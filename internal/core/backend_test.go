@@ -10,7 +10,7 @@ import (
 // every backend's String() parses back to itself,
 // and the historical aliases keep working.
 func TestBackendStringParseRoundTrip(t *testing.T) {
-	for _, b := range []Backend{BackendBloom, BackendDirect, BackendClassic, BackendBlocked} {
+	for _, b := range []Backend{BackendBloom, BackendDirect, BackendClassic} {
 		got, err := ParseBackend(b.String())
 		if err != nil {
 			t.Fatalf("ParseBackend(%q): %v", b.String(), err)
@@ -23,7 +23,6 @@ func TestBackendStringParseRoundTrip(t *testing.T) {
 		"bloom":   BackendBloom,
 		"direct":  BackendDirect,
 		"classic": BackendClassic,
-		"blocked": BackendBlocked,
 	}
 	for name, want := range aliases {
 		got, err := ParseBackend(name)
@@ -36,28 +35,26 @@ func TestBackendStringParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseBackendUnknownNameListsChoices also pins that the deleted
+// blocked backend's names no longer parse.
 func TestParseBackendUnknownNameListsChoices(t *testing.T) {
-	_, err := ParseBackend("fpga")
-	if err == nil {
-		t.Fatal("ParseBackend accepted an unknown name")
-	}
-	if !strings.Contains(err.Error(), "parallel-bloom") {
-		t.Errorf("error %q does not list known backends", err)
+	for _, name := range []string{"fpga", "blocked"} {
+		_, err := ParseBackend(name)
+		if err == nil {
+			t.Fatalf("ParseBackend accepted unknown name %q", name)
+		}
+		for _, known := range []string{"direct-lookup", "parallel-bloom", "classic-bloom"} {
+			if !strings.Contains(err.Error(), known) {
+				t.Errorf("error %q does not list %q", err, known)
+			}
+		}
 	}
 }
 
 func TestBackendsListsCanonicalNames(t *testing.T) {
-	names := Backends()
-	want := map[string]bool{"parallel-bloom": false, "direct-lookup": false, "classic-bloom": false, "blocked-bloom": false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
-		}
-	}
-	for n, seen := range want {
-		if !seen {
-			t.Errorf("Backends() = %v is missing %q", names, n)
-		}
+	want := []string{"classic-bloom", "direct-lookup", "parallel-bloom"}
+	if names := Backends(); !reflect.DeepEqual(names, want) {
+		t.Errorf("Backends() = %v, want %v", names, want)
 	}
 }
 
@@ -67,15 +64,6 @@ func TestBackendStringUnregisteredValue(t *testing.T) {
 	}
 	if _, err := New(&ProfileSet{Config: DefaultConfig(), Profiles: trainMini(t, Config{TopT: 500}).Profiles}, Backend(9999)); err == nil {
 		t.Error("New accepted an unregistered backend")
-	}
-}
-
-func TestBlockedBackendRejectsSingleHash(t *testing.T) {
-	ps := trainMini(t, Config{TopT: 500})
-	single := &ProfileSet{Config: ps.Config, Profiles: ps.Profiles}
-	single.Config.K = 1
-	if _, err := New(single, BackendBlocked); err == nil {
-		t.Error("blocked backend accepted k=1 (no bit probes left after block select)")
 	}
 }
 
@@ -91,7 +79,7 @@ func FuzzKernelCount(f *testing.F) {
 	for _, sub := range []int{1, 3} {
 		ps := &ProfileSet{Config: base.Config, Profiles: base.Profiles}
 		ps.Config.Subsample = sub
-		for _, b := range []Backend{BackendDirect, BackendBloom, BackendClassic, BackendBlocked} {
+		for _, b := range []Backend{BackendDirect, BackendBloom, BackendClassic} {
 			c, err := New(ps, b)
 			if err != nil {
 				f.Fatal(err)

@@ -22,15 +22,15 @@
 // takes documents as bytes; corpus scoring lives in the root bloomlang
 // package.
 //
-// The membership backends are a closed set of four. The default,
+// The membership backends are a closed set of three. The default,
 // direct-lookup, is exact: HAIL's direct table (§2) generalised to one
 // language bitmask per packed n-gram, so one table load scores an
 // n-gram against up to 16 languages. The Parallel Bloom Filter is the
-// paper's design, the classic single-vector Bloom filter its ablation,
-// and the cache-line-blocked Bloom filter a fused Bloom variant for key
-// spaces too large for a table (n >= 6). The paper's hardware models
-// (internal/xd1000, internal/rtl, internal/vhdl) do not link a
-// Classifier: they build their own filters with
+// paper's design, and the classic single-vector Bloom filter its
+// ablation. The table cannot hold the key space of n >= 6, so
+// ServingBackend picks the Parallel Bloom Filter there. The paper's
+// hardware models (internal/xd1000, internal/rtl, internal/vhdl) do
+// not link a Classifier: they build their own filters with
 // ProfileSet.ParallelFilters, the function the parallel-bloom backend
 // builds through, so hardware-simulated and software classifications
 // agree bit-for-bit.
@@ -138,17 +138,7 @@ func (c Config) ExpectedFalsePositiveRate() float64 {
 type ProfileSet struct {
 	Config   Config
 	Profiles []*ngram.Profile // sorted by language code
-	// blocked is the pre-programmed blocked-backend layout carried by
-	// an NGPS v2 file, when present. New(ps, BackendBlocked) uses it
-	// directly (after a consistency check) instead of re-programming
-	// the filters from Profiles at load time.
-	blocked *bloom.BlockedSet
 }
-
-// HasBlockedLayout reports whether the set carries a pre-programmed
-// blocked-backend layout (read from an NGPS v2 file or materialized by
-// WriteToBlocked).
-func (ps *ProfileSet) HasBlockedLayout() bool { return ps.blocked != nil }
 
 // TrainFromTexts builds per-language profiles from raw training texts
 // keyed by language code.
@@ -204,7 +194,7 @@ func LanguageName(code string) string {
 }
 
 // Backend selects the membership structure a Classifier uses, one of
-// the four below; backend.go names them and builds their kernels.
+// the three below; backend.go names them and builds their kernels.
 type Backend int
 
 const (
@@ -218,11 +208,6 @@ const (
 	// BackendClassic uses a classic single-vector Bloom filter with the
 	// same total bit budget (k·m bits) as the parallel variant.
 	BackendClassic
-	// BackendBlocked uses a cache-line-blocked Bloom filter fused
-	// across all languages: one 512-bit block per n-gram per language,
-	// all k probes inside it, per-language blocks contiguous so one
-	// n-gram's full scoring pass touches L consecutive cache lines.
-	BackendBlocked
 )
 
 // Classifier tests document n-grams against every language profile and

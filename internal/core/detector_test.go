@@ -272,15 +272,14 @@ func TestDetectorStream(t *testing.T) {
 }
 
 // TestDetectZeroAllocations is the hot-path discipline check: a warm
-// detector classifies without allocating, on every built-in backend —
-// the fused blocked kernel included.
+// detector classifies without allocating, on every built-in backend.
 func TestDetectZeroAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; CI runs this test again without -race")
 	}
 	ps := trainMini(t, Config{TopT: 1000})
 	doc := getMiniCorpus(t).Test["es"][0].Text
-	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic, BackendBlocked} {
+	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic} {
 		det, err := NewDetector(ps, WithBackend(backend))
 		if err != nil {
 			t.Fatal(err)

@@ -1,12 +1,12 @@
 package core
 
-// Equivalence guarantees the serving layer leans on: every backend —
-// the fused blocked kernel included — produces the identical decision
-// and counts on every input path (one-shot bytes, reader, incremental
-// stream, batch), a document fed to a Stream in any chunking —
-// including splits landing mid-n-gram — produces the identical match
-// and counts as one-shot classification, and the batch fan-out returns
-// results in input order at any worker count.
+// Equivalence guarantees the serving layer leans on: every backend
+// produces the identical decision and counts on every input path
+// (one-shot bytes, reader, incremental stream, batch), a document fed
+// to a Stream in any chunking — including splits landing mid-n-gram —
+// produces the identical match and counts as one-shot classification,
+// and the batch fan-out returns results in input order at any worker
+// count.
 
 import (
 	"bytes"
@@ -14,13 +14,12 @@ import (
 	"reflect"
 	"testing"
 
-	"bloomlang/internal/bloom"
 	"bloomlang/internal/corpus"
 )
 
 // equivBackends is the full built-in backend matrix the equivalence
 // suite runs over.
-var equivBackends = []Backend{BackendBloom, BackendDirect, BackendClassic, BackendBlocked}
+var equivBackends = []Backend{BackendBloom, BackendDirect, BackendClassic}
 
 // TestDetectEquivalenceAcrossPaths pins Detect ≡ DetectCounts ≡
 // Classify ≡ Rank over every built-in backend and every input path:
@@ -100,49 +99,74 @@ func TestDetectEquivalenceAcrossPaths(t *testing.T) {
 	}
 }
 
-// TestBlockedNeverFalseNegativeVsDirect is the deterministic half of
+// TestBloomNeverFalseNegativeVsDirect is the deterministic half of
 // the differential guarantee (the fuzz half lives in
-// FuzzBlockedNoFalseNegativesVsDirect): on real corpus documents,
-// every n-gram the exact direct table accepts must also be accepted
-// by the blocked filter, so the blocked per-language counts dominate
-// the exact counts.
-func TestBlockedNeverFalseNegativeVsDirect(t *testing.T) {
-	direct, blocked, exact, set := directAndBlocked(t, trainMini(t, Config{TopT: 1000}))
+// FuzzBloomNoFalseNegativesVsDirect): on real corpus documents, every
+// n-gram the exact direct table accepts must also be accepted by the
+// parallel and classic Bloom filters, so their per-language counts
+// dominate the exact counts.
+func TestBloomNeverFalseNegativeVsDirect(t *testing.T) {
+	diff := newBloomDiff(t, trainMini(t, Config{TopT: 1000}))
 	corp := getMiniCorpus(t)
 	for _, lang := range []string{"en", "es", "fi", "pt"} {
 		for _, doc := range corp.Test[lang][:5] {
-			gs := direct.ExtractGrams(nil, doc.Text)
-			for _, g := range gs {
-				for i := range direct.langs {
-					if exact.Test(i, g) && !set.Test(i, g) {
-						t.Fatalf("blocked false negative: lang %s gram %#x", direct.langs[i], g)
-					}
-				}
-			}
-			dr, br := direct.Classify(doc.Text), blocked.Classify(doc.Text)
-			for i := range dr.Counts {
-				if br.Counts[i] < dr.Counts[i] {
-					t.Errorf("%s: blocked count %d below exact count %d for %s",
-						lang, br.Counts[i], dr.Counts[i], direct.langs[i])
-				}
-			}
+			diff.check(t, doc.Text)
 		}
 	}
 }
 
-// directAndBlocked builds the exact and blocked classifiers over ps and
-// returns them with their kernels, whose concrete Test methods answer
-// per-language membership.
-func directAndBlocked(t testing.TB, ps *ProfileSet) (direct, blocked *Classifier, exact *maskKernel, set *bloom.BlockedSet) {
+// bloomDiff holds the exact classifier and the Bloom classifiers the
+// differential guarantee compares it with.
+type bloomDiff struct {
+	direct *Classifier
+	blooms []*Classifier
+}
+
+// newBloomDiff builds the exact classifier and one classifier per
+// Bloom backend (the paper's parallel filter and the classic
+// ablation) over ps.
+func newBloomDiff(t testing.TB, ps *ProfileSet) *bloomDiff {
 	t.Helper()
-	var err error
-	if direct, err = New(ps, BackendDirect); err != nil {
-		t.Fatal(err)
+	build := func(b Backend) *Classifier {
+		c, err := New(ps, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	if blocked, err = New(ps, BackendBlocked); err != nil {
-		t.Fatal(err)
+	return &bloomDiff{direct: build(BackendDirect), blooms: []*Classifier{build(BackendBloom), build(BackendClassic)}}
+}
+
+// check fails t unless, on doc, every n-gram the exact table accepts
+// for a language is accepted by each Bloom filter of that language,
+// and each Bloom backend's counts dominate the exact counts.
+func (d *bloomDiff) check(t testing.TB, doc []byte) {
+	t.Helper()
+	gs := d.direct.ExtractGrams(nil, doc)
+	dr := d.direct.Classify(doc)
+	exact := make([]int, len(dr.Counts))
+	member := make([]int, len(dr.Counts))
+	for _, c := range d.blooms {
+		for j := range gs {
+			// Counting one n-gram answers its membership per language.
+			d.direct.countInto(exact, gs[j:j+1])
+			c.countInto(member, gs[j:j+1])
+			for i, lang := range d.direct.langs {
+				if exact[i] > member[i] {
+					t.Fatalf("%s false negative: lang %s gram %#x", c.Backend(), lang, gs[j])
+				}
+			}
+		}
+		br := c.Classify(doc)
+		if br.NGrams != dr.NGrams {
+			t.Fatalf("%s extracted %d n-grams, direct %d", c.Backend(), br.NGrams, dr.NGrams)
+		}
+		for i := range dr.Counts {
+			if br.Counts[i] < dr.Counts[i] {
+				t.Fatalf("%s count %d below exact count %d for %s", c.Backend(), br.Counts[i], dr.Counts[i], d.direct.langs[i])
+			}
+		}
 	}
-	return direct, blocked, direct.kernel.(*maskKernel), blocked.kernel.(blockedKernel).BlockedSet
 }
 
 // splitPoints returns deterministic pseudo-random cut offsets for a
@@ -192,7 +216,7 @@ func TestStreamArbitraryChunkSplitsMatchOneShot(t *testing.T) {
 // is hit explicitly.
 func TestStreamMidNGramBoundarySplits(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
-	for _, backend := range []Backend{BackendBloom, BackendBlocked} {
+	for _, backend := range []Backend{BackendBloom, BackendDirect} {
 		det, err := NewDetector(ps, WithBackend(backend))
 		if err != nil {
 			t.Fatal(err)

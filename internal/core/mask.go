@@ -54,15 +54,27 @@ type maskKernel struct {
 	planes [][]uint16
 }
 
-// buildMaskKernel programs the mask planes from the profiles. The table
-// is indexed by the packed n-gram, so its size is 2^Bits(N) entries per
-// plane: 2 MiB at the paper's N=4, 64 MiB at N=5, 2 GiB at N=6 — past
-// that point the blocked Bloom backend is the right structure.
+// maxMaskN is the largest n the mask table is built for. The table is
+// indexed by the packed n-gram, so its size is 2^Bits(N) entries per
+// plane: 2 MiB at the paper's N=4, 64 MiB at N=5, 2 GiB at N=6.
+const maxMaskN = 5
+
+// ServingBackend is the backend a server runs for profiles trained
+// under cfg: the exact mask table, or the paper's Parallel Bloom Filter
+// when n is past what the table can hold.
+func ServingBackend(cfg Config) Backend {
+	if cfg.WithDefaults().N > maxMaskN {
+		return BackendBloom
+	}
+	return BackendDirect
+}
+
+// buildMaskKernel programs the mask planes from the profiles.
 func buildMaskKernel(cfg Config, ps *ProfileSet) (Kernel, error) {
 	nBits := ngram.Bits(cfg.N)
-	if cfg.N >= 6 {
-		return nil, fmt.Errorf("core: direct backend needs a 2^%d-entry table per %d languages (%d MiB) at n=%d; use the blocked backend for n >= 6",
-			nBits, maskPlaneLangs, (uint64(2)<<nBits)>>20, cfg.N)
+	if cfg.N > maxMaskN {
+		return nil, fmt.Errorf("core: direct backend needs a 2^%d-entry table per %d languages (%d MiB) at n=%d; use the parallel-bloom backend for n > %d",
+			nBits, maskPlaneLangs, (uint64(2)<<nBits)>>20, cfg.N, maxMaskN)
 	}
 	size := uint32(1) << nBits
 	k := &maskKernel{planes: make([][]uint16, (len(ps.Profiles)+maskPlaneLangs-1)/maskPlaneLangs)}

@@ -238,18 +238,27 @@ func TestMaskKernelMatchesReferenceOnCorpus(t *testing.T) {
 }
 
 // TestDirectRejectsTableTooLarge pins the size guard: at n=6 a mask
-// plane would be 2 GiB, so the builder refuses and points at blocked.
+// plane would be 2 GiB, so the builder refuses and points at
+// parallel-bloom, which builds, and which ServingBackend picks there.
 func TestDirectRejectsTableTooLarge(t *testing.T) {
 	ps := &ProfileSet{
 		Config:   Config{N: 6},
 		Profiles: []*ngram.Profile{{Language: "xx", N: 6, Grams: []uint32{1, 2, 3}}},
 	}
 	_, err := New(ps, BackendDirect)
-	if err == nil || !strings.Contains(err.Error(), "blocked") {
-		t.Fatalf("n=6 direct build error = %v, want one naming the blocked backend", err)
+	if err == nil || !strings.Contains(err.Error(), "parallel-bloom") {
+		t.Fatalf("n=6 direct build error = %v, want one naming the parallel-bloom backend", err)
 	}
-	if _, err := New(ps, BackendBlocked); err != nil {
-		t.Fatalf("n=6 blocked build failed: %v", err)
+	if _, err := New(ps, BackendBloom); err != nil {
+		t.Fatalf("n=6 parallel-bloom build failed: %v", err)
+	}
+	if got := ServingBackend(ps.Config); got != BackendBloom {
+		t.Errorf("ServingBackend(n=6) = %v, want parallel-bloom", got)
+	}
+	for _, n := range []int{0, 3, 4, 5} {
+		if got := ServingBackend(Config{N: n}); got != BackendDirect {
+			t.Errorf("ServingBackend(n=%d) = %v, want direct-lookup", n, got)
+		}
 	}
 }
 
@@ -340,7 +349,7 @@ func BenchmarkDetectCount(b *testing.B) {
 		doc = append(doc, d.Text...)
 	}
 	doc = doc[:5<<10]
-	for _, backend := range []Backend{BackendDirect, BackendBloom, BackendClassic, BackendBlocked} {
+	for _, backend := range []Backend{BackendDirect, BackendBloom, BackendClassic} {
 		c, err := New(ps, backend)
 		if err != nil {
 			b.Fatal(err)

@@ -83,11 +83,6 @@ type SegmentConfig struct {
 	// suppresses fragmentation on noisy mixed text at the cost of
 	// missing genuine segments shorter than Hysteresis windows.
 	Hysteresis int
-	// Smoothing exponentially smooths per-language window counts
-	// across successive windows: smoothed = Smoothing·previous +
-	// (1−Smoothing)·current. 0 (the default) disables smoothing; values
-	// toward 1 favour the incumbent language and steady boundaries.
-	Smoothing float64
 }
 
 // WithDefaults returns the configuration with zero fields replaced by
@@ -131,9 +126,6 @@ func (c SegmentConfig) Validate() error {
 	}
 	if cfg.Hysteresis < 1 {
 		return fmt.Errorf("core: segment hysteresis %d must be >= 1", cfg.Hysteresis)
-	}
-	if cfg.Smoothing < 0 || cfg.Smoothing >= 1 {
-		return fmt.Errorf("core: segment smoothing %v out of range [0,1)", cfg.Smoothing)
 	}
 	return nil
 }
@@ -247,12 +239,11 @@ type Stream struct {
 	rows  int // ring rows = Window/Stride; 0 without windowing
 	langs int
 
-	ring   []int     // rows × langs per-chunk match counts
-	open   []int     // the ring row of the chunk in progress
-	win    []int     // rolling window counts (sum of the completed rows)
-	smooth []float64 // EWMA-smoothed window counts
-	totals []int     // whole-document counts over completed chunks
-	tmp    []int     // totals with the open row folded in
+	ring   []int // rows × langs per-chunk match counts
+	open   []int // the ring row of the chunk in progress
+	win    []int // rolling window counts (sum of the completed rows)
+	totals []int // whole-document counts over completed chunks
+	tmp    []int // totals with the open row folded in
 
 	bytesSeen int
 	gramsSeen int
@@ -323,9 +314,8 @@ func (s *Stream) configure(cfg SegmentConfig) {
 	clear(s.open)
 	if cap(s.win) < s.langs {
 		s.win = make([]int, s.langs)
-		s.smooth = make([]float64, s.langs)
 	}
-	s.win, s.smooth = s.win[:s.langs], s.smooth[:s.langs]
+	s.win = s.win[:s.langs]
 	clear(s.win)
 }
 
@@ -401,28 +391,18 @@ func (s *Stream) completeChunk() {
 	clear(s.open)
 }
 
-// windowDone decides the window that just completed — smoothing,
-// arg-max, the detector's unknown policy — and feeds the decision to
-// the hysteresis merger.
+// windowDone decides the window that just completed — the integer
+// arg-max Detect uses, then the detector's unknown policy — and feeds
+// the decision to the hysteresis merger.
 func (s *Stream) windowDone() {
 	w := s.chunks - s.rows // index of the completed window
-	alpha := s.cfg.Smoothing
-	if s.windows == 0 || alpha == 0 {
-		for i, v := range s.win {
-			s.smooth[i] = float64(v)
-		}
-	} else {
-		for i, v := range s.win {
-			s.smooth[i] = alpha*s.smooth[i] + (1-alpha)*float64(v)
-		}
-	}
 	s.windows++
-	best, second := floatWinners(s.smooth)
+	best, second := winners(s.win)
 	width := float64(s.cfg.Window)
-	score := s.smooth[best] / width
+	score := float64(s.win[best]) / width
 	margin := score
 	if second >= 0 {
-		margin = (s.smooth[best] - s.smooth[second]) / width
+		margin = float64(s.win[best]-s.win[second]) / width
 	}
 	label := best
 	if s.cfg.Window < s.d.minNGrams || margin < s.d.minMargin {
@@ -587,21 +567,4 @@ func (s *Stream) counts() []int {
 		s.tmp[i] += v
 	}
 	return s.tmp
-}
-
-// floatWinners is winners over smoothed float counts: indices of the
-// highest and second-highest values, ties towards the lower index (the
-// lexicographically earlier language).
-func floatWinners(scores []float64) (best, second int) {
-	best, second = -1, -1
-	for i, v := range scores {
-		switch {
-		case best == -1 || v > scores[best]:
-			second = best
-			best = i
-		case second == -1 || v > scores[second]:
-			second = i
-		}
-	}
-	return best, second
 }

@@ -4,9 +4,9 @@ import (
 	"testing"
 )
 
-// FuzzDetectSpans is the differential guarantee for blocked-kernel
-// segmentation: on any input the fuzzer invents, the blocked backend's
-// spans must agree with the exact direct-table backend's wherever the
+// FuzzDetectSpans is the differential guarantee for Bloom-filter
+// segmentation: on any input the fuzzer invents, the paper's
+// parallel-bloom backend's spans must agree with the exact direct-table backend's wherever the
 // decision is confident, and both must satisfy the structural
 // invariants (spans tile the document, Unknown ⇔ empty language).
 //
@@ -26,7 +26,7 @@ func FuzzDetectSpans(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	blocked, err := NewDetector(ps, WithBackend(BackendBlocked))
+	parallel, err := NewDetector(ps, WithBackend(BackendBloom))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -44,12 +44,12 @@ func FuzzDetectSpans(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs, err := blocked.DetectSpans(data, cfg)
+		bs, err := parallel.DetectSpans(data, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fuzzCheckSpanInvariants(t, "direct", ds, len(data))
-		fuzzCheckSpanInvariants(t, "blocked", bs, len(data))
+		fuzzCheckSpanInvariants(t, "parallel-bloom", bs, len(data))
 		// Boundaries may shift by up to a stride between backends;
 		// compare labels only at positions a full window clear of every
 		// boundary in either segmentation.
@@ -67,7 +67,7 @@ func FuzzDetectSpans(f *testing.F) {
 				continue
 			}
 			if dSpan.Lang != bSpan.Lang {
-				t.Fatalf("position %d: blocked span language %q (margin %.3f) disagrees with direct %q (margin %.3f)\nblocked: %+v\ndirect: %+v",
+				t.Fatalf("position %d: parallel-bloom span language %q (margin %.3f) disagrees with direct %q (margin %.3f)\nparallel-bloom: %+v\ndirect: %+v",
 					pos, bSpan.Lang, bSpan.Margin, dSpan.Lang, dSpan.Margin, bs, ds)
 			}
 		}

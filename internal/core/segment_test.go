@@ -235,7 +235,7 @@ func TestDetectSpansFindsMixedBoundary(t *testing.T) {
 // as one-shot DetectSpans.
 func TestSpanStreamMatchesOneShot(t *testing.T) {
 	corp := getSegCorpus(t)
-	for _, backend := range []Backend{BackendBloom, BackendBlocked} {
+	for _, backend := range []Backend{BackendBloom, BackendDirect} {
 		t.Run(backend.String(), func(t *testing.T) {
 			det := segDetector(t, backend)
 			doc := append(append([]byte{}, corp.Test["da"][0].Text...), corp.Test["en"][1].Text...)
@@ -270,7 +270,7 @@ func TestSpanStreamMatchesOneShot(t *testing.T) {
 // Reset.
 func TestSpanStreamIncrementalFinalization(t *testing.T) {
 	corp := getSegCorpus(t)
-	det := segDetector(t, BackendBlocked)
+	det := segDetector(t, BackendBloom)
 	doc := append(append([]byte{}, corp.Test["en"][0].Text...), corp.Test["cs"][0].Text...)
 	want, err := det.DetectSpans(doc, segTestConfig)
 	if err != nil {
@@ -348,7 +348,7 @@ func TestSpanStreamMatchAgreesWithDetect(t *testing.T) {
 // path (io.StringWriter) to the byte path.
 func TestSpanStreamWriteStringMatchesWrite(t *testing.T) {
 	corp := getSegCorpus(t)
-	det := segDetector(t, BackendBlocked)
+	det := segDetector(t, BackendBloom)
 	doc := append(append([]byte{}, corp.Test["fi"][0].Text...), corp.Test["en"][0].Text...)
 	want, err := det.DetectSpans(doc, segTestConfig)
 	if err != nil {
@@ -400,7 +400,7 @@ func TestDetectSpansReaderMatchesBytes(t *testing.T) {
 // warm and produces the same spans.
 func TestAppendSpansReusesDst(t *testing.T) {
 	corp := getSegCorpus(t)
-	det := segDetector(t, BackendBlocked)
+	det := segDetector(t, BackendBloom)
 	doc := corp.Test["en"][0].Text
 	want, err := det.DetectSpans(doc, segTestConfig)
 	if err != nil {
@@ -453,7 +453,7 @@ func TestSegmentConfigValidate(t *testing.T) {
 		{Window: 90}, // quarter-window default hop does not divide: nudged to a divisor
 		{Window: 9},
 		{Window: 32, Stride: 32}, // non-overlapping windows
-		{Window: 30, Stride: 10, Hysteresis: 5, Smoothing: 0.9},
+		{Window: 30, Stride: 10, Hysteresis: 5},
 	}
 	for i, cfg := range good {
 		if err := cfg.Validate(); err != nil {
@@ -469,8 +469,6 @@ func TestSegmentConfigValidate(t *testing.T) {
 		{Window: 64, Stride: 65},
 		{Window: 64, Stride: 24}, // does not divide
 		{Hysteresis: -3},
-		{Smoothing: 1},
-		{Smoothing: -0.1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"bloomlang/internal/bloom"
 	"bloomlang/internal/ngram"
 )
 
@@ -25,26 +24,21 @@ import (
 //	magic "NGPS" | version u8 | config JSON len u32 | config JSON |
 //	profile count u32 | count * NGPF profile records
 //
-// Version 2 appends an optional materialized blocked-backend layout
-// after the profiles, so a daemon serving the blocked backend loads
-// pre-programmed filters instead of re-hashing every profile n-gram at
-// startup:
-//
-//	... | blocked flag u8 | [NGBK blocked set record when flag == 1]
-//
-// Version-1 files and legacy bare-NGPF streams remain readable; the
-// blocked layout is rebuilt from the profiles when absent.
+// Version 2 appended a programmed filter layout for a since-removed
+// backend after the profiles. That layout was a pure function of the
+// config and the profiles, so readers take the config and profiles of
+// a version-2 file and ignore the rest. Legacy bare-NGPF streams remain
+// readable too.
 
 // profileSetMagic identifies the on-disk profile-set format.
 const profileSetMagic = "NGPS"
 
-// Profile-set serialization versions: version 1 is config+profiles,
-// version 2 adds the optional blocked-layout section. WriteTo emits
-// version 1 (byte-identical to historical files); WriteToBlocked emits
-// version 2. Readers accept both.
+// Profile-set serialization versions: WriteTo emits version 1
+// (config+profiles, byte-identical to historical files); readers also
+// accept version 2, whose trailing layout section they skip.
 const (
-	profileSetVersion        = 1
-	profileSetVersionBlocked = 2
+	profileSetVersion       = 1
+	profileSetVersionLayout = 2
 )
 
 // maxConfigJSON bounds the config header a reader will accept.
@@ -69,47 +63,9 @@ func corruptf(format string, args ...any) error {
 // WriteTo serializes the profile set, configuration included, in the
 // NGPS version-1 binary format.
 func (ps *ProfileSet) WriteTo(w io.Writer) (int64, error) {
-	return ps.writeTo(w, nil)
-}
-
-// WriteToBlocked serializes the profile set in the NGPS version-2
-// format with the blocked-backend layout embedded: the fused
-// cache-line-blocked filters are programmed once at write time (or
-// reused when the set already carries them) and written after the
-// profiles, so readers serving BackendBlocked skip programming
-// entirely. The output is byte-stable: the layout is a pure function
-// of the configuration and the profiles.
-func (ps *ProfileSet) WriteToBlocked(w io.Writer) (int64, error) {
-	set, err := ps.blockedLayout()
-	if err != nil {
-		return 0, err
-	}
-	return ps.writeTo(w, set)
-}
-
-// blockedLayout returns the set's materialized blocked layout,
-// building and caching it when absent.
-func (ps *ProfileSet) blockedLayout() (*bloom.BlockedSet, error) {
-	if ps.blocked != nil {
-		return ps.blocked, nil
-	}
-	cfg := ps.Config.WithDefaults()
-	set, err := buildBlockedSet(cfg, ps.Profiles)
-	if err != nil {
-		return nil, fmt.Errorf("core: building blocked layout: %w", err)
-	}
-	ps.blocked = set
-	return set, nil
-}
-
-func (ps *ProfileSet) writeTo(w io.Writer, blocked *bloom.BlockedSet) (int64, error) {
 	cfgJSON, err := json.Marshal(ps.Config)
 	if err != nil {
 		return 0, fmt.Errorf("core: encoding profile set config: %w", err)
-	}
-	version := uint8(profileSetVersion)
-	if blocked != nil {
-		version = profileSetVersionBlocked
 	}
 	bw := bufio.NewWriter(w)
 	var written int64
@@ -124,7 +80,7 @@ func (ps *ProfileSet) writeTo(w io.Writer, blocked *bloom.BlockedSet) (int64, er
 		written += int64(binary.Size(data))
 		return nil
 	}
-	if err := put(version); err != nil {
+	if err := put(uint8(profileSetVersion)); err != nil {
 		return written, err
 	}
 	if err := put(uint32(len(cfgJSON))); err != nil {
@@ -147,30 +103,14 @@ func (ps *ProfileSet) writeTo(w io.Writer, blocked *bloom.BlockedSet) (int64, er
 			return written, fmt.Errorf("core: writing profile %q: %w", p.Language, err)
 		}
 	}
-	if version >= profileSetVersionBlocked {
-		flag := []byte{0}
-		if blocked != nil {
-			flag[0] = 1
-		}
-		if _, err := w.Write(flag); err != nil {
-			return written, err
-		}
-		written++
-		if blocked != nil {
-			n, err := blocked.WriteTo(w)
-			written += n
-			if err != nil {
-				return written, fmt.Errorf("core: writing blocked layout: %w", err)
-			}
-		}
-	}
 	return written, nil
 }
 
-// ReadProfileSet deserializes a profile set written by WriteTo or
-// WriteToBlocked. For compatibility with profile files produced before
-// the set format existed (bare concatenated NGPF records, as older
-// cmd/langid train wrote), a stream that starts with a profile record
+// ReadProfileSet deserializes a profile set written by WriteTo, or a
+// version-2 file, whose layout section it skips. For compatibility
+// with profile files produced before the set format existed (bare
+// concatenated NGPF records, as older cmd/langid train wrote), a
+// stream that starts with a profile record
 // instead of the set header is read as a legacy set under
 // DefaultConfig adjusted to the profiles' n. Malformed input comes
 // back as a wrapped ErrCorruptProfiles naming the structure that
@@ -191,9 +131,9 @@ func ReadProfileSet(r io.Reader) (*ProfileSet, error) {
 	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
 		return nil, corruptf("profile set header truncated after the magic (%v)", err)
 	}
-	if version != profileSetVersion && version != profileSetVersionBlocked {
+	if version != profileSetVersion && version != profileSetVersionLayout {
 		return nil, fmt.Errorf("core: unsupported profile set version %d (this build reads versions %d and %d; the file was written by a newer build or is corrupt)",
-			version, profileSetVersion, profileSetVersionBlocked)
+			version, profileSetVersion, profileSetVersionLayout)
 	}
 	var cfgLen uint32
 	if err := binary.Read(br, binary.LittleEndian, &cfgLen); err != nil {
@@ -232,37 +172,7 @@ func ReadProfileSet(r io.Reader) (*ProfileSet, error) {
 		}
 		ps.Profiles = append(ps.Profiles, p)
 	}
-	if version >= profileSetVersionBlocked {
-		if err := ps.readBlockedSection(br, cfg); err != nil {
-			return nil, err
-		}
-	}
 	return ps, nil
-}
-
-// readBlockedSection reads the version-2 blocked-layout section and
-// verifies it against the profiles just read.
-func (ps *ProfileSet) readBlockedSection(br *bufio.Reader, cfg Config) error {
-	var flag uint8
-	if err := binary.Read(br, binary.LittleEndian, &flag); err != nil {
-		return corruptf("profile set truncated before the blocked-layout flag (%v)", err)
-	}
-	switch flag {
-	case 0:
-		return nil
-	case 1:
-		set, err := bloom.ReadBlockedSet(br)
-		if err != nil {
-			return corruptf("reading embedded blocked layout: %v", err)
-		}
-		if err := checkBlockedLayout(cfg, ps, set); err != nil {
-			return corruptf("embedded blocked layout inconsistent with profiles: %v", err)
-		}
-		ps.blocked = set
-		return nil
-	default:
-		return corruptf("profile set blocked-layout flag is %d, want 0 or 1", flag)
-	}
 }
 
 // readLegacyProfileSet reads bare concatenated NGPF records until EOF.
@@ -292,17 +202,6 @@ func readLegacyProfileSet(br *bufio.Reader) (*ProfileSet, error) {
 // the same directory is renamed into place, so a crash mid-write never
 // leaves a truncated profile file for a daemon to trip over.
 func (ps *ProfileSet) SaveFile(path string) error {
-	return ps.saveFile(path, (*ProfileSet).WriteTo)
-}
-
-// SaveFileBlocked writes the profile set to path atomically in the
-// version-2 format with the blocked-backend layout embedded; see
-// WriteToBlocked.
-func (ps *ProfileSet) SaveFileBlocked(path string) error {
-	return ps.saveFile(path, (*ProfileSet).WriteToBlocked)
-}
-
-func (ps *ProfileSet) saveFile(path string, write func(*ProfileSet, io.Writer) (int64, error)) error {
 	dir, base := filepath.Split(path)
 	if dir == "" {
 		dir = "."
@@ -312,7 +211,7 @@ func (ps *ProfileSet) saveFile(path string, write func(*ProfileSet, io.Writer) (
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := write(ps, tmp); err != nil {
+	if _, err := ps.WriteTo(tmp); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -330,7 +229,7 @@ func (ps *ProfileSet) saveFile(path string, write func(*ProfileSet, io.Writer) (
 }
 
 // LoadProfileSetFile reads a profile set from a file written by
-// SaveFile or SaveFileBlocked (or a legacy bare-profile file).
+// SaveFile (or a legacy bare-profile file).
 func LoadProfileSetFile(path string) (*ProfileSet, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -108,83 +109,64 @@ func TestReadProfileSetLegacyFormat(t *testing.T) {
 	}
 }
 
-func TestProfileSetBlockedLayoutRoundTrip(t *testing.T) {
-	ps := trainMini(t, Config{TopT: 400, Seed: 3})
-	var buf bytes.Buffer
-	n, err := ps.WriteToBlocked(&buf)
+// TestReadProfileSetVersion2Fixture loads an NGPS version-2 file,
+// written with the embedded filter layout of a since-removed backend,
+// and checks it against its version-1 rewrite: the rewrite is the file
+// up to the layout section under version byte 1, and it reads back to
+// the same Config, the same Profiles and the same detections.
+func TestReadProfileSetVersion2Fixture(t *testing.T) {
+	v2, err := os.ReadFile(filepath.Join("testdata", "profiles_v2_blocked.ngps"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != int64(buf.Len()) {
-		t.Errorf("WriteToBlocked reported %d bytes, wrote %d", n, buf.Len())
-	}
-	loaded, err := ReadProfileSet(bytes.NewReader(buf.Bytes()))
+	ps, err := ReadProfileSet(bytes.NewReader(v2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.HasBlockedLayout() {
-		t.Fatal("v2 file round-trip dropped the blocked layout")
+	if got := ps.Languages(); !reflect.DeepEqual(got, []string{"en", "es", "fi"}) {
+		t.Fatalf("fixture languages = %v", got)
 	}
-	// A classifier built from the embedded layout matches one built by
-	// re-programming the filters from the profiles.
-	fresh := trainMini(t, Config{TopT: 400, Seed: 3})
-	want, err := New(fresh, BackendBlocked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := New(loaded, BackendBlocked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, lang := range []string{"en", "es", "fi", "pt"} {
-		doc := getMiniCorpus(t).Test[lang][0].Text
-		a, b := want.Classify(doc), got.Classify(doc)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: classifier from embedded layout disagrees: %+v vs %+v", lang, a, b)
-		}
-	}
-	// Byte stability: serializing the same trained state twice is
-	// bit-identical (the layout is a pure function of config+profiles).
-	var again bytes.Buffer
-	if _, err := fresh.WriteToBlocked(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Error("WriteToBlocked is not byte-stable across identical trained sets")
-	}
-	// The v1 writer remains byte-stable and layout-free.
 	var v1 bytes.Buffer
 	if _, err := ps.WriteTo(&v1); err != nil {
 		t.Fatal(err)
 	}
-	plain, err := ReadProfileSet(&v1)
+	if v1.Len() >= len(v2) {
+		t.Fatalf("v1 rewrite is %d bytes, v2 file only %d", v1.Len(), len(v2))
+	}
+	want := append([]byte(nil), v2[:v1.Len()]...)
+	want[len(profileSetMagic)] = profileSetVersion
+	if !bytes.Equal(v1.Bytes(), want) {
+		t.Error("v1 rewrite is not the v2 file without its layout section")
+	}
+	rewritten, err := ReadProfileSet(&v1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.HasBlockedLayout() {
-		t.Error("v1 file claims a blocked layout")
+	if rewritten.Config != ps.Config {
+		t.Errorf("config: v2 %+v, v1 rewrite %+v", ps.Config, rewritten.Config)
 	}
-}
-
-func TestReadProfileSetRejectsInconsistentBlockedLayout(t *testing.T) {
-	ps := trainMini(t, Config{TopT: 400})
-	layout, err := ps.blockedLayout()
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(rewritten.Profiles, ps.Profiles) {
+		t.Error("profiles differ between the v2 file and its v1 rewrite")
 	}
-	// Splice the layout onto a set trained under a different seed: the
-	// hash matrices disagree, so the reader must refuse.
-	other := trainMini(t, Config{TopT: 400, Seed: 1234})
-	var buf bytes.Buffer
-	if _, err := other.writeTo(&buf, layout); err != nil {
-		t.Fatal(err)
-	}
-	_, err = ReadProfileSet(&buf)
-	if err == nil {
-		t.Fatal("inconsistent embedded layout accepted")
-	}
-	if !errors.Is(err, ErrCorruptProfiles) {
-		t.Errorf("error %v is not tagged ErrCorruptProfiles", err)
+	corp := getMiniCorpus(t)
+	for _, backend := range equivBackends {
+		a, err := NewDetector(ps, WithBackend(backend))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewDetector(rewritten, WithBackend(backend))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lang := range []string{"en", "es", "fi", "pt"} {
+			for _, doc := range corp.Test[lang][:3] {
+				ca, ma := a.DetectCounts(nil, doc.Text)
+				cb, mb := b.DetectCounts(nil, doc.Text)
+				if ma != mb || !reflect.DeepEqual(ca, cb) {
+					t.Errorf("%s %s: v2 %+v %v, v1 rewrite %+v %v", backend, lang, ma, ca, mb, cb)
+				}
+			}
+		}
 	}
 }
 
@@ -196,10 +178,6 @@ func TestReadProfileSetCorruptInputs(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 200})
 	var v1 bytes.Buffer
 	if _, err := ps.WriteTo(&v1); err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if _, err := ps.WriteToBlocked(&v2); err != nil {
 		t.Fatal(err)
 	}
 	hugeCfgLen := append([]byte("NGPS\x01"), []byte{0xff, 0xff, 0xff, 0xff}...)
@@ -218,8 +196,6 @@ func TestReadProfileSetCorruptInputs(t *testing.T) {
 		{"config not JSON", append([]byte("NGPS\x01"), 0x02, 0, 0, 0, 'h', 'i'), "not valid JSON"},
 		{"cut before profile count", v1.Bytes()[:bytes.IndexByte(v1.Bytes(), '}')+1], "profile count"},
 		{"profile record truncated", v1.Bytes()[:v1.Len()-10], "reading profile"},
-		{"blocked section truncated", v2.Bytes()[:v2.Len()-64], "blocked"},
-		{"blocked flag invalid", flipBlockedFlag(t, v1.Bytes(), v2.Bytes()), "blocked-layout flag"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -241,15 +217,6 @@ func TestReadProfileSetCorruptInputs(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "version 7") {
 		t.Errorf("version bump error = %v, want an unsupported-version message", err)
 	}
-}
-
-// flipBlockedFlag rebuilds the v2 stream with an out-of-range
-// blocked-layout flag: the v1 profile payload followed by flag 9.
-func flipBlockedFlag(t *testing.T, v1 []byte, v2 []byte) []byte {
-	t.Helper()
-	out := append([]byte(nil), v2[:len(v1)]...)
-	out[4] = 2 // version byte
-	return append(out, 9)
 }
 
 func TestReadProfileSetErrors(t *testing.T) {

@@ -45,11 +45,9 @@ import (
 	"bloomlang/internal/registry"
 )
 
-// Config carries the serving-layer knobs.
+// Config carries the serving-layer knobs. There is no backend knob:
+// every profile set is served on core.ServingBackend of its config.
 type Config struct {
-	// Backend selects the membership structure; the zero value is
-	// BackendDirect, the exact kernel.
-	Backend core.Backend
 	// Workers bounds /batch fan-out; 0 means GOMAXPROCS.
 	Workers int
 	// MinMargin is the normalized winner-margin floor below which a
@@ -172,11 +170,11 @@ func NewFromRegistry(reg *registry.Registry, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// newDetector builds a detector over ps under the configured backend and
-// detection policy.
+// newDetector builds a detector over ps on the set's serving backend
+// under the configured detection policy.
 func (c *Config) newDetector(ps *core.ProfileSet) (*core.Detector, error) {
 	return core.NewDetector(ps,
-		core.WithBackend(c.Backend),
+		core.WithBackend(core.ServingBackend(ps.Config)),
 		core.WithWorkers(c.Workers),
 		core.WithMinMargin(c.MinMargin),
 		core.WithMinNGrams(c.MinNGrams))

@@ -23,6 +23,7 @@ import (
 	"bloomlang/internal/core"
 	"bloomlang/internal/corpus"
 	"bloomlang/internal/serve"
+	"bloomlang/internal/train"
 )
 
 // testLangs are the languages the fixture trains; tests classify
@@ -697,58 +698,76 @@ func TestStatszCountsErrors(t *testing.T) {
 	}
 }
 
-// TestBlockedBackendServesIdentically mounts the server on the fused
-// blocked backend — with profiles reloaded from an NGPS v2 file
-// carrying the embedded blocked layout, the restart path a production
-// daemon takes — and checks that HTTP detections agree with the
-// default direct-lookup server on every test language, and that
-// /statsz names the backend.
-func TestBlockedBackendServesIdentically(t *testing.T) {
-	_, ps := fixtures(t)
-	path := filepath.Join(t.TempDir(), "profiles_blocked.bin")
-	if err := ps.SaveFileBlocked(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := core.LoadProfileSetFile(path)
+// TestSixGramsServeOnParallelBloom pins the one backend choice a
+// server makes. The zero Config serves an n=6 profile set, which the
+// exact table cannot hold, on the parallel Bloom filter, both at
+// startup and after a Reload from an n=4 version. /statsz names the
+// backend, and /detect answers exactly as a core parallel-bloom
+// detector does.
+func TestSixGramsServeOnParallelBloom(t *testing.T) {
+	corp, _ := fixtures(t)
+	tr, err := train.New(core.Config{N: 6, TopT: 1500}, train.WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.HasBlockedLayout() {
-		t.Fatal("reloaded v2 profile file lost the blocked layout")
-	}
-	srv, err := serve.New(loaded, serve.Config{Backend: core.BackendBlocked})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blockedTS := httptest.NewServer(srv.Handler())
-	t.Cleanup(blockedTS.Close)
-	baselineTS, corp := newTestServer(t, serve.Config{})
 	for _, lang := range testLangs {
-		for i := 0; i < 3; i++ {
-			doc := corp.Test[lang][i].Text
-			want := postDetect(t, baselineTS, doc)
-			got := postDetect(t, blockedTS, doc)
-			if got.Language != want.Language {
-				t.Errorf("%s doc %d: blocked served %q, direct-lookup served %q",
-					lang, i, got.Language, want.Language)
-			}
-			if got.NGrams != want.NGrams {
-				t.Errorf("%s doc %d: blocked tested %d n-grams, direct-lookup %d",
-					lang, i, got.NGrams, want.NGrams)
+		for _, doc := range corp.Train[lang] {
+			if err := tr.Add(lang, doc.Text); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	resp, err := http.Get(blockedTS.URL + "/statsz")
+	ps6, stats, err := tr.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := core.NewDetector(ps6, core.WithBackend(core.BackendBloom))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(ps6, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
 	var snap serve.Snapshot
-	err = json.NewDecoder(resp.Body).Decode(&snap)
-	resp.Body.Close()
+	getJSON(t, ts.URL+"/statsz", &snap)
+	if snap.Backend != "parallel-bloom" {
+		t.Errorf("n=6 statsz backend = %q, want parallel-bloom", snap.Backend)
+	}
+	for _, lang := range testLangs {
+		for i := 0; i < 3; i++ {
+			doc := corp.Test[lang][i].Text
+			got := postDetect(t, ts, doc)
+			counts, m := want.DetectCounts(nil, doc)
+			if got.Language != m.Lang || got.NGrams != m.NGrams || got.Count != m.Count ||
+				got.Score != m.Score || got.Margin != m.Margin || got.Unknown != m.Unknown {
+				t.Errorf("%s doc %d: /detect %+v, core parallel-bloom %+v", lang, i, got, m)
+			}
+			for j, l := range want.Languages() {
+				if got.Counts[l] != counts[j] {
+					t.Errorf("%s doc %d: /detect count %s=%d, core %d", lang, i, l, got.Counts[l], counts[j])
+				}
+			}
+		}
+	}
+
+	_, regSrv, reg, _ := newRegistryServer(t, serve.Config{})
+	if got := regSrv.Stats().Backend; got != "direct-lookup" {
+		t.Fatalf("n=4 registry server backend = %q, want direct-lookup", got)
+	}
+	m, err := reg.Create(ps6, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Backend != "blocked-bloom" {
-		t.Errorf("statsz backend = %q, want %q", snap.Backend, "blocked-bloom")
+	if err := reg.Activate(m.Version); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := regSrv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if got := regSrv.Stats().Backend; got != "parallel-bloom" {
+		t.Errorf("after reloading an n=6 version, backend = %q, want parallel-bloom", got)
 	}
 }

@@ -13,15 +13,6 @@ func SaveProfiles(ps *ProfileSet, path string) error {
 	return ps.SaveFile(path)
 }
 
-// SaveProfilesBlocked writes the profile set with the blocked-backend
-// layout embedded (NGPS version 2): the fused cache-line-blocked
-// filters are programmed once at save time, so a reader serving
-// BackendBlocked skips filter programming entirely at startup.
-// LoadProfiles reads both formats.
-func SaveProfilesBlocked(ps *ProfileSet, path string) error {
-	return ps.SaveFileBlocked(path)
-}
-
 // ErrCorruptProfiles tags ReadProfiles/LoadProfiles errors caused by
 // damaged or truncated profile data, as opposed to I/O failures or
 // version mismatches: errors.Is(err, ErrCorruptProfiles).
