@@ -25,6 +25,18 @@
 // requests are answered with a JSON error body ({"error": ...,
 // "status": ...}): oversized bodies as 413, request-body read
 // timeouts as 408.
+//
+// The document endpoints speak JSON through one small codec (wire.go)
+// instead of encoding/json: request documents are decoded in one pass
+// and unescaped in place in the request's pooled buffer, their text
+// goes straight to the counting stream, and responses are appended
+// into a pooled buffer straight from core's matches and spans, with
+// each detector's language codes and names quoted once. The codec
+// accepts exactly the documents encoding/json accepts and writes the
+// bytes it writes; FuzzWireCodec and TestResponsesMatchEncodingJSON
+// hold it to that. /statsz, the admin endpoints and error bodies use
+// encoding/json. /stream flushes its answers only before it reads more
+// of the request body, where it could block, and at the end.
 package serve
 
 import (
@@ -37,8 +49,10 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bloomlang/internal/core"
@@ -121,6 +135,9 @@ type Server struct {
 	start  time.Time
 
 	reloadMu sync.Mutex // serializes Reload; request paths never take it
+
+	// wire caches the serving detector's pre-quoted language table.
+	wire atomic.Pointer[langTable]
 
 	detect        endpointStats
 	batch         endpointStats
@@ -314,8 +331,8 @@ func (w *statusRecorder) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// Flush forwards to the underlying writer so /stream can push each
-// result line as it is produced.
+// Flush forwards to the underlying writer so /stream can push its
+// answers before it waits for more request lines.
 func (w *statusRecorder) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
@@ -408,57 +425,13 @@ type Segmentation struct {
 	Spans []SpanDetection `json:"spans"`
 }
 
-// spanDetections converts core spans to the wire shape, counting them
-// on the endpoint's span counter.
-func spanDetections(spans []core.Span, st *endpointStats) []SpanDetection {
-	out := make([]SpanDetection, len(spans))
-	for i, sp := range spans {
-		out[i] = SpanDetection{
-			Start:    sp.Start,
-			End:      sp.End,
-			Language: sp.Lang,
-			Name:     core.LanguageName(sp.Lang),
-			Score:    sp.Score,
-			Margin:   sp.Margin,
-			Unknown:  sp.Unknown,
-		}
-	}
-	st.spans.Add(int64(len(spans)))
-	return out
-}
-
-// detection converts a Match into the wire shape, attaching per-language
-// counts when given and bumping the endpoint's unknown counter. det
-// must be the detector that produced m, so language order agrees.
-func (s *Server) detection(det *core.Detector, id string, m core.Match, counts []int, st *endpointStats) Detection {
-	d := Detection{
-		ID:       id,
-		Language: m.Lang,
-		Name:     core.LanguageName(m.Lang),
-		NGrams:   m.NGrams,
-		Count:    m.Count,
-		Score:    m.Score,
-		Margin:   m.Margin,
-		Unknown:  m.Unknown,
-	}
-	if counts != nil {
-		langs := det.Languages()
-		d.Counts = make(map[string]int, len(langs))
-		for i, l := range langs {
-			d.Counts[l] = counts[i]
-		}
-	}
-	if m.Unknown {
-		st.unknown.Add(1)
-	}
-	return d
-}
-
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	// One snapshot per request: a concurrent hot swap must not change
 	// the detector under a request that already started.
 	det := s.handle.Detector()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	b := getBuffers()
+	defer b.release()
+	body, err := s.readBody(w, r, b)
 	if err != nil {
 		httpReadError(w, err)
 		return
@@ -473,7 +446,9 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request, st *endpoi
 		return
 	}
 	st.docs.Add(1)
-	writeJSON(w, s.detection(det, "", m, counts, st))
+	st.countUnknown(m)
+	b.out = s.langs(det).appendDetection(b.out[:0], nil, m, counts, nil, "")
+	writeJSONBytes(w, append(b.out, '\n'))
 }
 
 // handleSegment segments one raw document into contiguous
@@ -483,7 +458,9 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request, st *endpoi
 // across concurrent profile hot swaps.
 func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	det := s.handle.Detector()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	b := getBuffers()
+	defer b.release()
+	body, err := s.readBody(w, r, b)
 	if err != nil {
 		httpReadError(w, err)
 		return
@@ -500,87 +477,87 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request, st *endpo
 		return
 	}
 	st.docs.Add(1)
+	st.spans.Add(int64(len(spans)))
 	eff := s.cfg.Segment.WithDefaults()
-	writeJSON(w, Segmentation{
-		Bytes:  len(body),
-		Window: eff.Window,
-		Stride: eff.Stride,
-		Spans:  spanDetections(spans, st),
-	})
+	b.out = s.langs(det).appendSegmentation(b.out[:0], len(body), eff.Window, eff.Stride, spans)
+	writeJSONBytes(w, append(b.out, '\n'))
 }
 
-// batchDoc accepts either a bare JSON string or {"id": ..., "text": ...}.
-type batchDoc struct {
-	ID   string
-	Text string
-}
-
-func (d *batchDoc) UnmarshalJSON(data []byte) error {
-	if len(data) > 0 && data[0] == '"' {
-		return json.Unmarshal(data, &d.Text)
-	}
-	var obj struct {
-		ID   string `json:"id"`
-		Text string `json:"text"`
-	}
-	if err := json.Unmarshal(data, &obj); err != nil {
-		return err
-	}
-	d.ID, d.Text = obj.ID, obj.Text
-	return nil
-}
-
+// handleBatch classifies a JSON array of documents, each a string or
+// an {"id", "text"} object, decoded in place in the request buffer.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	det := s.handle.Detector()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	b := getBuffers()
+	defer b.release()
+	body, err := s.readBody(w, r, b)
 	if err != nil {
 		httpReadError(w, err)
 		return
 	}
-	var reqDocs []batchDoc
-	if err := json.Unmarshal(body, &reqDocs); err != nil {
+	var n int
+	b.ids, b.texts, n, err = b.dec.batch(body, s.cfg.MaxBatchDocs, b.ids[:0], b.texts[:0])
+	if err != nil {
 		jsonError(w, http.StatusBadRequest, "body must be a JSON array of documents: "+err.Error())
 		return
 	}
-	if len(reqDocs) > s.cfg.MaxBatchDocs {
-		jsonError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch of %d documents exceeds limit %d", len(reqDocs), s.cfg.MaxBatchDocs))
+	if n > s.cfg.MaxBatchDocs {
+		jsonError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch of %d documents exceeds limit %d", n, s.cfg.MaxBatchDocs))
 		return
 	}
-	docs := make([][]byte, len(reqDocs))
 	var bytes int64
-	for i, d := range reqDocs {
-		docs[i] = []byte(d.Text)
-		bytes += int64(len(d.Text))
+	for _, text := range b.texts {
+		bytes += int64(len(text))
 	}
 	st.bytes.Add(bytes)
-	st.docs.Add(int64(len(docs)))
-	out := make([]Detection, len(docs))
+	st.docs.Add(int64(n))
+	var ms []core.Match
+	var counts []int
 	if s.cfg.IncludeCounts {
-		nLangs := len(det.Languages())
-		counts, ms := det.DetectBatchCounts(nil, docs)
-		for i, m := range ms {
-			out[i] = s.detection(det, reqDocs[i].ID, m, counts[i*nLangs:(i+1)*nLangs], st)
-		}
+		b.counts, ms = det.DetectBatchCounts(b.counts[:0], b.texts)
+		counts = b.counts
 	} else {
-		for i, m := range det.DetectBatch(docs) {
-			out[i] = s.detection(det, reqDocs[i].ID, m, nil, st)
-		}
+		ms = det.DetectBatch(b.texts)
 	}
-	writeJSON(w, out)
+	langs := s.langs(det)
+	nLangs := len(langs.langs)
+	out := append(b.out[:0], '[')
+	for i, m := range ms {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		var row []int
+		if counts != nil {
+			row = counts[i*nLangs : (i+1)*nLangs]
+		}
+		st.countUnknown(m)
+		out = langs.appendDetection(out, b.ids[i], m, row, nil, "")
+	}
+	b.out = append(out, "]\n"...)
+	writeJSONBytes(w, b.out)
 }
 
+// maxPendingBytes bounds the /stream answers held back between reads.
+const maxPendingBytes = 64 << 10
+
 // handleStream reads NDJSON documents (one JSON string or {id, text}
-// object per line) and writes one NDJSON Detection per line, flushed as
-// produced. The whole exchange uses bounded memory regardless of how
-// many documents flow through: one line buffer, one core.Stream reset
-// at each document boundary — the software mirror of the hardware's
+// object per line) and writes one NDJSON Detection per line. The whole
+// exchange uses bounded memory regardless of how many documents flow
+// through: one pooled line buffer, one core.Stream reset at each
+// document boundary — the software mirror of the hardware's
 // End-of-Document marker in the DMA stream (§3.3). The stream keeps its
 // request-start detector for its whole life, even across hot swaps.
-// Both modes run the same per-line body and count each JSON-decoded
-// line without copying it; with ?spans=1 the stream is built to
-// segment and every result line also carries the document's spans.
-// The stream's running totals are the document-level detection, so
-// spans mode still extracts and hashes each n-gram exactly once.
+// Each line is decoded in place in the line buffer and its text
+// counted without a copy; with ?spans=1 the stream is built to segment
+// and every result line also carries the document's spans, encoded
+// straight from the stream's. The stream's running totals are the
+// document-level detection, so spans mode still extracts and hashes
+// each n-gram exactly once. Result lines collect in a pooled buffer
+// that is written and flushed just before each read from the request
+// body — the only point where the handler can block — and at the end
+// (and written early past maxPendingBytes), so a client that sends one
+// line at a time gets each answer before it must send the next, and a
+// client that sends many lines at once gets their answers in a few
+// writes.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	det := s.handle.Detector()
 	spansMode := queryFlag(r, "spans")
@@ -600,54 +577,77 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpoi
 	// HTTP/1 the server would otherwise cut off the request body at the
 	// first flush.
 	http.NewResponseController(w).EnableFullDuplex()
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	sc := bufio.NewScanner(r.Body)
-	// Scanner's effective cap is max(cap(buf), max), so the initial
-	// buffer must not exceed the configured line limit.
-	bufCap := 64 << 10
-	if s.cfg.MaxLineBytes < bufCap {
-		bufCap = s.cfg.MaxLineBytes
-	}
-	sc.Buffer(make([]byte, 0, bufCap), s.cfg.MaxLineBytes)
-	var countsBuf []int
-	for sc.Scan() {
-		line := sc.Bytes()
+	b := getBuffers()
+	defer b.release()
+	lines := b.lineReader(r.Body, s.cfg.MaxLineBytes)
+	langs := s.langs(det)
+	out := b.out[:0]
+	for {
+		line, ok := lines.next()
+		if !ok {
+			// About to read: send what is answered first.
+			if len(out) > 0 {
+				w.Write(out)
+				out = out[:0]
+				if flusher != nil {
+					flusher.Flush()
+				}
+			}
+			err := lines.fill()
+			if err == nil {
+				continue
+			}
+			if err != io.EOF {
+				// Headers are long gone; report the failure in-band and stop.
+				msg := err.Error()
+				if errors.Is(err, bufio.ErrTooLong) {
+					msg = fmt.Sprintf("document line exceeds %d bytes", s.cfg.MaxLineBytes)
+				}
+				out = langs.appendDetection(out, nil, core.Match{}, nil, nil, msg)
+				out = append(out, '\n')
+				// Discard the unread rest of the body now. Left to the
+				// server, a full-duplex body drained to its end after
+				// the handler returns starts a connection read that
+				// races the next request's (a net/http panic).
+				r.Body.Close()
+			}
+			break
+		}
 		if len(line) == 0 {
 			continue
 		}
-		var doc batchDoc
-		if err := json.Unmarshal(line, &doc); err != nil {
-			enc.Encode(Detection{Error: "bad document line: " + err.Error()})
+		id, text, err := b.dec.line(line)
+		if err != nil {
+			out = langs.appendDetection(out, nil, core.Match{}, nil, nil, "bad document line: "+err.Error())
+			out = append(out, '\n')
 			continue
 		}
-		st.bytes.Add(int64(len(doc.Text)))
+		st.bytes.Add(int64(len(text)))
 		st.docs.Add(1)
 		stream.Reset()
-		io.WriteString(stream, doc.Text)
+		stream.Write(text)
 		spans := stream.Finish()
 		var counts []int
 		if s.cfg.IncludeCounts {
-			countsBuf = stream.AppendCounts(countsBuf[:0])
-			counts = countsBuf
+			b.counts = stream.AppendCounts(b.counts[:0])
+			counts = b.counts
 		}
-		d := s.detection(det, doc.ID, stream.Match(), counts, st)
-		if spansMode {
-			d.Spans = spanDetections(spans, st)
-		}
-		enc.Encode(d)
-		if flusher != nil {
-			flusher.Flush()
+		m := stream.Match()
+		st.countUnknown(m)
+		st.spans.Add(int64(len(spans)))
+		out = langs.appendDetection(out, id, m, counts, spans, "")
+		out = append(out, '\n')
+		if len(out) >= maxPendingBytes {
+			// Many short lines read at once: bound the answers held back.
+			w.Write(out)
+			out = out[:0]
 		}
 	}
-	if err := sc.Err(); err != nil {
-		// Headers are long gone; report the failure in-band and stop.
-		msg := err.Error()
-		if errors.Is(err, bufio.ErrTooLong) {
-			msg = fmt.Sprintf("document line exceeds %d bytes", s.cfg.MaxLineBytes)
-		}
-		enc.Encode(Detection{Error: msg})
+	if len(out) > 0 {
+		w.Write(out)
 	}
+	b.out = out
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, st *endpointStats) {
@@ -706,6 +706,64 @@ func queryFlag(r *http.Request, name string) bool {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
+}
+
+// jsonContentType is the Content-Type header value of the document
+// endpoints, shared so setting it allocates nothing.
+var jsonContentType = []string{"application/json"}
+
+// writeJSONBytes writes an encoded JSON response body in one Write, as
+// json.Encoder does.
+func writeJSONBytes(w http.ResponseWriter, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.Write(body)
+}
+
+// readBody reads the request body, capped at MaxBodyBytes, into the
+// pooled input buffer and returns it.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, b *buffers) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	buf := b.in[:0]
+	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
+		// Room for the declared body and the read that reports its end;
+		// a declaration is trusted only up to maxPooledBytes before the
+		// bytes arrive.
+		buf = slices.Grow(buf, int(min(n, maxPooledBytes))+1)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			b.in = buf
+			if err == io.EOF {
+				err = nil
+			}
+			return buf, err
+		}
+	}
+}
+
+// langs returns the pre-quoted language table of det, building it on
+// the first request after a swap.
+func (s *Server) langs(det *core.Detector) *langTable {
+	if t := s.wire.Load(); t != nil && t.det == det {
+		return t
+	}
+	codes := det.Languages()
+	names := make([]string, len(codes))
+	for i, code := range codes {
+		names[i] = core.LanguageName(code)
+	}
+	t := newLangTable(det, codes, names)
+	// Only the serving detector's table is kept, so a request finishing
+	// on a swapped-out detector does not evict the new one.
+	if s.handle.Detector() == det {
+		s.wire.Store(t)
+	}
+	return t
 }
 
 // errorBody is the JSON envelope every failed request is answered

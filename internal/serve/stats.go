@@ -1,6 +1,10 @@
 package serve
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"bloomlang/internal/core"
+)
 
 // endpointStats holds one endpoint's counters. All fields are atomics:
 // handlers on every connection update them concurrently and /statsz
@@ -14,6 +18,13 @@ type endpointStats struct {
 	unknown   atomic.Int64
 	spans     atomic.Int64
 	latencyNS atomic.Int64
+}
+
+// countUnknown counts m on the unknown counter when it is unknown.
+func (e *endpointStats) countUnknown(m core.Match) {
+	if m.Unknown {
+		e.unknown.Add(1)
+	}
 }
 
 func (e *endpointStats) snapshot() EndpointSnapshot {

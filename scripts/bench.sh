@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Run the Detect benchmarks and write the results as JSON so the
-# performance trajectory is tracked per PR. Usage:
+# Run the Detect benchmarks and the serving handler benchmarks
+# (BenchmarkServe*) and write the results as JSON so the performance
+# trajectory is tracked per PR. Usage:
 #
 #   scripts/bench.sh [OUT.json] [BENCHTIME] [BASELINE.json]
 #
@@ -12,7 +13,8 @@
 # benchmarks (BenchmarkDetector and BenchmarkDetectorBackends/*) are
 # diffed against it and the run fails if any benchmark present in both
 # files regressed by more than REGRESSION_PCT (default 20%). Backends
-# new in this run have no baseline entry and are reported, not gated.
+# new in this run have no baseline entry and are reported, not gated;
+# the handler benchmarks are recorded, not gated.
 set -euo pipefail
 
 out=${1:-BENCH.json}
@@ -22,7 +24,7 @@ regression_pct=${REGRESSION_PCT:-20}
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
-go test -run '^$' -bench 'Detect' -benchtime "$benchtime" -benchmem ./... | tee "$raw" >&2
+go test -run '^$' -bench 'Detect|Serve' -benchtime "$benchtime" -benchmem ./... | tee "$raw" >&2
 
 awk -v goversion="$(go version | awk '{print $3}')" '
 BEGIN { n = 0 }
