@@ -2,12 +2,12 @@
 // documents, end to end in software — the paper's pipeline without the
 // hardware simulation.
 //
-// Train profiles with the streaming sharded trainer, from a corpus
+// Train profiles with the streaming trainer, from a corpus
 // directory (see cmd/corpusgen) or an NDJSON stream of
 // {"lang": "es", "text": "..."} lines, into a flat file and/or a
 // versioned registry:
 //
-//	langid train -corpus corpusdir -out profiles.bin [-n 4] [-t 5000] [-shards 4]
+//	langid train -corpus corpusdir -out profiles.bin [-n 4] [-t 5000]
 //	langid train -ndjson docs.ndjson -registry /var/lib/langid -activate
 //	cat docs.ndjson | langid train -ndjson - -registry /var/lib/langid
 //
@@ -116,7 +116,7 @@ func eval(args []string) {
 	}
 }
 
-// train streams documents through the sharded trainer — the corpus is
+// train streams documents through the trainer — the corpus is
 // never materialized in memory — then writes the profiles to a flat
 // file, a registry version, or both.
 func train(args []string) {
@@ -128,7 +128,6 @@ func train(args []string) {
 	activate := fs.Bool("activate", false, "activate the new registry version after writing it")
 	n := fs.Int("n", 4, "n-gram length")
 	t := fs.Int("t", 5000, "profile size (top-t n-grams)")
-	shards := fs.Int("shards", 0, "trainer accumulator shards (0 = min(GOMAXPROCS, 4))")
 	fs.Parse(args)
 	if (*corpusDir == "") == (*ndjson == "") {
 		log.Fatal("train: pass exactly one of -corpus or -ndjson")
@@ -150,15 +149,15 @@ func train(args []string) {
 	)
 	switch {
 	case *corpusDir != "":
-		ps, stats, err = bloomlang.TrainDir(cfg, *corpusDir, bloomlang.WithShards(*shards))
+		ps, stats, err = bloomlang.TrainDir(cfg, *corpusDir)
 	case *ndjson == "-":
-		ps, stats, err = bloomlang.TrainNDJSON(cfg, os.Stdin, bloomlang.WithShards(*shards))
+		ps, stats, err = bloomlang.TrainNDJSON(cfg, os.Stdin)
 	default:
 		f, ferr := os.Open(*ndjson)
 		if ferr != nil {
 			log.Fatal(ferr)
 		}
-		ps, stats, err = bloomlang.TrainNDJSON(cfg, f, bloomlang.WithShards(*shards))
+		ps, stats, err = bloomlang.TrainNDJSON(cfg, f)
 		f.Close()
 	}
 	if err != nil {

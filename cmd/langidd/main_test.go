@@ -106,7 +106,7 @@ func TestBuildServerFromRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := train.New(core.Config{TopT: 200}, train.WithShards(1))
+	tr, err := train.New(core.Config{TopT: 200})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,12 +196,13 @@
 // the paper's deployment separates offline profile construction from
 // the hardware that serves them (§2). The streaming trainer ingests
 // documents incrementally — whole documents, io.Readers, NDJSON
-// streams, or corpus directory trees — and counts n-grams across
-// sharded, mergeable accumulators, so a training corpus never has to
-// fit in memory; its output is byte-identical to Train on the same
-// documents:
+// streams, or corpus directory trees — and counts n-grams in the
+// caller, through the same translate-and-shift loop the Bloom
+// backends serve with, into one counter per language, so a training
+// corpus never has to fit in memory; its output is byte-identical to
+// Train on the same documents:
 //
-//	tr, _ := bloomlang.NewTrainer(bloomlang.DefaultConfig(), bloomlang.WithShards(4))
+//	tr, _ := bloomlang.NewTrainer(bloomlang.DefaultConfig())
 //	tr.Add("es", doc)                       // one document at a time
 //	tr.AddReader("en", file)                // streamed, chunk by chunk
 //	tr.AddNDJSON(r)                         // {"lang": "es", "text": "..."} lines
@@ -250,7 +251,7 @@
 //	                      order preserved
 //	POST /stream          NDJSON documents        -> NDJSON detections,
 //	                      classified incrementally with bounded memory,
-//	                      one result line flushed per input line
+//	                      answers flushed before each read of the body
 //	                      (?spans=1 adds each document's span tiling)
 //	POST /segment         one raw document        -> its mixed-language
 //	                      span tiling (window/stride geometry from

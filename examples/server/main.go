@@ -3,7 +3,7 @@
 // heavy lifting lives in the library's serving subsystem (see
 // bloomlang.NewServerFromRegistry and cmd/langidd for the production
 // daemon); this example walks the whole profile lifecycle: stream a
-// training corpus into the sharded trainer, version the profiles in a
+// training corpus into the streaming trainer, version the profiles in a
 // registry, serve the active version, exercise every endpoint as a
 // client, then train a second version and hot-swap to it through the
 // admin plane with zero downtime.
@@ -40,7 +40,7 @@ func main() {
 	log.SetFlags(0)
 
 	// Generate a small corpus to disk and stream it through the
-	// sharded trainer — the corpus never materializes in trainer
+	// streaming trainer — the corpus never materializes in trainer
 	// memory (cf. langid train -corpus).
 	corp, err := bloomlang.GenerateCorpus(bloomlang.CorpusConfig{
 		DocsPerLanguage: 80,

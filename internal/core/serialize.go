@@ -199,8 +199,10 @@ func readLegacyProfileSet(br *bufio.Reader) (*ProfileSet, error) {
 }
 
 // SaveFile writes the profile set to path atomically: a temp file in
-// the same directory is renamed into place, so a crash mid-write never
-// leaves a truncated profile file for a daemon to trip over.
+// the same directory is synced to disk and renamed into place, so a
+// crash mid-write never leaves a truncated profile file for a daemon
+// to trip over. Making the rename itself durable is up to the caller,
+// by syncing the directory.
 func (ps *ProfileSet) SaveFile(path string) error {
 	dir, base := filepath.Split(path)
 	if dir == "" {
@@ -219,6 +221,10 @@ func (ps *ProfileSet) SaveFile(path string) error {
 	// would give, so other users (e.g. the daemon's service account)
 	// can read the saved profiles.
 	if err := tmp.Chmod(0o644); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -2,7 +2,10 @@ package ngram
 
 import (
 	"bytes"
+	"slices"
 	"testing"
+
+	"bloomlang/internal/alphabet"
 )
 
 // FuzzReadProfile hardens the deserializer against malformed input: it
@@ -39,11 +42,14 @@ func FuzzReadProfile(f *testing.F) {
 }
 
 // FuzzExtractBytes checks the extractor on arbitrary byte streams: the
-// n-gram count invariant must hold for any input.
+// n-gram count invariant must hold for any input, and the fused
+// byte-level window must give exactly the n-grams of the staged
+// reference, translation first and the code-level window after it.
 func FuzzExtractBytes(f *testing.F) {
 	f.Add([]byte("hello world"), 4)
 	f.Add([]byte{}, 1)
 	f.Add([]byte{0xFF, 0x00, 0xC3, 0x7F}, 6)
+	f.Add([]byte("\x80\x9f\xa0\xc0\xc9\xd0\xdf\xe0\xe9\xf1\xfc\xff caf\xe9 \xc3\xa9t\xc3\xa9"), 3)
 	f.Fuzz(func(t *testing.T, text []byte, n int) {
 		gs, err := ExtractBytes(text, n)
 		if err != nil {
@@ -61,6 +67,9 @@ func FuzzExtractBytes(f *testing.F) {
 			if uint64(g) > mask {
 				t.Fatalf("gram %#x exceeds %d-bit packing", g, Bits(n))
 			}
+		}
+		if want := (&Window{N: n}).Feed(nil, alphabet.TranslateAll(text)); !slices.Equal(gs, want) {
+			t.Fatalf("n=%d: ExtractBytes %v, staged reference %v", n, gs, want)
 		}
 	})
 }

@@ -156,6 +156,14 @@ func (w *Window) BytesFor(grams int) int {
 	return w.N - 1 - w.Filled + (sub-w.Phase)%sub + (grams-1)*sub + 1
 }
 
+// checkN rejects an n-gram length outside 1..MaxN.
+func checkN(n int) error {
+	if n < 1 || n > MaxN {
+		return fmt.Errorf("ngram: length %d out of range [1,%d]", n, MaxN)
+	}
+	return nil
+}
+
 // Extractor produces the stream of packed n-grams for a document. It is
 // a software rendering of the hardware's character buffer: an input word
 // containing multiple translated characters is buffered and an n-gram is
@@ -168,8 +176,8 @@ type Extractor struct {
 
 // NewExtractor returns an extractor for n-grams of length n (1..MaxN).
 func NewExtractor(n int) (*Extractor, error) {
-	if n < 1 || n > MaxN {
-		return nil, fmt.Errorf("ngram: length %d out of range [1,%d]", n, MaxN)
+	if err := checkN(n); err != nil {
+		return nil, err
 	}
 	return &Extractor{w: Window{N: n, Subsample: 1}}, nil
 }
@@ -196,27 +204,19 @@ func (e *Extractor) Feed(dst []uint32, codes []alphabet.Code) []uint32 {
 }
 
 // ExtractBytes translates raw ISO-8859-1 bytes and returns all packed
-// n-grams of length n, the convenience path used by training and by the
-// software classifier.
+// n-grams of length n through Window.FeedBytes, the convenience path
+// used by training and by the software classifier.
 func ExtractBytes(text []byte, n int) ([]uint32, error) {
-	e, err := NewExtractor(n)
-	if err != nil {
+	if err := checkN(n); err != nil {
 		return nil, err
 	}
-	codes := alphabet.TranslateAll(text)
-	return e.Feed(make([]uint32, 0, maxInt(0, len(text)-n+1)), codes), nil
+	w := Window{N: n}
+	return w.FeedBytes(make([]uint32, 0, Count(len(text), n)), text), nil
 }
 
 // Count returns the number of n-grams a document of length d characters
 // produces: the sliding window emits one n-gram per position.
-func Count(d, n int) int { return maxInt(0, d-n+1) }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
+func Count(d, n int) int { return max(0, d-n+1) }
 
 // Counter accumulates n-gram frequencies for profile construction. For
 // n <= 4 the key space (2^20) is small enough for a flat table, which is
@@ -232,8 +232,8 @@ const flatBits = 20
 
 // NewCounter returns a Counter for n-grams of length n.
 func NewCounter(n int) (*Counter, error) {
-	if n < 1 || n > MaxN {
-		return nil, fmt.Errorf("ngram: length %d out of range [1,%d]", n, MaxN)
+	if err := checkN(n); err != nil {
+		return nil, err
 	}
 	c := &Counter{n: n}
 	if Bits(n) <= flatBits {
@@ -283,27 +283,6 @@ func (c *Counter) Total() uint64 { return c.total }
 
 // N returns the n-gram length the counter accumulates.
 func (c *Counter) N() int { return c.n }
-
-// Merge adds every count accumulated in o into c, leaving o unchanged.
-// Counting is additive, so any partition of a document stream across
-// counters merges back to the exact counts a single counter would have
-// seen — the property sharded training relies on.
-func (c *Counter) Merge(o *Counter) error {
-	if c.n != o.n {
-		return fmt.Errorf("ngram: cannot merge counter with n=%d into n=%d", o.n, c.n)
-	}
-	if c.flat != nil {
-		for g, v := range o.flat {
-			c.flat[g] += v
-		}
-	} else {
-		for g, v := range o.m {
-			c.m[g] += v
-		}
-	}
-	c.total += o.total
-	return nil
-}
 
 // Get returns the count of g.
 func (c *Counter) Get(g uint32) uint64 {

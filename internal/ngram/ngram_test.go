@@ -310,6 +310,13 @@ func BenchmarkExtract64KiB(b *testing.B) {
 	}
 }
 
+func TestCounterN(t *testing.T) {
+	c, _ := NewCounter(5)
+	if c.N() != 5 {
+		t.Fatalf("N() = %d, want 5", c.N())
+	}
+}
+
 // TestWindowFeedBytesMatchesFeed checks the byte-level window against
 // the code-level one: any split of a document, any subsample factor,
 // the same n-grams with the register carried across pieces.

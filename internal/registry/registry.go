@@ -172,10 +172,7 @@ func (r *Registry) Create(ps *core.ProfileSet, stats train.Stats) (*Manifest, er
 	}
 	// Flush the version's contents before publishing it, so a crash
 	// after the rename can never surface a truncated profile file or
-	// manifest under versions/.
-	if err := syncFile(profilePath); err != nil {
-		return nil, err
-	}
+	// manifest under versions/. SaveFile synced the profile file.
 	if err := syncFile(filepath.Join(staging, manifestFile)); err != nil {
 		return nil, err
 	}

@@ -38,7 +38,7 @@ func fixtures(t testing.TB) (*corpus.Corpus, []*core.ProfileSet, []train.Stats) 
 			return
 		}
 		for _, topT := range []int{1200, 600} {
-			tr, err := train.New(core.Config{TopT: topT}, train.WithShards(2))
+			tr, err := train.New(core.Config{TopT: topT})
 			if err != nil {
 				fixErr = err
 				return

@@ -38,7 +38,7 @@ func newTestRegistry(t testing.TB) (*registry.Registry, []string) {
 	}
 	var versions []string
 	for _, topT := range []int{1500, 700} {
-		tr, err := train.New(core.Config{TopT: topT}, train.WithShards(2))
+		tr, err := train.New(core.Config{TopT: topT})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -197,23 +197,8 @@ func (c *Config) newDetector(ps *core.ProfileSet) (*core.Detector, error) {
 		core.WithMinNGrams(c.MinNGrams))
 }
 
-// Detector returns the detector currently serving requests. Callers
-// needing the detector and its version to agree should use Snapshot.
+// Detector returns the detector currently serving requests.
 func (s *Server) Detector() *core.Detector { return s.handle.Detector() }
-
-// Snapshot returns the current (detector, version) pairing.
-func (s *Server) Snapshot() *registry.Snapshot { return s.handle.Snapshot() }
-
-// SwapDetector atomically replaces the serving detector — the
-// registry-less hot-swap path for embedders that manage their own
-// profile lifecycle. It returns the previously served version id.
-// SwapDetector serializes with Reload, so a concurrent /admin/reload
-// cannot interleave with (and silently clobber) an embedder's swap.
-func (s *Server) SwapDetector(det *core.Detector, version string) string {
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	return s.handle.Swap(det, version).Version
-}
 
 // ReloadStatus reports one Reload outcome.
 type ReloadStatus struct {

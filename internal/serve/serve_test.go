@@ -706,7 +706,7 @@ func TestStatszCountsErrors(t *testing.T) {
 // detector does.
 func TestSixGramsServeOnParallelBloom(t *testing.T) {
 	corp, _ := fixtures(t)
-	tr, err := train.New(core.Config{N: 6, TopT: 1500}, train.WithShards(2))
+	tr, err := train.New(core.Config{N: 6, TopT: 1500})
 	if err != nil {
 		t.Fatal(err)
 	}

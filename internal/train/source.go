@@ -118,8 +118,8 @@ func (t *Trainer) addFile(lang, path string) error {
 
 // NDJSON trains profiles from a newline-delimited JSON stream in one
 // call; see (*Trainer).AddNDJSON for the line format.
-func NDJSON(cfg core.Config, r io.Reader, opts ...Option) (*core.ProfileSet, Stats, error) {
-	t, err := New(cfg, opts...)
+func NDJSON(cfg core.Config, r io.Reader) (*core.ProfileSet, Stats, error) {
+	t, err := New(cfg)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -132,8 +132,8 @@ func NDJSON(cfg core.Config, r io.Reader, opts ...Option) (*core.ProfileSet, Sta
 
 // Dir trains profiles from a corpus directory tree's training split in
 // one call; see (*Trainer).AddDir for the layout.
-func Dir(cfg core.Config, root string, opts ...Option) (*core.ProfileSet, Stats, error) {
-	t, err := New(cfg, opts...)
+func Dir(cfg core.Config, root string) (*core.ProfileSet, Stats, error) {
+	t, err := New(cfg)
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -63,8 +63,8 @@ func serialize(t testing.TB, ps *core.ProfileSet) []byte {
 }
 
 // TestStreamedEqualsCoreTrain is the acceptance criterion: profiles
-// built by the streaming sharded trainer are byte-identical to
-// core.Train on the same documents, across shard counts and configs.
+// built by the streaming trainer are byte-identical to core.Train on
+// the same documents, across configs.
 func TestStreamedEqualsCoreTrain(t *testing.T) {
 	corp := testCorpus(t)
 	for _, cfg := range []core.Config{
@@ -76,33 +76,30 @@ func TestStreamedEqualsCoreTrain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantBytes := serialize(t, want)
-		for _, shards := range []int{1, 2, 4} {
-			tr, err := train.New(cfg, train.WithShards(shards))
-			if err != nil {
+		tr, err := train.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lang, doc := range trainDocs(corp) {
+			if err := tr.Add(lang, doc); err != nil {
 				t.Fatal(err)
 			}
-			for lang, doc := range trainDocs(corp) {
-				if err := tr.Add(lang, doc); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ps, stats, err := tr.Finalize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := serialize(t, ps); !bytes.Equal(got, wantBytes) {
-				t.Errorf("cfg %+v shards=%d: streamed profiles differ from core.Train (%d vs %d bytes)",
-					cfg, shards, len(got), len(wantBytes))
-			}
-			if stats.Docs != 4*12 {
-				t.Errorf("shards=%d: stats.Docs = %d, want %d", shards, stats.Docs, 4*12)
-			}
-			for _, lang := range corp.Languages {
-				ls := stats.Languages[lang]
-				if ls.Docs != 12 || ls.Bytes == 0 || ls.Grams == 0 {
-					t.Errorf("shards=%d: degenerate stats for %s: %+v", shards, lang, ls)
-				}
+		}
+		ps, stats, err := tr.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, wantBytes := serialize(t, ps), serialize(t, want); !bytes.Equal(got, wantBytes) {
+			t.Errorf("cfg %+v: streamed profiles differ from core.Train (%d vs %d bytes)",
+				cfg, len(got), len(wantBytes))
+		}
+		if stats.Docs != 4*12 {
+			t.Errorf("cfg %+v: stats.Docs = %d, want %d", cfg, stats.Docs, 4*12)
+		}
+		for _, lang := range corp.Languages {
+			ls := stats.Languages[lang]
+			if ls.Docs != 12 || ls.Bytes == 0 || ls.Grams == 0 {
+				t.Errorf("cfg %+v: degenerate stats for %s: %+v", cfg, lang, ls)
 			}
 		}
 	}
@@ -137,7 +134,7 @@ func TestNDJSONEqualsCoreTrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, stats, err := train.NDJSON(core.Config{}, &ndjson, train.WithShards(3))
+	ps, stats, err := train.NDJSON(core.Config{}, &ndjson)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +174,7 @@ func TestAddReaderChunksMatchAdd(t *testing.T) {
 	corp := testCorpus(t)
 	doc := corp.Train["es"][0].Text
 
-	whole, err := train.New(core.Config{}, train.WithShards(1))
+	whole, err := train.New(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +186,7 @@ func TestAddReaderChunksMatchAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	chunked, err := train.New(core.Config{}, train.WithShards(1))
+	chunked, err := train.New(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +209,7 @@ func TestAddReaderChunksMatchAdd(t *testing.T) {
 }
 
 // TestConcurrentAdd hammers Add from many goroutines; under -race this
-// sweeps the ingest path, and the merged result must still match the
+// sweeps the ingest path, and the result must still match the
 // sequential baseline.
 func TestConcurrentAdd(t *testing.T) {
 	corp := testCorpus(t)
@@ -220,7 +217,7 @@ func TestConcurrentAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := train.New(core.Config{}, train.WithShards(4))
+	tr, err := train.New(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,8 +244,34 @@ func TestConcurrentAdd(t *testing.T) {
 	}
 }
 
+// TestTrainerAddZeroAllocations: Add counts in the caller into the
+// trainer's own scratch, so a warm Add into a language already seen
+// allocates nothing, whatever the document's length.
+func TestTrainerAddZeroAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	corp := testCorpus(t)
+	doc := bytes.Repeat(corp.Train["es"][0].Text, 200) // several scratch blocks
+	tr, err := train.New(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Abort()
+	if err := tr.Add("es", doc); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := tr.Add("es", doc); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm Add of a %d-byte document allocates %.1f times, want 0", len(doc), allocs)
+	}
+}
+
 func TestTrainerErrors(t *testing.T) {
-	tr, err := train.New(core.Config{}, train.WithShards(1))
+	tr, err := train.New(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +316,7 @@ func (r *failingReader) Read(p []byte) (int, error) {
 // the trainer — Finalize refuses to build profiles from partial
 // counts instead of silently shipping them.
 func TestAddReaderFailureAfterFlushPoisonsTrainer(t *testing.T) {
-	tr, err := train.New(core.Config{}, train.WithShards(1))
+	tr, err := train.New(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +335,7 @@ func TestAddReaderFailureAfterFlushPoisonsTrainer(t *testing.T) {
 // TestAddReaderFailureBeforeFlushIsRecoverable: a document that fails
 // before anything was flushed leaves no trace, so training continues.
 func TestAddReaderFailureBeforeFlushIsRecoverable(t *testing.T) {
-	tr, err := train.New(core.Config{}, train.WithShards(1))
+	tr, err := train.New(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +357,7 @@ func TestAddReaderFailureBeforeFlushIsRecoverable(t *testing.T) {
 // TestAbort: the cheap error-path shutdown is idempotent, composes
 // with Finalize in either order, and forecloses further ingest.
 func TestAbort(t *testing.T) {
-	tr, err := train.New(core.Config{}, train.WithShards(2))
+	tr, err := train.New(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +373,7 @@ func TestAbort(t *testing.T) {
 		t.Error("Finalize after Abort succeeded")
 	}
 
-	tr2, err := train.New(core.Config{}, train.WithShards(1))
+	tr2, err := train.New(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,14 +394,14 @@ func TestNDJSONErrors(t *testing.T) {
 		{"missing lang", `{"text":"hello"}` + "\n", `missing "lang"`},
 	}
 	for _, c := range cases {
-		_, _, err := train.NDJSON(core.Config{}, strings.NewReader(c.in), train.WithShards(1))
+		_, _, err := train.NDJSON(core.Config{}, strings.NewReader(c.in))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want mention of %q", c.name, err, c.want)
 		}
 	}
 	// "language" is accepted as an alias for "lang".
 	in := `{"language":"en","text":"the quick brown fox jumps over the lazy dog"}` + "\n"
-	ps, _, err := train.NDJSON(core.Config{}, strings.NewReader(in), train.WithShards(1))
+	ps, _, err := train.NDJSON(core.Config{}, strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,29 +419,8 @@ func TestDirErrors(t *testing.T) {
 	}
 }
 
-func TestShardsDefaultAndOption(t *testing.T) {
-	tr, err := train.New(core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Shards() < 1 || tr.Shards() > 4 {
-		t.Errorf("default shards = %d, want 1..4", tr.Shards())
-	}
-	if _, _, err := tr.Finalize(); err == nil {
-		t.Error("empty trainer finalized without error")
-	}
-	tr2, err := train.New(core.Config{}, train.WithShards(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr2.Shards() != 7 {
-		t.Errorf("shards = %d, want 7", tr2.Shards())
-	}
-	tr2.Finalize()
-}
-
 func ExampleTrainer() {
-	tr, _ := train.New(core.Config{TopT: 100}, train.WithShards(2))
+	tr, _ := train.New(core.Config{TopT: 100})
 	tr.Add("en", []byte("the quick brown fox jumps over the lazy dog"))
 	tr.Add("es", []byte("el veloz zorro marron salta sobre el perro perezoso"))
 	ps, stats, _ := tr.Finalize()

@@ -4,8 +4,9 @@ import (
 	"bloomlang/internal/serve"
 )
 
-// ServeConfig carries the serving-layer knobs: backend, batch worker
-// pool, and request/line/batch size limits.
+// ServeConfig carries the serving-layer knobs: detection thresholds,
+// batch worker pool, request/line/batch size limits, segmentation
+// geometry and HTTP timeouts.
 type ServeConfig = serve.Config
 
 // Server is the HTTP serving subsystem over a trained detector; see

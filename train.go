@@ -6,17 +6,13 @@ import (
 	"bloomlang/internal/train"
 )
 
-// Trainer is the streaming, sharded profile trainer: documents are
-// ingested incrementally (Add, AddReader, AddNDJSON, AddDir) and
-// counted across mergeable per-shard accumulators, so training never
-// materializes a corpus in memory and ingest can fan out over
-// goroutines. Finalize produces a ProfileSet identical to Train on
-// the same documents; every Trainer must end in Finalize or (on error
-// paths) Abort, or its shard workers leak.
+// Trainer is the streaming profile trainer: documents are ingested
+// incrementally (Add, AddReader, AddNDJSON, AddDir) and counted in the
+// caller into one counter per language, so training never
+// materializes a corpus in memory. Finalize produces a ProfileSet
+// identical to Train on the same documents; Abort ends a trainer on
+// error paths.
 type Trainer = train.Trainer
-
-// TrainerOption configures a Trainer at construction.
-type TrainerOption = train.Option
 
 // TrainStats summarizes a finalized training run (documents, bytes and
 // n-grams per language); the profile registry records it in each
@@ -27,23 +23,17 @@ type TrainStats = train.Stats
 type TrainLangStats = train.LangStats
 
 // NewTrainer builds a streaming trainer for the given configuration.
-func NewTrainer(cfg Config, opts ...TrainerOption) (*Trainer, error) {
-	return train.New(cfg, opts...)
-}
-
-// WithShards sets the trainer's accumulator shard count (and worker
-// goroutines); n <= 0 means min(GOMAXPROCS, 4).
-func WithShards(n int) TrainerOption { return train.WithShards(n) }
+func NewTrainer(cfg Config) (*Trainer, error) { return train.New(cfg) }
 
 // TrainNDJSON trains profiles from a newline-delimited JSON stream of
 // {"lang": "es", "text": "..."} documents, one line in memory at a
 // time.
-func TrainNDJSON(cfg Config, r io.Reader, opts ...TrainerOption) (*ProfileSet, TrainStats, error) {
-	return train.NDJSON(cfg, r, opts...)
+func TrainNDJSON(cfg Config, r io.Reader) (*ProfileSet, TrainStats, error) {
+	return train.NDJSON(cfg, r)
 }
 
 // TrainDir trains profiles from a corpus directory tree's training
 // split (the cmd/corpusgen layout), streaming one file at a time.
-func TrainDir(cfg Config, root string, opts ...TrainerOption) (*ProfileSet, TrainStats, error) {
-	return train.Dir(cfg, root, opts...)
+func TrainDir(cfg Config, root string) (*ProfileSet, TrainStats, error) {
+	return train.Dir(cfg, root)
 }
