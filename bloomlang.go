@@ -83,20 +83,22 @@ func WithMinNGrams(n int) DetectorOption { return core.WithMinNGrams(n) }
 
 // Span is one contiguous single-language region of a segmented
 // document: the half-open byte range [Start, End), the language called
-// for it, and the mean windowed confidence behind the call. Produced
-// by (*Detector).DetectSpans and friends; spans always tile
-// [0, len(doc)) with no gaps or overlaps.
+// for it, and Detect's confidence over the span's n-grams. Produced by
+// (*Detector).DetectSpans and friends; spans always tile [0, len(doc))
+// with no gaps or overlaps.
 type Span = core.Span
 
-// SegmentConfig carries the sliding-window segmentation knobs
-// (window/stride in n-grams, boundary hysteresis); the zero value
-// selects the defaults.
+// SegmentConfig carries the segmentation knobs (chunk stride, price of
+// a language change, commit horizon); the zero value selects the
+// defaults.
 type SegmentConfig = core.SegmentConfig
 
 // Stream counts one document incrementally: Write bytes in any
 // chunking, then read the Match. Created by (*Detector).NewStream, or
-// by (*Detector).NewSpanStream to also segment: read finalized spans
-// as boundaries are confirmed, Finish to close the document.
+// by (*Detector).NewSpanStream to also segment: read the spans every
+// surviving path agrees on as they settle, Finish to close the
+// document. (*Detector).BorrowStream and ReturnStream take and give
+// back pooled ones.
 type Stream = core.Stream
 
 // Train builds per-language profiles from a corpus's training split.

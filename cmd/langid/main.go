@@ -29,7 +29,7 @@
 // no files are given); -tsv emits machine-readable rows, -color paints
 // the document text span by span:
 //
-//	langid segment -profiles profiles.bin [-backend bloom] [-window 64] [-stride 16] file1.txt
+//	langid segment -profiles profiles.bin [-backend bloom] [-stride 16] [-penalty 8] file1.txt
 //	langid segment -profiles profiles.bin -tsv file1.txt | cut -f4
 //	langid segment -profiles profiles.bin -color mixed.txt
 package main
@@ -343,11 +343,11 @@ func segment(args []string) {
 	k := fs.Int("k", 4, "hash functions per Bloom filter")
 	m := fs.Uint("m", 16*1024, "bits per Bloom filter vector (power of two)")
 	backend := fs.String("backend", "direct", "membership backend: direct (exact table), bloom (parallel Bloom filter) or classic")
-	minMargin := fs.Float64("min-margin", 0, "mark spans unknown below this normalized window margin")
+	minMargin := fs.Float64("min-margin", 0, "mark spans unknown below this normalized span margin")
 	minNGrams := fs.Int("min-ngrams", 1, "answer unknown below this many testable n-grams")
-	window := fs.Int("window", 0, "segmentation window in n-grams (0 = default 64)")
-	stride := fs.Int("stride", 0, "window hop in n-grams, must divide window (0 = window/4)")
-	hysteresis := fs.Int("hysteresis", 0, "windows a new language must persist before a boundary (0 = default 2)")
+	window := fs.Int("window", 0, "commit horizon in n-grams, a multiple of the stride (0 = default 4096)")
+	stride := fs.Int("stride", 0, "chunk length in n-grams, the boundary granularity (0 = default 16)")
+	penalty := fs.Int("penalty", 0, "score one language change costs, in n-gram matches (0 = default 8)")
 	tsv := fs.Bool("tsv", false, "tab-separated output: file, start, end, lang, score, margin")
 	colored := fs.Bool("color", false, "print the document text with one ANSI color per language")
 	fs.Parse(args)
@@ -369,9 +369,9 @@ func segment(args []string) {
 		log.Fatal(err)
 	}
 	segCfg := bloomlang.SegmentConfig{
-		Window:     *window,
-		Stride:     *stride,
-		Hysteresis: *hysteresis,
+		Window:  *window,
+		Stride:  *stride,
+		Penalty: *penalty,
 	}
 	if err := segCfg.Validate(); err != nil {
 		log.Fatal(err)

@@ -27,8 +27,8 @@
 //
 // Endpoints: POST /detect, POST /batch, POST /stream (NDJSON; ?spans=1
 // adds per-document mixed-language spans), POST /segment
-// (mixed-language span tiling; geometry via -segment-window,
-// -segment-stride, -segment-hysteresis),
+// (mixed-language span tiling; tuned via -segment-window,
+// -segment-stride, -segment-penalty),
 // GET /healthz, GET /statsz, and — when registry-backed —
 // GET /admin/profiles and POST /admin/reload. Failed requests are
 // answered with JSON error bodies (413 for oversized bodies, 408 for
@@ -85,9 +85,9 @@ func main() {
 	writeTimeout := flag.Duration("write-timeout", 0, "max time to write one response, including long /stream downloads (0 = unlimited)")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive idle timeout (0 = unlimited)")
 	counts := flag.Bool("counts", false, "include per-language match counts in batch/stream responses")
-	segWindow := flag.Int("segment-window", 0, "/segment sliding window in n-grams (0 = default 64)")
-	segStride := flag.Int("segment-stride", 0, "/segment window hop in n-grams, must divide the window (0 = window/4)")
-	segHysteresis := flag.Int("segment-hysteresis", 0, "/segment windows a new language must persist before a boundary (0 = default 2)")
+	segWindow := flag.Int("segment-window", 0, "/segment commit horizon in n-grams, a multiple of the stride (0 = default 4096)")
+	segStride := flag.Int("segment-stride", 0, "/segment chunk length in n-grams, the boundary granularity (0 = default 16)")
+	segPenalty := flag.Int("segment-penalty", 0, "/segment score one language change costs, in n-gram matches (0 = default 8)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 	flag.Parse()
 
@@ -103,9 +103,9 @@ func main() {
 		IdleTimeout:   *idleTimeout,
 		IncludeCounts: *counts,
 		Segment: core.SegmentConfig{
-			Window:     *segWindow,
-			Stride:     *segStride,
-			Hysteresis: *segHysteresis,
+			Window:  *segWindow,
+			Stride:  *segStride,
+			Penalty: *segPenalty,
 		},
 	}
 	if err := cfg.Validate(); err != nil {

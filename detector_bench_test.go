@@ -49,15 +49,16 @@ func BenchmarkDetectorBackends(b *testing.B) {
 
 // BenchmarkDetectSpans measures the mixed-language segmentation hot
 // path on every backend: one counting pass over a paper-sized document,
-// cut at stride boundaries straight into ring-buffered window
-// accumulators. With pooled scratch warm and a reused destination slice
-// the discipline bar is 0 allocs/op; the gap to BenchmarkDetectorBackends
-// on the same backend is the cost of per-stride kernel calls, the ring
-// add/subtract and the window decisions.
+// cut into 16-gram chunks, one cumulative count row and one Viterbi
+// step per chunk. With pooled scratch warm and a reused destination
+// slice the discipline bar is 0 allocs/op; the gap to
+// BenchmarkDetectorBackends on the same backend is the cost of the
+// chunk rows, the steps and the trace back (scripts/bench.sh gates the
+// direct-lookup ratio).
 func BenchmarkDetectSpans(b *testing.B) {
 	_, ps := benchFixtures(b)
 	doc := benchBigDocs[0].Text
-	cfg := SegmentConfig{Window: 64, Stride: 16, Hysteresis: 2}
+	cfg := SegmentConfig{Stride: 16, Penalty: 8}
 	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic} {
 		b.Run(backend.String(), func(b *testing.B) {
 			det, err := NewDetector(ps, WithBackend(backend))

@@ -43,9 +43,8 @@
 //
 //	ranked := det.Rank(doc, 3)                  // top-3 languages by match count
 //	matches := det.DetectBatch(docs)            // docs [][]byte; input order kept
-//	m, err := det.DetectReader(file)            // bounded memory
-//	st := det.NewStream()                       // incremental: Write chunks, then
-//	st.Write(chunk); m = st.Match()             // read the running decision
+//	st := det.NewStream()                       // incremental: Write chunks, or
+//	io.Copy(st, file); m := st.Match()          // copy a reader, then read the decision
 //
 // All of these count through one Stream type: Detect, Rank and the
 // batch workers borrow pooled Streams, so there is one counting loop
@@ -118,38 +117,37 @@
 //
 // The mechanism reuses the counting pass unchanged and runs it exactly
 // once per document: the bytes are cut where each Stride of n-grams
-// completes, each piece is counted by the backend's Kernel straight
-// into one row of a Window/Stride-row ring, and a sliding window of
-// Window n-grams is the rolling sum of the ring — add the newest
-// chunk, subtract the oldest. No n-gram is ever re-extracted or
-// re-hashed for a second window, and warm segmentation makes 0
-// allocs/op (AppendSpans with a reused destination; see
+// completes, each piece is counted by the backend's Kernel into a
+// cumulative count row, and each completed chunk takes one step of an
+// exact integer Viterbi pass. The labelling it finds maximises the
+// paper's match count summed over each span, less Penalty per language
+// change (the language-switch model of Lui, Lau & Baldwin, TACL 2014).
+// No n-gram is ever re-extracted or re-hashed, and warm segmentation
+// makes 0 allocs/op (AppendSpans with a reused destination; see
 // BenchmarkDetectSpans).
 //
-// Window arg-max decisions pass through hysteresis before a boundary
-// is believed: a new language must win Hysteresis consecutive windows,
-// and interrupted challenges fold back into the incumbent, so one
-// noisy window never fragments a span. Boundaries are attributed to
-// the center of the first window that voted for the new language and
-// land within about one stride of the decision flip. Each window is
-// decided by the same integer arg-max as Detect. Windows that fail the detector's MinMargin /
-// MinNGrams policy become explicit Unknown spans. The returned spans
-// always tile [0, len(doc)) with no gaps or overlaps; a document
-// shorter than one window is decided whole, exactly as Detect decides
-// it.
+// Each span is decided by Detect's own rule over the span's n-grams:
+// its counts are one difference of cumulative rows, so Score, Margin
+// and the MinMargin / MinNGrams policy (explicit Unknown spans) mean
+// what they mean for Detect. The returned spans always tile
+// [0, len(doc)) with no gaps or overlaps, and boundaries fall on chunk
+// edges. On a document of at most 2·Window n-grams, a Penalty at least
+// its n-gram count makes the whole document one span, decided exactly
+// as Detect decides it; past that, horizon commits can split it.
 //
-// All three backends segment; geometry is per call:
+// All three backends segment; the configuration is per call:
 //
-//	SegmentConfig{Window: 96, Stride: 24}  // finer boundaries: smaller Stride
-//	SegmentConfig{Hysteresis: 3}           // calmer boundaries: more persistence
+//	SegmentConfig{Stride: 8}    // finer boundaries: smaller Stride
+//	SegmentConfig{Penalty: 16}  // fewer, longer spans: a dearer change
 //
-// Streaming and reader variants mirror the detection paths —
-// DetectSpansReader for bounded-memory files, NewSpanStream for
-// incremental feeds. NewSpanStream returns the same Stream type as
-// NewStream with windowing on (Write chunks in any splits; Spans
-// returns the boundaries finalized so far, Finish closes the document;
-// identical output to one-shot for identical bytes; Match and
-// AppendCounts still give the whole-document answer):
+// NewSpanStream gives incremental segmentation: the same Stream type as
+// NewStream with segmentation on (Write chunks in any splits; Spans
+// returns the spans every surviving path already agrees on, Finish
+// closes the document; identical output to one-shot for identical
+// bytes; Match and AppendCounts still give the whole-document answer).
+// Window bounds the undecided tail, and with it the stream's memory: a
+// chunk still in dispute is committed along the best path at the latest
+// when the head is 2·Window n-grams past it.
 //
 //	st, _ := det.NewSpanStream(bloomlang.SegmentConfig{})
 //	st.Write(chunk)

@@ -32,8 +32,8 @@ func main() {
 
 	// 2. The default detector counts on the exact direct table, whose
 	// kernel scores every language per n-gram in one table load, and
-	// segmentation counts each n-gram exactly once no matter how many
-	// windows overlap it.
+	// segmentation counts each n-gram exactly once: one count row per
+	// chunk, one Viterbi step per row.
 	det, err := bloomlang.NewDetector(profiles)
 	if err != nil {
 		log.Fatal(err)
@@ -58,9 +58,9 @@ func main() {
 		fmt.Printf("  %6d-%-6d %s\n", seg.Start, seg.End, bloomlang.LanguageName(seg.Lang))
 	}
 
-	// 4. One-shot segmentation: a 96-gram window hopping a quarter
-	// window, two-window hysteresis against noise.
-	segCfg := bloomlang.SegmentConfig{Window: 96, Stride: 24, Hysteresis: 2}
+	// 4. One-shot segmentation: the best labelling of 16-gram chunks,
+	// each language change costing 8 n-gram matches (the defaults).
+	segCfg := bloomlang.SegmentConfig{Stride: 16, Penalty: 8}
 	spans, err := det.DetectSpans(doc.Text, segCfg)
 	if err != nil {
 		log.Fatal(err)
@@ -72,7 +72,8 @@ func main() {
 	}
 
 	// 5. The same answer incrementally: feed the document in small
-	// chunks and watch boundaries finalize as evidence accumulates.
+	// chunks and watch spans finalize once every surviving path agrees
+	// on them.
 	st, err := det.NewSpanStream(segCfg)
 	if err != nil {
 		log.Fatal(err)

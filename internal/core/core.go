@@ -17,7 +17,8 @@
 // and every Stream counts through one Kernel per backend, which scores
 // every language for each n-gram in one call (§3.2). NewStream and
 // NewSpanStream hand out the same Stream for incremental input, with
-// segmentation off or on. Classifier is the raw-count layer underneath:
+// segmentation off or on; BorrowStream and ReturnStream lend pooled
+// ones to servers. Classifier is the raw-count layer underneath:
 // the reference the paper-model tests compare against. The package
 // takes documents as bytes; corpus scoring lives in the root bloomlang
 // package.

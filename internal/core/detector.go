@@ -1,7 +1,6 @@
 package core
 
 import (
-	"io"
 	"runtime"
 	"slices"
 	"sort"
@@ -139,7 +138,7 @@ func (d *Detector) MinNGrams() int { return d.minNGrams }
 func (d *Detector) Detect(doc []byte) Match {
 	s := d.borrow(doc)
 	m := s.Match()
-	d.pool.Put(s)
+	d.ReturnStream(s)
 	return m
 }
 
@@ -150,15 +149,36 @@ func (d *Detector) Detect(doc []byte) Match {
 func (d *Detector) DetectCounts(dst []int, doc []byte) ([]int, Match) {
 	s := d.borrow(doc)
 	dst, m := s.AppendCounts(dst), s.Match()
-	d.pool.Put(s)
+	d.ReturnStream(s)
 	return dst, m
 }
 
-// borrow takes a pooled stream with windowing off and counts doc into
-// it; the caller returns the stream to the pool.
-func (d *Detector) borrow(doc []byte) *Stream {
+// BorrowStream takes an empty stream from the detector's pool: counting
+// only when seg is nil, segmenting under *seg (zero fields select the
+// defaults) otherwise. A server borrows one per request and Resets it
+// per document, so a warm request reuses every buffer. Give the stream
+// back with ReturnStream.
+func (d *Detector) BorrowStream(seg *SegmentConfig) (*Stream, error) {
+	var cfg SegmentConfig
+	if seg != nil {
+		if err := seg.Validate(); err != nil {
+			return nil, err
+		}
+		cfg = seg.WithDefaults()
+	}
 	s := d.pool.Get().(*Stream)
-	s.configure(SegmentConfig{})
+	s.configure(cfg)
+	return s, nil
+}
+
+// ReturnStream gives a borrowed stream back to the detector's pool; the
+// caller must not use it, or a slice it returned, afterwards.
+func (d *Detector) ReturnStream(s *Stream) { d.pool.Put(s) }
+
+// borrow takes a pooled counting stream and counts doc into it; the
+// caller gives the stream back with ReturnStream.
+func (d *Detector) borrow(doc []byte) *Stream {
+	s, _ := d.BorrowStream(nil) // a counting stream has no config to reject
 	s.Write(doc)
 	return s
 }
@@ -195,8 +215,8 @@ func (d *Detector) match(counts []int, ngrams int) Match {
 // applies to Detect, not to the list.
 func (d *Detector) Rank(doc []byte, k int) []Match {
 	s := d.borrow(doc)
-	ms := d.rankCounts(s.totals, s.gramsSeen, k)
-	d.pool.Put(s)
+	ms := d.rankCounts(s.open, s.gramsSeen, k)
+	d.ReturnStream(s)
 	return ms
 }
 
@@ -263,9 +283,9 @@ func (d *Detector) detectBatch(docs [][]byte, rows []int) []Match {
 				s := d.borrow(docs[i])
 				out[i] = s.Match()
 				if rows != nil {
-					copy(rows[i*nLangs:], s.totals)
+					copy(rows[i*nLangs:], s.open)
 				}
-				d.pool.Put(s)
+				d.ReturnStream(s)
 			}
 		}()
 	}
@@ -275,15 +295,4 @@ func (d *Detector) detectBatch(docs [][]byte, rows []int) []Match {
 	close(next)
 	wg.Wait()
 	return out
-}
-
-// DetectReader classifies a document streamed from r with bounded
-// memory: chunks feed the incremental stream path, nothing buffers the
-// whole document.
-func (d *Detector) DetectReader(r io.Reader) (Match, error) {
-	st := d.NewStream()
-	if _, err := io.Copy(st, r); err != nil {
-		return Match{Unknown: true}, err
-	}
-	return st.Match(), nil
 }

@@ -152,8 +152,9 @@ func TestMatchSingleLanguageProfileSet(t *testing.T) {
 }
 
 // TestDetectorAgreesWithLegacyClassifier is the migration guarantee:
-// Detect, Rank, DetectBatch and DetectReader all name the same winner
-// as Classifier.Classify on every non-tie, non-unknown document.
+// Detect, Rank, DetectBatch and a Stream fed by io.Copy all name the
+// same winner as Classifier.Classify on every non-tie, non-unknown
+// document.
 func TestDetectorAgreesWithLegacyClassifier(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
 	corp := getMiniCorpus(t)
@@ -191,12 +192,12 @@ func TestDetectorAgreesWithLegacyClassifier(t *testing.T) {
 			if batch[i] != m {
 				t.Errorf("%v doc %d: DetectBatch %+v != Detect %+v", backend, i, batch[i], m)
 			}
-			rm, err := det.DetectReader(bytes.NewReader(doc.Text))
-			if err != nil {
+			rs := det.NewStream()
+			if _, err := io.Copy(rs, bytes.NewReader(doc.Text)); err != nil {
 				t.Fatal(err)
 			}
-			if rm != m {
-				t.Errorf("%v doc %d: DetectReader %+v != Detect %+v", backend, i, rm, m)
+			if rm := rs.Match(); rm != m {
+				t.Errorf("%v doc %d: io.Copy into a Stream %+v != Detect %+v", backend, i, rm, m)
 			}
 		}
 	}

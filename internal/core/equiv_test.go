@@ -10,6 +10,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -48,8 +49,9 @@ func TestDetectEquivalenceAcrossPaths(t *testing.T) {
 			for i, doc := range docs {
 				want := det.Detect(doc.Text)
 
-				if got, err := det.DetectReader(bytes.NewReader(doc.Text)); err != nil || got != want {
-					t.Errorf("doc %d: reader path = %+v (%v), detect = %+v", i, got, err, want)
+				rs := det.NewStream()
+				if _, err := io.Copy(rs, bytes.NewReader(doc.Text)); err != nil || rs.Match() != want {
+					t.Errorf("doc %d: reader path = %+v (%v), detect = %+v", i, rs.Match(), err, want)
 				}
 
 				st := det.NewStream()

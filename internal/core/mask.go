@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"bloomlang/internal/alphabet"
 	"bloomlang/internal/ngram"
@@ -34,14 +35,23 @@ var spread = func() (t [256]uint64) {
 	return t
 }()
 
-// flushLanes adds the lane counts of one plane's low and high mask
-// bytes into that plane's slice of counters.
-func flushLanes(counts []int, lo, hi uint64) {
-	for j := range min(len(counts), 8) {
-		counts[j] += int(lo >> (8 * j) & 0xff)
+// addLanes sets dst to src plus the lane counts of one plane's low and
+// high mask bytes, for the plane's up to 16 languages from the start
+// of dst; dst and src may be the same slice.
+func addLanes(dst, src []int, lo, hi uint64) {
+	if len(dst) >= 8 {
+		src = src[:len(dst)]
+		dst[0], dst[1] = src[0]+int(uint8(lo)), src[1]+int(uint8(lo>>8))
+		dst[2], dst[3] = src[2]+int(uint8(lo>>16)), src[3]+int(uint8(lo>>24))
+		dst[4], dst[5] = src[4]+int(uint8(lo>>32)), src[5]+int(uint8(lo>>40))
+		dst[6], dst[7] = src[6]+int(uint8(lo>>48)), src[7]+int(uint8(lo>>56))
+		dst, src, lo = dst[8:], src[8:], hi
 	}
-	for j := range min(len(counts)-8, 8) {
-		counts[8+j] += int(hi >> (8 * j) & 0xff)
+	dst = dst[:min(len(dst), 8)]
+	src = src[:len(dst)]
+	for j := range dst {
+		dst[j] = src[j] + int(uint8(lo))
+		lo >>= 8
 	}
 }
 
@@ -119,7 +129,7 @@ func (k *maskKernel) AccumulateInto(counts []int, gs []uint32) {
 				lo += spread[uint8(m)]
 				hi += spread[m>>8]
 			}
-			flushLanes(c, lo, hi)
+			addLanes(c, c, lo, hi)
 		}
 	}
 }
@@ -134,7 +144,7 @@ func (k *maskKernel) AccumulateInto(counts []int, gs []uint32) {
 // deepest read, 15+5n bits, fits in 64). Subsampled windows and
 // profile sets of more than 16 languages take the block path.
 func (k *maskKernel) Count(counts []int, w *Window, p []byte) int {
-	if w.Subsample > 1 || len(k.planes) != 1 {
+	if !k.fused(w) {
 		return CountGrams(k, counts, w, p)
 	}
 	reg, filled := w.Reg, w.Filled
@@ -145,28 +155,102 @@ func (k *maskKernel) Count(counts []int, w *Window, p []byte) int {
 	w.Filled = filled
 	grams := len(p)
 	plane := k.planes[0]
-	mask := uint64(len(plane) - 1)
 	for len(p) > 0 {
 		b := p[:min(len(p), laneFlush)]
 		p = p[len(b):]
-		var lo, hi uint64
-		i := 0
-		for ; i+4 <= len(b); i += 4 {
-			q := uint64(alphabet.Translate(b[i]))<<15 | uint64(alphabet.Translate(b[i+1]))<<10 |
-				uint64(alphabet.Translate(b[i+2]))<<5 | uint64(alphabet.Translate(b[i+3]))
-			reg = reg<<20 | q
-			m0, m1, m2, m3 := plane[reg>>15&mask], plane[reg>>10&mask], plane[reg>>5&mask], plane[reg&mask]
-			lo += spread[uint8(m0)] + spread[uint8(m1)] + spread[uint8(m2)] + spread[uint8(m3)]
-			hi += spread[m0>>8] + spread[m1>>8] + spread[m2>>8] + spread[m3>>8]
-		}
-		for ; i < len(b); i++ {
-			reg = reg<<alphabet.Bits | uint64(alphabet.Translate(b[i]))
-			m := plane[reg&mask]
-			lo += spread[uint8(m)]
-			hi += spread[m>>8]
-		}
-		flushLanes(counts, lo, hi)
+		reg, _, _ = countLanes(plane, reg, b, counts, counts)
 	}
 	w.Reg = reg
 	return grams
+}
+
+// fused reports whether Count runs the fused loop for w: one mask
+// plane and no subsampling.
+func (k *maskKernel) fused(w *Window) bool { return w.Subsample <= 1 && len(k.planes) == 1 }
+
+// countLanes is the fused loop's body: it shifts the bytes of b (at
+// most laneFlush) through reg, whose N-1 earlier characters are in
+// place, sets dst to src plus the lane counts of the n-grams the bytes
+// complete, and returns the new register and the lane counts.
+func countLanes(plane []uint16, reg uint64, b []byte, dst, src []int) (_, lo, hi uint64) {
+	mask := uint64(len(plane) - 1)
+	i := 0
+	for ; i+4 <= len(b); i += 4 {
+		q := uint64(alphabet.Translate(b[i]))<<15 | uint64(alphabet.Translate(b[i+1]))<<10 |
+			uint64(alphabet.Translate(b[i+2]))<<5 | uint64(alphabet.Translate(b[i+3]))
+		reg = reg<<20 | q
+		m0, m1, m2, m3 := plane[reg>>15&mask], plane[reg>>10&mask], plane[reg>>5&mask], plane[reg&mask]
+		lo += spread[uint8(m0)] + spread[uint8(m1)] + spread[uint8(m2)] + spread[uint8(m3)]
+		hi += spread[m0>>8] + spread[m1>>8] + spread[m2>>8] + spread[m3>>8]
+	}
+	for ; i < len(b); i++ {
+		reg = reg<<alphabet.Bits | uint64(alphabet.Translate(b[i]))
+		m := plane[reg&mask]
+		lo += spread[uint8(m)]
+		hi += spread[m>>8]
+	}
+	addLanes(dst, src, lo, hi)
+	return reg, lo, hi
+}
+
+// countChunks counts whole chunks through the fused mask loop, with
+// the register full and no chunk open, and takes their Viterbi steps.
+// Each chunk's row comes out of the lane counters once, at its end, and
+// is added to the row before it. The step runs on the lanes too, with
+// Penalty+Stride below 128: every language's deficit behind the best
+// score is then at most Penalty+Stride, so the deficits fit byte lanes,
+// and one step is a few word operations on eight languages at a time —
+// the same decisions as stepRows, ties included.
+func (s *Stream) countChunks(plane []uint16, reg uint64, p []byte, rows []int, back []uint64) uint64 {
+	L, stride := s.langs, s.cfg.Stride
+	const ones, high = 0x0101010101010101, 0x8080808080808080
+	// ge has 0x7f in each byte lane where x >= y (lanes below 128).
+	ge := func(x, y uint64) uint64 { t := ((x | high) - y) & high; return t - t>>7 }
+	max8 := func(x, y uint64) uint64 { return y ^ (x^y)&ge(x, y) }
+	// Deficits per lane. A lane past the last language starts at 127,
+	// at least Penalty, so it always switches in and scores 0.
+	d := [2]uint64{^uint64(0) >> 1 &^ high, ^uint64(0) >> 1 &^ high}
+	top := s.score[s.best]
+	for l, v := range s.score[:L] {
+		d[l>>3] ^= (0x7f ^ uint64(top-v)) << (l & 7 * 8)
+	}
+	pen, best := uint64(s.cfg.Penalty)*ones, s.best
+	for ; len(back) > 0; back = back[2:] {
+		var r [2]uint64
+		reg, r[0], r[1] = countLanes(plane, reg, p[:stride], rows[L:][:L], rows)
+		p = p[stride:]
+		rows = rows[L:]
+		// u = new score − old best + Penalty, in [0, Penalty+Stride].
+		u, sw := [2]uint64{}, uint64(0)
+		for i := range 2 {
+			// 0x80 in each lane whose deficit exceeds Penalty: that
+			// language switches in, so its deficit clamps to Penalty.
+			over := ((d[i] | high) - pen - ones) & high
+			sw |= over * 0x0002040810204081 >> 56 << (8 * i)
+			u[i] = pen - (d[i] ^ (d[i]^pen)&(over-over>>7)) + r[i]
+		}
+		back[0], back[1] = uint64(best), sw
+		// The top is usually still the old best's; the byte tree finds
+		// it when another language has overtaken.
+		m := u[best>>3] >> (best & 7 * 8) & 0xff
+		if above := (m + 1) * ones; ge(u[0], above)|ge(u[1], above) != 0 {
+			m = max8(u[0], u[1])
+			m = max8(m, m>>32)
+			m = max8(m, m>>16)
+			m = max8(m, m>>8) & 0xff
+		}
+		top += int(m) - s.cfg.Penalty
+		// The new best is the lowest lane left with deficit 0.
+		d[0], d[1] = m*ones-u[0], m*ones-u[1]
+		if z := (d[0] - ones) &^ d[0] & high; z != 0 {
+			best = bits.TrailingZeros64(z) >> 3
+		} else {
+			best = 8 + bits.TrailingZeros64((d[1]-ones)&^d[1]&high)>>3
+		}
+	}
+	for l := range s.score[:L] {
+		s.score[l] = top - int(d[l>>3]>>(l&7*8)&0xff)
+	}
+	s.best = best
+	return reg
 }

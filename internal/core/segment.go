@@ -10,29 +10,35 @@ package core
 // detection path uses, so it reuses the backend's counting pass
 // unchanged and runs it exactly once per document. The byte stream is
 // cut where each stride of n-grams completes, and each piece goes
-// straight from bytes to counts through the backend's Kernel.Count,
-// which scores every language per n-gram, into the open row of a ring
-// of Window/Stride rows; a chunk that spans writes is a row filled in
-// parts, with no chunk buffer. A sliding window of Window n-grams is
-// then the rolling sum of the ring — adding the newest chunk row and
-// subtracting the oldest — so per-window scoring costs O(L) per stride
-// regardless of window size, and no n-gram is ever re-extracted or
-// re-hashed for a second window. Window arg-max decisions pass through
-// hysteresis (a new language must win Hysteresis consecutive windows
-// before a boundary is emitted) and adjacent same-language windows
-// merge into Spans.
+// straight from bytes to counts through the backend's Kernel.Count into
+// the open row of the stream's cumulative counts. Each completed chunk
+// c then takes one Viterbi step over its row r_c: the path score to
+// maximise is Σ r_c[label_c] − Penalty·(label changes), the paper's
+// match count summed over each span with a fixed price per boundary
+// (the language-switch model of Lui, Lau & Baldwin, TACL 2014, kept
+// integer and exact). The step is
+//
+//	S_c[l] = r_c[l] + max(S_{c−1}[l], max_k S_{c−1}[k] − Penalty)
+//
+// so one shared maximum serves every language, and the back-pointer
+// per chunk is that maximum's language plus one "switched" bit per
+// language. Spans come from tracing the best path back; because the
+// rows are cumulative, a span's counts are one row difference and the
+// span is decided by Detect's own rule over its n-grams. The mask
+// kernel runs the same step on its byte lanes (countChunks, mask.go).
 
 import (
 	"fmt"
-	"io"
+	"math"
+	"math/bits"
+	"slices"
 	"unsafe"
 )
 
 // Span is one contiguous single-language region of a segmented
 // document: the half-open byte range [Start, End), the language called
-// for it, and the mean windowed confidence behind the call. Spans
-// returned for one document always tile [0, len(doc)) with no gaps or
-// overlaps.
+// for it, and the confidence behind the call. Spans returned for one
+// document always tile [0, len(doc)) with no gaps or overlaps.
 type Span struct {
 	// Start is the first byte of the span.
 	Start int
@@ -40,49 +46,57 @@ type Span struct {
 	End int
 	// Lang is the span's language code, or "" when Unknown.
 	Lang string
-	// Score is the mean normalized window score over the span's
-	// windows: the fraction of window n-grams found in the span
-	// language's profile, averaged across the windows that voted for
-	// this span.
+	// Score is the fraction of the span's n-grams found in its
+	// language's profile: Detect's Score over the span's summed counts.
 	Score float64
-	// Margin is the mean normalized lead of the span's language over
-	// the runner-up across the span's windows — the §5.1 winner margin,
-	// windowed.
+	// Margin is the span language's normalized lead over the runner-up
+	// across the span's n-grams — the §5.1 winner margin, per span.
 	Margin float64
 	// Unknown reports that no language cleared the detector's
 	// confidence thresholds for this region; Lang is "".
 	Unknown bool
 }
 
-// Segmentation defaults: a 64-n-gram window hopping by a quarter
-// window, with a two-window hysteresis before a boundary is believed.
+// Segmentation defaults.
 const (
-	// DefaultSegmentWindow is the default sliding-window length in
-	// n-grams. At the paper's n=4 a 64-gram window is roughly ten words
-	// of context — short enough to localize a language switch inside a
-	// sentence, long enough that the winner margin dominates Bloom
-	// false-positive noise.
-	DefaultSegmentWindow = 64
-	// DefaultSegmentHysteresis is how many consecutive windows a new
-	// language must win before a boundary is emitted.
-	DefaultSegmentHysteresis = 2
+	// DefaultSegmentWindow is the default commit horizon in n-grams. It
+	// bounds a stream's memory, and at 4096 n-grams documents under
+	// 8 KB never reach a horizon commit, so they decode exactly.
+	DefaultSegmentWindow = 4096
+	// DefaultSegmentStride is the default chunk length in n-grams, the
+	// granularity of span boundaries.
+	DefaultSegmentStride = 16
+	// DefaultSegmentPenalty is the default price of one language
+	// change, in n-gram matches. It was tuned on held-out mixed
+	// documents: lower values split single-language documents at
+	// sibling-language borrowings, higher ones miss short segments.
+	DefaultSegmentPenalty = 8
 )
 
-// SegmentConfig carries the sliding-window segmentation knobs. The
-// zero value selects the defaults.
+// SegmentConfig carries the segmentation knobs. The zero value selects
+// the defaults.
 type SegmentConfig struct {
-	// Window is the sliding-window length in n-grams (default 64).
+	// Window is the commit horizon in n-grams (default 4096). Once
+	// 2·Window n-grams are in, and after every further Window, all
+	// more than Window n-grams behind the head is committed along the
+	// best path so far, whether or not every survivor path agrees on
+	// it. A stream so keeps at most 2·Window/Stride chunk rows —
+	// O(Window/Stride × languages) memory whatever the document length.
+	// It must be a multiple of Stride.
 	Window int
-	// Stride is the window hop in n-grams; it must divide Window.
-	// Default Window/4. Smaller strides localize boundaries more finely
-	// at proportionally more window decisions (the counting work is
-	// unchanged: every n-gram is still hashed exactly once).
+	// Stride is the chunk length in n-grams (default 16, or the
+	// largest divisor of Window below that); boundaries fall on chunk
+	// edges. The counting work does not depend on it: every n-gram is
+	// still hashed exactly once.
 	Stride int
-	// Hysteresis is the number of consecutive windows a new language
-	// must win before a boundary is emitted (default 2). Raising it
-	// suppresses fragmentation on noisy mixed text at the cost of
-	// missing genuine segments shorter than Hysteresis windows.
-	Hysteresis int
+	// Penalty is the score one language change costs, in n-gram
+	// matches (default 8). Raising it suppresses short spans; on a
+	// document of at most 2·Window n-grams, a penalty at least its
+	// n-gram count yields one span, decided exactly as Detect decides
+	// the document. Longer documents take horizon commits along the
+	// best path at the time, so a language that overtakes later can
+	// still split them.
+	Penalty int
 }
 
 // WithDefaults returns the configuration with zero fields replaced by
@@ -93,19 +107,16 @@ func (c SegmentConfig) WithDefaults() SegmentConfig {
 		c.Window = DefaultSegmentWindow
 	}
 	if c.Stride == 0 {
-		// The default hop is a quarter window, nudged down to the
-		// nearest divisor so any Window validates out of the box.
-		s := c.Window / 4
-		if s < 1 {
-			s = 1
-		}
+		// Nudged down to a divisor so any Window validates out of the
+		// box.
+		s := max(min(DefaultSegmentStride, c.Window), 1)
 		for c.Window%s != 0 {
 			s--
 		}
 		c.Stride = s
 	}
-	if c.Hysteresis == 0 {
-		c.Hysteresis = DefaultSegmentHysteresis
+	if c.Penalty == 0 {
+		c.Penalty = DefaultSegmentPenalty
 	}
 	return c
 }
@@ -118,23 +129,13 @@ func (c SegmentConfig) Validate() error {
 	if cfg.Window < 1 {
 		return fmt.Errorf("core: segment window %d must be positive", cfg.Window)
 	}
-	if cfg.Stride < 1 || cfg.Stride > cfg.Window {
-		return fmt.Errorf("core: segment stride %d out of range [1,%d]", cfg.Stride, cfg.Window)
+	if cfg.Stride < 1 || cfg.Window%cfg.Stride != 0 {
+		return fmt.Errorf("core: segment stride %d must be a positive divisor of window %d (the horizon is a whole number of chunks)", cfg.Stride, cfg.Window)
 	}
-	if cfg.Window%cfg.Stride != 0 {
-		return fmt.Errorf("core: segment stride %d must divide window %d (the window is a whole number of ring chunks)", cfg.Stride, cfg.Window)
-	}
-	if cfg.Hysteresis < 1 {
-		return fmt.Errorf("core: segment hysteresis %d must be >= 1", cfg.Hysteresis)
+	if cfg.Penalty < 0 {
+		return fmt.Errorf("core: segment penalty %d must not be negative", cfg.Penalty)
 	}
 	return nil
-}
-
-func resolveSegmentConfig(cfg SegmentConfig) (SegmentConfig, error) {
-	if err := cfg.Validate(); err != nil {
-		return cfg, err
-	}
-	return cfg.WithDefaults(), nil
 }
 
 // DetectSpans segments one document into contiguous single-language
@@ -150,63 +151,14 @@ func (d *Detector) DetectSpans(doc []byte, cfg SegmentConfig) ([]Span, error) {
 // a reused dst (and a warm detector) the whole segmentation pass
 // allocates nothing, matching the Detect hot-path discipline.
 func (d *Detector) AppendSpans(dst []Span, doc []byte, cfg SegmentConfig) ([]Span, error) {
-	s, err := d.borrowSpans(cfg)
+	s, err := d.BorrowStream(&cfg)
 	if err != nil {
 		return dst, err
 	}
 	s.Write(doc)
 	dst = append(dst, s.Finish()...)
-	d.pool.Put(s)
+	d.ReturnStream(s)
 	return dst, nil
-}
-
-// DetectSpansReader segments a document streamed from r with bounded
-// memory: no window ever re-reads earlier bytes, so only the ring of
-// chunk counters and the n-gram register are retained.
-func (d *Detector) DetectSpansReader(r io.Reader, cfg SegmentConfig) ([]Span, error) {
-	s, err := d.borrowSpans(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer d.pool.Put(s)
-	if _, err := io.Copy(s, r); err != nil {
-		return nil, err
-	}
-	return append([]Span(nil), s.Finish()...), nil
-}
-
-// borrowSpans checks the configuration and takes a pooled stream with
-// windowing on, so the one-shot paths reuse all segmentation buffers
-// across calls.
-func (d *Detector) borrowSpans(cfg SegmentConfig) (*Stream, error) {
-	resolved, err := resolveSegmentConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s := d.pool.Get().(*Stream)
-	s.configure(resolved)
-	return s, nil
-}
-
-// unknownLabel marks a window (and the spans merged from it) whose
-// winner did not clear the detector's confidence thresholds.
-const unknownLabel = -1
-
-// segRun accumulates one in-progress span: its label, where it starts
-// in the n-gram stream, and the window-decision sums its Score and
-// Margin average over.
-type segRun struct {
-	label     int // language index, or unknownLabel
-	startGram int
-	scoreSum  float64
-	marginSum float64
-	windows   int
-}
-
-func (r *segRun) absorb(o segRun) {
-	r.windows += o.windows
-	r.scoreSum += o.scoreSum
-	r.marginSum += o.marginSum
 }
 
 // Stream counts one document incrementally with bounded memory: bytes
@@ -223,39 +175,49 @@ func (r *segRun) absorb(o segRun) {
 //
 // A stream from NewStream counts each write whole into the document
 // totals. A stream from NewSpanStream also segments: each write is cut
-// at the bytes that complete a stride of n-grams, and each piece is
-// counted straight into the open row of the window ring, so a chunk
-// that spans writes is simply a row filled in parts. Finalized spans
-// are available from Spans as boundaries are confirmed, and Finish
-// returns the complete tiling — identical output for identical bytes,
-// any chunking. Either way every n-gram is counted exactly once, and
-// Match and AppendCounts give the whole-document answer. A Stream is
-// not safe for concurrent use; create one per goroutine.
+// at the bytes that complete a stride of n-grams, each piece is counted
+// straight into the open cumulative row, and each completed chunk takes
+// one Viterbi step. Spans returns the spans every survivor path agrees
+// on so far, and Finish returns the complete tiling — identical output
+// for identical bytes, any chunking. Either way every n-gram is counted
+// exactly once, and Match and AppendCounts give the whole-document
+// answer. A Stream is not safe for concurrent use; create one per
+// goroutine.
 type Stream struct {
-	d   *Detector
-	cfg SegmentConfig // resolved; the zero value turns windowing off
-	w   Window
-
-	rows  int // ring rows = Window/Stride; 0 without windowing
+	d     *Detector
+	cfg   SegmentConfig // resolved; the zero value turns segmentation off
+	w     Window
 	langs int
 
-	ring   []int // rows × langs per-chunk match counts
-	open   []int // the ring row of the chunk in progress
-	win    []int // rolling window counts (sum of the completed rows)
-	totals []int // whole-document counts over completed chunks
-	tmp    []int // totals with the open row folded in
+	// rows holds cumulative count rows, langs wide: the counts before
+	// chunk base, after each chunk completed since, and last the open
+	// row, which counts everything written so far. Without segmentation
+	// the open row is the only one.
+	rows []int
+	open []int
 
 	bytesSeen int
 	gramsSeen int
-	fill      int // n-grams counted into the open row
-	chunks    int // completed chunks
-	windows   int // completed window decisions
+	fill      int // n-grams counted into the open chunk
 
-	started   bool
-	cur       segRun
-	flip      segRun
-	flipStart int // window index where the pending flip began
-	hasFlip   bool
+	// Viterbi state. Chunks before base are committed; back holds, per
+	// chunk from base on, bw words: the arg-max language of the scores
+	// before the chunk, then one "switched" bit per language.
+	nextCommit int   // chunk count of the next horizon commit
+	chunks     int   // completed chunks
+	base       int   // first uncommitted chunk
+	score      []int // S per language after the last completed chunk
+	best       int   // arg-max of score, lowest index on ties
+	bw         int
+	back       []uint64
+	changes    [][2]int // scratch: a traced path's language changes
+	agree      []uint64 // scratch: the survivor set of the agreement walk
+
+	// The committed run still open at the frontier: its label
+	// (-1 before the first commit), first chunk and cumulative row.
+	runLabel int
+	runStart int
+	runCum   []int
 
 	spans []Span
 	done  bool
@@ -274,49 +236,48 @@ func (d *Detector) NewStream() *Stream {
 // NewSpanStream starts an empty segmenting stream on the detector. The
 // zero SegmentConfig selects the defaults.
 func (d *Detector) NewSpanStream(cfg SegmentConfig) (*Stream, error) {
-	resolved, err := resolveSegmentConfig(cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Stream{d: d}
-	s.configure(resolved)
+	s.configure(cfg.WithDefaults())
 	return s, nil
 }
 
 // configure (re)arms the stream for a new document under cfg — a
-// resolved geometry, or the zero value for whole-document counting —
-// growing buffers only when the geometry outgrew what a previous use
-// left.
+// resolved configuration, or the zero value for whole-document
+// counting — reusing the buffers a previous use left.
 func (s *Stream) configure(cfg SegmentConfig) {
 	s.cfg = cfg
-	s.langs = len(s.d.clf.langs)
+	L := len(s.d.clf.langs)
+	s.langs = L
 	s.w = s.d.clf.window
-	if cap(s.totals) < s.langs {
-		s.totals = make([]int, s.langs)
-	}
-	s.totals = s.totals[:s.langs]
-	clear(s.totals)
-	s.bytesSeen, s.gramsSeen, s.fill, s.chunks, s.windows = 0, 0, 0, 0, 0
-	s.started, s.hasFlip, s.done = false, false, false
-	s.cur, s.flip = segRun{}, segRun{}
+	s.bytesSeen, s.gramsSeen, s.fill, s.chunks, s.base = 0, 0, 0, 0, 0
+	s.done = false
 	s.spans = s.spans[:0]
-	s.rows = 0
-	if cfg.Window == 0 {
-		return
+	rows := 1
+	if cfg.Stride > 0 {
+		rows = 2
+		// The first commit comes two horizons in; one past the int
+		// range never comes.
+		h := cfg.Window / cfg.Stride
+		s.nextCommit = h + min(h, math.MaxInt-h)
+		s.best = 0
+		s.bw = 1 + (L+63)/64
+		s.back = s.back[:0]
+		s.score = zeroed(s.score, L)
+		s.runLabel, s.runStart = -1, 0
+		s.runCum = zeroed(s.runCum, L)
 	}
-	s.rows = cfg.Window / cfg.Stride
-	if n := s.rows * s.langs; cap(s.ring) < n {
-		s.ring = make([]int, n)
-	} else {
-		s.ring = s.ring[:n]
-	}
-	s.open = s.ring[:s.langs]
-	clear(s.open)
-	if cap(s.win) < s.langs {
-		s.win = make([]int, s.langs)
-	}
-	s.win = s.win[:s.langs]
-	clear(s.win)
+	s.rows = zeroed(s.rows, rows*L)
+	s.open = s.rows[(rows-1)*L:]
+}
+
+// zeroed returns b resized to n zeroed elements, reusing its storage.
+func zeroed[T int | uint64](b []T, n int) []T {
+	b = extend(b[:0], n)
+	clear(b)
+	return b
 }
 
 // Reset prepares the stream for a new document under the same
@@ -343,228 +304,250 @@ func (s *Stream) WriteString(p string) (int, error) {
 
 var errStreamFinished = fmt.Errorf("core: Stream written after Finish (Reset starts a new document)")
 
-// count is the one counting step. Without windowing the write takes one
-// Kernel.Count straight into the totals, so a whole document reaches
-// the kernel in one call. With windowing the write is cut where each
-// stride of n-grams completes, and each piece is counted into the open
-// ring row. The bytes are counted before any chunk completes: a
-// boundary confirmed inside this write starts within these bytes, and
-// gramByte clamps against the running total.
+// count is the one counting step. Without segmentation the write takes
+// one Kernel.Count straight into the open row, so a whole document
+// reaches the kernel in one call. With segmentation the write is cut
+// where each stride of n-grams completes, and each piece is counted
+// into the open row.
 func (s *Stream) count(p []byte) {
 	s.bytesSeen += len(p)
 	kernel := s.d.clf.kernel
-	if s.rows == 0 {
-		s.gramsSeen += kernel.Count(s.totals, &s.w, p)
+	if s.cfg.Stride == 0 {
+		s.gramsSeen += kernel.Count(s.open, &s.w, p)
 		return
 	}
+	stride := s.cfg.Stride
+	mask, _ := kernel.(*maskKernel)
+	fused := mask != nil && mask.fused(&s.w) && s.cfg.Penalty < 128-stride
 	for len(p) > 0 {
-		n := min(s.w.BytesFor(s.cfg.Stride-s.fill), len(p))
+		if fused && s.fill == 0 && s.w.Filled == s.w.N-1 && len(p) >= stride {
+			k := min(len(p)/stride, s.nextCommit-s.chunks)
+			rows, back := s.grow(k)
+			s.w.Reg = s.countChunks(mask.planes[0], s.w.Reg, p[:k*stride], rows, back)
+			p = p[k*stride:]
+			s.gramsSeen += k * stride
+			s.closed(k)
+			continue
+		}
+		n := min(s.w.BytesFor(stride-s.fill), len(p))
 		grams := kernel.Count(s.open, &s.w, p[:n])
 		p = p[n:]
 		s.gramsSeen += grams
-		if s.fill += grams; s.fill == s.cfg.Stride {
-			s.completeChunk()
+		if s.fill += grams; s.fill == stride {
+			s.stepRows(s.grow(1))
+			s.closed(1)
 		}
 	}
 }
 
-// completeChunk closes the open ring row — its stride of n-grams has
-// taken its one counting pass — and rolls the window sum forward: the
-// fresh row enters the window, and the next open row, the oldest,
-// leaves it and is cleared.
-func (s *Stream) completeChunk() {
-	for i, v := range s.open {
-		s.win[i] += v
-		s.totals[i] += v
-	}
+// grow makes room for k more chunks: it returns the cumulative rows
+// from the one before the open row on — the open row becomes the first
+// chunk's, and k more follow it — and the k chunks' back-pointers.
+func (s *Stream) grow(k int) ([]int, []uint64) {
+	L := s.langs
+	s.rows = extend(s.rows, k*L)
+	s.back = extend(s.back, k*s.bw)
+	return s.rows[len(s.rows)-(k+2)*L:], s.back[len(s.back)-k*s.bw:]
+}
+
+// closed finishes k chunks whose rows and steps are in place: the last
+// row opens as a copy of the last chunk's, and every horizon the
+// undecided tail is committed.
+func (s *Stream) closed(k int) {
+	L := s.langs
+	copy(s.rows[len(s.rows)-L:], s.rows[len(s.rows)-2*L:])
+	s.open = s.rows[len(s.rows)-L:]
 	s.fill = 0
-	s.chunks++
-	if s.chunks >= s.rows {
-		s.windowDone()
-	}
-	s.open = s.ring[(s.chunks%s.rows)*s.langs:][:s.langs]
-	if s.chunks >= s.rows {
-		for i, v := range s.open {
-			s.win[i] -= v
+	s.chunks += k
+	if s.chunks == s.nextCommit {
+		// Bound the undecided tail: commit what lies a horizon behind
+		// the head along today's best path. The schedule depends on the
+		// chunk count alone, so the output does not depend on how the
+		// bytes were split or on when Spans was called.
+		h := s.cfg.Window / s.cfg.Stride
+		s.nextCommit += h
+		if s.chunks-h > s.base {
+			s.commit(s.chunks-1, s.best, s.chunks-h)
 		}
 	}
-	clear(s.open)
 }
 
-// windowDone decides the window that just completed — the integer
-// arg-max Detect uses, then the detector's unknown policy — and feeds
-// the decision to the hysteresis merger.
-func (s *Stream) windowDone() {
-	w := s.chunks - s.rows // index of the completed window
-	s.windows++
-	best, second := winners(s.win)
-	width := float64(s.cfg.Window)
-	score := float64(s.win[best]) / width
-	margin := score
-	if second >= 0 {
-		margin = float64(s.win[best]-s.win[second]) / width
+// stepRows runs the Viterbi steps for the chunks between the
+// cumulative rows, writing one back-pointer per chunk.
+func (s *Stream) stepRows(rows []int, back []uint64) {
+	L, bw := s.langs, s.bw
+	score, best := s.score[:L], s.best
+	for c := range len(back) / bw {
+		prev, cur := rows[c*L:][:L], rows[(c+1)*L:][:L]
+		bp := back[c*bw:][:bw]
+		bp[0] = uint64(best)
+		clear(bp[1:])
+		// A language switches in only when the best score, less the
+		// penalty, beats staying: ties stay, and the arg-max keeps the
+		// lowest index, as Detect does.
+		thr := score[best] - s.cfg.Penalty
+		best = 0
+		for l, v := range score {
+			bp[1+l>>6] |= uint64(v-thr) >> 63 << (l & 63)
+			score[l] = max(v, thr) + cur[l] - prev[l]
+			if score[l] > score[best] {
+				best = l
+			}
+		}
 	}
-	label := best
-	if s.cfg.Window < s.d.minNGrams || margin < s.d.minMargin {
-		label = unknownLabel
-	}
-	s.observe(w, label, score, margin)
+	s.best = best
 }
 
-// observe runs the hysteresis state machine over successive window
-// decisions: agreement extends the current run, a dissenting language
-// opens (or extends) a pending flip, and a flip that persists for
-// Hysteresis windows confirms a boundary. Pending windows interrupted
-// before confirmation fold back into the current run, so one noisy
-// window can never fragment a span.
-func (s *Stream) observe(w, label int, score, margin float64) {
-	if !s.started {
-		s.started = true
-		s.cur = segRun{label: label, scoreSum: score, marginSum: margin, windows: 1}
+// extend returns b lengthened by n elements, reusing its storage when
+// it has room; the new elements' values are unspecified.
+func extend[T any](b []T, n int) []T {
+	return slices.Grow(b, n)[:len(b)+n]
+}
+
+// switched reports whether the best path into language l at chunk c
+// came from another language.
+func (s *Stream) switched(c, l int) bool {
+	return s.back[(c-s.base)*s.bw+1+l>>6]>>(l&63)&1 != 0
+}
+
+// commit traces the best path into language label at chunk last back
+// to the frontier, commits its labels for chunks [base, upto) and
+// emits the spans that end there. The run still open at upto stays
+// open.
+func (s *Stream) commit(last, label, upto int) {
+	// Keep only where the path changes language, latest first: the
+	// chunk each change happens at and the language it changes to.
+	s.changes = s.changes[:0]
+	for c := last; c > s.base; c-- {
+		if s.switched(c, label) {
+			s.changes = append(s.changes, [2]int{c, label})
+			label = int(s.back[(c-s.base)*s.bw])
+		}
+	}
+	s.change(s.base, label)
+	for i := len(s.changes) - 1; i >= 0 && s.changes[i][0] < upto; i-- {
+		s.change(s.changes[i][0], s.changes[i][1])
+	}
+	// Drop the committed chunks' rows and back-pointers.
+	L, k := s.langs, upto-s.base
+	s.rows = s.rows[:copy(s.rows, s.rows[k*L:])]
+	s.open = s.rows[len(s.rows)-L:]
+	s.back = s.back[:copy(s.back, s.back[k*s.bw:])]
+	s.base = upto
+}
+
+// change moves the committed path to language l at uncommitted chunk
+// c, emitting the run it ends.
+func (s *Stream) change(c, l int) {
+	if l == s.runLabel {
 		return
 	}
-	if label == s.cur.label {
-		s.foldFlip()
-		s.cur.absorb(segRun{scoreSum: score, marginSum: margin, windows: 1})
-		return
+	if s.runLabel >= 0 {
+		s.emit(s.rows[(c-s.base)*s.langs:][:s.langs], c*s.cfg.Stride)
 	}
-	if s.hasFlip && label == s.flip.label {
-		s.flip.absorb(segRun{scoreSum: score, marginSum: margin, windows: 1})
-	} else {
-		// Either the first dissent, or a third language interrupted the
-		// pending flip (neither challenger persisted): the pending
-		// windows return to the incumbent's byte range and the new
-		// challenger starts fresh.
-		s.foldFlip()
-		s.flip = segRun{label: label, scoreSum: score, marginSum: margin, windows: 1}
-		s.flipStart = w
-		s.hasFlip = true
-	}
-	if s.flip.windows >= s.cfg.Hysteresis {
-		s.confirmFlip()
-	}
+	s.runLabel, s.runStart = l, c
 }
 
-// foldFlip abandons a pending flip: its windows' byte range stays with
-// the incumbent span, but their score/margin sums are discarded — they
-// voted for a different language, and Span confidence averages only
-// the windows that voted for the span's own language.
-func (s *Stream) foldFlip() { s.hasFlip = false }
-
-// confirmFlip emits the boundary for a persisted language change. The
-// boundary is attributed to the center of the first window that voted
-// for the new language — each window's decision describes its middle
-// best — which keeps boundaries within one stride of where decisions
-// actually flipped.
-func (s *Stream) confirmFlip() {
-	boundary := (s.flipStart + s.rows/2) * s.cfg.Stride
-	if boundary <= s.cur.startGram {
-		boundary = s.cur.startGram + s.cfg.Stride
+// emit closes the open run at cumulative row cum, n-gram endGram: the
+// span is decided by Detect's rule over its own counts.
+func (s *Stream) emit(cum []int, endGram int) {
+	startGram := s.runStart * s.cfg.Stride
+	for i, v := range cum {
+		s.runCum[i] = v - s.runCum[i]
 	}
-	s.emit(s.cur, boundary)
-	s.flip.startGram = boundary
-	s.cur = s.flip
-	s.hasFlip = false
-}
-
-// emit finalizes the run as a span ending at endGram.
-func (s *Stream) emit(r segRun, endGram int) {
-	s.appendSpan(r, s.gramByte(r.startGram), s.gramByte(endGram))
-}
-
-func (s *Stream) appendSpan(r segRun, startByte, endByte int) {
-	sp := Span{Start: startByte, End: endByte}
-	if r.label == unknownLabel {
-		sp.Unknown = true
-	} else {
-		sp.Lang = s.d.clf.langs[r.label]
-	}
-	if r.windows > 0 {
-		sp.Score = r.scoreSum / float64(r.windows)
-		sp.Margin = r.marginSum / float64(r.windows)
-	}
-	s.spans = append(s.spans, sp)
+	m := s.d.match(s.runCum, endGram-startGram)
+	copy(s.runCum, cum)
+	s.spans = append(s.spans, Span{
+		Start: s.gramByte(startGram), End: s.gramByte(endGram),
+		Lang: m.Lang, Score: m.Score, Margin: m.Margin, Unknown: m.Unknown,
+	})
 }
 
 // gramByte maps an n-gram index to the byte offset where that n-gram
 // starts. Alphabet translation is one code per byte, so emitted n-gram
 // i begins at character — byte — i·subsample.
 func (s *Stream) gramByte(g int) int {
-	b := g * s.w.Subsample
-	if b > s.bytesSeen {
-		b = s.bytesSeen
-	}
-	return b
+	return min(g*s.w.Subsample, s.bytesSeen)
 }
 
-// Spans returns the spans finalized so far; the span in progress at
-// the stream head is excluded until Finish confirms where it ends. The
-// returned slice is valid until the next Reset. A stream without
-// windowing has no spans.
-func (s *Stream) Spans() []Span { return s.spans }
+// Spans returns the spans finalized so far: those every survivor path
+// agrees on, so they are a prefix of what Finish returns. The returned
+// slice is valid until the next Reset. A stream without segmentation
+// has no spans.
+func (s *Stream) Spans() []Span {
+	if s.done || s.chunks == s.base {
+		return s.spans
+	}
+	// Walk the survivors back together: a switched survivor moves to
+	// the chunk's shared arg-max, the others stay. Where only one state
+	// is left, every path agrees on it and on all before it.
+	set := zeroed(s.agree, s.bw-1)
+	for l := range s.langs {
+		set[l>>6] |= 1 << (l & 63)
+	}
+	for c := s.chunks - 1; c >= s.base; c-- {
+		n, l := 0, 0
+		for i, w := range set {
+			if w != 0 {
+				n, l = n+bits.OnesCount64(w), i<<6+bits.TrailingZeros64(w)
+			}
+		}
+		if n == 1 {
+			s.commit(c, l, c+1)
+			break
+		}
+		bp := s.back[(c-s.base)*s.bw:][:s.bw]
+		moved := false
+		for i, sw := range bp[1:] {
+			moved = moved || set[i]&sw != 0
+			set[i] &^= sw
+		}
+		if moved {
+			set[bp[0]>>6] |= 1 << (bp[0] & 63)
+		}
+	}
+	s.agree = set
+	return s.spans
+}
 
 // Finish closes the document and returns its complete span tiling of
-// [0, bytes written); without windowing it returns no spans. On a
-// segmenting stream the open row of a partial last chunk folds into
-// the running totals and the final span is emitted; a document that
-// never filled one window is decided whole, exactly as Detect would
-// decide it. After Finish the stream rejects further writes until
-// Reset; Match and AppendCounts stay readable.
+// [0, bytes written); without segmentation it returns no spans. A
+// partial last chunk takes its Viterbi step like any other, the best
+// path is traced back over everything not yet committed, and the final
+// span ends at the last byte. A document with no boundary on its best
+// path — one too short to chunk, say — is one span decided exactly as
+// Detect would decide it. After Finish the stream rejects further
+// writes until Reset; Match and AppendCounts stay readable.
 func (s *Stream) Finish() []Span {
 	if s.done {
 		return s.spans
 	}
 	s.done = true
+	if s.cfg.Stride == 0 || s.bytesSeen == 0 {
+		return s.spans
+	}
 	if s.fill > 0 {
-		for i, v := range s.open {
-			s.totals[i] += v
-		}
-		s.fill = 0
+		s.stepRows(s.grow(1))
+		s.closed(1)
 	}
-	if s.rows == 0 || s.bytesSeen == 0 {
-		return s.spans
+	if s.chunks > s.base {
+		s.commit(s.chunks-1, s.best, s.chunks)
 	}
-	if s.windows == 0 {
-		// Shorter than one window: a single whole-document decision over
-		// the full totals.
-		m := s.Match()
-		s.spans = append(s.spans, Span{
-			Start: 0, End: s.bytesSeen,
-			Lang: m.Lang, Score: m.Score, Margin: m.Margin, Unknown: m.Unknown,
-		})
-		return s.spans
-	}
-	// An unconfirmed flip at end of document folds back into the
-	// incumbent — end of input is not persistence.
-	s.foldFlip()
-	s.appendSpan(s.cur, s.gramByte(s.cur.startGram), s.bytesSeen)
+	s.emit(s.open, s.gramsSeen)
+	s.spans[len(s.spans)-1].End = s.bytesSeen
 	return s.spans
 }
 
 // Match reports the whole-document detection over everything written
 // so far, under the detector's policy — the same answer Detect gives
 // on the same bytes; the stream stays usable for more chunks. On a
-// segmenting stream the totals ride along with chunk counting, so a
+// segmenting stream the open row counts the whole document, so a
 // caller wanting both the document-level match and its spans (the
 // serving layer's /stream spans mode) pays for one counting pass, not
 // two.
-func (s *Stream) Match() Match { return s.d.match(s.counts(), s.gramsSeen) }
+func (s *Stream) Match() Match { return s.d.match(s.open, s.gramsSeen) }
 
 // AppendCounts appends the whole-document per-language match counts
 // over everything written so far, in Languages() order, to dst. With
 // room in dst it allocates nothing.
-func (s *Stream) AppendCounts(dst []int) []int { return append(dst, s.counts()...) }
-
-// counts returns the whole-document counts: the completed-chunk totals,
-// plus the open ring row folded into a copy while a chunk is in
-// progress.
-func (s *Stream) counts() []int {
-	if s.fill == 0 {
-		return s.totals
-	}
-	s.tmp = append(s.tmp[:0], s.totals...)
-	for i, v := range s.open {
-		s.tmp[i] += v
-	}
-	return s.tmp
-}
+func (s *Stream) AppendCounts(dst []int) []int { return append(dst, s.open...) }

@@ -1,14 +1,17 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 )
 
-// FuzzDetectSpans is the differential guarantee for Bloom-filter
-// segmentation: on any input the fuzzer invents, the paper's
-// parallel-bloom backend's spans must agree with the exact direct-table backend's wherever the
-// decision is confident, and both must satisfy the structural
-// invariants (spans tile the document, Unknown ⇔ empty language).
+// FuzzDetectSpans is the differential guarantee for segmentation: on
+// any input the fuzzer invents, both backends' spans equal the
+// brute-force reference Viterbi's (referenceSpans) under a horizon over
+// the whole input, the paper's parallel-bloom backend's spans agree
+// with the exact direct-table backend's wherever the decision is
+// confident, and both satisfy the structural invariants (spans tile
+// the document, Unknown ⇔ empty language).
 //
 // Exact agreement everywhere would be too strong to fuzz: a Bloom
 // backend may only err towards false positives, so on near-tied
@@ -30,7 +33,7 @@ func FuzzDetectSpans(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	cfg := SegmentConfig{Window: 64, Stride: 16, Hysteresis: 2}
+	cfg := SegmentConfig{Window: 64, Stride: 16, Penalty: 8}
 	corp := getMiniCorpus(f)
 	for _, lang := range []string{"en", "es", "fi", "pt"} {
 		f.Add(corp.Test[lang][0].Text)
@@ -40,6 +43,17 @@ func FuzzDetectSpans(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("\x00\xff un documento tr\xe8s fran\xe7ais \x01\x02"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if whole := wholeDocument(cfg); len(data) < whole.Window {
+			for _, det := range []*Detector{direct, parallel} {
+				got, err := det.DetectSpans(data, whole)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := referenceSpans(t, det, data, whole); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s spans\n%+v\nreference\n%+v", det.Backend(), got, want)
+				}
+			}
+		}
 		ds, err := direct.DetectSpans(data, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -58,10 +59,11 @@ func segDetector(t testing.TB, backend Backend) *Detector {
 	return det
 }
 
-// segTestConfig is the geometry the property suite runs under: windows
-// small enough that the 150-word test documents span many of them,
-// coarse enough that every window carries a decisive margin.
-var segTestConfig = SegmentConfig{Window: 96, Stride: 24, Hysteresis: 2}
+// segTestConfig is the configuration the property suite runs under: a
+// commit horizon of four chunks, short enough that the 150-word test
+// documents are committed along the best path many times before they
+// end.
+var segTestConfig = SegmentConfig{Window: 96, Stride: 24, Penalty: 8}
 
 // checkTiling asserts the fundamental structural guarantee: spans tile
 // [0, docLen) in order with no gaps and no overlaps.
@@ -376,25 +378,6 @@ func TestSpanStreamWriteStringMatchesWrite(t *testing.T) {
 	}
 }
 
-// TestDetectSpansReaderMatchesBytes pins the reader path to the byte
-// path.
-func TestDetectSpansReaderMatchesBytes(t *testing.T) {
-	corp := getSegCorpus(t)
-	det := segDetector(t, BackendBloom)
-	doc := append(append([]byte{}, corp.Test["fi"][0].Text...), corp.Test["da"][1].Text...)
-	want, err := det.DetectSpans(doc, segTestConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := det.DetectSpansReader(bytes.NewReader(doc), segTestConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("reader spans %+v != byte spans %+v", got, want)
-	}
-}
-
 // TestAppendSpansReusesDst checks the allocation-discipline API shape:
 // appending into a reused slice returns the same backing array once
 // warm and produces the same spans.
@@ -445,15 +428,262 @@ func TestDetectSpansZeroAllocations(t *testing.T) {
 	}
 }
 
+// referenceSpans is the brute-force segmentation the Stream must
+// reproduce exactly: each chunk's row is DetectCounts over the chunk's
+// own bytes (its n-grams and the n-1 bytes they run into), an
+// O(chunks·L²) Viterbi keeps the best
+// predecessor of every (chunk, language) — staying on ties, else the
+// lowest-index best — the path ends at the lowest-index best score,
+// and each span is decided by Detect's rule over its summed counts.
+// cfg's Window must cover the document: the reference has no horizon.
+func referenceSpans(t testing.TB, det *Detector, doc []byte, cfg SegmentConfig) []Span {
+	t.Helper()
+	cfg = cfg.WithDefaults()
+	if len(doc) == 0 {
+		return nil
+	}
+	L, n, stride := len(det.Languages()), det.Config().N, cfg.Stride
+	_, whole := det.DetectCounts(nil, doc)
+	grams := whole.NGrams
+	chunks := (grams + stride - 1) / stride
+	if chunks > cfg.Window/stride {
+		t.Fatalf("reference needs a window over all %d chunks, have %d", chunks, cfg.Window/stride)
+	}
+	cum := [][]int{make([]int, L)}
+	for c := 1; c <= chunks; c++ {
+		row, _ := det.DetectCounts(nil, doc[(c-1)*stride:min(c*stride, grams)+n-1])
+		for l := range row {
+			row[l] += cum[c-1][l]
+		}
+		cum = append(cum, row)
+	}
+	score := make([]int, L)
+	from := make([][]int, chunks)
+	for c := range chunks {
+		next := make([]int, L)
+		from[c] = make([]int, L)
+		for l := range L {
+			k, v := l, score[l]
+			for j := range L {
+				if j != l && score[j]-cfg.Penalty > v {
+					k, v = j, score[j]-cfg.Penalty
+				}
+			}
+			next[l], from[c][l] = v+cum[c+1][l]-cum[c][l], k
+		}
+		score = next
+	}
+	label := 0
+	for l := range L {
+		if score[l] > score[label] {
+			label = l
+		}
+	}
+	labels := make([]int, chunks)
+	for c := chunks - 1; c >= 0; c-- {
+		labels[c], label = label, from[c][label]
+	}
+	span := func(start, end, startGram, endGram int, a, b []int) Span {
+		counts := make([]int, L)
+		for l := range counts {
+			counts[l] = b[l] - a[l]
+		}
+		m := det.match(counts, endGram-startGram)
+		return Span{Start: start, End: end, Lang: m.Lang, Score: m.Score, Margin: m.Margin, Unknown: m.Unknown}
+	}
+	if chunks == 0 {
+		return []Span{span(0, len(doc), 0, 0, cum[0], cum[0])}
+	}
+	var spans []Span
+	start := 0
+	for c := 1; c <= chunks; c++ {
+		if c < chunks && labels[c] == labels[start] {
+			continue
+		}
+		end, endGram := c*stride, c*stride
+		if c == chunks {
+			end, endGram = len(doc), grams
+		}
+		spans = append(spans, span(start*stride, end, start*stride, endGram, cum[start], cum[c]))
+		start = c
+	}
+	return spans
+}
+
+// wholeDocument returns cfg with a horizon over any test document, so
+// no chunk is committed before the survivor paths agree.
+func wholeDocument(cfg SegmentConfig) SegmentConfig {
+	cfg = cfg.WithDefaults()
+	cfg.Window = cfg.Stride << 12
+	return cfg
+}
+
+// segReferenceDocs returns pure and mixed documents from the segment
+// corpus.
+func segReferenceDocs(t testing.TB) [][]byte {
+	corp := getSegCorpus(t)
+	var docs [][]byte
+	for i, lang := range segLangs {
+		docs = append(docs, corp.Test[lang][0].Text, corp.Test[lang][1].Text[:60])
+		other := corp.Test[segLangs[(i+1)%len(segLangs)]][2].Text
+		mixed := append(append(append([]byte{}, corp.Test[lang][3].Text...), other...), corp.Test[lang][4].Text[:200]...)
+		docs = append(docs, mixed)
+	}
+	return append(docs, []byte("ab"), []byte("word"), []byte(strings.Repeat("\x00\x01 soup ", 30)))
+}
+
+// TestDetectSpansMatchesReferenceViterbi pins the segmenter to the
+// brute-force reference span for span, on every backend, one-shot and
+// streamed in random splits, under configurations that take the lane
+// step (Penalty+Stride below 128), the row step, and odd strides.
+func TestDetectSpansMatchesReferenceViterbi(t *testing.T) {
+	docs := segReferenceDocs(t)
+	cfgs := []SegmentConfig{
+		{Stride: 16, Penalty: 8},
+		{Stride: 24, Penalty: 8},
+		{Stride: 24, Penalty: 120},
+		{Stride: 7, Penalty: 3},
+		{Stride: 1, Penalty: 2},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, backend := range equivBackends {
+		t.Run(backend.String(), func(t *testing.T) {
+			det := segDetector(t, backend)
+			for _, cfg := range cfgs {
+				cfg = wholeDocument(cfg)
+				st, err := det.NewSpanStream(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, doc := range docs {
+					want := referenceSpans(t, det, doc, cfg)
+					got, err := det.DetectSpans(doc, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%+v doc %d: spans\n%+v\nreference\n%+v", cfg, i, got, want)
+					}
+					st.Reset()
+					pts := splitPoints(rng, len(doc), 1+rng.Intn(8))
+					for j := 1; j < len(pts); j++ {
+						st.Write(doc[pts[j-1]:pts[j]])
+					}
+					if got := st.Finish(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%+v doc %d split at %v: spans\n%+v\nreference\n%+v", cfg, i, pts, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDetectSpansPenaltyOverDocumentIsDetect: when one language change
+// costs more than the document has n-grams, no change can pay, so the
+// document is one span labelled, scored and marked Unknown exactly as
+// Detect decides it — under the unknown policy too, and at the largest
+// penalty, where the lane step's guard must not overflow.
+func TestDetectSpansPenaltyOverDocumentIsDetect(t *testing.T) {
+	docs := segReferenceDocs(t)
+	for _, backend := range equivBackends {
+		for _, det := range []*Detector{
+			segDetector(t, backend),
+			mustDetector(t, segProfiles, WithBackend(backend), WithMinMargin(0.3), WithMinNGrams(40)),
+		} {
+			for i, doc := range docs {
+				if len(doc) == 0 {
+					continue
+				}
+				m := det.Detect(doc)
+				want := Span{Start: 0, End: len(doc), Lang: m.Lang, Score: m.Score, Margin: m.Margin, Unknown: m.Unknown}
+				for _, penalty := range []int{len(doc) + 1, math.MaxInt} {
+					spans, err := det.DetectSpans(doc, SegmentConfig{Penalty: penalty})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(spans) != 1 || spans[0] != want {
+						t.Errorf("%s doc %d penalty %d: spans %+v, want the one Detect span %+v", backend, i, penalty, spans, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDetectSpansHugeWindow: a horizon near the int range is valid and
+// never commits early, so it segments as a horizon over the document.
+func TestDetectSpansHugeWindow(t *testing.T) {
+	det := segDetector(t, BackendDirect)
+	for _, cfg := range []SegmentConfig{{Window: math.MaxInt - 15}, {Window: math.MaxInt - 15, Stride: 1}, {Window: math.MaxInt}} {
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		for i, doc := range segReferenceDocs(t) {
+			got, err := det.DetectSpans(doc, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := det.DetectSpans(doc, wholeDocument(cfg))
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%+v doc %d: spans\n%+v\nwant\n%+v", cfg, i, got, want)
+			}
+		}
+	}
+}
+
+// TestDetectSpansManyLanguages runs the reference check on a 70-language
+// profile set — several mask planes and a two-word switched bitset —
+// with near-duplicate profiles, so ties are everywhere.
+func TestDetectSpansManyLanguages(t *testing.T) {
+	getSegCorpus(t)
+	segDetector(t, BackendDirect)
+	ps := &ProfileSet{Config: segProfiles.Config}
+	for i := range 70 {
+		src := segProfiles.Profiles[i%len(segProfiles.Profiles)]
+		p := src
+		p.Language = fmt.Sprintf("l%02d", i)
+		p.Grams = nil
+		for j, g := range src.Grams {
+			if j%(i/4+2) != 0 {
+				p.Grams = append(p.Grams, g)
+			}
+		}
+		ps.Profiles = append(ps.Profiles, p)
+	}
+	docs := segReferenceDocs(t)
+	for _, backend := range []Backend{BackendDirect, BackendBloom} {
+		det := mustDetector(t, ps, WithBackend(backend))
+		cfg := wholeDocument(SegmentConfig{Stride: 16, Penalty: 4})
+		for i, doc := range docs {
+			got, err := det.DetectSpans(doc, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := referenceSpans(t, det, doc, cfg); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s doc %d: spans\n%+v\nreference\n%+v", backend, i, got, want)
+			}
+		}
+	}
+}
+
+func mustDetector(t testing.TB, ps *ProfileSet, opts ...DetectorOption) *Detector {
+	t.Helper()
+	det, err := NewDetector(ps, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return det
+}
+
 // TestSegmentConfigValidate exercises the configuration guard rails.
 func TestSegmentConfigValidate(t *testing.T) {
 	good := []SegmentConfig{
 		{},
 		{Window: 32},
-		{Window: 90}, // quarter-window default hop does not divide: nudged to a divisor
+		{Window: 90}, // the default stride does not divide: nudged to a divisor
 		{Window: 9},
-		{Window: 32, Stride: 32}, // non-overlapping windows
-		{Window: 30, Stride: 10, Hysteresis: 5},
+		{Window: 32, Stride: 32}, // a one-chunk horizon
+		{Window: 30, Stride: 10, Penalty: 5},
 	}
 	for i, cfg := range good {
 		if err := cfg.Validate(); err != nil {
@@ -468,7 +698,7 @@ func TestSegmentConfigValidate(t *testing.T) {
 		{Window: 64, Stride: -2},
 		{Window: 64, Stride: 65},
 		{Window: 64, Stride: 24}, // does not divide
-		{Hysteresis: -3},
+		{Penalty: -3},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -478,7 +708,7 @@ func TestSegmentConfigValidate(t *testing.T) {
 			t.Errorf("DetectSpans accepted bad config %d (%+v)", i, cfg)
 		}
 	}
-	if c := (SegmentConfig{}).WithDefaults(); c.Window != DefaultSegmentWindow || c.Stride != DefaultSegmentWindow/4 || c.Hysteresis != DefaultSegmentHysteresis {
+	if c := (SegmentConfig{}).WithDefaults(); c.Window != DefaultSegmentWindow || c.Stride != DefaultSegmentStride || c.Penalty != DefaultSegmentPenalty {
 		t.Errorf("defaults = %+v", c)
 	}
 }

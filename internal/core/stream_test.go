@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -175,5 +176,44 @@ func BenchmarkStreamWrite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Reset()
 		s.Write(doc)
+	}
+}
+
+// TestBorrowStreamAcrossModes: a pooled stream handed back after
+// segmenting, finished or not, and borrowed again to count (and the
+// reverse) carries nothing over — the counting stream has no spans,
+// the segmenting one gives DetectSpans' answer.
+func TestBorrowStreamAcrossModes(t *testing.T) {
+	det := segDetector(t, BackendDirect)
+	doc := append(append([]byte{}, getSegCorpus(t).Test["en"][0].Text...), getSegCorpus(t).Test["fi"][0].Text[:300]...)
+	want, err := det.DetectSpans(doc, segTestConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 8 {
+		var seg *SegmentConfig
+		if i%2 == 0 {
+			seg = &segTestConfig
+		}
+		s, err := det.BorrowStream(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Write(doc[:len(doc)/2])
+		if i%4 == 0 {
+			det.ReturnStream(s) // abandoned mid-document
+			continue
+		}
+		if seg == nil && len(s.Spans()) != 0 {
+			t.Fatalf("round %d: counting stream has spans %+v", i, s.Spans())
+		}
+		s.Write(doc[len(doc)/2:])
+		checkStream(t, det, s, doc, fmt.Sprintf("round %d", i))
+		if got := s.Finish(); seg != nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: spans %+v, want %+v", i, got, want)
+		} else if seg == nil && len(got) != 0 {
+			t.Fatalf("round %d: counting stream finished with spans %+v", i, got)
+		}
+		det.ReturnStream(s)
 	}
 }

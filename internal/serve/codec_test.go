@@ -167,7 +167,7 @@ func TestResponsesMatchEncodingJSON(t *testing.T) {
 						t.Errorf("/detect:\n got %s\nwant %s", got, want)
 					}
 					spans, _ := det.DetectSpans(text, segCfg)
-					want = encodeJSON(t, serve.Segmentation{Bytes: len(text), Window: segCfg.Window, Stride: segCfg.Stride, Spans: spanDetections(spans)})
+					want = encodeJSON(t, serve.Segmentation{Bytes: len(text), Window: segCfg.Window, Stride: segCfg.Stride, Penalty: segCfg.Penalty, Spans: spanDetections(spans)})
 					if got := post(t, ts, "/segment", text); !bytes.Equal(got, want) {
 						t.Errorf("/segment:\n got %s\nwant %s", got, want)
 					}

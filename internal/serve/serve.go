@@ -48,9 +48,11 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,9 +85,9 @@ type Config struct {
 	// IncludeCounts adds per-language match counts to every Detection
 	// (always included on /detect).
 	IncludeCounts bool
-	// Segment carries the sliding-window geometry /segment and the
+	// Segment carries the segmentation configuration /segment and the
 	// /stream spans mode run under; the zero value selects the core
-	// defaults. Invalid geometry fails server construction.
+	// defaults. An invalid one fails server construction.
 	Segment core.SegmentConfig
 	// ReadTimeout bounds reading a whole request (header + body) on
 	// servers built by HTTPServer; 0 means no limit. A tripped read
@@ -115,9 +117,9 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Validate reports the configuration errors New fails on: invalid
-// segmentation geometry, or a MinMargin that is NaN or infinite (a NaN
-// floor would silently disable unknown thresholding).
+// Validate reports the configuration errors New fails on: an invalid
+// segmentation configuration, or a MinMargin that is NaN or infinite
+// (a NaN floor would silently disable unknown thresholding).
 func (c Config) Validate() error {
 	if math.IsNaN(c.MinMargin) || math.IsInf(c.MinMargin, 0) {
 		return fmt.Errorf("serve: min margin %v is not a finite number", c.MinMargin)
@@ -388,9 +390,10 @@ type SpanDetection struct {
 	Language string `json:"language"`
 	// Name is the English language name, when known.
 	Name string `json:"name,omitempty"`
-	// Score is the mean windowed confidence over the span.
+	// Score is the fraction of the span's n-grams found in its
+	// language's profile, as /detect scores a document.
 	Score float64 `json:"score"`
-	// Margin is the mean windowed winner margin over the span.
+	// Margin is the winner margin over the span's n-grams.
 	Margin float64 `json:"margin"`
 	// Unknown reports that no language cleared the confidence
 	// thresholds for this region.
@@ -398,14 +401,16 @@ type SpanDetection struct {
 }
 
 // Segmentation is the /segment response: the document's span tiling
-// under the server's segmentation geometry.
+// under the server's segmentation configuration.
 type Segmentation struct {
 	// Bytes is the length of the segmented document.
 	Bytes int `json:"bytes"`
-	// Window and Stride echo the effective segmentation geometry in
-	// n-grams, so clients can interpret boundary granularity.
-	Window int `json:"window"`
-	Stride int `json:"stride"`
+	// Window, Stride and Penalty echo the effective segmentation
+	// configuration in n-grams: the commit horizon, the boundary
+	// granularity and the price of one language change.
+	Window  int `json:"window"`
+	Stride  int `json:"stride"`
+	Penalty int `json:"penalty"`
 	// Spans tile [0, Bytes) in order.
 	Spans []SpanDetection `json:"spans"`
 }
@@ -437,7 +442,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request, st *endpoi
 }
 
 // handleSegment segments one raw document into contiguous
-// single-language spans under the server's segmentation geometry —
+// single-language spans under the server's segmentation configuration —
 // the mixed-language answer /detect cannot give. Like every endpoint
 // it runs against one detector snapshot, so segmentation is stable
 // across concurrent profile hot swaps.
@@ -457,14 +462,13 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request, st *endpo
 	}
 	spans, err := det.DetectSpans(body, s.cfg.Segment)
 	if err != nil {
-		// Unreachable while New validates the geometry.
+		// Unreachable while New validates the configuration.
 		jsonError(w, http.StatusInternalServerError, "segmentation misconfigured: "+err.Error())
 		return
 	}
 	st.docs.Add(1)
 	st.spans.Add(int64(len(spans)))
-	eff := s.cfg.Segment.WithDefaults()
-	b.out = s.langs(det).appendSegmentation(b.out[:0], len(body), eff.Window, eff.Stride, spans)
+	b.out = s.langs(det).appendSegmentation(b.out[:0], len(body), s.cfg.Segment.WithDefaults(), spans)
 	writeJSONBytes(w, append(b.out, '\n'))
 }
 
@@ -545,18 +549,17 @@ const maxPendingBytes = 64 << 10
 // writes.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	det := s.handle.Detector()
-	spansMode := queryFlag(r, "spans")
-	var stream *core.Stream
-	if spansMode {
-		var err error
-		if stream, err = det.NewSpanStream(s.cfg.Segment); err != nil {
-			// Unreachable while New validates the geometry.
-			jsonError(w, http.StatusInternalServerError, "segmentation misconfigured: "+err.Error())
-			return
-		}
-	} else {
-		stream = det.NewStream()
+	var seg *core.SegmentConfig
+	if queryFlag(r, "spans") {
+		seg = &s.cfg.Segment
 	}
+	stream, err := det.BorrowStream(seg)
+	if err != nil {
+		// Unreachable while New validates the configuration.
+		jsonError(w, http.StatusInternalServerError, "segmentation misconfigured: "+err.Error())
+		return
+	}
+	defer det.ReturnStream(stream)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	// Result lines go out while request lines are still coming in; for
 	// HTTP/1 the server would otherwise cut off the request body at the
@@ -682,10 +685,31 @@ func (s *Server) handleAdminReload(w http.ResponseWriter, r *http.Request, st *e
 }
 
 // queryFlag reports whether a boolean query parameter is set truthy
-// ("1", "true", "t", ...).
+// ("1", "true", "t", ...). It reads the raw query the way url.Values
+// would — the first well-formed name=value pair for name wins — without
+// building the map.
 func queryFlag(r *http.Request, name string) bool {
-	v, err := strconv.ParseBool(r.URL.Query().Get(name))
-	return err == nil && v
+	for q := r.URL.RawQuery; q != ""; {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
+		if strings.Contains(pair, ";") {
+			continue // url.ParseQuery rejects the pair
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if strings.ContainsAny(pair, "%+") {
+			var err1, err2 error
+			k, err1 = url.QueryUnescape(k)
+			v, err2 = url.QueryUnescape(v)
+			if err1 != nil || err2 != nil {
+				continue
+			}
+		}
+		if k == name {
+			b, err := strconv.ParseBool(v)
+			return err == nil && b
+		}
+	}
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

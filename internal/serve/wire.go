@@ -729,14 +729,16 @@ func (t *langTable) appendSpans(b []byte, spans []core.Span) []byte {
 }
 
 // appendSegmentation appends the Segmentation of a document of n
-// bytes under the given geometry.
-func (t *langTable) appendSegmentation(b []byte, n, window, stride int, spans []core.Span) []byte {
+// bytes under the effective configuration cfg.
+func (t *langTable) appendSegmentation(b []byte, n int, cfg core.SegmentConfig, spans []core.Span) []byte {
 	b = append(b, `{"bytes":`...)
 	b = strconv.AppendInt(b, int64(n), 10)
 	b = append(b, `,"window":`...)
-	b = strconv.AppendInt(b, int64(window), 10)
+	b = strconv.AppendInt(b, int64(cfg.Window), 10)
 	b = append(b, `,"stride":`...)
-	b = strconv.AppendInt(b, int64(stride), 10)
+	b = strconv.AppendInt(b, int64(cfg.Stride), 10)
+	b = append(b, `,"penalty":`...)
+	b = strconv.AppendInt(b, int64(cfg.Penalty), 10)
 	b = append(b, `,"spans":`...)
 	b = t.appendSpans(b, spans)
 	return append(b, '}')

@@ -6,7 +6,10 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"net/http"
+	"net/url"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -93,7 +96,7 @@ func checkEncode(t *testing.T, codes, names []string, d Detection, m core.Match,
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("Detection %+v:\nencoder       %s\nencoding/json %s", d, got, want.Bytes())
 	}
-	seg := Segmentation{Bytes: m.NGrams, Window: m.Count, Stride: 7, Spans: d.Spans}
+	seg := Segmentation{Bytes: m.NGrams, Window: m.Count, Stride: 7, Penalty: 3, Spans: d.Spans}
 	if seg.Spans == nil {
 		seg.Spans = []SpanDetection{}
 	}
@@ -101,7 +104,7 @@ func checkEncode(t *testing.T, codes, names []string, d Detection, m core.Match,
 	if err := json.NewEncoder(&want).Encode(seg); err != nil {
 		t.Fatal(err)
 	}
-	got = append(table.appendSegmentation(nil, m.NGrams, m.Count, 7, spans), '\n')
+	got = append(table.appendSegmentation(nil, m.NGrams, core.SegmentConfig{Window: m.Count, Stride: 7, Penalty: 3}, spans), '\n')
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("Segmentation %+v:\nencoder       %s\nencoding/json %s", seg, got, want.Bytes())
 	}
@@ -256,6 +259,25 @@ func TestLineReaderMatchesScanner(t *testing.T) {
 					t.Errorf("max %d, %s reads of %q: lines %q err %v, Scanner %q err %v", max, name, body, got, gotErr, want, wantErr)
 				}
 			}
+		}
+	}
+}
+
+// TestQueryFlagMatchesURLValues holds the raw-query reader to what
+// strconv.ParseBool makes of url.Values.Get on the same query.
+func TestQueryFlagMatchesURLValues(t *testing.T) {
+	for _, q := range []string{
+		"", "spans=1", "spans=true", "spans=0", "spans=", "spans", "spans=yes",
+		"a=b&spans=1", "spans=1&spans=0", "spans=0&spans=1", "spans;x=1&spans=1",
+		"sp%61ns=1", "spans=%31", "spans=%zz&spans=1", "spans+=1", "x=1;spans=1",
+		"&&spans=T", "spansx=1", "xspans=1&spans=FALSE",
+	} {
+		v, _ := url.ParseQuery(q)
+		b, err := strconv.ParseBool(v.Get("spans"))
+		want := err == nil && b
+		r := &http.Request{URL: &url.URL{RawQuery: q}}
+		if got := queryFlag(r, "spans"); got != want {
+			t.Errorf("query %q: flag %v, url.Values says %v", q, got, want)
 		}
 	}
 }

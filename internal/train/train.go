@@ -13,7 +13,7 @@
 //
 // Peak memory is one counter per language (8 MiB each at the paper's
 // n=4), Add's n-gram block, and per AddReader in flight one read
-// buffer and one n-gram batch — never the corpus.
+// buffer and one n-gram batch, reused across calls — never the corpus.
 package train
 
 import (
@@ -55,6 +55,15 @@ type Trainer struct {
 	block   []uint32 // Add's n-gram scratch, flushGrams long
 	closed  bool
 	failErr error // first mid-document ingest failure; poisons Finalize
+
+	readers sync.Pool // of *readScratch, one per AddReader in flight
+}
+
+// readScratch is one AddReader's working memory: the read buffer and
+// the n-gram batch.
+type readScratch struct {
+	buf   []byte
+	grams []uint32
 }
 
 // New builds a trainer for the given classifier configuration; the
@@ -65,11 +74,13 @@ func New(cfg core.Config) (*Trainer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Trainer{
+	t := &Trainer{
 		cfg:   cfg,
 		accs:  make(map[string]*langAcc),
 		block: make([]uint32, flushGrams),
-	}, nil
+	}
+	t.readers.New = func() any { return &readScratch{buf: make([]byte, readChunk)} }
+	return t, nil
 }
 
 // Config returns the effective training configuration.
@@ -146,14 +157,20 @@ func (t *Trainer) addGrams(lang string, grams []uint32, docs int, bytes int64) e
 // across reads, so chunk boundaries produce exactly the n-grams a
 // contiguous read would. The n-grams are counted in batches of
 // flushGrams; a read error before the first batch leaves no trace,
-// one after it poisons the trainer (see Finalize).
+// one after it poisons the trainer (see Finalize). The read buffer and
+// the batch are pooled on the trainer, so a warm call allocates
+// nothing; concurrent calls each take their own.
 func (t *Trainer) AddReader(lang string, r io.Reader) error {
 	if err := checkLang(lang); err != nil {
 		return err
 	}
 	w := ngram.Window{N: t.cfg.N}
-	buf := make([]byte, readChunk)
-	var grams []uint32
+	sc := t.readers.Get().(*readScratch)
+	buf, grams := sc.buf, sc.grams[:0]
+	defer func() {
+		sc.grams = grams[:0]
+		t.readers.Put(sc)
+	}()
 	var total int64
 	flushed := false
 	for {

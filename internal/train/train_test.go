@@ -270,6 +270,34 @@ func TestTrainerAddZeroAllocations(t *testing.T) {
 	}
 }
 
+// TestTrainerAddReaderZeroAllocations: AddReader's read buffer and
+// n-gram batch are pooled on the trainer, so a warm call for a language
+// already seen allocates nothing — AddDir no longer pays a 64 KiB
+// buffer per file.
+func TestTrainerAddReaderZeroAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	doc := testCorpus(t).Train["es"][0].Text
+	tr, err := train.New(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Abort()
+	r := bytes.NewReader(doc)
+	if err := tr.AddReader("es", r); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		r.Reset(doc)
+		if err := tr.AddReader("es", r); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm AddReader of a %d-byte document allocates %.1f times, want 0", len(doc), allocs)
+	}
+}
+
 func TestTrainerErrors(t *testing.T) {
 	tr, err := train.New(core.Config{})
 	if err != nil {

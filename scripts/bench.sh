@@ -10,19 +10,29 @@
 #
 # When BASELINE.json (a previous run's output, e.g. the committed
 # BENCH_pr3.json) is given, the single-document Detect hot-path
-# benchmarks (BenchmarkDetector and BenchmarkDetectorBackends/*) are
-# diffed against it and the run fails if any benchmark present in both
-# files regressed by more than REGRESSION_PCT (default 20%). Backends
-# new in this run have no baseline entry and are reported, not gated;
-# the handler benchmarks are recorded, not gated.
+# benchmarks (BenchmarkDetector and BenchmarkDetectorBackends/*) and
+# the segmentation benchmarks (BenchmarkDetectSpans/*) are diffed
+# against it and the run fails if any benchmark present in both files
+# regressed by more than REGRESSION_PCT (default 20%). Backends new in
+# this run have no baseline entry and are reported, not gated; the
+# handler benchmarks are recorded, not gated.
+#
+# Every run also gates a same-run ratio: BenchmarkDetectSpans/direct-lookup
+# must cost at most 2.5 times BenchmarkDetectorBackends/direct-lookup,
+# the same document without segmentation, comparing medians of 5
+# interleaved runs at -cpu 1. Both numbers come from this run on this
+# machine, so the gate holds whatever machine the baseline was
+# measured on.
 set -euo pipefail
 
 out=${1:-BENCH.json}
 benchtime=${2:-200ms}
 baseline=${3:-}
 regression_pct=${REGRESSION_PCT:-20}
-raw=$(mktemp)
-trap 'rm -f "$raw"' EXIT
+spans_ratio=2.5
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+raw=$tmp/raw.txt
 
 go test -run '^$' -bench 'Detect|Serve' -benchtime "$benchtime" -benchmem ./... | tee "$raw" >&2
 
@@ -57,6 +67,32 @@ END {
 count=$(grep -c '"name"' "$out" || true)
 [ "$count" -gt 0 ] || { echo "bench: no benchmark results parsed" >&2; exit 1; }
 echo "bench: wrote $count results to $out" >&2
+
+# The ratio gate times the pair on its own, interleaved 5 times
+# at -cpu 1, and compares medians: one run of each on a shared runner
+# is too noisy to gate on.
+go test -c -o "$tmp/bloomlang.test" .
+for _ in 1 2 3 4 5; do
+  "$tmp/bloomlang.test" -test.run '^$' -test.bench '(DetectorBackends|DetectSpans)/direct-lookup' \
+    -test.cpu 1 -test.benchtime "$benchtime"
+done | tee "$raw" >&2
+awk -v limit="$spans_ratio" '
+function median(a, n,    i, j, t) {
+  for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j] < a[j-1]; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
+  return n % 2 ? a[(n+1)/2] : (a[n/2] + a[n/2+1]) / 2
+}
+$1 ~ /^BenchmarkDetectSpans\/direct-lookup/ { spans[++ns] = $3 }
+$1 ~ /^BenchmarkDetectorBackends\/direct-lookup/ { detect[++nd] = $3 }
+END {
+  if (ns == 0 || nd == 0) { print "bench: segmentation ratio: benchmarks missing" > "/dev/stderr"; exit 1 }
+  ratio = median(spans, ns) / median(detect, nd)
+  status = ratio <= limit ? "ok" : "EXCEEDED"
+  printf "bench:   %-5s DetectSpans/direct-lookup = %.2fx DetectorBackends/direct-lookup (medians of %d runs at -cpu 1, limit %.2fx)\n", status, ratio, ns, limit > "/dev/stderr"
+  exit ratio <= limit ? 0 : 1
+}' "$raw" || {
+  echo "bench: segmentation costs more than ${spans_ratio}x one Detect in this run" >&2
+  exit 1
+}
 
 if [ -n "$baseline" ]; then
   if [ ! -r "$baseline" ]; then
