@@ -37,12 +37,12 @@ func benchFixtures(b *testing.B) (*Corpus, *ProfileSet) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation benchmarks (DESIGN.md §5).
+// Ablation benchmarks: the same batch under each backend and worker
+// count.
 
-// BenchmarkAblationBackends compares the three membership backends on
-// identical work: the paper's parallel Bloom filter, exact direct
-// lookup, and a classic single-vector Bloom filter of the same total
-// bit budget.
+// BenchmarkAblationBackends compares the two membership backends on
+// identical work: the paper's parallel Bloom filter and exact direct
+// lookup.
 func BenchmarkAblationBackends(b *testing.B) {
 	corp, ps := benchFixtures(b)
 	docs := corp.TestDocuments("")[:100]
@@ -51,7 +51,7 @@ func BenchmarkAblationBackends(b *testing.B) {
 	for _, d := range docs {
 		bytes += int64(len(d.Text))
 	}
-	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic} {
+	for _, backend := range []Backend{BackendBloom, BackendDirect} {
 		b.Run(backend.String(), func(b *testing.B) {
 			det, err := NewDetector(ps, WithBackend(backend))
 			if err != nil {

@@ -27,21 +27,19 @@ type Profile = ngram.Profile
 type Result = core.Result
 
 // Backend selects the membership structure used for match counting,
-// one of the three constants below; ParseBackend resolves them by name.
+// one of the two constants below; ParseBackend resolves them by name.
 type Backend = core.Backend
 
-// Membership backends: HAIL-style exact direct lookup (the default),
-// the paper's Parallel Bloom Filter, and a classic single-vector Bloom
-// filter for ablations.
+// Membership backends: HAIL-style exact direct lookup (the default)
+// and the paper's Parallel Bloom Filter.
 const (
-	BackendDirect  = core.BackendDirect
-	BackendBloom   = core.BackendBloom
-	BackendClassic = core.BackendClassic
+	BackendDirect = core.BackendDirect
+	BackendBloom  = core.BackendBloom
 )
 
 // ParseBackend resolves a backend by canonical name or alias
-// ("parallel-bloom"/"bloom", "direct-lookup"/"direct",
-// "classic-bloom"/"classic"). It is the inverse of Backend.String.
+// ("parallel-bloom"/"bloom", "direct-lookup"/"direct"). It is the
+// inverse of Backend.String.
 func ParseBackend(name string) (Backend, error) { return core.ParseBackend(name) }
 
 // Backends lists every backend's canonical name.

@@ -38,7 +38,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if len(ps.Languages()) != 10 {
 		t.Fatalf("trained %d languages, want 10", len(ps.Languages()))
 	}
-	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic} {
+	for _, backend := range []Backend{BackendBloom, BackendDirect} {
 		det, err := NewDetector(ps, WithBackend(backend))
 		if err != nil {
 			t.Fatalf("%v: %v", backend, err)

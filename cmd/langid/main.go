@@ -22,7 +22,7 @@
 //
 // Classify files (or stdin when no files are given):
 //
-//	langid classify -profiles profiles.bin [-k 4] [-m 16384] [-backend direct|bloom|classic] file1.txt file2.txt
+//	langid classify -profiles profiles.bin [-k 4] [-m 16384] [-backend direct|bloom] file1.txt file2.txt
 //	echo "el consejo de la unión europea" | langid classify -profiles profiles.bin
 //
 // Segment mixed-language files into per-language spans (or stdin when
@@ -266,7 +266,7 @@ func classify(args []string) {
 	profilePath := fs.String("profiles", "profiles.bin", "trained profile file")
 	k := fs.Int("k", 4, "hash functions per Bloom filter")
 	m := fs.Uint("m", 16*1024, "bits per Bloom filter vector (power of two)")
-	backend := fs.String("backend", "direct", "membership backend: direct (exact table), bloom (parallel Bloom filter) or classic")
+	backend := fs.String("backend", "direct", "membership backend: direct (exact table) or bloom (parallel Bloom filter)")
 	minMargin := fs.Float64("min-margin", 0, "answer unknown below this normalized winner margin")
 	minNGrams := fs.Int("min-ngrams", 1, "answer unknown below this many testable n-grams")
 	verbose := fs.Bool("v", false, "print the full language ranking")
@@ -342,7 +342,7 @@ func segment(args []string) {
 	profilePath := fs.String("profiles", "profiles.bin", "trained profile file")
 	k := fs.Int("k", 4, "hash functions per Bloom filter")
 	m := fs.Uint("m", 16*1024, "bits per Bloom filter vector (power of two)")
-	backend := fs.String("backend", "direct", "membership backend: direct (exact table), bloom (parallel Bloom filter) or classic")
+	backend := fs.String("backend", "direct", "membership backend: direct (exact table) or bloom (parallel Bloom filter)")
 	minMargin := fs.Float64("min-margin", 0, "mark spans unknown below this normalized span margin")
 	minNGrams := fs.Int("min-ngrams", 1, "answer unknown below this many testable n-grams")
 	window := fs.Int("window", 0, "commit horizon in n-grams, a multiple of the stride (0 = default 4096)")

@@ -30,7 +30,7 @@ func BenchmarkDetector(b *testing.B) {
 func BenchmarkDetectorBackends(b *testing.B) {
 	_, ps := benchFixtures(b)
 	doc := benchBigDocs[0].Text
-	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic} {
+	for _, backend := range []Backend{BackendBloom, BackendDirect} {
 		b.Run(backend.String(), func(b *testing.B) {
 			det, err := NewDetector(ps, WithBackend(backend))
 			if err != nil {
@@ -59,7 +59,7 @@ func BenchmarkDetectSpans(b *testing.B) {
 	_, ps := benchFixtures(b)
 	doc := benchBigDocs[0].Text
 	cfg := SegmentConfig{Stride: 16, Penalty: 8}
-	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic} {
+	for _, backend := range []Backend{BackendBloom, BackendDirect} {
 		b.Run(backend.String(), func(b *testing.B) {
 			det, err := NewDetector(ps, WithBackend(backend))
 			if err != nil {

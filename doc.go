@@ -32,7 +32,7 @@
 // silently tie-broken guess:
 //
 //	det, _ := bloomlang.NewDetector(profiles,
-//		bloomlang.WithBackend(bloomlang.BackendBloom), // default direct; or classic
+//		bloomlang.WithBackend(bloomlang.BackendBloom), // default direct
 //		bloomlang.WithWorkers(8),                      // DetectBatch fan-out
 //		bloomlang.WithMinMargin(0.02),                 // ties and near-ties -> Unknown
 //		bloomlang.WithMinNGrams(8),                    // short docs -> Unknown
@@ -66,10 +66,9 @@
 //
 // # Membership backends
 //
-// The membership structure is one of a closed set of three backends:
-// an exact direct table ("direct-lookup"/"direct", the default), the
-// paper's Parallel Bloom Filter ("parallel-bloom"/"bloom"), and a
-// classic single-vector Bloom filter ("classic-bloom"/"classic").
+// The membership structure is one of a closed set of two backends: an
+// exact direct table ("direct-lookup"/"direct", the default) and the
+// paper's Parallel Bloom Filter ("parallel-bloom"/"bloom").
 // ParseBackend resolves a canonical name or alias (the CLIs' -backend
 // flag is exactly this) and Backend.String round-trips it back. Each
 // backend counts through one kernel built over the whole profile set,
@@ -96,12 +95,11 @@
 //
 // Use "bloom" when software classifications must match the simulated
 // hardware bit-for-bit (the XD1000, RTL and VHDL models build the same
-// parallel filters from the profile set); "classic" exists as an
-// ablation. Profile files written by older builds with an embedded
-// filter layout (NGPS v2) still load: the layout is skipped and only
-// the configuration and profiles are read. v1 files and legacy NGPF
-// streams remain readable, and damaged files fail with errors tagged
-// ErrCorruptProfiles.
+// parallel filters from the profile set). Profile files written by
+// older builds with an embedded filter layout (NGPS v2) still load:
+// the layout is skipped and only the configuration and profiles are
+// read. v1 files and legacy NGPF streams remain readable, and damaged
+// files fail with errors tagged ErrCorruptProfiles.
 //
 // # Segmentation
 //
@@ -135,7 +133,7 @@
 // its n-gram count makes the whole document one span, decided exactly
 // as Detect decides it; past that, horizon commits can split it.
 //
-// All three backends segment; the configuration is per call:
+// Both backends segment; the configuration is per call:
 //
 //	SegmentConfig{Stride: 8}    // finer boundaries: smaller Stride
 //	SegmentConfig{Penalty: 16}  // fewer, longer spans: a dearer change
@@ -226,10 +224,10 @@
 //	curl -X POST :8080/admin/reload                      # hot-swap, zero downtime
 //	langid profiles -registry /var/lib/langid -rollback  # then reload again
 //
-// A running server reaches its detector through a hot-swap handle (an
-// atomic pointer to an immutable (detector, version) snapshot), so
+// A running server reaches its detector through one atomic pointer to
+// an immutable snapshot of (detector, version, language table), so
 // Reload — triggered by SIGHUP or POST /admin/reload — is
-// zero-downtime: requests in flight finish on the detector they
+// zero-downtime: requests in flight finish on the snapshot they
 // started with, requests arriving after the swap see the new version,
 // and no request ever blocks or observes a torn state.
 //

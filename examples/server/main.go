@@ -4,15 +4,18 @@
 // bloomlang.NewServerFromRegistry and cmd/langidd for the production
 // daemon); this example walks the whole profile lifecycle: stream a
 // training corpus into the streaming trainer, version the profiles in a
-// registry, serve the active version, exercise every endpoint as a
-// client, then train a second version and hot-swap to it through the
-// admin plane with zero downtime.
+// registry, serve the active version, exercise the detection
+// endpoints as a client, then train a second version and hot-swap to
+// it through the admin plane with zero downtime. The segmentation
+// endpoints are listed below; examples/segment walks segmentation.
 //
 // API (see internal/serve):
 //
 //	POST /detect          one document      -> {"language":"es","name":"Spanish",...}
 //	POST /batch           JSON array        -> array of detections, input order
 //	POST /stream          NDJSON documents  -> NDJSON detections, incremental
+//	POST /stream?spans=1  NDJSON documents  -> NDJSON detections, each with its spans
+//	POST /segment         one document      -> {"bytes":...,"spans":[{"start":0,"end":...,"language":"en",...}]}
 //	GET  /healthz         liveness          -> 200 ok
 //	GET  /statsz          serving counters  -> JSON snapshot (+ profile version)
 //	GET  /admin/profiles  version inventory -> serving vs active version

@@ -1,7 +1,7 @@
-// Package bloom implements the Bloom filter variants used by the paper:
-// the classic single-vector Bloom filter (Bloom, CACM 1970) and the
-// Parallel Bloom Filter of Krishnamurthy et al. that the hardware
-// architecture instantiates (§3.1).
+// Package bloom implements the Parallel Bloom Filter of Krishnamurthy
+// et al. that the paper's hardware architecture instantiates (§3.1),
+// with the closed-form false positive rates of it and of the classic
+// single-vector Bloom filter (Bloom, CACM 1970) it is compared with.
 //
 // In the parallel variant each of the k hash functions addresses an
 // independent 1×m bit-vector implemented with one or more physically
@@ -202,81 +202,6 @@ func (p *Parallel) Hash(i int, g uint32) uint32 { return p.family.Func(i).Hash(g
 // the matrix baked into the netlist).
 func (p *Parallel) Func(i int) *h3.Func { return p.family.Func(i) }
 
-// Classic is the textbook single-vector Bloom filter: k hash functions
-// share one m-bit vector. It exists as an ablation comparator for the
-// parallel variant (same total bit budget, different structure) and to
-// document why the hardware cannot use it: a single embedded RAM has
-// only two ports, so k>2 lookups per cycle are impossible without
-// replication.
-type Classic struct {
-	family *h3.Family
-	vector *BitVector
-	n      int
-}
-
-// NewClassic builds a classic filter with k hashes into one m-bit
-// vector (m a power of two).
-func NewClassic(k int, inputBits uint, m uint32, seed int64) (*Classic, error) {
-	if m == 0 || m&(m-1) != 0 {
-		return nil, fmt.Errorf("bloom: vector length %d is not a power of two", m)
-	}
-	outputBits := uint(0)
-	for 1<<outputBits < m {
-		outputBits++
-	}
-	family, err := h3.NewFamily(k, inputBits, outputBits, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Classic{family: family, vector: NewBitVector(m)}, nil
-}
-
-// K returns the number of hash functions.
-func (c *Classic) K() int { return c.family.K() }
-
-// M returns the vector length in bits.
-func (c *Classic) M() uint32 { return c.vector.Len() }
-
-// N returns the number of programmed elements.
-func (c *Classic) N() int { return c.n }
-
-// Program inserts g.
-func (c *Classic) Program(g uint32) {
-	for i := 0; i < c.family.K(); i++ {
-		c.vector.Set(c.family.Func(i).Hash(g))
-	}
-	c.n++
-}
-
-// ProgramAll inserts every element of gs.
-func (c *Classic) ProgramAll(gs []uint32) {
-	for _, g := range gs {
-		c.Program(g)
-	}
-}
-
-// Test reports possible membership of g.
-func (c *Classic) Test(g uint32) bool {
-	for i := 0; i < c.family.K(); i++ {
-		if !c.vector.Get(c.family.Func(i).Hash(g)) {
-			return false
-		}
-	}
-	return true
-}
-
-// Reset clears the filter.
-func (c *Classic) Reset() {
-	c.vector.Reset()
-	c.n = 0
-}
-
-// FalsePositiveRate returns the classic filter's expected false positive
-// rate (1 − e^(−kN/m))^k at current load.
-func (c *Classic) FalsePositiveRate() float64 {
-	return ClassicFalsePositiveRate(c.n, c.vector.Len(), c.K())
-}
-
 // FalsePositiveRate is the paper's §3.1 model for the Parallel Bloom
 // Filter: each of the k vectors holds N elements in m bits, a lookup
 // succeeds spuriously only if all k independent vectors have the
@@ -290,7 +215,10 @@ func FalsePositiveRate(n int, m uint32, k int) float64 {
 }
 
 // ClassicFalsePositiveRate is the standard single-vector model
-// (1 − e^(−kN/m))^k.
+// (1 − e^(−kN/m))^k: k hash functions share one m-bit vector. The
+// hardware cannot use that layout (a single embedded RAM has only two
+// ports, so k>2 lookups per cycle need replication); the rate is the
+// §3.1 comparison at the same total bit budget.
 func ClassicFalsePositiveRate(n int, m uint32, k int) float64 {
 	if n <= 0 {
 		return 0

@@ -243,37 +243,6 @@ func TestCountMatches(t *testing.T) {
 	}
 }
 
-func TestClassicNoFalseNegatives(t *testing.T) {
-	c, err := NewClassic(4, 20, 64*1024, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	members := make([]uint32, 5000)
-	for i := range members {
-		members[i] = rng.Uint32() & 0xFFFFF
-		c.Program(members[i])
-	}
-	for _, g := range members {
-		if !c.Test(g) {
-			t.Fatalf("false negative for %#x", g)
-		}
-	}
-	c.Reset()
-	if c.N() != 0 || c.Test(members[0]) && c.Test(members[1]) && c.Test(members[2]) {
-		t.Error("classic filter not cleared by Reset")
-	}
-}
-
-func TestClassicValidation(t *testing.T) {
-	if _, err := NewClassic(4, 20, 1000, 1); err == nil {
-		t.Error("non-power-of-two m accepted")
-	}
-	if _, err := NewClassic(0, 20, 1024, 1); err == nil {
-		t.Error("k=0 accepted")
-	}
-}
-
 // With the same total bit budget (k*m bits), the parallel and classic
 // variants should have comparable false positive rates; the parallel
 // variant must not be catastrophically worse (it is the hardware-

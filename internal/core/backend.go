@@ -69,9 +69,8 @@ var backends = [...]struct {
 	name, alias string
 	build       func(cfg Config, ps *ProfileSet) (Kernel, error)
 }{
-	BackendDirect:  {"direct-lookup", "direct", buildMaskKernel},
-	BackendBloom:   {"parallel-bloom", "bloom", buildParallelBloom},
-	BackendClassic: {"classic-bloom", "classic", buildClassicBloom},
+	BackendDirect: {"direct-lookup", "direct", buildMaskKernel},
+	BackendBloom:  {"parallel-bloom", "bloom", buildParallelBloom},
 }
 
 // ParseBackend resolves a backend by canonical name or alias. It is the
@@ -107,12 +106,12 @@ func (b Backend) String() string {
 	return backends[b].name
 }
 
-// perLanguage is the kernel of the per-language backends: one
-// membership filter per language, queried in the languages×grams loop.
-type perLanguage[F interface{ Test(uint32) bool }] struct{ filters []F }
+// parallelBloom is the paper's kernel: one Parallel Bloom Filter per
+// language, queried in the languages×grams loop.
+type parallelBloom struct{ filters []*bloom.Parallel }
 
 // AccumulateInto adds each language's match count over gs into counts.
-func (p *perLanguage[F]) AccumulateInto(counts []int, gs []uint32) {
+func (p *parallelBloom) AccumulateInto(counts []int, gs []uint32) {
 	for i, f := range p.filters {
 		n := 0
 		for _, g := range gs {
@@ -125,16 +124,23 @@ func (p *perLanguage[F]) AccumulateInto(counts []int, gs []uint32) {
 }
 
 // Count counts the n-grams of b block by block.
-func (p *perLanguage[F]) Count(counts []int, w *Window, b []byte) int {
+func (p *parallelBloom) Count(counts []int, w *Window, b []byte) int {
 	return CountGrams(p, counts, w, b)
 }
 
-// programPerLanguage programs one filter per language, each from its
-// own seed.
-func programPerLanguage[F interface{ ProgramAll([]uint32) }](cfg Config, ps *ProfileSet, newFilter func(seed int64) (F, error)) ([]F, error) {
-	fs := make([]F, len(ps.Profiles))
+// ParallelFilters programs the paper's Parallel Bloom Filter for every
+// language of the set, in profile order: k H3 hashes into k
+// independent m-bit vectors per language (§3.1). Each language's seed
+// is offset from the configured one, so its filter is independent, as
+// in hardware where each replica has its own H3 matrices. The
+// parallel-bloom backend scores through these filters, and the XD1000,
+// RTL and VHDL models build theirs here, so simulated hardware and
+// software agree bit for bit.
+func (ps *ProfileSet) ParallelFilters() ([]*bloom.Parallel, error) {
+	cfg := ps.Config.WithDefaults()
+	fs := make([]*bloom.Parallel, len(ps.Profiles))
 	for i, p := range ps.Profiles {
-		f, err := newFilter(perLanguageSeed(cfg.Seed, i))
+		f, err := bloom.NewParallel(cfg.K, ngram.Bits(cfg.N), cfg.MBits, cfg.Seed+int64(i)*1000003)
 		if err != nil {
 			return nil, err
 		}
@@ -144,43 +150,11 @@ func programPerLanguage[F interface{ ProgramAll([]uint32) }](cfg Config, ps *Pro
 	return fs, nil
 }
 
-// ParallelFilters programs the paper's Parallel Bloom Filter for every
-// language of the set, in profile order: k H3 hashes into k
-// independent m-bit vectors per language (§3.1), each language under
-// its own seed. The parallel-bloom backend scores through these
-// filters, and the XD1000, RTL and VHDL models build theirs here, so
-// simulated hardware and software agree bit for bit.
-func (ps *ProfileSet) ParallelFilters() ([]*bloom.Parallel, error) {
-	cfg := ps.Config.WithDefaults()
-	return programPerLanguage(cfg, ps, func(seed int64) (*bloom.Parallel, error) {
-		return bloom.NewParallel(cfg.K, ngram.Bits(cfg.N), cfg.MBits, seed)
-	})
-}
-
 // buildParallelBloom is the paper's design over ps.ParallelFilters.
 func buildParallelBloom(_ Config, ps *ProfileSet) (Kernel, error) {
 	fs, err := ps.ParallelFilters()
 	if err != nil {
 		return nil, err
 	}
-	return &perLanguage[*bloom.Parallel]{fs}, nil
-}
-
-// buildClassicBloom is the ablation: one k·m-bit vector shared by all k
-// hash functions.
-func buildClassicBloom(cfg Config, ps *ProfileSet) (Kernel, error) {
-	fs, err := programPerLanguage(cfg, ps, func(seed int64) (*bloom.Classic, error) {
-		return bloom.NewClassic(cfg.K, ngram.Bits(cfg.N), cfg.MBits*uint32(cfg.K), seed)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &perLanguage[*bloom.Classic]{fs}, nil
-}
-
-// perLanguageSeed offsets the configured seed per language so filters
-// are independent, as in hardware where each replica has its own H3
-// matrices.
-func perLanguageSeed(seed int64, index int) int64 {
-	return seed + int64(index)*1000003
+	return &parallelBloom{fs}, nil
 }

@@ -10,7 +10,7 @@ import (
 // every backend's String() parses back to itself,
 // and the historical aliases keep working.
 func TestBackendStringParseRoundTrip(t *testing.T) {
-	for _, b := range []Backend{BackendBloom, BackendDirect, BackendClassic} {
+	for _, b := range []Backend{BackendBloom, BackendDirect} {
 		got, err := ParseBackend(b.String())
 		if err != nil {
 			t.Fatalf("ParseBackend(%q): %v", b.String(), err)
@@ -20,9 +20,8 @@ func TestBackendStringParseRoundTrip(t *testing.T) {
 		}
 	}
 	aliases := map[string]Backend{
-		"bloom":   BackendBloom,
-		"direct":  BackendDirect,
-		"classic": BackendClassic,
+		"bloom":  BackendBloom,
+		"direct": BackendDirect,
 	}
 	for name, want := range aliases {
 		got, err := ParseBackend(name)
@@ -36,14 +35,14 @@ func TestBackendStringParseRoundTrip(t *testing.T) {
 }
 
 // TestParseBackendUnknownNameListsChoices also pins that the deleted
-// blocked backend's names no longer parse.
+// blocked and classic backends' names no longer parse.
 func TestParseBackendUnknownNameListsChoices(t *testing.T) {
-	for _, name := range []string{"fpga", "blocked"} {
+	for _, name := range []string{"fpga", "blocked", "classic", "classic-bloom"} {
 		_, err := ParseBackend(name)
 		if err == nil {
 			t.Fatalf("ParseBackend accepted unknown name %q", name)
 		}
-		for _, known := range []string{"direct-lookup", "parallel-bloom", "classic-bloom"} {
+		for _, known := range []string{"direct-lookup", "parallel-bloom"} {
 			if !strings.Contains(err.Error(), known) {
 				t.Errorf("error %q does not list %q", err, known)
 			}
@@ -52,7 +51,7 @@ func TestParseBackendUnknownNameListsChoices(t *testing.T) {
 }
 
 func TestBackendsListsCanonicalNames(t *testing.T) {
-	want := []string{"classic-bloom", "direct-lookup", "parallel-bloom"}
+	want := []string{"direct-lookup", "parallel-bloom"}
 	if names := Backends(); !reflect.DeepEqual(names, want) {
 		t.Errorf("Backends() = %v, want %v", names, want)
 	}
@@ -79,7 +78,7 @@ func FuzzKernelCount(f *testing.F) {
 	for _, sub := range []int{1, 3} {
 		ps := &ProfileSet{Config: base.Config, Profiles: base.Profiles}
 		ps.Config.Subsample = sub
-		for _, b := range []Backend{BackendDirect, BackendBloom, BackendClassic} {
+		for _, b := range []Backend{BackendDirect, BackendBloom} {
 			c, err := New(ps, b)
 			if err != nil {
 				f.Fatal(err)

@@ -9,9 +9,8 @@ import (
 // membership, a Bloom filter may only ever err on the side of false
 // positives, so on any document — including adversarial byte soup the
 // fuzzer invents — every n-gram the direct backend accepts must be
-// accepted by the parallel and classic Bloom filters for every
-// language, and their per-language counts must dominate the exact
-// counts.
+// accepted by the parallel Bloom filter of every language, and its
+// per-language counts must dominate the exact counts.
 func FuzzBloomNoFalseNegativesVsDirect(f *testing.F) {
 	diff := newBloomDiff(f, trainMini(f, Config{TopT: 800}))
 	corp := getMiniCorpus(f)

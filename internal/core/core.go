@@ -23,12 +23,11 @@
 // takes documents as bytes; corpus scoring lives in the root bloomlang
 // package.
 //
-// The membership backends are a closed set of three. The default,
+// The membership backends are a closed set of two. The default,
 // direct-lookup, is exact: HAIL's direct table (§2) generalised to one
 // language bitmask per packed n-gram, so one table load scores an
 // n-gram against up to 16 languages. The Parallel Bloom Filter is the
-// paper's design, and the classic single-vector Bloom filter its
-// ablation. The table cannot hold the key space of n >= 6, so
+// paper's design. The table cannot hold the key space of n >= 6, so
 // ServingBackend picks the Parallel Bloom Filter there. The paper's
 // hardware models (internal/xd1000, internal/rtl, internal/vhdl) do
 // not link a Classifier: they build their own filters with
@@ -195,7 +194,7 @@ func LanguageName(code string) string {
 }
 
 // Backend selects the membership structure a Classifier uses, one of
-// the three below; backend.go names them and builds their kernels.
+// the two below; backend.go names them and builds their kernels.
 type Backend int
 
 const (
@@ -206,9 +205,6 @@ const (
 	BackendDirect Backend = iota
 	// BackendBloom uses the paper's Parallel Bloom Filter.
 	BackendBloom
-	// BackendClassic uses a classic single-vector Bloom filter with the
-	// same total bit budget (k·m bits) as the parallel variant.
-	BackendClassic
 )
 
 // Classifier tests document n-grams against every language profile and

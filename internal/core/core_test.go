@@ -129,8 +129,7 @@ func TestTrainErrors(t *testing.T) {
 
 func TestBackendString(t *testing.T) {
 	if BackendBloom.String() != "parallel-bloom" ||
-		BackendDirect.String() != "direct-lookup" ||
-		BackendClassic.String() != "classic-bloom" {
+		BackendDirect.String() != "direct-lookup" {
 		t.Error("backend names wrong")
 	}
 	if !strings.Contains(Backend(9).String(), "9") {
@@ -156,7 +155,7 @@ func TestNewValidation(t *testing.T) {
 func TestClassifyAllBackendsAgreeOnEasyDocs(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
 	corp := getMiniCorpus(t)
-	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic} {
+	for _, backend := range []Backend{BackendBloom, BackendDirect} {
 		c, err := New(ps, backend)
 		if err != nil {
 			t.Fatalf("%v: %v", backend, err)

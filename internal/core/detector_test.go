@@ -158,7 +158,7 @@ func TestMatchSingleLanguageProfileSet(t *testing.T) {
 func TestDetectorAgreesWithLegacyClassifier(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
 	corp := getMiniCorpus(t)
-	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic} {
+	for _, backend := range []Backend{BackendBloom, BackendDirect} {
 		det, err := NewDetector(ps, WithBackend(backend), WithWorkers(3))
 		if err != nil {
 			t.Fatal(err)
@@ -280,7 +280,7 @@ func TestDetectZeroAllocations(t *testing.T) {
 	}
 	ps := trainMini(t, Config{TopT: 1000})
 	doc := getMiniCorpus(t).Test["es"][0].Text
-	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic} {
+	for _, backend := range []Backend{BackendBloom, BackendDirect} {
 		det, err := NewDetector(ps, WithBackend(backend))
 		if err != nil {
 			t.Fatal(err)

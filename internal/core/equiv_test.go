@@ -20,7 +20,7 @@ import (
 
 // equivBackends is the full built-in backend matrix the equivalence
 // suite runs over.
-var equivBackends = []Backend{BackendBloom, BackendDirect, BackendClassic}
+var equivBackends = []Backend{BackendBloom, BackendDirect}
 
 // TestDetectEquivalenceAcrossPaths pins Detect ≡ DetectCounts ≡
 // Classify ≡ Rank over every built-in backend and every input path:
@@ -105,8 +105,8 @@ func TestDetectEquivalenceAcrossPaths(t *testing.T) {
 // the differential guarantee (the fuzz half lives in
 // FuzzBloomNoFalseNegativesVsDirect): on real corpus documents, every
 // n-gram the exact direct table accepts must also be accepted by the
-// parallel and classic Bloom filters, so their per-language counts
-// dominate the exact counts.
+// parallel Bloom filters, so their per-language counts dominate the
+// exact counts.
 func TestBloomNeverFalseNegativeVsDirect(t *testing.T) {
 	diff := newBloomDiff(t, trainMini(t, Config{TopT: 1000}))
 	corp := getMiniCorpus(t)
@@ -117,16 +117,14 @@ func TestBloomNeverFalseNegativeVsDirect(t *testing.T) {
 	}
 }
 
-// bloomDiff holds the exact classifier and the Bloom classifiers the
+// bloomDiff holds the exact classifier and the Bloom classifier the
 // differential guarantee compares it with.
 type bloomDiff struct {
-	direct *Classifier
-	blooms []*Classifier
+	direct, bloom *Classifier
 }
 
-// newBloomDiff builds the exact classifier and one classifier per
-// Bloom backend (the paper's parallel filter and the classic
-// ablation) over ps.
+// newBloomDiff builds the exact and the parallel Bloom classifiers
+// over ps.
 func newBloomDiff(t testing.TB, ps *ProfileSet) *bloomDiff {
 	t.Helper()
 	build := func(b Backend) *Classifier {
@@ -136,37 +134,36 @@ func newBloomDiff(t testing.TB, ps *ProfileSet) *bloomDiff {
 		}
 		return c
 	}
-	return &bloomDiff{direct: build(BackendDirect), blooms: []*Classifier{build(BackendBloom), build(BackendClassic)}}
+	return &bloomDiff{direct: build(BackendDirect), bloom: build(BackendBloom)}
 }
 
 // check fails t unless, on doc, every n-gram the exact table accepts
-// for a language is accepted by each Bloom filter of that language,
-// and each Bloom backend's counts dominate the exact counts.
+// for a language is accepted by the Bloom filter of that language, and
+// the Bloom backend's counts dominate the exact counts.
 func (d *bloomDiff) check(t testing.TB, doc []byte) {
 	t.Helper()
 	gs := d.direct.ExtractGrams(nil, doc)
 	dr := d.direct.Classify(doc)
 	exact := make([]int, len(dr.Counts))
 	member := make([]int, len(dr.Counts))
-	for _, c := range d.blooms {
-		for j := range gs {
-			// Counting one n-gram answers its membership per language.
-			d.direct.countInto(exact, gs[j:j+1])
-			c.countInto(member, gs[j:j+1])
-			for i, lang := range d.direct.langs {
-				if exact[i] > member[i] {
-					t.Fatalf("%s false negative: lang %s gram %#x", c.Backend(), lang, gs[j])
-				}
+	c := d.bloom
+	for j := range gs {
+		// Counting one n-gram answers its membership per language.
+		d.direct.countInto(exact, gs[j:j+1])
+		c.countInto(member, gs[j:j+1])
+		for i, lang := range d.direct.langs {
+			if exact[i] > member[i] {
+				t.Fatalf("%s false negative: lang %s gram %#x", c.Backend(), lang, gs[j])
 			}
 		}
-		br := c.Classify(doc)
-		if br.NGrams != dr.NGrams {
-			t.Fatalf("%s extracted %d n-grams, direct %d", c.Backend(), br.NGrams, dr.NGrams)
-		}
-		for i := range dr.Counts {
-			if br.Counts[i] < dr.Counts[i] {
-				t.Fatalf("%s count %d below exact count %d for %s", c.Backend(), br.Counts[i], dr.Counts[i], d.direct.langs[i])
-			}
+	}
+	br := c.Classify(doc)
+	if br.NGrams != dr.NGrams {
+		t.Fatalf("%s extracted %d n-grams, direct %d", c.Backend(), br.NGrams, dr.NGrams)
+	}
+	for i := range dr.Counts {
+		if br.Counts[i] < dr.Counts[i] {
+			t.Fatalf("%s count %d below exact count %d for %s", c.Backend(), br.Counts[i], dr.Counts[i], d.direct.langs[i])
 		}
 	}
 }

@@ -349,7 +349,7 @@ func BenchmarkDetectCount(b *testing.B) {
 		doc = append(doc, d.Text...)
 	}
 	doc = doc[:5<<10]
-	for _, backend := range []Backend{BackendDirect, BackendBloom, BackendClassic} {
+	for _, backend := range []Backend{BackendDirect, BackendBloom} {
 		c, err := New(ps, backend)
 		if err != nil {
 			b.Fatal(err)

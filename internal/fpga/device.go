@@ -14,8 +14,7 @@
 // counts in Table 3. Logic, register and frequency numbers come from
 // Quartus II synthesis in the paper; here they are a calibrated analytic
 // model: exact lookup at the paper's published points, linear
-// interpolation elsewhere (see model.go). DESIGN.md documents this
-// substitution.
+// interpolation elsewhere (see model.go).
 package fpga
 
 import "fmt"

@@ -38,8 +38,9 @@ var table2 = map[[2]int]synthPoint{
 	{4, 5}:  {4983, 4006, 198},
 }
 
-// Linear-model coefficients fitted to Table 2 (see DESIGN.md §1 for the
-// calibration derivation).
+// Linear-model coefficients fitted to Table 2: a column's step per hash
+// function is the per-hash cost (5458−4983 = 475 ALUTs at m = 4 Kbit),
+// and what a column leaves at k = 0 is the base.
 const (
 	// Logic: module = logicBase(w) + k*logicPerHash(w).
 	logicPerHashAtW12  = 475.0 // ALUTs per hash function at w=12 (m=4Kbit)
@@ -135,7 +136,8 @@ func clampFreq(f float64) float64 {
 
 // System-level calibration (Table 3). Solving the two published device
 // builds for a shared-per-module cost and a fixed infrastructure cost
-// gives (derivation in DESIGN.md):
+// gives, from infra + L·(module − shared)/2 = 38891 at L = 10 (module
+// 5480) and 85924 at L = 30 (module 5458):
 const (
 	sysInfraLogic      = 15210.0 // HT core, DMA, command logic, adder trees
 	sysModuleShared    = 744.0   // per-module cost not replicated per language

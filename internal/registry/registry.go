@@ -1,11 +1,11 @@
-// Package registry is the versioned on-disk profile store and the
-// hot-swap mechanism of the profile lifecycle: train → version →
-// activate → serve → rollback. The paper's deployment bakes profiles
-// into on-chip Bloom filters offline (§2); this package is the
-// software operations layer around that idea — every trained
-// ProfileSet becomes an immutable, checksummed version, exactly one
-// version is active at a time, and a serving process swaps to a new
-// version atomically without dropping a request (see Handle).
+// Package registry is the versioned on-disk profile store of the
+// profile lifecycle: train → version → activate → serve → rollback.
+// The paper's deployment bakes profiles into on-chip Bloom filters
+// offline (§2); this package is the software operations layer around
+// that idea — every trained ProfileSet becomes an immutable,
+// checksummed version, and exactly one version is active at a time.
+// Serving processes load the active version and hot-swap to a newer
+// one themselves (internal/serve's Reload).
 //
 // On disk a registry is a directory:
 //

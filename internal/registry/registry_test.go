@@ -16,7 +16,6 @@ import (
 
 var (
 	fixOnce  sync.Once
-	fixCorp  *corpus.Corpus
 	fixSets  []*core.ProfileSet
 	fixStats []train.Stats
 	fixErr   error
@@ -24,17 +23,18 @@ var (
 
 // fixtures trains two distinguishable profile sets (different TopT) to
 // version against each other.
-func fixtures(t testing.TB) (*corpus.Corpus, []*core.ProfileSet, []train.Stats) {
+func fixtures(t testing.TB) ([]*core.ProfileSet, []train.Stats) {
 	t.Helper()
 	fixOnce.Do(func() {
-		fixCorp, fixErr = corpus.Generate(corpus.Config{
+		corp, err := corpus.Generate(corpus.Config{
 			Languages:       []string{"en", "es", "fi"},
 			DocsPerLanguage: 20,
 			WordsPerDoc:     100,
 			TrainFraction:   0.5,
 			Seed:            23,
 		})
-		if fixErr != nil {
+		if err != nil {
+			fixErr = err
 			return
 		}
 		for _, topT := range []int{1200, 600} {
@@ -43,8 +43,8 @@ func fixtures(t testing.TB) (*corpus.Corpus, []*core.ProfileSet, []train.Stats) 
 				fixErr = err
 				return
 			}
-			for _, lang := range fixCorp.Languages {
-				for _, doc := range fixCorp.Train[lang] {
+			for _, lang := range corp.Languages {
+				for _, doc := range corp.Train[lang] {
 					if err := tr.Add(lang, doc.Text); err != nil {
 						fixErr = err
 						return
@@ -63,13 +63,13 @@ func fixtures(t testing.TB) (*corpus.Corpus, []*core.ProfileSet, []train.Stats) 
 	if fixErr != nil {
 		t.Fatal(fixErr)
 	}
-	return fixCorp, fixSets, fixStats
+	return fixSets, fixStats
 }
 
 // TestLifecycle drives the full train -> version -> activate -> swap
 // -> rollback -> GC sequence against one on-disk registry.
 func TestLifecycle(t *testing.T) {
-	_, sets, stats := fixtures(t)
+	sets, stats := fixtures(t)
 	reg, err := registry.Open(filepath.Join(t.TempDir(), "registry"))
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestLifecycle(t *testing.T) {
 }
 
 func TestLoadVerifiesChecksum(t *testing.T) {
-	_, sets, stats := fixtures(t)
+	sets, stats := fixtures(t)
 	root := filepath.Join(t.TempDir(), "registry")
 	reg, err := registry.Open(root)
 	if err != nil {
@@ -228,7 +228,7 @@ func TestActivateUnknownVersion(t *testing.T) {
 // TestReopen checks registry state is fully on disk: a fresh Registry
 // over the same root sees the same versions and active pointer.
 func TestReopen(t *testing.T) {
-	_, sets, stats := fixtures(t)
+	sets, stats := fixtures(t)
 	root := filepath.Join(t.TempDir(), "registry")
 	reg, err := registry.Open(root)
 	if err != nil {

@@ -8,12 +8,15 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,50 +34,62 @@ import (
 // distinguishable), with v000001 active.
 func newTestRegistry(t testing.TB) (*registry.Registry, []string) {
 	t.Helper()
-	corp, _ := fixtures(t)
 	reg, err := registry.Open(filepath.Join(t.TempDir(), "registry"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var versions []string
-	for _, topT := range []int{1500, 700} {
-		tr, err := train.New(core.Config{TopT: topT})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, lang := range testLangs {
-			for _, doc := range corp.Train[lang] {
-				if err := tr.Add(lang, doc.Text); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		ps, stats, err := tr.Finalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := reg.Create(ps, stats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		versions = append(versions, m.Version)
-	}
+	versions := []string{createVersion(t, reg, 1500, testLangs), createVersion(t, reg, 700, testLangs)}
 	if err := reg.Activate(versions[0]); err != nil {
 		t.Fatal(err)
 	}
 	return reg, versions
 }
 
+// createVersion trains the fixture corpus's training documents of
+// langs at the given profile size and stores the set as a new, inactive
+// registry version.
+func createVersion(t testing.TB, reg *registry.Registry, topT int, langs []string) string {
+	t.Helper()
+	corp, _ := fixtures(t)
+	tr, err := train.New(core.Config{TopT: topT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lang := range langs {
+		for _, doc := range corp.Train[lang] {
+			if err := tr.Add(lang, doc.Text); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ps, stats, err := tr.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := reg.Create(ps, stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Version
+}
+
 func newRegistryServer(t testing.TB, cfg serve.Config) (*httptest.Server, *serve.Server, *registry.Registry, []string) {
 	t.Helper()
 	reg, versions := newTestRegistry(t)
+	ts, srv := serveRegistry(t, reg, cfg)
+	return ts, srv, reg, versions
+}
+
+// serveRegistry mounts a server on reg's active version.
+func serveRegistry(t testing.TB, reg *registry.Registry, cfg serve.Config) (*httptest.Server, *serve.Server) {
+	t.Helper()
 	srv, err := serve.NewFromRegistry(reg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return ts, srv, reg, versions
+	return ts, srv
 }
 
 func getJSON(t testing.TB, url string, v any) {
@@ -187,9 +202,10 @@ func TestAdminLifecycleOverHTTP(t *testing.T) {
 // activates and rolls back versions and reloads the server. Every
 // request must succeed with the right language, and every observed
 // profile_version must be a known version — no request may see a torn
-// or nil detector.
+// or nil detector. After the storm the server must serve the
+// registry's active version, and its detector must still answer.
 func TestConcurrentHotSwapOverHTTP(t *testing.T) {
-	ts, _, reg, versions := newRegistryServer(t, serve.Config{Workers: 2})
+	ts, srv, reg, versions := newRegistryServer(t, serve.Config{Workers: 2})
 	corp, _ := fixtures(t)
 	known := map[string]bool{versions[0]: true, versions[1]: true}
 
@@ -309,6 +325,176 @@ func TestConcurrentHotSwapOverHTTP(t *testing.T) {
 	}
 	if requests.Load() == 0 {
 		t.Fatal("no client requests completed during the swap storm")
+	}
+	active, err := reg.ActiveVersion()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap serve.Snapshot
+	getJSON(t, ts.URL+"/statsz", &snap)
+	if snap.ProfileVersion != active {
+		t.Errorf("serving %q after the swap storm, registry active %q", snap.ProfileVersion, active)
+	}
+	if m := srv.Detector().Detect(corp.Test["fi"][0].Text); m.Lang != "fi" {
+		t.Errorf("detector after the swap storm got %q for a fi document", m.Lang)
+	}
+}
+
+// TestLanguageTableFollowsSwap reloads between a version trained on the
+// four fixture languages and one without Portuguese. The /detect counts
+// keys, the /stream language names and the /statsz languages must
+// follow each swap, and under concurrent swaps no single response may
+// mix the two inventories: its counts keys name one inventory and
+// every language it calls, document or span, is in that one.
+func TestLanguageTableFollowsSwap(t *testing.T) {
+	reg, err := registry.Open(filepath.Join(t.TempDir(), "registry"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	four := slices.Sorted(slices.Values(testLangs))
+	three := slices.DeleteFunc(slices.Clone(four), func(l string) bool { return l == "pt" })
+	versions := []string{createVersion(t, reg, 1500, four), createVersion(t, reg, 1500, three)}
+	if err := reg.Activate(versions[0]); err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := serveRegistry(t, reg, serve.Config{IncludeCounts: true})
+	corp, _ := fixtures(t)
+	doc := corp.Test["pt"][0].Text
+	line, _ := json.Marshal(map[string]string{"text": string(doc)})
+	line = append(line, '\n')
+
+	// inventory checks that d's counts keys name one of the two
+	// inventories and that d calls only languages of it, with their
+	// names, and "" only for an unknown outcome; it returns that
+	// inventory.
+	inventory := func(d serve.Detection) ([]string, error) {
+		keys := slices.Sorted(maps.Keys(d.Counts))
+		var inv []string
+		for _, cand := range [][]string{four, three} {
+			if slices.Equal(keys, cand) {
+				inv = cand
+			}
+		}
+		if inv == nil {
+			return nil, fmt.Errorf("counts keys %v name neither inventory", keys)
+		}
+		called := func(lang, name string, unknown bool) error {
+			if (lang == "") != unknown {
+				return fmt.Errorf("language %q with unknown %v", lang, unknown)
+			}
+			if lang != "" && !slices.Contains(inv, lang) {
+				return fmt.Errorf("language %q outside the inventory %v of the counts", lang, inv)
+			}
+			if name != core.LanguageName(lang) {
+				return fmt.Errorf("language %q named %q", lang, name)
+			}
+			return nil
+		}
+		if err := called(d.Language, d.Name, d.Unknown); err != nil {
+			return nil, err
+		}
+		for _, sp := range d.Spans {
+			if err := called(sp.Language, sp.Name, sp.Unknown); err != nil {
+				return nil, fmt.Errorf("span %+v: %v", sp, err)
+			}
+		}
+		if slices.Contains(inv, "pt") && d.Language != "pt" {
+			return nil, fmt.Errorf("pt document called %q under %v", d.Language, inv)
+		}
+		return inv, nil
+	}
+	stream := func(c *http.Client) (serve.Detection, error) {
+		var d serve.Detection
+		resp, err := c.Post(ts.URL+"/stream?spans=1", "application/x-ndjson", bytes.NewReader(line))
+		if err != nil {
+			return d, err
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
+			return d, err
+		}
+		if len(d.Spans) == 0 {
+			return d, errors.New("/stream?spans=1 answered without spans")
+		}
+		return d, nil
+	}
+	detect := func(c *http.Client) (serve.Detection, error) {
+		var d serve.Detection
+		resp, err := c.Post(ts.URL+"/detect", "text/plain", bytes.NewReader(doc))
+		if err != nil {
+			return d, err
+		}
+		defer resp.Body.Close()
+		return d, json.NewDecoder(resp.Body).Decode(&d)
+	}
+
+	// One swap at a time: every endpoint follows it.
+	for i, want := range [][]string{four, three, four} {
+		if i > 0 {
+			if err := reg.Activate(versions[i%2]); err != nil {
+				t.Fatal(err)
+			}
+			if status := postReload(t, ts); !status.Changed || !slices.Equal(status.Languages, want) {
+				t.Fatalf("reload %d: %+v, want languages %v", i, status, want)
+			}
+		}
+		var snap serve.Snapshot
+		getJSON(t, ts.URL+"/statsz", &snap)
+		if !slices.Equal(snap.Languages, want) {
+			t.Fatalf("swap %d: /statsz languages %v, want %v", i, snap.Languages, want)
+		}
+		for _, get := range []func(*http.Client) (serve.Detection, error){detect, stream} {
+			d, err := get(http.DefaultClient)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if inv, err := inventory(d); err != nil || !slices.Equal(inv, want) {
+				t.Fatalf("swap %d: %+v has inventory %v (%v), want %v", i, d, inv, err, want)
+			}
+		}
+	}
+
+	// Concurrent swaps: each response is whole under one inventory.
+	var stop atomic.Bool
+	var requests atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(get func(*http.Client) (serve.Detection, error)) {
+			defer wg.Done()
+			for !stop.Load() {
+				d, err := get(http.DefaultClient)
+				if err == nil {
+					if _, err = inventory(d); err == nil {
+						requests.Add(1)
+						continue
+					}
+				}
+				select {
+				case errs <- err:
+				default:
+				}
+				return
+			}
+		}([]func(*http.Client) (serve.Detection, error){detect, stream}[c%2])
+	}
+	for i := 0; i < 20; i++ {
+		if err := reg.Activate(versions[(i+1)%2]); err != nil {
+			t.Fatal(err)
+		}
+		if status := postReload(t, ts); !status.Changed {
+			t.Fatalf("concurrent swap %d did not change the detector: %+v", i, status)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if requests.Load() == 0 {
+		t.Fatal("no client requests completed during the swaps")
 	}
 }
 

@@ -16,27 +16,30 @@
 //	GET  /admin/profiles  profile versions + active      -> JSON ProfilesStatus (registry-backed servers)
 //	POST /admin/reload    hot-swap to the active version -> JSON ReloadStatus   (registry-backed servers)
 //
-// All endpoints route through one core.Detector, reached through a
-// registry.Handle: every request atomically loads the current
-// (detector, version) snapshot once and uses it throughout, so a
-// profile hot swap is zero-downtime — in-flight requests keep the
-// detector they loaded, requests arriving after the swap see the new
-// one, and no request ever blocks on or observes a torn swap. Failed
-// requests are answered with a JSON error body ({"error": ...,
-// "status": ...}): oversized bodies as 413, request-body read
-// timeouts as 408.
+// All endpoints route through one core.Detector, reached through the
+// server's serving snapshot: one atomic pointer to an immutable
+// (detector, profile version, language table) triple that New,
+// NewFromRegistry and Reload build whole. Every request loads it once
+// and takes all three from that one load, so a profile hot swap is
+// zero-downtime — in-flight requests keep the snapshot they loaded,
+// requests arriving after the swap see the new one, and no request
+// ever blocks on, or mixes the languages of, two profile versions.
+// Failed requests are answered with a JSON error body ({"error": ...,
+// "status": ...}): oversized bodies as 413, request-body read timeouts
+// as 408.
 //
 // The document endpoints speak JSON through one small codec (wire.go)
 // instead of encoding/json: request documents are decoded in one pass
 // and unescaped in place in the request's pooled buffer, their text
 // goes straight to the counting stream, and responses are appended
 // into a pooled buffer straight from core's matches and spans, with
-// each detector's language codes and names quoted once. The codec
-// accepts exactly the documents encoding/json accepts and writes the
-// bytes it writes; FuzzWireCodec and TestResponsesMatchEncodingJSON
-// hold it to that. /statsz, the admin endpoints and error bodies use
-// encoding/json. /stream flushes its answers only before it reads more
-// of the request body, where it could block, and at the end.
+// each snapshot's language codes and names quoted once, when the
+// snapshot is built. The codec accepts exactly the documents
+// encoding/json accepts and writes the bytes it writes; FuzzWireCodec
+// and TestResponsesMatchEncodingJSON hold it to that. /statsz, the
+// admin endpoints and error bodies use encoding/json. /stream flushes
+// its answers only before it reads more of the request body, where it
+// could block, and at the end.
 package serve
 
 import (
@@ -127,19 +130,16 @@ func (c Config) Validate() error {
 	return c.Segment.Validate()
 }
 
-// Server owns the hot-swappable detector handle and the serving
+// Server owns the hot-swappable serving snapshot and the serving
 // counters. It is safe for concurrent use by any number of
 // connections, including concurrent profile reloads.
 type Server struct {
-	cfg    Config
-	handle *registry.Handle
-	reg    *registry.Registry
-	start  time.Time
+	cfg   Config
+	cur   atomic.Pointer[snapshot]
+	reg   *registry.Registry
+	start time.Time
 
 	reloadMu sync.Mutex // serializes Reload; request paths never take it
-
-	// wire caches the serving detector's pre-quoted language table.
-	wire atomic.Pointer[langTable]
 
 	detect        endpointStats
 	batch         endpointStats
@@ -151,56 +151,72 @@ type Server struct {
 	adminReload   endpointStats
 }
 
+// snapshot is one immutable serving state: the detector, the registry
+// version it was built from ("" for a server built straight from
+// profiles) and its languages quoted for the encoder. A request loads
+// the server's snapshot once and takes all three from that load.
+type snapshot struct {
+	det     *core.Detector
+	version string
+	langs   *langTable
+}
+
 // New builds a server from trained profiles. The profiles serve under
 // the empty version id unless the server is registry-backed and later
 // reloaded.
 func New(ps *core.ProfileSet, cfg Config) (*Server, error) {
-	cfg.applyDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	det, err := cfg.newDetector(ps)
-	if err != nil {
-		return nil, err
-	}
-	return &Server{
-		cfg:    cfg,
-		handle: registry.NewHandle(det, ""),
-		reg:    cfg.Registry,
-		start:  time.Now(),
-	}, nil
+	return newServer(ps, "", cfg)
 }
 
 // NewFromRegistry builds a server from the registry's active profile
 // version; cfg.Registry is overridden with reg. The server then serves
 // that version until Reload (or /admin/reload) swaps in a newer one.
 func NewFromRegistry(reg *registry.Registry, cfg Config) (*Server, error) {
-	cfg.applyDefaults()
 	cfg.Registry = reg
 	ps, m, err := reg.LoadActive()
 	if err != nil {
 		return nil, err
 	}
-	s, err := New(ps, cfg)
+	return newServer(ps, m.Version, cfg)
+}
+
+// newServer builds a server serving ps under the given version id.
+func newServer(ps *core.ProfileSet, version string, cfg Config) (*Server, error) {
+	cfg.applyDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	snap, err := cfg.newSnapshot(ps, version)
 	if err != nil {
 		return nil, err
 	}
-	s.handle.Swap(s.handle.Detector(), m.Version)
+	s := &Server{cfg: cfg, reg: cfg.Registry, start: time.Now()}
+	s.cur.Store(snap)
 	return s, nil
 }
 
-// newDetector builds a detector over ps on the set's serving backend
-// under the configured detection policy.
-func (c *Config) newDetector(ps *core.ProfileSet) (*core.Detector, error) {
-	return core.NewDetector(ps,
+// newSnapshot builds the serving state of ps under version: a detector
+// on the set's serving backend under the configured detection policy,
+// and its language table.
+func (c *Config) newSnapshot(ps *core.ProfileSet, version string) (*snapshot, error) {
+	det, err := core.NewDetector(ps,
 		core.WithBackend(core.ServingBackend(ps.Config)),
 		core.WithWorkers(c.Workers),
 		core.WithMinMargin(c.MinMargin),
 		core.WithMinNGrams(c.MinNGrams))
+	if err != nil {
+		return nil, err
+	}
+	codes := det.Languages()
+	names := make([]string, len(codes))
+	for i, code := range codes {
+		names[i] = core.LanguageName(code)
+	}
+	return &snapshot{det: det, version: version, langs: newLangTable(codes, names)}, nil
 }
 
 // Detector returns the detector currently serving requests.
-func (s *Server) Detector() *core.Detector { return s.handle.Detector() }
+func (s *Server) Detector() *core.Detector { return s.cur.Load().det }
 
 // ReloadStatus reports one Reload outcome.
 type ReloadStatus struct {
@@ -227,25 +243,24 @@ func (s *Server) Reload() (ReloadStatus, error) {
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	prev := s.handle.Version()
+	prev := s.cur.Load()
 	activeID, err := s.reg.ActiveVersion()
 	if err != nil {
 		return ReloadStatus{}, err
 	}
-	if activeID == prev {
-		det := s.handle.Detector()
-		return ReloadStatus{Previous: prev, Active: prev, Languages: det.Languages()}, nil
+	if activeID == prev.version {
+		return ReloadStatus{Previous: prev.version, Active: prev.version, Languages: prev.det.Languages()}, nil
 	}
 	ps, m, err := s.reg.LoadActive()
 	if err != nil {
 		return ReloadStatus{}, err
 	}
-	det, err := s.cfg.newDetector(ps)
+	next, err := s.cfg.newSnapshot(ps, m.Version)
 	if err != nil {
 		return ReloadStatus{}, err
 	}
-	s.handle.Swap(det, m.Version)
-	return ReloadStatus{Previous: prev, Active: m.Version, Changed: true, Languages: det.Languages()}, nil
+	s.cur.Store(next)
+	return ReloadStatus{Previous: prev.version, Active: m.Version, Changed: true, Languages: next.det.Languages()}, nil
 }
 
 // Handler returns the service mux. The admin endpoints are mounted
@@ -281,15 +296,15 @@ func (s *Server) HTTPServer(addr string) *http.Server {
 
 // Stats returns a snapshot of the serving counters.
 func (s *Server) Stats() Snapshot {
-	snap := s.handle.Snapshot()
-	det := snap.Detector
+	snap := s.cur.Load()
+	det := snap.det
 	out := Snapshot{
 		UptimeSeconds:  time.Since(s.start).Seconds(),
 		Backend:        det.Backend().String(),
 		Workers:        det.Workers(),
 		MinMargin:      det.MinMargin(),
 		MinNGrams:      det.MinNGrams(),
-		ProfileVersion: snap.Version,
+		ProfileVersion: snap.version,
 		Languages:      det.Languages(),
 		Endpoints: map[string]EndpointSnapshot{
 			"/detect":  s.detect.snapshot(),
@@ -417,8 +432,9 @@ type Segmentation struct {
 
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	// One snapshot per request: a concurrent hot swap must not change
-	// the detector under a request that already started.
-	det := s.handle.Detector()
+	// the detector or its languages under a request that already
+	// started.
+	snap := s.cur.Load()
 	b := getBuffers()
 	defer b.release()
 	body, err := s.readBody(w, r, b)
@@ -430,24 +446,24 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request, st *endpoi
 	// /detect always reports per-language counts; the stack buffer
 	// holds them for up to 32 languages without a heap allocation.
 	var buf [32]int
-	counts, m := det.DetectCounts(buf[:0], body)
+	counts, m := snap.det.DetectCounts(buf[:0], body)
 	if m.NGrams == 0 {
 		jsonError(w, http.StatusUnprocessableEntity, "document too short to classify")
 		return
 	}
 	st.docs.Add(1)
 	st.countUnknown(m)
-	b.out = s.langs(det).appendDetection(b.out[:0], nil, m, counts, nil, "")
+	b.out = snap.langs.appendDetection(b.out[:0], nil, m, counts, nil, "")
 	writeJSONBytes(w, append(b.out, '\n'))
 }
 
 // handleSegment segments one raw document into contiguous
 // single-language spans under the server's segmentation configuration —
 // the mixed-language answer /detect cannot give. Like every endpoint
-// it runs against one detector snapshot, so segmentation is stable
+// it runs against one serving snapshot, so segmentation is stable
 // across concurrent profile hot swaps.
 func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request, st *endpointStats) {
-	det := s.handle.Detector()
+	snap := s.cur.Load()
 	b := getBuffers()
 	defer b.release()
 	body, err := s.readBody(w, r, b)
@@ -460,7 +476,7 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request, st *endpo
 		jsonError(w, http.StatusUnprocessableEntity, "document is empty")
 		return
 	}
-	spans, err := det.DetectSpans(body, s.cfg.Segment)
+	spans, err := snap.det.DetectSpans(body, s.cfg.Segment)
 	if err != nil {
 		// Unreachable while New validates the configuration.
 		jsonError(w, http.StatusInternalServerError, "segmentation misconfigured: "+err.Error())
@@ -468,14 +484,14 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request, st *endpo
 	}
 	st.docs.Add(1)
 	st.spans.Add(int64(len(spans)))
-	b.out = s.langs(det).appendSegmentation(b.out[:0], len(body), s.cfg.Segment.WithDefaults(), spans)
+	b.out = snap.langs.appendSegmentation(b.out[:0], len(body), s.cfg.Segment.WithDefaults(), spans)
 	writeJSONBytes(w, append(b.out, '\n'))
 }
 
 // handleBatch classifies a JSON array of documents, each a string or
 // an {"id", "text"} object, decoded in place in the request buffer.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, st *endpointStats) {
-	det := s.handle.Detector()
+	snap := s.cur.Load()
 	b := getBuffers()
 	defer b.release()
 	body, err := s.readBody(w, r, b)
@@ -502,12 +518,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, st *endpoin
 	var ms []core.Match
 	var counts []int
 	if s.cfg.IncludeCounts {
-		b.counts, ms = det.DetectBatchCounts(b.counts[:0], b.texts)
+		b.counts, ms = snap.det.DetectBatchCounts(b.counts[:0], b.texts)
 		counts = b.counts
 	} else {
-		ms = det.DetectBatch(b.texts)
+		ms = snap.det.DetectBatch(b.texts)
 	}
-	langs := s.langs(det)
+	langs := snap.langs
 	nLangs := len(langs.langs)
 	out := append(b.out[:0], '[')
 	for i, m := range ms {
@@ -534,7 +550,7 @@ const maxPendingBytes = 64 << 10
 // through: one pooled line buffer, one core.Stream reset at each
 // document boundary — the software mirror of the hardware's
 // End-of-Document marker in the DMA stream (§3.3). The stream keeps its
-// request-start detector for its whole life, even across hot swaps.
+// request-start snapshot for its whole life, even across hot swaps.
 // Each line is decoded in place in the line buffer and its text
 // counted without a copy; with ?spans=1 the stream is built to segment
 // and every result line also carries the document's spans, encoded
@@ -548,7 +564,8 @@ const maxPendingBytes = 64 << 10
 // client that sends many lines at once gets their answers in a few
 // writes.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpointStats) {
-	det := s.handle.Detector()
+	snap := s.cur.Load()
+	det := snap.det
 	var seg *core.SegmentConfig
 	if queryFlag(r, "spans") {
 		seg = &s.cfg.Segment
@@ -569,7 +586,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpoi
 	b := getBuffers()
 	defer b.release()
 	lines := b.lineReader(r.Body, s.cfg.MaxLineBytes)
-	langs := s.langs(det)
+	langs := snap.langs
 	out := b.out[:0]
 	for {
 		line, ok := lines.next()
@@ -648,7 +665,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request, st *endpoi
 
 // ProfilesStatus is the /admin/profiles payload.
 type ProfilesStatus struct {
-	// Serving is the version the handle serves right now.
+	// Serving is the version the server serves right now.
 	Serving string `json:"serving"`
 	// Active is the registry's active version — it differs from
 	// Serving between an Activate and the next reload.
@@ -669,7 +686,7 @@ func (s *Server) handleAdminProfiles(w http.ResponseWriter, r *http.Request, st 
 		return
 	}
 	writeJSON(w, ProfilesStatus{
-		Serving:  s.handle.Version(),
+		Serving:  s.cur.Load().version,
 		Active:   active,
 		Versions: versions,
 	})
@@ -753,26 +770,6 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, b *buffers) ([
 			return buf, err
 		}
 	}
-}
-
-// langs returns the pre-quoted language table of det, building it on
-// the first request after a swap.
-func (s *Server) langs(det *core.Detector) *langTable {
-	if t := s.wire.Load(); t != nil && t.det == det {
-		return t
-	}
-	codes := det.Languages()
-	names := make([]string, len(codes))
-	for i, code := range codes {
-		names[i] = core.LanguageName(code)
-	}
-	t := newLangTable(det, codes, names)
-	// Only the serving detector's table is kept, so a request finishing
-	// on a swapped-out detector does not evict the new one.
-	if s.handle.Detector() == det {
-		s.wire.Store(t)
-	}
-	return t
 }
 
 // errorBody is the JSON envelope every failed request is answered

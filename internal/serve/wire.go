@@ -598,11 +598,10 @@ func quoteChar(c byte) string {
 	return "'" + s[1:len(s)-1] + "'"
 }
 
-// langTable is one detector snapshot's languages, quoted once for the
+// langTable is one serving snapshot's languages, quoted once for the
 // encoder: each code as a "language" field and a counts key, and its
 // name as a "name" field.
 type langTable struct {
-	det   *core.Detector
 	langs []langEntry // Languages() order, the order of counts slices
 	none  langEntry   // the unknown outcome's empty language
 	// keys lists langs indices in sorted code order, the order
@@ -628,8 +627,8 @@ func newLangEntry(code, name string) langEntry {
 }
 
 // newLangTable quotes the given language codes and their names.
-func newLangTable(det *core.Detector, codes, names []string) *langTable {
-	t := &langTable{det: det, none: newLangEntry("", ""), keys: make([]int, len(codes))}
+func newLangTable(codes, names []string) *langTable {
+	t := &langTable{none: newLangEntry("", ""), keys: make([]int, len(codes))}
 	for i, code := range codes {
 		t.langs = append(t.langs, newLangEntry(code, names[i]))
 		t.keys[i] = i
@@ -639,19 +638,14 @@ func newLangTable(det *core.Detector, codes, names []string) *langTable {
 }
 
 // lookup returns the entry for a match or span language: one of the
-// table's codes, or "" for an unknown outcome.
+// table's codes, or the empty entry of an unknown outcome ("").
 func (t *langTable) lookup(code string) *langEntry {
 	for i := range t.langs {
 		if t.langs[i].code == code {
 			return &t.langs[i]
 		}
 	}
-	if code == "" {
-		return &t.none
-	}
-	// A code from another detector; the serving paths never pass one.
-	e := newLangEntry(code, core.LanguageName(code))
-	return &e
+	return &t.none
 }
 
 // appendDetection appends the Detection encoding/json would encode for

@@ -87,7 +87,7 @@ func checkBatchDecode(t *testing.T, data []byte) {
 // inventory without "" or duplicates; names are their names.
 func checkEncode(t *testing.T, codes, names []string, d Detection, m core.Match, counts []int, spans []core.Span) {
 	t.Helper()
-	table := newLangTable(nil, codes, names)
+	table := newLangTable(codes, names)
 	var want bytes.Buffer
 	if err := json.NewEncoder(&want).Encode(d); err != nil {
 		t.Fatal(err)

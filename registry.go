@@ -15,24 +15,9 @@ type Registry = registry.Registry
 // profile checksum Load verifies.
 type ProfileManifest = registry.Manifest
 
-// ProfileHandle is the lock-free hot-swap point between the profile
-// lifecycle and a serving path: readers atomically load the current
-// (detector, version) snapshot and never block on a swap.
-type ProfileHandle = registry.Handle
-
-// ProfileSnapshot is one immutable (detector, version) pairing served
-// by a ProfileHandle.
-type ProfileSnapshot = registry.Snapshot
-
 // ErrNoActiveProfile reports a registry with no activated version.
 var ErrNoActiveProfile = registry.ErrNoActive
 
 // OpenRegistry opens (creating if necessary) the profile registry
 // rooted at dir.
 func OpenRegistry(dir string) (*Registry, error) { return registry.Open(dir) }
-
-// NewProfileHandle returns a hot-swap handle serving det under the
-// given version id.
-func NewProfileHandle(det *Detector, version string) *ProfileHandle {
-	return registry.NewHandle(det, version)
-}

@@ -6,16 +6,18 @@
 #   scripts/bench.sh [OUT.json] [BENCHTIME] [BASELINE.json]
 #
 # Defaults: OUT=BENCH.json, BENCHTIME=200ms (raise for stable numbers,
-# e.g. scripts/bench.sh BENCH_pr3.json 1s).
+# e.g. scripts/bench.sh BENCH.json 1s).
 #
 # When BASELINE.json (a previous run's output, e.g. the committed
-# BENCH_pr3.json) is given, the single-document Detect hot-path
+# BENCH_pr11.json) is given, the single-document Detect hot-path
 # benchmarks (BenchmarkDetector and BenchmarkDetectorBackends/*) and
 # the segmentation benchmarks (BenchmarkDetectSpans/*) are diffed
 # against it and the run fails if any benchmark present in both files
 # regressed by more than REGRESSION_PCT (default 20%). Backends new in
 # this run have no baseline entry and are reported, not gated; the
-# handler benchmarks are recorded, not gated.
+# handler benchmarks are recorded, not gated. The run also fails when
+# no gated benchmark of this run has a baseline entry at all, so a
+# rename cannot leave the gate passing with nothing checked.
 #
 # Every run also gates a same-run ratio: BenchmarkDetectSpans/direct-lookup
 # must cost at most 2.5 times BenchmarkDetectorBackends/direct-lookup,
@@ -133,12 +135,16 @@ if [ -n "$baseline" ]; then
       printf "bench:   new   %-45s %12.0f ns/op (no baseline)\n", name, ns
       next
     }
+    matched++
     delta = 100 * (ns - base[name]) / base[name]
     status = "ok"
     if (delta > pct) { status = "REGRESSED"; failed = 1 }
     printf "bench:   %-5s %-45s %12.0f -> %.0f ns/op (%+.1f%%)\n", status, name, base[name], ns, delta
   }
-  END { exit failed ? 1 : 0 }
+  END {
+    if (!matched) { print "bench:   no gated benchmark of this run has a baseline entry"; exit 1 }
+    exit failed ? 1 : 0
+  }
   ' "$baseline" "$out" >&2 || {
     echo "bench: Detect regressed more than ${regression_pct}% against $baseline" >&2
     exit 1
