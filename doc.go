@@ -194,9 +194,11 @@
 // documents incrementally — whole documents, io.Readers, NDJSON
 // streams, or corpus directory trees — and counts n-grams in the
 // caller, through the same translate-and-shift loop the Bloom
-// backends serve with, into one counter per language, so a training
-// corpus never has to fit in memory; its output is byte-identical to
-// Train on the same documents:
+// backends serve with, over one n-gram vocabulary shared by all
+// languages with dense counts per language, so a training corpus never
+// has to fit in memory; each language keeps its top t through a
+// bounded selection, and the output is byte-identical to Train on the
+// same documents:
 //
 //	tr, _ := bloomlang.NewTrainer(bloomlang.DefaultConfig())
 //	tr.Add("es", doc)                       // one document at a time

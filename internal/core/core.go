@@ -141,7 +141,8 @@ type ProfileSet struct {
 }
 
 // TrainFromTexts builds per-language profiles from raw training texts
-// keyed by language code.
+// keyed by language code, counting every language over one shared
+// n-gram vocabulary, as the streaming trainer does.
 func TrainFromTexts(cfg Config, texts map[string][][]byte) (*ProfileSet, error) {
 	cfg.applyDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -155,16 +156,20 @@ func TrainFromTexts(cfg Config, texts map[string][][]byte) (*ProfileSet, error) 
 		langs = append(langs, lang)
 	}
 	sort.Strings(langs)
+	v, err := ngram.NewVocabulary(cfg.N)
+	if err != nil {
+		return nil, err
+	}
 	ps := &ProfileSet{Config: cfg}
 	for _, lang := range langs {
 		if len(texts[lang]) == 0 {
 			return nil, fmt.Errorf("core: language %q has no training documents", lang)
 		}
-		p, err := ngram.ProfileFromTexts(lang, texts[lang], cfg.N, cfg.TopT)
-		if err != nil {
-			return nil, err
+		c := v.NewCounter()
+		for _, text := range texts[lang] {
+			c.AddText(text)
 		}
-		ps.Profiles = append(ps.Profiles, p)
+		ps.Profiles = append(ps.Profiles, ngram.BuildProfile(lang, c, cfg.TopT))
 	}
 	return ps, nil
 }

@@ -2,7 +2,9 @@ package ngram
 
 import (
 	"bytes"
+	"maps"
 	"slices"
+	"sort"
 	"testing"
 
 	"bloomlang/internal/alphabet"
@@ -71,5 +73,60 @@ func FuzzExtractBytes(f *testing.F) {
 		if want := (&Window{N: n}).Feed(nil, alphabet.TranslateAll(text)); !slices.Equal(gs, want) {
 			t.Fatalf("n=%d: ExtractBytes %v, staged reference %v", n, gs, want)
 		}
+	})
+}
+
+// fullSortTop is the brute-force ranking topT must reproduce: every
+// entry, sorted by count descending then packed n-gram ascending, cut
+// to the first t.
+func fullSortTop[G Gram](counts map[G]uint64, t int) []Entry[G] {
+	all := make([]Entry[G], 0, len(counts))
+	for g, n := range counts {
+		all = append(all, Entry[G]{g, n})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Count != all[j].Count {
+			return all[i].Count > all[j].Count
+		}
+		return all[i].Gram < all[j].Gram
+	})
+	return all[:max(0, min(t, len(all)))]
+}
+
+// checkTopT compares topT against the full sort at t around the number
+// of distinct n-grams d: none, one, d-1, d, and more than d.
+func checkTopT[G Gram](t *testing.T, counts map[G]uint64, size int) {
+	t.Helper()
+	d := len(counts)
+	for _, k := range []int{0, 1, d / 2, d - 1, d, d + 1, 2*d + 5} {
+		got, want := topT(k, size, maps.All(counts)), fullSortTop(counts, k)
+		if !slices.Equal(got, want) {
+			t.Fatalf("t=%d of %d distinct: topT %v, full sort %v", k, d, got, want)
+		}
+	}
+}
+
+// FuzzTopT checks the bounded top-t ranking against a brute-force full
+// sort. Each 3-byte record of data adds a count to a 16-bit n-gram;
+// counts are drawn from 1..levels%8+1, so heavy ties only the packed
+// n-gram breaks are the rule, and levels >= 128 lifts them past 32
+// bits. Both gram widths are ranked, the wide one with high bits set
+// and no size hint: both ways sortEntries sorts are taken.
+func FuzzTopT(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(0))
+	f.Add([]byte{}, uint8(3))
+	f.Add(bytes.Repeat([]byte{9, 0, 1, 9, 1, 2, 3, 3, 3}, 30), uint8(1))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, the end"), uint8(7))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 1, 2, 9}, uint8(129))
+	f.Fuzz(func(t *testing.T, data []byte, levels uint8) {
+		narrow, wide := map[uint32]uint64{}, map[uint64]uint64{}
+		for i := 0; i+2 < len(data); i += 3 {
+			g := uint32(data[i])<<8 | uint32(data[i+1])
+			n := uint64(data[i+2])%(uint64(levels%8)+1) + 1 + uint64(levels>>7)<<32
+			narrow[g] += n
+			wide[uint64(g)<<40|uint64(g)] += n
+		}
+		checkTopT(t, narrow, len(narrow))
+		checkTopT(t, wide, 0)
 	})
 }

@@ -14,7 +14,6 @@ package ngram
 
 import (
 	"fmt"
-	"sort"
 
 	"bloomlang/internal/alphabet"
 )
@@ -218,137 +217,115 @@ func ExtractBytes(text []byte, n int) ([]uint32, error) {
 // produces: the sliding window emits one n-gram per position.
 func Count(d, n int) int { return max(0, d-n+1) }
 
-// Counter accumulates n-gram frequencies for profile construction. For
-// n <= 4 the key space (2^20) is small enough for a flat table, which is
-// what the preprocessing step uses; larger n falls back to a map.
-type Counter struct {
+// Vocabulary numbers the distinct n-grams of one training run densely,
+// in order of first sight, for all of the run's languages. Each
+// language's Counter is then a slice of counts indexed by that number,
+// so a language costs one count per n-gram the run has seen, not one
+// per possible n-gram. Up to flatBits of packed width (n <= 4) the index
+// from packed n-gram to number is a flat table, 4 MiB at n = 4 and one
+// per run; above it, a map. A Vocabulary and its Counters are not safe
+// for concurrent use.
+type Vocabulary struct {
 	n     int
-	flat  []uint64 // used when Bits(n) <= flatBits
-	m     map[uint32]uint64
-	total uint64
+	index []uint32          // packed n-gram -> number+1 (0: unseen), when Bits(n) <= flatBits
+	ids   map[uint32]uint32 // packed n-gram -> number+1, above flatBits
+	grams []uint32          // number -> packed n-gram
+	block []uint32          // AddText's n-gram scratch
 }
 
-const flatBits = 20
+const (
+	flatBits = 20
+	// textBlock is the n-gram block AddText feeds a document through.
+	textBlock = 4 << 10
+)
 
-// NewCounter returns a Counter for n-grams of length n.
-func NewCounter(n int) (*Counter, error) {
+// NewVocabulary returns an empty vocabulary of n-grams of length n.
+func NewVocabulary(n int) (*Vocabulary, error) {
 	if err := checkN(n); err != nil {
 		return nil, err
 	}
-	c := &Counter{n: n}
+	v := &Vocabulary{n: n, block: make([]uint32, textBlock)}
 	if Bits(n) <= flatBits {
-		c.flat = make([]uint64, 1<<Bits(n))
+		v.index = make([]uint32, 1<<Bits(n))
 	} else {
-		c.m = make(map[uint32]uint64)
+		v.ids = make(map[uint32]uint32)
 	}
-	return c, nil
+	return v, nil
 }
 
-// Add increments the count of g.
-func (c *Counter) Add(g uint32) {
-	if c.flat != nil {
-		c.flat[g]++
-	} else {
-		c.m[g]++
-	}
-	c.total++
+// number appends g, not yet in the vocabulary, and returns its
+// number+1, the value the index holds for it.
+func (v *Vocabulary) number(g uint32) uint32 {
+	v.grams = append(v.grams, g)
+	return uint32(len(v.grams))
 }
 
-// AddAll increments the count of every n-gram in gs.
+// Counter accumulates one language's n-gram frequencies for profile
+// construction, indexed by its Vocabulary's numbering.
+type Counter struct {
+	v      *Vocabulary
+	counts []uint64 // by n-gram number; may lag behind the vocabulary
+	total  uint64
+}
+
+// NewCounter returns an empty Counter for one language over v.
+func (v *Vocabulary) NewCounter() *Counter { return &Counter{v: v} }
+
+// AddAll increments the count of every n-gram in gs, numbering the ones
+// the vocabulary has not seen yet.
 func (c *Counter) AddAll(gs []uint32) {
-	if c.flat != nil {
+	v := c.v
+	// Catch up with the numbers other languages added, so that each
+	// number added below is the next element of counts.
+	counts := append(c.counts, make([]uint64, len(v.grams)-len(c.counts))...)
+	if v.index != nil {
 		for _, g := range gs {
-			c.flat[g]++
+			id := v.index[g]
+			if id == 0 {
+				id = v.number(g)
+				v.index[g] = id
+				counts = append(counts, 0)
+			}
+			counts[id-1]++
 		}
 	} else {
 		for _, g := range gs {
-			c.m[g]++
+			id := v.ids[g]
+			if id == 0 {
+				id = v.number(g)
+				v.ids[g] = id
+				counts = append(counts, 0)
+			}
+			counts[id-1]++
 		}
 	}
+	c.counts = counts
 	c.total += uint64(len(gs))
 }
 
-// AddText extracts n-grams from raw text and accumulates them.
-func (c *Counter) AddText(text []byte) error {
-	gs, err := ExtractBytes(text, c.n)
-	if err != nil {
-		return err
+// AddText counts the n-grams of one whole document, fed through
+// Window.FeedBytes in blocks of the vocabulary's scratch.
+func (c *Counter) AddText(text []byte) {
+	w := Window{N: c.v.n}
+	for len(text) > 0 {
+		k := min(len(text), len(c.v.block))
+		c.AddAll(w.FeedBytes(c.v.block[:0], text[:k]))
+		text = text[k:]
 	}
-	c.AddAll(gs)
-	return nil
 }
 
 // Total returns the number of n-grams accumulated.
 func (c *Counter) Total() uint64 { return c.total }
 
-// N returns the n-gram length the counter accumulates.
-func (c *Counter) N() int { return c.n }
-
-// Get returns the count of g.
-func (c *Counter) Get(g uint32) uint64 {
-	if c.flat != nil {
-		return c.flat[g]
-	}
-	return c.m[g]
-}
-
-// Distinct returns the number of distinct n-grams seen.
-func (c *Counter) Distinct() int {
-	if c.flat != nil {
-		d := 0
-		for _, v := range c.flat {
-			if v > 0 {
-				d++
-			}
-		}
-		return d
-	}
-	return len(c.m)
-}
-
-// Entry is an n-gram with its frequency, used when ranking.
-type Entry struct {
-	Gram  uint32
-	Count uint64
-}
-
 // Top returns the t most frequent n-grams in descending count order.
 // Ties break on the packed n-gram value so results are deterministic.
 // If fewer than t distinct n-grams were seen, all of them are returned.
-func (c *Counter) Top(t int) []Entry {
-	if t < 0 {
-		t = 0
-	}
-	entries := make([]Entry, 0, minInt(t, 1<<16))
-	appendEntry := func(g uint32, v uint64) {
-		entries = append(entries, Entry{Gram: g, Count: v})
-	}
-	if c.flat != nil {
-		for g, v := range c.flat {
-			if v > 0 {
-				appendEntry(uint32(g), v)
+func (c *Counter) Top(t int) []Entry[uint32] {
+	return topT(t, len(c.counts), func(yield func(uint32, uint64) bool) {
+		for id, n := range c.counts {
+			if n > 0 && !yield(c.v.grams[id], n) {
+				return
 			}
 		}
-	} else {
-		for g, v := range c.m {
-			appendEntry(g, v)
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Count != entries[j].Count {
-			return entries[i].Count > entries[j].Count
-		}
-		return entries[i].Gram < entries[j].Gram
 	})
-	if len(entries) > t {
-		entries = entries[:t]
-	}
-	return entries
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,8 @@
 package ngram
 
 import (
+	"maps"
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -206,17 +208,35 @@ func TestNewExtractorValidation(t *testing.T) {
 	}
 }
 
+// newCounter returns a Counter over a vocabulary of its own.
+func newCounter(t *testing.T, n int) *Counter {
+	t.Helper()
+	v, err := NewVocabulary(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v.NewCounter()
+}
+
+// countsOf reads every count of c back through an unbounded Top.
+func countsOf(c *Counter) map[uint32]uint64 {
+	m := map[uint32]uint64{}
+	for _, e := range c.Top(math.MaxInt) {
+		m[e.Gram] = e.Count
+	}
+	return m
+}
+
 func TestCounterFlatAndMapAgree(t *testing.T) {
-	// n=4 uses the flat table, n=5 the map; both must count identically.
+	// n=4 indexes the vocabulary with the flat table, n=5 with the map;
+	// both must count identically.
 	text := []byte("the theme of the thesis is the theory of the the")
 	for _, n := range []int{4, 5} {
-		c, err := NewCounter(n)
-		if err != nil {
-			t.Fatal(err)
+		c := newCounter(t, n)
+		if n == 4 && c.v.index == nil || n == 5 && c.v.ids == nil {
+			t.Fatalf("n=%d: vocabulary not indexed as expected", n)
 		}
-		if err := c.AddText(text); err != nil {
-			t.Fatal(err)
-		}
+		c.AddText(text)
 		gs, _ := ExtractBytes(text, n)
 		if c.Total() != uint64(len(gs)) {
 			t.Errorf("n=%d: Total = %d, want %d", n, c.Total(), len(gs))
@@ -226,19 +246,14 @@ func TestCounterFlatAndMapAgree(t *testing.T) {
 		for _, g := range gs {
 			ref[g]++
 		}
-		for g, want := range ref {
-			if got := c.Get(g); got != want {
-				t.Errorf("n=%d: Get(%#x) = %d, want %d", n, g, got, want)
-			}
-		}
-		if c.Distinct() != len(ref) {
-			t.Errorf("n=%d: Distinct = %d, want %d", n, c.Distinct(), len(ref))
+		if got := countsOf(c); !maps.Equal(got, ref) {
+			t.Errorf("n=%d: counts %v, want %v", n, got, ref)
 		}
 	}
 }
 
 func TestCounterTopOrdering(t *testing.T) {
-	c, _ := NewCounter(4)
+	c := newCounter(t, 4)
 	// "aaaa" appears 3 times (sliding), "bbbb" 1, via carefully built text.
 	c.AddText([]byte("aaaaaa")) // AAAA x3
 	c.AddText([]byte("bbbb"))   // BBBB x1
@@ -255,7 +270,7 @@ func TestCounterTopOrdering(t *testing.T) {
 }
 
 func TestCounterTopTruncatesAndTieBreaks(t *testing.T) {
-	c, _ := NewCounter(4)
+	c := newCounter(t, 4)
 	c.AddText([]byte("abcd"))
 	c.AddText([]byte("bcde"))
 	c.AddText([]byte("cdef"))
@@ -276,20 +291,57 @@ func TestCounterTopTruncatesAndTieBreaks(t *testing.T) {
 	}
 }
 
+// TestCounterAddMatchesAddAll: counting n-grams one per AddAll call
+// gives the counts of one AddAll over all of them.
 func TestCounterAddMatchesAddAll(t *testing.T) {
-	a, _ := NewCounter(4)
-	b, _ := NewCounter(4)
+	a, b := newCounter(t, 4), newCounter(t, 4)
 	gs, _ := ExtractBytes([]byte("counting n-grams one at a time"), 4)
-	for _, g := range gs {
-		a.Add(g)
+	for i := range gs {
+		a.AddAll(gs[i : i+1])
 	}
 	b.AddAll(gs)
 	if a.Total() != b.Total() {
 		t.Fatalf("totals differ: %d vs %d", a.Total(), b.Total())
 	}
-	for _, g := range gs {
-		if a.Get(g) != b.Get(g) {
-			t.Errorf("counts differ for %#x", g)
+	if ca, cb := countsOf(a), countsOf(b); !maps.Equal(ca, cb) {
+		t.Errorf("counts differ: %v vs %v", ca, cb)
+	}
+}
+
+// TestCountersShareVocabulary: languages counted over one vocabulary,
+// their documents interleaved so each sees numbers the others added,
+// count exactly what each counts over a vocabulary of its own.
+func TestCountersShareVocabulary(t *testing.T) {
+	docs := [][]string{
+		{"the cat sat on the mat", "then the thing", "x"},
+		{"el gato se sienta", "", "en la alfombra del gato"},
+		{"the gato", "kissa istuu matolla", "the the the"},
+	}
+	for _, n := range []int{3, 4, 5} {
+		v, err := NewVocabulary(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared := make([]*Counter, len(docs))
+		for l := range docs {
+			shared[l] = v.NewCounter()
+		}
+		for d := range docs[0] {
+			for l := range docs {
+				shared[l].AddText([]byte(docs[l][d]))
+			}
+		}
+		for l := range docs {
+			own := newCounter(t, n)
+			for _, doc := range docs[l] {
+				own.AddText([]byte(doc))
+			}
+			if got, want := countsOf(shared[l]), countsOf(own); !maps.Equal(got, want) {
+				t.Errorf("n=%d language %d: shared-vocabulary counts %v, own %v", n, l, got, want)
+			}
+			if shared[l].Total() != own.Total() {
+				t.Errorf("n=%d language %d: Total %d, want %d", n, l, shared[l].Total(), own.Total())
+			}
 		}
 	}
 }
@@ -310,10 +362,19 @@ func BenchmarkExtract64KiB(b *testing.B) {
 	}
 }
 
+// TestCounterN: a profile built from a Counter carries its
+// vocabulary's n-gram length, and a vocabulary refuses a length that
+// does not pack.
 func TestCounterN(t *testing.T) {
-	c, _ := NewCounter(5)
-	if c.N() != 5 {
-		t.Fatalf("N() = %d, want 5", c.N())
+	c := newCounter(t, 5)
+	c.AddText([]byte("abcdefg"))
+	if p := BuildProfile("xx", c, 10); p.N != 5 {
+		t.Fatalf("profile N = %d, want 5", p.N)
+	}
+	for _, n := range []int{0, MaxN + 1} {
+		if _, err := NewVocabulary(n); err == nil {
+			t.Errorf("NewVocabulary(%d) succeeded", n)
+		}
 	}
 }
 

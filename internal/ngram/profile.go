@@ -33,19 +33,20 @@ func BuildProfile(language string, c *Counter, t int) *Profile {
 	for i, e := range entries {
 		grams[i] = e.Gram
 	}
-	return &Profile{Language: language, N: c.n, Grams: grams}
+	return &Profile{Language: language, N: c.v.n, Grams: grams}
 }
 
-// ProfileFromTexts builds a profile directly from training documents.
+// ProfileFromTexts builds one language's profile directly from its
+// training documents, over a vocabulary of its own. A multi-language
+// run shares one Vocabulary instead.
 func ProfileFromTexts(language string, texts [][]byte, n, t int) (*Profile, error) {
-	c, err := NewCounter(n)
+	v, err := NewVocabulary(n)
 	if err != nil {
 		return nil, err
 	}
+	c := v.NewCounter()
 	for _, text := range texts {
-		if err := c.AddText(text); err != nil {
-			return nil, err
-		}
+		c.AddText(text)
 	}
 	return BuildProfile(language, c, t), nil
 }

@@ -143,7 +143,8 @@ func TestSortProfilesByLanguage(t *testing.T) {
 
 func TestBuildProfileDeterministic(t *testing.T) {
 	mk := func() *Profile {
-		c, _ := NewCounter(4)
+		v, _ := NewVocabulary(4)
+		c := v.NewCounter()
 		c.AddText([]byte("determinism is a property worth testing for always"))
 		return BuildProfile("en", c, 10)
 	}

@@ -2,7 +2,7 @@ package ngram
 
 import (
 	"fmt"
-	"sort"
+	"maps"
 
 	"bloomlang/internal/alphabet"
 )
@@ -95,26 +95,9 @@ func WideProfileFromTexts(language string, texts []string, n, t int) (*WideProfi
 			counts[g]++
 		}
 	}
-	type entry struct {
-		g uint64
-		c uint64
-	}
-	entries := make([]entry, 0, len(counts))
-	for g, c := range counts {
-		entries = append(entries, entry{g, c})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].c != entries[j].c {
-			return entries[i].c > entries[j].c
-		}
-		return entries[i].g < entries[j].g
-	})
-	if len(entries) > t {
-		entries = entries[:t]
-	}
 	p := &WideProfile{Language: language, N: n}
-	for _, e := range entries {
-		p.Grams = append(p.Grams, e.g)
+	for _, e := range topT(t, len(counts), maps.All(counts)) {
+		p.Grams = append(p.Grams, e.Gram)
 	}
 	return p, nil
 }

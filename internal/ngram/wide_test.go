@@ -1,6 +1,7 @@
 package ngram
 
 import (
+	"slices"
 	"testing"
 
 	"bloomlang/internal/alphabet"
@@ -99,6 +100,39 @@ func TestWideProfileFromTexts(t *testing.T) {
 	}
 	if p.Size() == 0 || p.Size() > 50 {
 		t.Errorf("size = %d", p.Size())
+	}
+}
+
+// TestWideProfileMatchesFullSort: the wide profile is the first t of a
+// full sort of its counts, count descending then packed n-gram
+// ascending, at every t from none to more than the distinct n-grams.
+func TestWideProfileMatchesFullSort(t *testing.T) {
+	texts := []string{
+		"το συμβούλιο θεσπίζει τα μέτρα, το κοινοβούλιο και το συμβούλιο",
+		"европейский парламент принимает регламент",
+		"aaaa abab abab baba",
+	}
+	for n := 1; n <= MaxWideN; n++ {
+		counts := map[uint64]uint64{}
+		for _, text := range texts {
+			gs, _ := ExtractWide(text, n)
+			for _, g := range gs {
+				counts[g]++
+			}
+		}
+		for _, k := range []int{0, 1, 7, len(counts) - 1, len(counts), len(counts) + 3} {
+			p, err := WideProfileFromTexts("xx", texts, n, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []uint64
+			for _, e := range fullSortTop(counts, k) {
+				want = append(want, e.Gram)
+			}
+			if !slices.Equal(p.Grams, want) {
+				t.Errorf("n=%d t=%d: wide profile %v, full sort %v", n, k, p.Grams, want)
+			}
+		}
 	}
 }
 

@@ -11,9 +11,12 @@
 // additive, so the order documents arrive in does not change the
 // totals, and the top-t ranking breaks ties deterministically.
 //
-// Peak memory is one counter per language (8 MiB each at the paper's
-// n=4), Add's n-gram block, and per AddReader in flight one read
-// buffer and one n-gram batch, reused across calls — never the corpus.
+// Peak memory is one ngram.Vocabulary shared by all languages (a 4 MiB
+// index at the paper's n=4, plus 4 bytes per distinct n-gram), one
+// count per vocabulary entry per language (8 bytes each), and per
+// AddReader in flight one read buffer and one n-gram batch, reused
+// across calls — never the corpus, and nothing that grows with the
+// n-gram key space per language.
 package train
 
 import (
@@ -30,12 +33,12 @@ import (
 const (
 	// readChunk is the AddReader read granularity.
 	readChunk = 64 << 10
-	// flushGrams is the n-gram batch AddReader counts at once, and the
-	// block Add feeds a document through.
+	// flushGrams is the n-gram batch AddReader counts at once.
 	flushGrams = 32 << 10
 )
 
-// langAcc is one language's accumulator.
+// langAcc is one language's accumulator, its counts over the trainer's
+// vocabulary.
 type langAcc struct {
 	counter *ngram.Counter
 	docs    int
@@ -51,8 +54,8 @@ type Trainer struct {
 	cfg core.Config
 
 	mu      sync.Mutex
+	vocab   *ngram.Vocabulary // shared by every language's counter
 	accs    map[string]*langAcc
-	block   []uint32 // Add's n-gram scratch, flushGrams long
 	closed  bool
 	failErr error // first mid-document ingest failure; poisons Finalize
 
@@ -74,11 +77,11 @@ func New(cfg core.Config) (*Trainer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Trainer{
-		cfg:   cfg,
-		accs:  make(map[string]*langAcc),
-		block: make([]uint32, flushGrams),
+	vocab, err := ngram.NewVocabulary(cfg.N)
+	if err != nil {
+		return nil, err
 	}
+	t := &Trainer{cfg: cfg, vocab: vocab, accs: make(map[string]*langAcc)}
 	t.readers.New = func() any { return &readScratch{buf: make([]byte, readChunk)} }
 	return t, nil
 }
@@ -96,12 +99,7 @@ func (t *Trainer) accLocked(lang string) (*langAcc, error) {
 	}
 	a := t.accs[lang]
 	if a == nil {
-		c, err := ngram.NewCounter(t.cfg.N)
-		if err != nil {
-			// cfg.N was validated in New; this cannot happen.
-			panic(err)
-		}
-		a = &langAcc{counter: c}
+		a = &langAcc{counter: t.vocab.NewCounter()}
 		t.accs[lang] = a
 	}
 	return a, nil
@@ -126,12 +124,7 @@ func (t *Trainer) Add(lang string, doc []byte) error {
 	if err != nil {
 		return err
 	}
-	w := ngram.Window{N: t.cfg.N}
-	for p := doc; len(p) > 0; {
-		n := min(len(p), len(t.block))
-		a.counter.AddAll(w.FeedBytes(t.block[:0], p[:n]))
-		p = p[n:]
-	}
+	a.counter.AddText(doc)
 	a.docs++
 	a.bytes += int64(len(doc))
 	return nil
@@ -216,7 +209,7 @@ func (t *Trainer) AddReader(lang string, r io.Reader) error {
 // idempotent and a no-op after Finalize.
 func (t *Trainer) Abort() {
 	t.mu.Lock()
-	t.closed, t.accs, t.block = true, nil, nil
+	t.closed, t.vocab, t.accs = true, nil, nil
 	t.mu.Unlock()
 }
 
@@ -253,7 +246,7 @@ type Stats struct {
 func (t *Trainer) Finalize() (*core.ProfileSet, Stats, error) {
 	t.mu.Lock()
 	accs, failErr, closed := t.accs, t.failErr, t.closed
-	t.closed, t.accs, t.block = true, nil, nil
+	t.closed, t.vocab, t.accs = true, nil, nil
 	t.mu.Unlock()
 	if closed {
 		return nil, Stats{}, errClosed

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"iter"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -412,6 +413,82 @@ func TestAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr2.Abort() // no-op after Finalize
+}
+
+// TestTrainerMemoryScalesWithVocabulary: the fixture's training split,
+// relabelled round-robin as 40 languages and counted at n = 4, keeps
+// the trainer's live heap to its shared vocabulary and dense counts,
+// well under 16 MiB, where one 2^20-slot table per language would hold
+// 40 × 8 MiB.
+func TestTrainerMemoryScalesWithVocabulary(t *testing.T) {
+	const langs = 40
+	corp := testCorpus(t)
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapAlloc
+	tr, err := train.New(core.Config{N: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for _, doc := range trainDocs(corp) {
+		if err := tr.Add(fmt.Sprintf("l%02d", i%langs), doc); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	live := int64(ms.HeapAlloc) - int64(base)
+	ps, _, err := tr.Finalize() // keeps tr alive through the measurement
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ps.Profiles) != langs {
+		t.Fatalf("trained %d profiles, want %d", len(ps.Profiles), langs)
+	}
+	t.Logf("%d languages at n=4: %.2f MiB live", langs, float64(live)/(1<<20))
+	if live >= 16<<20 {
+		t.Errorf("trainer of %d languages at n=4 holds %.1f MiB live, want under 16 MiB", langs, float64(live)/(1<<20))
+	}
+}
+
+// BenchmarkTrainer trains at perfbench's size: 10 languages × 60
+// documents × 800 words, streamed through Add, then Finalize.
+func BenchmarkTrainer(b *testing.B) {
+	texts := map[string][][]byte{}
+	var size int64
+	for _, lang := range corpus.Languages() {
+		spec, err := corpus.ByCode(lang)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gen := corpus.NewGenerator(spec, 1)
+		for range 60 {
+			doc := gen.Document(800)
+			texts[lang] = append(texts[lang], doc)
+			size += int64(len(doc))
+		}
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	for b.Loop() {
+		tr, err := train.New(core.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for lang, docs := range texts {
+			for _, doc := range docs {
+				if err := tr.Add(lang, doc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if _, _, err := tr.Finalize(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func TestNDJSONErrors(t *testing.T) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Run the Detect benchmarks and the serving handler benchmarks
-# (BenchmarkServe*) and write the results as JSON so the performance
-# trajectory is tracked per PR. Usage:
+# Run the Detect benchmarks, the serving handler benchmarks
+# (BenchmarkServe*) and the training benchmarks (BenchmarkTrainer,
+# BenchmarkTrainProfiles) and write the results as JSON so the
+# performance trajectory is tracked per PR. Usage:
 #
 #   scripts/bench.sh [OUT.json] [BENCHTIME] [BASELINE.json]
 #
@@ -15,9 +16,10 @@
 # against it and the run fails if any benchmark present in both files
 # regressed by more than REGRESSION_PCT (default 20%). Backends new in
 # this run have no baseline entry and are reported, not gated; the
-# handler benchmarks are recorded, not gated. The run also fails when
-# no gated benchmark of this run has a baseline entry at all, so a
-# rename cannot leave the gate passing with nothing checked.
+# handler and training benchmarks are recorded, not gated. The run
+# also fails when no gated benchmark of this run has a baseline entry
+# at all, so a rename cannot leave the gate passing with nothing
+# checked.
 #
 # Every run also gates a same-run ratio: BenchmarkDetectSpans/direct-lookup
 # must cost at most 2.5 times BenchmarkDetectorBackends/direct-lookup,
@@ -36,7 +38,7 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 raw=$tmp/raw.txt
 
-go test -run '^$' -bench 'Detect|Serve' -benchtime "$benchtime" -benchmem ./... | tee "$raw" >&2
+go test -run '^$' -bench 'Detect|Serve|Train' -benchtime "$benchtime" -benchmem ./... | tee "$raw" >&2
 
 awk -v goversion="$(go version | awk '{print $3}')" '
 BEGIN { n = 0 }

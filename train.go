@@ -8,10 +8,11 @@ import (
 
 // Trainer is the streaming profile trainer: documents are ingested
 // incrementally (Add, AddReader, AddNDJSON, AddDir) and counted in the
-// caller into one counter per language, so training never
-// materializes a corpus in memory. Finalize produces a ProfileSet
-// identical to Train on the same documents; Abort ends a trainer on
-// error paths.
+// caller over one n-gram vocabulary shared by all languages, with
+// dense counts per language, so training never materializes a corpus
+// in memory and memory follows the n-grams seen, not the n-gram key
+// space. Finalize produces a ProfileSet identical to Train on the
+// same documents; Abort ends a trainer on error paths.
 type Trainer = train.Trainer
 
 // TrainStats summarizes a finalized training run (documents, bytes and
