@@ -197,8 +197,9 @@
 // backends serve with, over one n-gram vocabulary shared by all
 // languages with dense counts per language, so a training corpus never
 // has to fit in memory; each language keeps its top t through a
-// bounded selection, and the output is byte-identical to Train on the
-// same documents:
+// selection over its counts that sorts only the t winners, the
+// languages ranked in parallel, and the output is byte-identical to
+// Train on the same documents:
 //
 //	tr, _ := bloomlang.NewTrainer(bloomlang.DefaultConfig())
 //	tr.Add("es", doc)                       // one document at a time

@@ -2,7 +2,6 @@ package ngram
 
 import (
 	"bytes"
-	"maps"
 	"slices"
 	"sort"
 	"testing"
@@ -76,9 +75,39 @@ func FuzzExtractBytes(f *testing.F) {
 	})
 }
 
-// fullSortTop is the brute-force ranking topT must reproduce: every
-// entry, sorted by count descending then packed n-gram ascending, cut
-// to the first t.
+// FuzzFeedBytes checks the shift loop across chunk splits: one Window
+// fed the text in pieces, one of 0..7 bytes per byte of splits (so cuts
+// fall inside the register's warm-up, and empty pieces occur) and then
+// the rest whole, at Subsample 1..3, must append exactly the n-grams of
+// the staged reference fed the whole text at once, after what dst held
+// already, and end in the same state.
+func FuzzFeedBytes(f *testing.F) {
+	f.Add([]byte("hello world"), uint8(3), uint8(0), []byte{1, 2, 3})
+	f.Add([]byte("ab"), uint8(5), uint8(1), []byte{0, 1})
+	f.Add([]byte("\x80\xe9t\xe9 caf\xe9, na\xefve"), uint8(5), uint8(2), []byte{7, 0, 3, 6})
+	f.Add([]byte{}, uint8(0), uint8(2), []byte{})
+	f.Fuzz(func(t *testing.T, text []byte, n, sub uint8, splits []byte) {
+		w := Window{N: int(n)%MaxN + 1, Subsample: int(sub)%3 + 1}
+		ref := w
+		want := append([]uint32{7}, ref.Feed(nil, alphabet.TranslateAll(text))...)
+		got, rest := []uint32{7}, text
+		for _, s := range splits {
+			k := min(len(rest), int(s%8))
+			got, rest = w.FeedBytes(got, rest[:k]), rest[k:]
+		}
+		got = w.FeedBytes(got, rest)
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d sub=%d splits %v: FeedBytes %v, staged reference %v", w.N, w.Subsample, splits, got, want)
+		}
+		if w != ref {
+			t.Fatalf("n=%d sub=%d splits %v: window ends %+v, reference %+v", w.N, w.Subsample, splits, w, ref)
+		}
+	})
+}
+
+// fullSortTop is the brute-force ranking Counter.Top and topWide must
+// reproduce: every entry, sorted by count descending then packed n-gram
+// ascending, cut to the first t.
 func fullSortTop[G Gram](counts map[G]uint64, t int) []Entry[G] {
 	all := make([]Entry[G], 0, len(counts))
 	for g, n := range counts {
@@ -93,25 +122,32 @@ func fullSortTop[G Gram](counts map[G]uint64, t int) []Entry[G] {
 	return all[:max(0, min(t, len(all)))]
 }
 
-// checkTopT compares topT against the full sort at t around the number
-// of distinct n-grams d: none, one, d-1, d, and more than d.
-func checkTopT[G Gram](t *testing.T, counts map[G]uint64, size int) {
-	t.Helper()
-	d := len(counts)
-	for _, k := range []int{0, 1, d / 2, d - 1, d, d + 1, 2*d + 5} {
-		got, want := topT(k, size, maps.All(counts)), fullSortTop(counts, k)
-		if !slices.Equal(got, want) {
-			t.Fatalf("t=%d of %d distinct: topT %v, full sort %v", k, d, got, want)
-		}
+// rankCuts are the profile sizes checked against d distinct n-grams:
+// none, one, about half, d-1, d, and more than d.
+func rankCuts(d int) []int { return []int{0, 1, d / 2, d - 1, d, d + 1, 2*d + 5} }
+
+// counterOf builds the Counter Counter.Top ranks for counts, shaped as
+// in a shared vocabulary: every n-gram is numbered after one this
+// language never saw (count 0), and other languages numbered more
+// n-grams past the end of its counts.
+func counterOf(counts map[uint32]uint64) *Counter {
+	v := &Vocabulary{}
+	c := &Counter{v: v}
+	for g, n := range counts {
+		v.grams = append(v.grams, g|1<<24, g)
+		c.counts = append(c.counts, 0, n)
 	}
+	v.grams = append(v.grams, 1<<25, 1<<25+1)
+	return c
 }
 
-// FuzzTopT checks the bounded top-t ranking against a brute-force full
-// sort. Each 3-byte record of data adds a count to a 16-bit n-gram;
-// counts are drawn from 1..levels%8+1, so heavy ties only the packed
-// n-gram breaks are the rule, and levels >= 128 lifts them past 32
-// bits. Both gram widths are ranked, the wide one with high bits set
-// and no size hint: both ways sortEntries sorts are taken.
+// FuzzTopT checks the top-t ranking, Counter.Top and topWide, against
+// a brute-force full sort. Each 3-byte record of data adds a count to a
+// 16-bit n-gram; counts are drawn from 1..levels%8+1, so heavy ties
+// only the packed n-gram breaks are the rule, also at the cut, and
+// levels >= 128 lifts them past 32 bits. The wide n-grams have high
+// bits set: both ways sortEntries sorts, packed and by comparator, are
+// taken.
 func FuzzTopT(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(0))
 	f.Add([]byte{}, uint8(3))
@@ -126,7 +162,16 @@ func FuzzTopT(f *testing.F) {
 			narrow[g] += n
 			wide[uint64(g)<<40|uint64(g)] += n
 		}
-		checkTopT(t, narrow, len(narrow))
-		checkTopT(t, wide, 0)
+		c := counterOf(narrow)
+		for _, k := range rankCuts(len(narrow)) {
+			if got, want := c.Top(k), fullSortTop(narrow, k); !slices.Equal(got, want) {
+				t.Fatalf("t=%d of %d distinct: Counter.Top %v, full sort %v", k, len(narrow), got, want)
+			}
+		}
+		for _, k := range rankCuts(len(wide)) {
+			if got, want := topWide(wide, k), fullSortTop(wide, k); !slices.Equal(got, want) {
+				t.Fatalf("t=%d of %d distinct: topWide %v, full sort %v", k, len(wide), got, want)
+			}
+		}
 	})
 }

@@ -14,6 +14,7 @@ package ngram
 
 import (
 	"fmt"
+	"slices"
 
 	"bloomlang/internal/alphabet"
 )
@@ -124,12 +125,16 @@ func (w *Window) Feed(dst []uint32, codes []alphabet.Code) []uint32 {
 
 // FeedBytes is Feed over raw ISO-8859-1 bytes, translating each one on
 // the way in: the translate and shift stages of the datapath in one
-// loop, with no code buffer between them.
+// loop, with no code buffer between them. The register's warm-up and a
+// subsampled window take it byte by byte; once the register is full
+// and every n-gram is kept, each byte completes one n-gram, so the
+// rest grows dst once and writes by index, with no branch per byte.
 func (w *Window) FeedBytes(dst []uint32, p []byte) []uint32 {
 	reg, filled, phase := uint32(w.Reg), w.Filled, w.Phase
 	warm, sub, mask := w.N-1, max(w.Subsample, 1), uint32(uint64(1)<<Bits(w.N)-1)
-	for _, b := range p {
-		reg = (reg<<alphabet.Bits | uint32(alphabet.Translate(b))) & mask
+	i := 0
+	for ; i < len(p) && (filled < warm || sub > 1); i++ {
+		reg = (reg<<alphabet.Bits | uint32(alphabet.Translate(p[i]))) & mask
 		if filled < warm {
 			filled++
 			continue
@@ -141,7 +146,15 @@ func (w *Window) FeedBytes(dst []uint32, p []byte) []uint32 {
 			phase = 0
 		}
 	}
-	w.Reg, w.Filled, w.Phase = uint64(reg), filled, phase
+	rest := p[i:]
+	k := len(dst)
+	dst = slices.Grow(dst, len(rest))[:k+len(rest)]
+	out := dst[k:][:len(rest)]
+	for j, b := range rest {
+		reg = reg<<alphabet.Bits | uint32(alphabet.Translate(b))
+		out[j] = reg & mask
+	}
+	w.Reg, w.Filled, w.Phase = uint64(reg&mask), filled, phase
 	return dst
 }
 
@@ -223,8 +236,9 @@ func Count(d, n int) int { return max(0, d-n+1) }
 // so a language costs one count per n-gram the run has seen, not one
 // per possible n-gram. Up to flatBits of packed width (n <= 4) the index
 // from packed n-gram to number is a flat table, 4 MiB at n = 4 and one
-// per run; above it, a map. A Vocabulary and its Counters are not safe
-// for concurrent use.
+// per run; above it, a map. Counting into a Vocabulary's Counters is
+// not safe for concurrent use; once counting is done, ranking only
+// reads, so its Counters may call Top concurrently.
 type Vocabulary struct {
 	n     int
 	index []uint32          // packed n-gram -> number+1 (0: unseen), when Bits(n) <= flatBits
@@ -320,12 +334,10 @@ func (c *Counter) Total() uint64 { return c.total }
 // Top returns the t most frequent n-grams in descending count order.
 // Ties break on the packed n-gram value so results are deterministic.
 // If fewer than t distinct n-grams were seen, all of them are returned.
+// It selects the t-th best count in a pass or two over the counts and
+// sorts only the t winners. Top only reads the counter and its
+// vocabulary, so once counting is done the Counters of one Vocabulary
+// may rank concurrently.
 func (c *Counter) Top(t int) []Entry[uint32] {
-	return topT(t, len(c.counts), func(yield func(uint32, uint64) bool) {
-		for id, n := range c.counts {
-			if n > 0 && !yield(c.v.grams[id], n) {
-				return
-			}
-		}
-	})
+	return rank(c.v.grams, c.counts, t)
 }

@@ -422,3 +422,22 @@ func TestWindowBytesFor(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCounterTop ranks one language's top 5000 out of 20000
+// n-grams of Zipf-like counts, every fifth n-gram unseen by it, as in a
+// vocabulary shared by several languages.
+func BenchmarkCounterTop(b *testing.B) {
+	v := &Vocabulary{}
+	c := v.NewCounter()
+	for i := range 20000 {
+		v.grams = append(v.grams, uint32(i*2654435761)>>12)
+		n := uint64(0)
+		if i%5 != 0 {
+			n = 40000/uint64(i+1) + uint64(i%3)
+		}
+		c.counts = append(c.counts, n)
+	}
+	for b.Loop() {
+		c.Top(DefaultProfileSize)
+	}
+}

@@ -2,8 +2,8 @@ package ngram
 
 import (
 	"cmp"
-	"iter"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -27,38 +27,82 @@ func compareEntries[G Gram](a, b Entry[G]) int {
 	return cmp.Compare(a.Gram, b.Gram)
 }
 
-// worse reports whether a ranks after b, compareEntries(a, b) > 0.
-func worse[G Gram](a, b Entry[G]) bool {
-	return a.Count < b.Count || a.Count == b.Count && a.Gram > b.Gram
-}
-
-// topT returns the t best of the distinct n-grams all yields, best
-// first by compareEntries: exactly the first t of a full sort. It keeps
-// only the t best seen so far, in a heap with the worst of them at the
-// root, so it never holds more than t entries, and sorts just those at
-// the end. size is an upper bound on how many n-grams all yields, used
-// to size the heap.
-func topT[G Gram](t, size int, all iter.Seq2[G, uint64]) []Entry[G] {
-	h := make([]Entry[G], 0, max(0, min(t, size)))
+// rank returns the t best of the distinct n-grams grams[i] with a
+// nonzero count counts[i], best first by compareEntries: exactly the
+// first t of a full sort. counts may be shorter than grams; the n-grams
+// past its end count zero. rank selects rather than sorts: it finds the
+// t-th best count in a pass or two over counts (cut), collects the
+// n-grams above it, and takes from the ones tied at it the smallest
+// n-grams by the same selection over their values; only those t
+// winners are sorted.
+func rank[G Gram](grams []G, counts []uint64, t int) []Entry[G] {
 	if t <= 0 {
-		return h
+		return []Entry[G]{}
 	}
-	for g, n := range all {
-		e := Entry[G]{g, n}
+	c, above, at := cut(counts, t)
+	win := make([]Entry[G], 0, min(t, above+at))
+	ties := make([]uint64, 0, at)
+	for i, n := range counts {
 		switch {
-		case len(h) < t:
-			if h = append(h, e); len(h) == t {
-				for i := t/2 - 1; i >= 0; i-- {
-					siftDown(h, i)
-				}
-			}
-		case worse(h[0], e):
-			h[0] = e
-			siftDown(h, 0)
+		case n > c:
+			win = append(win, Entry[G]{grams[i], n})
+		case n == c && n > 0:
+			ties = append(ties, uint64(grams[i]))
 		}
 	}
-	sortEntries(h)
-	return h
+	if need := t - above; len(ties) > need {
+		// The need smallest of the tied n-grams: those up to the
+		// need-th smallest, the (len(ties)-need+1)-th largest.
+		g, _, _ := cut(ties, len(ties)-need+1)
+		ties = slices.DeleteFunc(ties, func(v uint64) bool { return v > g })
+	}
+	for _, g := range ties {
+		win = append(win, Entry[G]{G(g), c})
+	}
+	sortEntries(win)
+	return win
+}
+
+// digitBits is the width of the digit cut refines per pass.
+const digitBits = 11
+
+// cut returns the k-th largest (k >= 1) of vs, counting repeats, how
+// many of vs are larger than it and how many equal it. If vs holds
+// fewer than k nonzero values it returns 0, the number of nonzero ones
+// and 0. It is a radix selection: one pass finds the cut's bit length,
+// and each further pass fixes the next digitBits bits below it among
+// the values that share the bits fixed so far, so counts under 2^12
+// take two passes.
+func cut(vs []uint64, k int) (c uint64, above, at int) {
+	var lens [65]int
+	for _, v := range vs {
+		lens[bits.Len64(v)]++
+	}
+	b := 64
+	for ; b > 0 && above+lens[b] < k; b-- {
+		above += lens[b]
+	}
+	if b == 0 {
+		return 0, above, 0
+	}
+	// The cut's top set bit is bit b-1; low bits below it are open.
+	c, at = 1, lens[b]
+	for low := uint(b - 1); low > 0; {
+		d := min(low, digitBits)
+		low -= d
+		var hist [1 << digitBits]int
+		for _, v := range vs {
+			if v>>(low+d) == c {
+				hist[v>>low&(1<<d-1)]++
+			}
+		}
+		x := 1<<d - 1
+		for ; above+hist[x] < k; x-- {
+			above += hist[x]
+		}
+		c, at = c<<d|uint64(x), hist[x]
+	}
+	return c, above, at
 }
 
 // sortEntries sorts es best first by compareEntries. When every count
@@ -77,24 +121,5 @@ func sortEntries[G Gram](es []Entry[G]) {
 	slices.Sort(keys)
 	for i, k := range keys {
 		es[i] = Entry[G]{G(uint32(k)), math.MaxUint32 - k>>32}
-	}
-}
-
-// siftDown restores the heap order below h[i]: every entry ranks no
-// better than its children, so the root is the worst kept.
-func siftDown[G Gram](h []Entry[G], i int) {
-	for {
-		w := 2*i + 1
-		if w >= len(h) {
-			return
-		}
-		if r := w + 1; r < len(h) && worse(h[r], h[w]) {
-			w = r
-		}
-		if !worse(h[w], h[i]) {
-			return
-		}
-		h[i], h[w] = h[w], h[i]
-		i = w
 	}
 }

@@ -2,7 +2,6 @@ package ngram
 
 import (
 	"fmt"
-	"maps"
 
 	"bloomlang/internal/alphabet"
 )
@@ -96,8 +95,18 @@ func WideProfileFromTexts(language string, texts []string, n, t int) (*WideProfi
 		}
 	}
 	p := &WideProfile{Language: language, N: n}
-	for _, e := range topT(t, len(counts), maps.All(counts)) {
+	for _, e := range topWide(counts, t) {
 		p.Grams = append(p.Grams, e.Gram)
 	}
 	return p, nil
+}
+
+// topWide ranks wide n-gram counts through the ranking Counter.Top
+// uses: the t best, best first.
+func topWide(counts map[uint64]uint64, t int) []Entry[uint64] {
+	grams, ns := make([]uint64, 0, len(counts)), make([]uint64, 0, len(counts))
+	for g, n := range counts {
+		grams, ns = append(grams, g), append(ns, n)
+	}
+	return rank(grams, ns, t)
 }

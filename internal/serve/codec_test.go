@@ -294,6 +294,59 @@ func TestStreamAnswersEachLineInteractively(t *testing.T) {
 	}
 }
 
+// endReader reads a body whose last bytes come with io.EOF, and notes
+// that it has returned io.EOF.
+type endReader struct {
+	r     *bytes.Reader
+	ended bool
+}
+
+func (e *endReader) Read(p []byte) (int, error) {
+	n, err := e.r.Read(p)
+	if err == nil && e.r.Len() == 0 {
+		err = io.EOF
+	}
+	e.ended = err == io.EOF
+	return n, err
+}
+
+// flushWriter is a ResponseWriter that keeps the body and fails the
+// test on a Flush after the request body has ended.
+type flushWriter struct {
+	discardWriter
+	t    *testing.T
+	body *endReader
+	out  bytes.Buffer
+}
+
+func (w *flushWriter) Write(p []byte) (int, error) { return w.out.Write(p) }
+func (w *flushWriter) Flush() {
+	if w.body.ended {
+		w.t.Error("/stream flushed after the request body ended")
+	}
+}
+
+// TestStreamNoFlushAfterBodyEnd: once the body has ended, with its last
+// bytes, no read is left that could block, so /stream sends its last
+// answers with the end of the response instead of flushing them first.
+// Bodies both shorter and longer than the line reader's first buffer
+// get every answer.
+func TestStreamNoFlushAfterBodyEnd(t *testing.T) {
+	_, ps := fixtures(t)
+	srv, err := serve.New(ps, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lines := range []int{1, 8, 64} {
+		body := &endReader{r: bytes.NewReader(mixedLines(t, lines))}
+		w := &flushWriter{discardWriter: discardWriter{header: http.Header{}}, t: t, body: body}
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/stream?spans=1", body))
+		if got := bytes.Count(w.out.Bytes(), []byte("\n")); got != lines || !body.ended {
+			t.Errorf("%d lines: %d answers, body read to its end: %v", lines, got, body.ended)
+		}
+	}
+}
+
 // discardWriter is a ResponseWriter that drops the body: the handler
 // benchmarks and allocation tests measure the handler alone.
 type discardWriter struct{ header http.Header }

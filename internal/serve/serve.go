@@ -591,8 +591,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpoi
 	for {
 		line, ok := lines.next()
 		if !ok {
-			// About to read: send what is answered first.
-			if len(out) > 0 {
+			// About to read: send what is answered first, unless the
+			// body has already ended and the read cannot block. Then
+			// the last answers go out with the end of the response.
+			if len(out) > 0 && lines.err == nil {
 				w.Write(out)
 				out = out[:0]
 				if flusher != nil {

@@ -9,7 +9,11 @@
 // language, producing a core.ProfileSet byte-identical to what
 // core.TrainFromTexts builds from the same documents: counting is
 // additive, so the order documents arrive in does not change the
-// totals, and the top-t ranking breaks ties deterministically.
+// totals, and the top-t ranking breaks ties deterministically. Each
+// language's ranking is ngram.Counter.Top, a selection over its counts
+// that sorts only the t winners; Finalize ranks the languages
+// concurrently, on at most GOMAXPROCS goroutines, each profile into its
+// language's slot.
 //
 // Peak memory is one ngram.Vocabulary shared by all languages (a 4 MiB
 // index at the paper's n=4, plus 4 bytes per distinct n-gram), one
@@ -23,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -236,7 +241,8 @@ type Stats struct {
 	Grams uint64 `json:"ngrams"`
 }
 
-// Finalize ends ingest and ranks each language's top-t n-grams into a
+// Finalize ends ingest and ranks each language's top-t n-grams, the
+// languages concurrently on at most GOMAXPROCS goroutines, into a
 // ProfileSet identical to what core.TrainFromTexts builds from the
 // same documents. All Add/AddReader/AddNDJSON/AddDir calls must have
 // returned before Finalize starts (concurrent ingest is fine; ingest
@@ -263,16 +269,30 @@ func (t *Trainer) Finalize() (*core.ProfileSet, Stats, error) {
 	}
 	sort.Strings(langs)
 
-	ps := &core.ProfileSet{Config: t.cfg}
+	ps := &core.ProfileSet{Config: t.cfg, Profiles: make([]*ngram.Profile, len(langs))}
 	stats := Stats{Languages: make(map[string]LangStats, len(langs))}
 	for _, lang := range langs {
 		a := accs[lang]
-		ps.Profiles = append(ps.Profiles, ngram.BuildProfile(lang, a.counter, t.cfg.TopT))
 		ls := LangStats{Docs: a.docs, Bytes: a.bytes, Grams: a.counter.Total()}
 		stats.Languages[lang] = ls
 		stats.Docs += ls.Docs
 		stats.Bytes += ls.Bytes
 		stats.Grams += ls.Grams
 	}
+	// Rank the languages on at most GOMAXPROCS goroutines, each into its
+	// own slot: ranking only reads the counters and their shared
+	// vocabulary.
+	workers := min(runtime.GOMAXPROCS(0), len(langs))
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := range workers {
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(langs); i += workers {
+				ps.Profiles[i] = ngram.BuildProfile(langs[i], accs[langs[i]].counter, t.cfg.TopT)
+			}
+		}()
+	}
+	wg.Wait()
 	return ps, stats, nil
 }

@@ -415,28 +415,66 @@ func TestAbort(t *testing.T) {
 	tr2.Abort() // no-op after Finalize
 }
 
-// TestTrainerMemoryScalesWithVocabulary: the fixture's training split,
-// relabelled round-robin as 40 languages and counted at n = 4, keeps
-// the trainer's live heap to its shared vocabulary and dense counts,
-// well under 16 MiB, where one 2^20-slot table per language would hold
-// 40 × 8 MiB.
-func TestTrainerMemoryScalesWithVocabulary(t *testing.T) {
-	const langs = 40
+// TestFinalizeRanksConcurrently: the training split relabelled
+// round-robin as more languages than GOMAXPROCS, so every ranking
+// goroutine ranks several, gives the same profiles as core.TrainFromTexts
+// in each of 20 runs. Under -race it checks that the languages share
+// their vocabulary safely while they rank.
+func TestFinalizeRanksConcurrently(t *testing.T) {
+	langs := 2*runtime.GOMAXPROCS(0) + 3
 	corp := testCorpus(t)
+	texts := map[string][][]byte{}
+	i := 0
+	for _, doc := range trainDocs(corp) {
+		lang := fmt.Sprintf("l%02d", i%langs)
+		texts[lang] = append(texts[lang], doc)
+		i++
+	}
+	cfg := core.Config{TopT: 300}
+	want, err := core.TrainFromTexts(cfg, texts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBytes := serialize(t, want)
+	for run := range 20 {
+		tr, err := train.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lang, docs := range texts {
+			for _, doc := range docs {
+				if err := tr.Add(lang, doc); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		ps, _, err := tr.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ps.Profiles) != langs || !bytes.Equal(serialize(t, ps), wantBytes) {
+			t.Fatalf("run %d: %d profiles differ from core.TrainFromTexts' %d", run, len(ps.Profiles), langs)
+		}
+	}
+}
+
+// trainerLive trains docs at n-gram length n and returns the trainer's
+// live heap once they are counted, between two collections, and the
+// profiles it then finalizes.
+func trainerLive(t *testing.T, n int, docs iter.Seq2[string, []byte]) (int64, *core.ProfileSet) {
+	t.Helper()
 	var ms runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	base := ms.HeapAlloc
-	tr, err := train.New(core.Config{N: 4})
+	tr, err := train.New(core.Config{N: n})
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := 0
-	for _, doc := range trainDocs(corp) {
-		if err := tr.Add(fmt.Sprintf("l%02d", i%langs), doc); err != nil {
+	for lang, doc := range docs {
+		if err := tr.Add(lang, doc); err != nil {
 			t.Fatal(err)
 		}
-		i++
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
@@ -445,24 +483,44 @@ func TestTrainerMemoryScalesWithVocabulary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("%d languages at n=%d: %.2f MiB live", len(ps.Profiles), n, float64(live)/(1<<20))
+	return live, ps
+}
+
+// TestTrainerMemoryScalesWithVocabulary: the fixture's training split,
+// relabelled round-robin as 40 languages and counted at n = 4, keeps
+// the trainer's live heap to its shared vocabulary and dense counts,
+// well under 16 MiB, where one 2^20-slot table per language would hold
+// 40 × 8 MiB.
+func TestTrainerMemoryScalesWithVocabulary(t *testing.T) {
+	const langs = 40
+	corp := testCorpus(t)
+	live, ps := trainerLive(t, 4, func(yield func(string, []byte) bool) {
+		i := 0
+		for _, doc := range trainDocs(corp) {
+			if !yield(fmt.Sprintf("l%02d", i%langs), doc) {
+				return
+			}
+			i++
+		}
+	})
 	if len(ps.Profiles) != langs {
 		t.Fatalf("trained %d profiles, want %d", len(ps.Profiles), langs)
 	}
-	t.Logf("%d languages at n=4: %.2f MiB live", langs, float64(live)/(1<<20))
 	if live >= 16<<20 {
 		t.Errorf("trainer of %d languages at n=4 holds %.1f MiB live, want under 16 MiB", langs, float64(live)/(1<<20))
 	}
 }
 
-// BenchmarkTrainer trains at perfbench's size: 10 languages × 60
-// documents × 800 words, streamed through Add, then Finalize.
-func BenchmarkTrainer(b *testing.B) {
+// perfbenchTexts is the training split at perfbench's size: 10
+// languages × 60 documents × 800 words, and its size in bytes.
+func perfbenchTexts(tb testing.TB) (map[string][][]byte, int64) {
 	texts := map[string][][]byte{}
 	var size int64
 	for _, lang := range corpus.Languages() {
 		spec, err := corpus.ByCode(lang)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		gen := corpus.NewGenerator(spec, 1)
 		for range 60 {
@@ -471,6 +529,34 @@ func BenchmarkTrainer(b *testing.B) {
 			size += int64(len(doc))
 		}
 	}
+	return texts, size
+}
+
+// TestTrainerMemoryAtN6: at n = 6 the vocabulary is a map and every
+// language keeps a count per n-gram any language has seen, so the
+// perfbench-sized 10-language split, fed in language order, holds
+// 21.5 MiB live. This bounds it from growing; a sparse count layout
+// would shrink it.
+func TestTrainerMemoryAtN6(t *testing.T) {
+	texts, _ := perfbenchTexts(t)
+	live, _ := trainerLive(t, 6, func(yield func(string, []byte) bool) {
+		for _, lang := range corpus.Languages() {
+			for _, doc := range texts[lang] {
+				if !yield(lang, doc) {
+					return
+				}
+			}
+		}
+	})
+	if live > 24<<20 {
+		t.Errorf("trainer of %d languages at n=6 holds %.1f MiB live, want at most 24 MiB", len(texts), float64(live)/(1<<20))
+	}
+}
+
+// BenchmarkTrainer trains at perfbench's size, streamed through Add,
+// then Finalize.
+func BenchmarkTrainer(b *testing.B) {
+	texts, size := perfbenchTexts(b)
 	b.SetBytes(size)
 	b.ReportAllocs()
 	for b.Loop() {

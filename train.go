@@ -11,8 +11,9 @@ import (
 // caller over one n-gram vocabulary shared by all languages, with
 // dense counts per language, so training never materializes a corpus
 // in memory and memory follows the n-grams seen, not the n-gram key
-// space. Finalize produces a ProfileSet identical to Train on the
-// same documents; Abort ends a trainer on error paths.
+// space. Finalize ranks the languages in parallel into a ProfileSet
+// identical to Train on the same documents; Abort ends a trainer on
+// error paths.
 type Trainer = train.Trainer
 
 // TrainStats summarizes a finalized training run (documents, bytes and
