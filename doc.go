@@ -115,7 +115,7 @@
 //
 // The mechanism reuses the counting pass unchanged and runs it exactly
 // once per document: the bytes are cut where each Stride of n-grams
-// completes, each piece is counted by the backend's Kernel into a
+// completes, each piece is counted by the document's Stream into a
 // cumulative count row, and each completed chunk takes one step of an
 // exact integer Viterbi pass. The labelling it finds maximises the
 // paper's match count summed over each span, less Penalty per language

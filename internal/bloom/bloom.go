@@ -10,11 +10,17 @@
 // never produces false negatives; false positives occur at rate
 // f = (1 − e^(−N/m))^k for the parallel variant with N programmed
 // elements (§3.1).
+//
+// One Parallel serves both alphabets. The §3.3 Unicode extension only
+// widens the hash input: Program and Test take the packed n-grams of
+// the 5-bit alphabet, Program64 and Test64 the up-to-64-bit n-grams of
+// the 16-bit one, through the same k vectors.
 package bloom
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"bloomlang/internal/h3"
 )
@@ -66,15 +72,7 @@ func (v *BitVector) Reset() {
 func (v *BitVector) PopCount() int {
 	n := 0
 	for _, w := range v.words {
-		n += popcount64(w)
-	}
-	return n
-}
-
-func popcount64(w uint64) int {
-	n := 0
-	for ; w != 0; w &= w - 1 {
-		n++
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -154,24 +152,23 @@ func (p *Parallel) Test(g uint32) bool {
 	return true
 }
 
-// Test2 tests two n-grams in one call, mirroring the dual-ported
-// embedded RAMs that let the hardware test two input n-grams
-// simultaneously (§3.2). Functionally it is two independent tests; the
-// cycle-accounting value of the pairing lives in the system simulator.
-func (p *Parallel) Test2(g1, g2 uint32) (bool, bool) {
-	return p.Test(g1), p.Test(g2)
+// Program64 is Program for a wide element of up to 64 bits, the
+// packed n-gram of the §3.3 Unicode extension.
+func (p *Parallel) Program64(g uint64) {
+	for i, v := range p.vectors {
+		v.Set(p.family.Func(i).Hash64(g))
+	}
+	p.n++
 }
 
-// CountMatches tests every n-gram in gs and returns the number of
-// matches, the per-language counter the hardware increments.
-func (p *Parallel) CountMatches(gs []uint32) int {
-	n := 0
-	for _, g := range gs {
-		if p.Test(g) {
-			n++
+// Test64 is Test for a wide element of up to 64 bits.
+func (p *Parallel) Test64(g uint64) bool {
+	for i, v := range p.vectors {
+		if !v.Get(p.family.Func(i).Hash64(g)) {
+			return false
 		}
 	}
-	return n
+	return true
 }
 
 // Reset clears all vectors and the programmed-element count.

@@ -56,40 +56,91 @@ func TestNewBitVectorZeroPanics(t *testing.T) {
 	NewBitVector(0)
 }
 
-func TestNewParallelValidation(t *testing.T) {
-	if _, err := NewParallel(4, 20, 1000, 1); err == nil {
-		t.Error("non-power-of-two m accepted")
+// The tests below run one check per property at two element widths:
+// the paper's 20-bit packed 4-gram through Program and Test, and the
+// 64-bit packed 4-gram of 16-bit characters (§3.3) through Program64 and
+// Test64 — the same filter, only the hash input wider.
+
+// element draws a random element of the given width.
+func element(rng *rand.Rand, bits uint) uint64 {
+	return rng.Uint64() >> (64 - bits)
+}
+
+// program inserts g through the entry point of its width.
+func program(p *Parallel, bits uint, g uint64) {
+	if bits <= 32 {
+		p.Program(uint32(g))
+	} else {
+		p.Program64(g)
 	}
-	if _, err := NewParallel(0, 20, 1024, 1); err == nil {
-		t.Error("k=0 accepted")
+}
+
+// test looks g up through the entry point of its width. A narrow
+// element must get the same answer from Test64.
+func test(t *testing.T, p *Parallel, bits uint, g uint64) bool {
+	t.Helper()
+	if bits > 32 {
+		return p.Test64(g)
 	}
-	p, err := NewParallel(4, 20, 16384, 1)
+	narrow := p.Test(uint32(g))
+	if p.Test64(g) != narrow {
+		t.Fatalf("Test64(%#x) disagrees with Test", g)
+	}
+	return narrow
+}
+
+func checkParallelValidation(t *testing.T, bits uint) {
+	t.Helper()
+	if _, err := NewParallel(4, bits, 1000, 1); err == nil {
+		t.Errorf("%d-bit filter: non-power-of-two m accepted", bits)
+	}
+	if _, err := NewParallel(0, bits, 1024, 1); err == nil {
+		t.Errorf("%d-bit filter: k=0 accepted", bits)
+	}
+	p, err := NewParallel(4, bits, 16384, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.K() != 4 || p.M() != 16384 {
-		t.Errorf("K=%d M=%d, want 4, 16384", p.K(), p.M())
+		t.Errorf("%d-bit filter: K=%d M=%d, want 4, 16384", bits, p.K(), p.M())
+	}
+}
+
+func TestNewParallelValidation(t *testing.T) { checkParallelValidation(t, 20) }
+
+func TestParallel64Validation(t *testing.T) {
+	checkParallelValidation(t, 64)
+	if _, err := NewParallel(4, 65, 1024, 1); err == nil {
+		t.Error("65-bit elements accepted")
 	}
 }
 
 // The defining guarantee: a Bloom filter has no false negatives.
-func TestParallelNoFalseNegatives(t *testing.T) {
-	p, err := NewParallel(4, 20, 16384, 42)
+func checkNoFalseNegatives(t *testing.T, bits uint) {
+	t.Helper()
+	p, err := NewParallel(4, bits, 16384, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	members := make([]uint32, 5000)
+	members := make([]uint64, 5000)
 	for i := range members {
-		members[i] = rng.Uint32() & 0xFFFFF
-		p.Program(members[i])
+		members[i] = element(rng, bits)
+		program(p, bits, members[i])
 	}
 	for _, g := range members {
-		if !p.Test(g) {
-			t.Fatalf("false negative for programmed element %#x", g)
+		if !test(t, p, bits, g) {
+			t.Fatalf("%d-bit filter: false negative for programmed element %#x", bits, g)
 		}
 	}
+	if p.N() != len(members) {
+		t.Errorf("%d-bit filter: N = %d, want %d", bits, p.N(), len(members))
+	}
 }
+
+func TestParallelNoFalseNegatives(t *testing.T) { checkNoFalseNegatives(t, 20) }
+
+func TestParallel64NoFalseNegatives(t *testing.T) { checkNoFalseNegatives(t, 64) }
 
 // Property-based variant over arbitrary small element sets.
 func TestParallelNoFalseNegativesQuick(t *testing.T) {
@@ -113,14 +164,20 @@ func TestParallelNoFalseNegativesQuick(t *testing.T) {
 	}
 }
 
-func TestParallelEmptyRejectsEverything(t *testing.T) {
-	p, _ := NewParallel(4, 20, 16384, 1)
-	for g := uint32(0); g < 10000; g++ {
-		if p.Test(g) {
-			t.Fatalf("empty filter matched %#x", g)
+func checkEmptyRejects(t *testing.T, bits uint) {
+	t.Helper()
+	p, _ := NewParallel(4, bits, 16384, 1)
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 10000; i++ {
+		if g := element(rng, bits); test(t, p, bits, g) {
+			t.Fatalf("empty %d-bit filter matched %#x", bits, g)
 		}
 	}
 }
+
+func TestParallelEmptyRejectsEverything(t *testing.T) { checkEmptyRejects(t, 20) }
+
+func TestParallel64EmptyRejects(t *testing.T) { checkEmptyRejects(t, 64) }
 
 func TestParallelFalsePositiveRateMatchesModel(t *testing.T) {
 	// Program N=5000 random 20-bit elements into k=4, m=16Kbit: the
@@ -157,6 +214,36 @@ func TestParallelFalsePositiveRateMatchesModel(t *testing.T) {
 	want := FalsePositiveRate(n, m, k)
 	if got < want/2 || got > want*2 {
 		t.Errorf("empirical fp rate %.5f not within 2x of model %.5f", got, want)
+	}
+}
+
+// The wide width of the same measurement: the 64-bit space cannot be
+// enumerated, so fresh random probes stand in for the non-members
+// (collisions with members are negligible).
+func TestParallel64FalsePositiveRate(t *testing.T) {
+	const (
+		k = 4
+		m = 16 * 1024
+		n = 5000
+	)
+	p, _ := NewParallel(k, 64, m, 99)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < n; i++ {
+		p.Program64(rng.Uint64())
+	}
+	fp, trials := 0, 200000
+	for i := 0; i < trials; i++ {
+		if p.Test64(rng.Uint64()) {
+			fp++
+		}
+	}
+	got := float64(fp) / float64(trials)
+	want := FalsePositiveRate(n, m, k)
+	if got < want/2 || got > want*2 {
+		t.Errorf("empirical fp %.5f not within 2x of model %.5f", got, want)
+	}
+	if p.FalsePositiveRate() != want {
+		t.Error("FalsePositiveRate accessor disagrees with model")
 	}
 }
 
@@ -204,44 +291,30 @@ func TestFalsePositiveRateEdgeCases(t *testing.T) {
 	}
 }
 
-func TestParallelReset(t *testing.T) {
-	p, _ := NewParallel(4, 20, 4096, 5)
-	p.ProgramAll([]uint32{1, 2, 3})
+func checkReset(t *testing.T, bits uint) {
+	t.Helper()
+	p, _ := NewParallel(4, bits, 4096, 5)
+	for _, g := range []uint64{1, 2, 3} {
+		program(p, bits, g)
+	}
 	if p.N() != 3 {
-		t.Fatalf("N = %d, want 3", p.N())
+		t.Fatalf("%d-bit filter: N = %d, want 3", bits, p.N())
 	}
 	p.Reset()
 	if p.N() != 0 {
-		t.Errorf("N after Reset = %d", p.N())
+		t.Errorf("%d-bit filter: N after Reset = %d", bits, p.N())
 	}
-	if p.Test(1) || p.Test(2) || p.Test(3) {
-		t.Error("filter still matches after Reset")
+	if test(t, p, bits, 1) || test(t, p, bits, 2) || test(t, p, bits, 3) {
+		t.Errorf("%d-bit filter still matches after Reset", bits)
 	}
 	if p.FalsePositiveRate() != 0 {
-		t.Error("fp rate nonzero after Reset")
+		t.Errorf("%d-bit filter: fp rate nonzero after Reset", bits)
 	}
 }
 
-func TestTest2MatchesTest(t *testing.T) {
-	p, _ := NewParallel(4, 20, 4096, 5)
-	p.ProgramAll([]uint32{100, 200})
-	r1, r2 := p.Test2(100, 300)
-	if r1 != p.Test(100) || r2 != p.Test(300) {
-		t.Error("Test2 disagrees with Test")
-	}
-}
+func TestParallelReset(t *testing.T) { checkReset(t, 20) }
 
-func TestCountMatches(t *testing.T) {
-	p, _ := NewParallel(4, 20, 16384, 5)
-	p.ProgramAll([]uint32{10, 20, 30})
-	got := p.CountMatches([]uint32{10, 20, 30, 40, 50})
-	if got < 3 {
-		t.Errorf("CountMatches = %d, want >= 3 (no false negatives)", got)
-	}
-	if got > 5 {
-		t.Errorf("CountMatches = %d > number of tested grams", got)
-	}
-}
+func TestParallel64Reset(t *testing.T) { checkReset(t, 48) }
 
 // With the same total bit budget (k*m bits), the parallel and classic
 // variants should have comparable false positive rates; the parallel
@@ -307,5 +380,17 @@ func BenchmarkParallelProgram(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Program(uint32(i) & 0xFFFFF)
+	}
+}
+
+func BenchmarkParallelTest64(b *testing.B) {
+	p, _ := NewParallel(4, 64, 16*1024, 1)
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 5000; i++ {
+		p.Program64(rng.Uint64())
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Test64(uint64(i) * 0x9E3779B97F4A7C15)
 	}
 }

@@ -3,63 +3,22 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"bloomlang/internal/bloom"
 	"bloomlang/internal/ngram"
 )
 
-// Kernel is a backend's membership-counting kernel: it scores every
-// language for each n-gram in one call — the software analogue of the
-// hardware testing one n-gram against all language classifiers in the
-// same clock (§3.2). Both methods add each language's match count into
-// counts (len(Languages()), in profile order); neither may allocate,
-// write to its n-gram or byte input, or keep its arguments past the
-// call.
+// Kernel is a backend's membership-counting kernel: AccumulateInto
+// scores every language for each packed n-gram of gs in one call — the
+// software analogue of the hardware testing one n-gram against all
+// language classifiers in the same clock (§3.2) — and adds each
+// language's match count into counts (len(Languages()), in profile
+// order). It may not allocate, write to gs, or keep its arguments past
+// the call. Stream is the one place bytes become n-grams: it feeds
+// them to AccumulateInto in blocks, or runs the mask kernel's fused
+// loop where that applies.
 type Kernel interface {
-	// AccumulateInto counts pre-extracted packed n-grams. It is the
-	// gram-level reference path that ClassifyGrams runs.
 	AccumulateInto(counts []int, gs []uint32)
-	// Count is the serving path, one pass from bytes to counts: it
-	// shifts the raw ISO-8859-1 bytes of p through the window w,
-	// counts every n-gram they complete, and returns how many that
-	// was. w carries the register from one call to the next, so a
-	// document counted in any number of pieces gets the counts of one
-	// call over all of it.
-	Count(counts []int, w *Window, p []byte) (grams int)
-}
-
-// Window is the n-gram shift register a Kernel's Count carries across
-// the pieces of one document: the packed recent codes, how full the
-// register is, and the subsample phase.
-type Window = ngram.Window
-
-// gramBlock is the most n-grams CountGrams hands AccumulateInto at once.
-const gramBlock = 256
-
-// gramBlocks recycles CountGrams' extraction blocks. A block passed to
-// AccumulateInto through an interface escapes, so it cannot live on
-// CountGrams' stack; a pooled one keeps warm calls allocation-free.
-var gramBlocks = sync.Pool{New: func() any { return new([gramBlock]uint32) }}
-
-// CountGrams is Count for a kernel that scores packed n-grams: it
-// extracts p's n-grams through w into a block of at most 256 and calls
-// k.AccumulateInto once per block. A backend without a fused loop of
-// its own implements Count with it in one line.
-func CountGrams(k Kernel, counts []int, w *Window, p []byte) (grams int) {
-	if len(p) == 0 {
-		return 0
-	}
-	block := gramBlocks.Get().(*[gramBlock]uint32)
-	for len(p) > 0 {
-		n := min(len(p), gramBlock)
-		gs := w.FeedBytes(block[:0], p[:n])
-		k.AccumulateInto(counts, gs)
-		grams += len(gs)
-		p = p[n:]
-	}
-	gramBlocks.Put(block)
-	return grams
 }
 
 // backends is the closed set of membership backends, indexed by
@@ -123,11 +82,6 @@ func (p *parallelBloom) AccumulateInto(counts []int, gs []uint32) {
 	}
 }
 
-// Count counts the n-grams of b block by block.
-func (p *parallelBloom) Count(counts []int, w *Window, b []byte) int {
-	return CountGrams(p, counts, w, b)
-}
-
 // ParallelFilters programs the paper's Parallel Bloom Filter for every
 // language of the set, in profile order: k H3 hashes into k
 // independent m-bit vectors per language (§3.1). Each language's seed
@@ -140,7 +94,7 @@ func (ps *ProfileSet) ParallelFilters() ([]*bloom.Parallel, error) {
 	cfg := ps.Config.WithDefaults()
 	fs := make([]*bloom.Parallel, len(ps.Profiles))
 	for i, p := range ps.Profiles {
-		f, err := bloom.NewParallel(cfg.K, ngram.Bits(cfg.N), cfg.MBits, cfg.Seed+int64(i)*1000003)
+		f, err := languageFilter(cfg, i, ngram.Bits(cfg.N))
 		if err != nil {
 			return nil, err
 		}
@@ -148,6 +102,14 @@ func (ps *ProfileSet) ParallelFilters() ([]*bloom.Parallel, error) {
 		fs[i] = f
 	}
 	return fs, nil
+}
+
+// languageFilter is the empty Parallel Bloom Filter of language i under
+// cfg, over inputBits-wide n-grams: k vectors of m bits, with the seed
+// offset by i so every language draws its own H3 matrices. The narrow
+// ParallelFilters and the wide TrainWide both build through it.
+func languageFilter(cfg Config, i int, inputBits uint) (*bloom.Parallel, error) {
+	return bloom.NewParallel(cfg.K, inputBits, cfg.MBits, cfg.Seed+int64(i)*1000003)
 }
 
 // buildParallelBloom is the paper's design over ps.ParallelFilters.

@@ -68,22 +68,23 @@ func TestBackendStringUnregisteredValue(t *testing.T) {
 
 // FuzzKernelCount is the differential check of the serving path against
 // the staged reference on every built-in backend, at subsample 1 and 3:
-// Count over the fuzzer's bytes, split at two fuzzer-chosen points with
-// one carried Window, must return AccumulateInto's counts over
-// ExtractGrams of the same bytes, and as many n-grams as ExtractGrams
-// extracts.
+// the fuzzer's bytes, written to a Stream in three pieces cut at two
+// fuzzer-chosen points, must give the counts and n-gram total of
+// ClassifyGrams over ExtractGrams of the same bytes. A whole-document
+// stream and a segmenting one (which cuts each write where a stride of
+// n-grams completes) are both checked.
 func FuzzKernelCount(f *testing.F) {
 	base := trainMini(f, Config{TopT: 800})
-	var clfs []*Classifier
+	var dets []*Detector
 	for _, sub := range []int{1, 3} {
 		ps := &ProfileSet{Config: base.Config, Profiles: base.Profiles}
 		ps.Config.Subsample = sub
 		for _, b := range []Backend{BackendDirect, BackendBloom} {
-			c, err := New(ps, b)
+			d, err := NewDetector(ps, WithBackend(b))
 			if err != nil {
 				f.Fatal(err)
 			}
-			clfs = append(clfs, c)
+			dets = append(dets, d)
 		}
 	}
 	f.Add([]byte(""), uint16(0), uint16(0))
@@ -95,16 +96,21 @@ func FuzzKernelCount(f *testing.F) {
 		if a > b {
 			a, b = b, a
 		}
-		for _, c := range clfs {
-			gs := c.ExtractGrams(nil, data)
-			want := make([]int, len(c.Languages()))
-			c.kernel.AccumulateInto(want, gs)
-			got := make([]int, len(c.Languages()))
-			w := c.window
-			n := c.kernel.Count(got, &w, data[:a]) + c.kernel.Count(got, &w, data[a:b]) + c.kernel.Count(got, &w, data[b:])
-			if n != len(gs) || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s subsample %d, %d bytes cut at %d,%d: Count = %d grams, counts %v; reference %d grams, counts %v",
-					c.Backend(), c.Config().Subsample, len(data), a, b, n, got, len(gs), want)
+		for _, d := range dets {
+			c := d.Classifier()
+			want := c.ClassifyGrams(c.ExtractGrams(nil, data))
+			spans, err := d.NewSpanStream(SegmentConfig{Window: 64, Stride: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []*Stream{d.NewStream(), spans} {
+				s.Write(data[:a])
+				s.Write(data[a:b])
+				s.Write(data[b:])
+				if got, n := s.AppendCounts(nil), s.Match().NGrams; n != want.NGrams || !reflect.DeepEqual(got, want.Counts) {
+					t.Fatalf("%s subsample %d, segmenting %v, %d bytes cut at %d,%d: stream counts %v over %d grams; reference %v over %d",
+						d.Backend(), c.Config().Subsample, s.cfg.Stride > 0, len(data), a, b, got, n, want.Counts, want.NGrams)
+				}
 			}
 		}
 	})

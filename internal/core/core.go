@@ -13,12 +13,14 @@
 //
 // Detector is the one detection entry point: Detect, DetectCounts,
 // DetectBatch, DetectBatchCounts, Rank and the segmentation paths all
-// count through one Stream type, borrowed from the detector's pool,
-// and every Stream counts through one Kernel per backend, which scores
-// every language for each n-gram in one call (§3.2). NewStream and
-// NewSpanStream hand out the same Stream for incremental input, with
-// segmentation off or on; BorrowStream and ReturnStream lend pooled
-// ones to servers. Classifier is the raw-count layer underneath:
+// count through one Stream type, borrowed from the detector's pool.
+// The Stream turns bytes into n-grams, and each backend is one Kernel
+// with one method, AccumulateInto, which scores every language for
+// each n-gram in one call (§3.2); where the direct-lookup table fits
+// one plane, the Stream runs its fused loop from bytes to counts
+// instead. NewStream and NewSpanStream hand out the same Stream for
+// incremental input, with segmentation off or on; BorrowStream and
+// ReturnStream lend pooled ones to servers. Classifier is the raw-count layer underneath:
 // the reference the paper-model tests compare against. The package
 // takes documents as bytes; corpus scoring lives in the root bloomlang
 // package.
@@ -308,9 +310,9 @@ func (c *Classifier) Classify(doc []byte) Result {
 
 // ExtractGrams translates and extracts the document's packed n-grams
 // into dst (which may be nil), honouring the configured subsampling.
-// It is the staged reference for the serving path's Kernel.Count:
-// translation to a code slice, then extraction through a value copy of
-// the construction-time window.
+// It is the staged reference for the serving path, Stream's one pass
+// from bytes to counts: translation to a code slice, then extraction
+// through a value copy of the construction-time window.
 func (c *Classifier) ExtractGrams(dst []uint32, doc []byte) []uint32 {
 	w := c.window
 	return w.Feed(dst, alphabet.TranslateAll(doc))

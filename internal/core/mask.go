@@ -134,19 +134,18 @@ func (k *maskKernel) AccumulateInto(counts []int, gs []uint32) {
 	}
 }
 
-// Count is the fused datapath of §3.2–3.3 in one loop: translate each
-// byte, shift it into the n-gram register, look the n-gram's language
-// mask up and add it into the lane counters, with no n-gram stored on
-// the way. The loop takes four characters per step: their codes form
-// one 20-bit word q, w = w<<20 | q in a uint64, and the step's four
-// n-grams are read off w by shifting, so the serial shift chain runs
-// once per four characters. That is exact for every n <= 5 (the
-// deepest read, 15+5n bits, fits in 64). Subsampled windows and
-// profile sets of more than 16 languages take the block path.
-func (k *maskKernel) Count(counts []int, w *Window, p []byte) int {
-	if !k.fused(w) {
-		return CountGrams(k, counts, w, p)
-	}
+// countFused is the fused datapath of §3.2–3.3 in one loop over the
+// single mask plane: translate each byte, shift it into the n-gram
+// register w, look the n-gram's language mask up and add it into the
+// lane counters, with no n-gram stored on the way; counts gains the
+// matches and the result is the number of n-grams p completes. The
+// loop takes four characters per step: their codes form one 20-bit
+// word q, w = w<<20 | q in a uint64, and the step's four n-grams are
+// read off w by shifting, so the serial shift chain runs once per four
+// characters. That is exact for every n <= 5 (the deepest read, 15+5n
+// bits, fits in 64). A Stream runs it when the profile set fits one
+// plane and nothing is subsampled (Stream.configure).
+func countFused(plane []uint16, w *ngram.Window, counts []int, p []byte) int {
 	reg, filled := w.Reg, w.Filled
 	for ; filled < w.N-1 && len(p) > 0; filled++ {
 		reg = reg<<alphabet.Bits | uint64(alphabet.Translate(p[0]))
@@ -154,7 +153,6 @@ func (k *maskKernel) Count(counts []int, w *Window, p []byte) int {
 	}
 	w.Filled = filled
 	grams := len(p)
-	plane := k.planes[0]
 	for len(p) > 0 {
 		b := p[:min(len(p), laneFlush)]
 		p = p[len(b):]
@@ -163,10 +161,6 @@ func (k *maskKernel) Count(counts []int, w *Window, p []byte) int {
 	w.Reg = reg
 	return grams
 }
-
-// fused reports whether Count runs the fused loop for w: one mask
-// plane and no subsampling.
-func (k *maskKernel) fused(w *Window) bool { return w.Subsample <= 1 && len(k.planes) == 1 }
 
 // countLanes is the fused loop's body: it shifts the bytes of b (at
 // most laneFlush) through reg, whose N-1 earlier characters are in

@@ -110,8 +110,9 @@ func maskKernelFor(t testing.TB, ps *ProfileSet) *maskKernel {
 // TestMaskKernelMatchesReference is the exactness property: for
 // language counts inside one mask plane, exactly filling one, and
 // spilling into further planes, the kernel's counts equal the naive
-// per-language sets', through both AccumulateInto and Count, and Test
-// agrees with set membership on members and non-members. The sizes
+// per-language sets', through AccumulateInto and through a Stream over
+// the bytes (the fused loop for one plane, n-gram blocks for more), and
+// Test agrees with set membership on members and non-members. The sizes
 // straddle the old histogram cut-over (159–161), one lane flush
 // (255–257) and many flushes (8192).
 func TestMaskKernelMatchesReference(t *testing.T) {
@@ -123,7 +124,7 @@ func TestMaskKernelMatchesReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(langs) * 7))
 			for _, n := range []int{0, 1, 159, 160, 161, 255, 256, 257, 8192} {
 				checkMaskAccumulate(t, k, ref, synthGrams(rng, pool, n))
-				checkMaskCount(t, k, ref, memberDoc(rng, pool, n))
+				checkMaskCount(t, ps, ref, memberDoc(rng, pool, n))
 			}
 			// Every profile holds pool[:20], so on these streams every
 			// language hits every n-gram: a lane that overflowed past 255
@@ -139,7 +140,7 @@ func TestMaskKernelMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			shared := withGrams(ps, docGrams)
-			checkMaskCount(t, maskKernelFor(t, shared), newMaskReference(shared), doc)
+			checkMaskCount(t, shared, newMaskReference(shared), doc)
 			probe := synthGrams(rng, pool, 2000)
 			for lang, set := range ref {
 				for _, g := range append(probe, ps.Profiles[lang].Grams...) {
@@ -161,24 +162,34 @@ func checkMaskAccumulate(t *testing.T, k *maskKernel, ref maskReference, gs []ui
 	}
 }
 
-// checkMaskCount counts doc through Count in one call and in three
-// pieces with one carried window, against the reference over the
-// document's extracted n-grams.
-func checkMaskCount(t *testing.T, k *maskKernel, ref maskReference, doc []byte) {
+// checkMaskCount writes doc to a direct-backend Stream over ps in one
+// piece and in three, against the reference over the document's
+// extracted n-grams. The stream must run the fused loop exactly when
+// the languages fit one mask plane.
+func checkMaskCount(t *testing.T, ps *ProfileSet, ref maskReference, doc []byte) {
 	t.Helper()
+	det, err := NewDetector(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gs, err := ngram.ExtractBytes(doc, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := ref.counts(gs)
+	s := det.NewStream()
+	if fused := s.plane != nil; fused != (len(ref) <= maskPlaneLangs) {
+		t.Errorf("%d languages: stream fused = %v", len(ref), fused)
+	}
 	for _, cuts := range [][2]int{{0, 0}, {len(doc) / 3, 2 * len(doc) / 3}, {1, len(doc) - 2}} {
-		w := ngram.Window{N: 4, Subsample: 1}
-		got := make([]int, len(ref))
+		s.Reset()
 		a := min(cuts[0], len(doc))
 		b := min(max(cuts[1], a), len(doc))
-		n := k.Count(got, &w, doc[:a]) + k.Count(got, &w, doc[a:b]) + k.Count(got, &w, doc[b:])
-		if n != len(gs) || !reflect.DeepEqual(got, want) {
-			t.Errorf("%d bytes cut at %d,%d: Count = %d grams, counts %v; reference %d grams, counts %v", len(doc), a, b, n, got, len(gs), want)
+		s.Write(doc[:a])
+		s.Write(doc[a:b])
+		s.Write(doc[b:])
+		if got, n := s.AppendCounts(nil), s.Match().NGrams; n != len(gs) || !reflect.DeepEqual(got, want) {
+			t.Errorf("%d bytes cut at %d,%d: stream counts %v over %d grams; reference %v over %d", len(doc), a, b, got, n, want, len(gs))
 		}
 	}
 }
@@ -333,8 +344,9 @@ func FuzzMaskKernelVsReference(f *testing.F) {
 // the kernel's AccumulateInto over pre-extracted grams — on every
 // backend, for a whole 5 KB document and for one 16-gram segmentation
 // chunk. It is the per-stage figure for the counting layer. The
-// 5KB-bytes case times the fused serving stage instead: Count over the
-// raw document, translation and extraction included.
+// 5KB-bytes case times the serving stage instead: a Stream counting the
+// raw document, translation and extraction included (the fused loop on
+// direct-lookup, n-gram blocks on parallel-bloom).
 func BenchmarkDetectCount(b *testing.B) {
 	corp, err := corpus.Generate(corpus.Config{DocsPerLanguage: 30, WordsPerDoc: 300, TrainFraction: 0.5, Seed: 17})
 	if err != nil {
@@ -350,10 +362,11 @@ func BenchmarkDetectCount(b *testing.B) {
 	}
 	doc = doc[:5<<10]
 	for _, backend := range []Backend{BackendDirect, BackendBloom} {
-		c, err := New(ps, backend)
+		det, err := NewDetector(ps, WithBackend(backend))
 		if err != nil {
 			b.Fatal(err)
 		}
+		c := det.Classifier()
 		gs := c.ExtractGrams(nil, doc)
 		counts := make([]int, len(c.Languages()))
 		for _, size := range []struct {
@@ -368,11 +381,11 @@ func BenchmarkDetectCount(b *testing.B) {
 			})
 		}
 		b.Run(backend.String()+"/5KB-bytes", func(b *testing.B) {
-			w := c.window
+			s := det.NewStream()
 			b.ReportAllocs()
 			for b.Loop() {
-				w.Reset()
-				c.kernel.Count(counts, &w, doc)
+				s.Reset()
+				s.Write(doc)
 			}
 		})
 	}

@@ -10,10 +10,10 @@ package core
 // detection path uses, so it reuses the backend's counting pass
 // unchanged and runs it exactly once per document. The byte stream is
 // cut where each stride of n-grams completes, and each piece goes
-// straight from bytes to counts through the backend's Kernel.Count into
-// the open row of the stream's cumulative counts. Each completed chunk
-// c then takes one Viterbi step over its row r_c: the path score to
-// maximise is Σ r_c[label_c] − Penalty·(label changes), the paper's
+// straight from bytes to counts (Stream.countBytes) into the open row
+// of the stream's cumulative counts. Each completed chunk c then takes
+// one Viterbi step over its row r_c: the path score to maximise is
+// Σ r_c[label_c] − Penalty·(label changes), the paper's
 // match count summed over each span with a fixed price per boundary
 // (the language-switch model of Lui, Lau & Baldwin, TACL 2014, kept
 // integer and exact). The step is
@@ -33,6 +33,8 @@ import (
 	"math/bits"
 	"slices"
 	"unsafe"
+
+	"bloomlang/internal/ngram"
 )
 
 // Span is one contiguous single-language region of a segmented
@@ -166,12 +168,14 @@ func (d *Detector) AppendSpans(dst []Span, doc []byte, cfg SegmentConfig) ([]Spa
 // counted as they complete, and Match reports the decision over
 // everything written so far — the software mirror of the hardware
 // datapath, which consumes the DMA stream burst by burst and never
-// buffers whole documents (§3.3). Every write goes straight from bytes
-// to counts through the backend's Kernel.Count, with the n-gram
-// register carried in the stream's Window, so no code or n-gram buffer
-// sits between the stages. Reset starts the next document, the
-// End-of-Document boundary. Every detection path counts through a
-// Stream: Detect and the batch workers borrow pooled ones.
+// buffers whole documents (§3.3). The Stream is the one place bytes
+// become counts: every write is shifted through the n-gram register
+// carried in the stream's window, and the n-grams it completes are
+// counted by the mask kernel's fused loop, which stores none of them,
+// or handed to the backend Kernel a block of at most 256 at a time.
+// Reset starts the next document, the End-of-Document boundary. Every
+// detection path counts through a Stream: Detect and the batch workers
+// borrow pooled ones.
 //
 // A stream from NewStream counts each write whole into the document
 // totals. A stream from NewSpanStream also segments: each write is cut
@@ -186,8 +190,12 @@ func (d *Detector) AppendSpans(dst []Span, doc []byte, cfg SegmentConfig) ([]Spa
 type Stream struct {
 	d     *Detector
 	cfg   SegmentConfig // resolved; the zero value turns segmentation off
-	w     Window
+	w     ngram.Window
 	langs int
+
+	// plane is the mask kernel's one plane when its fused loop counts
+	// this stream (countFused), else nil.
+	plane []uint16
 
 	// rows holds cumulative count rows, langs wide: the counts before
 	// chunk base, after each chunk completed since, and last the open
@@ -221,12 +229,17 @@ type Stream struct {
 
 	spans []Span
 	done  bool
+
+	// block holds the n-grams of up to gramBlock bytes on their way to
+	// the kernel when the fused loop does not apply. It sits last, so
+	// the counting state above shares cache lines.
+	block [gramBlock]uint32
 }
 
 // NewStream starts an empty document stream on the detector, counting
-// without segmentation. Its Window is a value copy of the classifier's
-// prototype, so streams are independent of each other and of the
-// one-shot paths.
+// without segmentation. Its n-gram window is a value copy of the
+// classifier's prototype, so streams are independent of each other and
+// of the one-shot paths.
 func (d *Detector) NewStream() *Stream {
 	s := &Stream{d: d}
 	s.configure(SegmentConfig{})
@@ -252,6 +265,10 @@ func (s *Stream) configure(cfg SegmentConfig) {
 	L := len(s.d.clf.langs)
 	s.langs = L
 	s.w = s.d.clf.window
+	s.plane = nil
+	if m, ok := s.d.clf.kernel.(*maskKernel); ok && len(m.planes) == 1 && s.w.Subsample <= 1 {
+		s.plane = m.planes[0]
+	}
 	s.bytesSeen, s.gramsSeen, s.fill, s.chunks, s.base = 0, 0, 0, 0, 0
 	s.done = false
 	s.spans = s.spans[:0]
@@ -304,33 +321,56 @@ func (s *Stream) WriteString(p string) (int, error) {
 
 var errStreamFinished = fmt.Errorf("core: Stream written after Finish (Reset starts a new document)")
 
-// count is the one counting step. Without segmentation the write takes
-// one Kernel.Count straight into the open row, so a whole document
-// reaches the kernel in one call. With segmentation the write is cut
-// where each stride of n-grams completes, and each piece is counted
-// into the open row.
+// gramBlock is the most bytes, and so the most n-grams, a Stream hands
+// the kernel's AccumulateInto at once.
+const gramBlock = 256
+
+// countBytes is the one pass from bytes to counts: it shifts p through
+// the stream's window and adds the matches of every n-gram it
+// completes into the open row, returning how many that was. The fused
+// mask loop counts straight from the bytes; any other kernel gets the
+// n-grams a block at a time. The window carries across calls, so a
+// document counted in any number of pieces gets the counts of one call
+// over all of it.
+func (s *Stream) countBytes(p []byte) (grams int) {
+	if s.plane != nil {
+		return countFused(s.plane, &s.w, s.open, p)
+	}
+	for len(p) > 0 {
+		n := min(len(p), gramBlock)
+		gs := s.w.FeedBytes(s.block[:0], p[:n])
+		s.d.clf.kernel.AccumulateInto(s.open, gs)
+		grams += len(gs)
+		p = p[n:]
+	}
+	return grams
+}
+
+// count is the one counting step. Without segmentation the whole write
+// goes through countBytes into the open row. With segmentation the
+// write is cut where each stride of n-grams completes, and each piece
+// is counted into the open row; where the fused loop applies, runs of
+// whole chunks are counted and stepped on its lanes (countChunks).
 func (s *Stream) count(p []byte) {
 	s.bytesSeen += len(p)
-	kernel := s.d.clf.kernel
 	if s.cfg.Stride == 0 {
-		s.gramsSeen += kernel.Count(s.open, &s.w, p)
+		s.gramsSeen += s.countBytes(p)
 		return
 	}
 	stride := s.cfg.Stride
-	mask, _ := kernel.(*maskKernel)
-	fused := mask != nil && mask.fused(&s.w) && s.cfg.Penalty < 128-stride
+	fused := s.plane != nil && s.cfg.Penalty < 128-stride
 	for len(p) > 0 {
 		if fused && s.fill == 0 && s.w.Filled == s.w.N-1 && len(p) >= stride {
 			k := min(len(p)/stride, s.nextCommit-s.chunks)
 			rows, back := s.grow(k)
-			s.w.Reg = s.countChunks(mask.planes[0], s.w.Reg, p[:k*stride], rows, back)
+			s.w.Reg = s.countChunks(s.plane, s.w.Reg, p[:k*stride], rows, back)
 			p = p[k*stride:]
 			s.gramsSeen += k * stride
 			s.closed(k)
 			continue
 		}
 		n := min(s.w.BytesFor(stride-s.fill), len(p))
-		grams := kernel.Count(s.open, &s.w, p[:n])
+		grams := s.countBytes(p[:n])
 		p = p[n:]
 		s.gramsSeen += grams
 		if s.fill += grams; s.fill == stride {

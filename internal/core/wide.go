@@ -10,26 +10,32 @@ import (
 )
 
 // WideClassifier implements the §3.3 Unicode extension: the same
-// match-counting classifier over 16-bit characters, with Parallel
-// Bloom Filters whose hashes take the wider packed n-gram. A direct
-// lookup table "grows exponentially in the size of the alphabet"; the
-// Bloom filter's storage is unchanged.
+// match-counting classifier over 16-bit characters. Its Parallel Bloom
+// Filters are the narrow classifier's, built by the same per-language
+// constructor, and only their hashes take the wider packed n-gram
+// (Program64, Test64). A direct lookup table "grows exponentially in
+// the size of the alphabet"; the Bloom filter's storage is unchanged.
 type WideClassifier struct {
 	cfg     Config
 	langs   []string
-	filters []*bloom.Parallel64
+	filters []*bloom.Parallel
 }
 
 // TrainWide builds a wide classifier from UTF-8 training texts keyed by
-// language. The Config fields have their usual meanings; N is capped at
-// 4 (a 4-gram of 16-bit characters fills the 64-bit hash input).
+// language. The Config fields have their usual meanings and are
+// validated as TrainFromTexts validates them; N is capped at 4 (a
+// 4-gram of 16-bit characters fills the 64-bit hash input), and
+// Subsample must be 1, because the wide classifier tests every n-gram.
 func TrainWide(cfg Config, texts map[string][]string) (*WideClassifier, error) {
 	cfg.applyDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.N > ngram.MaxWideN {
 		return nil, fmt.Errorf("core: wide n=%d exceeds %d", cfg.N, ngram.MaxWideN)
 	}
-	if cfg.MBits == 0 || cfg.MBits&(cfg.MBits-1) != 0 {
-		return nil, fmt.Errorf("core: m=%d bits is not a power of two", cfg.MBits)
+	if cfg.Subsample > 1 {
+		return nil, fmt.Errorf("core: wide classifier does not subsample (subsample %d)", cfg.Subsample)
 	}
 	if len(texts) == 0 {
 		return nil, fmt.Errorf("core: no training languages")
@@ -48,11 +54,13 @@ func TrainWide(cfg Config, texts map[string][]string) (*WideClassifier, error) {
 		if err != nil {
 			return nil, err
 		}
-		f, err := bloom.NewParallel64(cfg.K, ngram.WideBitsFor(cfg.N), cfg.MBits, cfg.Seed+int64(i)*1000003)
+		f, err := languageFilter(cfg, i, ngram.WideBitsFor(cfg.N))
 		if err != nil {
 			return nil, err
 		}
-		f.ProgramAll(p.Grams)
+		for _, g := range p.Grams {
+			f.Program64(g)
+		}
 		c.langs = append(c.langs, lang)
 		c.filters = append(c.filters, f)
 	}
@@ -76,7 +84,7 @@ func (c *WideClassifier) Classify(text string) Result {
 	for i, f := range c.filters {
 		count := 0
 		for _, g := range gs {
-			if f.Test(g) {
+			if f.Test64(g) {
 				count++
 			}
 		}

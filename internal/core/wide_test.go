@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -56,6 +57,77 @@ func TestTrainWideValidation(t *testing.T) {
 	}
 	if _, err := TrainWide(Config{}, map[string][]string{"el": nil}); err == nil {
 		t.Error("TrainWide with empty language succeeded")
+	}
+}
+
+// TestTrainWideRejectsInvalidConfig: TrainWide validates its Config as
+// TrainFromTexts does, and refuses subsampling, which the wide
+// classifier never does, instead of ignoring it.
+func TestTrainWideRejectsInvalidConfig(t *testing.T) {
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{TopT: -5}, "profile size"},
+		{Config{K: -1}, "k="},
+		{Config{N: -2}, "n="},
+		{Config{Subsample: -2}, "subsample"},
+		{Config{Subsample: 3}, "subsample"},
+		{Config{N: 5}, "wide n="},
+		{Config{MBits: 1000}, "power of two"},
+	} {
+		_, err := TrainWide(c.cfg, wideTraining)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("TrainWide(%+v) error = %v, want one naming %q", c.cfg, err, c.want)
+		}
+	}
+	if _, err := TrainWide(Config{Subsample: 1}, wideTraining); err != nil {
+		t.Errorf("TrainWide with subsample 1: %v", err)
+	}
+}
+
+// wideProbes are the five probe texts of examples/unicode.
+var wideProbes = []string{
+	"το ευρωπαϊκό κοινοβούλιο θεσπίζει μέτρα για την εφαρμογή",
+	"европейский парламент принимает меры для применения",
+	"європейський парламент вживає заходів для застосування",
+	"европейският парламент приема мерки за прилагането",
+	"the european parliament shall adopt measures for the application",
+}
+
+// TestWideCountsGolden pins the wide classifier bit for bit at 48- and
+// 64-bit hash inputs (n = 3 and 4): the counts, in Languages() order
+// (el, en, ru, uk), were recorded from the dedicated 64-bit H3 and
+// Bloom types the wide path ran on before they were folded into
+// h3.Func and bloom.Parallel.
+func TestWideCountsGolden(t *testing.T) {
+	golden := map[int][]Result{
+		3: {
+			{NGrams: 54, Counts: []int{53, 0, 0, 0}},
+			{NGrams: 49, Counts: []int{0, 0, 45, 21}},
+			{NGrams: 52, Counts: []int{0, 0, 27, 47}},
+			{NGrams: 48, Counts: []int{0, 0, 26, 15}},
+			{NGrams: 62, Counts: []int{0, 59, 0, 0}},
+		},
+		4: {
+			{NGrams: 53, Counts: []int{51, 0, 0, 0}},
+			{NGrams: 48, Counts: []int{0, 0, 40, 14}},
+			{NGrams: 51, Counts: []int{0, 0, 16, 42}},
+			{NGrams: 47, Counts: []int{0, 0, 18, 12}},
+			{NGrams: 61, Counts: []int{0, 55, 0, 0}},
+		},
+	}
+	for n, want := range golden {
+		c, err := TrainWide(Config{N: n, TopT: 2000, K: 4, MBits: 16 * 1024, Seed: 9}, wideTraining)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, text := range wideProbes {
+			r := c.Classify(text)
+			if r.NGrams != want[i].NGrams || !slices.Equal(r.Counts, want[i].Counts) {
+				t.Errorf("n=%d probe %d: %d n-grams, counts %v; golden %d, %v", n, i, r.NGrams, r.Counts, want[i].NGrams, want[i].Counts)
+			}
+		}
 	}
 }
 

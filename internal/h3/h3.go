@@ -20,9 +20,11 @@ import (
 )
 
 // MaxInputBits is the widest input this implementation accepts. Packed
-// 4-grams of 5-bit characters need 20 bits; 32 leaves room for larger
-// alphabets (e.g. the 16-bit Unicode extension discussed in §3.3).
-const MaxInputBits = 32
+// 4-grams of 5-bit characters need 20 bits; the §3.3 Unicode extension
+// packs 4-grams of 16-bit characters into 64. Only the width of the
+// XOR tree changes, so one function type serves both alphabets: Hash
+// takes the narrow words, Hash64 the wide ones.
+const MaxInputBits = 64
 
 // Func is one member of the H3 family: a hash from inputBits-wide words
 // to values in [0, 1<<outputBits).
@@ -36,8 +38,9 @@ type Func struct {
 	// per input byte. This is the software analogue of the hardware
 	// XOR tree evaluating all input bits in parallel, and it makes the
 	// software classifier's hot path four table lookups per hash
-	// instead of a twenty-iteration bit loop.
-	tab [4][256]uint32
+	// instead of a twenty-iteration bit loop. Tables past the input
+	// width are all zero.
+	tab [MaxInputBits / 8][256]uint32
 }
 
 // New constructs an H3 function with the given input and output widths,
@@ -60,12 +63,12 @@ func New(inputBits, outputBits uint, rng *rand.Rand) (*Func, error) {
 	}
 	// Build the byte-chunk tables. Rows beyond the input width stay
 	// zero, so bits of x above the input width contribute nothing.
-	for chunk := 0; chunk < 4; chunk++ {
+	for chunk := range f.tab {
 		for v := 1; v < 256; v++ {
 			var h uint32
 			for b := uint(0); b < 8; b++ {
 				if v&(1<<b) != 0 {
-					h ^= f.rows[uint(chunk)*8+b]
+					h ^= f.rows[chunk*8+int(b)]
 				}
 			}
 			f.tab[chunk][v] = h
@@ -81,6 +84,17 @@ func (f *Func) Hash(x uint32) uint32 {
 		f.tab[1][x>>8&0xFF] ^
 		f.tab[2][x>>16&0xFF] ^
 		f.tab[3][x>>24]
+}
+
+// Hash64 evaluates the function on a word of up to 64 bits, the packed
+// wide n-gram of §3.3. Bits above the input width are ignored, so
+// Hash64(uint64(x)) == Hash(x) for every x.
+func (f *Func) Hash64(x uint64) uint32 {
+	return f.Hash(uint32(x)) ^
+		f.tab[4][x>>32&0xFF] ^
+		f.tab[5][x>>40&0xFF] ^
+		f.tab[6][x>>48&0xFF] ^
+		f.tab[7][x>>56]
 }
 
 // InputBits returns the configured input width.
@@ -127,17 +141,3 @@ func (fam *Family) K() int { return len(fam.funcs) }
 
 // Func returns function i of the family.
 func (fam *Family) Func(i int) *Func { return fam.funcs[i] }
-
-// HashAll evaluates every function on x, writing the k results into dst,
-// which must have length at least K. It returns dst[:K]. The k
-// evaluations are independent, which is exactly the parallelism the
-// hardware exploits by instantiating k XOR trees side by side.
-func (fam *Family) HashAll(dst []uint32, x uint32) []uint32 {
-	if len(dst) < len(fam.funcs) {
-		panic("h3: destination shorter than family")
-	}
-	for i, f := range fam.funcs {
-		dst[i] = f.Hash(x)
-	}
-	return dst[:len(fam.funcs)]
-}

@@ -10,7 +10,9 @@ import (
 // 16-bit characters packed into uint64 (so n <= 4), counted with a map
 // instead of a flat table — the very point of the extension is that a
 // direct lookup table over a 16-bit alphabet would be astronomically
-// large while the Bloom filter only needs a wider hash input.
+// large while the Bloom filter only needs a wider hash input. The
+// packed word is that input: the same bloom.Parallel takes it through
+// Program64 and Test64, which hash it with h3.Func's Hash64.
 
 // MaxWideN is the largest wide n-gram length that packs into 64 bits.
 const MaxWideN = 64 / alphabet.WideBits // 4

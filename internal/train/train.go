@@ -4,8 +4,8 @@
 // a Trainer ingests documents incrementally — one Add call, one
 // io.Reader, one NDJSON line, or one file of a directory tree at a
 // time — and counts each one in the caller through ngram.Window's
-// FeedBytes, the translate-and-shift loop the Bloom serving kernels
-// run through core.CountGrams. Finalize ranks the top-t n-grams per
+// FeedBytes, the translate-and-shift loop a core.Stream runs to feed
+// n-gram blocks to the parallel-bloom kernel. Finalize ranks the top-t n-grams per
 // language, producing a core.ProfileSet byte-identical to what
 // core.TrainFromTexts builds from the same documents: counting is
 // additive, so the order documents arrive in does not change the
