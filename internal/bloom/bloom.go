@@ -46,7 +46,7 @@ func (v *BitVector) Len() uint32 { return v.m }
 // Set sets bit i to 1.
 func (v *BitVector) Set(i uint32) {
 	if i >= v.m {
-		panic(fmt.Sprintf("bloom: bit %d out of range [0,%d)", i, v.m))
+		v.outOfRange(i)
 	}
 	v.words[i>>6] |= 1 << (i & 63)
 }
@@ -54,9 +54,18 @@ func (v *BitVector) Set(i uint32) {
 // Get returns bit i.
 func (v *BitVector) Get(i uint32) bool {
 	if i >= v.m {
-		panic(fmt.Sprintf("bloom: bit %d out of range [0,%d)", i, v.m))
+		v.outOfRange(i)
 	}
 	return v.words[i>>6]&(1<<(i&63)) != 0
+}
+
+// outOfRange panics for bit i. It is kept out of line so that Get and
+// Set, without the message formatting, are small enough to inline into
+// the membership loops.
+//
+//go:noinline
+func (v *BitVector) outOfRange(i uint32) {
+	panic(fmt.Sprintf("bloom: bit %d out of range [0,%d)", i, v.m))
 }
 
 // Reset clears every bit, the hardware's bit-vector reset step

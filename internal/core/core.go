@@ -144,7 +144,9 @@ type ProfileSet struct {
 
 // TrainFromTexts builds per-language profiles from raw training texts
 // keyed by language code, counting every language over one shared
-// n-gram vocabulary, as the streaming trainer does.
+// n-gram vocabulary, as the streaming trainer does. A language's texts
+// may hold at most ngram.MaxTotal n-grams; the document that would
+// pass that is refused, with an error naming the language.
 func TrainFromTexts(cfg Config, texts map[string][][]byte) (*ProfileSet, error) {
 	cfg.applyDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -163,15 +165,18 @@ func TrainFromTexts(cfg Config, texts map[string][][]byte) (*ProfileSet, error) 
 		return nil, err
 	}
 	ps := &ProfileSet{Config: cfg}
+	var r ngram.Ranker
 	for _, lang := range langs {
 		if len(texts[lang]) == 0 {
 			return nil, fmt.Errorf("core: language %q has no training documents", lang)
 		}
 		c := v.NewCounter()
 		for _, text := range texts[lang] {
-			c.AddText(text)
+			if err := c.AddText(text); err != nil {
+				return nil, fmt.Errorf("core: language %q: %w", lang, err)
+			}
 		}
-		ps.Profiles = append(ps.Profiles, ngram.BuildProfile(lang, c, cfg.TopT))
+		ps.Profiles = append(ps.Profiles, r.Profile(lang, c, cfg.TopT))
 	}
 	return ps, nil
 }

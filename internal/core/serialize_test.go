@@ -109,6 +109,24 @@ func TestReadProfileSetLegacyFormat(t *testing.T) {
 	}
 }
 
+// TestReadProfileSetLegacyCutAfterMagic: a legacy stream that ends
+// inside a record, after that record's magic, is damaged, not a clean
+// end of the stream after the records before it.
+func TestReadProfileSetLegacyCutAfterMagic(t *testing.T) {
+	ps := trainMini(t, Config{TopT: 300})
+	var buf bytes.Buffer
+	if _, err := ps.Profiles[0].WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{"NGPF", "NGPF\x01\x04"} {
+		data := append(bytes.Clone(buf.Bytes()), tail...)
+		_, err := ReadProfileSet(bytes.NewReader(data))
+		if !errors.Is(err, ErrCorruptProfiles) || !strings.Contains(err.Error(), "damaged after 1 profiles") {
+			t.Errorf("legacy stream ending in %q: %v, want damaged after 1 profile", tail, err)
+		}
+	}
+}
+
 // TestReadProfileSetVersion2Fixture loads an NGPS version-2 file,
 // written with the embedded filter layout of a since-removed backend,
 // and checks it against its version-1 rewrite: the rewrite is the file

@@ -3,7 +3,6 @@ package ngram
 import (
 	"bytes"
 	"slices"
-	"sort"
 	"testing"
 
 	"bloomlang/internal/alphabet"
@@ -106,19 +105,14 @@ func FuzzFeedBytes(f *testing.F) {
 }
 
 // fullSortTop is the brute-force ranking Counter.Top and topWide must
-// reproduce: every entry, sorted by count descending then packed n-gram
-// ascending, cut to the first t.
+// reproduce: every entry, sorted by compareEntries (count descending
+// then packed n-gram ascending), cut to the first t.
 func fullSortTop[G Gram](counts map[G]uint64, t int) []Entry[G] {
 	all := make([]Entry[G], 0, len(counts))
 	for g, n := range counts {
 		all = append(all, Entry[G]{g, n})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count > all[j].Count
-		}
-		return all[i].Gram < all[j].Gram
-	})
+	slices.SortFunc(all, compareEntries)
 	return all[:max(0, min(t, len(all)))]
 }
 
@@ -135,19 +129,21 @@ func counterOf(counts map[uint32]uint64) *Counter {
 	c := &Counter{v: v}
 	for g, n := range counts {
 		v.grams = append(v.grams, g|1<<24, g)
-		c.counts = append(c.counts, 0, n)
+		c.counts = append(c.counts, 0, uint32(n))
 	}
 	v.grams = append(v.grams, 1<<25, 1<<25+1)
 	return c
 }
 
-// FuzzTopT checks the top-t ranking, Counter.Top and topWide, against
-// a brute-force full sort. Each 3-byte record of data adds a count to a
-// 16-bit n-gram; counts are drawn from 1..levels%8+1, so heavy ties
-// only the packed n-gram breaks are the rule, also at the cut, and
-// levels >= 128 lifts them past 32 bits. The wide n-grams have high
-// bits set: both ways sortEntries sorts, packed and by comparator, are
-// taken.
+// FuzzTopT checks the top-t ranking, Counter.Top, Ranker.Profile and
+// topWide, against a brute-force full sort. Each 3-byte record of data
+// adds a count to a 16-bit n-gram; counts are drawn from
+// 1..levels%8+1, so heavy ties only the packed n-gram breaks are the
+// rule, also at the cut. One Ranker ranks every cut of the counter and
+// of a second one over every other n-gram in turn, so each ranking
+// starts from the scratch the one before it left. levels >= 128 lifts
+// the wide counts past 32 bits; with the wide n-grams' high bits set,
+// both ways sortEntries sorts, radix and by comparator, are taken.
 func FuzzTopT(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(0))
 	f.Add([]byte{}, uint8(3))
@@ -155,17 +151,32 @@ func FuzzTopT(f *testing.F) {
 	f.Add([]byte("the quick brown fox jumps over the lazy dog, the end"), uint8(7))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 1, 2, 9}, uint8(129))
 	f.Fuzz(func(t *testing.T, data []byte, levels uint8) {
-		narrow, wide := map[uint32]uint64{}, map[uint64]uint64{}
+		narrow, half, wide := map[uint32]uint64{}, map[uint32]uint64{}, map[uint64]uint64{}
 		for i := 0; i+2 < len(data); i += 3 {
 			g := uint32(data[i])<<8 | uint32(data[i+1])
-			n := uint64(data[i+2])%(uint64(levels%8)+1) + 1 + uint64(levels>>7)<<32
+			n := uint64(data[i+2])%(uint64(levels%8)+1) + 1
 			narrow[g] += n
-			wide[uint64(g)<<40|uint64(g)] += n
+			if g%2 == 0 {
+				half[g] += n
+			}
+			wide[uint64(g)<<40|uint64(g)] += n + uint64(levels>>7)<<32
 		}
-		c := counterOf(narrow)
+		var r Ranker
 		for _, k := range rankCuts(len(narrow)) {
-			if got, want := c.Top(k), fullSortTop(narrow, k); !slices.Equal(got, want) {
-				t.Fatalf("t=%d of %d distinct: Counter.Top %v, full sort %v", k, len(narrow), got, want)
+			for _, counts := range []map[uint32]uint64{narrow, half} {
+				c, want := counterOf(counts), fullSortTop(counts, k)
+				if got := c.Top(k); !slices.Equal(got, want) {
+					t.Fatalf("t=%d of %d distinct: Counter.Top %v, full sort %v", k, len(counts), got, want)
+				}
+				p := r.Profile("xx", c, k)
+				if len(p.Grams) != len(want) {
+					t.Fatalf("t=%d of %d distinct: Ranker.Profile kept %d n-grams, full sort %d", k, len(counts), len(p.Grams), len(want))
+				}
+				for i, e := range want {
+					if p.Grams[i] != e.Gram {
+						t.Fatalf("t=%d of %d distinct: Ranker.Profile %v, full sort %v", k, len(counts), p.Grams, want)
+					}
+				}
 			}
 		}
 		for _, k := range rankCuts(len(wide)) {

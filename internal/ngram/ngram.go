@@ -14,6 +14,7 @@ package ngram
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"bloomlang/internal/alphabet"
@@ -235,16 +236,20 @@ func Count(d, n int) int { return max(0, d-n+1) }
 // language's Counter is then a slice of counts indexed by that number,
 // so a language costs one count per n-gram the run has seen, not one
 // per possible n-gram. Up to flatBits of packed width (n <= 4) the index
-// from packed n-gram to number is a flat table, 4 MiB at n = 4 and one
-// per run; above it, a map. Counting into a Vocabulary's Counters is
-// not safe for concurrent use; once counting is done, ranking only
-// reads, so its Counters may call Top concurrently.
+// from packed n-gram to number is a flat table, one per run, as wide as
+// the vocabulary needs: uint16 numbers while the run has seen at most
+// 65535 distinct n-grams (2 MiB at n = 4; at n <= 3 it never holds
+// more), widened to uint32 in one pass by the first n-gram past that.
+// Above flatBits the index is a map. Counting into a Vocabulary's
+// Counters is not safe for concurrent use; once counting is done,
+// ranking only reads, so its Counters may rank concurrently.
 type Vocabulary struct {
-	n     int
-	index []uint32          // packed n-gram -> number+1 (0: unseen), when Bits(n) <= flatBits
-	ids   map[uint32]uint32 // packed n-gram -> number+1, above flatBits
-	grams []uint32          // number -> packed n-gram
-	block []uint32          // AddText's n-gram scratch
+	n       int
+	index16 []uint16          // packed n-gram -> number+1 (0: unseen), while numbers fit 16 bits
+	index32 []uint32          // the same index, once they do not
+	ids     map[uint32]uint32 // packed n-gram -> number+1, above flatBits
+	grams   []uint32          // number -> packed n-gram
+	block   []uint32          // AddText's n-gram scratch
 }
 
 const (
@@ -253,6 +258,12 @@ const (
 	textBlock = 4 << 10
 )
 
+// MaxTotal is the most n-grams one Counter counts: its counts are
+// uint32, exact while the language's total stays within it, about
+// 4 GiB of text per language per run. AddAll and AddText refuse a
+// batch that would pass it, before counting any of it.
+const MaxTotal = math.MaxUint32
+
 // NewVocabulary returns an empty vocabulary of n-grams of length n.
 func NewVocabulary(n int) (*Vocabulary, error) {
 	if err := checkN(n); err != nil {
@@ -260,7 +271,7 @@ func NewVocabulary(n int) (*Vocabulary, error) {
 	}
 	v := &Vocabulary{n: n, block: make([]uint32, textBlock)}
 	if Bits(n) <= flatBits {
-		v.index = make([]uint32, 1<<Bits(n))
+		v.index16 = make([]uint16, 1<<Bits(n))
 	} else {
 		v.ids = make(map[uint32]uint32)
 	}
@@ -274,35 +285,59 @@ func (v *Vocabulary) number(g uint32) uint32 {
 	return uint32(len(v.grams))
 }
 
+// widen copies the uint16 index into a uint32 one, for the vocabulary's
+// 65536th n-gram.
+func (v *Vocabulary) widen() {
+	v.index32 = make([]uint32, len(v.index16))
+	for g, id := range v.index16 {
+		v.index32[g] = uint32(id)
+	}
+	v.index16 = nil
+}
+
 // Counter accumulates one language's n-gram frequencies for profile
 // construction, indexed by its Vocabulary's numbering.
 type Counter struct {
 	v      *Vocabulary
-	counts []uint64 // by n-gram number; may lag behind the vocabulary
+	counts []uint32 // by n-gram number; may lag behind the vocabulary
 	total  uint64
 }
 
 // NewCounter returns an empty Counter for one language over v.
 func (v *Vocabulary) NewCounter() *Counter { return &Counter{v: v} }
 
+// PresetTotal sets c's total as if total n-grams had been counted,
+// with no counts behind them. It lets a test take a Counter to
+// MaxTotal without 4 GiB of text.
+func PresetTotal(c *Counter, total uint64) { c.total = total }
+
 // AddAll increments the count of every n-gram in gs, numbering the ones
-// the vocabulary has not seen yet.
-func (c *Counter) AddAll(gs []uint32) {
+// the vocabulary has not seen yet. It refuses gs, counting none of it,
+// if the total would pass MaxTotal.
+func (c *Counter) AddAll(gs []uint32) error {
+	if err := c.fits(len(gs)); err != nil {
+		return err
+	}
+	c.add(gs)
+	return nil
+}
+
+// add counts gs, which fit under MaxTotal.
+func (c *Counter) add(gs []uint32) {
 	v := c.v
 	// Catch up with the numbers other languages added, so that each
 	// number added below is the next element of counts.
-	counts := append(c.counts, make([]uint64, len(v.grams)-len(c.counts))...)
-	if v.index != nil {
-		for _, g := range gs {
-			id := v.index[g]
-			if id == 0 {
-				id = v.number(g)
-				v.index[g] = id
-				counts = append(counts, 0)
-			}
-			counts[id-1]++
+	counts := append(c.counts, make([]uint32, len(v.grams)-len(c.counts))...)
+	switch {
+	case v.index16 != nil:
+		var rest []uint32
+		if counts, rest = addFlat(v, v.index16, counts, gs); len(rest) > 0 {
+			v.widen()
+			counts, _ = addFlat(v, v.index32, counts, rest)
 		}
-	} else {
+	case v.index32 != nil:
+		counts, _ = addFlat(v, v.index32, counts, gs)
+	default:
 		for _, g := range gs {
 			id := v.ids[g]
 			if id == 0 {
@@ -317,15 +352,49 @@ func (c *Counter) AddAll(gs []uint32) {
 	c.total += uint64(len(gs))
 }
 
+// addFlat counts gs through the flat index, numbering new n-grams,
+// until an n-gram needs a number the index's type cannot hold; it
+// returns the counts and the n-grams from that one on.
+func addFlat[I uint16 | uint32](v *Vocabulary, index []I, counts, gs []uint32) ([]uint32, []uint32) {
+	for i, g := range gs {
+		id := index[g]
+		if id == 0 {
+			if len(v.grams) == int(^I(0)) {
+				return counts, gs[i:]
+			}
+			id = I(v.number(g))
+			index[g] = id
+			counts = append(counts, 0)
+		}
+		counts[id-1]++
+	}
+	return counts, nil
+}
+
+// fits refuses grams more n-grams if they would take the total past
+// MaxTotal.
+func (c *Counter) fits(grams int) error {
+	if c.total+uint64(grams) > MaxTotal {
+		return fmt.Errorf("ngram: %d more n-grams would take the total of %d past %d, the most a Counter counts exactly", grams, c.total, uint64(MaxTotal))
+	}
+	return nil
+}
+
 // AddText counts the n-grams of one whole document, fed through
-// Window.FeedBytes in blocks of the vocabulary's scratch.
-func (c *Counter) AddText(text []byte) {
+// Window.FeedBytes in blocks of the vocabulary's scratch. It refuses
+// the document, counting none of it, if its n-grams would take the
+// total past MaxTotal.
+func (c *Counter) AddText(text []byte) error {
+	if err := c.fits(Count(len(text), c.v.n)); err != nil {
+		return err
+	}
 	w := Window{N: c.v.n}
 	for len(text) > 0 {
 		k := min(len(text), len(c.v.block))
-		c.AddAll(w.FeedBytes(c.v.block[:0], text[:k]))
+		c.add(w.FeedBytes(c.v.block[:0], text[:k]))
 		text = text[k:]
 	}
+	return nil
 }
 
 // Total returns the number of n-grams accumulated.
@@ -339,5 +408,5 @@ func (c *Counter) Total() uint64 { return c.total }
 // vocabulary, so once counting is done the Counters of one Vocabulary
 // may rank concurrently.
 func (c *Counter) Top(t int) []Entry[uint32] {
-	return rank(c.v.grams, c.counts, t)
+	return rank(new(scratch[uint32]), c.v.grams, c.counts, t)
 }

@@ -1,9 +1,11 @@
 package ngram
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -233,7 +235,7 @@ func TestCounterFlatAndMapAgree(t *testing.T) {
 	text := []byte("the theme of the thesis is the theory of the the")
 	for _, n := range []int{4, 5} {
 		c := newCounter(t, n)
-		if n == 4 && c.v.index == nil || n == 5 && c.v.ids == nil {
+		if n == 4 && c.v.index16 == nil || n == 5 && c.v.ids == nil {
 			t.Fatalf("n=%d: vocabulary not indexed as expected", n)
 		}
 		c.AddText(text)
@@ -346,6 +348,88 @@ func TestCountersShareVocabulary(t *testing.T) {
 	}
 }
 
+// TestVocabularyWidens counts more than 65535 distinct n-grams, the
+// most the uint16 index numbers, with the AddAll call that crosses the
+// limit cut so the vocabulary holds 65534, 65535 or 65536 n-grams
+// after it: the index widens within a call, at the start of one and
+// one n-gram into one. A second language counts n-grams on both sides
+// of the widening. Counts and Top equal a map-based count throughout.
+func TestVocabularyWidens(t *testing.T) {
+	const distinct = 1<<16 + 1000
+	var gs []uint32
+	for i := range distinct {
+		gs = append(gs, uint32(i*7919)&(1<<20-1)) // distinct: 7919 is odd
+	}
+	for i := 0; i < distinct; i += 3 {
+		gs = append(gs, gs[i/2])
+	}
+	other := []uint32{gs[5], gs[distinct-1], gs[70000]}
+	check := func(when string, c *Counter, counted []uint32) {
+		t.Helper()
+		ref := map[uint32]uint64{}
+		for _, g := range counted {
+			ref[g]++
+		}
+		if got := countsOf(c); !maps.Equal(got, ref) {
+			t.Fatalf("%s: counts differ from a map count (%d vs %d n-grams)", when, len(got), len(ref))
+		}
+		if got, want := c.Top(500), fullSortTop(ref, 500); !slices.Equal(got, want) {
+			t.Fatalf("%s: Top(500) differs from a full sort", when)
+		}
+		if c.Total() != uint64(len(counted)) {
+			t.Fatalf("%s: Total %d, want %d", when, c.Total(), len(counted))
+		}
+	}
+	for _, split := range []int{1<<16 - 2, 1<<16 - 1, 1 << 16} {
+		v, err := NewVocabulary(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := v.NewCounter(), v.NewCounter()
+		b.AddAll(other[:1])
+		a.AddAll(gs[:split])
+		if wide := split > 1<<16-1; (v.index32 != nil) != wide || (v.index16 != nil) == wide {
+			t.Fatalf("split %d: %d n-grams numbered, index16 %t, index32 %t", split, len(v.grams), v.index16 != nil, v.index32 != nil)
+		}
+		check(fmt.Sprintf("split %d, before", split), a, gs[:split])
+		a.AddAll(gs[split:])
+		b.AddAll(other[1:])
+		if v.index16 != nil || v.index32 == nil || len(v.grams) != distinct {
+			t.Fatalf("split %d: %d n-grams numbered, index not widened", split, len(v.grams))
+		}
+		check(fmt.Sprintf("split %d, after", split), a, gs)
+		check(fmt.Sprintf("split %d, other language", split), b, other)
+	}
+}
+
+// TestCounterRefusesPastMaxTotal: a batch or document whose n-grams
+// would take a Counter's total past MaxTotal is refused whole, leaving
+// the counts and the total as they were; one that reaches it exactly
+// is counted.
+func TestCounterRefusesPastMaxTotal(t *testing.T) {
+	c := newCounter(t, 4)
+	c.AddText([]byte("abcdef"))
+	before := countsOf(c)
+	PresetTotal(c, MaxTotal-4)
+	doc := []byte("abcdefgh") // 5 n-grams
+	if err := c.AddText(doc); err == nil {
+		t.Fatal("AddText past MaxTotal succeeded")
+	}
+	gs, _ := ExtractBytes(doc, 4)
+	if err := c.AddAll(gs); err == nil {
+		t.Fatal("AddAll past MaxTotal succeeded")
+	}
+	if got := countsOf(c); !maps.Equal(got, before) || c.Total() != MaxTotal-4 {
+		t.Fatalf("a refused batch changed the counter: %v, total %d", got, c.Total())
+	}
+	if err := c.AddText(doc[:7]); err != nil {
+		t.Fatalf("AddText up to MaxTotal: %v", err)
+	}
+	if c.Total() != MaxTotal {
+		t.Fatalf("Total %d, want %d", c.Total(), uint64(MaxTotal))
+	}
+}
+
 func BenchmarkExtract64KiB(b *testing.B) {
 	text := make([]byte, 64*1024)
 	for i := range text {
@@ -368,7 +452,7 @@ func BenchmarkExtract64KiB(b *testing.B) {
 func TestCounterN(t *testing.T) {
 	c := newCounter(t, 5)
 	c.AddText([]byte("abcdefg"))
-	if p := BuildProfile("xx", c, 10); p.N != 5 {
+	if p := new(Ranker).Profile("xx", c, 10); p.N != 5 {
 		t.Fatalf("profile N = %d, want 5", p.N)
 	}
 	for _, n := range []int{0, MaxN + 1} {
@@ -431,9 +515,9 @@ func BenchmarkCounterTop(b *testing.B) {
 	c := v.NewCounter()
 	for i := range 20000 {
 		v.grams = append(v.grams, uint32(i*2654435761)>>12)
-		n := uint64(0)
+		n := uint32(0)
 		if i%5 != 0 {
-			n = 40000/uint64(i+1) + uint64(i%3)
+			n = 40000/uint32(i+1) + uint32(i%3)
 		}
 		c.counts = append(c.counts, n)
 	}

@@ -2,8 +2,14 @@ package ngram
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func sampleProfile(t *testing.T) *Profile {
@@ -93,6 +99,59 @@ func TestProfileSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestProfileCodecLargeProfile round-trips a profile of more n-grams
+// than WriteTo's buffer and ReadProfile's first step hold, read in
+// short reads: WriteTo reports every byte it wrote, the bytes are the
+// format's little-endian words, and Grams come back whole.
+func TestProfileCodecLargeProfile(t *testing.T) {
+	p := &Profile{Language: strings.Repeat("x", writeChunk+3), N: 4}
+	for i := range 3*readStep + 5 {
+		p.Grams = append(p.Grams, uint32(i*2654435761)>>12)
+	}
+	var buf bytes.Buffer
+	n, err := p.WriteTo(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if n != int64(len(data)) || len(data) != 4+4+len(p.Language)+4+4*len(p.Grams) {
+		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, len(data))
+	}
+	last := data[len(data)-4:]
+	if got := binary.LittleEndian.Uint32(last); got != p.Grams[len(p.Grams)-1] {
+		t.Fatalf("last word %#x, want %#x", got, p.Grams[len(p.Grams)-1])
+	}
+	q, err := ReadProfile(iotest.HalfReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Language != p.Language || q.N != p.N || !slices.Equal(q.Grams, p.Grams) {
+		t.Fatal("round trip changed the profile")
+	}
+}
+
+// TestReadProfileTruncatedClaimAllocatesLittle: a 22-byte profile that
+// claims 2^26 n-grams fails as truncated having allocated no more than
+// a step of Grams, not the 256 MiB its header asks for.
+func TestReadProfileTruncatedClaimAllocatesLittle(t *testing.T) {
+	data := []byte("NGPF\x01\x04\x02\x00es")
+	data = binary.LittleEndian.AppendUint32(data, maxProfileGrams)
+	data = append(data, 1, 0, 0, 0, 2, 0, 0, 0)
+	if len(data) != 22 {
+		t.Fatalf("fixture is %d bytes", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadProfile(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("ReadProfile: %v, want unexpected EOF", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("ReadProfile allocated %d bytes on a 22-byte input, want at most 1 MiB", alloc)
+	}
+}
+
 func TestReadProfileRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":     {},
@@ -146,7 +205,7 @@ func TestBuildProfileDeterministic(t *testing.T) {
 		v, _ := NewVocabulary(4)
 		c := v.NewCounter()
 		c.AddText([]byte("determinism is a property worth testing for always"))
-		return BuildProfile("en", c, 10)
+		return new(Ranker).Profile("en", c, 10)
 	}
 	a, b := mk(), mk()
 	if len(a.Grams) != len(b.Grams) {

@@ -27,6 +27,23 @@ func compareEntries[G Gram](a, b Entry[G]) int {
 	return cmp.Compare(a.Gram, b.Gram)
 }
 
+// scratch is ranking's working memory: the winners, the n-grams tied
+// at the cut, and the packed keys sortEntries sorts with their second
+// buffer. Reused across rankings, it leaves a ranking nothing to
+// allocate.
+type scratch[G Gram] struct {
+	win             []Entry[G]
+	ties, keys, tmp []uint64
+}
+
+// Ranker ranks many Counters through one working memory: after its
+// first ranking, a Profile allocates only the profile. The zero Ranker
+// is ready to use. A Ranker is not safe for concurrent use; give each
+// goroutine its own.
+type Ranker struct {
+	s scratch[uint32]
+}
+
 // rank returns the t best of the distinct n-grams grams[i] with a
 // nonzero count counts[i], best first by compareEntries: exactly the
 // first t of a full sort. counts may be shorter than grams; the n-grams
@@ -34,18 +51,17 @@ func compareEntries[G Gram](a, b Entry[G]) int {
 // t-th best count in a pass or two over counts (cut), collects the
 // n-grams above it, and takes from the ones tied at it the smallest
 // n-grams by the same selection over their values; only those t
-// winners are sorted.
-func rank[G Gram](grams []G, counts []uint64, t int) []Entry[G] {
+// winners are sorted. The result is s.win, valid until s ranks again.
+func rank[G Gram, C ~uint32 | ~uint64](s *scratch[G], grams []G, counts []C, t int) []Entry[G] {
 	if t <= 0 {
 		return []Entry[G]{}
 	}
 	c, above, at := cut(counts, t)
-	win := make([]Entry[G], 0, min(t, above+at))
-	ties := make([]uint64, 0, at)
+	win, ties := slices.Grow(s.win[:0], min(t, above+at)), slices.Grow(s.ties[:0], at)
 	for i, n := range counts {
 		switch {
 		case n > c:
-			win = append(win, Entry[G]{grams[i], n})
+			win = append(win, Entry[G]{grams[i], uint64(n)})
 		case n == c && n > 0:
 			ties = append(ties, uint64(grams[i]))
 		}
@@ -57,13 +73,15 @@ func rank[G Gram](grams []G, counts []uint64, t int) []Entry[G] {
 		ties = slices.DeleteFunc(ties, func(v uint64) bool { return v > g })
 	}
 	for _, g := range ties {
-		win = append(win, Entry[G]{G(g), c})
+		win = append(win, Entry[G]{G(g), uint64(c)})
 	}
-	sortEntries(win)
+	s.win, s.ties = win, ties
+	s.sortEntries(win)
 	return win
 }
 
-// digitBits is the width of the digit cut refines per pass.
+// digitBits is the width of the digit cut refines, and the radix sort
+// in sortEntries orders by, per pass.
 const digitBits = 11
 
 // cut returns the k-th largest (k >= 1) of vs, counting repeats, how
@@ -73,10 +91,10 @@ const digitBits = 11
 // and each further pass fixes the next digitBits bits below it among
 // the values that share the bits fixed so far, so counts under 2^12
 // take two passes.
-func cut(vs []uint64, k int) (c uint64, above, at int) {
+func cut[V ~uint32 | ~uint64](vs []V, k int) (c V, above, at int) {
 	var lens [65]int
 	for _, v := range vs {
-		lens[bits.Len64(v)]++
+		lens[bits.Len64(uint64(v))]++
 	}
 	b := 64
 	for ; b > 0 && above+lens[b] < k; b-- {
@@ -100,7 +118,7 @@ func cut(vs []uint64, k int) (c uint64, above, at int) {
 		for ; above+hist[x] < k; x-- {
 			above += hist[x]
 		}
-		c, at = c<<d|uint64(x), hist[x]
+		c, at = c<<d|V(x), hist[x]
 	}
 	return c, above, at
 }
@@ -108,17 +126,41 @@ func cut(vs []uint64, k int) (c uint64, above, at int) {
 // sortEntries sorts es best first by compareEntries. When every count
 // and n-gram fits in 32 bits, as in any real profile, it sorts one
 // packed word per entry instead, the inverted count above the n-gram,
-// with native compares: half the time of calling compareEntries.
-func sortEntries[G Gram](es []Entry[G]) {
-	keys := make([]uint64, len(es))
-	for i, e := range es {
+// by an LSD radix sort of digitBits per pass that skips every digit
+// all the keys share; otherwise it sorts by compareEntries.
+func (s *scratch[G]) sortEntries(es []Entry[G]) {
+	keys := slices.Grow(s.keys[:0], len(es))
+	var diff uint64
+	for _, e := range es {
 		if uint64(e.Gram) > math.MaxUint32 || e.Count > math.MaxUint32 {
 			slices.SortFunc(es, compareEntries)
 			return
 		}
-		keys[i] = (math.MaxUint32-e.Count)<<32 | uint64(e.Gram)
+		k := (math.MaxUint32-e.Count)<<32 | uint64(e.Gram)
+		keys = append(keys, k)
+		diff |= k ^ keys[0]
 	}
-	slices.Sort(keys)
+	tmp := slices.Grow(s.tmp[:0], len(keys))[:len(keys)]
+	for low := uint(0); low < 64; low += digitBits {
+		if diff>>low&(1<<digitBits-1) == 0 {
+			continue
+		}
+		var at [1 << digitBits]int
+		for _, k := range keys {
+			at[k>>low&(1<<digitBits-1)]++
+		}
+		sum := 0
+		for d, n := range at {
+			at[d], sum = sum, sum+n
+		}
+		for _, k := range keys {
+			d := k >> low & (1<<digitBits - 1)
+			tmp[at[d]] = k
+			at[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	s.keys, s.tmp = keys, tmp
 	for i, k := range keys {
 		es[i] = Entry[G]{G(uint32(k)), math.MaxUint32 - k>>32}
 	}

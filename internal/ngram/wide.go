@@ -110,5 +110,5 @@ func topWide(counts map[uint64]uint64, t int) []Entry[uint64] {
 	for g, n := range counts {
 		grams, ns = append(grams, g), append(ns, n)
 	}
-	return rank(grams, ns, t)
+	return rank(new(scratch[uint64]), grams, ns, t)
 }

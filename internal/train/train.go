@@ -10,17 +10,26 @@
 // core.TrainFromTexts builds from the same documents: counting is
 // additive, so the order documents arrive in does not change the
 // totals, and the top-t ranking breaks ties deterministically. Each
-// language's ranking is ngram.Counter.Top, a selection over its counts
-// that sorts only the t winners; Finalize ranks the languages
-// concurrently, on at most GOMAXPROCS goroutines, each profile into its
-// language's slot.
+// language's ranking is a selection over its counts that sorts only
+// the t winners; Finalize ranks the languages concurrently, on at most
+// GOMAXPROCS goroutines, each profile into its language's slot, and
+// each goroutine ranks through one ngram.Ranker, so ranking allocates
+// only the profiles.
 //
-// Peak memory is one ngram.Vocabulary shared by all languages (a 4 MiB
-// index at the paper's n=4, plus 4 bytes per distinct n-gram), one
-// count per vocabulary entry per language (8 bytes each), and per
-// AddReader in flight one read buffer and one n-gram batch, reused
-// across calls — never the corpus, and nothing that grows with the
-// n-gram key space per language.
+// Peak memory is one ngram.Vocabulary shared by all languages (at
+// n <= 4 a flat index of 2 bytes per possible n-gram, 2 MiB at the
+// paper's n=4, widened to 4 bytes per possible n-gram once the run has
+// seen more than 65535 distinct n-grams; a map above n = 4; plus
+// 4 bytes per distinct n-gram), one 4-byte count per vocabulary entry
+// per language, and per AddReader in flight one read buffer and one
+// n-gram batch, reused across calls — never the corpus, and nothing
+// that grows with the n-gram key space per language.
+//
+// Counts are uint32, so one run counts at most ngram.MaxTotal n-grams
+// per language, about 4 GiB of text. Add refuses the document that
+// would pass that, before counting any of it; AddReader, which cannot
+// know a document's length in advance, refuses the batch that would,
+// and poisons the trainer if part of the document was counted already.
 package train
 
 import (
@@ -129,7 +138,9 @@ func (t *Trainer) Add(lang string, doc []byte) error {
 	if err != nil {
 		return err
 	}
-	a.counter.AddText(doc)
+	if err := a.counter.AddText(doc); err != nil {
+		return fmt.Errorf("train: language %q: %w", lang, err)
+	}
 	a.docs++
 	a.bytes += int64(len(doc))
 	return nil
@@ -144,7 +155,9 @@ func (t *Trainer) addGrams(lang string, grams []uint32, docs int, bytes int64) e
 	if err != nil {
 		return err
 	}
-	a.counter.AddAll(grams)
+	if err := a.counter.AddAll(grams); err != nil {
+		return fmt.Errorf("train: language %q: %w", lang, err)
+	}
 	a.docs += docs
 	a.bytes += bytes
 	return nil
@@ -154,10 +167,11 @@ func (t *Trainer) addGrams(lang string, grams []uint32, docs int, bytes int64) e
 // chunks: the document is never buffered whole. The window carries
 // across reads, so chunk boundaries produce exactly the n-grams a
 // contiguous read would. The n-grams are counted in batches of
-// flushGrams; a read error before the first batch leaves no trace,
-// one after it poisons the trainer (see Finalize). The read buffer and
-// the batch are pooled on the trainer, so a warm call allocates
-// nothing; concurrent calls each take their own.
+// flushGrams; a read error, or a batch refused for taking the
+// language past ngram.MaxTotal, leaves no trace before the first batch
+// is counted and poisons the trainer after it (see Finalize). The read
+// buffer and the batch are pooled on the trainer, so a warm call
+// allocates nothing; concurrent calls each take their own.
 func (t *Trainer) AddReader(lang string, r io.Reader) error {
 	if err := checkLang(lang); err != nil {
 		return err
@@ -178,7 +192,7 @@ func (t *Trainer) AddReader(lang string, r io.Reader) error {
 			grams = w.FeedBytes(grams, buf[:n])
 			if len(grams) >= flushGrams {
 				if aerr := t.addGrams(lang, grams, 0, 0); aerr != nil {
-					return aerr
+					return t.fail(aerr, flushed)
 				}
 				grams = grams[:0]
 				flushed = true
@@ -188,25 +202,31 @@ func (t *Trainer) AddReader(lang string, r io.Reader) error {
 			break
 		}
 		if err != nil {
-			rerr := fmt.Errorf("train: reading %s document: %w", lang, err)
-			if !flushed {
-				// Nothing of this document reached the counters; the
-				// caller may skip it and keep training.
-				return rerr
-			}
-			// Batches already counted cannot be recalled, so the whole
-			// trainer is poisoned: Finalize will refuse to build
-			// profiles from partial counts.
-			t.mu.Lock()
-			if t.failErr == nil {
-				t.failErr = rerr
-			}
-			t.mu.Unlock()
-			return rerr
+			return t.fail(fmt.Errorf("train: reading %s document: %w", lang, err), flushed)
 		}
 	}
 	// The final (possibly empty) batch carries the document's stats.
-	return t.addGrams(lang, grams, 1, total)
+	if err := t.addGrams(lang, grams, 1, total); err != nil {
+		return t.fail(err, flushed)
+	}
+	return nil
+}
+
+// fail returns err, the failure of a document AddReader is ingesting.
+// If part of the document was counted already, those batches cannot be
+// recalled, so it poisons the whole trainer first: Finalize will refuse
+// to build profiles from partial counts. Otherwise nothing of the
+// document reached the counters, and the caller may skip it and keep
+// training.
+func (t *Trainer) fail(err error, counted bool) error {
+	if counted {
+		t.mu.Lock()
+		if t.failErr == nil {
+			t.failErr = err
+		}
+		t.mu.Unlock()
+	}
+	return err
 }
 
 // Abort ends ingest without the ranking work of Finalize — the cheap
@@ -280,16 +300,17 @@ func (t *Trainer) Finalize() (*core.ProfileSet, Stats, error) {
 		stats.Grams += ls.Grams
 	}
 	// Rank the languages on at most GOMAXPROCS goroutines, each into its
-	// own slot: ranking only reads the counters and their shared
-	// vocabulary.
+	// own slot and through its own Ranker: ranking only reads the
+	// counters and their shared vocabulary.
 	workers := min(runtime.GOMAXPROCS(0), len(langs))
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := range workers {
 		go func() {
 			defer wg.Done()
+			var r ngram.Ranker
 			for i := w; i < len(langs); i += workers {
-				ps.Profiles[i] = ngram.BuildProfile(langs[i], accs[langs[i]].counter, t.cfg.TopT)
+				ps.Profiles[i] = r.Profile(langs[i], accs[langs[i]].counter, t.cfg.TopT)
 			}
 		}()
 	}

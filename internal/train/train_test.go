@@ -14,6 +14,7 @@ import (
 
 	"bloomlang/internal/core"
 	"bloomlang/internal/corpus"
+	"bloomlang/internal/ngram"
 	"bloomlang/internal/train"
 )
 
@@ -383,6 +384,62 @@ func TestAddReaderFailureBeforeFlushIsRecoverable(t *testing.T) {
 	}
 }
 
+// TestTrainerRefusesPastMaxTotal: with a language's total preset near
+// ngram.MaxTotal, Add refuses the document that would pass it, naming
+// the language and counting none of it, so training goes on. AddReader
+// refuses the batch that would pass it; when an earlier batch of the
+// same document was counted, that poisons the trainer, and when none
+// was, it does not.
+func TestTrainerRefusesPastMaxTotal(t *testing.T) {
+	doc := []byte("the quick brown fox jumps over the lazy dog")
+	grams := uint64(len(doc) - 3) // at n = 4
+	tr, err := train.New(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := train.PresetTotal(tr, "en", ngram.MaxTotal-grams+1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Add("en", doc); err == nil || !strings.Contains(err.Error(), `"en"`) {
+		t.Fatalf("Add past MaxTotal = %v, want a refusal naming en", err)
+	}
+	if err := tr.AddReader("en", bytes.NewReader(doc)); err == nil {
+		t.Fatal("AddReader past MaxTotal succeeded")
+	}
+	if err := tr.Add("es", doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Add("en", doc[:len(doc)-1]); err != nil {
+		t.Fatalf("Add up to MaxTotal: %v", err)
+	}
+	_, stats, err := tr.Finalize()
+	if err != nil {
+		t.Fatalf("Finalize after refused documents: %v", err)
+	}
+	if en := stats.Languages["en"]; en.Docs != 1 || en.Grams != ngram.MaxTotal {
+		t.Fatalf("en stats %+v, want the one document that fits, %d n-grams", en, uint64(ngram.MaxTotal))
+	}
+
+	tr, err = train.New(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The document is several flushGrams batches; the first fits.
+	if err := train.PresetTotal(tr, "en", ngram.MaxTotal-100_000); err != nil {
+		t.Fatal(err)
+	}
+	long := bytes.Repeat([]byte("abcdefgh "), 30_000)
+	if err := tr.AddReader("en", bytes.NewReader(long)); err == nil || !strings.Contains(err.Error(), `"en"`) {
+		t.Fatalf("AddReader past MaxTotal = %v, want a refusal naming en", err)
+	}
+	if err := tr.Add("es", doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tr.Finalize(); err == nil || !strings.Contains(err.Error(), "partial") {
+		t.Fatalf("Finalize after a document refused mid-way = %v, want refusal", err)
+	}
+}
+
 // TestAbort: the cheap error-path shutdown is idempotent, composes
 // with Finalize in either order, and forecloses further ingest.
 func TestAbort(t *testing.T) {
@@ -489,9 +546,10 @@ func trainerLive(t *testing.T, n int, docs iter.Seq2[string, []byte]) (int64, *c
 
 // TestTrainerMemoryScalesWithVocabulary: the fixture's training split,
 // relabelled round-robin as 40 languages and counted at n = 4, keeps
-// the trainer's live heap to its shared vocabulary and dense counts,
-// well under 16 MiB, where one 2^20-slot table per language would hold
-// 40 × 8 MiB.
+// the trainer's live heap to its shared vocabulary, a 2 MiB uint16
+// index while it numbers at most 65535 n-grams, and dense uint32
+// counts: under 4 MiB, where one 2^20-slot table per language would
+// hold 40 × 8 MiB.
 func TestTrainerMemoryScalesWithVocabulary(t *testing.T) {
 	const langs = 40
 	corp := testCorpus(t)
@@ -507,8 +565,8 @@ func TestTrainerMemoryScalesWithVocabulary(t *testing.T) {
 	if len(ps.Profiles) != langs {
 		t.Fatalf("trained %d profiles, want %d", len(ps.Profiles), langs)
 	}
-	if live >= 16<<20 {
-		t.Errorf("trainer of %d languages at n=4 holds %.1f MiB live, want under 16 MiB", langs, float64(live)/(1<<20))
+	if live >= 4<<20 {
+		t.Errorf("trainer of %d languages at n=4 holds %.1f MiB live, want under 4 MiB", langs, float64(live)/(1<<20))
 	}
 }
 
@@ -533,10 +591,10 @@ func perfbenchTexts(tb testing.TB) (map[string][][]byte, int64) {
 }
 
 // TestTrainerMemoryAtN6: at n = 6 the vocabulary is a map and every
-// language keeps a count per n-gram any language has seen, so the
-// perfbench-sized 10-language split, fed in language order, holds
-// 21.5 MiB live. This bounds it from growing; a sparse count layout
-// would shrink it.
+// language keeps a uint32 count per n-gram any language has seen, so
+// the perfbench-sized 10-language split, fed in language order, holds
+// about 14 MiB live. This bounds it from growing; a sparse count
+// layout would shrink it.
 func TestTrainerMemoryAtN6(t *testing.T) {
 	texts, _ := perfbenchTexts(t)
 	live, _ := trainerLive(t, 6, func(yield func(string, []byte) bool) {
@@ -548,8 +606,8 @@ func TestTrainerMemoryAtN6(t *testing.T) {
 			}
 		}
 	})
-	if live > 24<<20 {
-		t.Errorf("trainer of %d languages at n=6 holds %.1f MiB live, want at most 24 MiB", len(texts), float64(live)/(1<<20))
+	if live > 16<<20 {
+		t.Errorf("trainer of %d languages at n=6 holds %.1f MiB live, want at most 16 MiB", len(texts), float64(live)/(1<<20))
 	}
 }
 
