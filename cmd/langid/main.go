@@ -44,6 +44,7 @@ import (
 	"sort"
 
 	"bloomlang"
+	"bloomlang/internal/core"
 )
 
 func main() {
@@ -263,29 +264,12 @@ func profiles(args []string) {
 
 func classify(args []string) {
 	fs := flag.NewFlagSet("classify", flag.ExitOnError)
-	profilePath := fs.String("profiles", "profiles.bin", "trained profile file")
-	k := fs.Int("k", 4, "hash functions per Bloom filter")
-	m := fs.Uint("m", 16*1024, "bits per Bloom filter vector (power of two)")
-	backend := fs.String("backend", "direct", "membership backend: direct (exact table) or bloom (parallel Bloom filter)")
+	load := detectorFlags(fs)
 	minMargin := fs.Float64("min-margin", 0, "answer unknown below this normalized winner margin")
 	minNGrams := fs.Int("min-ngrams", 1, "answer unknown below this many testable n-grams")
 	verbose := fs.Bool("v", false, "print the full language ranking")
 	fs.Parse(args)
-
-	ps, err := loadProfiles(*profilePath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	applyFilterFlags(fs, ps, *k, uint32(*m))
-
-	be, err := bloomlang.ParseBackend(*backend)
-	if err != nil {
-		log.Fatal(err)
-	}
-	det, err := bloomlang.NewDetector(ps,
-		bloomlang.WithBackend(be),
-		bloomlang.WithMinMargin(*minMargin),
-		bloomlang.WithMinNGrams(*minNGrams))
+	det, err := load(bloomlang.WithMinMargin(*minMargin), bloomlang.WithMinNGrams(*minNGrams))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -339,10 +323,7 @@ func classify(args []string) {
 // spans — the traffic shape classify's single label gets wrong.
 func segment(args []string) {
 	fs := flag.NewFlagSet("segment", flag.ExitOnError)
-	profilePath := fs.String("profiles", "profiles.bin", "trained profile file")
-	k := fs.Int("k", 4, "hash functions per Bloom filter")
-	m := fs.Uint("m", 16*1024, "bits per Bloom filter vector (power of two)")
-	backend := fs.String("backend", "direct", "membership backend: direct (exact table) or bloom (parallel Bloom filter)")
+	load := detectorFlags(fs)
 	minMargin := fs.Float64("min-margin", 0, "mark spans unknown below this normalized span margin")
 	minNGrams := fs.Int("min-ngrams", 1, "answer unknown below this many testable n-grams")
 	window := fs.Int("window", 0, "commit horizon in n-grams, a multiple of the stride (0 = default 4096)")
@@ -351,20 +332,7 @@ func segment(args []string) {
 	tsv := fs.Bool("tsv", false, "tab-separated output: file, start, end, lang, score, margin")
 	colored := fs.Bool("color", false, "print the document text with one ANSI color per language")
 	fs.Parse(args)
-
-	ps, err := loadProfiles(*profilePath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	applyFilterFlags(fs, ps, *k, uint32(*m))
-	be, err := bloomlang.ParseBackend(*backend)
-	if err != nil {
-		log.Fatal(err)
-	}
-	det, err := bloomlang.NewDetector(ps,
-		bloomlang.WithBackend(be),
-		bloomlang.WithMinMargin(*minMargin),
-		bloomlang.WithMinNGrams(*minNGrams))
+	det, err := load(bloomlang.WithMinMargin(*minMargin), bloomlang.WithMinNGrams(*minNGrams))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -459,6 +427,33 @@ func printColored(text []byte, spans []bloomlang.Span) {
 // bare-profile files; see bloomlang.LoadProfiles.
 func loadProfiles(path string) (*bloomlang.ProfileSet, error) {
 	return bloomlang.LoadProfiles(path)
+}
+
+// detectorFlags declares on fs the flags that choose the profiles and
+// the detector classify and segment run, and returns the function that
+// loads the profiles and builds the detector once fs is parsed. Without
+// -backend the detector runs on the backend langidd serves the
+// profiles on (core.ServingBackend: direct below n = 6, bloom from
+// n = 6), so the CLI answers every profile file the daemon serves.
+func detectorFlags(fs *flag.FlagSet) func(opts ...bloomlang.DetectorOption) (*bloomlang.Detector, error) {
+	profilePath := fs.String("profiles", "profiles.bin", "trained profile file")
+	k := fs.Int("k", 4, "hash functions per Bloom filter")
+	m := fs.Uint("m", 16*1024, "bits per Bloom filter vector (power of two)")
+	backend := fs.String("backend", "", "membership backend: direct (exact table) or bloom (parallel Bloom filter); default: the one langidd serves the profiles on")
+	return func(opts ...bloomlang.DetectorOption) (*bloomlang.Detector, error) {
+		ps, err := loadProfiles(*profilePath)
+		if err != nil {
+			return nil, err
+		}
+		applyFilterFlags(fs, ps, *k, uint32(*m))
+		be := core.ServingBackend(ps.Config)
+		if *backend != "" {
+			if be, err = bloomlang.ParseBackend(*backend); err != nil {
+				return nil, err
+			}
+		}
+		return bloomlang.NewDetector(ps, append(opts, bloomlang.WithBackend(be))...)
+	}
 }
 
 // applyFilterFlags overrides the loaded configuration's filter geometry

@@ -121,9 +121,6 @@ func sweepOrphans(dir string) {
 	}
 }
 
-// Root returns the registry's root directory.
-func (r *Registry) Root() string { return r.root }
-
 // Create writes ps as a new immutable version — profiles, checksum and
 // manifest — and returns its manifest. The new version is not active
 // until Activate is called.

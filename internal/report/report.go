@@ -31,23 +31,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row of formatted cells: each argument is rendered
-// with %v.
-func (t *Table) AddRowf(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.2f", v)
-		case string:
-			row[i] = v
-		default:
-			row[i] = fmt.Sprint(v)
-		}
-	}
-	t.AddRow(row...)
-}
-
 // String renders the table.
 func (t *Table) String() string {
 	widths := make([]int, len(t.headers))
@@ -142,14 +125,6 @@ func (c *BarChart) String() string {
 		fmt.Fprintf(&b, "%-*s | %s %.1f %s\n", labelW, bar.label, strings.Repeat("#", n), bar.value, c.unit)
 	}
 	return b.String()
-}
-
-// Ratio renders a speedup comparison like the paper's "85x" headline.
-func Ratio(a, b float64) string {
-	if b == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.2fx", a/b)
 }
 
 // Percent renders a fraction as a percentage with two decimals, the

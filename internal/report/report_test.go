@@ -37,18 +37,6 @@ func TestTableRowPaddingAndTruncation(t *testing.T) {
 	}
 }
 
-func TestTableAddRowf(t *testing.T) {
-	tab := NewTable("", "name", "value", "count")
-	tab.AddRowf("x", 3.14159, 42)
-	s := tab.String()
-	if !strings.Contains(s, "3.14") {
-		t.Errorf("float not formatted to 2 places:\n%s", s)
-	}
-	if !strings.Contains(s, "42") {
-		t.Errorf("int missing:\n%s", s)
-	}
-}
-
 func TestBarChart(t *testing.T) {
 	c := NewBarChart("Figure 4", "MB/sec", 10)
 	c.Add("Async", 470)
@@ -85,15 +73,6 @@ func TestBarChartDefaultWidth(t *testing.T) {
 	c.Add("a", 1)
 	if n := strings.Count(c.String(), "#"); n != 50 {
 		t.Errorf("default width = %d, want 50", n)
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if got := Ratio(470, 5.5); got != "85.45x" {
-		t.Errorf("Ratio = %q", got)
-	}
-	if got := Ratio(1, 0); got != "n/a" {
-		t.Errorf("Ratio by zero = %q", got)
 	}
 }
 

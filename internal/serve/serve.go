@@ -28,18 +28,21 @@
 // "status": ...}): oversized bodies as 413, request-body read timeouts
 // as 408.
 //
-// The document endpoints speak JSON through one small codec (wire.go)
-// instead of encoding/json: request documents are decoded in one pass
-// and unescaped in place in the request's pooled buffer, their text
-// goes straight to the counting stream, and responses are appended
-// into a pooled buffer straight from core's matches and spans, with
-// each snapshot's language codes and names quoted once, when the
-// snapshot is built. The codec accepts exactly the documents
+// The document endpoints speak JSON through one small codec (wire.go):
+// its decoder reads the document shapes — a string, null, or an
+// {"id", "text"} object — in one pass over the request's pooled
+// buffer, and their text goes straight to the counting stream; the
+// value of any other key is checked by json.Valid, and a malformed
+// request is reported with encoding/json's own syntax error. Responses
+// are appended into a pooled buffer straight from core's matches and
+// spans, with each snapshot's language codes and names quoted once,
+// when the snapshot is built. The codec accepts exactly the documents
 // encoding/json accepts and writes the bytes it writes; FuzzWireCodec
 // and TestResponsesMatchEncodingJSON hold it to that. /statsz, the
-// admin endpoints and error bodies use encoding/json. /stream flushes
-// its answers only before it reads more of the request body, where it
-// could block, and at the end.
+// admin endpoints and error bodies use encoding/json. /stream reads
+// its lines with a bufio.Scanner and flushes its answers only before
+// it reads more of the request body, where it could block, and at the
+// end.
 package serve
 
 import (
@@ -489,7 +492,7 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request, st *endpo
 }
 
 // handleBatch classifies a JSON array of documents, each a string or
-// an {"id", "text"} object, decoded in place in the request buffer.
+// an {"id", "text"} object.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	snap := s.cur.Load()
 	b := getBuffers()
@@ -551,18 +554,18 @@ const maxPendingBytes = 64 << 10
 // document boundary — the software mirror of the hardware's
 // End-of-Document marker in the DMA stream (§3.3). The stream keeps its
 // request-start snapshot for its whole life, even across hot swaps.
-// Each line is decoded in place in the line buffer and its text
+// Each line is decoded where the line scanner holds it and its text
 // counted without a copy; with ?spans=1 the stream is built to segment
 // and every result line also carries the document's spans, encoded
 // straight from the stream's. The stream's running totals are the
 // document-level detection, so spans mode still extracts and hashes
 // each n-gram exactly once. Result lines collect in a pooled buffer
-// that is written and flushed just before each read from the request
-// body — the only point where the handler can block — and at the end
-// (and written early past maxPendingBytes), so a client that sends one
-// line at a time gets each answer before it must send the next, and a
-// client that sends many lines at once gets their answers in a few
-// writes.
+// that the scanner's reader (streamBody) writes and flushes just
+// before each read from the request body — the only point where the
+// handler can block — and that goes out at the end (and early past
+// maxPendingBytes), so a client that sends one line at a time gets
+// each answer before it must send the next, and a client that sends
+// many lines at once gets their answers in a few writes.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	snap := s.cur.Load()
 	det := snap.det
@@ -582,52 +585,19 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpoi
 	// HTTP/1 the server would otherwise cut off the request body at the
 	// first flush.
 	http.NewResponseController(w).EnableFullDuplex()
-	flusher, _ := w.(http.Flusher)
 	b := getBuffers()
 	defer b.release()
-	lines := b.lineReader(r.Body, s.cfg.MaxLineBytes)
+	body := b.scanLines(r.Body, w, s.cfg.MaxLineBytes)
 	langs := snap.langs
-	out := b.out[:0]
-	for {
-		line, ok := lines.next()
-		if !ok {
-			// About to read: send what is answered first, unless the
-			// body has already ended and the read cannot block. Then
-			// the last answers go out with the end of the response.
-			if len(out) > 0 && lines.err == nil {
-				w.Write(out)
-				out = out[:0]
-				if flusher != nil {
-					flusher.Flush()
-				}
-			}
-			err := lines.fill()
-			if err == nil {
-				continue
-			}
-			if err != io.EOF {
-				// Headers are long gone; report the failure in-band and stop.
-				msg := err.Error()
-				if errors.Is(err, bufio.ErrTooLong) {
-					msg = fmt.Sprintf("document line exceeds %d bytes", s.cfg.MaxLineBytes)
-				}
-				out = langs.appendDetection(out, nil, core.Match{}, nil, nil, msg)
-				out = append(out, '\n')
-				// Discard the unread rest of the body now. Left to the
-				// server, a full-duplex body drained to its end after
-				// the handler returns starts a connection read that
-				// races the next request's (a net/http panic).
-				r.Body.Close()
-			}
-			break
-		}
+	for b.lines.Scan() {
+		line := b.lines.Bytes()
 		if len(line) == 0 {
 			continue
 		}
 		id, text, err := b.dec.line(line)
 		if err != nil {
-			out = langs.appendDetection(out, nil, core.Match{}, nil, nil, "bad document line: "+err.Error())
-			out = append(out, '\n')
+			body.out = langs.appendDetection(body.out, nil, core.Match{}, nil, nil, "bad document line: "+err.Error())
+			body.out = append(body.out, '\n')
 			continue
 		}
 		st.bytes.Add(int64(len(text)))
@@ -643,18 +613,32 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpoi
 		m := stream.Match()
 		st.countUnknown(m)
 		st.spans.Add(int64(len(spans)))
-		out = langs.appendDetection(out, id, m, counts, spans, "")
-		out = append(out, '\n')
-		if len(out) >= maxPendingBytes {
+		body.out = langs.appendDetection(body.out, id, m, counts, spans, "")
+		body.out = append(body.out, '\n')
+		if len(body.out) >= maxPendingBytes {
 			// Many short lines read at once: bound the answers held back.
-			w.Write(out)
-			out = out[:0]
+			w.Write(body.out)
+			body.out = body.out[:0]
 		}
 	}
-	if len(out) > 0 {
-		w.Write(out)
+	if err := b.lines.Err(); err != nil {
+		// Headers are long gone; report the failure in-band and stop.
+		msg := err.Error()
+		if errors.Is(err, bufio.ErrTooLong) {
+			msg = fmt.Sprintf("document line exceeds %d bytes", s.cfg.MaxLineBytes)
+		}
+		body.out = langs.appendDetection(body.out, nil, core.Match{}, nil, nil, msg)
+		body.out = append(body.out, '\n')
+		// Discard the unread rest of the body now. Left to the server,
+		// a full-duplex body drained to its end after the handler
+		// returns starts a connection read that races the next
+		// request's (a net/http panic).
+		r.Body.Close()
 	}
-	b.out = out
+	if len(body.out) > 0 {
+		w.Write(body.out)
+	}
+	b.out = body.out
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, st *endpointStats) {

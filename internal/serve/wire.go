@@ -1,22 +1,31 @@
 package serve
 
-// The wire codec of the document endpoints. The decoder walks an
-// NDJSON line or a /batch body once and yields each document's id and
-// text as byte slices, unescaped in place; the encoder appends
-// Detection, SpanDetection and Segmentation JSON straight from
-// core.Match and core.Span. Both are held to encoding/json: the
-// decoder accepts exactly what json.Unmarshal accepts into the
-// document shape and yields the same bytes, and the encoder writes the
-// bytes json.Encoder.Encode writes. FuzzWireCodec checks both halves
-// against encoding/json.
+// The wire codec of the document endpoints. The decoder reads only the
+// document shapes: a JSON string, null, or an object whose "id" and
+// "text" keys hold a string or null. It walks an NDJSON line or a
+// /batch body once and yields each document's id and text as byte
+// slices of the input, or, for a string with an escape or invalid
+// UTF-8, built in a scratch buffer; it never writes into the input.
+// The value of any other key is found by matching brackets outside
+// strings and checked by json.Valid, and a syntax error is reported in
+// encoding/json's own words by running json.Unmarshal on the input,
+// once the decoder has failed. The encoder appends Detection,
+// SpanDetection and Segmentation JSON straight from core.Match and
+// core.Span. Both are held to encoding/json: the decoder accepts
+// exactly what json.Unmarshal accepts into the document shape and
+// yields the same bytes, and the encoder writes the bytes
+// json.Encoder.Encode writes. FuzzWireCodec checks both halves against
+// encoding/json.
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"math"
+	"net/http"
 	"sort"
 	"strconv"
 	"sync"
@@ -30,31 +39,28 @@ import (
 // decoders accepting the same bodies.
 const maxDepth = 10000
 
-// errEnd is the error for input that stops inside a value.
-var errEnd = errors.New("unexpected end of JSON input")
+// errSyntax marks malformed input inside the decoder, which then
+// stands at or past the first byte encoding/json rejects (at the end
+// when the input stops inside a value); line and batch replace it with
+// encoding/json's report of the error.
+var errSyntax = errors.New("invalid JSON")
 
 // decoder decodes documents from one NDJSON line or one /batch body.
 // A document is a JSON string (its text), null (an empty document), or
 // an object whose keys equal "id" or "text" under bytes.EqualFold and
 // hold a string or null; the last such key wins, null leaves the field
 // as it was, and every other key's value is validated and skipped.
-// Strings are unescaped in place in buf: escapes only shrink, so the
-// value overwrites its own quoted bytes. Only invalid UTF-8, each byte
-// of which becomes the 3-byte U+FFFD, grows a string; from its first
-// invalid byte such a string is written to scratch instead. Yielded
-// slices stay valid until buf or scratch is reused.
+// Yielded slices stay valid until buf or scratch is reused.
 type decoder struct {
 	buf     []byte
 	pos     int
 	depth   int // open arrays and objects
+	elem    int // where the /batch document after the first starts, else 0
 	scratch []byte
-	// objects has bit d set while the container open at depth d is an
-	// object; skip needs it to know which closer comes next.
-	objects [maxDepth/64 + 1]uint64
 }
 
 func (d *decoder) reset(buf []byte) {
-	d.buf, d.pos, d.depth = buf, 0, 0
+	d.buf, d.pos, d.depth, d.elem = buf, 0, 0, 0
 	d.scratch = d.scratch[:0]
 }
 
@@ -62,10 +68,13 @@ func (d *decoder) reset(buf []byte) {
 func (d *decoder) line(line []byte) (id, text []byte, err error) {
 	d.reset(line)
 	d.ws()
-	if id, text, err = d.doc(); err != nil {
-		return nil, nil, err
+	if id, text, err = d.doc(); err == nil {
+		err = d.end()
 	}
-	return id, text, d.end()
+	if err != nil {
+		return nil, nil, d.report(err)
+	}
+	return id, text, nil
 }
 
 // batch decodes a /batch body: a JSON array of documents, or null for
@@ -76,63 +85,72 @@ func (d *decoder) line(line []byte) (id, text []byte, err error) {
 func (d *decoder) batch(body []byte, limit int, ids, texts [][]byte) ([][]byte, [][]byte, int, error) {
 	d.reset(body)
 	d.ws()
+	var n int
+	var err error
 	switch d.peek() {
 	case 'n':
-		if err := d.literal("null"); err != nil {
-			return ids, texts, 0, err
-		}
-		return ids, texts, 0, d.end()
+		err = d.null()
 	case '[':
+		ids, texts, n, err = d.docs(limit, ids, texts)
 	default:
-		return ids, texts, 0, d.notA("an array of documents")
+		err = d.notA("an array of documents")
 	}
-	if err := d.open(false); err != nil {
-		return ids, texts, 0, err
+	if err == nil {
+		err = d.end()
 	}
+	return ids, texts, n, d.report(err)
+}
+
+// docs decodes the array of documents at d.pos, appending the ids and
+// texts of the first limit to ids and texts.
+func (d *decoder) docs(limit int, ids, texts [][]byte) ([][]byte, [][]byte, int, error) {
+	d.pos++
+	d.depth++
 	d.ws()
-	n := 0
 	if d.peek() == ']' {
 		d.pos++
-	} else {
-		for {
-			d.ws()
-			id, text, err := d.doc()
-			if err != nil {
-				return ids, texts, n, err
-			}
-			if n < limit {
-				ids, texts = append(ids, id), append(texts, text)
-			}
-			n++
-			d.ws()
-			if c := d.peek(); c == ']' {
-				d.pos++
-				break
-			} else if c != ',' {
-				return ids, texts, n, d.invalid("after array element")
-			}
+		d.depth--
+		return ids, texts, 0, nil
+	}
+	for n := 0; ; {
+		d.ws()
+		id, text, err := d.doc()
+		if err != nil {
+			return ids, texts, n, err
+		}
+		if n < limit {
+			ids, texts = append(ids, id), append(texts, text)
+		}
+		n++
+		d.ws()
+		switch d.peek() {
+		case ']':
 			d.pos++
+			d.depth--
+			return ids, texts, n, nil
+		case ',':
+			d.pos++
+			d.elem = d.pos
+		default:
+			return ids, texts, n, errSyntax
 		}
 	}
-	d.depth--
-	return ids, texts, n, d.end()
 }
 
 // doc decodes the document value at d.pos.
 func (d *decoder) doc() (id, text []byte, err error) {
 	switch d.peek() {
 	case '"':
-		text, err = d.str(true)
+		text, err = d.str()
 		return nil, text, err
 	case 'n':
-		return nil, nil, d.literal("null")
+		return nil, nil, d.null()
 	case '{':
 	default:
 		return nil, nil, d.notA("a document (a string, null or an object)")
 	}
-	if err := d.open(true); err != nil {
-		return nil, nil, err
-	}
+	d.pos++
+	d.depth++
 	d.ws()
 	if d.peek() == '}' {
 		d.pos++
@@ -140,31 +158,50 @@ func (d *decoder) doc() (id, text []byte, err error) {
 		return nil, nil, nil
 	}
 	for {
-		key, err := d.key(true)
+		if d.peek() != '"' {
+			return nil, nil, errSyntax
+		}
+		// A key built in scratch is dropped from it once compared.
+		mark := len(d.scratch)
+		key, err := d.str()
 		if err != nil {
 			return nil, nil, err
 		}
+		var dst *[]byte
+		name := "text"
 		switch {
 		case bytes.EqualFold(key, keyText):
-			err = d.field(&text, "text")
+			dst = &text
 		case bytes.EqualFold(key, keyID):
-			err = d.field(&id, "id")
-		default:
+			dst, name = &id, "id"
+		}
+		d.scratch = d.scratch[:mark]
+		d.ws()
+		if d.peek() != ':' {
+			return nil, nil, errSyntax
+		}
+		d.pos++
+		d.ws()
+		if dst != nil {
+			err = d.field(dst, name)
+		} else {
 			err = d.skip()
 		}
 		if err != nil {
 			return nil, nil, err
 		}
 		d.ws()
-		if c := d.peek(); c == '}' {
+		switch d.peek() {
+		case '}':
 			d.pos++
 			d.depth--
 			return id, text, nil
-		} else if c != ',' {
-			return nil, nil, d.invalid("after object key:value pair")
+		case ',':
+			d.pos++
+			d.ws()
+		default:
+			return nil, nil, errSyntax
 		}
-		d.pos++
-		d.ws()
 	}
 }
 
@@ -175,137 +212,88 @@ var keyText, keyID = []byte("text"), []byte("id")
 func (d *decoder) field(dst *[]byte, name string) error {
 	switch d.peek() {
 	case '"':
-		v, err := d.str(true)
+		v, err := d.str()
 		*dst = v
 		return err
 	case 'n':
-		return d.literal("null")
+		return d.null()
 	}
 	return d.notA(`document field "` + name + `" of type string`)
 }
 
-// key consumes an object key, the colon after it and the whitespace
-// around that, returning the key's value when unescape is set.
-func (d *decoder) key(unescape bool) ([]byte, error) {
-	if d.peek() != '"' {
-		return nil, d.invalid("looking for beginning of object key string")
+// null consumes the null at d.pos.
+func (d *decoder) null() error {
+	if !bytes.HasPrefix(d.buf[d.pos:], litNull) {
+		d.pos += len(litNull) // past the byte that differs
+		return errSyntax
 	}
-	key, err := d.str(unescape)
-	if err != nil {
-		return nil, err
-	}
-	d.ws()
-	if d.peek() != ':' {
-		return nil, d.invalid("after object key")
-	}
-	d.pos++
-	d.ws()
-	return key, nil
+	d.pos += len(litNull)
+	return nil
 }
 
-// skip validates and consumes one value of any type, as encoding/json
-// validates the unknown fields it ignores, nesting limit included.
+var litNull = []byte("null")
+
+// skip consumes one value of any type, as encoding/json validates the
+// unknown fields it ignores. A value other than a string runs to the
+// first comma, closing bracket or whitespace outside strings and
+// outside the arrays and objects it opens, whose nesting limit it
+// checks, and json.Valid checks it; str reads and checks the strings.
 func (d *decoder) skip() error {
-	base := d.depth
-value:
-	for {
-		switch c := d.peek(); c {
+	start, depth, mark := d.pos, d.depth, len(d.scratch)
+	for d.pos < len(d.buf) {
+		c := d.buf[d.pos]
+		if c == '"' {
+			_, err := d.str()
+			d.scratch = d.scratch[:mark]
+			if err != nil || d.buf[start] == '"' {
+				return err // a string value ends with its string
+			}
+			continue
+		}
+		if depth == d.depth && delimiter[c] {
+			break
+		}
+		switch c {
 		case '{', '[':
-			if err := d.open(c == '{'); err != nil {
-				return err
+			if depth++; depth > maxDepth {
+				return errSyntax
 			}
-			d.ws()
-			if c == '{' && d.peek() != '}' {
-				if _, err := d.key(false); err != nil {
-					return err
-				}
-				continue value
-			}
-			if c == '[' && d.peek() != ']' {
-				continue value
-			}
-			d.pos++
-			d.depth--
-		case '"':
-			if _, err := d.str(false); err != nil {
-				return err
-			}
-		case 't':
-			if err := d.literal("true"); err != nil {
-				return err
-			}
-		case 'f':
-			if err := d.literal("false"); err != nil {
-				return err
-			}
-		case 'n':
-			if err := d.literal("null"); err != nil {
-				return err
-			}
-		default:
-			if err := d.number(); err != nil {
-				return err
-			}
+		case '}', ']':
+			depth--
 		}
-		// A value ended: close the containers it ends, until a comma
-		// calls for the next value.
-		for d.depth > base {
-			d.ws()
-			object := d.objects[d.depth/64]>>(d.depth%64)&1 == 1
-			switch c := d.peek(); {
-			case c == ',':
-				d.pos++
-				d.ws()
-				if object {
-					if _, err := d.key(false); err != nil {
-						return err
-					}
-				}
-				continue value
-			case object && c == '}', !object && c == ']':
-				d.pos++
-				d.depth--
-			case object:
-				return d.invalid("after object key:value pair")
-			default:
-				return d.invalid("after array element")
-			}
-		}
-		return nil
+		d.pos++
 	}
-}
-
-// open consumes the '[' or '{' at d.pos, one level deeper.
-func (d *decoder) open(object bool) error {
-	if d.depth+1 > maxDepth {
-		return d.invalid("exceeded max depth")
-	}
-	d.depth++
-	d.pos++
-	word, bit := &d.objects[d.depth/64], uint64(1)<<(d.depth%64)
-	if object {
-		*word |= bit
-	} else {
-		*word &^= bit
+	if !json.Valid(d.buf[start:d.pos]) {
+		return errSyntax
 	}
 	return nil
 }
 
-// str consumes the JSON string at d.pos. With unescape set it returns
-// the string's value exactly as encoding/json unquotes it: escapes
-// decoded, a UTF-16 surrogate escape that does not pair with the next
-// escape and each invalid UTF-8 byte replaced by U+FFFD.
-func (d *decoder) str(unescape bool) ([]byte, error) {
+// delimiter marks the bytes that end a value: a comma, a closing
+// bracket or whitespace.
+var delimiter = func() (t [256]bool) {
+	for _, c := range []byte(",}] \t\n\r") {
+		t[c] = true
+	}
+	return t
+}()
+
+// str consumes the JSON string at d.pos and returns its value exactly
+// as encoding/json unquotes it: escapes decoded, a UTF-16 surrogate
+// escape that does not pair with the next escape and each invalid
+// UTF-8 byte replaced by U+FFFD. A string with neither is a slice of
+// buf; any other is built in scratch.
+func (d *decoder) str() ([]byte, error) {
 	buf := d.buf
 	start := d.pos + 1
-	r, w := start, start // read position; in-place write position
-	seg := start         // first byte read but not yet written to the value
-	moved := -1          // the value's offset in scratch once it moved there
+	r := start   // read position
+	seg := start // first byte read but not yet copied to scratch
+	built := -1  // the value's offset in scratch once it is built there
 	for {
 		r = skipVerbatim(buf, r)
 		if r == len(buf) {
 			d.pos = r
-			return nil, errEnd
+			return nil, errSyntax
 		}
 		c := buf[r]
 		if c >= utf8.RuneSelf {
@@ -319,55 +307,31 @@ func (d *decoder) str(unescape bool) ([]byte, error) {
 			}
 		} else if c < ' ' {
 			d.pos = r
-			return nil, d.invalid("in string literal")
+			return nil, errSyntax
 		}
-		// c ends the string, starts an escape or is invalid UTF-8; the
-		// verbatim bytes before it go to the value first.
-		if unescape {
-			if moved >= 0 {
-				d.scratch = append(d.scratch, buf[seg:r]...)
-			} else {
-				if w != seg {
-					copy(buf[w:], buf[seg:r])
-				}
-				w += r - seg
-			}
-		}
-		switch c {
-		case '"':
+		// c ends the string, starts an escape or is invalid UTF-8.
+		if c == '"' {
 			d.pos = r + 1
-			if !unescape {
-				return nil, nil
+			if built < 0 {
+				return buf[start:r], nil
 			}
-			if moved >= 0 {
-				return d.scratch[moved:], nil
+			d.scratch = append(d.scratch, buf[seg:r]...)
+			return d.scratch[built:], nil
+		}
+		if built < 0 {
+			built = len(d.scratch)
+		}
+		d.scratch = append(d.scratch, buf[seg:r]...)
+		if c == '\\' {
+			rr, n, ok := unescapeAt(buf[r:])
+			if !ok {
+				d.pos = r + len(`\uXXXX`) // past the byte that breaks it
+				return nil, errSyntax
 			}
-			return buf[start:w], nil
-		case '\\':
-			rr, n, bad := unescapeAt(buf[r:])
-			if bad != "" {
-				d.pos = r + n
-				return nil, d.invalid(bad)
-			}
-			if unescape {
-				if moved >= 0 {
-					d.scratch = utf8.AppendRune(d.scratch, rr)
-				} else {
-					// The rune's encoding is never longer than its escape.
-					w += utf8.EncodeRune(buf[w:], rr)
-				}
-			}
+			d.scratch = utf8.AppendRune(d.scratch, rr)
 			r += n
-		default:
-			// Invalid UTF-8, whose U+FFFD is longer: the value moves to
-			// scratch.
-			if unescape {
-				if moved < 0 {
-					moved = len(d.scratch)
-					d.scratch = append(d.scratch, buf[start:w]...)
-				}
-				d.scratch = utf8.AppendRune(d.scratch, utf8.RuneError)
-			}
+		} else {
+			d.scratch = utf8.AppendRune(d.scratch, utf8.RuneError)
 			r++
 		}
 		seg = r
@@ -407,45 +371,41 @@ var strSafe = func() (t [256]bool) {
 // and returns the rune it stands for and its length. A \u escape of a
 // UTF-16 surrogate pairs with an immediately following \u escape, as
 // encoding/json pairs them; one that does not pair is U+FFFD and leaves
-// the next escape to be decoded on its own. A malformed escape returns
-// the syntax error's context, with n the offset of the offending byte.
-func unescapeAt(s []byte) (rr rune, n int, bad string) {
+// the next escape to be decoded on its own. ok is false for a
+// malformed escape.
+func unescapeAt(s []byte) (rr rune, n int, ok bool) {
 	if len(s) < 2 {
-		return 0, len(s), "in string escape code"
+		return 0, 0, false
 	}
 	switch s[1] {
 	case '"', '\\', '/':
-		return rune(s[1]), 2, ""
+		return rune(s[1]), 2, true
 	case 'b':
-		return '\b', 2, ""
+		return '\b', 2, true
 	case 'f':
-		return '\f', 2, ""
+		return '\f', 2, true
 	case 'n':
-		return '\n', 2, ""
+		return '\n', 2, true
 	case 'r':
-		return '\r', 2, ""
+		return '\r', 2, true
 	case 't':
-		return '\t', 2, ""
+		return '\t', 2, true
 	case 'u':
-		for i := 2; i < 6; i++ {
-			if i == len(s) || hexVal(s[i]) < 0 {
-				return 0, i, "in \\u hexadecimal character escape"
-			}
-			rr = rr<<4 | hexVal(s[i])
+		if rr = getu4(s); rr < 0 {
+			return 0, 0, false
 		}
 		if !utf16.IsSurrogate(rr) {
-			return rr, 6, ""
+			return rr, 6, true
 		}
 		if dec := utf16.DecodeRune(rr, getu4(s[6:])); dec != utf8.RuneError {
-			return dec, 12, ""
+			return dec, 12, true
 		}
-		return utf8.RuneError, 6, ""
+		return utf8.RuneError, 6, true
 	}
-	return 0, 1, "in string escape code"
+	return 0, 0, false
 }
 
-// getu4 decodes the \uXXXX escape at the start of s, or returns -1;
-// unescapeAt looks with it for the second half of a surrogate pair.
+// getu4 decodes the \uXXXX escape at the start of s, or returns -1.
 func getu4(s []byte) rune {
 	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
 		return -1
@@ -473,60 +433,6 @@ func hexVal(c byte) rune {
 	return -1
 }
 
-// literal consumes the literal lit (true, false or null).
-func (d *decoder) literal(lit string) error {
-	for i := 0; i < len(lit); i++ {
-		if d.peek() != lit[i] {
-			return d.invalid("in literal " + lit + " (expecting " + quoteChar(lit[i]) + ")")
-		}
-		d.pos++
-	}
-	return nil
-}
-
-// number consumes a JSON number.
-func (d *decoder) number() error {
-	context := "looking for beginning of value"
-	if d.peek() == '-' {
-		d.pos++
-		context = "in numeric literal"
-	}
-	switch c := d.peek(); {
-	case c == '0':
-		d.pos++
-	case '1' <= c && c <= '9':
-		d.digits()
-	default:
-		return d.invalid(context)
-	}
-	if d.peek() == '.' {
-		d.pos++
-		if !isDigit(d.peek()) {
-			return d.invalid("after decimal point in numeric literal")
-		}
-		d.digits()
-	}
-	if c := d.peek(); c == 'e' || c == 'E' {
-		d.pos++
-		if c := d.peek(); c == '+' || c == '-' {
-			d.pos++
-		}
-		if !isDigit(d.peek()) {
-			return d.invalid("in exponent of numeric literal")
-		}
-		d.digits()
-	}
-	return nil
-}
-
-func (d *decoder) digits() {
-	for isDigit(d.peek()) {
-		d.pos++
-	}
-}
-
-func isDigit(c byte) bool { return '0' <= c && c <= '9' }
-
 // ws skips JSON whitespace.
 func (d *decoder) ws() {
 	for d.pos < len(d.buf) {
@@ -551,18 +457,9 @@ func (d *decoder) peek() byte {
 func (d *decoder) end() error {
 	d.ws()
 	if d.pos < len(d.buf) {
-		return d.invalid("after top-level value")
+		return errSyntax
 	}
 	return nil
-}
-
-// invalid reports the byte at d.pos as unexpected in context, worded
-// as encoding/json words its syntax errors.
-func (d *decoder) invalid(context string) error {
-	if d.pos >= len(d.buf) {
-		return errEnd
-	}
-	return errors.New("invalid character " + quoteChar(d.buf[d.pos]) + " " + context)
 }
 
 // notA reports the value at d.pos, which is not want: as a syntax error
@@ -586,16 +483,23 @@ func (d *decoder) notA(want string) error {
 	return errors.New("json: cannot unmarshal " + kind + " into " + want)
 }
 
-// quoteChar formats c as encoding/json's syntax errors do.
-func quoteChar(c byte) string {
-	if c == '\'' {
-		return `'\''`
+// report returns err, or for errSyntax the syntax error json.Unmarshal
+// reports in the input. The input before the failing document is
+// valid, so json.Unmarshal reads only that document, up to where the
+// decoder stopped; after "[0," when it follows another in a /batch
+// array, which puts it where it stands there.
+func (d *decoder) report(err error) error {
+	if err != errSyntax {
+		return err
 	}
-	if c == '"' {
-		return `'"'`
+	in := d.buf[d.elem:min(d.pos+1, len(d.buf))]
+	if d.elem > 0 {
+		in = append([]byte("[0,"), in...)
 	}
-	s := strconv.Quote(string(rune(c)))
-	return "'" + s[1:len(s)-1] + "'"
+	if err := json.Unmarshal(in, new(json.RawMessage)); err != nil {
+		return err
+	}
+	return errSyntax
 }
 
 // langTable is one serving snapshot's languages, quoted once for the
@@ -827,16 +731,16 @@ var htmlSafe = func() (t [utf8.RuneSelf]bool) {
 }()
 
 // buffers is one request's pooled working memory: the body or line
-// buffer the decoder unescapes in place, the decoder with its scratch,
-// the documents it yields, their counts and the response being
-// encoded.
+// buffer, the decoder with its scratch, the documents it yields, their
+// counts, the response being encoded and /stream's line scanner.
 type buffers struct {
 	in         []byte
 	out        []byte
 	dec        decoder
 	ids, texts [][]byte
 	counts     []int
-	lines      lineReader
+	body       streamBody
+	lines      bufio.Scanner
 }
 
 var bufferPool = sync.Pool{New: func() any { return new(buffers) }}
@@ -848,10 +752,7 @@ const maxPooledBytes = 1 << 20
 func getBuffers() *buffers { return bufferPool.Get().(*buffers) }
 
 func (b *buffers) release() {
-	if cap(b.lines.buf) > cap(b.in) {
-		b.in = b.lines.buf
-	}
-	b.lines = lineReader{}
+	b.body, b.lines = streamBody{}, bufio.Scanner{}
 	// The document slices point into in and scratch; drop them so a
 	// buffer dropped below is not pinned through them.
 	clear(b.ids)
@@ -870,82 +771,40 @@ func (b *buffers) release() {
 	bufferPool.Put(b)
 }
 
-// lineReader returns the pooled reader of src's lines, at most max
-// bytes each.
-func (b *buffers) lineReader(src io.Reader, max int) *lineReader {
-	size := min(64<<10, max)
-	if cap(b.in) < size {
+// scanLines sets b.lines to scan the /stream body src in lines of at
+// most max bytes, and returns the body as the scanner reads it, whose
+// out holds the answers to send w before the next read.
+func (b *buffers) scanLines(src io.Reader, w http.ResponseWriter, max int) *streamBody {
+	if size := min(64<<10, max); cap(b.in) < size {
 		b.in = make([]byte, size)
 	}
-	b.lines = lineReader{src: src, buf: b.in[:min(cap(b.in), max)], max: max}
-	return &b.lines
+	b.body = streamBody{src: src, w: w, out: b.out[:0]}
+	b.body.flusher, _ = w.(http.Flusher)
+	b.lines = *bufio.NewScanner(&b.body)
+	// A buffer larger than max would let longer lines through.
+	b.lines.Buffer(b.in[:0:min(cap(b.in), max)], max)
+	return &b.body
 }
 
-// lineReader splits a /stream body into lines exactly as bufio.Scanner
-// with ScanLines splits it under a buffer of max bytes: a line ends at
-// '\n', loses one trailing '\r', and the unterminated rest of the body
-// is the last line; a line that fills the whole max-byte buffer
-// without ending is too long. Unlike Scanner it leaves the reads to
-// its caller, which gets to act (flush its answers) before each one.
-type lineReader struct {
-	src  io.Reader
-	buf  []byte // buf[r:w] is input read but not yet returned
-	r, w int
-	max  int
-	err  error // the read error that ended the body, io.EOF included
+// streamBody is a /stream request body as its line scanner reads it:
+// before each read from src, the one point where the handler can
+// block, it writes the answers pending in out to w and flushes them.
+// The scanner reads no more once src has ended, so the last answers
+// go out with the end of the response.
+type streamBody struct {
+	src     io.Reader
+	w       http.ResponseWriter
+	flusher http.Flusher
+	out     []byte
 }
 
-// next returns the next line from the input read so far; ok is false
-// when a read is needed first.
-func (l *lineReader) next() (line []byte, ok bool) {
-	if i := bytes.IndexByte(l.buf[l.r:l.w], '\n'); i >= 0 {
-		line = l.buf[l.r : l.r+i]
-		l.r += i + 1
-	} else if l.err != nil && l.r < l.w {
-		line = l.buf[l.r:l.w]
-		l.r = l.w
-	} else {
-		return nil, false
-	}
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
-	}
-	return line, true
-}
-
-// maxEmptyReads is how many reads in a row may return nothing before
-// fill gives up, as bufio.Scanner does.
-const maxEmptyReads = 100
-
-// fill reads more of the body. It returns the error that ends the
-// lines: io.EOF at the end of the body, bufio.ErrTooLong once a line
-// fills the whole buffer, or the read error.
-func (l *lineReader) fill() error {
-	if l.err != nil {
-		return l.err
-	}
-	if l.r > 0 && (l.w == len(l.buf) || l.r > len(l.buf)/2) {
-		l.w = copy(l.buf, l.buf[l.r:l.w])
-		l.r = 0
-	}
-	if l.w == len(l.buf) {
-		if len(l.buf) >= l.max {
-			return bufio.ErrTooLong
-		}
-		grown := make([]byte, min(2*len(l.buf), l.max))
-		l.w = copy(grown, l.buf[l.r:l.w])
-		l.buf, l.r = grown, 0
-	}
-	for range maxEmptyReads {
-		n, err := l.src.Read(l.buf[l.w:])
-		l.w += n
-		if err != nil {
-			l.err = err
-			return nil
-		}
-		if n > 0 {
-			return nil
+func (s *streamBody) Read(p []byte) (int, error) {
+	if len(s.out) > 0 {
+		s.w.Write(s.out)
+		s.out = s.out[:0]
+		if s.flusher != nil {
+			s.flusher.Flush()
 		}
 	}
-	return io.ErrNoProgress
+	return s.src.Read(p)
 }

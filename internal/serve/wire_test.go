@@ -1,18 +1,15 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
-	"io"
+	"errors"
 	"math"
 	"net/http"
 	"net/url"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
-	"testing/iotest"
 
 	"bloomlang/internal/core"
 )
@@ -48,7 +45,7 @@ func checkLineDecode(t *testing.T, data []byte) {
 	wantErr := json.Unmarshal(data, &want)
 	var d decoder
 	id, text, err := d.line(bytes.Clone(data))
-	if (err == nil) != (wantErr == nil) {
+	if (err == nil) != (wantErr == nil) || !sameSyntaxError(err, wantErr) {
 		t.Fatalf("line %q: decoder err %v, encoding/json err %v", data, err, wantErr)
 	}
 	if err == nil && (string(id) != want.ID || string(text) != want.Text) {
@@ -65,7 +62,7 @@ func checkBatchDecode(t *testing.T, data []byte) {
 	for _, limit := range []int{len(data), 1} {
 		var d decoder
 		ids, texts, n, err := d.batch(bytes.Clone(data), limit, nil, nil)
-		if (err == nil) != (wantErr == nil) {
+		if (err == nil) != (wantErr == nil) || !sameSyntaxError(err, wantErr) {
 			t.Fatalf("body %q (limit %d): decoder err %v, encoding/json err %v", data, limit, err, wantErr)
 		}
 		if err != nil {
@@ -80,6 +77,18 @@ func checkBatchDecode(t *testing.T, data []byte) {
 			}
 		}
 	}
+}
+
+// sameSyntaxError reports whether a syntax error from the decoder, if
+// err is one, reads as encoding/json's error on the whole input. (The
+// decoder reports a type error it meets before a syntax error, where
+// encoding/json reports the syntax error.)
+func sameSyntaxError(err, wantErr error) bool {
+	var syntax *json.SyntaxError
+	if !errors.As(err, &syntax) {
+		return err != errSyntax
+	}
+	return wantErr != nil && err.Error() == wantErr.Error()
 }
 
 // checkEncode holds the encoder's Detection and Segmentation to
@@ -148,6 +157,17 @@ func FuzzWireCodec(f *testing.F) {
 		"{\"text\":\"\xed\xa0\x80\xc3\xa9\xc3\"}",
 		"",
 		" ",
+		`{"te\u0078t":"x"}`,
+		`{"x":"a\"]},b","text":"t"}`,
+		`{"text":"t","x":[1,{"y":"]"}]`,
+		`{"text":"t","x":"un\"closed}`,
+		`{"text":"t","x":true`,
+		`{"text":"t","x":` + strings.Repeat("[", maxDepth-1) + strings.Repeat("]", maxDepth-1) + `}`,
+		`{"text":"t","x":` + strings.Repeat("[", maxDepth) + strings.Repeat("]", maxDepth) + `}`,
+		`[{"text":5},{"x":tru}]`,
+		`{"text":nul}`,
+		`["a",]`,
+		`{"text":"a\u00e9\n\"b","x":01}`,
 	} {
 		f.Add([]byte(data), "id-1", "en", "English", 120, 37, 0.30833333333333335, 0.1, uint8(7))
 	}
@@ -210,59 +230,6 @@ func TestDecoderNestingLimit(t *testing.T) {
 	}
 }
 
-// TestLineReaderMatchesScanner: the /stream line reader splits a body
-// into the lines bufio.Scanner with ScanLines splits it into under the
-// same max-byte buffer — blank lines, one trailing '\r' dropped, the
-// unterminated last line, and bufio.ErrTooLong for a line that fills
-// the buffer — however the body's reads are cut.
-func TestLineReaderMatchesScanner(t *testing.T) {
-	bodies := []string{
-		"", "\n", "\r\n", "a", "a\n", "a\r", "a\r\r\n", "\n\nab\n\n",
-		"1234567\n", "12345678\n", "123456789\n", "1234567", "12345678", "123456789",
-		"ab\ncd\r\nefghijk\nlmnopqrs\ntu", "abcdefg\nabcdefgh\nxy\n", "x\n123456789012345678\ny\n",
-	}
-	readers := map[string]func(string) io.Reader{
-		"whole":    func(s string) io.Reader { return strings.NewReader(s) },
-		"one-byte": func(s string) io.Reader { return iotest.OneByteReader(strings.NewReader(s)) },
-		"half":     func(s string) io.Reader { return iotest.HalfReader(strings.NewReader(s)) },
-		"data-err": func(s string) io.Reader { return iotest.DataErrReader(strings.NewReader(s)) },
-	}
-	for _, max := range []int{8, 9, 16} {
-		for _, body := range bodies {
-			for name, reader := range readers {
-				sc := bufio.NewScanner(reader(body))
-				sc.Buffer(make([]byte, 0, max), max)
-				var want []string
-				for sc.Scan() {
-					want = append(want, sc.Text())
-				}
-				wantErr := sc.Err()
-
-				var got []string
-				var gotErr error
-				b := new(buffers)
-				lines := b.lineReader(reader(body), max)
-				for {
-					line, ok := lines.next()
-					if ok {
-						got = append(got, string(line))
-						continue
-					}
-					if err := lines.fill(); err != nil {
-						if err != io.EOF {
-							gotErr = err
-						}
-						break
-					}
-				}
-				if !slices.Equal(got, want) || gotErr != wantErr {
-					t.Errorf("max %d, %s reads of %q: lines %q err %v, Scanner %q err %v", max, name, body, got, gotErr, want, wantErr)
-				}
-			}
-		}
-	}
-}
-
 // TestQueryFlagMatchesURLValues holds the raw-query reader to what
 // strconv.ParseBool makes of url.Values.Get on the same query.
 func TestQueryFlagMatchesURLValues(t *testing.T) {
@@ -279,5 +246,54 @@ func TestQueryFlagMatchesURLValues(t *testing.T) {
 		if got := queryFlag(r, "spans"); got != want {
 			t.Errorf("query %q: flag %v, url.Values says %v", q, got, want)
 		}
+	}
+}
+
+// BenchmarkServeDecode times the /batch decoder on 10 MiB bodies:
+// plain documents, and crafted bodies whose cost lies in the values
+// the decoder skips (small numbers, strings, one large array, values
+// 5000 levels deep) or in a syntax error at the last byte.
+func BenchmarkServeDecode(b *testing.B) {
+	const size = 10 << 20
+	array := func(elem string) []byte {
+		body := append(make([]byte, 0, size+len(elem)+1), '[')
+		for len(body) < size {
+			body = append(append(body, elem...), ',')
+		}
+		body[len(body)-1] = ']'
+		return body
+	}
+	text := strings.Repeat("el consejo adopta las medidas ", 10)
+	doc := `{"id":"doc-1","text":"` + text + `"}`
+	deep := strings.Repeat("[", 5000) + strings.Repeat("]", 5000)
+	for _, shape := range []struct {
+		name string
+		body func() []byte
+	}{
+		{"docs", func() []byte { return array(doc) }},
+		{"numbers", func() []byte { return array(`{"x":1}`) }},
+		{"strings", func() []byte { return array(`{"x":"` + text + `"}`) }},
+		{"one-array", func() []byte { return []byte(`[{"x":` + string(array(`"a",1`)) + `}]`) }},
+		{"nested", func() []byte { return array(`{"x":` + deep + `}`) }},
+		{"error-at-end", func() []byte {
+			body := array(doc)
+			body[len(body)-1] = '}'
+			return body
+		}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			body := shape.body()
+			wantErr := shape.name == "error-at-end"
+			var d decoder
+			var ids, texts [][]byte
+			b.SetBytes(int64(len(body)))
+			for b.Loop() {
+				var err error
+				ids, texts, _, err = d.batch(body, math.MaxInt, ids[:0], texts[:0])
+				if (err != nil) != wantErr {
+					b.Fatalf("err %v", err)
+				}
+			}
+		})
 	}
 }
