@@ -144,7 +144,9 @@ type ProfileSet struct {
 
 // TrainFromTexts builds per-language profiles from raw training texts
 // keyed by language code, counting every language over one shared
-// n-gram vocabulary, as the streaming trainer does. A language's texts
+// n-gram vocabulary, as the streaming trainer does, and releasing the
+// vocabulary before ranking, so the next mask plane built takes its
+// flat index (ngram.NewTable). A language's texts
 // may hold at most ngram.MaxTotal n-grams; the document that would
 // pass that is refused, with an error naming the language.
 func TrainFromTexts(cfg Config, texts map[string][][]byte) (*ProfileSet, error) {
@@ -164,19 +166,23 @@ func TrainFromTexts(cfg Config, texts map[string][][]byte) (*ProfileSet, error) 
 	if err != nil {
 		return nil, err
 	}
-	ps := &ProfileSet{Config: cfg}
-	var r ngram.Ranker
-	for _, lang := range langs {
+	counters := make([]*ngram.Counter, len(langs))
+	for i, lang := range langs {
 		if len(texts[lang]) == 0 {
 			return nil, fmt.Errorf("core: language %q has no training documents", lang)
 		}
-		c := v.NewCounter()
+		counters[i] = v.NewCounter()
 		for _, text := range texts[lang] {
-			if err := c.AddText(text); err != nil {
+			if err := counters[i].AddText(text); err != nil {
 				return nil, fmt.Errorf("core: language %q: %w", lang, err)
 			}
 		}
-		ps.Profiles = append(ps.Profiles, r.Profile(lang, c, cfg.TopT))
+	}
+	v.Release()
+	ps := &ProfileSet{Config: cfg, Profiles: make([]*ngram.Profile, len(langs))}
+	var r ngram.Ranker
+	for i, lang := range langs {
+		ps.Profiles[i] = r.Profile(lang, counters[i], cfg.TopT)
 	}
 	return ps, nil
 }

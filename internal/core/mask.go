@@ -79,7 +79,9 @@ func ServingBackend(cfg Config) Backend {
 	return BackendDirect
 }
 
-// buildMaskKernel programs the mask planes from the profiles.
+// buildMaskKernel programs the mask planes from the profiles. A plane
+// is an ngram.NewTable, so the first one takes the flat index a
+// training run just released when the sizes match.
 func buildMaskKernel(cfg Config, ps *ProfileSet) (Kernel, error) {
 	nBits := ngram.Bits(cfg.N)
 	if cfg.N > maxMaskN {
@@ -89,7 +91,7 @@ func buildMaskKernel(cfg Config, ps *ProfileSet) (Kernel, error) {
 	size := uint32(1) << nBits
 	k := &maskKernel{planes: make([][]uint16, (len(ps.Profiles)+maskPlaneLangs-1)/maskPlaneLangs)}
 	for p := range k.planes {
-		k.planes[p] = make([]uint16, size)
+		k.planes[p] = ngram.NewTable(nBits)
 	}
 	for i, prof := range ps.Profiles {
 		plane, bit := k.planes[i/maskPlaneLangs], uint16(1)<<(i%maskPlaneLangs)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -286,6 +288,64 @@ func TestDefaultBackendIsDirect(t *testing.T) {
 	}
 	if got := det.Backend().String(); got != "direct-lookup" {
 		t.Errorf("NewDetector without WithBackend uses %q, want direct-lookup", got)
+	}
+}
+
+// TestDetectorOnRecycledTable: a detector whose mask plane is the flat
+// table a training run has just released, full of that run's n-gram
+// numbers, answers exactly as one built on a fresh table, in counts
+// and in spans, over the corpus's test documents and pairs of them
+// joined. The collector is off, so the released table stays on offer.
+func TestDetectorOnRecycledTable(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	build := func(ps *ProfileSet) (*Detector, uint64) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		det, err := NewDetector(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return det, after.TotalAlloc - before.TotalAlloc
+	}
+	const plane = 2 << 20 // bytes of one n = 4 table
+	ps := trainMini(t, Config{})
+	ngram.NewTable(ngram.Bits(ps.Config.N)) // takes the released table
+	fresh, alloc := build(ps)
+	if alloc < plane {
+		t.Fatalf("the fresh detector allocated %d bytes, less than its plane", alloc)
+	}
+	ps = trainMini(t, Config{})
+	recycled, alloc := build(ps)
+	if alloc >= plane/2 {
+		t.Fatalf("the detector allocated %d bytes: it did not take the released table", alloc)
+	}
+	corp := getMiniCorpus(t)
+	var docs [][]byte
+	for _, lang := range []string{"en", "fi", "es", "pt"} {
+		docs = append(docs, corpus.Texts(corp.Test[lang])...)
+	}
+	for i := range docs {
+		docs = append(docs, append(slices.Clip(docs[i]), docs[(i+7)%len(docs)]...))
+	}
+	for i, doc := range docs {
+		wantCounts, wantMatch := fresh.DetectCounts(nil, doc)
+		gotCounts, gotMatch := recycled.DetectCounts(nil, doc)
+		if !slices.Equal(gotCounts, wantCounts) || gotMatch != wantMatch {
+			t.Fatalf("doc %d: recycled table counts %v %+v, fresh %v %+v", i, gotCounts, gotMatch, wantCounts, wantMatch)
+		}
+		wantSpans, err := fresh.DetectSpans(doc, SegmentConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotSpans, err := recycled.DetectSpans(doc, SegmentConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotSpans, wantSpans) {
+			t.Fatalf("doc %d: recycled table spans %+v, fresh %+v", i, gotSpans, wantSpans)
+		}
 	}
 }
 

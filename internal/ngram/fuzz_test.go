@@ -2,6 +2,8 @@ package ngram
 
 import (
 	"bytes"
+	"maps"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -133,6 +135,75 @@ func counterOf(counts map[uint32]uint64) *Counter {
 	}
 	v.grams = append(v.grams, 1<<25, 1<<25+1)
 	return c
+}
+
+// FuzzCounterBytes checks the fused counting loop, Counter.AddBytes,
+// against ExtractBytes and a map count at n = 2..6: the fuzzer's text
+// is cut at random points into separate calls that carry one Window.
+// At n = 4 the vocabulary starts with close to 65535 other n-grams
+// numbered, so the text's new ones widen the index, mid-call or at a
+// cut; at n = 2 and 3 the preset fills part of the flat index, at
+// n = 5 and 6 part of the map.
+func FuzzCounterBytes(f *testing.F) {
+	// n = 2 + the second argument mod 5.
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(2), uint8(3), uint64(1))
+	f.Add([]byte{}, uint8(0), uint8(0), uint64(0))
+	f.Add([]byte("\xe9t\xe9 \xff\x00 caf\xe9 abcdefghijklmnopqrstuvwxyz zyxwvutsrqponmlkjihgfedcba"), uint8(2), uint8(0), uint64(7))
+	f.Add([]byte("lorem ipsum dolor sit amet"), uint8(1), uint8(9), uint64(3))
+	f.Add([]byte("lorem ipsum dolor sit amet"), uint8(3), uint8(9), uint64(5))
+	f.Add(bytes.Repeat([]byte("aab abba "), 40), uint8(4), uint8(200), uint64(42))
+	f.Fuzz(func(t *testing.T, text []byte, n, short uint8, seed uint64) {
+		n = 2 + n%5
+		v, err := NewVocabulary(int(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Number preset n-grams no text counts: their last code is one
+		// of 27..31, which no byte translates to.
+		preset := 1<<16 - 1 - int(short%64)
+		if n < 4 {
+			preset = 1 << Bits(int(n)) / 8
+		}
+		for i := range preset {
+			g := uint32(i/5)<<alphabet.Bits | 27 + uint32(i%5)
+			switch {
+			case v.index16 != nil:
+				v.index16[g] = uint16(v.number())
+			default:
+				v.ids[g] = v.number()
+			}
+		}
+		c := v.NewCounter()
+		w := Window{N: int(n)}
+		r := rand.New(rand.NewPCG(seed, uint64(len(text))))
+		for rest := text; len(rest) > 0; {
+			k := r.IntN(len(rest) + 1)
+			if err := c.AddBytes(&w, rest[:k]); err != nil {
+				t.Fatal(err)
+			}
+			rest = rest[k:]
+		}
+		gs, _ := ExtractBytes(text, int(n))
+		want := map[uint32]uint64{}
+		for _, g := range gs {
+			want[g]++
+		}
+		got := map[uint32]uint64{}
+		for id, k := range c.counts {
+			if k != 0 {
+				got[v.numbered()[id]] = uint64(k)
+			}
+		}
+		if !maps.Equal(got, want) || c.Total() != uint64(len(gs)) {
+			t.Fatalf("n=%d: counts %v (total %d), want %v (total %d)", n, got, c.Total(), want, len(gs))
+		}
+		if v.size != preset+len(want) {
+			t.Fatalf("n=%d: %d n-grams numbered, want %d preset and %d counted", n, v.size, preset, len(want))
+		}
+		if wide := v.size > 1<<16-1; n == 4 && (v.index32 != nil) != wide {
+			t.Fatalf("n=4: %d n-grams numbered, widened %t", v.size, v.index32 != nil)
+		}
+	})
 }
 
 // FuzzTopT checks the top-t ranking, Counter.Top, Ranker.Profile and

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
+	"weak"
 
 	"bloomlang/internal/alphabet"
 )
@@ -236,32 +238,30 @@ func Count(d, n int) int { return max(0, d-n+1) }
 // language's Counter is then a slice of counts indexed by that number,
 // so a language costs one count per n-gram the run has seen, not one
 // per possible n-gram. Up to flatBits of packed width (n <= 4) the index
-// from packed n-gram to number is a flat table, one per run, as wide as
-// the vocabulary needs: uint16 numbers while the run has seen at most
-// 65535 distinct n-grams (2 MiB at n = 4; at n <= 3 it never holds
-// more), widened to uint32 in one pass by the first n-gram past that.
-// Above flatBits the index is a map. Counting into a Vocabulary's
-// Counters is not safe for concurrent use; once counting is done,
-// ranking only reads, so its Counters may rank concurrently.
+// from packed n-gram to number is a flat table as wide as the
+// vocabulary needs: a NewTable of uint16 numbers while the run has seen
+// at most 65535 distinct n-grams (2 MiB at n = 4), widened to uint32
+// in one pass by the first n-gram past that; above flatBits it is a
+// map. Counting writes only the index and the counts; ranking inverts
+// the index into the n-grams by number. Release ends counting and
+// hands the uint16 table back to NewTable, for the direct-lookup
+// serving plane built next. Counting is not safe for concurrent use;
+// once the Vocabulary is released, its Counters may rank concurrently.
 type Vocabulary struct {
 	n       int
+	size    int               // n-grams numbered
 	index16 []uint16          // packed n-gram -> number+1 (0: unseen), while numbers fit 16 bits
 	index32 []uint32          // the same index, once they do not
 	ids     map[uint32]uint32 // packed n-gram -> number+1, above flatBits
-	grams   []uint32          // number -> packed n-gram
-	block   []uint32          // AddText's n-gram scratch
+	grams   []uint32          // number -> packed n-gram, inverted from the index by numbered
 }
 
-const (
-	flatBits = 20
-	// textBlock is the n-gram block AddText feeds a document through.
-	textBlock = 4 << 10
-)
+const flatBits = 20
 
 // MaxTotal is the most n-grams one Counter counts: its counts are
 // uint32, exact while the language's total stays within it, about
-// 4 GiB of text per language per run. AddAll and AddText refuse a
-// batch that would pass it, before counting any of it.
+// 4 GiB of text per language per run. AddBytes refuses the bytes that
+// would take a language past it, before counting any of them.
 const MaxTotal = math.MaxUint32
 
 // NewVocabulary returns an empty vocabulary of n-grams of length n.
@@ -269,20 +269,72 @@ func NewVocabulary(n int) (*Vocabulary, error) {
 	if err := checkN(n); err != nil {
 		return nil, err
 	}
-	v := &Vocabulary{n: n, block: make([]uint32, textBlock)}
+	v := &Vocabulary{n: n}
 	if Bits(n) <= flatBits {
-		v.index16 = make([]uint16, 1<<Bits(n))
+		v.index16 = NewTable(Bits(n))
 	} else {
 		v.ids = make(map[uint32]uint32)
 	}
 	return v, nil
 }
 
-// number appends g, not yet in the vocabulary, and returns its
-// number+1, the value the index holds for it.
-func (v *Vocabulary) number(g uint32) uint32 {
-	v.grams = append(v.grams, g)
-	return uint32(len(v.grams))
+// spare is the one flat table handed back and not yet taken, held
+// weakly: if no NewTable takes it, the next collection frees it.
+var spare atomic.Pointer[weak.Pointer[[]uint16]]
+
+// NewTable returns a zeroed table of one uint16 per packed n-gram of
+// width bits: a Vocabulary's flat index, or a direct-lookup serving
+// plane. It takes the table the last Release handed back when the
+// sizes match, so training and then serving fault its pages in once.
+func NewTable(bits uint) []uint16 {
+	if wp := spare.Load(); wp != nil {
+		if t := wp.Value(); t != nil && len(*t) == 1<<bits && spare.CompareAndSwap(wp, nil) {
+			clear(*t)
+			return *t
+		}
+	}
+	return make([]uint16, 1<<bits)
+}
+
+// Release ends counting into v and drops its index, handing a uint16
+// table back to NewTable; v's Counters may still rank, but not count.
+func (v *Vocabulary) Release() {
+	v.numbered()
+	if t := v.index16; t != nil {
+		wp := weak.Make(&t) // &t is a header of its own, so v does not hold it
+		spare.Store(&wp)
+	}
+	v.index16, v.index32, v.ids = nil, nil, nil
+}
+
+// number numbers one more n-gram and returns its number+1, the value
+// the index holds for it.
+func (v *Vocabulary) number() uint32 {
+	v.size++
+	return uint32(v.size)
+}
+
+// numbered returns the n-grams by number, inverting the index when
+// counting has numbered more since.
+func (v *Vocabulary) numbered() []uint32 {
+	if len(v.grams) < v.size {
+		v.grams = make([]uint32, v.size)
+		invert(v.grams, v.index16)
+		invert(v.grams, v.index32)
+		for g, id := range v.ids {
+			v.grams[id-1] = g
+		}
+	}
+	return v.grams
+}
+
+// invert writes each n-gram of a flat index at its number in grams.
+func invert[I uint16 | uint32](grams []uint32, index []I) {
+	for g, id := range index {
+		if id != 0 {
+			grams[id-1] = uint32(g)
+		}
+	}
 }
 
 // widen copies the uint16 index into a uint32 one, for the vocabulary's
@@ -311,64 +363,81 @@ func (v *Vocabulary) NewCounter() *Counter { return &Counter{v: v} }
 // MaxTotal without 4 GiB of text.
 func PresetTotal(c *Counter, total uint64) { c.total = total }
 
-// AddAll increments the count of every n-gram in gs, numbering the ones
-// the vocabulary has not seen yet. It refuses gs, counting none of it,
-// if the total would pass MaxTotal.
-func (c *Counter) AddAll(gs []uint32) error {
-	if err := c.fits(len(gs)); err != nil {
+// AddBytes counts the n-grams the ISO-8859-1 bytes of p complete in
+// the window w, numbering new ones: translate, shift, index and count
+// in one loop. The caller carries w, of the vocabulary's n and keeping
+// every n-gram, from one piece of a document to the next. AddBytes
+// refuses p, counting none of it, if its n-grams would take the total
+// past MaxTotal.
+func (c *Counter) AddBytes(w *Window, p []byte) error {
+	v := c.v
+	grams := Count(w.Filled+len(p), v.n)
+	if err := c.fits(grams); err != nil {
 		return err
 	}
-	c.add(gs)
-	return nil
-}
-
-// add counts gs, which fit under MaxTotal.
-func (c *Counter) add(gs []uint32) {
-	v := c.v
+	reg, mask := uint32(w.Reg), uint32(1)<<Bits(v.n)-1
+	for ; w.Filled < v.n-1 && len(p) > 0; w.Filled++ {
+		reg = reg<<alphabet.Bits | uint32(alphabet.Translate(p[0]))
+		p = p[1:]
+	}
 	// Catch up with the numbers other languages added, so that each
 	// number added below is the next element of counts.
-	counts := append(c.counts, make([]uint32, len(v.grams)-len(c.counts))...)
-	switch {
-	case v.index16 != nil:
-		var rest []uint32
-		if counts, rest = addFlat(v, v.index16, counts, gs); len(rest) > 0 {
-			v.widen()
-			counts, _ = addFlat(v, v.index32, counts, rest)
-		}
-	case v.index32 != nil:
-		counts, _ = addFlat(v, v.index32, counts, gs)
-	default:
-		for _, g := range gs {
-			id := v.ids[g]
-			if id == 0 {
-				id = v.number(g)
-				v.ids[g] = id
-				counts = append(counts, 0)
-			}
-			counts[id-1]++
-		}
+	counts := grow(c.counts, v.size-len(c.counts))
+	// The uint16 index counts until an n-gram needs a wider number, the
+	// uint32 one the rest; a map vocabulary has neither and counts all.
+	if counts, reg, p = countFlat(v, v.index16, counts, reg, p); len(p) > 0 && v.index16 != nil {
+		v.widen()
 	}
-	c.counts = counts
-	c.total += uint64(len(gs))
-}
-
-// addFlat counts gs through the flat index, numbering new n-grams,
-// until an n-gram needs a number the index's type cannot hold; it
-// returns the counts and the n-grams from that one on.
-func addFlat[I uint16 | uint32](v *Vocabulary, index []I, counts, gs []uint32) ([]uint32, []uint32) {
-	for i, g := range gs {
-		id := index[g]
+	counts, reg, p = countFlat(v, v.index32, counts, reg, p)
+	for _, b := range p {
+		reg = (reg<<alphabet.Bits | uint32(alphabet.Translate(b))) & mask
+		id := v.ids[reg]
 		if id == 0 {
-			if len(v.grams) == int(^I(0)) {
-				return counts, gs[i:]
-			}
-			id = I(v.number(g))
-			index[g] = id
-			counts = append(counts, 0)
+			id = v.number()
+			v.ids[reg] = id
+			counts = grow(counts, 1)
 		}
 		counts[id-1]++
 	}
-	return counts, nil
+	w.Reg = uint64(reg & mask)
+	c.counts = counts
+	c.total += uint64(grams)
+	return nil
+}
+
+// countFlat counts the n-grams p completes after reg through the flat
+// index until one needs a number I cannot hold; it returns the counts,
+// the register and the bytes from that one on: all of p for no index.
+func countFlat[I uint16 | uint32](v *Vocabulary, index []I, counts []uint32, reg uint32, p []byte) ([]uint32, uint32, []byte) {
+	if index == nil {
+		return counts, reg, p
+	}
+	mask := uint32(len(index) - 1)
+	for i, b := range p {
+		g := (reg<<alphabet.Bits | uint32(alphabet.Translate(b))) & mask
+		id := index[g]
+		if id == 0 {
+			if v.size == int(^I(0)) {
+				return counts, reg, p[i:]
+			}
+			id = I(v.number())
+			index[g] = id
+			counts = grow(counts, 1)
+		}
+		counts[id-1]++
+		reg = g
+	}
+	return counts, reg, nil
+}
+
+// grow returns counts k zero counts longer, moving past its capacity to
+// a quarter more than it needs: one allocation for a language that
+// starts late, with room for the n-grams it adds.
+func grow(counts []uint32, k int) []uint32 {
+	if n := len(counts) + k; n > cap(counts) {
+		counts = append(make([]uint32, 0, n+n/4), counts...)
+	}
+	return counts[:len(counts)+k]
 }
 
 // fits refuses grams more n-grams if they would take the total past
@@ -380,21 +449,10 @@ func (c *Counter) fits(grams int) error {
 	return nil
 }
 
-// AddText counts the n-grams of one whole document, fed through
-// Window.FeedBytes in blocks of the vocabulary's scratch. It refuses
-// the document, counting none of it, if its n-grams would take the
-// total past MaxTotal.
+// AddText counts the n-grams of one whole document through AddBytes.
 func (c *Counter) AddText(text []byte) error {
-	if err := c.fits(Count(len(text), c.v.n)); err != nil {
-		return err
-	}
 	w := Window{N: c.v.n}
-	for len(text) > 0 {
-		k := min(len(text), len(c.v.block))
-		c.add(w.FeedBytes(c.v.block[:0], text[:k]))
-		text = text[k:]
-	}
-	return nil
+	return c.AddBytes(&w, text)
 }
 
 // Total returns the number of n-grams accumulated.
@@ -404,9 +462,8 @@ func (c *Counter) Total() uint64 { return c.total }
 // Ties break on the packed n-gram value so results are deterministic.
 // If fewer than t distinct n-grams were seen, all of them are returned.
 // It selects the t-th best count in a pass or two over the counts and
-// sorts only the t winners. Top only reads the counter and its
-// vocabulary, so once counting is done the Counters of one Vocabulary
-// may rank concurrently.
+// sorts only the t winners. Once the Vocabulary is released, Top only
+// reads the counter and it, so its Counters may rank concurrently.
 func (c *Counter) Top(t int) []Entry[uint32] {
-	return rank(new(scratch[uint32]), c.v.grams, c.counts, t)
+	return rank(new(scratch[uint32]), c.v.numbered(), c.counts, t)
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -293,20 +295,24 @@ func TestCounterTopTruncatesAndTieBreaks(t *testing.T) {
 	}
 }
 
-// TestCounterAddMatchesAddAll: counting n-grams one per AddAll call
-// gives the counts of one AddAll over all of them.
-func TestCounterAddMatchesAddAll(t *testing.T) {
-	a, b := newCounter(t, 4), newCounter(t, 4)
-	gs, _ := ExtractBytes([]byte("counting n-grams one at a time"), 4)
-	for i := range gs {
-		a.AddAll(gs[i : i+1])
-	}
-	b.AddAll(gs)
-	if a.Total() != b.Total() {
-		t.Fatalf("totals differ: %d vs %d", a.Total(), b.Total())
-	}
-	if ca, cb := countsOf(a), countsOf(b); !maps.Equal(ca, cb) {
-		t.Errorf("counts differ: %v vs %v", ca, cb)
+// TestCounterAddBytesSplitMatchesWhole: counting a document one byte
+// per AddBytes call, the window carried across the calls, gives the
+// counts of one AddText over all of it.
+func TestCounterAddBytesSplitMatchesWhole(t *testing.T) {
+	doc := []byte("counting n-grams one at a time")
+	for _, n := range []int{1, 4, 5} {
+		a, b := newCounter(t, n), newCounter(t, n)
+		w := Window{N: n}
+		for i := range doc {
+			a.AddBytes(&w, doc[i:i+1])
+		}
+		b.AddText(doc)
+		if a.Total() != b.Total() {
+			t.Fatalf("n=%d: totals differ: %d vs %d", n, a.Total(), b.Total())
+		}
+		if ca, cb := countsOf(a), countsOf(b); !maps.Equal(ca, cb) {
+			t.Errorf("n=%d: counts differ: %v vs %v", n, ca, cb)
+		}
 	}
 }
 
@@ -349,27 +355,36 @@ func TestCountersShareVocabulary(t *testing.T) {
 }
 
 // TestVocabularyWidens counts more than 65535 distinct n-grams, the
-// most the uint16 index numbers, with the AddAll call that crosses the
-// limit cut so the vocabulary holds 65534, 65535 or 65536 n-grams
-// after it: the index widens within a call, at the start of one and
-// one n-gram into one. A second language counts n-grams on both sides
-// of the widening. Counts and Top equal a map-based count throughout.
+// most the uint16 index numbers, with the AddBytes call that crosses
+// the limit cut so the vocabulary holds 65534, 65535 or 65536 n-grams
+// after it: the index widens within a call, in the next one's first
+// new n-gram, and a little way into it. A second language counts
+// n-grams on both sides of the widening. Counts and Top equal a
+// map-based count throughout.
 func TestVocabularyWidens(t *testing.T) {
-	const distinct = 1<<16 + 1000
-	var gs []uint32
-	for i := range distinct {
-		gs = append(gs, uint32(i*7919)&(1<<20-1)) // distinct: 7919 is odd
+	r := rand.New(rand.NewPCG(1, 2))
+	text := make([]byte, 200_000)
+	for i := range text {
+		text[i] = byte('a' + r.IntN(26))
 	}
-	for i := 0; i < distinct; i += 3 {
-		gs = append(gs, gs[i/2])
+	gs, _ := ExtractBytes(text, 4)
+	// first[k] is the index of the n-gram that is the (k+1)th distinct.
+	var first []int
+	seen := map[uint32]bool{}
+	for i, g := range gs {
+		if !seen[g] {
+			seen[g] = true
+			first = append(first, i)
+		}
 	}
-	other := []uint32{gs[5], gs[distinct-1], gs[70000]}
+	if len(first) <= 1<<16 {
+		t.Fatalf("only %d distinct n-grams", len(first))
+	}
+	// Every n-gram of other holds a space, so none is one of text's.
+	other := []byte(" o t h e r  l a n g u a g e ")
 	check := func(when string, c *Counter, counted []uint32) {
 		t.Helper()
-		ref := map[uint32]uint64{}
-		for _, g := range counted {
-			ref[g]++
-		}
+		ref := countsOfGrams(counted)
 		if got := countsOf(c); !maps.Equal(got, ref) {
 			t.Fatalf("%s: counts differ from a map count (%d vs %d n-grams)", when, len(got), len(ref))
 		}
@@ -380,26 +395,40 @@ func TestVocabularyWidens(t *testing.T) {
 			t.Fatalf("%s: Total %d, want %d", when, c.Total(), len(counted))
 		}
 	}
+	otherGrams, _ := ExtractBytes(other, 4)
+	otherDistinct := len(countsOfGrams(otherGrams))
 	for _, split := range []int{1<<16 - 2, 1<<16 - 1, 1 << 16} {
 		v, err := NewVocabulary(4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		a, b := v.NewCounter(), v.NewCounter()
-		b.AddAll(other[:1])
-		a.AddAll(gs[:split])
-		if wide := split > 1<<16-1; (v.index32 != nil) != wide || (v.index16 != nil) == wide {
-			t.Fatalf("split %d: %d n-grams numbered, index16 %t, index32 %t", split, len(v.grams), v.index16 != nil, v.index32 != nil)
+		var wa, wb Window
+		wa.N, wb.N = 4, 4
+		b.AddBytes(&wb, other[:8])
+		end := first[split-v.size-1] + 4 // the bytes that number split n-grams
+		a.AddBytes(&wa, text[:end])
+		if wide := split > 1<<16-1; (v.index32 != nil) != wide || (v.index16 != nil) == wide || v.size != split {
+			t.Fatalf("split %d: %d n-grams numbered, index16 %t, index32 %t", split, v.size, v.index16 != nil, v.index32 != nil)
 		}
-		check(fmt.Sprintf("split %d, before", split), a, gs[:split])
-		a.AddAll(gs[split:])
-		b.AddAll(other[1:])
-		if v.index16 != nil || v.index32 == nil || len(v.grams) != distinct {
-			t.Fatalf("split %d: %d n-grams numbered, index not widened", split, len(v.grams))
+		check(fmt.Sprintf("split %d, before", split), a, gs[:end-3])
+		a.AddBytes(&wa, text[end:])
+		b.AddBytes(&wb, other[8:])
+		if v.index16 != nil || v.index32 == nil || v.size != len(first)+otherDistinct {
+			t.Fatalf("split %d: %d n-grams numbered, index not widened", split, v.size)
 		}
 		check(fmt.Sprintf("split %d, after", split), a, gs)
-		check(fmt.Sprintf("split %d, other language", split), b, other)
+		check(fmt.Sprintf("split %d, other language", split), b, otherGrams)
 	}
+}
+
+// countsOfGrams counts gs in a map.
+func countsOfGrams(gs []uint32) map[uint32]uint64 {
+	m := map[uint32]uint64{}
+	for _, g := range gs {
+		m[g]++
+	}
+	return m
 }
 
 // TestCounterRefusesPastMaxTotal: a batch or document whose n-grams
@@ -415,9 +444,12 @@ func TestCounterRefusesPastMaxTotal(t *testing.T) {
 	if err := c.AddText(doc); err == nil {
 		t.Fatal("AddText past MaxTotal succeeded")
 	}
-	gs, _ := ExtractBytes(doc, 4)
-	if err := c.AddAll(gs); err == nil {
-		t.Fatal("AddAll past MaxTotal succeeded")
+	w := Window{N: 4}
+	if err := c.AddBytes(&w, doc[:3]); err != nil { // no n-gram yet
+		t.Fatalf("AddBytes of a warm-up: %v", err)
+	}
+	if err := c.AddBytes(&w, doc[3:]); err == nil || w.Filled != 3 {
+		t.Fatalf("AddBytes past MaxTotal = %v, window %+v", err, w)
 	}
 	if got := countsOf(c); !maps.Equal(got, before) || c.Total() != MaxTotal-4 {
 		t.Fatalf("a refused batch changed the counter: %v, total %d", got, c.Total())
@@ -428,6 +460,47 @@ func TestCounterRefusesPastMaxTotal(t *testing.T) {
 	if c.Total() != MaxTotal {
 		t.Fatalf("Total %d, want %d", c.Total(), uint64(MaxTotal))
 	}
+}
+
+// TestNewTableHasOneOwner: goroutines take tables, check each is
+// zeroed and held by no one else, scribble on it and hand it back
+// through a Vocabulary's Release, many times over. The one spare goes
+// to one taker at a time; under -race a table with two owners is also
+// a data race.
+func TestNewTableHasOneOwner(t *testing.T) {
+	const bits = 10
+	var mu sync.Mutex
+	held := map[*uint16]bool{}
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 500 {
+				tab := NewTable(bits)
+				mu.Lock()
+				twice := held[&tab[0]]
+				held[&tab[0]] = true
+				mu.Unlock()
+				if twice {
+					t.Error("NewTable handed out a table already held")
+					return
+				}
+				if slices.ContainsFunc(tab, func(x uint16) bool { return x != 0 }) {
+					t.Error("NewTable handed out a table that is not zeroed")
+					return
+				}
+				for i := range tab {
+					tab[i] = uint16(w + 1)
+				}
+				mu.Lock()
+				delete(held, &tab[0])
+				mu.Unlock()
+				(&Vocabulary{index16: tab}).Release()
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func BenchmarkExtract64KiB(b *testing.B) {

@@ -31,7 +31,7 @@ type Profile struct {
 // profile for the given language label. It allocates only the
 // profile once r has ranked before.
 func (r *Ranker) Profile(language string, c *Counter, t int) *Profile {
-	entries := rank(&r.s, c.v.grams, c.counts, t)
+	entries := rank(&r.s, c.v.numbered(), c.counts, t)
 	grams := make([]uint32, len(entries))
 	for i, e := range entries {
 		grams[i] = e.Gram
@@ -53,6 +53,7 @@ func ProfileFromTexts(language string, texts [][]byte, n, t int) (*Profile, erro
 			return nil, err
 		}
 	}
+	v.Release()
 	return new(Ranker).Profile(language, c, t), nil
 }
 

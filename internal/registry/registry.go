@@ -25,7 +25,6 @@
 package registry
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -524,22 +523,28 @@ func (r *Registry) Load(version string) (*core.ProfileSet, error) {
 	return r.loadLocked(m)
 }
 
-// loadLocked reads the version's profile file once, verifies the
-// manifest checksum over those exact bytes, and deserializes from the
-// same buffer — the bytes served are always the bytes verified.
+// loadLocked parses the version's profile file as it reads it, once,
+// hashing every byte on the way in (through an io.TeeReader) and then
+// any the parser left unread, so the file is never held whole. The
+// manifest checksum is checked before the parse's result counts: the
+// bytes served are always the bytes verified, and a corrupt file is
+// reported as a checksum mismatch ahead of any parse error.
 func (r *Registry) loadLocked(m *Manifest) (*core.ProfileSet, error) {
-	path := filepath.Join(r.root, versionsDir, m.Version, profilesFile)
-	data, err := os.ReadFile(path)
+	f, err := os.Open(filepath.Join(r.root, versionsDir, m.Version, profilesFile))
 	if err != nil {
 		return nil, fmt.Errorf("registry: %w", err)
 	}
-	sum := sha256.Sum256(data)
-	if hexSum := hex.EncodeToString(sum[:]); hexSum != m.Checksum {
+	defer f.Close()
+	h := sha256.New()
+	ps, parseErr := core.ReadProfileSet(io.TeeReader(f, h))
+	if _, err := io.Copy(h, f); err != nil {
+		return nil, fmt.Errorf("registry: reading %s profiles: %w", m.Version, err)
+	}
+	if hexSum := hex.EncodeToString(h.Sum(nil)); hexSum != m.Checksum {
 		return nil, fmt.Errorf("registry: %s profile checksum mismatch (have %s, manifest %s)", m.Version, hexSum, m.Checksum)
 	}
-	ps, err := core.ReadProfileSet(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("registry: loading %s: %w", m.Version, err)
+	if parseErr != nil {
+		return nil, fmt.Errorf("registry: loading %s: %w", m.Version, parseErr)
 	}
 	return ps, nil
 }

@@ -215,6 +215,45 @@ func TestLoadVerifiesChecksum(t *testing.T) {
 	}
 }
 
+// TestLoadReportsChecksumBeforeParseError: the profile file is parsed
+// as it is hashed, so a file the parser rejects part-way (a broken
+// magic, a cut) must still be reported as a checksum mismatch, not as
+// the parse error it also causes.
+func TestLoadReportsChecksumBeforeParseError(t *testing.T) {
+	sets, stats := fixtures(t)
+	root := filepath.Join(t.TempDir(), "registry")
+	reg, err := registry.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := reg.Create(sets[0], stats[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(root, "versions", m.Version, "profiles.bin")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string][]byte{
+		"magic": append([]byte("XXXX"), good[4:]...),
+		"cut":   good[:len(good)/2],
+	} {
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reg.Load(m.Version); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Errorf("%s: Load = %v, want a checksum mismatch", name, err)
+		}
+	}
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Load(m.Version); err != nil {
+		t.Fatalf("restored profiles: %v", err)
+	}
+}
+
 func TestActivateUnknownVersion(t *testing.T) {
 	reg, err := registry.Open(t.TempDir())
 	if err != nil {

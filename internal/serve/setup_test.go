@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"bloomlang/internal/core"
@@ -16,7 +17,7 @@ import (
 // setupTrainSplit is perfbench's training split at seed 1: 10
 // languages × 60 documents × 800 words, each language from the
 // generator seed perfbench derives for it.
-func setupTrainSplit(t *testing.T) map[string][][]byte {
+func setupTrainSplit(t testing.TB) map[string][][]byte {
 	t.Helper()
 	texts := map[string][][]byte{}
 	for _, lang := range corpus.Languages() {
@@ -36,7 +37,7 @@ func setupTrainSplit(t *testing.T) map[string][][]byte {
 
 // setup runs the set-up a server goes through before its first
 // request: train, store and activate a registry version, and serve it.
-func setup(t *testing.T, dir string, texts map[string][][]byte) *serve.Server {
+func setup(t testing.TB, dir string, texts map[string][][]byte) *serve.Server {
 	t.Helper()
 	tr, err := train.New(core.DefaultConfig())
 	if err != nil {
@@ -73,12 +74,15 @@ func setup(t *testing.T, dir string, texts map[string][][]byte) *serve.Server {
 
 // TestSetupAllocations bounds what set-up allocates: with no
 // collection between set-up and the first request, all of it can stay
-// resident. The profiles it produces are about 0.2 MB and the serving
-// mask plane 2 MiB; training's vocabulary index, counts and ranking,
-// and the registry's write and reload, must fit in the rest of 8 MB.
-// Finalize ranks on up to GOMAXPROCS goroutines, each with its own
-// ranking scratch of about 0.2 MB, so the test pins GOMAXPROCS at 2 to
-// measure the same set-up on any machine.
+// resident, so the test measures set-up with the collector off. The
+// profiles it produces are about 0.2 MB and the serving mask plane
+// 2 MiB, the table training numbered its n-grams through, handed on;
+// training's counts and ranking, and the registry's write and reload,
+// must fit in the rest of 4.5 MB. (A collection between Finalize and the
+// plane frees the handed-back table, and the plane allocates its
+// own.) Finalize ranks on up to GOMAXPROCS goroutines, each with its
+// own ranking scratch of about 0.2 MB, so the test pins GOMAXPROCS at
+// 2 to measure the same set-up on any machine.
 func TestSetupAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -88,13 +92,28 @@ func TestSetupAllocations(t *testing.T) {
 	setup(t, t.TempDir(), texts) // first-use costs outside set-up proper
 	dir := t.TempDir()
 	var before, after runtime.MemStats
+	gcPercent := debug.SetGCPercent(-1)
 	runtime.ReadMemStats(&before)
 	srv := setup(t, dir, texts)
 	runtime.ReadMemStats(&after)
+	debug.SetGCPercent(gcPercent)
 	runtime.KeepAlive(srv)
 	alloc := after.TotalAlloc - before.TotalAlloc
 	t.Logf("set-up allocated %.2f MB", float64(alloc)/1e6)
-	if alloc > 8e6 {
-		t.Errorf("set-up allocated %.2f MB, want at most 8 MB", float64(alloc)/1e6)
+	if alloc > 4.5e6 {
+		t.Errorf("set-up allocated %.2f MB, want at most 4.5 MB", float64(alloc)/1e6)
+	}
+}
+
+// BenchmarkTrainSetup times TestSetupAllocations' set-up, one whole
+// set-up per iteration into a registry of its own, and reports what it
+// allocates, with GOMAXPROCS pinned at 2 as there. The collector runs,
+// so a cycle that falls between Finalize and the plane shows in B/op.
+func BenchmarkTrainSetup(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	texts := setupTrainSplit(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		setup(b, b.TempDir(), texts)
 	}
 }

@@ -7,15 +7,15 @@ package serve
 // slices of the input, or, for a string with an escape or invalid
 // UTF-8, built in a scratch buffer; it never writes into the input.
 // The value of any other key is found by matching brackets outside
-// strings and checked by json.Valid, and a syntax error is reported in
-// encoding/json's own words by running json.Unmarshal on the input,
-// once the decoder has failed. The encoder appends Detection,
-// SpanDetection and Segmentation JSON straight from core.Match and
-// core.Span. Both are held to encoding/json: the decoder accepts
-// exactly what json.Unmarshal accepts into the document shape and
-// yields the same bytes, and the encoder writes the bytes
-// json.Encoder.Encode writes. FuzzWireCodec checks both halves against
-// encoding/json.
+// strings and checked by json.Valid, small values together in batches
+// of up to 4 KiB, and a syntax error is reported in encoding/json's
+// own words by running json.Unmarshal on the input, once the decoder
+// has failed. The encoder appends Detection, SpanDetection and
+// Segmentation JSON straight from core.Match and core.Span. Both are
+// held to encoding/json: the decoder accepts exactly what
+// json.Unmarshal accepts into the document shape and yields the same
+// bytes, and the encoder writes the bytes json.Encoder.Encode writes.
+// FuzzWireCodec checks both halves against encoding/json.
 
 import (
 	"bufio"
@@ -57,11 +57,22 @@ type decoder struct {
 	depth   int // open arrays and objects
 	elem    int // where the /batch document after the first starts, else 0
 	scratch []byte
+	// unchecked holds the skipped values json.Valid has yet to check,
+	// as the elements of one JSON array: "[v1,v2,". deferred records
+	// that the input put any there; eager has skip check each value at
+	// once instead.
+	unchecked       []byte
+	deferred, eager bool
 }
+
+// checkBatch is the most bytes of skipped values checked in one
+// json.Valid call; a larger value is checked on its own.
+const checkBatch = 4 << 10
 
 func (d *decoder) reset(buf []byte) {
 	d.buf, d.pos, d.depth, d.elem = buf, 0, 0, 0
 	d.scratch = d.scratch[:0]
+	d.unchecked, d.deferred = append(d.unchecked[:0], '['), false
 }
 
 // line decodes one NDJSON document line.
@@ -70,6 +81,14 @@ func (d *decoder) line(line []byte) (id, text []byte, err error) {
 	d.ws()
 	if id, text, err = d.doc(); err == nil {
 		err = d.end()
+	}
+	if err == nil {
+		err = d.check()
+	}
+	if err != nil && d.deferred {
+		d.eager = true
+		defer func() { d.eager = false }()
+		return d.line(line)
 	}
 	if err != nil {
 		return nil, nil, d.report(err)
@@ -87,18 +106,27 @@ func (d *decoder) batch(body []byte, limit int, ids, texts [][]byte) ([][]byte, 
 	d.ws()
 	var n int
 	var err error
+	gotIDs, gotTexts := ids, texts
 	switch d.peek() {
 	case 'n':
 		err = d.null()
 	case '[':
-		ids, texts, n, err = d.docs(limit, ids, texts)
+		gotIDs, gotTexts, n, err = d.docs(limit, ids, texts)
 	default:
 		err = d.notA("an array of documents")
 	}
 	if err == nil {
 		err = d.end()
 	}
-	return ids, texts, n, d.report(err)
+	if err == nil {
+		err = d.check()
+	}
+	if err != nil && d.deferred {
+		d.eager = true
+		defer func() { d.eager = false }()
+		return d.batch(body, limit, ids, texts)
+	}
+	return gotIDs, gotTexts, n, d.report(err)
 }
 
 // docs decodes the array of documents at d.pos, appending the ids and
@@ -237,7 +265,9 @@ var litNull = []byte("null")
 // unknown fields it ignores. A value other than a string runs to the
 // first comma, closing bracket or whitespace outside strings and
 // outside the arrays and objects it opens, whose nesting limit it
-// checks, and json.Valid checks it; str reads and checks the strings.
+// checks, and json.Valid checks it, with the values batched before it
+// unless it is empty, large or d is eager; str reads and checks the
+// strings.
 func (d *decoder) skip() error {
 	start, depth, mark := d.pos, d.depth, len(d.scratch)
 	for d.pos < len(d.buf) {
@@ -263,7 +293,33 @@ func (d *decoder) skip() error {
 		}
 		d.pos++
 	}
-	if !json.Valid(d.buf[start:d.pos]) {
+	v := d.buf[start:d.pos]
+	if d.eager || len(v) == 0 || len(v) > checkBatch {
+		if !json.Valid(v) {
+			return errSyntax
+		}
+		return nil
+	}
+	d.unchecked = append(append(d.unchecked, v...), ',')
+	d.deferred = true
+	if len(d.unchecked) > checkBatch {
+		return d.check()
+	}
+	return nil
+}
+
+// check validates the values skip batched, in one json.Valid call
+// over them as one array. It may fail past the document that holds
+// the malformed value, so line and batch then decode the input again,
+// eager, to stop where encoding/json does.
+func (d *decoder) check() error {
+	if len(d.unchecked) == 1 {
+		return nil
+	}
+	d.unchecked[len(d.unchecked)-1] = ']'
+	ok := json.Valid(d.unchecked)
+	d.unchecked = d.unchecked[:1]
+	if !ok {
 		return errSyntax
 	}
 	return nil

@@ -230,6 +230,36 @@ func TestDecoderNestingLimit(t *testing.T) {
 	}
 }
 
+// TestDecoderBatchesSkippedValues: small unknown values are checked
+// together, across documents and across more than one batch of
+// checkBatch bytes. A malformed one is still reported as
+// encoding/json reports it, also when a type error or the end of the
+// body comes first in the decoder's own reading, and whichever batch
+// it falls in.
+func TestDecoderBatchesSkippedValues(t *testing.T) {
+	doc := `{"x":12345678,"y":[true,{"z":null}]},`
+	many := strings.Repeat(doc, 3*checkBatch/len(doc))
+	half := len(many) / len(doc) / 2 * len(doc)
+	for _, body := range []string{
+		"[" + many + `"last"]`,
+		"[" + many[:half] + `{"x":1.},` + many[half:] + `"last"]`,
+		"[" + many[:half] + `{"x":[1,,2]},{"text":5},` + many[half:] + `"last"]`,
+		"[" + many + `{"x":01,"text":"t"}]`,
+		"[" + many + `{"x":tru}`,
+		`[{"x":1.},{"text":5}]`,
+	} {
+		checkBatchDecode(t, []byte(body))
+		want := json.Unmarshal([]byte(body), new([]refDoc))
+		var d decoder
+		_, _, _, err := d.batch([]byte(body), math.MaxInt, nil, nil)
+		if (err == nil) != (want == nil) || err != nil && err.Error() != want.Error() {
+			t.Errorf("body of %d bytes: decoder err %v, encoding/json err %v", len(body), err, want)
+		}
+	}
+	checkLineDecode(t, []byte(`{"x":1.,"text":5}`))
+	checkLineDecode(t, []byte(`{"a":1,"b":[2],"c":{"d":3},"text":"t"}`))
+}
+
 // TestQueryFlagMatchesURLValues holds the raw-query reader to what
 // strconv.ParseBool makes of url.Values.Get on the same query.
 func TestQueryFlagMatchesURLValues(t *testing.T) {

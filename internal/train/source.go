@@ -119,25 +119,22 @@ func (t *Trainer) addFile(lang, path string) error {
 // NDJSON trains profiles from a newline-delimited JSON stream in one
 // call; see (*Trainer).AddNDJSON for the line format.
 func NDJSON(cfg core.Config, r io.Reader) (*core.ProfileSet, Stats, error) {
-	t, err := New(cfg)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	if err := t.AddNDJSON(r); err != nil {
-		t.Abort()
-		return nil, Stats{}, err
-	}
-	return t.Finalize()
+	return run(cfg, func(t *Trainer) error { return t.AddNDJSON(r) })
 }
 
 // Dir trains profiles from a corpus directory tree's training split in
 // one call; see (*Trainer).AddDir for the layout.
 func Dir(cfg core.Config, root string) (*core.ProfileSet, Stats, error) {
+	return run(cfg, func(t *Trainer) error { return t.AddDir(root) })
+}
+
+// run trains a new Trainer through add, aborting it if add fails.
+func run(cfg core.Config, add func(*Trainer) error) (*core.ProfileSet, Stats, error) {
 	t, err := New(cfg)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	if err := t.AddDir(root); err != nil {
+	if err := add(t); err != nil {
 		t.Abort()
 		return nil, Stats{}, err
 	}

@@ -3,33 +3,32 @@
 // scale. Where core.TrainFromTexts consumes fully materialized texts,
 // a Trainer ingests documents incrementally — one Add call, one
 // io.Reader, one NDJSON line, or one file of a directory tree at a
-// time — and counts each one in the caller through ngram.Window's
-// FeedBytes, the translate-and-shift loop a core.Stream runs to feed
-// n-gram blocks to the parallel-bloom kernel. Finalize ranks the top-t n-grams per
-// language, producing a core.ProfileSet byte-identical to what
-// core.TrainFromTexts builds from the same documents: counting is
-// additive, so the order documents arrive in does not change the
-// totals, and the top-t ranking breaks ties deterministically. Each
-// language's ranking is a selection over its counts that sorts only
-// the t winners; Finalize ranks the languages concurrently, on at most
-// GOMAXPROCS goroutines, each profile into its language's slot, and
-// each goroutine ranks through one ngram.Ranker, so ranking allocates
-// only the profiles.
+// time — and counts each one in the caller through
+// ngram.Counter.AddBytes, one loop from raw bytes to counts. Finalize
+// ranks the top-t n-grams per language into a core.ProfileSet
+// byte-identical to what core.TrainFromTexts builds from the same
+// documents: counting is additive, and the ranking breaks ties
+// deterministically. It ranks the languages on at most GOMAXPROCS
+// goroutines, each through one ngram.Ranker, a selection that sorts
+// only the t winners and allocates only the profile.
 //
 // Peak memory is one ngram.Vocabulary shared by all languages (at
 // n <= 4 a flat index of 2 bytes per possible n-gram, 2 MiB at the
-// paper's n=4, widened to 4 bytes per possible n-gram once the run has
-// seen more than 65535 distinct n-grams; a map above n = 4; plus
-// 4 bytes per distinct n-gram), one 4-byte count per vocabulary entry
-// per language, and per AddReader in flight one read buffer and one
-// n-gram batch, reused across calls — never the corpus, and nothing
-// that grows with the n-gram key space per language.
+// paper's n=4, widened to 4 bytes once the run has seen more than
+// 65535 distinct n-grams; a map above n = 4), one 4-byte count per
+// vocabulary entry per language, and per AddReader in flight one
+// 64 KiB read buffer, reused across calls — never the corpus. The
+// 2-byte index and the direct-lookup serving plane are one table, one
+// uint16 per packed n-gram: Finalize and Abort hand it back
+// (ngram.Vocabulary.Release), and the plane of the detector built
+// next takes it instead of faulting in a table of its own.
 //
 // Counts are uint32, so one run counts at most ngram.MaxTotal n-grams
 // per language, about 4 GiB of text. Add refuses the document that
 // would pass that, before counting any of it; AddReader, which cannot
-// know a document's length in advance, refuses the batch that would,
-// and poisons the trainer if part of the document was counted already.
+// know a document's length in advance, refuses the read buffer that
+// would, and poisons the trainer if part of the document was counted
+// already.
 package train
 
 import (
@@ -44,12 +43,8 @@ import (
 	"bloomlang/internal/ngram"
 )
 
-const (
-	// readChunk is the AddReader read granularity.
-	readChunk = 64 << 10
-	// flushGrams is the n-gram batch AddReader counts at once.
-	flushGrams = 32 << 10
-)
+// readChunk is the AddReader read buffer, the bytes it counts at once.
+const readChunk = 64 << 10
 
 // langAcc is one language's accumulator, its counts over the trainer's
 // vocabulary.
@@ -73,14 +68,7 @@ type Trainer struct {
 	closed  bool
 	failErr error // first mid-document ingest failure; poisons Finalize
 
-	readers sync.Pool // of *readScratch, one per AddReader in flight
-}
-
-// readScratch is one AddReader's working memory: the read buffer and
-// the n-gram batch.
-type readScratch struct {
-	buf   []byte
-	grams []uint32
+	readers sync.Pool // of *[readChunk]byte, one per AddReader in flight
 }
 
 // New builds a trainer for the given classifier configuration; the
@@ -96,18 +84,19 @@ func New(cfg core.Config) (*Trainer, error) {
 		return nil, err
 	}
 	t := &Trainer{cfg: cfg, vocab: vocab, accs: make(map[string]*langAcc)}
-	t.readers.New = func() any { return &readScratch{buf: make([]byte, readChunk)} }
+	t.readers.New = func() any { return new([readChunk]byte) }
 	return t, nil
 }
-
-// Config returns the effective training configuration.
-func (t *Trainer) Config() core.Config { return t.cfg }
 
 var errClosed = errors.New("train: trainer already finalized")
 
 // accLocked returns lang's accumulator, creating it on first use. It
-// fails once the trainer is closed. t.mu must be held.
+// fails for an empty label and once the trainer is closed. t.mu must
+// be held.
 func (t *Trainer) accLocked(lang string) (*langAcc, error) {
+	if lang == "" {
+		return nil, errors.New("train: empty language label")
+	}
 	if t.closed {
 		return nil, errClosed
 	}
@@ -119,43 +108,23 @@ func (t *Trainer) accLocked(lang string) (*langAcc, error) {
 	return a, nil
 }
 
-func checkLang(lang string) error {
-	if lang == "" {
-		return errors.New("train: empty language label")
-	}
-	return nil
-}
-
 // Add counts one whole document for lang. The trainer does not keep
 // doc after Add returns.
 func (t *Trainer) Add(lang string, doc []byte) error {
-	if err := checkLang(lang); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	a, err := t.accLocked(lang)
-	if err != nil {
-		return err
-	}
-	if err := a.counter.AddText(doc); err != nil {
-		return fmt.Errorf("train: language %q: %w", lang, err)
-	}
-	a.docs++
-	a.bytes += int64(len(doc))
-	return nil
+	w := ngram.Window{N: t.cfg.N}
+	return t.count(lang, &w, doc, 1, int64(len(doc)))
 }
 
-// addGrams counts a batch of lang's n-grams and adds docs and bytes to
-// its stats.
-func (t *Trainer) addGrams(lang string, grams []uint32, docs int, bytes int64) error {
+// count counts p, the next bytes of one of lang's documents in the
+// window w, and adds docs and bytes to lang's stats.
+func (t *Trainer) count(lang string, w *ngram.Window, p []byte, docs int, bytes int64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	a, err := t.accLocked(lang)
 	if err != nil {
 		return err
 	}
-	if err := a.counter.AddAll(grams); err != nil {
+	if err := a.counter.AddBytes(w, p); err != nil {
 		return fmt.Errorf("train: language %q: %w", lang, err)
 	}
 	a.docs += docs
@@ -163,70 +132,42 @@ func (t *Trainer) addGrams(lang string, grams []uint32, docs int, bytes int64) e
 	return nil
 }
 
-// AddReader ingests one document for lang streamed from r in bounded
-// chunks: the document is never buffered whole. The window carries
-// across reads, so chunk boundaries produce exactly the n-grams a
-// contiguous read would. The n-grams are counted in batches of
-// flushGrams; a read error, or a batch refused for taking the
-// language past ngram.MaxTotal, leaves no trace before the first batch
-// is counted and poisons the trainer after it (see Finalize). The read
-// buffer and the batch are pooled on the trainer, so a warm call
-// allocates nothing; concurrent calls each take their own.
+// AddReader ingests one document for lang streamed from r, never
+// buffered whole: it counts each full 64 KiB read buffer, and the tail
+// at the end, under the trainer lock, with the window carried across
+// them. A read error, or a buffer refused for taking the language past
+// ngram.MaxTotal, leaves no trace before the first buffer is counted
+// and poisons the trainer after it, since counted buffers cannot be
+// recalled (see Finalize). The read buffer is pooled on the trainer,
+// so a warm call allocates nothing.
 func (t *Trainer) AddReader(lang string, r io.Reader) error {
-	if err := checkLang(lang); err != nil {
-		return err
-	}
 	w := ngram.Window{N: t.cfg.N}
-	sc := t.readers.Get().(*readScratch)
-	buf, grams := sc.buf, sc.grams[:0]
-	defer func() {
-		sc.grams = grams[:0]
-		t.readers.Put(sc)
-	}()
+	buf := t.readers.Get().(*[readChunk]byte)
+	defer t.readers.Put(buf)
 	var total int64
-	flushed := false
-	for {
-		n, err := r.Read(buf)
-		if n > 0 {
-			total += int64(n)
-			grams = w.FeedBytes(grams, buf[:n])
-			if len(grams) >= flushGrams {
-				if aerr := t.addGrams(lang, grams, 0, 0); aerr != nil {
-					return t.fail(aerr, flushed)
-				}
-				grams = grams[:0]
-				flushed = true
+	for counted := false; ; counted = true {
+		n, err := io.ReadFull(r, buf[:])
+		total += int64(n)
+		switch err {
+		case nil:
+			err = t.count(lang, &w, buf[:], 0, 0)
+		case io.EOF, io.ErrUnexpectedEOF:
+			// The tail, possibly empty, carries the document's stats.
+			if err = t.count(lang, &w, buf[:n], 1, total); err == nil {
+				return nil
 			}
-		}
-		if err == io.EOF {
-			break
+		default:
+			err = fmt.Errorf("train: reading %s document: %w", lang, err)
 		}
 		if err != nil {
-			return t.fail(fmt.Errorf("train: reading %s document: %w", lang, err), flushed)
+			t.mu.Lock()
+			if counted && t.failErr == nil {
+				t.failErr = err
+			}
+			t.mu.Unlock()
+			return err
 		}
 	}
-	// The final (possibly empty) batch carries the document's stats.
-	if err := t.addGrams(lang, grams, 1, total); err != nil {
-		return t.fail(err, flushed)
-	}
-	return nil
-}
-
-// fail returns err, the failure of a document AddReader is ingesting.
-// If part of the document was counted already, those batches cannot be
-// recalled, so it poisons the whole trainer first: Finalize will refuse
-// to build profiles from partial counts. Otherwise nothing of the
-// document reached the counters, and the caller may skip it and keep
-// training.
-func (t *Trainer) fail(err error, counted bool) error {
-	if counted {
-		t.mu.Lock()
-		if t.failErr == nil {
-			t.failErr = err
-		}
-		t.mu.Unlock()
-	}
-	return err
 }
 
 // Abort ends ingest without the ranking work of Finalize — the cheap
@@ -234,6 +175,9 @@ func (t *Trainer) fail(err error, counted bool) error {
 // idempotent and a no-op after Finalize.
 func (t *Trainer) Abort() {
 	t.mu.Lock()
+	if t.vocab != nil {
+		t.vocab.Release()
+	}
 	t.closed, t.vocab, t.accs = true, nil, nil
 	t.mu.Unlock()
 }
@@ -271,12 +215,13 @@ type Stats struct {
 // Finalize refuses to build profiles.
 func (t *Trainer) Finalize() (*core.ProfileSet, Stats, error) {
 	t.mu.Lock()
-	accs, failErr, closed := t.accs, t.failErr, t.closed
+	accs, failErr, closed, vocab := t.accs, t.failErr, t.closed, t.vocab
 	t.closed, t.vocab, t.accs = true, nil, nil
 	t.mu.Unlock()
 	if closed {
 		return nil, Stats{}, errClosed
 	}
+	vocab.Release() // counting is over: the flat index goes to the serving plane
 	if failErr != nil {
 		return nil, Stats{}, fmt.Errorf("train: a document failed mid-ingest, refusing to build profiles from partial counts: %w", failErr)
 	}

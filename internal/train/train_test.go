@@ -7,6 +7,7 @@ import (
 	"iter"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -512,6 +513,79 @@ func TestFinalizeRanksConcurrently(t *testing.T) {
 		if len(ps.Profiles) != langs || !bytes.Equal(serialize(t, ps), wantBytes) {
 			t.Fatalf("run %d: %d profiles differ from core.TrainFromTexts' %d", run, len(ps.Profiles), langs)
 		}
+	}
+}
+
+// TestTableHandoffUnderConcurrency: two trainers finalize, each
+// handing its flat index back, while two goroutines build
+// direct-lookup detectors, whose planes take such tables. No table may
+// reach two owners: under -race a table shared by a counting
+// vocabulary and a plane, or by two planes, is a data race, and in any
+// build the detectors' counts, checked against a detector built
+// before, go wrong.
+func TestTableHandoffUnderConcurrency(t *testing.T) {
+	corp := testCorpus(t)
+	ps, err := core.TrainFromTexts(core.Config{}, corp.TrainTextsByLanguage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.NewDetector(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var docs [][]byte
+	for _, lang := range corp.Languages {
+		docs = append(docs, corpus.Texts(corp.Test[lang])...)
+	}
+	want := make([][]int, len(docs))
+	for i, doc := range docs {
+		want[i], _ = ref.DetectCounts(nil, doc)
+	}
+	const rounds = 8
+	errs := make(chan error, 4*rounds)
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				tr, err := train.New(core.Config{})
+				if err != nil {
+					errs <- err
+					return
+				}
+				for lang, doc := range trainDocs(corp) {
+					if err := tr.Add(lang, doc); err != nil {
+						errs <- err
+						return
+					}
+				}
+				if _, _, err := tr.Finalize(); err != nil {
+					errs <- err
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				det, err := core.NewDetector(ps)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i, doc := range docs {
+					if got, _ := det.DetectCounts(nil, doc); !slices.Equal(got, want[i]) {
+						errs <- fmt.Errorf("doc %d: counts %v, want %v", i, got, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
