@@ -142,11 +142,11 @@ func BenchmarkClassifySingleDoc(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	clf := det.Classifier()
 	doc := benchBigDocs[0].Text
+	counts := make([]int, 0, len(det.Languages()))
 	b.SetBytes(int64(len(doc)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clf.Classify(doc)
+		det.DetectCounts(counts, doc)
 	}
 }

@@ -22,8 +22,8 @@ type ProfileSet = core.ProfileSet
 type Profile = ngram.Profile
 
 // Result is the raw per-language counter view of one document, as
-// returned by (*Detector).Classifier().Classify; detection results are
-// Matches.
+// the §3.3 wide classifier (TrainWide) returns it; detection results
+// are Matches.
 type Result = core.Result
 
 // Backend selects the membership structure used for match counting,

@@ -51,8 +51,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 // TestDetectorFacade exercises the re-exported Detector surface: the
-// functional options, backend parsing, and agreement with the raw
-// Classify counts on confidently-decided documents.
+// functional options, backend parsing, and agreement with the winner
+// of the raw DetectCounts counts on confidently-decided documents.
 func TestDetectorFacade(t *testing.T) {
 	corp, ps := fixtures(t)
 	be, err := ParseBackend("bloom")
@@ -70,26 +70,48 @@ func TestDetectorFacade(t *testing.T) {
 	if got := det.Backend().String(); got != "parallel-bloom" {
 		t.Errorf("backend = %q", got)
 	}
-	clf := det.Classifier()
 	docs := corp.TestDocuments("")[:40]
 	matches := det.DetectBatch(DocumentTexts(docs))
 	decided := 0
 	for i, d := range docs {
-		legacy := clf.Classify(d.Text)
-		if legacy.Margin() == 0 {
+		counts, m := det.DetectCounts(nil, d.Text)
+		want, lead := countsWinner(det.Languages(), counts, m.NGrams)
+		if lead == 0 {
 			continue
 		}
 		if matches[i].Unknown {
 			continue
 		}
 		decided++
-		if want := legacy.BestLanguage(clf.Languages()); matches[i].Lang != want {
-			t.Errorf("doc %d: detector %q, legacy %q", i, matches[i].Lang, want)
+		if matches[i].Lang != want {
+			t.Errorf("doc %d: detector %q, raw counts %q", i, matches[i].Lang, want)
 		}
 	}
 	if decided == 0 {
 		t.Error("no confidently decided documents in the sample")
 	}
+}
+
+// countsWinner is the raw-count winner of a DetectCounts row: the
+// language with the highest count, ties to the lower index, and its
+// lead over the runner-up; "" for a document with no n-grams.
+func countsWinner(langs []string, counts []int, ngrams int) (lang string, lead int) {
+	if ngrams == 0 {
+		return "", 0
+	}
+	best := 0
+	for i, n := range counts {
+		if n > counts[best] {
+			best = i
+		}
+	}
+	lead = counts[best]
+	for i, n := range counts {
+		if i != best {
+			lead = min(lead, counts[best]-n)
+		}
+	}
+	return langs[best], lead
 }
 
 func TestLanguageHelpers(t *testing.T) {

@@ -89,11 +89,10 @@ func TestSystemSimulationMatchesSoftware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clf := det.Classifier()
 	for i, dr := range rep.Results {
-		sw := clf.Classify(docs[i].Text)
-		for l := range sw.Counts {
-			if dr.Result.Counts[l] != sw.Counts[l] {
+		sw, _ := det.DetectCounts(nil, docs[i].Text)
+		for l := range sw {
+			if dr.Result.Counts[l] != sw[l] {
 				t.Fatalf("doc %d: hardware and software counts differ", i)
 			}
 		}

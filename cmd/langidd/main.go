@@ -71,7 +71,6 @@ func main() {
 	profilePath := flag.String("profiles", "", "trained profile file to serve from")
 	corpusDir := flag.String("corpus", "", "corpus directory to train from (corpusgen layout)")
 	savePath := flag.String("save", "", "write trained profiles to this file before serving")
-	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	minMargin := flag.Float64("min-margin", 0, "answer unknown below this normalized winner margin")
 	minNGrams := flag.Int("min-ngrams", 1, "answer unknown below this many testable n-grams")
 	maxBody := flag.Int64("max-body", 10<<20, "max /detect and /batch body bytes")
@@ -92,7 +91,6 @@ func main() {
 	flag.Parse()
 
 	cfg := serve.Config{
-		Workers:       *workers,
 		MinMargin:     *minMargin,
 		MinNGrams:     *minNGrams,
 		MaxBodyBytes:  *maxBody,
@@ -133,8 +131,8 @@ func main() {
 	if version == "" {
 		version = "unversioned"
 	}
-	log.Printf("serving %d languages on %s (profiles %s, backend %s, %d workers)",
-		len(stats.Languages), *addr, version, stats.Backend, stats.Workers)
+	log.Printf("serving %d languages on %s (profiles %s, backend %s)",
+		len(stats.Languages), *addr, version, stats.Backend)
 
 	for {
 		select {

@@ -48,12 +48,12 @@
 //
 // All of these count through one Stream type: Detect, Rank and the
 // batch workers borrow pooled Streams, so there is one counting loop
-// for every path, and it runs from raw bytes to counts in one pass. Raw per-language match counts ride along on
-// every path, appended to caller scratch in Languages() order, and
-// corpus scoring (Evaluate, Measure) runs over the same batch path:
+// for every path, and it runs from raw bytes to counts in one pass.
+// Raw per-language match counts are appended to caller scratch in
+// Languages() order, and corpus scoring (Evaluate, Measure) runs over
+// the batch path:
 //
 //	counts, m := det.DetectCounts(buf[:0], doc) // one document
-//	counts, ms := det.DetectBatchCounts(nil, docs) // row-major, one row per document
 //	counts = st.AppendCounts(counts[:0])        // a stream's running counts
 //	ev := bloomlang.Evaluate(det, corp)         // per-language accuracy, confusion
 //	rep := bloomlang.Measure(det, corp.TestDocuments("")) // MB/s over DetectBatch
@@ -246,8 +246,7 @@
 //
 //	POST /detect          one raw document        -> one JSON detection
 //	POST /batch           JSON array of documents -> array of detections,
-//	                      fanned out over the detector's workers, input
-//	                      order preserved
+//	                      counted in order on one pooled stream
 //	POST /stream          NDJSON documents        -> NDJSON detections,
 //	                      classified incrementally with bounded memory,
 //	                      answers flushed before each read of the body

@@ -62,15 +62,17 @@ func TestEvaluate(t *testing.T) {
 	if ev.Min > ev.Average || ev.Average > ev.Max {
 		t.Errorf("Min %.3f / Average %.3f / Max %.3f not ordered", ev.Min, ev.Average, ev.Max)
 	}
-	// The prediction is the Classify winner: under the default policy
-	// Match.Lang and Result.BestLanguage agree.
+	// The prediction is the raw-count winner: under the default policy
+	// Match.Lang is the highest DetectCounts count.
 	for _, truth := range corp.Languages {
 		want := map[string]int{}
 		for _, d := range corp.Test[truth] {
-			want[det.Classifier().Classify(d.Text).BestLanguage(det.Languages())]++
+			counts, m := det.DetectCounts(nil, d.Text)
+			lang, _ := countsWinner(det.Languages(), counts, m.NGrams)
+			want[lang]++
 		}
 		if !reflect.DeepEqual(ev.Confusion[truth], want) {
-			t.Errorf("%s: confusion row %v, Classify winners %v", truth, ev.Confusion[truth], want)
+			t.Errorf("%s: confusion row %v, raw-count winners %v", truth, ev.Confusion[truth], want)
 		}
 	}
 	// Confusion diagonal must dominate.

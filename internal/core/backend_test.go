@@ -61,8 +61,8 @@ func TestBackendStringUnregisteredValue(t *testing.T) {
 	if got := Backend(9999).String(); got != "backend(9999)" {
 		t.Errorf("String() = %q", got)
 	}
-	if _, err := New(&ProfileSet{Config: DefaultConfig(), Profiles: trainMini(t, Config{TopT: 500}).Profiles}, Backend(9999)); err == nil {
-		t.Error("New accepted an unregistered backend")
+	if _, err := NewDetector(&ProfileSet{Config: DefaultConfig(), Profiles: trainMini(t, Config{TopT: 500}).Profiles}, WithBackend(Backend(9999))); err == nil {
+		t.Error("NewDetector accepted an unregistered backend")
 	}
 }
 
@@ -70,7 +70,7 @@ func TestBackendStringUnregisteredValue(t *testing.T) {
 // the staged reference on every built-in backend, at subsample 1 and 3:
 // the fuzzer's bytes, written to a Stream in three pieces cut at two
 // fuzzer-chosen points, must give the counts and n-gram total of
-// ClassifyGrams over ExtractGrams of the same bytes. A whole-document
+// the staged reference (classify) of the same bytes. A whole-document
 // stream and a segmenting one (which cuts each write where a stride of
 // n-grams completes) are both checked.
 func FuzzKernelCount(f *testing.F) {
@@ -97,8 +97,7 @@ func FuzzKernelCount(f *testing.F) {
 			a, b = b, a
 		}
 		for _, d := range dets {
-			c := d.Classifier()
-			want := c.ClassifyGrams(c.ExtractGrams(nil, data))
+			want := classify(d, data)
 			spans, err := d.NewSpanStream(SegmentConfig{Window: 64, Stride: 16})
 			if err != nil {
 				t.Fatal(err)
@@ -109,7 +108,7 @@ func FuzzKernelCount(f *testing.F) {
 				s.Write(data[b:])
 				if got, n := s.AppendCounts(nil), s.Match().NGrams; n != want.NGrams || !reflect.DeepEqual(got, want.Counts) {
 					t.Fatalf("%s subsample %d, segmenting %v, %d bytes cut at %d,%d: stream counts %v over %d grams; reference %v over %d",
-						d.Backend(), c.Config().Subsample, s.cfg.Stride > 0, len(data), a, b, got, n, want.Counts, want.NGrams)
+						d.Backend(), d.Config().Subsample, s.cfg.Stride > 0, len(data), a, b, got, n, want.Counts, want.NGrams)
 				}
 			}
 		}

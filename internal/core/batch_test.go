@@ -21,27 +21,27 @@ func TestDetectBatchDefaults(t *testing.T) {
 	if det.Workers() <= 0 {
 		t.Errorf("Workers = %d, want positive default", det.Workers())
 	}
-	if det.Classifier() == nil {
-		t.Error("Classifier accessor nil")
+	if det.Classifier() != det {
+		t.Error("Classifier accessor is not the detector")
 	}
 }
 
 // TestDetectBatchMatchesSequential: the batch fan-out returns, per
-// document, the sequential Detect match and the raw Classify counts.
+// document, the sequential Detect match, whose count is the staged
+// reference's count for its language.
 func TestDetectBatchMatchesSequential(t *testing.T) {
 	det := miniDetector(t, 8)
 	docs := getMiniCorpus(t).TestDocuments("")
-	nLangs := len(det.Languages())
-	counts, par := det.DetectBatchCounts(nil, corpus.Texts(docs))
-	if len(counts) != len(docs)*nLangs {
-		t.Fatalf("DetectBatchCounts appended %d counts for %d docs x %d languages", len(counts), len(docs), nLangs)
+	par := det.DetectBatch(corpus.Texts(docs))
+	if len(par) != len(docs) {
+		t.Fatalf("DetectBatch returned %d matches for %d docs", len(par), len(docs))
 	}
 	for i, d := range docs {
 		if want := det.Detect(d.Text); par[i] != want {
 			t.Fatalf("doc %d: batch match %+v, sequential %+v", i, par[i], want)
 		}
-		if seq := det.Classifier().Classify(d.Text); !reflect.DeepEqual(counts[i*nLangs:(i+1)*nLangs], seq.Counts) {
-			t.Fatalf("doc %d: batch counts %v, sequential %v", i, counts[i*nLangs:(i+1)*nLangs], seq.Counts)
+		if seq := classify(det, d.Text); par[i].NGrams != seq.NGrams || par[i].Count != seq.Counts[seq.Best] {
+			t.Fatalf("doc %d: batch match %+v, sequential counts %v", i, par[i], seq.Counts)
 		}
 	}
 }
@@ -51,23 +51,14 @@ func TestDetectBatchEmpty(t *testing.T) {
 	if got := det.DetectBatch(nil); len(got) != 0 {
 		t.Errorf("DetectBatch(nil) returned %d matches", len(got))
 	}
-	dst := []int{7}
-	counts, got := det.DetectBatchCounts(dst, nil)
-	if len(got) != 0 || !reflect.DeepEqual(counts, dst) {
-		t.Errorf("DetectBatchCounts(dst, nil) = %v, %d matches; want dst unchanged and none", counts, len(got))
-	}
 }
 
 func TestDetectBatchMoreWorkersThanDocs(t *testing.T) {
 	det := miniDetector(t, 64)
 	docs := getMiniCorpus(t).Test["en"][:2]
-	prefix := []int{-1, -2}
-	counts, matches := det.DetectBatchCounts(prefix, corpus.Texts(docs))
+	matches := det.DetectBatch(corpus.Texts(docs))
 	if len(matches) != 2 {
 		t.Fatalf("got %d matches", len(matches))
-	}
-	if len(counts) != len(prefix)+2*len(det.Languages()) || counts[0] != -1 || counts[1] != -2 {
-		t.Fatalf("counts %v did not append after the caller's prefix", counts)
 	}
 	for i, m := range matches {
 		if m.Lang != "en" {
@@ -79,9 +70,9 @@ func TestDetectBatchMoreWorkersThanDocs(t *testing.T) {
 func TestDetectBatchWorkerScalingConsistency(t *testing.T) {
 	// Same inputs, different worker counts: identical outputs.
 	docs := getMiniCorpus(t).TestDocuments("")
-	c1, r1 := miniDetector(t, 1).DetectBatchCounts(nil, corpus.Texts(docs))
-	c8, r8 := miniDetector(t, 8).DetectBatchCounts(nil, corpus.Texts(docs))
-	if !reflect.DeepEqual(r1, r8) || !reflect.DeepEqual(c1, c8) {
+	r1 := miniDetector(t, 1).DetectBatch(corpus.Texts(docs))
+	r8 := miniDetector(t, 8).DetectBatch(corpus.Texts(docs))
+	if !reflect.DeepEqual(r1, r8) {
 		t.Fatal("batch classified differently under different worker counts")
 	}
 }

@@ -11,18 +11,18 @@
 //     profile; each match increments that language's counter.
 //  3. The language with the highest match count is the classification.
 //
-// Detector is the one detection entry point: Detect, DetectCounts,
-// DetectBatch, DetectBatchCounts, Rank and the segmentation paths all
-// count through one Stream type, borrowed from the detector's pool.
-// The Stream turns bytes into n-grams, and each backend is one Kernel
-// with one method, AccumulateInto, which scores every language for
-// each n-gram in one call (§3.2); where the direct-lookup table fits
-// one plane, the Stream runs its fused loop from bytes to counts
-// instead. NewStream and NewSpanStream hand out the same Stream for
-// incremental input, with segmentation off or on; BorrowStream and
-// ReturnStream lend pooled ones to servers. Classifier is the raw-count layer underneath:
-// the reference the paper-model tests compare against. The package
-// takes documents as bytes; corpus scoring lives in the root bloomlang
+// Detector is the one detector type: Detect, DetectCounts,
+// DetectBatch, Rank and the segmentation paths all count through one
+// Stream type, borrowed from the detector's pool. The Stream turns
+// bytes into n-grams, and each backend is one Kernel with one method,
+// AccumulateInto, which scores every language for each n-gram in one
+// call (§3.2); where the direct-lookup table fits one plane, the
+// Stream runs its fused loop from bytes to counts instead. NewStream
+// and NewSpanStream hand out the same Stream for incremental input,
+// with segmentation off or on; BorrowStream and ReturnStream lend
+// pooled ones to servers. DetectCounts gives the raw per-language
+// counts the paper-model tests compare against. The package takes
+// documents as bytes; corpus scoring lives in the root bloomlang
 // package.
 //
 // The membership backends are a closed set of two. The default,
@@ -32,7 +32,7 @@
 // paper's design. The table cannot hold the key space of n >= 6, so
 // ServingBackend picks the Parallel Bloom Filter there. The paper's
 // hardware models (internal/xd1000, internal/rtl, internal/vhdl) do
-// not link a Classifier: they build their own filters with
+// not link a Detector: they build their own filters with
 // ProfileSet.ParallelFilters, the function the parallel-bloom backend
 // builds through, so hardware-simulated and software classifications
 // agree bit-for-bit.
@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"sort"
 
-	"bloomlang/internal/alphabet"
 	"bloomlang/internal/bloom"
 	"bloomlang/internal/ngram"
 )
@@ -98,8 +97,8 @@ func (c *Config) applyDefaults() {
 }
 
 // WithDefaults returns the configuration with zero fields replaced by
-// the package defaults — the effective configuration Train and New
-// operate under, and the one a trained ProfileSet records.
+// the package defaults — the effective configuration TrainFromTexts and
+// NewDetector operate under, and the one a trained ProfileSet records.
 func (c Config) WithDefaults() Config {
 	c.applyDefaults()
 	return c
@@ -211,7 +210,7 @@ func LanguageName(code string) string {
 	return code
 }
 
-// Backend selects the membership structure a Classifier uses, one of
+// Backend selects the membership structure a Detector uses, one of
 // the two below; backend.go names them and builds their kernels.
 type Backend int
 
@@ -225,59 +224,8 @@ const (
 	BackendBloom
 )
 
-// Classifier tests document n-grams against every language profile and
-// reports match counts — the software realization of the multiple
-// language classifier of §3.2.
-type Classifier struct {
-	cfg     Config
-	backend Backend
-	langs   []string
-	kernel  Kernel
-	// window is the prototype n-gram register, configured once at
-	// construction. It is never fed directly: every document copies it
-	// by value, getting its own sliding-window state without a per-call
-	// allocation.
-	window ngram.Window
-}
-
-// New builds a classifier over the profile set with the chosen backend.
-func New(ps *ProfileSet, backend Backend) (*Classifier, error) {
-	cfg := ps.Config
-	cfg.applyDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(ps.Profiles) == 0 {
-		return nil, fmt.Errorf("core: empty profile set")
-	}
-	if backend < 0 || int(backend) >= len(backends) {
-		return nil, fmt.Errorf("core: unknown backend %d", int(backend))
-	}
-	c := &Classifier{cfg: cfg, backend: backend, window: ngram.Window{N: cfg.N, Subsample: cfg.Subsample}}
-	for _, p := range ps.Profiles {
-		if p.N != cfg.N {
-			return nil, fmt.Errorf("core: profile %q has n=%d, config has n=%d", p.Language, p.N, cfg.N)
-		}
-		c.langs = append(c.langs, p.Language)
-	}
-	var err error
-	if c.kernel, err = backends[backend].build(cfg, ps); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Languages returns the classifier's language order; Result.Counts uses
-// the same order.
-func (c *Classifier) Languages() []string { return c.langs }
-
-// Config returns the classifier's effective configuration.
-func (c *Classifier) Config() Config { return c.cfg }
-
-// Backend returns the membership backend in use.
-func (c *Classifier) Backend() Backend { return c.backend }
-
-// Result is the outcome of classifying one document.
+// Result is one document's raw counts and winners, as the §3.3
+// WideClassifier and ClassifyGrams report them.
 type Result struct {
 	// Counts holds per-language match counts in Languages() order.
 	Counts []int
@@ -309,43 +257,6 @@ func (r Result) Margin() int {
 		return 0
 	}
 	return r.Counts[r.Best] - r.Counts[r.Second]
-}
-
-// Classify runs the full pipeline on one raw ISO-8859-1 document:
-// alphabet translation, n-gram extraction, membership testing, match
-// counting, and winner selection.
-func (c *Classifier) Classify(doc []byte) Result {
-	gs := c.ExtractGrams(nil, doc)
-	return c.ClassifyGrams(gs)
-}
-
-// ExtractGrams translates and extracts the document's packed n-grams
-// into dst (which may be nil), honouring the configured subsampling.
-// It is the staged reference for the serving path, Stream's one pass
-// from bytes to counts: translation to a code slice, then extraction
-// through a value copy of the construction-time window.
-func (c *Classifier) ExtractGrams(dst []uint32, doc []byte) []uint32 {
-	w := c.window
-	return w.Feed(dst, alphabet.TranslateAll(doc))
-}
-
-// ClassifyGrams counts matches for pre-extracted n-grams. This is the
-// inner loop the hardware implements: every n-gram is tested against
-// every language's filter and counters are incremented on match.
-func (c *Classifier) ClassifyGrams(gs []uint32) Result {
-	r := Result{Counts: make([]int, len(c.langs)), NGrams: len(gs), Best: -1, Second: -1}
-	c.countInto(r.Counts, gs)
-	r.selectWinners()
-	return r
-}
-
-// countInto runs the match-counting inner loop into a caller-owned
-// counts slice (len(Languages())), allocating nothing.
-func (c *Classifier) countInto(counts []int, gs []uint32) {
-	for i := range counts {
-		counts[i] = 0
-	}
-	c.kernel.AccumulateInto(counts, gs)
 }
 
 func (r *Result) selectWinners() {

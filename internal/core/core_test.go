@@ -139,16 +139,16 @@ func TestBackendString(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 200})
-	if _, err := New(&ProfileSet{Config: ps.Config}, BackendBloom); err == nil {
-		t.Error("New with empty profiles succeeded")
+	if _, err := NewDetector(&ProfileSet{Config: ps.Config}, WithBackend(BackendBloom)); err == nil {
+		t.Error("NewDetector with empty profiles succeeded")
 	}
-	if _, err := New(ps, Backend(42)); err == nil {
-		t.Error("New with unknown backend succeeded")
+	if _, err := NewDetector(ps, WithBackend(Backend(42))); err == nil {
+		t.Error("NewDetector with unknown backend succeeded")
 	}
 	// Mismatched profile n.
 	mixed := &ProfileSet{Config: ps.Config, Profiles: []*ngram.Profile{{Language: "xx", N: 3, Grams: []uint32{1}}}}
-	if _, err := New(mixed, BackendBloom); err == nil {
-		t.Error("New with mismatched profile n succeeded")
+	if _, err := NewDetector(mixed, WithBackend(BackendBloom)); err == nil {
+		t.Error("NewDetector with mismatched profile n succeeded")
 	}
 }
 
@@ -156,14 +156,14 @@ func TestClassifyAllBackendsAgreeOnEasyDocs(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
 	corp := getMiniCorpus(t)
 	for _, backend := range []Backend{BackendBloom, BackendDirect} {
-		c, err := New(ps, backend)
+		c, err := NewDetector(ps, WithBackend(backend))
 		if err != nil {
 			t.Fatalf("%v: %v", backend, err)
 		}
 		correct, total := 0, 0
 		for _, lang := range corp.Languages {
 			for _, d := range corp.Test[lang] {
-				r := c.Classify(d.Text)
+				r := classify(c, d.Text)
 				if r.BestLanguage(c.Languages()) == lang {
 					correct++
 				}
@@ -179,11 +179,11 @@ func TestClassifyAllBackendsAgreeOnEasyDocs(t *testing.T) {
 
 func TestClassifyEmptyDocument(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 200})
-	c, err := New(ps, BackendDirect)
+	c, err := NewDetector(ps, WithBackend(BackendDirect))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := c.Classify(nil)
+	r := classify(c, nil)
 	if r.Best != -1 || r.Second != -1 || r.NGrams != 0 {
 		t.Errorf("empty doc result = %+v, want no winner", r)
 	}
@@ -197,9 +197,9 @@ func TestClassifyEmptyDocument(t *testing.T) {
 
 func TestClassifyShortDocument(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 200})
-	c, _ := New(ps, BackendDirect)
+	c, _ := NewDetector(ps, WithBackend(BackendDirect))
 	// Shorter than n: no n-grams.
-	r := c.Classify([]byte("abc"))
+	r := classify(c, []byte("abc"))
 	if r.NGrams != 0 {
 		t.Errorf("3-byte doc produced %d n-grams", r.NGrams)
 	}
@@ -209,19 +209,19 @@ func TestBloomNeverUndercountsDirect(t *testing.T) {
 	// Bloom filters have no false negatives, so for every language the
 	// Bloom match count must be >= the exact direct-lookup count.
 	ps := trainMini(t, Config{TopT: 1000})
-	bloomC, err := New(ps, BackendBloom)
+	bloomC, err := NewDetector(ps, WithBackend(BackendBloom))
 	if err != nil {
 		t.Fatal(err)
 	}
-	directC, err := New(ps, BackendDirect)
+	directC, err := NewDetector(ps, WithBackend(BackendDirect))
 	if err != nil {
 		t.Fatal(err)
 	}
 	corp := getMiniCorpus(t)
 	for _, lang := range corp.Languages {
 		for _, d := range corp.Test[lang][:3] {
-			rb := bloomC.Classify(d.Text)
-			rd := directC.Classify(d.Text)
+			rb := classify(bloomC, d.Text)
+			rd := classify(directC, d.Text)
 			for i := range rb.Counts {
 				if rb.Counts[i] < rd.Counts[i] {
 					t.Fatalf("bloom count %d < direct count %d for language %s",
@@ -235,17 +235,17 @@ func TestBloomNeverUndercountsDirect(t *testing.T) {
 func TestSubsampleReducesNGrams(t *testing.T) {
 	cfg := Config{TopT: 500, Subsample: 2}
 	ps := trainMini(t, cfg)
-	c, err := New(ps, BackendDirect)
+	c, err := NewDetector(ps, WithBackend(BackendDirect))
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := New(trainMini(t, Config{TopT: 500}), BackendDirect)
+	full, err := NewDetector(trainMini(t, Config{TopT: 500}), WithBackend(BackendDirect))
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc := getMiniCorpus(t).Test["en"][0].Text
-	rSub := c.Classify(doc)
-	rFull := full.Classify(doc)
+	rSub := classify(c, doc)
+	rFull := classify(full, doc)
 	if rSub.NGrams >= rFull.NGrams {
 		t.Errorf("subsampled %d n-grams >= full %d", rSub.NGrams, rFull.NGrams)
 	}
@@ -286,7 +286,7 @@ func TestFilterAccessor(t *testing.T) {
 	if len(filters) != len(ps.Profiles) {
 		t.Fatalf("%d filters for %d languages", len(filters), len(ps.Profiles))
 	}
-	c, err := New(ps, BackendBloom)
+	c, err := NewDetector(ps, WithBackend(BackendBloom))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,10 +318,10 @@ func TestFilterAccessor(t *testing.T) {
 
 func TestClassifierDeterministicAcrossConstructions(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 500})
-	a, _ := New(ps, BackendBloom)
-	b, _ := New(ps, BackendBloom)
+	a, _ := NewDetector(ps, WithBackend(BackendBloom))
+	b, _ := NewDetector(ps, WithBackend(BackendBloom))
 	doc := getMiniCorpus(t).Test["fi"][0].Text
-	ra, rb := a.Classify(doc), b.Classify(doc)
+	ra, rb := classify(a, doc), classify(b, doc)
 	for i := range ra.Counts {
 		if ra.Counts[i] != rb.Counts[i] {
 			t.Fatalf("counts differ between identically-seeded classifiers")

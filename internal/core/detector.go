@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
+
+	"bloomlang/internal/ngram"
 )
 
 // Match is one classified document: the winning language with a
@@ -73,13 +75,22 @@ func WithMinNGrams(n int) DetectorOption {
 	return func(o *detectorOptions) { o.minNGrams = n }
 }
 
-// Detector is the single entry point for language detection: it owns a
-// classifier, a worker bound for batch work, the unknown-thresholding
-// policy, and a pool of reusable counting streams, so the one-document
-// hot path allocates nothing after warm-up. A Detector is safe for
-// concurrent use by any number of goroutines.
+// Detector is the single entry point for language detection: it owns
+// the membership kernel and the prototype n-gram window, a worker
+// bound for DetectBatch, the unknown-thresholding policy, and a pool of
+// reusable counting streams, so the one-document hot path allocates
+// nothing after warm-up. A Detector is safe for concurrent use by any
+// number of goroutines.
 type Detector struct {
-	clf       *Classifier
+	cfg     Config
+	backend Backend
+	langs   []string
+	kernel  Kernel
+	// window is the prototype n-gram register, configured once at
+	// construction. It is never fed directly: every stream copies it by
+	// value, getting its own sliding-window state without a per-call
+	// allocation.
+	window    ngram.Window
 	workers   int
 	minMargin float64
 	minNGrams int
@@ -92,15 +103,33 @@ func NewDetector(ps *ProfileSet, opts ...DetectorOption) (*Detector, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	clf, err := New(ps, o.backend)
-	if err != nil {
+	cfg := ps.Config.WithDefaults()
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if len(ps.Profiles) == 0 {
+		return nil, fmt.Errorf("core: empty profile set")
+	}
+	if o.backend < 0 || int(o.backend) >= len(backends) {
+		return nil, fmt.Errorf("core: unknown backend %d", int(o.backend))
+	}
 	d := &Detector{
-		clf:       clf,
+		cfg:       cfg,
+		backend:   o.backend,
+		window:    ngram.Window{N: cfg.N, Subsample: cfg.Subsample},
 		workers:   o.workers,
 		minMargin: max(o.minMargin, 0),
 		minNGrams: max(o.minNGrams, 1),
+	}
+	for _, p := range ps.Profiles {
+		if p.N != cfg.N {
+			return nil, fmt.Errorf("core: profile %q has n=%d, config has n=%d", p.Language, p.N, cfg.N)
+		}
+		d.langs = append(d.langs, p.Language)
+	}
+	var err error
+	if d.kernel, err = backends[o.backend].build(cfg, ps); err != nil {
+		return nil, err
 	}
 	if d.workers <= 0 {
 		d.workers = runtime.GOMAXPROCS(0)
@@ -109,18 +138,47 @@ func NewDetector(ps *ProfileSet, opts ...DetectorOption) (*Detector, error) {
 	return d, nil
 }
 
-// Classifier returns the underlying classifier: the raw-count
-// reference and the hardware models' view of the backend.
-func (d *Detector) Classifier() *Classifier { return d.clf }
+// Classifier is an alias of Detector.
+//
+// Deprecated: use Detector. The alias stays for the frozen perfbench
+// module.
+type Classifier = Detector
 
-// Languages returns the detector's language inventory in rank order.
-func (d *Detector) Languages() []string { return d.clf.Languages() }
+// New builds a detector over the profile set with the chosen backend.
+//
+// Deprecated: use NewDetector with WithBackend. New stays for the
+// frozen perfbench module.
+func New(ps *ProfileSet, b Backend) (*Detector, error) { return NewDetector(ps, WithBackend(b)) }
 
-// Config returns the effective classifier configuration.
-func (d *Detector) Config() Config { return d.clf.Config() }
+// Classifier returns d.
+//
+// Deprecated: the Detector is its own raw-count layer. The method
+// stays for the frozen perfbench module.
+func (d *Detector) Classifier() *Detector { return d }
+
+// ClassifyGrams counts matches for pre-extracted n-grams: every n-gram
+// is tested against every language's membership structure, the inner
+// loop the hardware implements.
+//
+// Deprecated: count documents with DetectCounts or a Stream.
+// ClassifyGrams stays for the frozen perfbench module, which times
+// counting apart from extraction.
+func (d *Detector) ClassifyGrams(gs []uint32) Result {
+	r := Result{Counts: make([]int, len(d.langs)), NGrams: len(gs), Best: -1, Second: -1}
+	d.kernel.AccumulateInto(r.Counts, gs)
+	r.selectWinners()
+	return r
+}
+
+// Languages returns the detector's language inventory in rank order;
+// every counts slice uses the same order.
+func (d *Detector) Languages() []string { return d.langs }
+
+// Config returns the detector's effective configuration.
+func (d *Detector) Config() Config { return d.cfg }
 
 // Backend returns the membership backend in use.
-func (d *Detector) Backend() Backend { return d.clf.Backend() }
+func (d *Detector) Backend() Backend { return d.backend }
 
 // Workers returns the DetectBatch fan-out bound.
 func (d *Detector) Workers() int { return d.workers }
@@ -203,7 +261,7 @@ func (d *Detector) match(counts []int, ngrams int) Match {
 		m.Unknown = true
 		return m
 	}
-	m.Lang = d.clf.langs[best]
+	m.Lang = d.langs[best]
 	return m
 }
 
@@ -235,7 +293,7 @@ func (d *Detector) rankCounts(counts []int, ngrams, k int) []Match {
 	ms := make([]Match, k)
 	for pos := 0; pos < k; pos++ {
 		i := order[pos]
-		m := Match{Lang: d.clf.langs[i], Count: counts[i], NGrams: ngrams}
+		m := Match{Lang: d.langs[i], Count: counts[i], NGrams: ngrams}
 		if ngrams > 0 {
 			m.Score = float64(counts[i]) / float64(ngrams)
 			if pos+1 < n {
@@ -253,26 +311,10 @@ func (d *Detector) rankCounts(counts []int, ngrams, k int) []Match {
 // pool, preserving input order — the document-level parallelism of the
 // paper's hardware, each document counted on a pooled stream.
 func (d *Detector) DetectBatch(docs [][]byte) []Match {
-	return d.detectBatch(docs, nil)
-}
-
-// DetectBatchCounts is DetectBatch plus the per-language match counts:
-// it appends each document's counts, in Languages() order, to dst
-// row-major (document i's row starts at len(dst)+i*len(Languages())).
-func (d *Detector) DetectBatchCounts(dst []int, docs [][]byte) ([]int, []Match) {
-	n := len(dst)
-	dst = slices.Grow(dst, len(docs)*len(d.clf.langs))[:n+len(docs)*len(d.clf.langs)]
-	return dst, d.detectBatch(docs, dst[n:])
-}
-
-// detectBatch is the one batch worker loop. rows, when non-nil,
-// receives each document's counts row-major.
-func (d *Detector) detectBatch(docs [][]byte, rows []int) []Match {
 	out := make([]Match, len(docs))
 	if len(docs) == 0 {
 		return out
 	}
-	nLangs := len(d.clf.langs)
 	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < min(d.workers, len(docs)); w++ {
@@ -280,12 +322,7 @@ func (d *Detector) detectBatch(docs [][]byte, rows []int) []Match {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				s := d.borrow(docs[i])
-				out[i] = s.Match()
-				if rows != nil {
-					copy(rows[i*nLangs:], s.open)
-				}
-				d.ReturnStream(s)
+				out[i] = d.Detect(docs[i])
 			}
 		}()
 	}

@@ -153,8 +153,8 @@ func TestMatchSingleLanguageProfileSet(t *testing.T) {
 
 // TestDetectorAgreesWithLegacyClassifier is the migration guarantee:
 // Detect, Rank, DetectBatch and a Stream fed by io.Copy all name the
-// same winner as Classifier.Classify on every non-tie, non-unknown
-// document.
+// same winner as the staged reference (classify) on every non-tie,
+// non-unknown document.
 func TestDetectorAgreesWithLegacyClassifier(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
 	corp := getMiniCorpus(t)
@@ -163,7 +163,6 @@ func TestDetectorAgreesWithLegacyClassifier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clf := det.Classifier()
 		var docs []corpus.Document
 		for _, lang := range []string{"en", "es", "fi", "pt"} {
 			docs = append(docs, corp.Test[lang][:4]...)
@@ -173,8 +172,8 @@ func TestDetectorAgreesWithLegacyClassifier(t *testing.T) {
 			t.Fatalf("%v: %d batch results for %d docs", backend, len(batch), len(docs))
 		}
 		for i, doc := range docs {
-			legacy := clf.Classify(doc.Text)
-			want := legacy.BestLanguage(clf.Languages())
+			legacy := classify(det, doc.Text)
+			want := legacy.BestLanguage(det.Languages())
 			if legacy.Margin() == 0 || want == "" {
 				continue // ties and unknowns are out of scope for the guarantee
 			}

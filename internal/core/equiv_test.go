@@ -15,6 +15,7 @@ import (
 	"reflect"
 	"testing"
 
+	"bloomlang/internal/alphabet"
 	"bloomlang/internal/corpus"
 )
 
@@ -23,11 +24,11 @@ import (
 var equivBackends = []Backend{BackendBloom, BackendDirect}
 
 // TestDetectEquivalenceAcrossPaths pins Detect ≡ DetectCounts ≡
-// Classify ≡ Rank over every built-in backend and every input path:
+// classify ≡ Rank over every built-in backend and every input path:
 // the one-shot byte path, the io.Reader path, the incremental stream
 // path, and the batch path must all return the identical Match, Rank's
 // head must agree with Detect, and every counts-carrying path must
-// report the raw Classify counts and winner.
+// report the staged reference's counts and winner.
 func TestDetectEquivalenceAcrossPaths(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
 	corp := getMiniCorpus(t)
@@ -37,15 +38,12 @@ func TestDetectEquivalenceAcrossPaths(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			clf := det.Classifier()
 			var docs []corpus.Document
 			for _, lang := range []string{"en", "es", "fi", "pt"} {
 				docs = append(docs, corp.Test[lang][0], corp.Test[lang][1])
 			}
 			docs = append(docs, corpus.Document{}) // empty document -> Unknown on every path
 			batch := det.DetectBatch(corpus.Texts(docs))
-			nLangs := len(det.Languages())
-			batchCounts, batchMatches := det.DetectBatchCounts(nil, corpus.Texts(docs))
 			for i, doc := range docs {
 				want := det.Detect(doc.Text)
 
@@ -66,8 +64,8 @@ func TestDetectEquivalenceAcrossPaths(t *testing.T) {
 					t.Errorf("doc %d: stream path = %+v, detect = %+v", i, got, want)
 				}
 
-				if batch[i] != want || batchMatches[i] != want {
-					t.Errorf("doc %d: batch paths = %+v, %+v, detect = %+v", i, batch[i], batchMatches[i], want)
+				if batch[i] != want {
+					t.Errorf("doc %d: batch path = %+v, detect = %+v", i, batch[i], want)
 				}
 
 				ranked := det.Rank(doc.Text, 0)
@@ -83,8 +81,8 @@ func TestDetectEquivalenceAcrossPaths(t *testing.T) {
 					}
 				}
 
-				res := clf.Classify(doc.Text)
-				if got := res.BestLanguage(clf.Languages()); got != want.Lang || res.NGrams != want.NGrams {
+				res := classify(det, doc.Text)
+				if got := res.BestLanguage(det.Languages()); got != want.Lang || res.NGrams != want.NGrams {
 					t.Errorf("doc %d: classify winner %q over %d n-grams, detect = %+v", i, got, res.NGrams, want)
 				}
 				if counts, got := det.DetectCounts(nil, doc.Text); got != want || !reflect.DeepEqual(counts, res.Counts) {
@@ -92,9 +90,6 @@ func TestDetectEquivalenceAcrossPaths(t *testing.T) {
 				}
 				if got := st.AppendCounts(nil); !reflect.DeepEqual(got, res.Counts) {
 					t.Errorf("doc %d: stream counts = %v, classify = %v", i, got, res.Counts)
-				}
-				if got := batchCounts[i*nLangs : (i+1)*nLangs]; !reflect.DeepEqual(got, res.Counts) {
-					t.Errorf("doc %d: batch counts = %v, classify = %v", i, got, res.Counts)
 				}
 			}
 		})
@@ -117,18 +112,18 @@ func TestBloomNeverFalseNegativeVsDirect(t *testing.T) {
 	}
 }
 
-// bloomDiff holds the exact classifier and the Bloom classifier the
+// bloomDiff holds the exact detector and the Bloom detector the
 // differential guarantee compares it with.
 type bloomDiff struct {
-	direct, bloom *Classifier
+	direct, bloom *Detector
 }
 
-// newBloomDiff builds the exact and the parallel Bloom classifiers
-// over ps.
+// newBloomDiff builds the exact and the parallel Bloom detectors over
+// ps.
 func newBloomDiff(t testing.TB, ps *ProfileSet) *bloomDiff {
 	t.Helper()
-	build := func(b Backend) *Classifier {
-		c, err := New(ps, b)
+	build := func(b Backend) *Detector {
+		c, err := NewDetector(ps, WithBackend(b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,22 +137,24 @@ func newBloomDiff(t testing.TB, ps *ProfileSet) *bloomDiff {
 // the Bloom backend's counts dominate the exact counts.
 func (d *bloomDiff) check(t testing.TB, doc []byte) {
 	t.Helper()
-	gs := d.direct.ExtractGrams(nil, doc)
-	dr := d.direct.Classify(doc)
+	gs := extractGrams(d.direct, doc)
+	dr := classify(d.direct, doc)
 	exact := make([]int, len(dr.Counts))
 	member := make([]int, len(dr.Counts))
 	c := d.bloom
 	for j := range gs {
 		// Counting one n-gram answers its membership per language.
-		d.direct.countInto(exact, gs[j:j+1])
-		c.countInto(member, gs[j:j+1])
+		clear(exact)
+		clear(member)
+		d.direct.kernel.AccumulateInto(exact, gs[j:j+1])
+		c.kernel.AccumulateInto(member, gs[j:j+1])
 		for i, lang := range d.direct.langs {
 			if exact[i] > member[i] {
 				t.Fatalf("%s false negative: lang %s gram %#x", c.Backend(), lang, gs[j])
 			}
 		}
 	}
-	br := c.Classify(doc)
+	br := classify(c, doc)
 	if br.NGrams != dr.NGrams {
 		t.Fatalf("%s extracted %d n-grams, direct %d", c.Backend(), br.NGrams, dr.NGrams)
 	}
@@ -166,6 +163,20 @@ func (d *bloomDiff) check(t testing.TB, doc []byte) {
 			t.Fatalf("%s count %d below exact count %d for %s", c.Backend(), br.Counts[i], dr.Counts[i], d.direct.langs[i])
 		}
 	}
+}
+
+// extractGrams is the staged reference for the Stream's one pass from
+// bytes to counts: translation to a code slice, then extraction
+// through a value copy of the detector's prototype window.
+func extractGrams(d *Detector, doc []byte) []uint32 {
+	w := d.window
+	return w.Feed(nil, alphabet.TranslateAll(doc))
+}
+
+// classify is the staged reference pipeline: extractGrams, then
+// ClassifyGrams over the detector's kernel.
+func classify(d *Detector, doc []byte) Result {
+	return d.ClassifyGrams(extractGrams(d, doc))
 }
 
 // splitPoints returns deterministic pseudo-random cut offsets for a
@@ -254,14 +265,12 @@ func TestDetectBatchPreservesInputOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nLangs := len(det.Languages())
-		counts, got := det.DetectBatchCounts(nil, corpus.Texts(docs))
+		got := det.DetectBatch(corpus.Texts(docs))
 		if len(got) != len(docs) {
 			t.Fatalf("workers=%d: %d results for %d docs", workers, len(got), len(docs))
 		}
 		for i, d := range docs {
-			want := det.Classifier().Classify(d.Text)
-			if got[i] != det.Detect(d.Text) || !reflect.DeepEqual(counts[i*nLangs:(i+1)*nLangs], want.Counts) {
+			if got[i] != det.Detect(d.Text) {
 				t.Errorf("workers=%d: result %d differs from sequential", workers, i)
 			}
 			if got[i].Lang != wantLangs[i] {

@@ -98,7 +98,7 @@ func synthGrams(rng *rand.Rand, pool []uint32, n int) []uint32 {
 
 func maskKernelFor(t testing.TB, ps *ProfileSet) *maskKernel {
 	t.Helper()
-	c, err := New(ps, BackendDirect)
+	c, err := NewDetector(ps, WithBackend(BackendDirect))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,18 +231,18 @@ func withGrams(ps *ProfileSet, extra []uint32) *ProfileSet {
 }
 
 // TestMaskKernelMatchesReferenceOnCorpus runs the same property on
-// trained profiles over real test documents, through the classifier's
+// trained profiles over real test documents, through the detector's
 // counting entry point.
 func TestMaskKernelMatchesReferenceOnCorpus(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
-	c, err := New(ps, BackendDirect)
+	c, err := NewDetector(ps, WithBackend(BackendDirect))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := newMaskReference(ps)
 	for lang, docs := range getMiniCorpus(t).Test {
 		for i, doc := range docs {
-			gs := c.ExtractGrams(nil, doc.Text)
+			gs := extractGrams(c, doc.Text)
 			if got, want := c.ClassifyGrams(gs).Counts, ref.counts(gs); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s doc %d: kernel counts %v, reference %v", lang, i, got, want)
 			}
@@ -258,11 +258,11 @@ func TestDirectRejectsTableTooLarge(t *testing.T) {
 		Config:   Config{N: 6},
 		Profiles: []*ngram.Profile{{Language: "xx", N: 6, Grams: []uint32{1, 2, 3}}},
 	}
-	_, err := New(ps, BackendDirect)
+	_, err := NewDetector(ps, WithBackend(BackendDirect))
 	if err == nil || !strings.Contains(err.Error(), "parallel-bloom") {
 		t.Fatalf("n=6 direct build error = %v, want one naming the parallel-bloom backend", err)
 	}
-	if _, err := New(ps, BackendBloom); err != nil {
+	if _, err := NewDetector(ps, WithBackend(BackendBloom)); err != nil {
 		t.Fatalf("n=6 parallel-bloom build failed: %v", err)
 	}
 	if got := ServingBackend(ps.Config); got != BackendBloom {
@@ -362,7 +362,7 @@ func FuzzMaskKernelVsReference(f *testing.F) {
 	k := maskKernelFor(f, ps)
 	ref := newMaskReference(ps)
 	trained := trainMini(f, Config{TopT: 800})
-	c, err := New(trained, BackendDirect)
+	c, err := NewDetector(trained, WithBackend(BackendDirect))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func FuzzMaskKernelVsReference(f *testing.F) {
 		if !reflect.DeepEqual(parts, want) {
 			t.Fatalf("split at %d of %d: kernel counts %v, reference %v", cut, len(gs), parts, want)
 		}
-		docGrams := c.ExtractGrams(nil, data)
+		docGrams := extractGrams(c, data)
 		if got, want := c.ClassifyGrams(docGrams).Counts, trainedRef.counts(docGrams); !reflect.DeepEqual(got, want) {
 			t.Fatalf("document: kernel counts %v, reference %v", got, want)
 		}
@@ -426,9 +426,8 @@ func BenchmarkDetectCount(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c := det.Classifier()
-		gs := c.ExtractGrams(nil, doc)
-		counts := make([]int, len(c.Languages()))
+		gs := extractGrams(det, doc)
+		counts := make([]int, len(det.Languages()))
 		for _, size := range []struct {
 			name string
 			gs   []uint32
@@ -436,7 +435,7 @@ func BenchmarkDetectCount(b *testing.B) {
 			b.Run(backend.String()+"/"+size.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					c.kernel.AccumulateInto(counts, size.gs)
+					det.kernel.AccumulateInto(counts, size.gs)
 				}
 			})
 		}

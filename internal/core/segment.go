@@ -238,7 +238,7 @@ type Stream struct {
 
 // NewStream starts an empty document stream on the detector, counting
 // without segmentation. Its n-gram window is a value copy of the
-// classifier's prototype, so streams are independent of each other and
+// detector's prototype, so streams are independent of each other and
 // of the one-shot paths.
 func (d *Detector) NewStream() *Stream {
 	s := &Stream{d: d}
@@ -262,11 +262,11 @@ func (d *Detector) NewSpanStream(cfg SegmentConfig) (*Stream, error) {
 // counting — reusing the buffers a previous use left.
 func (s *Stream) configure(cfg SegmentConfig) {
 	s.cfg = cfg
-	L := len(s.d.clf.langs)
+	L := len(s.d.langs)
 	s.langs = L
-	s.w = s.d.clf.window
+	s.w = s.d.window
 	s.plane = nil
-	if m, ok := s.d.clf.kernel.(*maskKernel); ok && len(m.planes) == 1 && s.w.Subsample <= 1 {
+	if m, ok := s.d.kernel.(*maskKernel); ok && len(m.planes) == 1 && s.w.Subsample <= 1 {
 		s.plane = m.planes[0]
 	}
 	s.bytesSeen, s.gramsSeen, s.fill, s.chunks, s.base = 0, 0, 0, 0, 0
@@ -339,7 +339,7 @@ func (s *Stream) countBytes(p []byte) (grams int) {
 	for len(p) > 0 {
 		n := min(len(p), gramBlock)
 		gs := s.w.FeedBytes(s.block[:0], p[:n])
-		s.d.clf.kernel.AccumulateInto(s.open, gs)
+		s.d.kernel.AccumulateInto(s.open, gs)
 		grams += len(gs)
 		p = p[n:]
 	}

@@ -329,7 +329,7 @@ func TestSpanStreamMatchAgreesWithDetect(t *testing.T) {
 				if got, want := st.Match(), det.Detect(doc[:cut]); got != want {
 					t.Errorf("prefix %d: stream match %+v != detect %+v", cut, got, want)
 				}
-				if got, want := st.AppendCounts(nil), det.Classifier().Classify(doc[:cut]).Counts; !reflect.DeepEqual(got, want) {
+				if got, want := st.AppendCounts(nil), classify(det, doc[:cut]).Counts; !reflect.DeepEqual(got, want) {
 					t.Errorf("prefix %d: stream counts %v != classify %v", cut, got, want)
 				}
 			}
@@ -339,7 +339,7 @@ func TestSpanStreamMatchAgreesWithDetect(t *testing.T) {
 			if got, want := st.Match(), det.Detect(doc); got != want {
 				t.Errorf("post-Finish match %+v != detect %+v", got, want)
 			}
-			if got, want := st.AppendCounts(nil), det.Classifier().Classify(doc).Counts; !reflect.DeepEqual(got, want) {
+			if got, want := st.AppendCounts(nil), classify(det, doc).Counts; !reflect.DeepEqual(got, want) {
 				t.Errorf("post-Finish counts %v != classify %v", got, want)
 			}
 		})

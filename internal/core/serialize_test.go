@@ -51,17 +51,17 @@ func TestProfileSetRoundTripProducesIdenticalClassifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig, err := New(ps, BackendBloom)
+	orig, err := NewDetector(ps, WithBackend(BackendBloom))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromDisk, err := New(loaded, BackendBloom)
+	fromDisk, err := NewDetector(loaded, WithBackend(BackendBloom))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, lang := range []string{"en", "es", "fi", "pt"} {
 		doc := getMiniCorpus(t).Test[lang][0].Text
-		a, b := orig.Classify(doc), fromDisk.Classify(doc)
+		a, b := classify(orig, doc), classify(fromDisk, doc)
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: classifier from reloaded profiles disagrees: %+v vs %+v", lang, a, b)
 		}

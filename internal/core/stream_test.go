@@ -39,7 +39,7 @@ func checkStream(t *testing.T, det *Detector, s *Stream, doc []byte, what string
 	if got, want := s.Match(), det.Detect(doc); got != want {
 		t.Fatalf("%s: stream match %+v != detect %+v", what, got, want)
 	}
-	if got, want := s.AppendCounts(nil), det.Classifier().Classify(doc).Counts; !reflect.DeepEqual(got, want) {
+	if got, want := s.AppendCounts(nil), classify(det, doc).Counts; !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: stream counts %v != classify %v", what, got, want)
 	}
 }

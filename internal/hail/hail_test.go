@@ -3,6 +3,7 @@ package hail
 import (
 	"testing"
 
+	"bloomlang/internal/core"
 	"bloomlang/internal/corpus"
 	"bloomlang/internal/ngram"
 )
@@ -20,15 +21,11 @@ func miniSetup(t testing.TB) (*Classifier, *corpus.Corpus) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var profiles []*ngram.Profile
-	for _, lang := range corp.Languages {
-		p, err := ngram.ProfileFromTexts(lang, corp.TrainTexts(lang), 4, 2000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		profiles = append(profiles, p)
+	ps, err := core.TrainFromTexts(core.Config{N: 4, TopT: 2000}, corp.TrainTextsByLanguage())
+	if err != nil {
+		t.Fatal(err)
 	}
-	c, err := Build(DefaultConfig(), profiles)
+	c, err := Build(DefaultConfig(), ps.Profiles)
 	if err != nil {
 		t.Fatal(err)
 	}

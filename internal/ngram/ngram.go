@@ -17,6 +17,7 @@ import (
 	"math"
 	"slices"
 	"sync/atomic"
+	"unsafe"
 	"weak"
 
 	"bloomlang/internal/alphabet"
@@ -329,10 +330,20 @@ func (v *Vocabulary) numbered() []uint32 {
 }
 
 // invert writes each n-gram of a flat index at its number in grams.
+// The index is mostly unseen (zero) entries, so it is read eight bytes
+// at a time and only nonzero words are looked into; its length, a
+// power of two of at least 32 entries, is a whole number of words.
 func invert[I uint16 | uint32](grams []uint32, index []I) {
-	for g, id := range index {
-		if id != 0 {
-			grams[id-1] = uint32(g)
+	per := 8 / int(unsafe.Sizeof(I(0)))
+	words := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(index))), len(index)/per)
+	for w, word := range words {
+		if word == 0 {
+			continue
+		}
+		for g := w * per; g < (w+1)*per; g++ {
+			if id := index[g]; id != 0 {
+				grams[id-1] = uint32(g)
+			}
 		}
 	}
 }

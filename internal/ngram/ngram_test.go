@@ -598,3 +598,51 @@ func BenchmarkCounterTop(b *testing.B) {
 		c.Top(DefaultProfileSize)
 	}
 }
+
+// sparseVocabulary numbers size n-grams scattered over a flat n = 4
+// index, as a training run of that vocabulary leaves it.
+func sparseVocabulary(tb testing.TB, size int) *Vocabulary {
+	tb.Helper()
+	v, err := NewVocabulary(4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mask := uint32(len(v.index16) - 1)
+	for i := uint32(1); v.size < size; i++ {
+		if g := i * 2654435761 & mask; v.index16[g] == 0 {
+			v.index16[g] = uint16(v.number())
+		}
+	}
+	return v
+}
+
+// TestNumberedInvertsIndex pins the word-at-a-time inversion against
+// the entry-by-entry one, on both index widths.
+func TestNumberedInvertsIndex(t *testing.T) {
+	v := sparseVocabulary(t, 3000)
+	want := make([]uint32, v.size)
+	for g, id := range v.index16 {
+		if id != 0 {
+			want[id-1] = uint32(g)
+		}
+	}
+	if got := v.numbered(); !slices.Equal(got, want) {
+		t.Fatal("uint16 index: numbered differs from the entry-by-entry inversion")
+	}
+	v.widen()
+	v.grams = nil
+	if got := v.numbered(); !slices.Equal(got, want) {
+		t.Fatal("uint32 index: numbered differs from the entry-by-entry inversion")
+	}
+}
+
+// BenchmarkVocabularyNumbered lists a 10,000-n-gram flat vocabulary's
+// n-grams by number, as Release does when counting ends: one pass over
+// the whole 2 MiB index at n = 4.
+func BenchmarkVocabularyNumbered(b *testing.B) {
+	v := sparseVocabulary(b, 10000)
+	for b.Loop() {
+		v.grams = nil
+		v.numbered()
+	}
+}

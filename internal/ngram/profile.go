@@ -39,24 +39,6 @@ func (r *Ranker) Profile(language string, c *Counter, t int) *Profile {
 	return &Profile{Language: language, N: c.v.n, Grams: grams}
 }
 
-// ProfileFromTexts builds one language's profile directly from its
-// training documents, over a vocabulary of its own. A multi-language
-// run shares one Vocabulary instead.
-func ProfileFromTexts(language string, texts [][]byte, n, t int) (*Profile, error) {
-	v, err := NewVocabulary(n)
-	if err != nil {
-		return nil, err
-	}
-	c := v.NewCounter()
-	for _, text := range texts {
-		if err := c.AddText(text); err != nil {
-			return nil, err
-		}
-	}
-	v.Release()
-	return new(Ranker).Profile(language, c, t), nil
-}
-
 // Size returns the number of n-grams in the profile (N in the paper's
 // false-positive formula).
 func (p *Profile) Size() int { return len(p.Grams) }

@@ -12,6 +12,25 @@ import (
 	"testing/iotest"
 )
 
+// profileFromTexts ranks one language's profile from its training
+// texts over a vocabulary of its own, as a one-language training run
+// does.
+func profileFromTexts(t *testing.T, language string, texts [][]byte, n, top int) *Profile {
+	t.Helper()
+	v, err := NewVocabulary(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := v.NewCounter()
+	for _, text := range texts {
+		if err := c.AddText(text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v.Release()
+	return new(Ranker).Profile(language, c, top)
+}
+
 func sampleProfile(t *testing.T) *Profile {
 	t.Helper()
 	texts := [][]byte{
@@ -19,11 +38,7 @@ func sampleProfile(t *testing.T) *Profile {
 		[]byte("pack my box with five dozen liquor jugs"),
 		[]byte("the five boxing wizards jump quickly"),
 	}
-	p, err := ProfileFromTexts("en", texts, 4, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return profileFromTexts(t, "en", texts, 4, 50)
 }
 
 func TestProfileFromTexts(t *testing.T) {
@@ -43,10 +58,7 @@ func TestProfileFromTexts(t *testing.T) {
 
 func TestProfileTopTCap(t *testing.T) {
 	texts := [][]byte{[]byte(strings.Repeat("abcdefghijklmnopqrstuvwxyz ", 20))}
-	p, err := ProfileFromTexts("xx", texts, 4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := profileFromTexts(t, "xx", texts, 4, 5)
 	if p.Size() != 5 {
 		t.Errorf("profile size = %d, want capped at 5", p.Size())
 	}
@@ -70,10 +82,7 @@ func TestProfileOverlap(t *testing.T) {
 	if got := p.Overlap(p); got != p.Size() {
 		t.Errorf("self-overlap = %d, want %d", got, p.Size())
 	}
-	q, err := ProfileFromTexts("xx", [][]byte{[]byte("zzzz qqqq zzzz qqqq")}, 4, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := profileFromTexts(t, "xx", [][]byte{[]byte("zzzz qqqq zzzz qqqq")}, 4, 50)
 	if got := p.Overlap(q); got != 0 {
 		t.Errorf("overlap with disjoint profile = %d, want 0", got)
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // testPipeline builds a pipeline and the functional parallel-bloom
-// classifier over the same small three-language profile set.
-func testPipeline(t testing.TB) (*Pipeline, *core.Classifier, *corpus.Corpus) {
+// detector over the same small three-language profile set.
+func testPipeline(t testing.TB) (*Pipeline, *core.Detector, *corpus.Corpus) {
 	t.Helper()
 	cfg := corpus.Config{
 		Languages:       []string{"en", "fi", "es"},
@@ -27,7 +27,7 @@ func testPipeline(t testing.TB) (*Pipeline, *core.Classifier, *corpus.Corpus) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := core.New(ps, core.BackendBloom)
+	c, err := core.NewDetector(ps, core.WithBackend(core.BackendBloom))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestPipelineMatchesFunctional(t *testing.T) {
 	for _, lang := range corp.Languages {
 		for _, d := range corp.Test[lang][:3] {
 			counters, _ := p.RunDocument(d.Text)
-			want := c.Classify(d.Text)
-			for l := range want.Counts {
-				if counters[l] != want.Counts[l] {
+			want, _ := c.DetectCounts(nil, d.Text)
+			for l := range want {
+				if counters[l] != want[l] {
 					t.Fatalf("%s doc %d lang %d: RTL %d != functional %d",
-						lang, d.ID, l, counters[l], want.Counts[l])
+						lang, d.ID, l, counters[l], want[l])
 				}
 			}
 		}
@@ -88,16 +88,16 @@ func TestPipelineOddLengthDocument(t *testing.T) {
 	doc := []byte("seven ch") // 8 bytes
 	odd := []byte("seven chr")
 	countersEven, _ := p.RunDocument(doc)
-	wantEven := c.Classify(doc)
-	for l := range wantEven.Counts {
-		if countersEven[l] != wantEven.Counts[l] {
+	wantEven, _ := c.DetectCounts(nil, doc)
+	for l := range wantEven {
+		if countersEven[l] != wantEven[l] {
 			t.Fatal("even-length mismatch")
 		}
 	}
 	countersOdd, _ := p.RunDocument(odd)
-	wantOdd := c.Classify(odd)
-	for l := range wantOdd.Counts {
-		if countersOdd[l] != wantOdd.Counts[l] {
+	wantOdd, _ := c.DetectCounts(nil, odd)
+	for l := range wantOdd {
+		if countersOdd[l] != wantOdd[l] {
 			t.Fatal("odd-length mismatch")
 		}
 	}
@@ -107,10 +107,10 @@ func TestPipelineShortDocuments(t *testing.T) {
 	p, c, _ := testPipeline(t)
 	for _, doc := range []string{"", "a", "ab", "abc", "abcd", "abcde"} {
 		counters, _ := p.RunDocument([]byte(doc))
-		want := c.Classify([]byte(doc))
-		for l := range want.Counts {
-			if counters[l] != want.Counts[l] {
-				t.Errorf("%q: RTL %v != functional %v", doc, counters, want.Counts)
+		want, _ := c.DetectCounts(nil, []byte(doc))
+		for l := range want {
+			if counters[l] != want[l] {
+				t.Errorf("%q: RTL %v != functional %v", doc, counters, want)
 			}
 		}
 	}
@@ -122,9 +122,9 @@ func TestPipelineResetBetweenDocuments(t *testing.T) {
 	docB := corp.Test["es"][0].Text
 	p.RunDocument(docA)
 	counters, _ := p.RunDocument(docB) // RunDocument resets internally
-	want := c.Classify(docB)
-	for l := range want.Counts {
-		if counters[l] != want.Counts[l] {
+	want, _ := c.DetectCounts(nil, docB)
+	for l := range want {
+		if counters[l] != want[l] {
 			t.Fatal("state leaked between documents")
 		}
 	}
@@ -141,10 +141,10 @@ func TestPipelineIncrementalClocking(t *testing.T) {
 		p.Clock(code, 0, 1)
 	}
 	p.Drain()
-	want := c.Classify(doc)
+	want, _ := c.DetectCounts(nil, doc)
 	got := p.Counters()
-	for l := range want.Counts {
-		if got[l] != want.Counts[l] {
+	for l := range want {
+		if got[l] != want[l] {
 			t.Fatal("half-rate clocking changed results")
 		}
 	}

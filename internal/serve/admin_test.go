@@ -205,7 +205,7 @@ func TestAdminLifecycleOverHTTP(t *testing.T) {
 // or nil detector. After the storm the server must serve the
 // registry's active version, and its detector must still answer.
 func TestConcurrentHotSwapOverHTTP(t *testing.T) {
-	ts, srv, reg, versions := newRegistryServer(t, serve.Config{Workers: 2})
+	ts, srv, reg, versions := newRegistryServer(t, serve.Config{})
 	corp, _ := fixtures(t)
 	known := map[string]bool{versions[0]: true, versions[1]: true}
 

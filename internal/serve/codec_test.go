@@ -413,6 +413,46 @@ func TestStreamZeroAllocationsPerLine(t *testing.T) {
 	}
 }
 
+// TestBatchZeroAllocations: /batch counts its documents on one
+// borrowed stream, so a warm 32-document request, with or without
+// per-language counts, allocates no more than a warm one-document
+// /detect.
+func TestBatchZeroAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	corp, ps := fixtures(t)
+	allocs := func(cfg serve.Config, path string, body []byte) float64 {
+		srv, err := serve.New(ps, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := handlerRun(srv.Handler(), path, body)
+		run()
+		return testing.AllocsPerRun(50, run)
+	}
+	detect := allocs(serve.Config{}, "/detect", corp.Test["es"][0].Text)
+	for _, cfg := range []serve.Config{{}, {IncludeCounts: true}} {
+		batch := allocs(cfg, "/batch", batchBody(t))
+		t.Logf("allocations per request: /batch of 32 %.1f (counts %v), /detect %.1f", batch, cfg.IncludeCounts, detect)
+		if batch > detect {
+			t.Errorf("/batch of 32 documents (counts %v) costs %.1f allocations against %.1f for /detect", cfg.IncludeCounts, batch, detect)
+		}
+	}
+}
+
+// batchBody is a /batch body of 32 UTF-8 JSON documents with ids.
+func batchBody(tb testing.TB) []byte {
+	corp, _ := fixtures(tb)
+	var docs []map[string]string
+	for i := 0; i < 32; i++ {
+		lang := testLangs[i%4]
+		docs = append(docs, map[string]string{"id": fmt.Sprint(i), "text": latin1ToUTF8(corp.Test[lang][i%8].Text)})
+	}
+	body, _ := json.Marshal(docs)
+	return body
+}
+
 func benchmarkHandler(b *testing.B, cfg serve.Config, path string, body []byte) {
 	_, ps := fixtures(b)
 	srv, err := serve.New(ps, cfg)
@@ -436,14 +476,7 @@ func BenchmarkServeDetect(b *testing.B) {
 // BenchmarkServeBatch times the /batch handler on 32 UTF-8 JSON
 // documents with ids.
 func BenchmarkServeBatch(b *testing.B) {
-	corp, _ := fixtures(b)
-	var docs []map[string]string
-	for i := 0; i < 32; i++ {
-		lang := testLangs[i%4]
-		docs = append(docs, map[string]string{"id": fmt.Sprint(i), "text": latin1ToUTF8(corp.Test[lang][i%8].Text)})
-	}
-	body, _ := json.Marshal(docs)
-	benchmarkHandler(b, serve.Config{}, "/batch", body)
+	benchmarkHandler(b, serve.Config{}, "/batch", batchBody(b))
 }
 
 // BenchmarkServeStreamSpans times the /stream?spans=1 handler on eight

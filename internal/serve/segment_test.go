@@ -261,7 +261,7 @@ func TestStatszSegmentCounters(t *testing.T) {
 // be a well-formed tiling with the right languages; no request may
 // observe a torn detector.
 func TestSegmentConcurrentAcrossHotSwap(t *testing.T) {
-	ts, _, reg, versions := newRegistryServer(t, serve.Config{Workers: 2})
+	ts, _, reg, versions := newRegistryServer(t, serve.Config{})
 	corp, _ := fixtures(t)
 	mixedDoc := append(append([]byte{}, corp.Test["en"][0].Text...), corp.Test["fi"][0].Text...)
 

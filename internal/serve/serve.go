@@ -70,8 +70,6 @@ import (
 // Config carries the serving-layer knobs. There is no backend knob:
 // every profile set is served on core.ServingBackend of its config.
 type Config struct {
-	// Workers bounds /batch fan-out; 0 means GOMAXPROCS.
-	Workers int
 	// MinMargin is the normalized winner-margin floor below which a
 	// document is answered as unknown (language ""); default 0 accepts
 	// everything but exact-empty documents.
@@ -204,7 +202,6 @@ func newServer(ps *core.ProfileSet, version string, cfg Config) (*Server, error)
 func (c *Config) newSnapshot(ps *core.ProfileSet, version string) (*snapshot, error) {
 	det, err := core.NewDetector(ps,
 		core.WithBackend(core.ServingBackend(ps.Config)),
-		core.WithWorkers(c.Workers),
 		core.WithMinMargin(c.MinMargin),
 		core.WithMinNGrams(c.MinNGrams))
 	if err != nil {
@@ -304,7 +301,6 @@ func (s *Server) Stats() Snapshot {
 	out := Snapshot{
 		UptimeSeconds:  time.Since(s.start).Seconds(),
 		Backend:        det.Backend().String(),
-		Workers:        det.Workers(),
 		MinMargin:      det.MinMargin(),
 		MinNGrams:      det.MinNGrams(),
 		ProfileVersion: snap.version,
@@ -492,7 +488,8 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request, st *endpo
 }
 
 // handleBatch classifies a JSON array of documents, each a string or
-// an {"id", "text"} object.
+// an {"id", "text"} object, in order on one borrowed core.Stream reset
+// per document, as /stream counts its lines.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	snap := s.cur.Load()
 	b := getBuffers()
@@ -518,27 +515,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, st *endpoin
 	}
 	st.bytes.Add(bytes)
 	st.docs.Add(int64(n))
-	var ms []core.Match
-	var counts []int
-	if s.cfg.IncludeCounts {
-		b.counts, ms = snap.det.DetectBatchCounts(b.counts[:0], b.texts)
-		counts = b.counts
-	} else {
-		ms = snap.det.DetectBatch(b.texts)
-	}
+	stream, _ := snap.det.BorrowStream(nil) // a counting stream has no config to reject
+	defer snap.det.ReturnStream(stream)
 	langs := snap.langs
-	nLangs := len(langs.langs)
 	out := append(b.out[:0], '[')
-	for i, m := range ms {
+	for i, text := range b.texts {
 		if i > 0 {
 			out = append(out, ',')
 		}
-		var row []int
-		if counts != nil {
-			row = counts[i*nLangs : (i+1)*nLangs]
+		stream.Reset()
+		stream.Write(text)
+		var counts []int
+		if s.cfg.IncludeCounts {
+			b.counts = stream.AppendCounts(b.counts[:0])
+			counts = b.counts
 		}
+		m := stream.Match()
 		st.countUnknown(m)
-		out = langs.appendDetection(out, b.ids[i], m, row, nil, "")
+		out = langs.appendDetection(out, b.ids[i], m, counts, nil, "")
 	}
 	b.out = append(out, "]\n"...)
 	writeJSONBytes(w, b.out)

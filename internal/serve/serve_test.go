@@ -124,7 +124,7 @@ func TestDetectAcrossLanguages(t *testing.T) {
 
 // TestDetectMatchesLegacyPath pins the /detect wire format: over every
 // test document the response bytes equal the encoding of Detect's match
-// with the raw Classify counts. It also pins the zero-value Config to
+// with DetectCounts' raw counts. It also pins the zero-value Config to
 // the exact backend.
 func TestDetectMatchesLegacyPath(t *testing.T) {
 	corp, ps := fixtures(t)
@@ -140,8 +140,10 @@ func TestDetectMatchesLegacyPath(t *testing.T) {
 	det := srv.Detector()
 	for _, lang := range testLangs {
 		for i, doc := range corp.Test[lang] {
-			res := det.Classifier().Classify(doc.Text)
-			m := det.Detect(doc.Text)
+			res, m := det.DetectCounts(nil, doc.Text)
+			if m != det.Detect(doc.Text) {
+				t.Fatalf("%s doc %d: DetectCounts match %+v, Detect %+v", lang, i, m, det.Detect(doc.Text))
+			}
 			want := serve.Detection{
 				Language: m.Lang,
 				Name:     core.LanguageName(m.Lang),
@@ -153,7 +155,7 @@ func TestDetectMatchesLegacyPath(t *testing.T) {
 				Counts:   map[string]int{},
 			}
 			for j, l := range det.Languages() {
-				want.Counts[l] = res.Counts[j]
+				want.Counts[l] = res[j]
 			}
 			var wantBody bytes.Buffer
 			if err := json.NewEncoder(&wantBody).Encode(want); err != nil {
@@ -564,7 +566,7 @@ func TestHealthz(t *testing.T) {
 // goroutines at once — the scenario the race detector needs to see —
 // then checks the /statsz counters add up exactly.
 func TestConcurrentClients(t *testing.T) {
-	ts, corp := newTestServer(t, serve.Config{Workers: 4})
+	ts, corp := newTestServer(t, serve.Config{})
 	const clients = 8
 	const perClient = 5
 	var wg sync.WaitGroup

@@ -71,8 +71,6 @@ type Snapshot struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Backend names the membership backend serving requests.
 	Backend string `json:"backend"`
-	// Workers is the detector pool size used by /batch.
-	Workers int `json:"workers"`
 	// MinMargin is the configured unknown-thresholding margin floor.
 	MinMargin float64 `json:"min_margin"`
 	// MinNGrams is the configured minimum n-grams for a known outcome.

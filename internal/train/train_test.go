@@ -425,7 +425,8 @@ func TestTrainerRefusesPastMaxTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The document is several flushGrams batches; the first fits.
+	// The document is several of AddReader's 64 KiB read buffers; the
+	// first fits, so the refusal comes part way through it.
 	if err := train.PresetTotal(tr, "en", ngram.MaxTotal-100_000); err != nil {
 		t.Fatal(err)
 	}

@@ -261,14 +261,14 @@ func TestDevicePerCopyFoldEqualsTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := core.New(testProfiles(t), core.BackendBloom)
+	sw, err := core.NewDetector(testProfiles(t), core.WithBackend(core.BackendBloom))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sw.Classify(doc)
-	for l := range want.Counts {
-		if qr.Counts[l] != want.Counts[l] {
-			t.Errorf("language %d: device %d != classifier %d", l, qr.Counts[l], want.Counts[l])
+	want, _ := sw.DetectCounts(nil, doc)
+	for l := range want {
+		if qr.Counts[l] != want[l] {
+			t.Errorf("language %d: device %d != detector %d", l, qr.Counts[l], want[l])
 		}
 	}
 }

@@ -175,7 +175,7 @@ func TestHardwareMatchesSoftwareExactly(t *testing.T) {
 	s := newSystem(t, Options{})
 	s.Program()
 
-	sw, err := core.New(ps, core.BackendBloom)
+	sw, err := core.NewDetector(ps, core.WithBackend(core.BackendBloom))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,15 +185,15 @@ func TestHardwareMatchesSoftwareExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, dr := range rep.Results {
-		want := sw.Classify(docs[i].Text)
+		counts, want := sw.DetectCounts(nil, docs[i].Text)
 		got := dr.Result
 		if got.NGrams != want.NGrams {
 			t.Fatalf("doc %d: hardware tested %d n-grams, software %d", i, got.NGrams, want.NGrams)
 		}
-		for l := range want.Counts {
-			if got.Counts[l] != want.Counts[l] {
+		for l := range counts {
+			if got.Counts[l] != counts[l] {
 				t.Fatalf("doc %d language %d: hardware count %d != software %d",
-					i, l, got.Counts[l], want.Counts[l])
+					i, l, got.Counts[l], counts[l])
 			}
 		}
 	}
