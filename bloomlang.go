@@ -1,6 +1,10 @@
 package bloomlang
 
 import (
+	"fmt"
+	"sort"
+
+	"bloomlang/internal/bloom"
 	"bloomlang/internal/core"
 	"bloomlang/internal/corpus"
 	"bloomlang/internal/ngram"
@@ -21,29 +25,57 @@ type ProfileSet = core.ProfileSet
 // Profile is one language's ranked n-gram profile.
 type Profile = ngram.Profile
 
-// Result is the raw per-language counter view of one document, as
-// the §3.3 wide classifier (TrainWide) returns it; detection results
-// are Matches.
-type Result = core.Result
+// Result is the per-language counter view of one document, as the
+// §3.3 wide classifier (TrainWide) returns it; detection results are
+// Matches.
+type Result = bloom.Result
 
-// Backend selects the membership structure used for match counting,
-// one of the two constants below; ParseBackend resolves them by name.
+// Backend names the membership structure used for match counting, one
+// of the two constants below; ParseBackend resolves them by name.
 type Backend = core.Backend
 
-// Membership backends: HAIL-style exact direct lookup (the default)
-// and the paper's Parallel Bloom Filter.
+// Membership backends: HAIL-style exact direct lookup (the default,
+// core's one built-in kernel, exact at every n) and the paper's
+// Parallel Bloom Filter (internal/bloom).
 const (
 	BackendDirect = core.BackendDirect
-	BackendBloom  = core.BackendBloom
+	BackendBloom  = bloom.Backend
 )
+
+// backends is the closed name table: each backend's canonical name,
+// parse alias and kernel builder (nil for core's built-in kernel).
+var backends = [...]struct {
+	name  Backend
+	alias string
+	build func(*core.ProfileSet) (core.Kernel, error)
+}{
+	{BackendDirect, "direct", nil},
+	{BackendBloom, "bloom", bloom.NewKernel},
+}
 
 // ParseBackend resolves a backend by canonical name or alias
 // ("parallel-bloom"/"bloom", "direct-lookup"/"direct"). It is the
 // inverse of Backend.String.
-func ParseBackend(name string) (Backend, error) { return core.ParseBackend(name) }
+func ParseBackend(name string) (Backend, error) {
+	names := make([]string, len(backends))
+	for i, e := range backends {
+		if name == string(e.name) || name == e.alias {
+			return e.name, nil
+		}
+		names[i] = string(e.name)
+	}
+	return "", fmt.Errorf("bloomlang: unknown backend %q (have %v)", name, names)
+}
 
-// Backends lists every backend's canonical name.
-func Backends() []string { return core.Backends() }
+// Backends lists every backend's canonical name, sorted.
+func Backends() []string {
+	names := make([]string, len(backends))
+	for i, e := range backends {
+		names[i] = string(e.name)
+	}
+	sort.Strings(names)
+	return names
+}
 
 // Detector is the single entry point for language detection: ranked
 // results, confidence scoring with explicit unknown outcomes, batch and
@@ -65,8 +97,19 @@ func NewDetector(ps *ProfileSet, opts ...DetectorOption) (*Detector, error) {
 }
 
 // WithBackend selects the membership backend (default BackendDirect,
-// the exact kernel).
-func WithBackend(b Backend) DetectorOption { return core.WithBackend(b) }
+// the exact kernel): BackendBloom hands the detector the paper's
+// Parallel Bloom Filter kernel through core.WithKernel. A backend
+// ParseBackend does not know makes NewDetector fail.
+func WithBackend(b Backend) DetectorOption {
+	for _, e := range backends {
+		if e.name == b {
+			return core.WithKernel(e.name, e.build)
+		}
+	}
+	return core.WithKernel(b, func(*ProfileSet) (core.Kernel, error) {
+		return nil, fmt.Errorf("bloomlang: unknown backend %q", b)
+	})
+}
 
 // WithWorkers bounds DetectBatch fan-out; n <= 0 means GOMAXPROCS.
 func WithWorkers(n int) DetectorOption { return core.WithWorkers(n) }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bloomlang"
+	"bloomlang/internal/bloom"
 	"bloomlang/internal/core"
 	"bloomlang/internal/corpus"
 	"bloomlang/internal/ctrank"
@@ -63,7 +64,7 @@ func BenchmarkTable1AccuracyVsParams(b *testing.B) {
 			cfg.K = cfgPoint.K
 			cfg.MBits = uint32(cfgPoint.MKbits) * 1024
 			psC := &core.ProfileSet{Config: cfg, Profiles: ps.Profiles}
-			det, err := core.NewDetector(psC, core.WithBackend(core.BackendBloom))
+			det, err := core.NewDetector(psC, core.WithKernel(bloom.Backend, bloom.NewKernel))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -81,7 +82,7 @@ func BenchmarkTable1AccuracyVsParams(b *testing.B) {
 			b.StopTimer()
 			ev := bloomlang.Evaluate(det, corp)
 			b.ReportMetric(100*ev.Average, "accuracy_pct")
-			b.ReportMetric(1000*cfg.ExpectedFalsePositiveRate(), "expected_fp_per_1000")
+			b.ReportMetric(1000*bloom.ExpectedFalsePositiveRate(cfg), "expected_fp_per_1000")
 		})
 	}
 }

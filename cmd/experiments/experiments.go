@@ -129,11 +129,11 @@ func RunTable1(scale Scale) ([]Table1Row, error) {
 		cfg.K = c.K
 		cfg.MBits = uint32(c.MKbits) * 1024
 		psC := &core.ProfileSet{Config: cfg, Profiles: ps.Profiles}
-		det, err := core.NewDetector(psC, core.WithBackend(core.BackendBloom), core.WithWorkers(scale.Workers))
+		det, err := core.NewDetector(psC, core.WithKernel(bloom.Backend, bloom.NewKernel), core.WithWorkers(scale.Workers))
 		if err != nil {
 			return nil, err
 		}
-		filters, err := psC.ParallelFilters()
+		filters, err := bloom.ParallelFilters(psC)
 		if err != nil {
 			return nil, err
 		}
@@ -558,7 +558,7 @@ func RunSubsampleAblation(scale Scale) ([]SubsampleRow, error) {
 		cfg := base
 		cfg.Subsample = sub
 		psC := &core.ProfileSet{Config: cfg, Profiles: ps.Profiles}
-		det, err := core.NewDetector(psC, core.WithBackend(core.BackendBloom), core.WithWorkers(scale.Workers))
+		det, err := core.NewDetector(psC, core.WithKernel(bloom.Backend, bloom.NewKernel), core.WithWorkers(scale.Workers))
 		if err != nil {
 			return nil, err
 		}
@@ -621,7 +621,7 @@ func RunConfusion(scale Scale) (ConfusionResult, error) {
 	if err != nil {
 		return out, err
 	}
-	det, err := core.NewDetector(ps, core.WithBackend(core.BackendBloom), core.WithWorkers(scale.Workers))
+	det, err := core.NewDetector(ps, core.WithKernel(bloom.Backend, bloom.NewKernel), core.WithWorkers(scale.Workers))
 	if err != nil {
 		return out, err
 	}

@@ -85,7 +85,7 @@ func TestSystemSimulationMatchesSoftware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := core.NewDetector(ps, core.WithBackend(core.BackendBloom))
+	det, err := core.NewDetector(ps, core.WithKernel(bloom.Backend, bloom.NewKernel))
 	if err != nil {
 		t.Fatal(err)
 	}

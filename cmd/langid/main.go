@@ -44,7 +44,6 @@ import (
 	"sort"
 
 	"bloomlang"
-	"bloomlang/internal/core"
 )
 
 func main() {
@@ -432,25 +431,23 @@ func loadProfiles(path string) (*bloomlang.ProfileSet, error) {
 // detectorFlags declares on fs the flags that choose the profiles and
 // the detector classify and segment run, and returns the function that
 // loads the profiles and builds the detector once fs is parsed. Without
-// -backend the detector runs on the backend langidd serves the
-// profiles on (core.ServingBackend: direct below n = 6, bloom from
-// n = 6), so the CLI answers every profile file the daemon serves.
+// -backend the detector runs on direct-lookup, the exact kernel langidd
+// serves every profile file on at every n; -backend bloom runs the
+// paper's parallel Bloom filter instead.
 func detectorFlags(fs *flag.FlagSet) func(opts ...bloomlang.DetectorOption) (*bloomlang.Detector, error) {
 	profilePath := fs.String("profiles", "profiles.bin", "trained profile file")
 	k := fs.Int("k", 4, "hash functions per Bloom filter")
 	m := fs.Uint("m", 16*1024, "bits per Bloom filter vector (power of two)")
-	backend := fs.String("backend", "", "membership backend: direct (exact table) or bloom (parallel Bloom filter); default: the one langidd serves the profiles on")
+	backend := fs.String("backend", "direct", "membership backend: direct (exact table, the one langidd serves) or bloom (parallel Bloom filter)")
 	return func(opts ...bloomlang.DetectorOption) (*bloomlang.Detector, error) {
 		ps, err := loadProfiles(*profilePath)
 		if err != nil {
 			return nil, err
 		}
 		applyFilterFlags(fs, ps, *k, uint32(*m))
-		be := core.ServingBackend(ps.Config)
-		if *backend != "" {
-			if be, err = bloomlang.ParseBackend(*backend); err != nil {
-				return nil, err
-			}
+		be, err := bloomlang.ParseBackend(*backend)
+		if err != nil {
+			return nil, err
 		}
 		return bloomlang.NewDetector(ps, append(opts, bloomlang.WithBackend(be))...)
 	}

@@ -10,8 +10,8 @@ import (
 
 // TestDefaultBackendFollowsDaemon: classify and segment run, when
 // -backend is not given, on the backend langidd serves the profiles
-// on, so a 6-gram profile file (too wide for the direct table)
-// classifies under default flags; -backend still overrides.
+// on, the exact direct-lookup kernel at every n, 6-gram profile files
+// included; -backend bloom still overrides.
 func TestDefaultBackendFollowsDaemon(t *testing.T) {
 	corp, err := bloomlang.GenerateCorpus(bloomlang.CorpusConfig{
 		Languages:       []string{"en", "fi"},
@@ -28,7 +28,8 @@ func TestDefaultBackendFollowsDaemon(t *testing.T) {
 		flags []string
 		want  bloomlang.Backend
 	}{
-		{6, nil, bloomlang.BackendBloom},
+		{6, nil, bloomlang.BackendDirect},
+		{6, []string{"-backend", "bloom"}, bloomlang.BackendBloom},
 		{4, nil, bloomlang.BackendDirect},
 		{4, []string{"-backend", "bloom"}, bloomlang.BackendBloom},
 	} {

@@ -36,13 +36,11 @@
 // SIGINT/SIGTERM before exiting.
 //
 // There is no backend flag: profiles are served on the exact
-// direct-lookup table, or on the paper's parallel Bloom filter when
-// they were trained at an n too large for the table (n = 6). /statsz
-// reports which.
+// direct-lookup kernel at every n, 6-grams included; /statsz names it.
 //
 // The daemon links the product packages alone (internal/core, serve,
-// registry and train); the paper's hardware models and experiment
-// harness live with their own commands.
+// registry and train); the paper's Bloom filters, hardware models and
+// experiment harness live with their own commands.
 package main
 
 import (

@@ -23,6 +23,7 @@ import (
 	"log"
 	"os"
 
+	"bloomlang/internal/bloom"
 	"bloomlang/internal/core"
 	"bloomlang/internal/vhdl"
 )
@@ -65,7 +66,7 @@ func run(args []string, stdout io.Writer) error {
 	if err := ps.Config.Validate(); err != nil {
 		return err
 	}
-	filters, err := ps.ParallelFilters()
+	filters, err := bloom.ParallelFilters(ps)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"bloomlang/internal/bloom"
 	"bloomlang/internal/core"
 	"bloomlang/internal/vhdl"
 )
@@ -51,7 +52,7 @@ func TestRunReadsSavedAndLegacyProfiles(t *testing.T) {
 	}
 
 	// The saved file generates the hardware of the software serving it.
-	filters, err := ps.ParallelFilters()
+	filters, err := bloom.ParallelFilters(ps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package bloomlang
 
 import (
+	"sync"
 	"testing"
 )
 
@@ -25,58 +26,89 @@ func BenchmarkDetector(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectorBackends runs the same hot path on every built-in
-// membership backend.
+// BenchmarkDetectorBackends runs the same hot path on every membership
+// backend, then again over the same corpus trained at n = 6 (the n6
+// sub-benchmarks), where core's exact kernel probes its compact tables
+// on the generic counting path.
 func BenchmarkDetectorBackends(b *testing.B) {
 	_, ps := benchFixtures(b)
 	doc := benchBigDocs[0].Text
-	for _, backend := range []Backend{BackendBloom, BackendDirect} {
-		b.Run(backend.String(), func(b *testing.B) {
-			det, err := NewDetector(ps, WithBackend(backend))
-			if err != nil {
-				b.Fatal(err)
-			}
-			det.Detect(doc)
-			b.SetBytes(int64(len(doc)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+	detect := func(b *testing.B, ps *ProfileSet) {
+		for _, backend := range []Backend{BackendBloom, BackendDirect} {
+			b.Run(backend.String(), func(b *testing.B) {
+				det, err := NewDetector(ps, WithBackend(backend))
+				if err != nil {
+					b.Fatal(err)
+				}
 				det.Detect(doc)
-			}
-		})
+				b.SetBytes(int64(len(doc)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					det.Detect(doc)
+				}
+			})
+		}
 	}
+	detect(b, ps)
+	b.Run("n6", func(b *testing.B) { detect(b, sixGramFixtures(b)) })
 }
 
 // BenchmarkDetectSpans measures the mixed-language segmentation hot
-// path on every backend: one counting pass over a paper-sized document,
-// cut into 16-gram chunks, one cumulative count row and one Viterbi
-// step per chunk. With pooled scratch warm and a reused destination
-// slice the discipline bar is 0 allocs/op; the gap to
-// BenchmarkDetectorBackends on the same backend is the cost of the
-// chunk rows, the steps and the trace back (scripts/bench.sh gates the
-// direct-lookup ratio).
+// path on every backend, at n = 4 and (n6) at n = 6: one counting pass
+// over a paper-sized document, cut into 16-gram chunks, one cumulative
+// count row and one Viterbi step per chunk. With pooled scratch warm
+// and a reused destination slice the discipline bar is 0 allocs/op; the
+// gap to BenchmarkDetectorBackends on the same backend is the cost of
+// the chunk rows, the steps and the trace back (scripts/bench.sh gates
+// the n = 4 direct-lookup ratio).
 func BenchmarkDetectSpans(b *testing.B) {
 	_, ps := benchFixtures(b)
 	doc := benchBigDocs[0].Text
 	cfg := SegmentConfig{Stride: 16, Penalty: 8}
-	for _, backend := range []Backend{BackendBloom, BackendDirect} {
-		b.Run(backend.String(), func(b *testing.B) {
-			det, err := NewDetector(ps, WithBackend(backend))
-			if err != nil {
-				b.Fatal(err)
-			}
-			dst, err := det.AppendSpans(nil, doc, cfg) // warm the segment pool
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(doc)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst, _ = det.AppendSpans(dst[:0], doc, cfg)
-			}
-		})
+	segment := func(b *testing.B, ps *ProfileSet) {
+		for _, backend := range []Backend{BackendBloom, BackendDirect} {
+			b.Run(backend.String(), func(b *testing.B) {
+				det, err := NewDetector(ps, WithBackend(backend))
+				if err != nil {
+					b.Fatal(err)
+				}
+				dst, err := det.AppendSpans(nil, doc, cfg) // warm the segment pool
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(len(doc)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					dst, _ = det.AppendSpans(dst[:0], doc, cfg)
+				}
+			})
+		}
 	}
+	segment(b, ps)
+	b.Run("n6", func(b *testing.B) { segment(b, sixGramFixtures(b)) })
+}
+
+var (
+	sixOnce sync.Once
+	sixSet  *ProfileSet
+)
+
+// sixGramFixtures returns the shared test corpus trained at n = 6.
+func sixGramFixtures(b *testing.B) *ProfileSet {
+	b.Helper()
+	corp, _ := benchFixtures(b)
+	sixOnce.Do(func() {
+		cfg := DefaultConfig()
+		cfg.N = 6
+		ps, err := Train(cfg, corp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sixSet = ps
+	})
+	return sixSet
 }
 
 // BenchmarkDetectorRank measures the ranked-results path (allocates the

@@ -66,35 +66,36 @@
 //
 // # Membership backends
 //
-// The membership structure is one of a closed set of two backends: an
-// exact direct table ("direct-lookup"/"direct", the default) and the
-// paper's Parallel Bloom Filter ("parallel-bloom"/"bloom").
-// ParseBackend resolves a canonical name or alias (the CLIs' -backend
-// flag is exactly this) and Backend.String round-trips it back. Each
-// backend counts through one kernel built over the whole profile set,
-// which scores every language for each n-gram in one call and counts
-// straight from a document's raw bytes.
+// The membership structure is one of two backends: an exact table
+// ("direct-lookup"/"direct", the default, and core's one built-in
+// kernel) and the paper's Parallel Bloom Filter
+// ("parallel-bloom"/"bloom", which lives with the paper's other models
+// in internal/bloom). ParseBackend resolves a canonical name or alias
+// (the CLIs' -backend flag is exactly this) and Backend.String
+// round-trips it back; WithBackend hands the chosen kernel to the
+// detector. Each backend counts through one kernel built over the whole
+// profile set, which scores every language for each n-gram in one call.
 //
 // The default backend is HAIL's direct table (§2) generalised from one
-// language per packed n-gram to a language bitmask per packed n-gram:
-// one uint16 plane of 2^20 entries (2 MiB at n=4) answers for up to 16
-// languages, and each further 16 languages add a plane. Scoring an
-// n-gram against every language is one table load instead of the
-// parallel backend's k probes per language, and membership is exact,
-// so there are no false positives to outvote. Its Count is the paper's
-// datapath in one loop: translate a byte, shift it into the n-gram
-// register, load the n-gram's language mask, and add the mask into
-// per-language byte lanes held in two registers, four characters per
-// step, with no n-gram stored on the way. The table grows as
-// 2^(5n), so the direct backend refuses n >= 6 (2 GiB per plane) and
-// names the parallel Bloom filter instead. NewDetector without
-// WithBackend and the langid classify/segment commands serve it.
-// Servers have no backend option: ServeConfig{} and langidd serve
-// every profile set on the direct table, or on the parallel Bloom
-// filter when the set was trained at n = 6.
+// language per packed n-gram to a language bitmask per packed n-gram,
+// and it is exact at every n, so there are no false positives to
+// outvote. Up to n = 5 one uint16 plane of 2^(5n) entries (2 MiB at
+// n=4) answers for up to 16 languages, and each further 16 languages
+// add a plane. Scoring an n-gram against every language is one table
+// load instead of the parallel backend's k probes per language. Its
+// count is the paper's datapath in one loop: translate a byte, shift it
+// into the n-gram register, load the n-gram's language mask, and add
+// the mask into per-language byte lanes held in two registers, four
+// characters per step, with no n-gram stored on the way. At n = 6 a
+// plane would take 2 GiB, so the same masks sit in a compact
+// open-addressed table over only the profiles' n-grams (one uint64 slot
+// per n-gram, 2 MiB for 16 languages at t = 5000), probed once per
+// n-gram. NewDetector without WithBackend and the langid
+// classify/segment commands serve it. Servers have no backend option:
+// ServeConfig{} and langidd serve every profile set on it, at every n.
 //
 // Use "bloom" when software classifications must match the simulated
-// hardware bit-for-bit (the XD1000, RTL and VHDL models build the same
+// hardware bit-for-bit (the XD1000 and VHDL models build the same
 // parallel filters from the profile set). Profile files written by
 // older builds with an embedded filter layout (NGPS v2) still load:
 // the layout is skipped and only the configuration and profiles are

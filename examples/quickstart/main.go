@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"bloomlang"
+	"bloomlang/internal/bloom"
 )
 
 func main() {
@@ -49,7 +50,7 @@ func main() {
 	}
 	cfg := det.Config()
 	fmt.Printf("\ndetector: k=%d, m=%d Kbit, expected false positives %.1f/1000\n\n",
-		cfg.K, cfg.MBits/1024, 1000*cfg.ExpectedFalsePositiveRate())
+		cfg.K, cfg.MBits/1024, 1000*bloom.ExpectedFalsePositiveRate(cfg))
 
 	// 4. Detect snippets. (ISO-8859-1 bytes; plain ASCII works too.)
 	snippets := []struct{ label, text string }{

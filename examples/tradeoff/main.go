@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"bloomlang"
+	"bloomlang/internal/bloom"
 	"bloomlang/internal/fpga"
 )
 
@@ -55,7 +56,7 @@ func main() {
 		maxLangs := fpga.MaxLanguages(point.k, cfg.MBits, 4, dev)
 		fmt.Printf("%8d  %d  %11.1f  %7.2f%%  %9d  %d\n",
 			point.mKbit, point.k,
-			1000*cfg.ExpectedFalsePositiveRate(),
+			1000*bloom.ExpectedFalsePositiveRate(cfg),
 			100*ev.Average,
 			point.k*point.mKbit,
 			maxLangs,

@@ -15,6 +15,12 @@
 // widens the hash input: Program and Test take the packed n-grams of
 // the 5-bit alphabet, Program64 and Test64 the up-to-64-bit n-grams of
 // the 16-bit one, through the same k vectors.
+//
+// The package is also the paper's side of classification:
+// ParallelFilters programs one filter per language of a
+// core.ProfileSet, NewKernel counts through them for a core.Detector
+// (core.WithKernel(Backend, NewKernel)), and TrainWide builds the §3.3
+// wide classifier. The product's serving path never links it.
 package bloom
 
 import (
@@ -197,11 +203,6 @@ func (p *Parallel) FalsePositiveRate() float64 {
 // Vector returns vector i, for tests and for the simulator's
 // RAM-accounting.
 func (p *Parallel) Vector(i int) *BitVector { return p.vectors[i] }
-
-// Hash returns hash function i applied to g — the address the hardware
-// drives onto RAM i's address lines. Exposed for the RTL pipeline
-// model, which stages hashing and RAM reads in separate cycles.
-func (p *Parallel) Hash(i int, g uint32) uint32 { return p.family.Func(i).Hash(g) }
 
 // Func returns hash function i itself, exposing the H3 matrix to the
 // VHDL generator (which instantiates each function as an XOR tree with

@@ -1,11 +1,12 @@
-package core
+package bloom
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bloomlang/internal/alphabet"
-	"bloomlang/internal/bloom"
+	"bloomlang/internal/core"
 	"bloomlang/internal/ngram"
 )
 
@@ -16,29 +17,60 @@ import (
 // (Program64, Test64). A direct lookup table "grows exponentially in
 // the size of the alphabet"; the Bloom filter's storage is unchanged.
 type WideClassifier struct {
-	cfg     Config
+	cfg     core.Config
 	langs   []string
-	filters []*bloom.Parallel
+	filters []*Parallel
+}
+
+// Result is one document's per-language match counts under the wide
+// classifier.
+type Result struct {
+	// Counts holds per-language match counts in Languages() order.
+	Counts []int
+	// NGrams is the number of n-grams tested.
+	NGrams int
+}
+
+// BestLanguage returns the language with the most matches, ties broken
+// towards the lower index (the lexicographically earlier language), or
+// "" when no n-grams were tested.
+func (r Result) BestLanguage(langs []string) string {
+	if r.NGrams == 0 || len(r.Counts) == 0 {
+		return ""
+	}
+	return langs[slices.Index(r.Counts, slices.Max(r.Counts))]
+}
+
+// Margin returns the winner's lead over the runner-up in match counts,
+// 0 for an empty document or a single language. §5.1 observes that
+// this margin is normally much larger than the false positive noise,
+// which is why Bloom false positives barely affect accuracy.
+func (r Result) Margin() int {
+	if r.NGrams == 0 || len(r.Counts) < 2 {
+		return 0
+	}
+	s := slices.Sorted(slices.Values(r.Counts))
+	return s[len(s)-1] - s[len(s)-2]
 }
 
 // TrainWide builds a wide classifier from UTF-8 training texts keyed by
 // language. The Config fields have their usual meanings and are
-// validated as TrainFromTexts validates them; N is capped at 4 (a
+// validated as core.TrainFromTexts validates them; N is capped at 4 (a
 // 4-gram of 16-bit characters fills the 64-bit hash input), and
 // Subsample must be 1, because the wide classifier tests every n-gram.
-func TrainWide(cfg Config, texts map[string][]string) (*WideClassifier, error) {
-	cfg.applyDefaults()
+func TrainWide(cfg core.Config, texts map[string][]string) (*WideClassifier, error) {
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.N > ngram.MaxWideN {
-		return nil, fmt.Errorf("core: wide n=%d exceeds %d", cfg.N, ngram.MaxWideN)
+		return nil, fmt.Errorf("bloom: wide n=%d exceeds %d", cfg.N, ngram.MaxWideN)
 	}
 	if cfg.Subsample > 1 {
-		return nil, fmt.Errorf("core: wide classifier does not subsample (subsample %d)", cfg.Subsample)
+		return nil, fmt.Errorf("bloom: wide classifier does not subsample (subsample %d)", cfg.Subsample)
 	}
 	if len(texts) == 0 {
-		return nil, fmt.Errorf("core: no training languages")
+		return nil, fmt.Errorf("bloom: no training languages")
 	}
 	langs := make([]string, 0, len(texts))
 	for lang := range texts {
@@ -48,7 +80,7 @@ func TrainWide(cfg Config, texts map[string][]string) (*WideClassifier, error) {
 	c := &WideClassifier{cfg: cfg}
 	for i, lang := range langs {
 		if len(texts[lang]) == 0 {
-			return nil, fmt.Errorf("core: language %q has no training documents", lang)
+			return nil, fmt.Errorf("bloom: language %q has no training documents", lang)
 		}
 		p, err := ngram.WideProfileFromTexts(lang, texts[lang], cfg.N, cfg.TopT)
 		if err != nil {
@@ -71,7 +103,7 @@ func TrainWide(cfg Config, texts map[string][]string) (*WideClassifier, error) {
 func (c *WideClassifier) Languages() []string { return c.langs }
 
 // Config returns the effective configuration.
-func (c *WideClassifier) Config() Config { return c.cfg }
+func (c *WideClassifier) Config() core.Config { return c.cfg }
 
 // Classify runs the wide pipeline on UTF-8 text.
 func (c *WideClassifier) Classify(text string) Result {
@@ -80,7 +112,7 @@ func (c *WideClassifier) Classify(text string) Result {
 		panic(err) // config validated at TrainWide
 	}
 	gs := e.Feed(nil, alphabet.TranslateWide(text))
-	r := Result{Counts: make([]int, len(c.filters)), NGrams: len(gs), Best: -1, Second: -1}
+	r := Result{Counts: make([]int, len(c.filters)), NGrams: len(gs)}
 	for i, f := range c.filters {
 		count := 0
 		for _, g := range gs {
@@ -90,6 +122,5 @@ func (c *WideClassifier) Classify(text string) Result {
 		}
 		r.Counts[i] = count
 	}
-	r.selectWinners()
 	return r
 }

@@ -1,12 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-
-	"bloomlang/internal/bloom"
-	"bloomlang/internal/ngram"
-)
+import "fmt"
 
 // Kernel is a backend's membership-counting kernel: AccumulateInto
 // scores every language for each packed n-gram of gs in one call — the
@@ -21,102 +15,35 @@ type Kernel interface {
 	AccumulateInto(counts []int, gs []uint32)
 }
 
-// backends is the closed set of membership backends, indexed by
-// their Backend constant: canonical name, parse alias and the function
-// that builds the backend's Kernel over the whole profile set.
-var backends = [...]struct {
-	name, alias string
-	build       func(cfg Config, ps *ProfileSet) (Kernel, error)
-}{
-	BackendDirect: {"direct-lookup", "direct", buildMaskKernel},
-	BackendBloom:  {"parallel-bloom", "bloom", buildParallelBloom},
-}
+// Backend names the kernel a Detector counts with, as Detector.Backend
+// and a server's statistics report it.
+type Backend string
 
-// ParseBackend resolves a backend by canonical name or alias. It is the
-// inverse of Backend.String: ParseBackend(b.String()) == b for every
-// backend.
+// BackendDirect is core's one built-in kernel and every detector's
+// default: exact membership at every n (newExactKernel).
+const BackendDirect Backend = "direct-lookup"
+
+// String returns the backend's name.
+func (b Backend) String() string { return string(b) }
+
+// ParseBackend resolves the name of core's built-in backend.
+//
+// Deprecated: backend names, the paper's parallel-bloom among them,
+// are resolved by the root bloomlang package. ParseBackend stays for
+// the frozen perfbench module.
 func ParseBackend(name string) (Backend, error) {
-	names := make([]string, len(backends))
-	for b, e := range backends {
-		if name == e.name || name == e.alias {
-			return Backend(b), nil
-		}
-		names[b] = e.name
+	if name != string(BackendDirect) {
+		return "", fmt.Errorf("core: backend %q is not built in (have %s)", name, BackendDirect)
 	}
-	return 0, fmt.Errorf("core: unknown backend %q (have %v)", name, names)
+	return BackendDirect, nil
 }
 
-// Backends returns every backend's canonical name, sorted.
-func Backends() []string {
-	names := make([]string, len(backends))
-	for b, e := range backends {
-		names[b] = e.name
+// newExactKernel builds core's exact kernel over the profile set: the
+// mask planes where the 2^(5n)-entry table fits, the compact probe
+// tables above.
+func newExactKernel(cfg Config, ps *ProfileSet) (Kernel, error) {
+	if cfg.N > maxMaskN {
+		return buildProbeKernel(cfg, ps)
 	}
-	sort.Strings(names)
-	return names
-}
-
-// String names the backend for reports and round-trips through
-// ParseBackend.
-func (b Backend) String() string {
-	if b < 0 || int(b) >= len(backends) {
-		return fmt.Sprintf("backend(%d)", int(b))
-	}
-	return backends[b].name
-}
-
-// parallelBloom is the paper's kernel: one Parallel Bloom Filter per
-// language, queried in the languages×grams loop.
-type parallelBloom struct{ filters []*bloom.Parallel }
-
-// AccumulateInto adds each language's match count over gs into counts.
-func (p *parallelBloom) AccumulateInto(counts []int, gs []uint32) {
-	for i, f := range p.filters {
-		n := 0
-		for _, g := range gs {
-			if f.Test(g) {
-				n++
-			}
-		}
-		counts[i] += n
-	}
-}
-
-// ParallelFilters programs the paper's Parallel Bloom Filter for every
-// language of the set, in profile order: k H3 hashes into k
-// independent m-bit vectors per language (§3.1). Each language's seed
-// is offset from the configured one, so its filter is independent, as
-// in hardware where each replica has its own H3 matrices. The
-// parallel-bloom backend scores through these filters, and the XD1000,
-// RTL and VHDL models build theirs here, so simulated hardware and
-// software agree bit for bit.
-func (ps *ProfileSet) ParallelFilters() ([]*bloom.Parallel, error) {
-	cfg := ps.Config.WithDefaults()
-	fs := make([]*bloom.Parallel, len(ps.Profiles))
-	for i, p := range ps.Profiles {
-		f, err := languageFilter(cfg, i, ngram.Bits(cfg.N))
-		if err != nil {
-			return nil, err
-		}
-		f.ProgramAll(p.Grams)
-		fs[i] = f
-	}
-	return fs, nil
-}
-
-// languageFilter is the empty Parallel Bloom Filter of language i under
-// cfg, over inputBits-wide n-grams: k vectors of m bits, with the seed
-// offset by i so every language draws its own H3 matrices. The narrow
-// ParallelFilters and the wide TrainWide both build through it.
-func languageFilter(cfg Config, i int, inputBits uint) (*bloom.Parallel, error) {
-	return bloom.NewParallel(cfg.K, inputBits, cfg.MBits, cfg.Seed+int64(i)*1000003)
-}
-
-// buildParallelBloom is the paper's design over ps.ParallelFilters.
-func buildParallelBloom(_ Config, ps *ProfileSet) (Kernel, error) {
-	fs, err := ps.ParallelFilters()
-	if err != nil {
-		return nil, err
-	}
-	return &parallelBloom{fs}, nil
+	return buildMaskKernel(cfg, ps)
 }

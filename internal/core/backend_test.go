@@ -6,86 +6,49 @@ import (
 	"testing"
 )
 
-// TestBackendStringParseRoundTrip pins the contract the CLIs rely on:
-// every backend's String() parses back to itself,
-// and the historical aliases keep working.
-func TestBackendStringParseRoundTrip(t *testing.T) {
-	for _, b := range []Backend{BackendBloom, BackendDirect} {
-		got, err := ParseBackend(b.String())
-		if err != nil {
-			t.Fatalf("ParseBackend(%q): %v", b.String(), err)
-		}
-		if got != b {
-			t.Errorf("ParseBackend(%q) = %v, want %v", b.String(), got, b)
-		}
-	}
-	aliases := map[string]Backend{
-		"bloom":  BackendBloom,
-		"direct": BackendDirect,
-	}
-	for name, want := range aliases {
-		got, err := ParseBackend(name)
-		if err != nil {
-			t.Fatalf("ParseBackend(%q): %v", name, err)
-		}
-		if got != want {
-			t.Errorf("ParseBackend(%q) = %v, want %v", name, got, want)
-		}
-	}
-}
-
-// TestParseBackendUnknownNameListsChoices also pins that the deleted
-// blocked and classic backends' names no longer parse.
-func TestParseBackendUnknownNameListsChoices(t *testing.T) {
-	for _, name := range []string{"fpga", "blocked", "classic", "classic-bloom"} {
-		_, err := ParseBackend(name)
-		if err == nil {
-			t.Fatalf("ParseBackend accepted unknown name %q", name)
-		}
-		for _, known := range []string{"direct-lookup", "parallel-bloom"} {
-			if !strings.Contains(err.Error(), known) {
-				t.Errorf("error %q does not list %q", err, known)
-			}
-		}
-	}
-}
-
-func TestBackendsListsCanonicalNames(t *testing.T) {
-	want := []string{"direct-lookup", "parallel-bloom"}
-	if names := Backends(); !reflect.DeepEqual(names, want) {
-		t.Errorf("Backends() = %v, want %v", names, want)
-	}
-}
-
+// TestBackendStringUnregisteredValue pins the deprecated entry points
+// to core's one built-in backend: ParseBackend and New accept its name
+// and refuse any other, the paper's parallel-bloom included, which only
+// the root bloomlang package resolves.
 func TestBackendStringUnregisteredValue(t *testing.T) {
-	if got := Backend(9999).String(); got != "backend(9999)" {
-		t.Errorf("String() = %q", got)
+	if got, err := ParseBackend(BackendDirect.String()); err != nil || got != BackendDirect {
+		t.Errorf("ParseBackend(%q) = %q, %v", BackendDirect, got, err)
 	}
-	if _, err := NewDetector(&ProfileSet{Config: DefaultConfig(), Profiles: trainMini(t, Config{TopT: 500}).Profiles}, WithBackend(Backend(9999))); err == nil {
-		t.Error("NewDetector accepted an unregistered backend")
+	ps := trainMini(t, Config{TopT: 500})
+	for _, name := range []Backend{"backend(9999)", backendBloom} {
+		if _, err := ParseBackend(string(name)); err == nil || !strings.Contains(err.Error(), "direct-lookup") {
+			t.Errorf("ParseBackend(%q) error = %v, want one naming direct-lookup", name, err)
+		}
+		if _, err := New(ps, name); err == nil {
+			t.Errorf("New accepted backend %q", name)
+		}
+	}
+	if d, err := New(ps, BackendDirect); err != nil || d.Backend() != BackendDirect {
+		t.Errorf("New(direct-lookup) = %v, %v", d, err)
 	}
 }
 
 // FuzzKernelCount is the differential check of the serving path against
-// the staged reference on every built-in backend, at subsample 1 and 3:
+// the staged reference on every backend of the matrix and on core's
+// exact kernel at n = 6 (the generic FeedBytes → AccumulateInto path),
+// at subsample 1 and 3:
 // the fuzzer's bytes, written to a Stream in three pieces cut at two
 // fuzzer-chosen points, must give the counts and n-gram total of
 // the staged reference (classify) of the same bytes. A whole-document
 // stream and a segmenting one (which cuts each write where a stride of
 // n-grams completes) are both checked.
 func FuzzKernelCount(f *testing.F) {
-	base := trainMini(f, Config{TopT: 800})
+	base, six := trainMini(f, Config{TopT: 800}), sixGramSet(f)
 	var dets []*Detector
 	for _, sub := range []int{1, 3} {
 		ps := &ProfileSet{Config: base.Config, Profiles: base.Profiles}
 		ps.Config.Subsample = sub
-		for _, b := range []Backend{BackendDirect, BackendBloom} {
-			d, err := NewDetector(ps, WithBackend(b))
-			if err != nil {
-				f.Fatal(err)
-			}
-			dets = append(dets, d)
+		for _, b := range equivBackends() {
+			dets = append(dets, mustDetector(f, ps, withBackend(b)))
 		}
+		ps6 := &ProfileSet{Config: six.Config, Profiles: six.Profiles}
+		ps6.Config.Subsample = sub
+		dets = append(dets, mustDetector(f, ps6))
 	}
 	f.Add([]byte(""), uint16(0), uint16(0))
 	f.Add([]byte("the quick brown fox"), uint16(2), uint16(9))
@@ -108,7 +71,7 @@ func FuzzKernelCount(f *testing.F) {
 				s.Write(data[b:])
 				if got, n := s.AppendCounts(nil), s.Match().NGrams; n != want.NGrams || !reflect.DeepEqual(got, want.Counts) {
 					t.Fatalf("%s subsample %d, segmenting %v, %d bytes cut at %d,%d: stream counts %v over %d grams; reference %v over %d",
-						d.Backend(), d.Config().Subsample, s.cfg.Stride > 0, len(data), a, b, got, n, want.Counts, want.NGrams)
+						rowName(d), d.Config().Subsample, s.cfg.Stride > 0, len(data), a, b, got, n, want.Counts, want.NGrams)
 				}
 			}
 		}

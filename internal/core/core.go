@@ -1,7 +1,6 @@
 // Package core implements the paper's primary contribution in software:
 // multi-language classification by n-gram match counting against
-// per-language membership structures (§2, HAIL steps 1–3, with the
-// paper's Parallel Bloom Filters as the membership structure).
+// per-language membership structures (§2, HAIL steps 1–3).
 //
 // The flow is exactly the paper's:
 //
@@ -14,35 +13,34 @@
 // Detector is the one detector type: Detect, DetectCounts,
 // DetectBatch, Rank and the segmentation paths all count through one
 // Stream type, borrowed from the detector's pool. The Stream turns
-// bytes into n-grams, and each backend is one Kernel with one method,
-// AccumulateInto, which scores every language for each n-gram in one
-// call (§3.2); where the direct-lookup table fits one plane, the
-// Stream runs its fused loop from bytes to counts instead. NewStream
-// and NewSpanStream hand out the same Stream for incremental input,
-// with segmentation off or on; BorrowStream and ReturnStream lend
+// bytes into n-grams, and the membership structure is one Kernel with
+// one method, AccumulateInto, which scores every language for each
+// n-gram in one call (§3.2); where the direct-lookup table fits one
+// plane, the Stream runs its fused loop from bytes to counts instead.
+// NewStream and NewSpanStream hand out the same Stream for incremental
+// input, with segmentation off or on; BorrowStream and ReturnStream lend
 // pooled ones to servers. DetectCounts gives the raw per-language
 // counts the paper-model tests compare against. The package takes
 // documents as bytes; corpus scoring lives in the root bloomlang
 // package.
 //
-// The membership backends are a closed set of two. The default,
-// direct-lookup, is exact: HAIL's direct table (§2) generalised to one
-// language bitmask per packed n-gram, so one table load scores an
-// n-gram against up to 16 languages. The Parallel Bloom Filter is the
-// paper's design. The table cannot hold the key space of n >= 6, so
-// ServingBackend picks the Parallel Bloom Filter there. The paper's
-// hardware models (internal/xd1000, internal/rtl, internal/vhdl) do
-// not link a Detector: they build their own filters with
-// ProfileSet.ParallelFilters, the function the parallel-bloom backend
-// builds through, so hardware-simulated and software classifications
-// agree bit-for-bit.
+// Core has one built-in kernel, direct-lookup, and it is exact at
+// every n: HAIL's direct table (§2) generalised to one language bitmask
+// per packed n-gram, so one table load scores an n-gram against up to
+// 16 languages. Up to n = 5 the table is indexed by the packed n-gram
+// itself; the 2^(5n) key space of n = 6 is too large for that, so
+// there the same masks sit in a compact open-addressed table over only
+// the profiles' n-grams. The paper's Parallel Bloom Filter lives in
+// internal/bloom, which hands its kernel to a Detector through
+// WithKernel and builds the filters the hardware models
+// (internal/xd1000, internal/vhdl) program, so hardware-simulated and
+// software classifications agree bit-for-bit.
 package core
 
 import (
 	"fmt"
 	"sort"
 
-	"bloomlang/internal/bloom"
 	"bloomlang/internal/ngram"
 )
 
@@ -52,13 +50,16 @@ type Config struct {
 	N int
 	// TopT is the profile size t; the paper uses 5,000 (§4).
 	TopT int
-	// K is the number of H3 hash functions per Bloom filter.
+	// K is the number of H3 hash functions per Bloom filter. K, MBits
+	// and Seed configure the paper's filters in internal/bloom; core's
+	// exact kernel does not read them, but every profile file records
+	// them.
 	K int
 	// MBits is the length m of each of the K bit-vectors, in bits.
 	// Table 1 explores 16Kbit, 8Kbit and 4Kbit.
 	MBits uint32
 	// Seed drives H3 matrix generation; equal seeds give identical
-	// classifiers.
+	// filters.
 	Seed int64
 	// Subsample tests only every s-th document n-gram when s > 1
 	// (HAIL-style input subsampling, §3.3).
@@ -124,14 +125,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: subsample %d must be >= 1", cfg.Subsample)
 	}
 	return nil
-}
-
-// ExpectedFalsePositiveRate returns the §3.1 model value for this
-// configuration at profile load N=TopT.
-func (c Config) ExpectedFalsePositiveRate() float64 {
-	cfg := c
-	cfg.applyDefaults()
-	return bloom.FalsePositiveRate(cfg.TopT, cfg.MBits, cfg.K)
 }
 
 // ProfileSet is a trained set of language profiles plus the
@@ -210,60 +203,13 @@ func LanguageName(code string) string {
 	return code
 }
 
-// Backend selects the membership structure a Detector uses, one of
-// the two below; backend.go names them and builds their kernels.
-type Backend int
-
-const (
-	// BackendDirect, the zero value and so the default everywhere a
-	// backend is not named, uses an exact table holding one language
-	// bitmask per packed n-gram (HAIL's approach, fused across
-	// languages).
-	BackendDirect Backend = iota
-	// BackendBloom uses the paper's Parallel Bloom Filter.
-	BackendBloom
-)
-
-// Result is one document's raw counts and winners, as the §3.3
-// WideClassifier and ClassifyGrams report them.
+// Result is one n-gram batch's raw per-language counts, as the
+// deprecated ClassifyGrams reports them.
 type Result struct {
 	// Counts holds per-language match counts in Languages() order.
 	Counts []int
 	// NGrams is the number of n-grams tested.
 	NGrams int
-	// Best is the index of the winning language (highest count, ties
-	// broken towards the lower index, i.e. lexicographically earlier
-	// language). -1 when no n-grams were tested.
-	Best int
-	// Second is the index of the runner-up, or -1.
-	Second int
-}
-
-// BestLanguage returns the winning language code, or "" for an empty
-// document.
-func (r Result) BestLanguage(langs []string) string {
-	if r.Best < 0 || r.Best >= len(langs) {
-		return ""
-	}
-	return langs[r.Best]
-}
-
-// Margin returns the winner's lead over the runner-up in match counts.
-// §5.1 observes that this margin is normally much larger than the false
-// positive noise, which is why Bloom false positives barely affect
-// accuracy.
-func (r Result) Margin() int {
-	if r.Best < 0 || r.Second < 0 {
-		return 0
-	}
-	return r.Counts[r.Best] - r.Counts[r.Second]
-}
-
-func (r *Result) selectWinners() {
-	if r.NGrams == 0 {
-		return
-	}
-	r.Best, r.Second = winners(r.Counts)
 }
 
 // winners returns the indices of the highest and second-highest counts.

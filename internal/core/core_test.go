@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-	"strings"
 	"testing"
 
 	"bloomlang/internal/corpus"
@@ -83,15 +81,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestConfigExpectedFalsePositiveRate(t *testing.T) {
-	cfg := DefaultConfig()
-	// Table 1 row 1: five per thousand.
-	f := cfg.ExpectedFalsePositiveRate()
-	if f < 0.004 || f > 0.006 {
-		t.Errorf("expected fp rate = %v, want about 0.005", f)
-	}
-}
-
 func TestTrainProducesSortedProfiles(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 500})
 	langs := ps.Languages()
@@ -127,44 +116,35 @@ func TestTrainErrors(t *testing.T) {
 	}
 }
 
-func TestBackendString(t *testing.T) {
-	if BackendBloom.String() != "parallel-bloom" ||
-		BackendDirect.String() != "direct-lookup" {
-		t.Error("backend names wrong")
-	}
-	if !strings.Contains(Backend(9).String(), "9") {
-		t.Error("unknown backend String not diagnostic")
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 200})
-	if _, err := NewDetector(&ProfileSet{Config: ps.Config}, WithBackend(BackendBloom)); err == nil {
-		t.Error("NewDetector with empty profiles succeeded")
+	for _, b := range equivBackends() {
+		if _, err := NewDetector(&ProfileSet{Config: ps.Config}, withBackend(b)); err == nil {
+			t.Errorf("%s: NewDetector with empty profiles succeeded", b)
+		}
+		// Mismatched profile n.
+		mixed := &ProfileSet{Config: ps.Config, Profiles: []*ngram.Profile{{Language: "xx", N: 3, Grams: []uint32{1}}}}
+		if _, err := NewDetector(mixed, withBackend(b)); err == nil {
+			t.Errorf("%s: NewDetector with mismatched profile n succeeded", b)
+		}
 	}
-	if _, err := NewDetector(ps, WithBackend(Backend(42))); err == nil {
-		t.Error("NewDetector with unknown backend succeeded")
-	}
-	// Mismatched profile n.
-	mixed := &ProfileSet{Config: ps.Config, Profiles: []*ngram.Profile{{Language: "xx", N: 3, Grams: []uint32{1}}}}
-	if _, err := NewDetector(mixed, WithBackend(BackendBloom)); err == nil {
-		t.Error("NewDetector with mismatched profile n succeeded")
+	if _, err := NewDetector(ps, withBackend("classic")); err == nil {
+		t.Error("NewDetector with a kernel that fails to build succeeded")
 	}
 }
 
 func TestClassifyAllBackendsAgreeOnEasyDocs(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
 	corp := getMiniCorpus(t)
-	for _, backend := range []Backend{BackendBloom, BackendDirect} {
-		c, err := NewDetector(ps, WithBackend(backend))
+	for _, backend := range equivBackends() {
+		c, err := NewDetector(ps, withBackend(backend))
 		if err != nil {
 			t.Fatalf("%v: %v", backend, err)
 		}
 		correct, total := 0, 0
 		for _, lang := range corp.Languages {
 			for _, d := range corp.Test[lang] {
-				r := classify(c, d.Text)
-				if r.BestLanguage(c.Languages()) == lang {
+				if bestLanguage(c, classify(c, d.Text)) == lang {
 					correct++
 				}
 				total++
@@ -179,25 +159,22 @@ func TestClassifyAllBackendsAgreeOnEasyDocs(t *testing.T) {
 
 func TestClassifyEmptyDocument(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 200})
-	c, err := NewDetector(ps, WithBackend(BackendDirect))
+	c, err := NewDetector(ps, withBackend(BackendDirect))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := classify(c, nil)
-	if r.Best != -1 || r.Second != -1 || r.NGrams != 0 {
+	if r.NGrams != 0 || bestLanguage(c, r) != "" {
 		t.Errorf("empty doc result = %+v, want no winner", r)
 	}
-	if r.BestLanguage(c.Languages()) != "" {
-		t.Error("empty doc has a best language")
-	}
-	if r.Margin() != 0 {
-		t.Error("empty doc has nonzero margin")
+	if m := c.Detect(nil); !m.Unknown || m.Margin != 0 {
+		t.Errorf("empty doc match = %+v, want unknown with no margin", m)
 	}
 }
 
 func TestClassifyShortDocument(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 200})
-	c, _ := NewDetector(ps, WithBackend(BackendDirect))
+	c, _ := NewDetector(ps, withBackend(BackendDirect))
 	// Shorter than n: no n-grams.
 	r := classify(c, []byte("abc"))
 	if r.NGrams != 0 {
@@ -209,11 +186,11 @@ func TestBloomNeverUndercountsDirect(t *testing.T) {
 	// Bloom filters have no false negatives, so for every language the
 	// Bloom match count must be >= the exact direct-lookup count.
 	ps := trainMini(t, Config{TopT: 1000})
-	bloomC, err := NewDetector(ps, WithBackend(BackendBloom))
+	bloomC, err := NewDetector(ps, withBackend(backendBloom))
 	if err != nil {
 		t.Fatal(err)
 	}
-	directC, err := NewDetector(ps, WithBackend(BackendDirect))
+	directC, err := NewDetector(ps, withBackend(BackendDirect))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +212,11 @@ func TestBloomNeverUndercountsDirect(t *testing.T) {
 func TestSubsampleReducesNGrams(t *testing.T) {
 	cfg := Config{TopT: 500, Subsample: 2}
 	ps := trainMini(t, cfg)
-	c, err := NewDetector(ps, WithBackend(BackendDirect))
+	c, err := NewDetector(ps, withBackend(BackendDirect))
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := NewDetector(trainMini(t, Config{TopT: 500}), WithBackend(BackendDirect))
+	full, err := NewDetector(trainMini(t, Config{TopT: 500}), withBackend(BackendDirect))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,75 +228,15 @@ func TestSubsampleReducesNGrams(t *testing.T) {
 	}
 	// Still classifies correctly: subsampling keeps satisfactory
 	// accuracy (§5.2).
-	if rSub.BestLanguage(c.Languages()) != "en" {
+	if bestLanguage(c, rSub) != "en" {
 		t.Error("subsampled classification wrong on easy document")
-	}
-}
-
-func TestResultMarginAndWinners(t *testing.T) {
-	r := Result{Counts: []int{5, 9, 3}, NGrams: 10}
-	r.selectWinners()
-	if r.Best != 1 || r.Second != 0 {
-		t.Errorf("winners = %d,%d want 1,0", r.Best, r.Second)
-	}
-	if r.Margin() != 4 {
-		t.Errorf("margin = %d, want 4", r.Margin())
-	}
-	// Tie breaks to the lower index.
-	r2 := Result{Counts: []int{7, 7}, NGrams: 5}
-	r2.selectWinners()
-	if r2.Best != 0 || r2.Second != 1 {
-		t.Errorf("tie winners = %d,%d want 0,1", r2.Best, r2.Second)
-	}
-}
-
-// TestFilterAccessor pins the filters the hardware models build: each
-// language's ParallelFilters entry answers Test exactly as the
-// parallel-bloom kernel scores that language, on member and non-member
-// n-grams alike.
-func TestFilterAccessor(t *testing.T) {
-	ps := trainMini(t, Config{TopT: 200})
-	filters, err := ps.ParallelFilters()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(filters) != len(ps.Profiles) {
-		t.Fatalf("%d filters for %d languages", len(filters), len(ps.Profiles))
-	}
-	c, err := NewDetector(ps, WithBackend(BackendBloom))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	var grams []uint32
-	for _, p := range ps.Profiles {
-		grams = append(grams, p.Grams...)
-	}
-	for i := 0; i < 5000; i++ {
-		grams = append(grams, rng.Uint32()&(1<<ngram.Bits(ps.Config.N)-1))
-	}
-	hits := 0
-	counts := make([]int, len(ps.Profiles))
-	for _, g := range grams {
-		clear(counts)
-		c.kernel.AccumulateInto(counts, []uint32{g})
-		for l, f := range filters {
-			if got := f.Test(g); got != (counts[l] == 1) {
-				t.Fatalf("language %d gram %#x: filter Test = %v, kernel count %d", l, g, got, counts[l])
-			} else if got {
-				hits++
-			}
-		}
-	}
-	if hits < len(grams)-5000 {
-		t.Errorf("only %d hits over %d member n-grams", hits, len(grams)-5000)
 	}
 }
 
 func TestClassifierDeterministicAcrossConstructions(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 500})
-	a, _ := NewDetector(ps, WithBackend(BackendBloom))
-	b, _ := NewDetector(ps, WithBackend(BackendBloom))
+	a, _ := NewDetector(ps, withBackend(backendBloom))
+	b, _ := NewDetector(ps, withBackend(backendBloom))
 	doc := getMiniCorpus(t).Test["fi"][0].Text
 	ra, rb := classify(a, doc), classify(b, doc)
 	for i := range ra.Counts {

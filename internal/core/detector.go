@@ -41,6 +41,7 @@ type Match struct {
 // detectorOptions collects the functional-option state for NewDetector.
 type detectorOptions struct {
 	backend   Backend
+	build     func(*ProfileSet) (Kernel, error)
 	workers   int
 	minMargin float64
 	minNGrams int
@@ -49,10 +50,14 @@ type detectorOptions struct {
 // DetectorOption configures a Detector at construction.
 type DetectorOption func(*detectorOptions)
 
-// WithBackend selects the membership backend (default BackendDirect,
-// the exact kernel).
-func WithBackend(b Backend) DetectorOption {
-	return func(o *detectorOptions) { o.backend = b }
+// WithKernel makes the detector count through the Kernel build returns
+// for its profile set, and report it as backend name. It is how a
+// membership structure outside core serves a detector: internal/bloom
+// hands over the paper's Parallel Bloom Filter this way. Without it, or
+// with a nil build, a detector counts on core's exact kernel,
+// BackendDirect.
+func WithKernel(name Backend, build func(*ProfileSet) (Kernel, error)) DetectorOption {
+	return func(o *detectorOptions) { o.backend, o.build = name, build }
 }
 
 // WithWorkers bounds DetectBatch fan-out; n <= 0 means GOMAXPROCS.
@@ -110,12 +115,9 @@ func NewDetector(ps *ProfileSet, opts ...DetectorOption) (*Detector, error) {
 	if len(ps.Profiles) == 0 {
 		return nil, fmt.Errorf("core: empty profile set")
 	}
-	if o.backend < 0 || int(o.backend) >= len(backends) {
-		return nil, fmt.Errorf("core: unknown backend %d", int(o.backend))
-	}
 	d := &Detector{
 		cfg:       cfg,
-		backend:   o.backend,
+		backend:   BackendDirect,
 		window:    ngram.Window{N: cfg.N, Subsample: cfg.Subsample},
 		workers:   o.workers,
 		minMargin: max(o.minMargin, 0),
@@ -128,7 +130,13 @@ func NewDetector(ps *ProfileSet, opts ...DetectorOption) (*Detector, error) {
 		d.langs = append(d.langs, p.Language)
 	}
 	var err error
-	if d.kernel, err = backends[o.backend].build(cfg, ps); err != nil {
+	if o.build == nil {
+		d.kernel, err = newExactKernel(cfg, ps)
+	} else {
+		d.backend = o.backend
+		d.kernel, err = o.build(ps)
+	}
+	if err != nil {
 		return nil, err
 	}
 	if d.workers <= 0 {
@@ -144,11 +152,17 @@ func NewDetector(ps *ProfileSet, opts ...DetectorOption) (*Detector, error) {
 // module.
 type Classifier = Detector
 
-// New builds a detector over the profile set with the chosen backend.
+// New builds a detector over the profile set on core's built-in
+// backend, the only one it accepts.
 //
-// Deprecated: use NewDetector with WithBackend. New stays for the
-// frozen perfbench module.
-func New(ps *ProfileSet, b Backend) (*Detector, error) { return NewDetector(ps, WithBackend(b)) }
+// Deprecated: use NewDetector. New stays for the frozen perfbench
+// module.
+func New(ps *ProfileSet, b Backend) (*Detector, error) {
+	if _, err := ParseBackend(string(b)); err != nil {
+		return nil, err
+	}
+	return NewDetector(ps)
+}
 
 // Classifier returns d.
 //
@@ -164,9 +178,8 @@ func (d *Detector) Classifier() *Detector { return d }
 // ClassifyGrams stays for the frozen perfbench module, which times
 // counting apart from extraction.
 func (d *Detector) ClassifyGrams(gs []uint32) Result {
-	r := Result{Counts: make([]int, len(d.langs)), NGrams: len(gs), Best: -1, Second: -1}
+	r := Result{Counts: make([]int, len(d.langs)), NGrams: len(gs)}
 	d.kernel.AccumulateInto(r.Counts, gs)
-	r.selectWinners()
 	return r
 }
 
@@ -177,7 +190,7 @@ func (d *Detector) Languages() []string { return d.langs }
 // Config returns the detector's effective configuration.
 func (d *Detector) Config() Config { return d.cfg }
 
-// Backend returns the membership backend in use.
+// Backend returns the name of the kernel the detector counts with.
 func (d *Detector) Backend() Backend { return d.backend }
 
 // Workers returns the DetectBatch fan-out bound.

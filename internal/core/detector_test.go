@@ -8,11 +8,12 @@ import (
 	"testing"
 
 	"bloomlang/internal/corpus"
+	"bloomlang/internal/ngram"
 )
 
-// TestWinnerSelectionEdgeCases pins the shared winner-selection rules
-// on hand-built counters: exact ties, single-language sets, all-zero
-// counts, and the empty document.
+// TestWinnerSelectionEdgeCases pins the winner-selection rules match
+// applies on hand-built counters: exact ties, single-language sets,
+// all-zero counts, and the empty document, which has no winner at all.
 func TestWinnerSelectionEdgeCases(t *testing.T) {
 	cases := []struct {
 		name                 string
@@ -30,11 +31,22 @@ func TestWinnerSelectionEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := Result{Counts: tc.counts, NGrams: tc.ngrams, Best: -1, Second: -1}
-			r.selectWinners()
-			if r.Best != tc.wantBest || r.Second != tc.wantSecond {
-				t.Errorf("winners(%v, ngrams=%d) = (%d, %d), want (%d, %d)",
-					tc.counts, tc.ngrams, r.Best, r.Second, tc.wantBest, tc.wantSecond)
+			ps := &ProfileSet{}
+			for i := range tc.counts {
+				ps.Profiles = append(ps.Profiles, &ngram.Profile{Language: string(rune('a' + i)), N: ngram.DefaultN, Grams: []uint32{1}})
+			}
+			m := mustDetector(t, ps).match(tc.counts, tc.ngrams)
+			if tc.wantBest < 0 {
+				if !m.Unknown || m.Lang != "" {
+					t.Errorf("match(%v, ngrams=%d) = %+v, want no winner", tc.counts, tc.ngrams, m)
+				}
+				return
+			}
+			if best, second := winners(tc.counts); best != tc.wantBest || second != tc.wantSecond {
+				t.Errorf("winners(%v) = (%d, %d), want (%d, %d)", tc.counts, best, second, tc.wantBest, tc.wantSecond)
+			}
+			if want := ps.Profiles[tc.wantBest].Language; m.Lang != want {
+				t.Errorf("match(%v, ngrams=%d) called %q, want %q", tc.counts, tc.ngrams, m.Lang, want)
 			}
 		})
 	}
@@ -158,8 +170,8 @@ func TestMatchSingleLanguageProfileSet(t *testing.T) {
 func TestDetectorAgreesWithLegacyClassifier(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
 	corp := getMiniCorpus(t)
-	for _, backend := range []Backend{BackendBloom, BackendDirect} {
-		det, err := NewDetector(ps, WithBackend(backend), WithWorkers(3))
+	for _, backend := range equivBackends() {
+		det, err := NewDetector(ps, withBackend(backend), WithWorkers(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,17 +185,18 @@ func TestDetectorAgreesWithLegacyClassifier(t *testing.T) {
 		}
 		for i, doc := range docs {
 			legacy := classify(det, doc.Text)
-			want := legacy.BestLanguage(det.Languages())
-			if legacy.Margin() == 0 || want == "" {
+			want := bestLanguage(det, legacy)
+			best, second := winners(legacy.Counts)
+			if want == "" || legacy.Counts[best] == legacy.Counts[second] {
 				continue // ties and unknowns are out of scope for the guarantee
 			}
 			m := det.Detect(doc.Text)
 			if m.Unknown || m.Lang != want {
 				t.Errorf("%v doc %d: Detect = %+v, legacy winner %q", backend, i, m, want)
 			}
-			if m.Count != legacy.Counts[legacy.Best] || m.NGrams != legacy.NGrams {
+			if m.Count != legacy.Counts[best] || m.NGrams != legacy.NGrams {
 				t.Errorf("%v doc %d: Detect counts (%d/%d) != legacy (%d/%d)",
-					backend, i, m.Count, m.NGrams, legacy.Counts[legacy.Best], legacy.NGrams)
+					backend, i, m.Count, m.NGrams, legacy.Counts[best], legacy.NGrams)
 			}
 			if ranked := det.Rank(doc.Text, 1); len(ranked) != 1 || ranked[0].Lang != want {
 				t.Errorf("%v doc %d: Rank top = %+v, legacy winner %q", backend, i, ranked, want)
@@ -279,8 +292,8 @@ func TestDetectZeroAllocations(t *testing.T) {
 	}
 	ps := trainMini(t, Config{TopT: 1000})
 	doc := getMiniCorpus(t).Test["es"][0].Text
-	for _, backend := range []Backend{BackendBloom, BackendDirect} {
-		det, err := NewDetector(ps, WithBackend(backend))
+	for _, backend := range equivBackends() {
+		det, err := NewDetector(ps, withBackend(backend))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -17,27 +18,90 @@ import (
 
 	"bloomlang/internal/alphabet"
 	"bloomlang/internal/corpus"
+	"bloomlang/internal/ngram"
 )
 
-// equivBackends is the full built-in backend matrix the equivalence
-// suite runs over.
-var equivBackends = []Backend{BackendBloom, BackendDirect}
+// backendBloom names the paper's Parallel Bloom Filter kernel, which
+// lives in internal/bloom: core cannot import it, so the external test
+// package adds it to the matrix (paperKernels) and withBackend resolves
+// the name.
+const backendBloom Backend = "parallel-bloom"
+
+// testKernel is a kernel from outside core, by name and builder.
+type testKernel struct {
+	name  Backend
+	build func(*ProfileSet) (Kernel, error)
+}
+
+// paperKernels are the kernels from outside core the backend matrix
+// runs besides core's exact one, added by the external test package
+// through AddTestKernel before any test runs.
+var paperKernels []testKernel
+
+// equivBackends is the full backend matrix the equivalence, span and
+// allocation suites run over: every paper kernel, then core's exact
+// one.
+func equivBackends() []Backend {
+	var bs []Backend
+	for _, k := range paperKernels {
+		bs = append(bs, k.name)
+	}
+	return append(bs, BackendDirect)
+}
+
+// withBackend selects a backend of the matrix by name; a name the
+// matrix does not hold makes NewDetector fail.
+func withBackend(b Backend) DetectorOption {
+	for _, k := range paperKernels {
+		if k.name == b {
+			return WithKernel(k.name, k.build)
+		}
+	}
+	if b == BackendDirect {
+		return WithKernel(b, nil)
+	}
+	return WithKernel(b, func(*ProfileSet) (Kernel, error) {
+		return nil, fmt.Errorf("core: no test kernel %q", b)
+	})
+}
+
+// sixGramSet is the mini corpus trained at n = 6, where core's exact
+// kernel is the probe table and a Stream counts through the generic
+// FeedBytes → AccumulateInto path.
+func sixGramSet(t testing.TB) *ProfileSet { return trainMini(t, Config{N: 6, TopT: 1000}) }
+
+// rowName names a detector's row of the matrix: its backend, with the
+// n-gram length when that is not the default 4.
+func rowName(d *Detector) string {
+	if n := d.Config().N; n != ngram.DefaultN {
+		return fmt.Sprintf("%s-n%d", d.Backend(), n)
+	}
+	return d.Backend().String()
+}
+
+// matrixDetectors builds one detector over ps per backend of the
+// matrix, then the exact detector over the n = 6 set.
+func matrixDetectors(t testing.TB, ps *ProfileSet, opts ...DetectorOption) []*Detector {
+	t.Helper()
+	var dets []*Detector
+	for _, b := range equivBackends() {
+		dets = append(dets, mustDetector(t, ps, append([]DetectorOption{withBackend(b)}, opts...)...))
+	}
+	return append(dets, mustDetector(t, sixGramSet(t), opts...))
+}
 
 // TestDetectEquivalenceAcrossPaths pins Detect ≡ DetectCounts ≡
-// classify ≡ Rank over every built-in backend and every input path:
-// the one-shot byte path, the io.Reader path, the incremental stream
-// path, and the batch path must all return the identical Match, Rank's
-// head must agree with Detect, and every counts-carrying path must
-// report the staged reference's counts and winner.
+// classify ≡ Rank over the backend matrix and core's exact kernel at
+// n = 6 and every input path: the one-shot byte path, the io.Reader
+// path, the incremental stream path, and the batch path must all return
+// the identical Match, Rank's head must agree with Detect, and every
+// counts-carrying path must report the staged reference's counts and
+// winner.
 func TestDetectEquivalenceAcrossPaths(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
 	corp := getMiniCorpus(t)
-	for _, backend := range equivBackends {
-		t.Run(backend.String(), func(t *testing.T) {
-			det, err := NewDetector(ps, WithBackend(backend))
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, det := range matrixDetectors(t, ps) {
+		t.Run(rowName(det), func(t *testing.T) {
 			var docs []corpus.Document
 			for _, lang := range []string{"en", "es", "fi", "pt"} {
 				docs = append(docs, corp.Test[lang][0], corp.Test[lang][1])
@@ -82,7 +146,7 @@ func TestDetectEquivalenceAcrossPaths(t *testing.T) {
 				}
 
 				res := classify(det, doc.Text)
-				if got := res.BestLanguage(det.Languages()); got != want.Lang || res.NGrams != want.NGrams {
+				if got := bestLanguage(det, res); got != want.Lang || res.NGrams != want.NGrams {
 					t.Errorf("doc %d: classify winner %q over %d n-grams, detect = %+v", i, got, res.NGrams, want)
 				}
 				if counts, got := det.DetectCounts(nil, doc.Text); got != want || !reflect.DeepEqual(counts, res.Counts) {
@@ -123,13 +187,13 @@ type bloomDiff struct {
 func newBloomDiff(t testing.TB, ps *ProfileSet) *bloomDiff {
 	t.Helper()
 	build := func(b Backend) *Detector {
-		c, err := NewDetector(ps, WithBackend(b))
+		c, err := NewDetector(ps, withBackend(b))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
-	return &bloomDiff{direct: build(BackendDirect), bloom: build(BackendBloom)}
+	return &bloomDiff{direct: build(BackendDirect), bloom: build(backendBloom)}
 }
 
 // check fails t unless, on doc, every n-gram the exact table accepts
@@ -179,6 +243,17 @@ func classify(d *Detector, doc []byte) Result {
 	return d.ClassifyGrams(extractGrams(d, doc))
 }
 
+// bestLanguage is the staged reference's winner: the language with the
+// most matches, ties broken towards the earlier one, or "" when no
+// n-gram was tested.
+func bestLanguage(d *Detector, r Result) string {
+	if r.NGrams == 0 {
+		return ""
+	}
+	best, _ := winners(r.Counts)
+	return d.langs[best]
+}
+
 // splitPoints returns deterministic pseudo-random cut offsets for a
 // document of length n.
 func splitPoints(rng *rand.Rand, n, cuts int) []int {
@@ -198,11 +273,7 @@ func splitPoints(rng *rand.Rand, n, cuts int) []int {
 
 func TestStreamArbitraryChunkSplitsMatchOneShot(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
-	for _, backend := range equivBackends {
-		det, err := NewDetector(ps, WithBackend(backend))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, det := range matrixDetectors(t, ps) {
 		rng := rand.New(rand.NewSource(99))
 		for _, mode := range streamModes(t, det) {
 			for _, lang := range []string{"en", "es", "fi", "pt"} {
@@ -214,7 +285,7 @@ func TestStreamArbitraryChunkSplitsMatchOneShot(t *testing.T) {
 					for i := 1; i < len(pts); i++ {
 						s.Write(doc[pts[i-1]:pts[i]])
 					}
-					checkStream(t, det, s, doc, backend.String()+"/"+mode.name+"/"+lang)
+					checkStream(t, det, s, doc, rowName(det)+"/"+mode.name+"/"+lang)
 				}
 			}
 		}
@@ -226,11 +297,7 @@ func TestStreamArbitraryChunkSplitsMatchOneShot(t *testing.T) {
 // is hit explicitly.
 func TestStreamMidNGramBoundarySplits(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
-	for _, backend := range []Backend{BackendBloom, BackendDirect} {
-		det, err := NewDetector(ps, WithBackend(backend))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, det := range matrixDetectors(t, ps) {
 		doc := getMiniCorpus(t).Test["es"][0].Text
 		if len(doc) > 64 {
 			doc = doc[:64]
@@ -241,7 +308,7 @@ func TestStreamMidNGramBoundarySplits(t *testing.T) {
 				s.Reset()
 				s.Write(doc[:cut])
 				s.Write(doc[cut:])
-				checkStream(t, det, s, doc, backend.String()+"/"+mode.name)
+				checkStream(t, det, s, doc, rowName(det)+"/"+mode.name)
 			}
 		}
 	}
@@ -261,7 +328,7 @@ func TestDetectBatchPreservesInputOrder(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 3, len(docs) * 4} {
-		det, err := NewDetector(ps, WithBackend(BackendBloom), WithWorkers(workers))
+		det, err := NewDetector(ps, WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -66,29 +66,15 @@ type maskKernel struct {
 
 // maxMaskN is the largest n the mask table is built for. The table is
 // indexed by the packed n-gram, so its size is 2^Bits(N) entries per
-// plane: 2 MiB at the paper's N=4, 64 MiB at N=5, 2 GiB at N=6.
+// plane: 2 MiB at the paper's N=4, 64 MiB at N=5, 2 GiB at N=6, where
+// the probe kernel takes over.
 const maxMaskN = 5
-
-// ServingBackend is the backend a server runs for profiles trained
-// under cfg: the exact mask table, or the paper's Parallel Bloom Filter
-// when n is past what the table can hold.
-func ServingBackend(cfg Config) Backend {
-	if cfg.WithDefaults().N > maxMaskN {
-		return BackendBloom
-	}
-	return BackendDirect
-}
 
 // buildMaskKernel programs the mask planes from the profiles. A plane
 // is an ngram.NewTable, so the first one takes the flat index a
 // training run just released when the sizes match.
 func buildMaskKernel(cfg Config, ps *ProfileSet) (Kernel, error) {
 	nBits := ngram.Bits(cfg.N)
-	if cfg.N > maxMaskN {
-		return nil, fmt.Errorf("core: direct backend needs a 2^%d-entry table per %d languages (%d MiB) at n=%d; use the parallel-bloom backend for n > %d",
-			nBits, maskPlaneLangs, (uint64(2)<<nBits)>>20, cfg.N, maxMaskN)
-	}
-	size := uint32(1) << nBits
 	k := &maskKernel{planes: make([][]uint16, (len(ps.Profiles)+maskPlaneLangs-1)/maskPlaneLangs)}
 	for p := range k.planes {
 		k.planes[p] = ngram.NewTable(nBits)
@@ -96,8 +82,8 @@ func buildMaskKernel(cfg Config, ps *ProfileSet) (Kernel, error) {
 	for i, prof := range ps.Profiles {
 		plane, bit := k.planes[i/maskPlaneLangs], uint16(1)<<(i%maskPlaneLangs)
 		for _, g := range prof.Grams {
-			if g >= size {
-				return nil, fmt.Errorf("core: profile %q holds n-gram %#x outside the %d-bit n=%d space", prof.Language, g, nBits, cfg.N)
+			if g>>nBits != 0 {
+				return nil, gramError(cfg, prof, g)
 			}
 			plane[g] |= bit
 		}
@@ -105,9 +91,10 @@ func buildMaskKernel(cfg Config, ps *ProfileSet) (Kernel, error) {
 	return k, nil
 }
 
-// Test reports whether language lang's profile contains g: one bit test.
-func (k *maskKernel) Test(lang int, g uint32) bool {
-	return k.planes[lang/maskPlaneLangs][g]>>(lang%maskPlaneLangs)&1 != 0
+// gramError refuses profile n-gram g, which lies outside the packed
+// n-gram space.
+func gramError(cfg Config, prof *ngram.Profile, g uint32) error {
+	return fmt.Errorf("core: profile %q holds n-gram %#x outside the %d-bit n=%d space", prof.Language, g, ngram.Bits(cfg.N), cfg.N)
 }
 
 // AccumulateInto adds each language's match count over gs into counts:
@@ -128,6 +115,82 @@ func (k *maskKernel) AccumulateInto(counts []int, gs []uint32) {
 			}
 			for ; i < len(b); i++ {
 				m := plane[b[i]]
+				lo += spread[uint8(m)]
+				hi += spread[m>>8]
+			}
+			addLanes(c, c, lo, hi)
+		}
+	}
+}
+
+// probeKernel is the exact kernel for n > maxMaskN, where a mask plane
+// indexed by the packed n-gram would not fit: the same language masks,
+// kept only for the L·t n-grams the profiles hold (HAIL's direct
+// lookup, §2, made compact). tables[p] answers for languages 16p to
+// 16p+15 with one uint64 slot per distinct n-gram: the packed n-gram
+// above the low 16 bits, its language mask in them. A table is
+// open-addressed with linear probing from a multiplicative hash and is
+// less than half full; a used slot's mask is never zero, so a zero slot
+// is empty and ends a probe.
+type probeKernel struct {
+	tables [][]uint64
+}
+
+// probeHash is the Fibonacci hashing multiplier: the top bits of
+// g*probeHash are an n-gram's first slot.
+const probeHash = 0x9e3779b97f4a7c15
+
+// buildProbeKernel fills the probe tables from the profiles, each with
+// more than twice as many slots, a power of two, as its languages hold
+// n-grams.
+func buildProbeKernel(cfg Config, ps *ProfileSet) (Kernel, error) {
+	k := &probeKernel{tables: make([][]uint64, (len(ps.Profiles)+maskPlaneLangs-1)/maskPlaneLangs)}
+	for p := range k.tables {
+		profs := ps.Profiles[p*maskPlaneLangs : min(len(ps.Profiles), (p+1)*maskPlaneLangs)]
+		grams := 0
+		for _, prof := range profs {
+			grams += len(prof.Grams)
+		}
+		t := make([]uint64, 1<<bits.Len(uint(2*grams)))
+		shift, last := probeShift(t), uint64(len(t)-1)
+		for i, prof := range profs {
+			for _, g := range prof.Grams {
+				if g>>ngram.Bits(cfg.N) != 0 {
+					return nil, gramError(cfg, prof, g)
+				}
+				key := uint64(g)
+				j := key * probeHash >> shift
+				for t[j] != 0 && t[j]>>16 != key {
+					j = (j + 1) & last
+				}
+				t[j] |= key<<16 | 1<<i
+			}
+		}
+		k.tables[p] = t
+	}
+	return k, nil
+}
+
+// probeShift is the shift that takes a hash to a slot of t.
+func probeShift(t []uint64) uint { return 64 - uint(bits.TrailingZeros(uint(len(t)))) }
+
+// AccumulateInto adds each language's match count over gs into counts:
+// per table, one probe and two lane adds per n-gram.
+func (k *probeKernel) AccumulateInto(counts []int, gs []uint32) {
+	for p, t := range k.tables {
+		c := counts[p*maskPlaneLangs:]
+		shift, last := probeShift(t), uint64(len(t)-1)
+		for rest := gs; len(rest) > 0; {
+			b := rest[:min(len(rest), laneFlush)]
+			rest = rest[len(b):]
+			var lo, hi uint64
+			for _, g := range b {
+				key := uint64(g)
+				j := key * probeHash >> shift
+				for t[j] != 0 && t[j]>>16 != key {
+					j = (j + 1) & last
+				}
+				m := uint16(t[j])
 				lo += spread[uint8(m)]
 				hi += spread[m>>8]
 			}

@@ -25,11 +25,11 @@ import (
 // since confirmed boundaries may land up to a stride apart.
 func FuzzDetectSpans(f *testing.F) {
 	ps := trainMini(f, Config{TopT: 800})
-	direct, err := NewDetector(ps, WithBackend(BackendDirect))
+	direct, err := NewDetector(ps, withBackend(BackendDirect))
 	if err != nil {
 		f.Fatal(err)
 	}
-	parallel, err := NewDetector(ps, WithBackend(BackendBloom))
+	parallel, err := NewDetector(ps, withBackend(backendBloom))
 	if err != nil {
 		f.Fatal(err)
 	}

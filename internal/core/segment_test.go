@@ -52,7 +52,7 @@ func segDetector(t testing.TB, backend Backend) *Detector {
 		}
 		segProfiles = ps
 	}
-	det, err := NewDetector(segProfiles, WithBackend(backend))
+	det, err := NewDetector(segProfiles, withBackend(backend))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func checkTiling(t *testing.T, spans []Span, docLen int) {
 // the language Detect would call.
 func TestDetectSpansSingleLanguageSingleSpan(t *testing.T) {
 	corp := getSegCorpus(t)
-	for _, backend := range equivBackends {
+	for _, backend := range equivBackends() {
 		t.Run(backend.String(), func(t *testing.T) {
 			det := segDetector(t, backend)
 			for _, lang := range segLangs {
@@ -144,7 +144,7 @@ func TestDetectSpansTiling(t *testing.T) {
 		corp.Test["da"][0].Text,
 		mixed,
 	}
-	for _, backend := range equivBackends {
+	for _, backend := range equivBackends() {
 		t.Run(backend.String(), func(t *testing.T) {
 			det := segDetector(t, backend)
 			for i, doc := range docs {
@@ -173,7 +173,7 @@ func TestDetectSpansSingleWindowAgreesWithDetect(t *testing.T) {
 		corp.Test["cs"][0].Text[:10],
 		[]byte("xyz"), // zero n-grams of n=4: Unknown
 	}
-	for _, backend := range equivBackends {
+	for _, backend := range equivBackends() {
 		t.Run(backend.String(), func(t *testing.T) {
 			det := segDetector(t, backend)
 			for i, doc := range cases {
@@ -202,7 +202,7 @@ func TestDetectSpansSingleWindowAgreesWithDetect(t *testing.T) {
 // order, with the detected boundary within a window of the true one.
 func TestDetectSpansFindsMixedBoundary(t *testing.T) {
 	corp := getSegCorpus(t)
-	for _, backend := range equivBackends {
+	for _, backend := range equivBackends() {
 		t.Run(backend.String(), func(t *testing.T) {
 			det := segDetector(t, backend)
 			a, b := corp.Test["en"][0].Text, corp.Test["fi"][0].Text
@@ -237,7 +237,7 @@ func TestDetectSpansFindsMixedBoundary(t *testing.T) {
 // as one-shot DetectSpans.
 func TestSpanStreamMatchesOneShot(t *testing.T) {
 	corp := getSegCorpus(t)
-	for _, backend := range []Backend{BackendBloom, BackendDirect} {
+	for _, backend := range equivBackends() {
 		t.Run(backend.String(), func(t *testing.T) {
 			det := segDetector(t, backend)
 			doc := append(append([]byte{}, corp.Test["da"][0].Text...), corp.Test["en"][1].Text...)
@@ -272,7 +272,7 @@ func TestSpanStreamMatchesOneShot(t *testing.T) {
 // Reset.
 func TestSpanStreamIncrementalFinalization(t *testing.T) {
 	corp := getSegCorpus(t)
-	det := segDetector(t, BackendBloom)
+	det := segDetector(t, backendBloom)
 	doc := append(append([]byte{}, corp.Test["en"][0].Text...), corp.Test["cs"][0].Text...)
 	want, err := det.DetectSpans(doc, segTestConfig)
 	if err != nil {
@@ -315,7 +315,7 @@ func TestSpanStreamIncrementalFinalization(t *testing.T) {
 // on demand) and after Finish, on every backend.
 func TestSpanStreamMatchAgreesWithDetect(t *testing.T) {
 	corp := getSegCorpus(t)
-	for _, backend := range equivBackends {
+	for _, backend := range equivBackends() {
 		t.Run(backend.String(), func(t *testing.T) {
 			det := segDetector(t, backend)
 			doc := append(append([]byte{}, corp.Test["en"][0].Text...), corp.Test["da"][0].Text...)
@@ -350,7 +350,7 @@ func TestSpanStreamMatchAgreesWithDetect(t *testing.T) {
 // path (io.StringWriter) to the byte path.
 func TestSpanStreamWriteStringMatchesWrite(t *testing.T) {
 	corp := getSegCorpus(t)
-	det := segDetector(t, BackendBloom)
+	det := segDetector(t, backendBloom)
 	doc := append(append([]byte{}, corp.Test["fi"][0].Text...), corp.Test["en"][0].Text...)
 	want, err := det.DetectSpans(doc, segTestConfig)
 	if err != nil {
@@ -383,7 +383,7 @@ func TestSpanStreamWriteStringMatchesWrite(t *testing.T) {
 // warm and produces the same spans.
 func TestAppendSpansReusesDst(t *testing.T) {
 	corp := getSegCorpus(t)
-	det := segDetector(t, BackendBloom)
+	det := segDetector(t, backendBloom)
 	doc := corp.Test["en"][0].Text
 	want, err := det.DetectSpans(doc, segTestConfig)
 	if err != nil {
@@ -414,7 +414,7 @@ func TestDetectSpansZeroAllocations(t *testing.T) {
 	}
 	corp := getSegCorpus(t)
 	doc := append(append([]byte{}, corp.Test["da"][0].Text...), corp.Test["en"][0].Text...)
-	for _, backend := range equivBackends {
+	for _, backend := range equivBackends() {
 		det := segDetector(t, backend)
 		dst, err := det.AppendSpans(nil, doc, segTestConfig)
 		if err != nil {
@@ -533,9 +533,10 @@ func segReferenceDocs(t testing.TB) [][]byte {
 }
 
 // TestDetectSpansMatchesReferenceViterbi pins the segmenter to the
-// brute-force reference span for span, on every backend, one-shot and
-// streamed in random splits, under configurations that take the lane
-// step (Penalty+Stride below 128), the row step, and odd strides.
+// brute-force reference span for span, on every backend and on the
+// exact kernel at n = 6, one-shot and streamed in random splits, under
+// configurations that take the lane step (Penalty+Stride below 128),
+// the row step, and odd strides.
 func TestDetectSpansMatchesReferenceViterbi(t *testing.T) {
 	docs := segReferenceDocs(t)
 	cfgs := []SegmentConfig{
@@ -546,9 +547,16 @@ func TestDetectSpansMatchesReferenceViterbi(t *testing.T) {
 		{Stride: 1, Penalty: 2},
 	}
 	rng := rand.New(rand.NewSource(5))
-	for _, backend := range equivBackends {
-		t.Run(backend.String(), func(t *testing.T) {
-			det := segDetector(t, backend)
+	var dets []*Detector
+	for _, backend := range equivBackends() {
+		dets = append(dets, segDetector(t, backend))
+	}
+	six, err := TrainFromTexts(Config{N: 6, TopT: 1000}, getSegCorpus(t).TrainTextsByLanguage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, det := range append(dets, mustDetector(t, six)) {
+		t.Run(rowName(det), func(t *testing.T) {
 			for _, cfg := range cfgs {
 				cfg = wholeDocument(cfg)
 				st, err := det.NewSpanStream(cfg)
@@ -585,10 +593,10 @@ func TestDetectSpansMatchesReferenceViterbi(t *testing.T) {
 // penalty, where the lane step's guard must not overflow.
 func TestDetectSpansPenaltyOverDocumentIsDetect(t *testing.T) {
 	docs := segReferenceDocs(t)
-	for _, backend := range equivBackends {
+	for _, backend := range equivBackends() {
 		for _, det := range []*Detector{
 			segDetector(t, backend),
-			mustDetector(t, segProfiles, WithBackend(backend), WithMinMargin(0.3), WithMinNGrams(40)),
+			mustDetector(t, segProfiles, withBackend(backend), WithMinMargin(0.3), WithMinNGrams(40)),
 		} {
 			for i, doc := range docs {
 				if len(doc) == 0 {
@@ -651,8 +659,8 @@ func TestDetectSpansManyLanguages(t *testing.T) {
 		ps.Profiles = append(ps.Profiles, p)
 	}
 	docs := segReferenceDocs(t)
-	for _, backend := range []Backend{BackendDirect, BackendBloom} {
-		det := mustDetector(t, ps, WithBackend(backend))
+	for _, backend := range equivBackends() {
+		det := mustDetector(t, ps, withBackend(backend))
 		cfg := wholeDocument(SegmentConfig{Stride: 16, Penalty: 4})
 		for i, doc := range docs {
 			got, err := det.DetectSpans(doc, cfg)
@@ -719,8 +727,8 @@ func TestSegmentConfigValidate(t *testing.T) {
 // thresholding.
 func TestDetectSpansUnknownPolicy(t *testing.T) {
 	getSegCorpus(t)
-	segDetector(t, BackendBloom) // ensure segProfiles is trained
-	det, err := NewDetector(segProfiles, WithBackend(BackendBloom), WithMinMargin(0.99))
+	segDetector(t, backendBloom) // ensure segProfiles is trained
+	det, err := NewDetector(segProfiles, withBackend(backendBloom), WithMinMargin(0.99))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -744,7 +752,7 @@ func TestDetectSpansSubsample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := NewDetector(ps, WithBackend(BackendDirect))
+	det, err := NewDetector(ps, withBackend(BackendDirect))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,11 +51,11 @@ func TestProfileSetRoundTripProducesIdenticalClassifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig, err := NewDetector(ps, WithBackend(BackendBloom))
+	orig, err := NewDetector(ps, withBackend(backendBloom))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromDisk, err := NewDetector(loaded, WithBackend(BackendBloom))
+	fromDisk, err := NewDetector(loaded, withBackend(backendBloom))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,12 +167,12 @@ func TestReadProfileSetVersion2Fixture(t *testing.T) {
 		t.Error("profiles differ between the v2 file and its v1 rewrite")
 	}
 	corp := getMiniCorpus(t)
-	for _, backend := range equivBackends {
-		a, err := NewDetector(ps, WithBackend(backend))
+	for _, backend := range equivBackends() {
+		a, err := NewDetector(ps, withBackend(backend))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := NewDetector(rewritten, WithBackend(backend))
+		b, err := NewDetector(rewritten, withBackend(backend))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,8 @@ import (
 // streamMode is one way to build a Stream: whole-document counting
 // (NewStream) or segmentation (NewSpanStream). Every stream test runs
 // both, because Match and AppendCounts must not depend on the mode.
+// Tests on the n = 6 set (sixGramSet) count on the generic
+// FeedBytes → AccumulateInto path, the others on the fused loop.
 type streamMode struct {
 	name      string
 	windowed  bool
@@ -45,7 +47,7 @@ func checkStream(t *testing.T, det *Detector, s *Stream, doc []byte, what string
 }
 
 func TestStreamMatchesBatch(t *testing.T) {
-	det, err := NewDetector(trainMini(t, Config{TopT: 1000}), WithBackend(BackendBloom))
+	det, err := NewDetector(sixGramSet(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestStreamImplementsWriter(t *testing.T) {
 }
 
 func TestStreamIntermediateResults(t *testing.T) {
-	det, _ := NewDetector(trainMini(t, Config{TopT: 1000}), WithBackend(BackendBloom))
+	det, _ := NewDetector(sixGramSet(t))
 	doc := getMiniCorpus(t).Test["fi"][0].Text
 	for _, mode := range streamModes(t, det) {
 		s := mode.newStream()
@@ -117,7 +119,7 @@ func TestStreamIntermediateResults(t *testing.T) {
 // document whose counts carry nothing over. A stream without windowing
 // finishes with no spans.
 func TestStreamReset(t *testing.T) {
-	det, _ := NewDetector(trainMini(t, Config{TopT: 1000}), WithBackend(BackendBloom))
+	det, _ := NewDetector(sixGramSet(t))
 	docA := getMiniCorpus(t).Test["en"][0].Text
 	docB := getMiniCorpus(t).Test["pt"][0].Text
 	for _, mode := range streamModes(t, det) {
@@ -165,7 +167,7 @@ func TestStreamSubsample(t *testing.T) {
 }
 
 func BenchmarkStreamWrite(b *testing.B) {
-	det, err := NewDetector(trainMini(b, Config{TopT: 1000}), WithBackend(BackendBloom))
+	det, err := NewDetector(sixGramSet(b))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,9 +1,15 @@
-package core
+package core_test
+
+// The §3.3 wide classifier lives in internal/bloom with the paper's
+// other filters; its tests stay here, in core's external test package.
 
 import (
 	"slices"
 	"strings"
 	"testing"
+
+	"bloomlang/internal/bloom"
+	"bloomlang/internal/core"
 )
 
 // Training snippets in scripts the 5-bit pipeline cannot represent:
@@ -35,10 +41,10 @@ var wideTraining = map[string][]string{
 	},
 }
 
-func wideClassifier(t *testing.T) *WideClassifier {
+func wideClassifier(t *testing.T) *bloom.WideClassifier {
 	t.Helper()
-	cfg := Config{N: 3, TopT: 2000, K: 4, MBits: 16 * 1024, Seed: 9}
-	c, err := TrainWide(cfg, wideTraining)
+	cfg := core.Config{N: 3, TopT: 2000, K: 4, MBits: 16 * 1024, Seed: 9}
+	c, err := bloom.TrainWide(cfg, wideTraining)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,16 +52,16 @@ func wideClassifier(t *testing.T) *WideClassifier {
 }
 
 func TestTrainWideValidation(t *testing.T) {
-	if _, err := TrainWide(Config{}, nil); err == nil {
+	if _, err := bloom.TrainWide(core.Config{}, nil); err == nil {
 		t.Error("TrainWide with no languages succeeded")
 	}
-	if _, err := TrainWide(Config{N: 5}, wideTraining); err == nil {
+	if _, err := bloom.TrainWide(core.Config{N: 5}, wideTraining); err == nil {
 		t.Error("TrainWide with n=5 (80-bit grams) succeeded")
 	}
-	if _, err := TrainWide(Config{MBits: 1000}, wideTraining); err == nil {
+	if _, err := bloom.TrainWide(core.Config{MBits: 1000}, wideTraining); err == nil {
 		t.Error("TrainWide with bad m succeeded")
 	}
-	if _, err := TrainWide(Config{}, map[string][]string{"el": nil}); err == nil {
+	if _, err := bloom.TrainWide(core.Config{}, map[string][]string{"el": nil}); err == nil {
 		t.Error("TrainWide with empty language succeeded")
 	}
 }
@@ -65,23 +71,23 @@ func TestTrainWideValidation(t *testing.T) {
 // classifier never does, instead of ignoring it.
 func TestTrainWideRejectsInvalidConfig(t *testing.T) {
 	for _, c := range []struct {
-		cfg  Config
+		cfg  core.Config
 		want string
 	}{
-		{Config{TopT: -5}, "profile size"},
-		{Config{K: -1}, "k="},
-		{Config{N: -2}, "n="},
-		{Config{Subsample: -2}, "subsample"},
-		{Config{Subsample: 3}, "subsample"},
-		{Config{N: 5}, "wide n="},
-		{Config{MBits: 1000}, "power of two"},
+		{core.Config{TopT: -5}, "profile size"},
+		{core.Config{K: -1}, "k="},
+		{core.Config{N: -2}, "n="},
+		{core.Config{Subsample: -2}, "subsample"},
+		{core.Config{Subsample: 3}, "subsample"},
+		{core.Config{N: 5}, "wide n="},
+		{core.Config{MBits: 1000}, "power of two"},
 	} {
-		_, err := TrainWide(c.cfg, wideTraining)
+		_, err := bloom.TrainWide(c.cfg, wideTraining)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("TrainWide(%+v) error = %v, want one naming %q", c.cfg, err, c.want)
 		}
 	}
-	if _, err := TrainWide(Config{Subsample: 1}, wideTraining); err != nil {
+	if _, err := bloom.TrainWide(core.Config{Subsample: 1}, wideTraining); err != nil {
 		t.Errorf("TrainWide with subsample 1: %v", err)
 	}
 }
@@ -101,7 +107,7 @@ var wideProbes = []string{
 // Bloom types the wide path ran on before they were folded into
 // h3.Func and bloom.Parallel.
 func TestWideCountsGolden(t *testing.T) {
-	golden := map[int][]Result{
+	golden := map[int][]bloom.Result{
 		3: {
 			{NGrams: 54, Counts: []int{53, 0, 0, 0}},
 			{NGrams: 49, Counts: []int{0, 0, 45, 21}},
@@ -118,7 +124,7 @@ func TestWideCountsGolden(t *testing.T) {
 		},
 	}
 	for n, want := range golden {
-		c, err := TrainWide(Config{N: n, TopT: 2000, K: 4, MBits: 16 * 1024, Seed: 9}, wideTraining)
+		c, err := bloom.TrainWide(core.Config{N: n, TopT: 2000, K: 4, MBits: 16 * 1024, Seed: 9}, wideTraining)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +166,7 @@ func TestWideClassifySeparatesCloseCyrillic(t *testing.T) {
 func TestWideClassifyEmpty(t *testing.T) {
 	c := wideClassifier(t)
 	r := c.Classify("")
-	if r.Best != -1 || r.NGrams != 0 {
+	if r.BestLanguage(c.Languages()) != "" || r.NGrams != 0 {
 		t.Errorf("empty text result = %+v", r)
 	}
 	r = c.Classify("12345 67 89") // no letters
@@ -207,9 +213,35 @@ func TestWideNoFalseNegativesOnTraining(t *testing.T) {
 	}
 }
 
+// TestResultMarginAndWinners pins the wide result's winner rules: the
+// most matches wins, ties break to the lower index, and the margin is
+// the lead over the runner-up.
+func TestResultMarginAndWinners(t *testing.T) {
+	langs := []string{"a", "b", "c"}
+	r := bloom.Result{Counts: []int{5, 9, 3}, NGrams: 10}
+	if got := r.BestLanguage(langs); got != "b" {
+		t.Errorf("winner = %q, want b", got)
+	}
+	if r.Margin() != 4 {
+		t.Errorf("margin = %d, want 4", r.Margin())
+	}
+	// Tie breaks to the lower index.
+	r2 := bloom.Result{Counts: []int{7, 7}, NGrams: 5}
+	if got := r2.BestLanguage(langs); got != "a" || r2.Margin() != 0 {
+		t.Errorf("tie winner = %q margin %d, want a and 0", got, r2.Margin())
+	}
+	// No n-grams, no winner; one language, no runner-up.
+	if got := (bloom.Result{Counts: []int{0, 0}}).BestLanguage(langs); got != "" {
+		t.Errorf("empty document winner = %q", got)
+	}
+	if m := (bloom.Result{Counts: []int{6}, NGrams: 10}).Margin(); m != 0 {
+		t.Errorf("single-language margin = %d, want 0", m)
+	}
+}
+
 func BenchmarkWideClassify(b *testing.B) {
-	cfg := Config{N: 3, TopT: 2000, K: 4, MBits: 16 * 1024, Seed: 9}
-	c, err := TrainWide(cfg, wideTraining)
+	cfg := core.Config{N: 3, TopT: 2000, K: 4, MBits: 16 * 1024, Seed: 9}
+	c, err := bloom.TrainWide(cfg, wideTraining)
 	if err != nil {
 		b.Fatal(err)
 	}

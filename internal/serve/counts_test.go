@@ -16,9 +16,9 @@ import (
 // TestIncludeCountsMatchDetect pins the per-language counts every
 // counts-carrying path reports — /batch, /stream and /stream?spans=1
 // under IncludeCounts — to /detect's counts for the same bytes. A
-// server has no backend option, so this runs on the set's serving
-// backend; core's equivalence suite covers counts on the Bloom
-// backends. JSON transport is UTF-8, so /detect is sent the UTF-8
+// server has no backend option, so this runs on core's exact kernel;
+// core's equivalence suite covers counts on the paper's Bloom kernel
+// too. JSON transport is UTF-8, so /detect is sent the UTF-8
 // bytes of each JSON-decoded document: a Latin-1 byte reaches the JSON
 // paths as U+FFFD, and the reference must see the same text.
 func TestIncludeCountsMatchDetect(t *testing.T) {
@@ -41,16 +41,9 @@ func TestIncludeCountsMatchDetect(t *testing.T) {
 	if err := json.Unmarshal(raw, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	var ndjson bytes.Buffer
-	for _, d := range docs {
-		line, _ := json.Marshal(map[string]string{"text": d})
-		ndjson.Write(line)
-		ndjson.WriteByte('\n')
-	}
-
 	// The subtest is named for the backend the server runs on: direct
-	// lookup for this n = 4 set.
-	t.Run(core.ServingBackend(ps.Config).String(), func(t *testing.T) {
+	// lookup, core's exact kernel.
+	t.Run(core.BackendDirect.String(), func(t *testing.T) {
 		srv, err := serve.New(ps, serve.Config{IncludeCounts: true})
 		if err != nil {
 			t.Fatal(err)
@@ -62,40 +55,57 @@ func TestIncludeCountsMatchDetect(t *testing.T) {
 		for i, d := range decoded {
 			want[i] = detectCounts(t, ts, []byte(d))
 		}
-
-		resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var batch []serve.Detection
-		err = json.NewDecoder(resp.Body).Decode(&batch)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkCounts(t, "/batch", batch, want)
-
-		for _, path := range []string{"/stream", "/stream?spans=1"} {
-			resp, err := http.Post(ts.URL+path, "application/x-ndjson", bytes.NewReader(ndjson.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var lines []serve.Detection
-			sc := bufio.NewScanner(resp.Body)
-			for sc.Scan() {
-				var d serve.Detection
-				if err := json.Unmarshal(sc.Bytes(), &d); err != nil {
-					t.Fatal(err)
-				}
-				lines = append(lines, d)
-			}
-			resp.Body.Close()
-			if err := sc.Err(); err != nil {
-				t.Fatal(err)
-			}
-			checkCounts(t, path, lines, want)
-		}
+		checkJSONPaths(t, ts, docs, want)
 	})
+}
+
+// checkJSONPaths posts docs, JSON-encoded, as one /batch body and as
+// NDJSON lines to /stream and /stream?spans=1, and checks every
+// answer's counts against want (see checkCounts).
+func checkJSONPaths(t *testing.T, ts *httptest.Server, docs []string, want []map[string]int) {
+	t.Helper()
+	raw, err := json.Marshal(docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ndjson bytes.Buffer
+	for _, d := range docs {
+		line, _ := json.Marshal(map[string]string{"text": d})
+		ndjson.Write(line)
+		ndjson.WriteByte('\n')
+	}
+	resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []serve.Detection
+	err = json.NewDecoder(resp.Body).Decode(&batch)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCounts(t, "/batch", batch, want)
+
+	for _, path := range []string{"/stream", "/stream?spans=1"} {
+		resp, err := http.Post(ts.URL+path, "application/x-ndjson", bytes.NewReader(ndjson.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lines []serve.Detection
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			var d serve.Detection
+			if err := json.Unmarshal(sc.Bytes(), &d); err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, d)
+		}
+		resp.Body.Close()
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		checkCounts(t, path, lines, want)
+	}
 }
 
 // detectCounts posts one document to /detect and returns its counts;

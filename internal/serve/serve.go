@@ -68,7 +68,8 @@ import (
 )
 
 // Config carries the serving-layer knobs. There is no backend knob:
-// every profile set is served on core.ServingBackend of its config.
+// every profile set, at every n, is served on core's exact kernel,
+// direct-lookup.
 type Config struct {
 	// MinMargin is the normalized winner-margin floor below which a
 	// document is answered as unknown (language ""); default 0 accepts
@@ -197,11 +198,10 @@ func newServer(ps *core.ProfileSet, version string, cfg Config) (*Server, error)
 }
 
 // newSnapshot builds the serving state of ps under version: a detector
-// on the set's serving backend under the configured detection policy,
+// on core's exact kernel under the configured detection policy,
 // and its language table.
 func (c *Config) newSnapshot(ps *core.ProfileSet, version string) (*snapshot, error) {
 	det, err := core.NewDetector(ps,
-		core.WithBackend(core.ServingBackend(ps.Config)),
 		core.WithMinMargin(c.MinMargin),
 		core.WithMinNGrams(c.MinNGrams))
 	if err != nil {

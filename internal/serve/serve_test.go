@@ -16,12 +16,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"bloomlang/internal/core"
 	"bloomlang/internal/corpus"
+	"bloomlang/internal/ngram"
 	"bloomlang/internal/serve"
 	"bloomlang/internal/train"
 )
@@ -700,13 +702,13 @@ func TestStatszCountsErrors(t *testing.T) {
 	}
 }
 
-// TestSixGramsServeOnParallelBloom pins the one backend choice a
-// server makes. The zero Config serves an n=6 profile set, which the
-// exact table cannot hold, on the parallel Bloom filter, both at
-// startup and after a Reload from an n=4 version. /statsz names the
-// backend, and /detect answers exactly as a core parallel-bloom
-// detector does.
-func TestSixGramsServeOnParallelBloom(t *testing.T) {
+// TestSixGramsServeExactly pins n = 6 serving on core's exact kernel:
+// a server over a 6-gram profile set names direct-lookup on /statsz,
+// and the counts /detect, /batch and /stream report equal a map-based
+// reference (one Go set per language over the documents' extracted
+// 6-grams) bit for bit. A registry server serving an n = 4 version and
+// reloaded onto the 6-gram one answers the same.
+func TestSixGramsServeExactly(t *testing.T) {
 	corp, _ := fixtures(t)
 	tr, err := train.New(core.Config{N: 6, TopT: 1500})
 	if err != nil {
@@ -723,39 +725,62 @@ func TestSixGramsServeOnParallelBloom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.NewDetector(ps6, core.WithBackend(core.BackendBloom))
-	if err != nil {
-		t.Fatal(err)
+	// The documents as the JSON paths decode them, so every path counts
+	// the same bytes.
+	var docs []string
+	for _, lang := range testLangs {
+		for _, doc := range corp.Test[lang][:3] {
+			docs = append(docs, strings.ToValidUTF8(string(doc.Text), "\uFFFD"))
+		}
 	}
-	srv, err := serve.New(ps6, serve.Config{})
+	sets := make([]map[uint32]bool, len(ps6.Profiles))
+	for l, p := range ps6.Profiles {
+		sets[l] = make(map[uint32]bool, len(p.Grams))
+		for _, g := range p.Grams {
+			sets[l][g] = true
+		}
+	}
+	want := make([]map[string]int, len(docs))
+	for i, doc := range docs {
+		gs, err := ngram.ExtractBytes([]byte(doc), 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = make(map[string]int)
+		for l, p := range ps6.Profiles {
+			n := 0
+			for _, g := range gs {
+				if sets[l][g] {
+					n++
+				}
+			}
+			want[i][p.Language] = n
+		}
+	}
+	check := func(t *testing.T, ts *httptest.Server) {
+		t.Helper()
+		var snap serve.Snapshot
+		getJSON(t, ts.URL+"/statsz", &snap)
+		if snap.Backend != "direct-lookup" {
+			t.Errorf("n=6 statsz backend = %q, want direct-lookup", snap.Backend)
+		}
+		for i, doc := range docs {
+			if got := postDetect(t, ts, []byte(doc)).Counts; !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("/detect doc %d: counts %v, reference %v", i, got, want[i])
+			}
+		}
+		checkJSONPaths(t, ts, docs, want)
+	}
+
+	srv, err := serve.New(ps6, serve.Config{IncludeCounts: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	var snap serve.Snapshot
-	getJSON(t, ts.URL+"/statsz", &snap)
-	if snap.Backend != "parallel-bloom" {
-		t.Errorf("n=6 statsz backend = %q, want parallel-bloom", snap.Backend)
-	}
-	for _, lang := range testLangs {
-		for i := 0; i < 3; i++ {
-			doc := corp.Test[lang][i].Text
-			got := postDetect(t, ts, doc)
-			counts, m := want.DetectCounts(nil, doc)
-			if got.Language != m.Lang || got.NGrams != m.NGrams || got.Count != m.Count ||
-				got.Score != m.Score || got.Margin != m.Margin || got.Unknown != m.Unknown {
-				t.Errorf("%s doc %d: /detect %+v, core parallel-bloom %+v", lang, i, got, m)
-			}
-			for j, l := range want.Languages() {
-				if got.Counts[l] != counts[j] {
-					t.Errorf("%s doc %d: /detect count %s=%d, core %d", lang, i, l, got.Counts[l], counts[j])
-				}
-			}
-		}
-	}
+	check(t, ts)
 
-	_, regSrv, reg, _ := newRegistryServer(t, serve.Config{})
+	regTS, regSrv, reg, _ := newRegistryServer(t, serve.Config{IncludeCounts: true})
 	if got := regSrv.Stats().Backend; got != "direct-lookup" {
 		t.Fatalf("n=4 registry server backend = %q, want direct-lookup", got)
 	}
@@ -769,7 +794,8 @@ func TestSixGramsServeOnParallelBloom(t *testing.T) {
 	if _, err := regSrv.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	if got := regSrv.Stats().Backend; got != "parallel-bloom" {
-		t.Errorf("after reloading an n=6 version, backend = %q, want parallel-bloom", got)
+	if n := regSrv.Detector().Config().N; n != 6 {
+		t.Fatalf("after the reload the server counts %d-grams, want 6", n)
 	}
+	check(t, regTS)
 }

@@ -39,7 +39,7 @@ import (
 // Generate writes the complete VHDL listing for a classifier of the
 // configuration cfg over the languages langs, reading each language's
 // H3 matrices from its Parallel Bloom Filter (filters[i] for langs[i],
-// as core.ProfileSet.ParallelFilters builds them).
+// as bloom.ParallelFilters builds them).
 func Generate(w io.Writer, cfg core.Config, langs []string, filters []*bloom.Parallel) error {
 	if len(filters) != len(langs) {
 		return fmt.Errorf("vhdl: %d filters for %d languages", len(filters), len(langs))

@@ -25,7 +25,7 @@ func testProfiles(t *testing.T, k int, mBits uint32) *core.ProfileSet {
 
 func filters(t *testing.T, ps *core.ProfileSet) []*bloom.Parallel {
 	t.Helper()
-	fs, err := ps.ParallelFilters()
+	fs, err := bloom.ParallelFilters(ps)
 	if err != nil {
 		t.Fatal(err)
 	}

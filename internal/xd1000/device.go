@@ -6,8 +6,8 @@
 // The simulation has two layers:
 //
 //   - a functional layer — the device classifies documents with
-//     Parallel Bloom Filters built by core.ProfileSet.ParallelFilters,
-//     as the software's parallel-bloom backend is, so simulated
+//     Parallel Bloom Filters built by bloom.ParallelFilters,
+//     as the software's parallel-bloom kernel is, so simulated
 //     hardware results and software results agree exactly;
 //   - a timing layer — DMA transfers, PIO command writes, interrupts
 //     and datapath cycles advance a deterministic simulated clock, from
@@ -113,7 +113,7 @@ const (
 func (q *QueryResult) SizeBytes() int64 { return 32*4 + 8 + 4 + 4 }
 
 // NewDevice builds the device model over one Parallel Bloom Filter
-// per language (core.ProfileSet.ParallelFilters), extracting n-grams
+// per language (bloom.ParallelFilters), extracting n-grams
 // as cfg says. The device owns the filters from then on: CmdProgram
 // writes them and the datapath reads them.
 func NewDevice(cfg core.Config, filters []*bloom.Parallel, copies int, watchdogTimeout ht.Time) (*Device, error) {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"bloomlang/internal/bloom"
 	"bloomlang/internal/core"
 	"bloomlang/internal/ht"
 )
@@ -26,7 +27,7 @@ func testProfiles(t *testing.T) *core.ProfileSet {
 func newTestDevice(t *testing.T, watchdog ht.Time) *Device {
 	t.Helper()
 	ps := testProfiles(t)
-	filters, err := ps.ParallelFilters()
+	filters, err := bloom.ParallelFilters(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestNewDeviceValidation(t *testing.T) {
 	ps, _ := core.TrainFromTexts(core.Config{TopT: 100, Seed: 1}, map[string][][]byte{
 		"en": {[]byte("validation text that is long enough for n-grams")},
 	})
-	filters, _ := ps.ParallelFilters()
+	filters, _ := bloom.ParallelFilters(ps)
 	if _, err := NewDevice(ps.Config, filters, 0, ht.Millisecond); err == nil {
 		t.Error("device accepted zero copies")
 	}
@@ -261,7 +262,7 @@ func TestDevicePerCopyFoldEqualsTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := core.NewDetector(testProfiles(t), core.WithBackend(core.BackendBloom))
+	sw, err := core.NewDetector(testProfiles(t), core.WithKernel(bloom.Backend, bloom.NewKernel))
 	if err != nil {
 		t.Fatal(err)
 	}

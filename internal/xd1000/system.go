@@ -3,6 +3,7 @@ package xd1000
 import (
 	"fmt"
 
+	"bloomlang/internal/bloom"
 	"bloomlang/internal/core"
 	"bloomlang/internal/corpus"
 	"bloomlang/internal/fpga"
@@ -78,7 +79,7 @@ func New(ps *core.ProfileSet, opts Options) (*System, error) {
 	opts.applyDefaults()
 	// The device starts with empty filters; Program fills them through
 	// the command interface exactly as the hardware is filled.
-	filters, err := ps.ParallelFilters()
+	filters, err := bloom.ParallelFilters(ps)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package xd1000
 import (
 	"testing"
 
+	"bloomlang/internal/bloom"
 	"bloomlang/internal/core"
 	"bloomlang/internal/corpus"
 	"bloomlang/internal/ht"
@@ -168,14 +169,14 @@ func TestAccuracyThroughHardwarePath(t *testing.T) {
 
 // The integration guarantee: the simulated hardware datapath and the
 // pure-software classifier produce identical match counts, because both
-// build their Bloom filters with core.ProfileSet.ParallelFilters (the
+// build their Bloom filters with bloom.ParallelFilters (the
 // device's programmed through the command interface).
 func TestHardwareMatchesSoftwareExactly(t *testing.T) {
 	corp, ps := setup(t)
 	s := newSystem(t, Options{})
 	s.Program()
 
-	sw, err := core.NewDetector(ps, core.WithBackend(core.BackendBloom))
+	sw, err := core.NewDetector(ps, core.WithKernel(bloom.Backend, bloom.NewKernel))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package bloomlang
 import (
 	"io"
 
+	"bloomlang/internal/bloom"
 	"bloomlang/internal/core"
 )
 
@@ -41,11 +42,11 @@ func ReadProfiles(r io.Reader) (*ProfileSet, error) {
 // WideClassifier is the §3.3 Unicode extension: the same match-counting
 // classifier over 16-bit characters (Greek, Cyrillic, and any other
 // BMP script), with only the hash input width changed.
-type WideClassifier = core.WideClassifier
+type WideClassifier = bloom.WideClassifier
 
 // TrainWide builds a wide classifier from UTF-8 training texts keyed by
 // language code. N is capped at 4 (a 4-gram of 16-bit characters fills
 // the 64-bit hash input).
 func TrainWide(cfg Config, texts map[string][]string) (*WideClassifier, error) {
-	return core.TrainWide(cfg, texts)
+	return bloom.TrainWide(cfg, texts)
 }
