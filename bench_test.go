@@ -91,38 +91,6 @@ func BenchmarkAblationWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSubsample compares full-rate extraction with the
-// 1-in-2 subsampling HAIL uses (§3.3, §5.2): half the lookups for a
-// modest accuracy cost.
-func BenchmarkAblationSubsample(b *testing.B) {
-	corp, ps := benchFixtures(b)
-	for _, sub := range []int{1, 2} {
-		b.Run("subsample_"+strconv.Itoa(sub), func(b *testing.B) {
-			cfg := ps.Config
-			cfg.Subsample = sub
-			psC := &ProfileSet{Config: cfg, Profiles: ps.Profiles}
-			det, err := NewDetector(psC, WithBackend(BackendBloom))
-			if err != nil {
-				b.Fatal(err)
-			}
-			docs := corp.TestDocuments("")
-			texts := DocumentTexts(docs)
-			var bytes int64
-			for _, d := range docs {
-				bytes += int64(len(d.Text))
-			}
-			b.SetBytes(bytes)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				det.DetectBatch(texts)
-			}
-			b.StopTimer()
-			ev := Evaluate(det, corp)
-			b.ReportMetric(100*ev.Average, "accuracy_pct")
-		})
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Micro-benchmarks of the pipeline stages.
 

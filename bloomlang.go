@@ -12,7 +12,9 @@ import (
 
 // Config carries the classifier parameters the paper studies (§4,
 // §5.2): n-gram length N, profile size TopT, hash count K, bit-vector
-// length MBits, plus the RNG seed and optional input subsampling.
+// length MBits, plus the RNG seed and the XD1000 model's input
+// subsampling. K, MBits and Seed configure the parallel-bloom backend;
+// Subsample only the XD1000 model: a Detector counts every n-gram.
 type Config = core.Config
 
 // DefaultConfig returns the paper's conservative operating point:

@@ -540,7 +540,9 @@ type SubsampleRow struct {
 }
 
 // RunSubsampleAblation measures accuracy at full rate and at 1-in-2 and
-// 1-in-4 subsampling with the conservative filter configuration.
+// 1-in-4 subsampling with the conservative filter configuration,
+// streaming the test split through the XD1000 model, which tests every
+// cfg.Subsample-th n-gram.
 func RunSubsampleAblation(scale Scale) ([]SubsampleRow, error) {
 	corp, err := corpus.Generate(scale.corpusConfig())
 	if err != nil {
@@ -552,25 +554,20 @@ func RunSubsampleAblation(scale Scale) ([]SubsampleRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	docs := corp.TestDocuments("")
 	dev := fpga.EP2S180()
 	var rows []SubsampleRow
 	for _, sub := range []int{1, 2, 4} {
 		cfg := base
 		cfg.Subsample = sub
-		psC := &core.ProfileSet{Config: cfg, Profiles: ps.Profiles}
-		det, err := core.NewDetector(psC, core.WithKernel(bloom.Backend, bloom.NewKernel), core.WithWorkers(scale.Workers))
+		rep, err := streamFresh(&core.ProfileSet{Config: cfg, Profiles: ps.Profiles}, docs, xd1000.ModeAsync)
 		if err != nil {
 			return nil, err
 		}
-		ev := bloomlang.Evaluate(det, corp)
-		copies := 4 / sub
-		if copies < 1 {
-			copies = 1
-		}
 		rows = append(rows, SubsampleRow{
 			Subsample:    sub,
-			Accuracy:     ev.Average,
-			MaxLanguages: fpga.MaxLanguages(cfg.K, cfg.MBits, copies, dev),
+			Accuracy:     rep.Accuracy(),
+			MaxLanguages: fpga.MaxLanguages(cfg.K, cfg.MBits, max(4/sub, 1), dev),
 		})
 	}
 	return rows, nil

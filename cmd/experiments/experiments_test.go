@@ -301,3 +301,26 @@ func TestRunConfusionSiblings(t *testing.T) {
 		t.Error("empty rendering")
 	}
 }
+
+// TestSubsampleAblationTable pins the §5.2 ablation at -scale small.
+// Subsampling is the XD1000 model's alone, so a change to the detector
+// or the n-gram register must not move these digits.
+func TestSubsampleAblationTable(t *testing.T) {
+	scale, _, err := scales("small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := RunSubsampleAblation(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "Subsampling ablation (k=4, m=16 Kbits): languages supported vs accuracy (§5.2)\n" +
+		"Subsample  Accuracy  Max languages\n" +
+		"----------------------------------\n" +
+		"1 in 1     98.24%    11           \n" +
+		"1 in 2     97.25%    22           \n" +
+		"1 in 4     96.67%    44           \n"
+	if got := FormatSubsampleAblation(rows); got != want {
+		t.Errorf("ablation table\n%s\nwant\n%s", got, want)
+	}
+}

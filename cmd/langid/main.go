@@ -32,6 +32,11 @@
 //	langid segment -profiles profiles.bin [-backend bloom] [-stride 16] [-penalty 8] file1.txt
 //	langid segment -profiles profiles.bin -tsv file1.txt | cut -f4
 //	langid segment -profiles profiles.bin -color mixed.txt
+//
+// Score profiles against a corpus directory's test split, on the
+// direct-lookup backend langidd serves unless -backend says otherwise:
+//
+//	langid eval -corpus corpusdir -profiles profiles.bin [-backend bloom] [-workers 4]
 package main
 
 import (
@@ -62,7 +67,9 @@ func main() {
 	case "segment":
 		segment(os.Args[2:])
 	case "eval":
-		eval(os.Args[2:])
+		if err := eval(os.Args[2:], os.Stdout); err != nil {
+			log.Fatal(err)
+		}
 	default:
 		usage()
 	}
@@ -74,46 +81,42 @@ func usage() {
 }
 
 // eval scores trained profiles against a corpus directory's test split,
-// printing per-language accuracy and the confusion structure — the
-// §5.1 evaluation as a command.
-func eval(args []string) {
+// writing per-language accuracy and the confusion structure to w — the
+// §5.1 evaluation as a command. Its detector comes from detectorFlags,
+// so it scores the backend classify and segment run: direct-lookup
+// unless -backend says otherwise.
+func eval(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("eval", flag.ExitOnError)
 	corpusDir := fs.String("corpus", "", "corpus directory (corpusgen layout)")
-	profilePath := fs.String("profiles", "profiles.bin", "trained profile file")
-	k := fs.Int("k", 4, "hash functions per Bloom filter")
-	m := fs.Uint("m", 16*1024, "bits per Bloom filter vector (power of two)")
+	load := detectorFlags(fs)
 	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	fs.Parse(args)
 	if *corpusDir == "" {
-		log.Fatal("eval: -corpus is required")
+		return errors.New("eval: -corpus is required")
 	}
 	corp, err := bloomlang.ReadCorpusDir(*corpusDir)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	ps, err := loadProfiles(*profilePath)
+	det, err := load(bloomlang.WithWorkers(*workers))
 	if err != nil {
-		log.Fatal(err)
-	}
-	applyFilterFlags(fs, ps, *k, uint32(*m))
-	det, err := bloomlang.NewDetector(ps, bloomlang.WithBackend(bloomlang.BackendBloom), bloomlang.WithWorkers(*workers))
-	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rep := bloomlang.Measure(det, corp.TestDocuments(""))
 	ev := bloomlang.Evaluate(det, corp)
-	fmt.Printf("evaluated %d documents at %.1f MB/s with %d workers\n\n", ev.Docs, rep.MBPerSec(), det.Workers())
-	fmt.Println("per-language accuracy:")
+	fmt.Fprintf(w, "evaluated %d documents on %s at %.1f MB/s with %d workers\n\n", ev.Docs, det.Backend(), rep.MBPerSec(), det.Workers())
+	fmt.Fprintln(w, "per-language accuracy:")
 	for _, lang := range ev.Languages {
 		if acc, ok := ev.PerLanguage[lang]; ok {
-			fmt.Printf("  %-3s %-12s %6.2f%%\n", lang, bloomlang.LanguageName(lang), 100*acc)
+			fmt.Fprintf(w, "  %-3s %-12s %6.2f%%\n", lang, bloomlang.LanguageName(lang), 100*acc)
 		}
 	}
-	fmt.Printf("\naverage %.2f%% (min %.2f%%, max %.2f%%)\n", 100*ev.Average, 100*ev.Min, 100*ev.Max)
+	fmt.Fprintf(w, "\naverage %.2f%% (min %.2f%%, max %.2f%%)\n", 100*ev.Average, 100*ev.Min, 100*ev.Max)
 	if truth, pred, n, ok := ev.TopConfusion(); ok {
-		fmt.Printf("top confusion: %s -> %s (%d docs)\n",
+		fmt.Fprintf(w, "top confusion: %s -> %s (%d docs)\n",
 			bloomlang.LanguageName(truth), bloomlang.LanguageName(pred), n)
 	}
+	return nil
 }
 
 // train streams documents through the trainer — the corpus is
@@ -429,11 +432,11 @@ func loadProfiles(path string) (*bloomlang.ProfileSet, error) {
 }
 
 // detectorFlags declares on fs the flags that choose the profiles and
-// the detector classify and segment run, and returns the function that
-// loads the profiles and builds the detector once fs is parsed. Without
-// -backend the detector runs on direct-lookup, the exact kernel langidd
-// serves every profile file on at every n; -backend bloom runs the
-// paper's parallel Bloom filter instead.
+// the detector classify, segment and eval run, and returns the function
+// that loads the profiles and builds the detector once fs is parsed.
+// Without -backend the detector runs on direct-lookup, the exact kernel
+// langidd serves every profile file on at every n; -backend bloom runs
+// the paper's parallel Bloom filter instead.
 func detectorFlags(fs *flag.FlagSet) func(opts ...bloomlang.DetectorOption) (*bloomlang.Detector, error) {
 	profilePath := fs.String("profiles", "profiles.bin", "trained profile file")
 	k := fs.Int("k", 4, "hash functions per Bloom filter")

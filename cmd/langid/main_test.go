@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bloomlang"
@@ -13,16 +15,7 @@ import (
 // on, the exact direct-lookup kernel at every n, 6-gram profile files
 // included; -backend bloom still overrides.
 func TestDefaultBackendFollowsDaemon(t *testing.T) {
-	corp, err := bloomlang.GenerateCorpus(bloomlang.CorpusConfig{
-		Languages:       []string{"en", "fi"},
-		DocsPerLanguage: 10,
-		WordsPerDoc:     300,
-		TrainFraction:   0.5,
-		Seed:            3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	corp := testCorpus(t)
 	for _, tc := range []struct {
 		n     int
 		flags []string
@@ -35,14 +28,7 @@ func TestDefaultBackendFollowsDaemon(t *testing.T) {
 	} {
 		cfg := bloomlang.DefaultConfig()
 		cfg.N, cfg.TopT = tc.n, 1000
-		ps, err := bloomlang.Train(cfg, corp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "profiles.bin")
-		if err := bloomlang.SaveProfiles(ps, path); err != nil {
-			t.Fatal(err)
-		}
+		path := saveProfiles(t, cfg, corp)
 		fs := flag.NewFlagSet("classify", flag.ContinueOnError)
 		load := detectorFlags(fs)
 		if err := fs.Parse(append([]string{"-profiles", path}, tc.flags...)); err != nil {
@@ -60,4 +46,68 @@ func TestDefaultBackendFollowsDaemon(t *testing.T) {
 			t.Errorf("n=%d %v: a Finnish document detected as %q", tc.n, tc.flags, m.Lang)
 		}
 	}
+}
+
+// TestEvalBackendFollowsDaemon: eval scores the backend classify runs,
+// direct-lookup unless -backend bloom, and names it in its header.
+func TestEvalBackendFollowsDaemon(t *testing.T) {
+	corp := testCorpus(t)
+	dir := t.TempDir()
+	if err := corp.WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	cfg := bloomlang.DefaultConfig()
+	cfg.TopT = 1000
+	path := saveProfiles(t, cfg, corp)
+	for _, tc := range []struct {
+		flags []string
+		want  bloomlang.Backend
+	}{
+		{nil, bloomlang.BackendDirect},
+		{[]string{"-backend", "bloom"}, bloomlang.BackendBloom},
+	} {
+		var out bytes.Buffer
+		if err := eval(append([]string{"-corpus", dir, "-profiles", path}, tc.flags...), &out); err != nil {
+			t.Fatalf("%v: %v", tc.flags, err)
+		}
+		header, _, _ := strings.Cut(out.String(), "\n")
+		if !strings.Contains(header, " on "+tc.want.String()+" ") {
+			t.Errorf("%v: header %q does not name backend %s", tc.flags, header, tc.want)
+		}
+		if !strings.Contains(out.String(), "average 100.00%") {
+			t.Errorf("%v: eval output\n%s\nwant every test document right", tc.flags, out.String())
+		}
+	}
+}
+
+// testCorpus is a small two-language corpus whose test documents every
+// backend classifies correctly.
+func testCorpus(t *testing.T) *bloomlang.Corpus {
+	t.Helper()
+	corp, err := bloomlang.GenerateCorpus(bloomlang.CorpusConfig{
+		Languages:       []string{"en", "fi"},
+		DocsPerLanguage: 10,
+		WordsPerDoc:     300,
+		TrainFraction:   0.5,
+		Seed:            3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return corp
+}
+
+// saveProfiles trains corp under cfg and writes the profile file,
+// returning its path.
+func saveProfiles(t *testing.T, cfg bloomlang.Config, corp *bloomlang.Corpus) string {
+	t.Helper()
+	ps, err := bloomlang.Train(cfg, corp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "profiles.bin")
+	if err := bloomlang.SaveProfiles(ps, path); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }

@@ -31,7 +31,9 @@ func TestBackendStringUnregisteredValue(t *testing.T) {
 // FuzzKernelCount is the differential check of the serving path against
 // the staged reference on every backend of the matrix and on core's
 // exact kernel at n = 6 (the generic FeedBytes → AccumulateInto path),
-// at subsample 1 and 3:
+// over profile sets recording subsample 1 and 3 — a detector counts
+// every n-gram whatever Subsample says, since only the paper models
+// subsample:
 // the fuzzer's bytes, written to a Stream in three pieces cut at two
 // fuzzer-chosen points, must give the counts and n-gram total of
 // the staged reference (classify) of the same bytes. A whole-document

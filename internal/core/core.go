@@ -19,7 +19,10 @@
 // plane, the Stream runs its fused loop from bytes to counts instead.
 // NewStream and NewSpanStream hand out the same Stream for incremental
 // input, with segmentation off or on; BorrowStream and ReturnStream lend
-// pooled ones to servers. DetectCounts gives the raw per-language
+// pooled ones to servers. Every path counts every n-gram of the
+// document: HAIL's input subsampling (§3.3) is a bandwidth trade of the
+// paper's hardware, modelled in internal/xd1000 and internal/hail, not
+// a feature of classification. DetectCounts gives the raw per-language
 // counts the paper-model tests compare against. The package takes
 // documents as bytes; corpus scoring lives in the root bloomlang
 // package.
@@ -50,10 +53,10 @@ type Config struct {
 	N int
 	// TopT is the profile size t; the paper uses 5,000 (§4).
 	TopT int
-	// K is the number of H3 hash functions per Bloom filter. K, MBits
-	// and Seed configure the paper's filters in internal/bloom; core's
-	// exact kernel does not read them, but every profile file records
-	// them.
+	// K is the number of H3 hash functions per Bloom filter. K, MBits,
+	// Seed and Subsample configure the paper's models (the filters in
+	// internal/bloom, the XD1000 device); core's detector does not read
+	// them, but every profile file records them.
 	K int
 	// MBits is the length m of each of the K bit-vectors, in bits.
 	// Table 1 explores 16Kbit, 8Kbit and 4Kbit.
@@ -61,8 +64,9 @@ type Config struct {
 	// Seed drives H3 matrix generation; equal seeds give identical
 	// filters.
 	Seed int64
-	// Subsample tests only every s-th document n-gram when s > 1
-	// (HAIL-style input subsampling, §3.3).
+	// Subsample makes the XD1000 model test only every s-th document
+	// n-gram when s > 1 (HAIL-style input subsampling, §3.3). Core's
+	// detector counts every n-gram whatever it says.
 	Subsample int
 }
 

@@ -209,30 +209,6 @@ func TestBloomNeverUndercountsDirect(t *testing.T) {
 	}
 }
 
-func TestSubsampleReducesNGrams(t *testing.T) {
-	cfg := Config{TopT: 500, Subsample: 2}
-	ps := trainMini(t, cfg)
-	c, err := NewDetector(ps, withBackend(BackendDirect))
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := NewDetector(trainMini(t, Config{TopT: 500}), withBackend(BackendDirect))
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := getMiniCorpus(t).Test["en"][0].Text
-	rSub := classify(c, doc)
-	rFull := classify(full, doc)
-	if rSub.NGrams >= rFull.NGrams {
-		t.Errorf("subsampled %d n-grams >= full %d", rSub.NGrams, rFull.NGrams)
-	}
-	// Still classifies correctly: subsampling keeps satisfactory
-	// accuracy (§5.2).
-	if bestLanguage(c, rSub) != "en" {
-		t.Error("subsampled classification wrong on easy document")
-	}
-}
-
 func TestClassifierDeterministicAcrossConstructions(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 500})
 	a, _ := NewDetector(ps, withBackend(backendBloom))

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-
-	"bloomlang/internal/ngram"
 )
 
 // Match is one classified document: the winning language with a
@@ -81,21 +79,15 @@ func WithMinNGrams(n int) DetectorOption {
 }
 
 // Detector is the single entry point for language detection: it owns
-// the membership kernel and the prototype n-gram window, a worker
-// bound for DetectBatch, the unknown-thresholding policy, and a pool of
-// reusable counting streams, so the one-document hot path allocates
-// nothing after warm-up. A Detector is safe for concurrent use by any
+// the membership kernel, a worker bound for DetectBatch, the
+// unknown-thresholding policy, and a pool of reusable counting streams,
+// so the one-document hot path allocates nothing after warm-up. A Detector is safe for concurrent use by any
 // number of goroutines.
 type Detector struct {
-	cfg     Config
-	backend Backend
-	langs   []string
-	kernel  Kernel
-	// window is the prototype n-gram register, configured once at
-	// construction. It is never fed directly: every stream copies it by
-	// value, getting its own sliding-window state without a per-call
-	// allocation.
-	window    ngram.Window
+	cfg       Config
+	backend   Backend
+	langs     []string
+	kernel    Kernel
 	workers   int
 	minMargin float64
 	minNGrams int
@@ -118,7 +110,6 @@ func NewDetector(ps *ProfileSet, opts ...DetectorOption) (*Detector, error) {
 	d := &Detector{
 		cfg:       cfg,
 		backend:   BackendDirect,
-		window:    ngram.Window{N: cfg.N, Subsample: cfg.Subsample},
 		workers:   o.workers,
 		minMargin: max(o.minMargin, 0),
 		minNGrams: max(o.minNGrams, 1),

@@ -231,9 +231,10 @@ func (d *bloomDiff) check(t testing.TB, doc []byte) {
 
 // extractGrams is the staged reference for the Stream's one pass from
 // bytes to counts: translation to a code slice, then extraction
-// through a value copy of the detector's prototype window.
+// through a fresh window of the detector's n, which emits every n-gram
+// whatever the profile set's Subsample says.
 func extractGrams(d *Detector, doc []byte) []uint32 {
-	w := d.window
+	w := ngram.Window{N: d.Config().N}
 	return w.Feed(nil, alphabet.TranslateAll(doc))
 }
 

@@ -209,7 +209,7 @@ func (k *probeKernel) AccumulateInto(counts []int, gs []uint32) {
 // read off w by shifting, so the serial shift chain runs once per four
 // characters. That is exact for every n <= 5 (the deepest read, 15+5n
 // bits, fits in 64). A Stream runs it when the profile set fits one
-// plane and nothing is subsampled (Stream.configure).
+// plane (Stream.configure).
 func countFused(plane []uint16, w *ngram.Window, counts []int, p []byte) int {
 	reg, filled := w.Reg, w.Filled
 	for ; filled < w.N-1 && len(p) > 0; filled++ {

@@ -237,9 +237,8 @@ type Stream struct {
 }
 
 // NewStream starts an empty document stream on the detector, counting
-// without segmentation. Its n-gram window is a value copy of the
-// detector's prototype, so streams are independent of each other and
-// of the one-shot paths.
+// without segmentation. Each stream carries its own n-gram window, so
+// streams are independent of each other and of the one-shot paths.
 func (d *Detector) NewStream() *Stream {
 	s := &Stream{d: d}
 	s.configure(SegmentConfig{})
@@ -264,9 +263,9 @@ func (s *Stream) configure(cfg SegmentConfig) {
 	s.cfg = cfg
 	L := len(s.d.langs)
 	s.langs = L
-	s.w = s.d.window
+	s.w = ngram.Window{N: s.d.cfg.N}
 	s.plane = nil
-	if m, ok := s.d.kernel.(*maskKernel); ok && len(m.planes) == 1 && s.w.Subsample <= 1 {
+	if m, ok := s.d.kernel.(*maskKernel); ok && len(m.planes) == 1 {
 		s.plane = m.planes[0]
 	}
 	s.bytesSeen, s.gramsSeen, s.fill, s.chunks, s.base = 0, 0, 0, 0, 0
@@ -504,10 +503,10 @@ func (s *Stream) emit(cum []int, endGram int) {
 }
 
 // gramByte maps an n-gram index to the byte offset where that n-gram
-// starts. Alphabet translation is one code per byte, so emitted n-gram
-// i begins at character — byte — i·subsample.
+// starts. Alphabet translation is one code per byte, so n-gram i
+// begins at character — byte — i.
 func (s *Stream) gramByte(g int) int {
-	return min(g*s.w.Subsample, s.bytesSeen)
+	return min(g, s.bytesSeen)
 }
 
 // Spans returns the spans finalized so far: those every survivor path

@@ -67,7 +67,7 @@ func FuzzDetectSpans(f *testing.F) {
 		// Boundaries may shift by up to a stride between backends;
 		// compare labels only at positions a full window clear of every
 		// boundary in either segmentation.
-		guard := (cfg.Window + cfg.Stride) * 1 // bytes per gram = 1 at subsample 1
+		guard := cfg.Window + cfg.Stride // one n-gram per byte
 		for pos := 0; pos < len(data); pos += cfg.Stride {
 			dSpan, ok1 := spanAt(ds, pos)
 			bSpan, ok2 := spanAt(bs, pos)

@@ -5,10 +5,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"bloomlang/internal/corpus"
+	"bloomlang/internal/ngram"
 )
 
 // The property suite runs on its own corpus of four mutually unrelated
@@ -645,10 +647,11 @@ func TestDetectSpansHugeWindow(t *testing.T) {
 func TestDetectSpansManyLanguages(t *testing.T) {
 	getSegCorpus(t)
 	segDetector(t, BackendDirect)
+	shared := cloneProfiles(segProfiles.Profiles)
 	ps := &ProfileSet{Config: segProfiles.Config}
 	for i := range 70 {
 		src := segProfiles.Profiles[i%len(segProfiles.Profiles)]
-		p := src
+		p := *src
 		p.Language = fmt.Sprintf("l%02d", i)
 		p.Grams = nil
 		for j, g := range src.Grams {
@@ -656,7 +659,10 @@ func TestDetectSpansManyLanguages(t *testing.T) {
 				p.Grams = append(p.Grams, g)
 			}
 		}
-		ps.Profiles = append(ps.Profiles, p)
+		if len(p.Grams) == 0 {
+			t.Fatalf("profile %s is empty", p.Language)
+		}
+		ps.Profiles = append(ps.Profiles, &p)
 	}
 	docs := segReferenceDocs(t)
 	for _, backend := range equivBackends() {
@@ -672,6 +678,20 @@ func TestDetectSpansManyLanguages(t *testing.T) {
 			}
 		}
 	}
+	if !reflect.DeepEqual(segProfiles.Profiles, shared) {
+		t.Fatal("the 70-language check changed the shared segmentation profiles")
+	}
+}
+
+// cloneProfiles returns a deep copy of ps.
+func cloneProfiles(ps []*ngram.Profile) []*ngram.Profile {
+	out := make([]*ngram.Profile, len(ps))
+	for i, p := range ps {
+		c := *p
+		c.Grams = slices.Clone(p.Grams)
+		out[i] = &c
+	}
+	return out
 }
 
 func mustDetector(t testing.TB, ps *ProfileSet, opts ...DetectorOption) *Detector {
@@ -740,30 +760,6 @@ func TestDetectSpansUnknownPolicy(t *testing.T) {
 	checkTiling(t, spans, len(doc))
 	if len(spans) != 1 || !spans[0].Unknown || spans[0].Lang != "" {
 		t.Fatalf("spans under 0.99 margin floor = %+v, want one Unknown span", spans)
-	}
-}
-
-// TestDetectSpansSubsample checks byte attribution under input
-// subsampling: emitted n-gram i starts at byte i·s, and spans still
-// tile the document.
-func TestDetectSpansSubsample(t *testing.T) {
-	corp := getSegCorpus(t)
-	ps, err := TrainFromTexts(Config{TopT: 1000, Subsample: 2}, corp.TrainTextsByLanguage())
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, err := NewDetector(ps, withBackend(BackendDirect))
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := corp.Test["en"][0].Text
-	spans, err := det.DetectSpans(doc, SegmentConfig{Window: 48, Stride: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTiling(t, spans, len(doc))
-	if spans[0].Lang != "en" {
-		t.Errorf("subsampled segmentation called %q, want en", spans[0].Lang)
 	}
 }
 

@@ -156,16 +156,6 @@ func TestStreamEmpty(t *testing.T) {
 	}
 }
 
-func TestStreamSubsample(t *testing.T) {
-	det, _ := NewDetector(trainMini(t, Config{TopT: 500, Subsample: 2}))
-	doc := getMiniCorpus(t).Test["en"][0].Text
-	for _, mode := range streamModes(t, det) {
-		s := mode.newStream()
-		s.Write(doc)
-		checkStream(t, det, s, doc, mode.name+"/subsampled")
-	}
-}
-
 func BenchmarkStreamWrite(b *testing.B) {
 	det, err := NewDetector(sixGramSet(b))
 	if err != nil {

@@ -79,29 +79,48 @@ func FuzzExtractBytes(f *testing.F) {
 // FuzzFeedBytes checks the shift loop across chunk splits: one Window
 // fed the text in pieces, one of 0..7 bytes per byte of splits (so cuts
 // fall inside the register's warm-up, and empty pieces occur) and then
-// the rest whole, at Subsample 1..3, must append exactly the n-grams of
-// the staged reference fed the whole text at once, after what dst held
-// already, and end in the same state.
+// the rest whole, must append exactly the n-grams of the staged
+// reference fed the whole text at once, after what dst held already,
+// and end in the same state. An Extractor subsampling 1 in 1..3, fed
+// the same pieces, must append every sub-th n-gram of that reference,
+// its cycle carried across the cuts.
 func FuzzFeedBytes(f *testing.F) {
 	f.Add([]byte("hello world"), uint8(3), uint8(0), []byte{1, 2, 3})
 	f.Add([]byte("ab"), uint8(5), uint8(1), []byte{0, 1})
 	f.Add([]byte("\x80\xe9t\xe9 caf\xe9, na\xefve"), uint8(5), uint8(2), []byte{7, 0, 3, 6})
 	f.Add([]byte{}, uint8(0), uint8(2), []byte{})
 	f.Fuzz(func(t *testing.T, text []byte, n, sub uint8, splits []byte) {
-		w := Window{N: int(n)%MaxN + 1, Subsample: int(sub)%3 + 1}
+		w := Window{N: int(n)%MaxN + 1}
+		e, err := NewExtractor(w.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := int(sub)%3 + 1
+		if err := e.SetSubsample(s); err != nil {
+			t.Fatal(err)
+		}
 		ref := w
-		want := append([]uint32{7}, ref.Feed(nil, alphabet.TranslateAll(text))...)
-		got, rest := []uint32{7}, text
-		for _, s := range splits {
-			k := min(len(rest), int(s%8))
-			got, rest = w.FeedBytes(got, rest[:k]), rest[k:]
+		full := ref.Feed(nil, alphabet.TranslateAll(text))
+		want, wantSub := append([]uint32{7}, full...), []uint32{7}
+		for i := 0; i < len(full); i += s {
+			wantSub = append(wantSub, full[i])
+		}
+		got, gotSub, rest := []uint32{7}, []uint32{7}, text
+		for _, c := range splits {
+			k := min(len(rest), int(c%8))
+			got = w.FeedBytes(got, rest[:k])
+			gotSub, rest = e.Feed(gotSub, alphabet.TranslateAll(rest[:k])), rest[k:]
 		}
 		got = w.FeedBytes(got, rest)
+		gotSub = e.Feed(gotSub, alphabet.TranslateAll(rest))
 		if !slices.Equal(got, want) {
-			t.Fatalf("n=%d sub=%d splits %v: FeedBytes %v, staged reference %v", w.N, w.Subsample, splits, got, want)
+			t.Fatalf("n=%d splits %v: FeedBytes %v, staged reference %v", w.N, splits, got, want)
 		}
 		if w != ref {
-			t.Fatalf("n=%d sub=%d splits %v: window ends %+v, reference %+v", w.N, w.Subsample, splits, w, ref)
+			t.Fatalf("n=%d splits %v: window ends %+v, reference %+v", w.N, splits, w, ref)
+		}
+		if !slices.Equal(gotSub, wantSub) {
+			t.Fatalf("n=%d sub=%d splits %v: Extractor %v, every sub-th reference n-gram %v", w.N, s, splits, gotSub, wantSub)
 		}
 	})
 }

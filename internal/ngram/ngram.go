@@ -75,18 +75,14 @@ func Render(g uint32, n int) string {
 // Window is the n-gram shift register of one document in flight: the
 // hardware's character buffer (§3.3), held as a value the caller
 // carries from one chunk of the document to the next, so an n-gram that
-// straddles a chunk boundary is still emitted exactly once. N and
-// Subsample configure it; Reg, Filled and Phase are its state, empty
+// straddles a chunk boundary is still emitted exactly once. It emits
+// every n-gram. N configures it; Reg and Filled are its state, empty
 // after Reset. The state fields are exported so that a counting kernel
 // outside this package can run its own fused translate-and-shift loop
 // over them.
 type Window struct {
 	// N is the n-gram length, 1..MaxN.
 	N int
-	// Subsample, when s > 1, emits only every s-th n-gram, the
-	// bandwidth-reduction technique HAIL uses and §3.3 mentions as an
-	// option when on-chip memory bandwidth is limited.
-	Subsample int
 	// Reg holds the most recent codes, newest in the low alphabet.Bits
 	// bits. Only the low Bits(N) bits are an n-gram; a kernel may leave
 	// older codes above them.
@@ -94,82 +90,62 @@ type Window struct {
 	// Filled counts the codes shifted in, saturating at N-1: from then
 	// on every code completes an n-gram.
 	Filled int
-	// Phase is the position of the next completed n-gram in the
-	// subsample cycle; it is emitted when Phase is 0.
-	Phase int
 }
 
-// Reset clears the register and the subsample phase, ready for a new
-// document. The hardware equivalent is the End-of-Document command
-// clearing the character buffer.
-func (w *Window) Reset() { w.Reg, w.Filled, w.Phase = 0, 0, 0 }
+// Reset clears the register, ready for a new document. The hardware
+// equivalent is the End-of-Document command clearing the character
+// buffer.
+func (w *Window) Reset() { w.Reg, w.Filled = 0, 0 }
 
 // Feed shifts the translated codes into the window and appends every
 // complete n-gram to dst, returning the extended slice. A document of d
-// characters yields exactly max(0, d-n+1) n-grams (before subsampling).
+// characters yields exactly max(0, d-n+1) n-grams.
 func (w *Window) Feed(dst []uint32, codes []alphabet.Code) []uint32 {
-	reg, filled, phase := uint32(w.Reg), w.Filled, w.Phase
-	warm, sub, mask := w.N-1, max(w.Subsample, 1), uint32(uint64(1)<<Bits(w.N)-1)
+	reg, filled := uint32(w.Reg), w.Filled
+	warm, mask := w.N-1, uint32(uint64(1)<<Bits(w.N)-1)
 	for _, c := range codes {
 		reg = (reg<<alphabet.Bits | uint32(c)) & mask
 		if filled < warm {
 			filled++
 			continue
 		}
-		if phase == 0 {
-			dst = append(dst, reg)
-		}
-		if phase++; phase == sub {
-			phase = 0
-		}
+		dst = append(dst, reg)
 	}
-	w.Reg, w.Filled, w.Phase = uint64(reg), filled, phase
+	w.Reg, w.Filled = uint64(reg), filled
 	return dst
 }
 
 // FeedBytes is Feed over raw ISO-8859-1 bytes, translating each one on
 // the way in: the translate and shift stages of the datapath in one
-// loop, with no code buffer between them. The register's warm-up and a
-// subsampled window take it byte by byte; once the register is full
-// and every n-gram is kept, each byte completes one n-gram, so the
-// rest grows dst once and writes by index, with no branch per byte.
+// loop, with no code buffer between them. The register's warm-up takes
+// it byte by byte; once the register is full each byte completes one
+// n-gram, so the rest grows dst once and writes by index, with no
+// branch per byte.
 func (w *Window) FeedBytes(dst []uint32, p []byte) []uint32 {
-	reg, filled, phase := uint32(w.Reg), w.Filled, w.Phase
-	warm, sub, mask := w.N-1, max(w.Subsample, 1), uint32(uint64(1)<<Bits(w.N)-1)
+	reg, filled := uint32(w.Reg), w.Filled
 	i := 0
-	for ; i < len(p) && (filled < warm || sub > 1); i++ {
-		reg = (reg<<alphabet.Bits | uint32(alphabet.Translate(p[i]))) & mask
-		if filled < warm {
-			filled++
-			continue
-		}
-		if phase == 0 {
-			dst = append(dst, reg)
-		}
-		if phase++; phase == sub {
-			phase = 0
-		}
+	for ; i < len(p) && filled < w.N-1; i++ {
+		reg = reg<<alphabet.Bits | uint32(alphabet.Translate(p[i]))
+		filled++
 	}
 	rest := p[i:]
 	k := len(dst)
 	dst = slices.Grow(dst, len(rest))[:k+len(rest)]
 	out := dst[k:][:len(rest)]
+	mask := uint32(uint64(1)<<Bits(w.N) - 1)
 	for j, b := range rest {
 		reg = reg<<alphabet.Bits | uint32(alphabet.Translate(b))
 		out[j] = reg & mask
 	}
-	w.Reg, w.Filled, w.Phase = uint64(reg&mask), filled, phase
+	w.Reg, w.Filled = uint64(reg&mask), filled
 	return dst
 }
 
 // BytesFor returns how many more characters complete exactly grams
-// (>= 1) more emitted n-grams, the last of them on the final character:
-// the characters still needed to fill the register, the ones the
-// subsample phase skips before the next emitted n-gram, and one
-// subsample period per n-gram after it.
+// (>= 1) more n-grams, the last of them on the final character: the
+// characters still needed to fill the register, then one per n-gram.
 func (w *Window) BytesFor(grams int) int {
-	sub := max(w.Subsample, 1)
-	return w.N - 1 - w.Filled + (sub-w.Phase)%sub + (grams-1)*sub + 1
+	return w.N - 1 - w.Filled + grams
 }
 
 // checkN rejects an n-gram length outside 1..MaxN.
@@ -185,9 +161,14 @@ func checkN(n int) error {
 // containing multiple translated characters is buffered and an n-gram is
 // generated at each character position (§3.3). The implementation is
 // oblivious to word boundaries and treats the input as a continuous
-// character stream, exactly like the hardware. Its state is one Window.
+// character stream, exactly like the hardware. Its state is one Window
+// and, for the paper models, HAIL's input subsampling: the factor and
+// the position in its cycle, carried across Feed calls like the
+// register.
 type Extractor struct {
-	w Window
+	w     Window
+	sub   int // emit every sub-th n-gram; full rate when <= 1
+	phase int // position of the next n-gram in the cycle, emitted at 0
 }
 
 // NewExtractor returns an extractor for n-grams of length n (1..MaxN).
@@ -195,28 +176,46 @@ func NewExtractor(n int) (*Extractor, error) {
 	if err := checkN(n); err != nil {
 		return nil, err
 	}
-	return &Extractor{w: Window{N: n, Subsample: 1}}, nil
+	return &Extractor{w: Window{N: n}, sub: 1}, nil
 }
 
-// SetSubsample makes the extractor emit every s-th n-gram (s >= 1).
+// SetSubsample makes the extractor emit every s-th n-gram (s >= 1), the
+// bandwidth-reduction technique HAIL uses and §3.3 mentions as an
+// option when on-chip memory bandwidth is limited.
 func (e *Extractor) SetSubsample(s int) error {
 	if s < 1 {
 		return fmt.Errorf("ngram: subsample factor %d must be >= 1", s)
 	}
-	e.w.Subsample = s
+	e.sub = s
 	return nil
 }
 
 // N returns the configured n-gram length.
 func (e *Extractor) N() int { return e.w.N }
 
-// Reset clears the sliding window, ready for a new document.
-func (e *Extractor) Reset() { e.w.Reset() }
+// Reset clears the sliding window and the subsample cycle, ready for a
+// new document.
+func (e *Extractor) Reset() { e.w.Reset(); e.phase = 0 }
 
 // Feed shifts the translated codes into the window and appends every
-// complete n-gram to dst, returning the extended slice; see Window.Feed.
+// complete n-gram the subsample cycle keeps to dst, returning the
+// extended slice; see Window.Feed.
 func (e *Extractor) Feed(dst []uint32, codes []alphabet.Code) []uint32 {
-	return e.w.Feed(dst, codes)
+	k := len(dst)
+	dst = e.w.Feed(dst, codes)
+	if e.sub <= 1 {
+		return dst
+	}
+	kept := dst[:k]
+	for _, g := range dst[k:] {
+		if e.phase == 0 {
+			kept = append(kept, g)
+		}
+		if e.phase++; e.phase == e.sub {
+			e.phase = 0
+		}
+	}
+	return kept
 }
 
 // ExtractBytes translates raw ISO-8859-1 bytes and returns all packed

@@ -536,44 +536,40 @@ func TestCounterN(t *testing.T) {
 }
 
 // TestWindowFeedBytesMatchesFeed checks the byte-level window against
-// the code-level one: any split of a document, any subsample factor,
-// the same n-grams with the register carried across pieces.
+// the code-level one: any split of a document, the same n-grams with
+// the register carried across pieces.
 func TestWindowFeedBytesMatchesFeed(t *testing.T) {
 	doc := []byte("Þe quick brown fox, ¿jumps? över the lazy dog 12345 \x00\xff")
 	for n := 1; n <= MaxN; n++ {
-		for sub := 1; sub <= 3; sub++ {
-			w := Window{N: n, Subsample: sub}
-			want := w.Feed(nil, alphabet.TranslateAll(doc))
-			for cut := 0; cut <= len(doc); cut++ {
-				w.Reset()
-				got := w.FeedBytes(nil, doc[:cut])
-				got = w.FeedBytes(got, doc[cut:])
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("n=%d sub=%d cut %d: FeedBytes %v, Feed %v", n, sub, cut, got, want)
-				}
+		w := Window{N: n}
+		want := w.Feed(nil, alphabet.TranslateAll(doc))
+		for cut := 0; cut <= len(doc); cut++ {
+			w.Reset()
+			got := w.FeedBytes(nil, doc[:cut])
+			got = w.FeedBytes(got, doc[cut:])
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d cut %d: FeedBytes %v, Feed %v", n, cut, got, want)
 			}
 		}
 	}
 }
 
 // TestWindowBytesFor checks that from any register state, BytesFor(g)
-// bytes complete exactly g emitted n-grams, the last on the final byte.
+// bytes complete exactly g n-grams, the last on the final byte.
 func TestWindowBytesFor(t *testing.T) {
 	text := []byte("abcdefghijklmnopqrstuvwxyz abcdefghijklmnopqrstuvwxyz")
 	for n := 1; n <= MaxN; n++ {
-		for sub := 1; sub <= 3; sub++ {
-			for lead := 0; lead < 8; lead++ {
-				for grams := 1; grams <= 5; grams++ {
-					w := Window{N: n, Subsample: sub}
-					w.FeedBytes(nil, text[:lead])
-					b := w.BytesFor(grams)
-					before := w
-					if got := len(w.FeedBytes(nil, text[lead:lead+b])); got != grams {
-						t.Fatalf("n=%d sub=%d lead=%d: %d bytes gave %d grams, want %d", n, sub, lead, b, got, grams)
-					}
-					if got := len(before.FeedBytes(nil, text[lead:lead+b-1])); got != grams-1 {
-						t.Fatalf("n=%d sub=%d lead=%d: %d bytes gave %d grams, want %d", n, sub, lead, b-1, got, grams-1)
-					}
+		for lead := 0; lead < 8; lead++ {
+			for grams := 1; grams <= 5; grams++ {
+				w := Window{N: n}
+				w.FeedBytes(nil, text[:lead])
+				b := w.BytesFor(grams)
+				before := w
+				if got := len(w.FeedBytes(nil, text[lead:lead+b])); got != grams {
+					t.Fatalf("n=%d lead=%d: %d bytes gave %d grams, want %d", n, lead, b, got, grams)
+				}
+				if got := len(before.FeedBytes(nil, text[lead:lead+b-1])); got != grams-1 {
+					t.Fatalf("n=%d lead=%d: %d bytes gave %d grams, want %d", n, lead, b-1, got, grams-1)
 				}
 			}
 		}
