@@ -1,7 +1,7 @@
-package core_test
+package bloom_test
 
-// The §3.3 wide classifier lives in internal/bloom with the paper's
-// other filters; its tests stay here, in core's external test package.
+// Tests of the §3.3 wide classifier through its exported API; the wide
+// n-grams it trains and tests are checked in wide_internal_test.go.
 
 import (
 	"slices"

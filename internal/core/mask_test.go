@@ -224,14 +224,17 @@ func checkMaskCount(t *testing.T, ps *ProfileSet, ref maskReference, doc []byte)
 // are mixtures.
 func memberDoc(rng *rand.Rand, pool []uint32, n, count int) []byte {
 	var doc []byte
+next:
 	for len(doc) < count+n-1 {
-		codes := ngram.Unpack(pool[rng.Intn(len(pool))], n)
-		if slices.ContainsFunc(codes, func(c alphabet.Code) bool { return c >= alphabet.NumCodes }) {
-			continue
+		g, word := pool[rng.Intn(len(pool))], make([]byte, n)
+		for i := n - 1; i >= 0; i, g = i-1, g>>alphabet.Bits {
+			c := alphabet.Code(g & (1<<alphabet.Bits - 1))
+			if c >= alphabet.NumCodes {
+				continue next
+			}
+			word[i] = c.Byte()
 		}
-		for _, c := range codes {
-			doc = append(doc, c.Byte())
-		}
+		doc = append(doc, word...)
 	}
 	if count == 0 {
 		return doc[:rng.Intn(n)]

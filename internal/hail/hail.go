@@ -21,6 +21,8 @@ package hail
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"bloomlang/internal/alphabet"
@@ -111,9 +113,11 @@ func Build(cfg Config, profiles []*ngram.Profile) (*Classifier, error) {
 	if len(profiles) > cfg.MaxLanguages {
 		return nil, fmt.Errorf("hail: %d languages exceed table capacity %d", len(profiles), cfg.MaxLanguages)
 	}
-	sorted := make([]*ngram.Profile, len(profiles))
-	copy(sorted, profiles)
-	ngram.SortProfilesByLanguage(sorted)
+	// Languages in label order, so counter indices are stable across
+	// software and simulated hardware.
+	sorted := slices.SortedStableFunc(slices.Values(profiles), func(a, b *ngram.Profile) int {
+		return strings.Compare(a.Language, b.Language)
+	})
 	c := &Classifier{
 		cfg:   cfg,
 		table: make([]uint8, 1<<ngram.Bits(cfg.N)),

@@ -1,6 +1,7 @@
 package hail
 
 import (
+	"slices"
 	"testing"
 
 	"bloomlang/internal/core"
@@ -89,6 +90,25 @@ func TestTableConflictResolution(t *testing.T) {
 	}
 	if got := c.table[100]; got != 0 {
 		t.Errorf("table[100] = %d, want 0 (empty)", got)
+	}
+}
+
+// TestSortProfilesByLanguage: Build orders its languages by label,
+// whatever order the profiles come in.
+func TestSortProfilesByLanguage(t *testing.T) {
+	var ps []*ngram.Profile
+	for i, lang := range []string{"sv", "cs", "en"} {
+		ps = append(ps, &ngram.Profile{Language: lang, N: 4, Grams: []uint32{uint32(i)}})
+	}
+	c, err := Build(DefaultConfig(), ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.Languages(), []string{"cs", "en", "sv"}; !slices.Equal(got, want) {
+		t.Errorf("Languages() = %v, want %v", got, want)
+	}
+	if ps[0].Language != "sv" {
+		t.Error("Build reordered its caller's profiles")
 	}
 }
 

@@ -2,6 +2,7 @@ package ngram
 
 import (
 	"bytes"
+	"cmp"
 	"maps"
 	"math/rand/v2"
 	"slices"
@@ -125,15 +126,17 @@ func FuzzFeedBytes(f *testing.F) {
 	})
 }
 
-// fullSortTop is the brute-force ranking Counter.Top and topWide must
-// reproduce: every entry, sorted by compareEntries (count descending
-// then packed n-gram ascending), cut to the first t.
-func fullSortTop[G Gram](counts map[G]uint64, t int) []Entry[G] {
-	all := make([]Entry[G], 0, len(counts))
+// fullSortTop is the brute-force ranking rank must reproduce: every
+// entry, sorted by count descending then packed n-gram ascending, cut
+// to the first t.
+func fullSortTop(counts map[uint32]uint32, t int) []entry {
+	all := make([]entry, 0, len(counts))
 	for g, n := range counts {
-		all = append(all, Entry[G]{g, n})
+		all = append(all, entry{g, n})
 	}
-	slices.SortFunc(all, compareEntries)
+	slices.SortFunc(all, func(a, b entry) int {
+		return cmp.Or(cmp.Compare(b.count, a.count), cmp.Compare(a.gram, b.gram))
+	})
 	return all[:max(0, min(t, len(all)))]
 }
 
@@ -141,16 +144,16 @@ func fullSortTop[G Gram](counts map[G]uint64, t int) []Entry[G] {
 // none, one, about half, d-1, d, and more than d.
 func rankCuts(d int) []int { return []int{0, 1, d / 2, d - 1, d, d + 1, 2*d + 5} }
 
-// counterOf builds the Counter Counter.Top ranks for counts, shaped as
-// in a shared vocabulary: every n-gram is numbered after one this
-// language never saw (count 0), and other languages numbered more
-// n-grams past the end of its counts.
-func counterOf(counts map[uint32]uint64) *Counter {
+// counterOf builds the Counter rank ranks for counts, shaped as in a
+// shared vocabulary: every n-gram is numbered after one this language
+// never saw (count 0), and other languages numbered more n-grams past
+// the end of its counts.
+func counterOf(counts map[uint32]uint32) *Counter {
 	v := &Vocabulary{}
 	c := &Counter{v: v}
 	for g, n := range counts {
 		v.grams = append(v.grams, g|1<<24, g)
-		c.counts = append(c.counts, 0, uint32(n))
+		c.counts = append(c.counts, 0, n)
 	}
 	v.grams = append(v.grams, 1<<25, 1<<25+1)
 	return c
@@ -203,14 +206,11 @@ func FuzzCounterBytes(f *testing.F) {
 			rest = rest[k:]
 		}
 		gs, _ := ExtractBytes(text, int(n))
-		want := map[uint32]uint64{}
-		for _, g := range gs {
-			want[g]++
-		}
-		got := map[uint32]uint64{}
+		want := countsOfGrams(gs)
+		got := map[uint32]uint32{}
 		for id, k := range c.counts {
 			if k != 0 {
-				got[v.numbered()[id]] = uint64(k)
+				got[v.numbered()[id]] = k
 			}
 		}
 		if !maps.Equal(got, want) || c.Total() != uint64(len(gs)) {
@@ -225,15 +225,13 @@ func FuzzCounterBytes(f *testing.F) {
 	})
 }
 
-// FuzzTopT checks the top-t ranking, Counter.Top, Ranker.Profile and
-// topWide, against a brute-force full sort. Each 3-byte record of data
-// adds a count to a 16-bit n-gram; counts are drawn from
-// 1..levels%8+1, so heavy ties only the packed n-gram breaks are the
-// rule, also at the cut. One Ranker ranks every cut of the counter and
-// of a second one over every other n-gram in turn, so each ranking
-// starts from the scratch the one before it left. levels >= 128 lifts
-// the wide counts past 32 bits; with the wide n-grams' high bits set,
-// both ways sortEntries sorts, radix and by comparator, are taken.
+// FuzzTopT checks the top-t ranking, rank and Ranker.Profile, against
+// a brute-force full sort. Each 3-byte record of data adds a count to a
+// 16-bit n-gram; counts are drawn from 1..levels%8+1, so heavy ties
+// only the packed n-gram breaks are the rule, also at the cut. One
+// Ranker ranks every cut of the counter and of a second one over every
+// other n-gram in turn, so each ranking starts from the scratch the one
+// before it left.
 func FuzzTopT(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(0))
 	f.Add([]byte{}, uint8(3))
@@ -241,37 +239,31 @@ func FuzzTopT(f *testing.F) {
 	f.Add([]byte("the quick brown fox jumps over the lazy dog, the end"), uint8(7))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 1, 2, 9}, uint8(129))
 	f.Fuzz(func(t *testing.T, data []byte, levels uint8) {
-		narrow, half, wide := map[uint32]uint64{}, map[uint32]uint64{}, map[uint64]uint64{}
+		narrow, half := map[uint32]uint32{}, map[uint32]uint32{}
 		for i := 0; i+2 < len(data); i += 3 {
 			g := uint32(data[i])<<8 | uint32(data[i+1])
-			n := uint64(data[i+2])%(uint64(levels%8)+1) + 1
+			n := uint32(data[i+2])%(uint32(levels%8)+1) + 1
 			narrow[g] += n
 			if g%2 == 0 {
 				half[g] += n
 			}
-			wide[uint64(g)<<40|uint64(g)] += n + uint64(levels>>7)<<32
 		}
 		var r Ranker
 		for _, k := range rankCuts(len(narrow)) {
-			for _, counts := range []map[uint32]uint64{narrow, half} {
+			for _, counts := range []map[uint32]uint32{narrow, half} {
 				c, want := counterOf(counts), fullSortTop(counts, k)
-				if got := c.Top(k); !slices.Equal(got, want) {
-					t.Fatalf("t=%d of %d distinct: Counter.Top %v, full sort %v", k, len(counts), got, want)
+				if got := top(c, k); !slices.Equal(got, want) {
+					t.Fatalf("t=%d of %d distinct: rank %v, full sort %v", k, len(counts), got, want)
 				}
 				p := r.Profile("xx", c, k)
 				if len(p.Grams) != len(want) {
 					t.Fatalf("t=%d of %d distinct: Ranker.Profile kept %d n-grams, full sort %d", k, len(counts), len(p.Grams), len(want))
 				}
 				for i, e := range want {
-					if p.Grams[i] != e.Gram {
+					if p.Grams[i] != e.gram {
 						t.Fatalf("t=%d of %d distinct: Ranker.Profile %v, full sort %v", k, len(counts), p.Grams, want)
 					}
 				}
-			}
-		}
-		for _, k := range rankCuts(len(wide)) {
-			if got, want := topWide(wide, k), fullSortTop(wide, k); !slices.Equal(got, want) {
-				t.Fatalf("t=%d of %d distinct: topWide %v, full sort %v", k, len(wide), got, want)
 			}
 		}
 	})

@@ -1,5 +1,5 @@
-// Package ngram implements n-gram extraction, counting, and language
-// profile construction for the Bloom-filter language classifier.
+// Package ngram implements n-gram extraction, counting, ranking and
+// language profiles for the Bloom-filter language classifier.
 //
 // An n-gram is a sequence of exactly n characters; n-grams are extracted
 // from a document by a sliding window that shifts one character at a
@@ -7,9 +7,11 @@
 // code, so a 4-gram packs into 20 bits and is carried as a uint32
 // throughout the pipeline — the same word the hardware datapath carries.
 //
-// A language profile is the t most frequently occurring n-grams in a
-// training set (t = 5,000 in the paper's implementation, §4), which the
-// HAIL authors found produces over 99% classifier accuracy.
+// A training run numbers its n-grams once in a Vocabulary and counts
+// each language in a Counter over it; a Ranker then keeps each
+// language's t most frequently occurring n-grams as its Profile (t =
+// 5,000 in the paper's implementation, §4), which the HAIL authors
+// found produces over 99% classifier accuracy.
 package ngram
 
 import (
@@ -36,41 +38,6 @@ func Bits(n int) uint { return uint(n) * alphabet.Bits }
 
 // MaxN is the largest n-gram length that still packs into a uint32.
 const MaxN = 32 / alphabet.Bits // 6
-
-// Pack packs up to MaxN codes into a single word, first code in the most
-// significant position, mirroring the hardware shift register that
-// assembles n-grams from the translated character stream.
-func Pack(codes []alphabet.Code) uint32 {
-	if len(codes) > MaxN {
-		panic(fmt.Sprintf("ngram: cannot pack %d codes into 32 bits", len(codes)))
-	}
-	var g uint32
-	for _, c := range codes {
-		g = g<<alphabet.Bits | uint32(c)
-	}
-	return g
-}
-
-// Unpack splits a packed n-gram back into its n codes.
-func Unpack(g uint32, n int) []alphabet.Code {
-	codes := make([]alphabet.Code, n)
-	for i := n - 1; i >= 0; i-- {
-		codes[i] = alphabet.Code(g & (1<<alphabet.Bits - 1))
-		g >>= alphabet.Bits
-	}
-	return codes
-}
-
-// Render returns the human-readable form of a packed n-gram, e.g.
-// "TION" or "E TH".
-func Render(g uint32, n int) string {
-	codes := Unpack(g, n)
-	b := make([]byte, n)
-	for i, c := range codes {
-		b[i] = c.Byte()
-	}
-	return string(b)
-}
 
 // Window is the n-gram shift register of one document in flight: the
 // hardware's character buffer (§3.3), held as a value the caller
@@ -219,8 +186,8 @@ func (e *Extractor) Feed(dst []uint32, codes []alphabet.Code) []uint32 {
 }
 
 // ExtractBytes translates raw ISO-8859-1 bytes and returns all packed
-// n-grams of length n through Window.FeedBytes, the convenience path
-// used by training and by the software classifier.
+// n-grams of length n through Window.FeedBytes: the whole-document
+// reference the tests and fuzzers check the counting loops against.
 func ExtractBytes(text []byte, n int) ([]uint32, error) {
 	if err := checkN(n); err != nil {
 		return nil, err
@@ -467,13 +434,3 @@ func (c *Counter) AddText(text []byte) error {
 
 // Total returns the number of n-grams accumulated.
 func (c *Counter) Total() uint64 { return c.total }
-
-// Top returns the t most frequent n-grams in descending count order.
-// Ties break on the packed n-gram value so results are deterministic.
-// If fewer than t distinct n-grams were seen, all of them are returned.
-// It selects the t-th best count in a pass or two over the counts and
-// sorts only the t winners. Once the Vocabulary is released, Top only
-// reads the counter and it, so its Counters may rank concurrently.
-func (c *Counter) Top(t int) []Entry[uint32] {
-	return rank(new(scratch[uint32]), c.v.numbered(), c.counts, t)
-}

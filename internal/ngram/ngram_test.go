@@ -9,58 +9,24 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"bloomlang/internal/alphabet"
 )
 
-func TestPackUnpackRoundTrip(t *testing.T) {
-	prop := func(raw [4]uint8) bool {
-		codes := make([]alphabet.Code, 4)
-		for i, r := range raw {
-			codes[i] = alphabet.Code(r % 27)
-		}
-		got := Unpack(Pack(codes), 4)
-		for i := range codes {
-			if got[i] != codes[i] {
-				return false
-			}
-		}
-		return true
+// render returns the human-readable form of a packed n-gram, e.g.
+// "TION" or "E TH".
+func render(g uint32, n int) string {
+	b := make([]byte, n)
+	for i := n - 1; i >= 0; i-- {
+		b[i] = alphabet.Code(g & (1<<alphabet.Bits - 1)).Byte()
+		g >>= alphabet.Bits
 	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
+	return string(b)
 }
 
-func TestPackOrdering(t *testing.T) {
-	// "AB" must pack with A in the high bits: A=1, B=2 -> 1<<5 | 2.
-	g := Pack([]alphabet.Code{1, 2})
-	if g != 1<<5|2 {
-		t.Errorf("Pack(A,B) = %#x, want %#x", g, 1<<5|2)
-	}
-}
-
-func TestPackPanicsOnTooMany(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Pack of 7 codes did not panic")
-		}
-	}()
-	Pack(make([]alphabet.Code, 7))
-}
-
-func TestRender(t *testing.T) {
-	gs, err := ExtractBytes([]byte("tion"), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gs) != 1 {
-		t.Fatalf("got %d n-grams, want 1", len(gs))
-	}
-	if got := Render(gs[0], 4); got != "TION" {
-		t.Errorf("Render = %q, want TION", got)
-	}
+// top ranks c's t most frequent n-grams through a scratch of its own.
+func top(c *Counter, t int) []entry {
+	return rank(new(scratch), c.v.numbered(), c.counts, t)
 }
 
 func TestExtractorCount(t *testing.T) {
@@ -100,7 +66,7 @@ func TestExtractorSlidesOneCharacter(t *testing.T) {
 		t.Fatalf("got %d n-grams, want %d", len(gs), len(want))
 	}
 	for i, w := range want {
-		if got := Render(gs[i], 4); got != w {
+		if got := render(gs[i], 4); got != w {
 			t.Errorf("n-gram %d = %q, want %q", i, got, w)
 		}
 	}
@@ -117,7 +83,7 @@ func TestExtractorIgnoresWordBoundaries(t *testing.T) {
 		t.Fatalf("3-char input must give 0 4-grams, got %d", len(gs))
 	}
 	gs, _ = ExtractBytes([]byte("a bc"), 4)
-	if len(gs) != 1 || Render(gs[0], 4) != "A BC" {
+	if len(gs) != 1 || render(gs[0], 4) != "A BC" {
 		t.Fatalf("expected single n-gram \"A BC\" spanning the space, got %v", gs)
 	}
 }
@@ -173,7 +139,7 @@ func TestExtractorNoResetCarriesWindow(t *testing.T) {
 	if len(a) != 0 {
 		t.Fatalf("first partial feed must emit nothing, got %d", len(a))
 	}
-	if len(b) != 1 || Render(b[0], 4) != "ABCD" {
+	if len(b) != 1 || render(b[0], 4) != "ABCD" {
 		t.Fatalf("window must span feeds without Reset; got %d grams", len(b))
 	}
 }
@@ -191,7 +157,7 @@ func TestSubsample(t *testing.T) {
 		t.Fatalf("subsampled count = %d, want %d", len(gs), len(want))
 	}
 	for i, w := range want {
-		if got := Render(gs[i], 4); got != w {
+		if got := render(gs[i], 4); got != w {
 			t.Errorf("subsampled n-gram %d = %q, want %q", i, got, w)
 		}
 	}
@@ -222,11 +188,11 @@ func newCounter(t *testing.T, n int) *Counter {
 	return v.NewCounter()
 }
 
-// countsOf reads every count of c back through an unbounded Top.
-func countsOf(c *Counter) map[uint32]uint64 {
-	m := map[uint32]uint64{}
-	for _, e := range c.Top(math.MaxInt) {
-		m[e.Gram] = e.Count
+// countsOf reads every count of c back through an unbounded ranking.
+func countsOf(c *Counter) map[uint32]uint32 {
+	m := map[uint32]uint32{}
+	for _, e := range top(c, math.MaxInt) {
+		m[e.gram] = e.count
 	}
 	return m
 }
@@ -246,10 +212,7 @@ func TestCounterFlatAndMapAgree(t *testing.T) {
 			t.Errorf("n=%d: Total = %d, want %d", n, c.Total(), len(gs))
 		}
 		// Recount by brute force.
-		ref := map[uint32]uint64{}
-		for _, g := range gs {
-			ref[g]++
-		}
+		ref := countsOfGrams(gs)
 		if got := countsOf(c); !maps.Equal(got, ref) {
 			t.Errorf("n=%d: counts %v, want %v", n, got, ref)
 		}
@@ -261,15 +224,15 @@ func TestCounterTopOrdering(t *testing.T) {
 	// "aaaa" appears 3 times (sliding), "bbbb" 1, via carefully built text.
 	c.AddText([]byte("aaaaaa")) // AAAA x3
 	c.AddText([]byte("bbbb"))   // BBBB x1
-	top := c.Top(10)
-	if len(top) != 2 {
-		t.Fatalf("Top returned %d entries, want 2", len(top))
+	best := top(c, 10)
+	if len(best) != 2 {
+		t.Fatalf("top returned %d entries, want 2", len(best))
 	}
-	if Render(top[0].Gram, 4) != "AAAA" || top[0].Count != 3 {
-		t.Errorf("top[0] = %q x%d, want AAAA x3", Render(top[0].Gram, 4), top[0].Count)
+	if render(best[0].gram, 4) != "AAAA" || best[0].count != 3 {
+		t.Errorf("top[0] = %q x%d, want AAAA x3", render(best[0].gram, 4), best[0].count)
 	}
-	if Render(top[1].Gram, 4) != "BBBB" || top[1].Count != 1 {
-		t.Errorf("top[1] = %q x%d, want BBBB x1", Render(top[1].Gram, 4), top[1].Count)
+	if render(best[1].gram, 4) != "BBBB" || best[1].count != 1 {
+		t.Errorf("top[1] = %q x%d, want BBBB x1", render(best[1].gram, 4), best[1].count)
 	}
 }
 
@@ -278,20 +241,20 @@ func TestCounterTopTruncatesAndTieBreaks(t *testing.T) {
 	c.AddText([]byte("abcd"))
 	c.AddText([]byte("bcde"))
 	c.AddText([]byte("cdef"))
-	top := c.Top(2)
-	if len(top) != 2 {
-		t.Fatalf("Top(2) returned %d entries", len(top))
+	best := top(c, 2)
+	if len(best) != 2 {
+		t.Fatalf("top(2) returned %d entries", len(best))
 	}
 	// All counts equal 1; ties break on ascending packed value, and
 	// ABCD < BCDE numerically because A<B in the code space.
-	if Render(top[0].Gram, 4) != "ABCD" {
-		t.Errorf("tie-break order wrong: top[0] = %q", Render(top[0].Gram, 4))
+	if render(best[0].gram, 4) != "ABCD" {
+		t.Errorf("tie-break order wrong: top[0] = %q", render(best[0].gram, 4))
 	}
-	if got := c.Top(0); len(got) != 0 {
-		t.Errorf("Top(0) returned %d entries", len(got))
+	if got := top(c, 0); len(got) != 0 {
+		t.Errorf("top(0) returned %d entries", len(got))
 	}
-	if got := c.Top(-1); len(got) != 0 {
-		t.Errorf("Top(-1) returned %d entries", len(got))
+	if got := top(c, -1); len(got) != 0 {
+		t.Errorf("top(-1) returned %d entries", len(got))
 	}
 }
 
@@ -359,7 +322,7 @@ func TestCountersShareVocabulary(t *testing.T) {
 // the limit cut so the vocabulary holds 65534, 65535 or 65536 n-grams
 // after it: the index widens within a call, in the next one's first
 // new n-gram, and a little way into it. A second language counts
-// n-grams on both sides of the widening. Counts and Top equal a
+// n-grams on both sides of the widening. Counts and ranking equal a
 // map-based count throughout.
 func TestVocabularyWidens(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 2))
@@ -388,8 +351,8 @@ func TestVocabularyWidens(t *testing.T) {
 		if got := countsOf(c); !maps.Equal(got, ref) {
 			t.Fatalf("%s: counts differ from a map count (%d vs %d n-grams)", when, len(got), len(ref))
 		}
-		if got, want := c.Top(500), fullSortTop(ref, 500); !slices.Equal(got, want) {
-			t.Fatalf("%s: Top(500) differs from a full sort", when)
+		if got, want := top(c, 500), fullSortTop(ref, 500); !slices.Equal(got, want) {
+			t.Fatalf("%s: top(c, 500) differs from a full sort", when)
 		}
 		if c.Total() != uint64(len(counted)) {
 			t.Fatalf("%s: Total %d, want %d", when, c.Total(), len(counted))
@@ -423,8 +386,8 @@ func TestVocabularyWidens(t *testing.T) {
 }
 
 // countsOfGrams counts gs in a map.
-func countsOfGrams(gs []uint32) map[uint32]uint64 {
-	m := map[uint32]uint64{}
+func countsOfGrams(gs []uint32) map[uint32]uint32 {
+	m := map[uint32]uint32{}
 	for _, g := range gs {
 		m[g]++
 	}
@@ -591,7 +554,7 @@ func BenchmarkCounterTop(b *testing.B) {
 		c.counts = append(c.counts, n)
 	}
 	for b.Loop() {
-		c.Top(DefaultProfileSize)
+		top(c, DefaultProfileSize)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math/bits"
 	"slices"
-	"sort"
 	"unsafe"
 )
 
@@ -34,7 +33,7 @@ func (r *Ranker) Profile(language string, c *Counter, t int) *Profile {
 	entries := rank(&r.s, c.v.numbered(), c.counts, t)
 	grams := make([]uint32, len(entries))
 	for i, e := range entries {
-		grams[i] = e.Gram
+		grams[i] = e.gram
 	}
 	return &Profile{Language: language, N: c.v.n, Grams: grams}
 }
@@ -43,18 +42,6 @@ func (r *Ranker) Profile(language string, c *Counter, t int) *Profile {
 // false-positive formula).
 func (p *Profile) Size() int { return len(p.Grams) }
 
-// Contains reports whether g is a member of the profile. It is O(n) and
-// intended for tests and diagnostics; classification paths use Bloom
-// filters or hash tables built from the profile.
-func (p *Profile) Contains(g uint32) bool {
-	for _, pg := range p.Grams {
-		if pg == g {
-			return true
-		}
-	}
-	return false
-}
-
 // Set returns the profile as a membership set.
 func (p *Profile) Set() map[uint32]bool {
 	s := make(map[uint32]bool, len(p.Grams))
@@ -62,20 +49,6 @@ func (p *Profile) Set() map[uint32]bool {
 		s[g] = true
 	}
 	return s
-}
-
-// Overlap returns the number of n-grams present in both profiles — the
-// quantity that drives cross-language confusion (§5.2: "consistently
-// more Spanish documents were misclassified as Portuguese").
-func (p *Profile) Overlap(q *Profile) int {
-	set := p.Set()
-	n := 0
-	for _, g := range q.Grams {
-		if set[g] {
-			n++
-		}
-	}
-	return n
 }
 
 // profileMagic identifies the on-disk profile format.
@@ -201,11 +174,4 @@ func readRest(r io.Reader, p []byte) error {
 		err = io.ErrUnexpectedEOF
 	}
 	return err
-}
-
-// SortProfilesByLanguage orders profiles by language label, the
-// canonical order used when programming multi-language classifiers so
-// counter indices are stable across software and simulated hardware.
-func SortProfilesByLanguage(ps []*Profile) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Language < ps[j].Language })
 }

@@ -51,7 +51,7 @@ func TestProfileFromTexts(t *testing.T) {
 	}
 	// " THE" must be among the very top: it appears in two documents.
 	gs, _ := ExtractBytes([]byte(" the"), 4)
-	if !p.Contains(gs[0]) {
+	if !slices.Contains(p.Grams, gs[0]) {
 		t.Error("profile missing \" THE\"")
 	}
 }
@@ -70,21 +70,10 @@ func TestProfileSetMatchesContains(t *testing.T) {
 	if len(set) != p.Size() {
 		t.Fatalf("set size %d != profile size %d (duplicate grams?)", len(set), p.Size())
 	}
-	for g := range set {
-		if !p.Contains(g) {
-			t.Errorf("Contains(%#x) = false for set member", g)
+	for _, g := range p.Grams {
+		if !set[g] {
+			t.Errorf("Set() lacks profile member %#x", g)
 		}
-	}
-}
-
-func TestProfileOverlap(t *testing.T) {
-	p := sampleProfile(t)
-	if got := p.Overlap(p); got != p.Size() {
-		t.Errorf("self-overlap = %d, want %d", got, p.Size())
-	}
-	q := profileFromTexts(t, "xx", [][]byte{[]byte("zzzz qqqq zzzz qqqq")}, 4, 50)
-	if got := p.Overlap(q); got != 0 {
-		t.Errorf("overlap with disjoint profile = %d, want 0", got)
 	}
 }
 
@@ -193,19 +182,6 @@ func TestReadProfileRejectsOverwideGram(t *testing.T) {
 	}
 	if _, err := ReadProfile(&buf); err == nil {
 		t.Error("ReadProfile accepted gram wider than packing")
-	}
-}
-
-func TestSortProfilesByLanguage(t *testing.T) {
-	ps := []*Profile{
-		{Language: "sv"}, {Language: "cs"}, {Language: "en"},
-	}
-	SortProfilesByLanguage(ps)
-	want := []string{"cs", "en", "sv"}
-	for i, w := range want {
-		if ps[i].Language != w {
-			t.Errorf("position %d = %q, want %q", i, ps[i].Language, w)
-		}
 	}
 }
 

@@ -1,39 +1,24 @@
 package ngram
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
 	"slices"
 )
 
-// Gram is a packed n-gram: uint32 over the 5-bit alphabet, uint64 over
-// the §3.3 wide one.
-type Gram interface{ ~uint32 | ~uint64 }
-
-// Entry is an n-gram with its frequency, used when ranking.
-type Entry[G Gram] struct {
-	Gram  G
-	Count uint64
-}
-
-// compareEntries orders entries best first: count descending, then
-// packed n-gram ascending. Over distinct n-grams it is a total order,
-// so a ranking by it is deterministic.
-func compareEntries[G Gram](a, b Entry[G]) int {
-	if c := cmp.Compare(b.Count, a.Count); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Gram, b.Gram)
+// entry is an n-gram with its frequency, used when ranking.
+type entry struct {
+	gram, count uint32
 }
 
 // scratch is ranking's working memory: the winners, the n-grams tied
 // at the cut, and the packed keys sortEntries sorts with their second
 // buffer. Reused across rankings, it leaves a ranking nothing to
 // allocate.
-type scratch[G Gram] struct {
-	win             []Entry[G]
-	ties, keys, tmp []uint64
+type scratch struct {
+	win       []entry
+	ties      []uint32
+	keys, tmp []uint64
 }
 
 // Ranker ranks many Counters through one working memory: after its
@@ -41,39 +26,40 @@ type scratch[G Gram] struct {
 // is ready to use. A Ranker is not safe for concurrent use; give each
 // goroutine its own.
 type Ranker struct {
-	s scratch[uint32]
+	s scratch
 }
 
 // rank returns the t best of the distinct n-grams grams[i] with a
-// nonzero count counts[i], best first by compareEntries: exactly the
-// first t of a full sort. counts may be shorter than grams; the n-grams
-// past its end count zero. rank selects rather than sorts: it finds the
-// t-th best count in a pass or two over counts (cut), collects the
-// n-grams above it, and takes from the ones tied at it the smallest
-// n-grams by the same selection over their values; only those t
-// winners are sorted. The result is s.win, valid until s ranks again.
-func rank[G Gram, C ~uint32 | ~uint64](s *scratch[G], grams []G, counts []C, t int) []Entry[G] {
+// nonzero count counts[i], best first: count descending, then packed
+// n-gram ascending, exactly the first t of a full sort by that total
+// order. counts may be shorter than grams; the n-grams past its end
+// count zero. rank selects rather than sorts: it finds the t-th best
+// count in a pass or two over counts (cut), collects the n-grams above
+// it, and takes from the ones tied at it the smallest n-grams by the
+// same selection over their values; only those t winners are sorted.
+// The result is s.win, valid until s ranks again.
+func rank(s *scratch, grams, counts []uint32, t int) []entry {
 	if t <= 0 {
-		return []Entry[G]{}
+		return []entry{}
 	}
 	c, above, at := cut(counts, t)
 	win, ties := slices.Grow(s.win[:0], min(t, above+at)), slices.Grow(s.ties[:0], at)
 	for i, n := range counts {
 		switch {
 		case n > c:
-			win = append(win, Entry[G]{grams[i], uint64(n)})
+			win = append(win, entry{grams[i], n})
 		case n == c && n > 0:
-			ties = append(ties, uint64(grams[i]))
+			ties = append(ties, grams[i])
 		}
 	}
 	if need := t - above; len(ties) > need {
 		// The need smallest of the tied n-grams: those up to the
 		// need-th smallest, the (len(ties)-need+1)-th largest.
 		g, _, _ := cut(ties, len(ties)-need+1)
-		ties = slices.DeleteFunc(ties, func(v uint64) bool { return v > g })
+		ties = slices.DeleteFunc(ties, func(v uint32) bool { return v > g })
 	}
 	for _, g := range ties {
-		win = append(win, Entry[G]{G(g), uint64(c)})
+		win = append(win, entry{g, c})
 	}
 	s.win, s.ties = win, ties
 	s.sortEntries(win)
@@ -91,12 +77,12 @@ const digitBits = 11
 // and each further pass fixes the next digitBits bits below it among
 // the values that share the bits fixed so far, so counts under 2^12
 // take two passes.
-func cut[V ~uint32 | ~uint64](vs []V, k int) (c V, above, at int) {
-	var lens [65]int
+func cut(vs []uint32, k int) (c uint32, above, at int) {
+	var lens [33]int
 	for _, v := range vs {
-		lens[bits.Len64(uint64(v))]++
+		lens[bits.Len32(v)]++
 	}
-	b := 64
+	b := 32
 	for ; b > 0 && above+lens[b] < k; b-- {
 		above += lens[b]
 	}
@@ -118,25 +104,20 @@ func cut[V ~uint32 | ~uint64](vs []V, k int) (c V, above, at int) {
 		for ; above+hist[x] < k; x-- {
 			above += hist[x]
 		}
-		c, at = c<<d|V(x), hist[x]
+		c, at = c<<d|uint32(x), hist[x]
 	}
 	return c, above, at
 }
 
-// sortEntries sorts es best first by compareEntries. When every count
-// and n-gram fits in 32 bits, as in any real profile, it sorts one
-// packed word per entry instead, the inverted count above the n-gram,
-// by an LSD radix sort of digitBits per pass that skips every digit
-// all the keys share; otherwise it sorts by compareEntries.
-func (s *scratch[G]) sortEntries(es []Entry[G]) {
+// sortEntries sorts es best first, count descending then n-gram
+// ascending: it sorts one packed word per entry, the inverted count
+// above the n-gram, by an LSD radix sort of digitBits per pass that
+// skips every digit all the keys share.
+func (s *scratch) sortEntries(es []entry) {
 	keys := slices.Grow(s.keys[:0], len(es))
 	var diff uint64
 	for _, e := range es {
-		if uint64(e.Gram) > math.MaxUint32 || e.Count > math.MaxUint32 {
-			slices.SortFunc(es, compareEntries)
-			return
-		}
-		k := (math.MaxUint32-e.Count)<<32 | uint64(e.Gram)
+		k := uint64(math.MaxUint32-e.count)<<32 | uint64(e.gram)
 		keys = append(keys, k)
 		diff |= k ^ keys[0]
 	}
@@ -162,6 +143,6 @@ func (s *scratch[G]) sortEntries(es []Entry[G]) {
 	}
 	s.keys, s.tmp = keys, tmp
 	for i, k := range keys {
-		es[i] = Entry[G]{G(uint32(k)), math.MaxUint32 - k>>32}
+		es[i] = entry{uint32(k), math.MaxUint32 - uint32(k>>32)}
 	}
 }

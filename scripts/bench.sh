@@ -16,10 +16,11 @@
 # against it and the run fails if any benchmark present in both files
 # regressed by more than REGRESSION_PCT (default 20%). Backends new in
 # this run have no baseline entry and are reported, not gated; the
-# handler and training benchmarks are recorded, not gated. The run
-# also fails when no gated benchmark of this run has a baseline entry
-# at all, so a rename cannot leave the gate passing with nothing
-# checked.
+# handler and training benchmarks are recorded, not gated. Baseline
+# entries this run did not produce (deleted or renamed benchmarks) are
+# listed, not gated. The run also fails when no gated benchmark of this
+# run has a baseline entry at all, so a rename cannot leave the gate
+# passing with nothing checked.
 #
 # Every run also gates a same-run ratio: BenchmarkDetectSpans/direct-lookup
 # must cost at most 2.5 times BenchmarkDetectorBackends/direct-lookup,
@@ -127,11 +128,13 @@ if [ -n "$baseline" ]; then
   }
   NR == FNR {
     parse($0)
+    if (name != "" && ns != "" && !(name in base)) order[++nbase] = name
     if (name != "" && ns != "") base[name] = ns
     next
   }
   {
     parse($0)
+    if (name != "") ran[name] = 1
     if (name == "" || ns == "" || !gated(name)) next
     if (!(name in base)) {
       printf "bench:   new   %-45s %12.0f ns/op (no baseline)\n", name, ns
@@ -144,6 +147,10 @@ if [ -n "$baseline" ]; then
     printf "bench:   %-5s %-45s %12.0f -> %.0f ns/op (%+.1f%%)\n", status, name, base[name], ns, delta
   }
   END {
+    # Report, never gate, what the baseline holds and this run did not
+    # produce: a deleted or renamed benchmark.
+    for (i = 1; i <= nbase; i++)
+      if (!(order[i] in ran)) printf "bench:   gone  %-45s %12.0f ns/op (baseline only, not run)\n", order[i], base[order[i]]
     if (!matched) { print "bench:   no gated benchmark of this run has a baseline entry"; exit 1 }
     exit failed ? 1 : 0
   }
