@@ -250,7 +250,8 @@
 //	                      counted in order on one pooled stream
 //	POST /stream          NDJSON documents        -> NDJSON detections,
 //	                      classified incrementally with bounded memory,
-//	                      answers flushed before each read of the body
+//	                      answers flushed before a read of the body
+//	                      only where the body so far ends a line
 //	                      (?spans=1 adds each document's span tiling)
 //	POST /segment         one raw document        -> its mixed-language
 //	                      span tiling (window/stride geometry from
@@ -271,10 +272,10 @@
 //	http.ListenAndServe(":8080", srv.Handler())
 //
 // cmd/langidd is the production daemon around this handler: flags for
-// address, worker pool, confidence thresholds (-min-margin,
-// -min-ngrams), body/batch/line limits and read/write/idle timeouts,
-// profile sources (-registry, -profiles, -corpus, with -save), SIGHUP
-// hot reload, and graceful drain on SIGINT/SIGTERM.
+// address, confidence thresholds (-min-margin, -min-ngrams),
+// body/batch/line limits and read/write/idle timeouts, profile sources
+// (-registry, -profiles, -corpus, with -save), SIGHUP hot reload, and
+// graceful drain on SIGINT/SIGTERM.
 // examples/server walks the full serving surface, admin plane
 // included, in one self-contained program.
 package bloomlang

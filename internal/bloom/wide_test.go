@@ -4,10 +4,12 @@ package bloom_test
 // n-grams it trains and tests are checked in wide_internal_test.go.
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
+	"bloomlang/internal/alphabet"
 	"bloomlang/internal/bloom"
 	"bloomlang/internal/core"
 )
@@ -169,13 +171,46 @@ func TestWideClassifyEmpty(t *testing.T) {
 	if r.BestLanguage(c.Languages()) != "" || r.NGrams != 0 {
 		t.Errorf("empty text result = %+v", r)
 	}
-	r = c.Classify("12345 67 89") // no letters
-	if r.NGrams == 0 {
-		// Digits map to white space; windows of pure white space are
-		// still n-grams (the pipeline is oblivious to word boundaries,
-		// like the narrow path).
-		t.Log("letterless text produced no n-grams")
+	// Digits map to white space, and windows of pure white space are
+	// still n-grams (the pipeline is oblivious to word boundaries, like
+	// the narrow path): 11 runes give 9 trigrams, each three spaces,
+	// which no training text holds.
+	r = c.Classify("12345 67 89")
+	ngrams, counts := wideReference(c, "12345 67 89")
+	if r.NGrams != 9 || ngrams != 9 || !slices.Equal(r.Counts, counts) || !slices.Equal(counts, []int{0, 0, 0, 0}) {
+		t.Errorf("letterless text: %d n-grams, counts %v; reference %d, %v", r.NGrams, r.Counts, ngrams, counts)
 	}
+}
+
+// wideReference counts text's wide n-grams, and per language, in
+// c.Languages() order, how many of them occur in its wideTraining
+// texts: the counts a Bloom filter without false positives gives.
+func wideReference(c *bloom.WideClassifier, text string) (int, []int) {
+	n := c.Config().N
+	grams := func(s string) []string {
+		codes := alphabet.TranslateWide(s)
+		var out []string
+		for i := 0; i+n <= len(codes); i++ {
+			out = append(out, fmt.Sprint(codes[i:i+n]))
+		}
+		return out
+	}
+	doc := grams(text)
+	counts := make([]int, len(c.Languages()))
+	for i, lang := range c.Languages() {
+		seen := map[string]bool{}
+		for _, t := range wideTraining[lang] {
+			for _, g := range grams(t) {
+				seen[g] = true
+			}
+		}
+		for _, g := range doc {
+			if seen[g] {
+				counts[i]++
+			}
+		}
+	}
+	return len(doc), counts
 }
 
 func TestWideCaseFolding(t *testing.T) {

@@ -2,8 +2,9 @@ package serve_test
 
 // Tests of the document endpoints' wire codec over the handler: the
 // responses are byte-identical to encoding/json's encoding of the same
-// values, /stream answers an interactive client line by line, and a
-// /stream line costs no allocation.
+// values, /stream answers an interactive client line by line and
+// flushes only where the body read so far ends a line, and a /stream
+// line costs no allocation.
 
 import (
 	"bufio"
@@ -11,8 +12,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -347,6 +352,133 @@ func TestStreamNoFlushAfterBodyEnd(t *testing.T) {
 	}
 }
 
+// splitReader reads body in pieces that end at the offsets in ends
+// (or sooner, when the reader's buffer is shorter), the last piece
+// with io.EOF, and notes where each read ended.
+type splitReader struct {
+	body  []byte
+	ends  []int
+	off   int
+	reads []int
+}
+
+func (r *splitReader) Read(p []byte) (int, error) {
+	if r.off == len(r.body) {
+		return 0, io.EOF
+	}
+	n := copy(p, r.body[r.off:r.ends[0]])
+	if r.off += n; r.off == r.ends[0] {
+		r.ends = r.ends[1:]
+	}
+	r.reads = append(r.reads, r.off)
+	if r.off == len(r.body) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// lineFlushWriter is a ResponseWriter that keeps the body, counts
+// flushes and fails the test on one whose body read so far does not
+// end with a line.
+type lineFlushWriter struct {
+	discardWriter
+	t       *testing.T
+	body    *splitReader
+	out     bytes.Buffer
+	flushes int
+}
+
+func (w *lineFlushWriter) Write(p []byte) (int, error) { return w.out.Write(p) }
+func (w *lineFlushWriter) Flush() {
+	w.flushes++
+	if w.body.off == 0 || w.body.body[w.body.off-1] != '\n' {
+		w.t.Errorf("/stream flushed after a read that ended inside a line (offset %d)", w.body.off)
+	}
+}
+
+// wantFlushes is the number of flushes /stream owes a body whose reads
+// ended at ends: one before each read that follows a '\n', when a
+// line was completed since the last flush.
+func wantFlushes(body []byte, ends []int) int {
+	flushes, start, pending := 0, 0, false
+	for _, end := range ends[:len(ends)-1] {
+		pending = pending || bytes.IndexByte(body[start:end], '\n') >= 0
+		if pending && body[end-1] == '\n' {
+			flushes, pending = flushes+1, false
+		}
+		start = end
+	}
+	return flushes
+}
+
+// TestStreamFlushesOnlyAtLineEnds drives /stream?spans=1 with bodies
+// whose reads split them three ways: every read but the last ending
+// inside a line, exactly one line per read, and at random. The
+// response bytes are the same for every split (and for the body read
+// at once), /stream flushes only before reads that follow a '\n', and
+// it flushes there whenever an answer is pending: a body whose reads
+// end inside lines is answered in one write at the end.
+func TestStreamFlushesOnlyAtLineEnds(t *testing.T) {
+	_, ps := fixtures(t)
+	srv, err := serve.New(ps, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	rng := rand.New(rand.NewPCG(31, 1))
+	// 64 lines exceed maxPendingBytes, so the answers also go out
+	// early, unflushed, when many lines arrive in one read.
+	for _, lines := range []int{1, 8, 64} {
+		body := mixedLines(t, lines)
+		var lineEnds, midLine []int
+		start := 0
+		for i, c := range body {
+			if c == '\n' {
+				lineEnds = append(lineEnds, i+1)
+				midLine = append(midLine, (start+i)/2)
+				start = i + 1
+			}
+		}
+		midLine[len(midLine)-1] = len(body)
+		splits := map[string][]int{
+			"whole":    {len(body)},
+			"mid-line": midLine,
+			"per-line": lineEnds,
+		}
+		for k := range 20 {
+			var ends []int
+			for end := 0; end < len(body); {
+				end = min(len(body), end+1+rng.IntN(3000))
+				ends = append(ends, end)
+			}
+			splits[fmt.Sprintf("random-%d", k)] = ends
+		}
+		var want []byte
+		for _, name := range slices.Sorted(maps.Keys(splits)) {
+			r := &splitReader{body: body, ends: splits[name]}
+			w := &lineFlushWriter{discardWriter: discardWriter{header: http.Header{}}, t: t, body: r}
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/stream?spans=1", r))
+			if r.off != len(body) {
+				t.Fatalf("%d lines, %s: body read to %d of %d bytes", lines, name, r.off, len(body))
+			}
+			if got := bytes.Count(w.out.Bytes(), []byte("\n")); got != lines {
+				t.Errorf("%d lines, %s: %d answers", lines, name, got)
+			}
+			if want == nil {
+				want = w.out.Bytes()
+			} else if !bytes.Equal(w.out.Bytes(), want) {
+				t.Errorf("%d lines, %s: response differs from the other splits'", lines, name)
+			}
+			if f := wantFlushes(body, r.reads); w.flushes != f {
+				t.Errorf("%d lines, %s: %d flushes, want %d", lines, name, w.flushes, f)
+			}
+		}
+		if wantFlushes(body, midLine) != 0 || wantFlushes(body, lineEnds) != lines-1 {
+			t.Fatalf("%d lines: the mid-line and per-line splits owe %d and %d flushes", lines, wantFlushes(body, midLine), wantFlushes(body, lineEnds))
+		}
+	}
+}
+
 // discardWriter is a ResponseWriter that drops the body: the handler
 // benchmarks and allocation tests measure the handler alone.
 type discardWriter struct{ header http.Header }
@@ -410,6 +542,25 @@ func TestStreamZeroAllocationsPerLine(t *testing.T) {
 	t.Logf("/stream?spans=1 allocations per request: %.1f for 8 lines, %.1f for 64", a8, a64)
 	if a64-a8 >= 1 {
 		t.Errorf("64 lines cost %.1f allocations against %.1f for 8: lines allocate", a64, a8)
+	}
+}
+
+// TestDetectZeroAllocations: a warm /detect — reading the body,
+// counting, encoding — allocates nothing, the statistics wrapper
+// included.
+func TestDetectZeroAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	corp, ps := fixtures(t)
+	srv, err := serve.New(ps, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := handlerRun(srv.Handler(), "/detect", corp.Test["es"][0].Text)
+	run()
+	if a := testing.AllocsPerRun(50, run); a != 0 {
+		t.Errorf("/detect allocates %.1f times per request, want 0", a)
 	}
 }
 
@@ -483,4 +634,45 @@ func BenchmarkServeBatch(b *testing.B) {
 // mixed-language NDJSON lines.
 func BenchmarkServeStreamSpans(b *testing.B) {
 	benchmarkHandler(b, serve.Config{}, "/stream?spans=1", mixedLines(b, 8))
+}
+
+// BenchmarkServeLoopback times /detect and /stream?spans=1 end to end
+// over loopback HTTP: an httptest server, net/http's own
+// ResponseWriter and a real http.Client, with requests from GOMAXPROCS
+// goroutines at once. B/op and allocs/op count both ends of the
+// connection.
+func BenchmarkServeLoopback(b *testing.B) {
+	corp, _ := fixtures(b)
+	for _, c := range []struct {
+		name, path string
+		body       []byte
+	}{
+		{"detect", "/detect", corp.Test["es"][0].Text},
+		{"stream-spans", "/stream?spans=1", mixedLines(b, 8)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ts, _ := newTestServer(b, serve.Config{})
+			tr := http.DefaultTransport.(*http.Transport).Clone()
+			tr.MaxIdleConnsPerHost = runtime.GOMAXPROCS(0)
+			client := &http.Client{Transport: tr}
+			b.Cleanup(client.CloseIdleConnections)
+			b.ReportAllocs()
+			b.SetBytes(int64(len(c.body)))
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					resp, err := client.Post(ts.URL+c.path, "application/octet-stream", bytes.NewReader(c.body))
+					if err != nil {
+						b.Error(err)
+						return
+					}
+					_, err = io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode != http.StatusOK {
+						b.Errorf("%s: status %d, %v", c.path, resp.StatusCode, err)
+						return
+					}
+				}
+			})
+		})
+	}
 }

@@ -41,8 +41,12 @@
 // and TestResponsesMatchEncodingJSON hold it to that. /statsz, the
 // admin endpoints and error bodies use encoding/json. /stream reads
 // its lines with a bufio.Scanner and flushes its answers only before
-// it reads more of the request body, where it could block, and at the
-// end.
+// it reads more of the request body, where it could block, and only
+// when the body read so far ends with a line: a client that sends one
+// whole line and waits gets each answer before it must send the next,
+// and a client that stops in the middle of a line gets no answers
+// until that line is complete. The last answers go out with the end
+// of the response.
 package serve
 
 import (
@@ -321,42 +325,15 @@ func (s *Server) Stats() Snapshot {
 	return out
 }
 
-// statusRecorder captures the response status for error counting.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusRecorder) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards to the underlying writer so /stream can push its
-// answers before it waits for more request lines.
-func (w *statusRecorder) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// Unwrap lets http.ResponseController reach the real writer for
-// full-duplex control.
-func (w *statusRecorder) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
 func (s *Server) measure(st *endpointStats, method string, h func(http.ResponseWriter, *http.Request, *endpointStats)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		st.requests.Add(1)
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		if r.Method != method {
-			rec.Header().Set("Allow", method)
-			jsonError(rec, http.StatusMethodNotAllowed, fmt.Sprintf("%s requires %s", r.URL.Path, method))
+			w.Header().Set("Allow", method)
+			jsonError(w, st, http.StatusMethodNotAllowed, fmt.Sprintf("%s requires %s", r.URL.Path, method))
 		} else {
-			h(rec, r, st)
-		}
-		if rec.status >= 400 {
-			st.errors.Add(1)
+			h(w, r, st)
 		}
 		st.latencyNS.Add(time.Since(start).Nanoseconds())
 	})
@@ -438,7 +415,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request, st *endpoi
 	defer b.release()
 	body, err := s.readBody(w, r, b)
 	if err != nil {
-		httpReadError(w, err)
+		httpReadError(w, st, err)
 		return
 	}
 	st.bytes.Add(int64(len(body)))
@@ -447,7 +424,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request, st *endpoi
 	var buf [32]int
 	counts, m := snap.det.DetectCounts(buf[:0], body)
 	if m.NGrams == 0 {
-		jsonError(w, http.StatusUnprocessableEntity, "document too short to classify")
+		jsonError(w, st, http.StatusUnprocessableEntity, "document too short to classify")
 		return
 	}
 	st.docs.Add(1)
@@ -467,18 +444,18 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request, st *endpo
 	defer b.release()
 	body, err := s.readBody(w, r, b)
 	if err != nil {
-		httpReadError(w, err)
+		httpReadError(w, st, err)
 		return
 	}
 	st.bytes.Add(int64(len(body)))
 	if len(body) == 0 {
-		jsonError(w, http.StatusUnprocessableEntity, "document is empty")
+		jsonError(w, st, http.StatusUnprocessableEntity, "document is empty")
 		return
 	}
 	spans, err := snap.det.DetectSpans(body, s.cfg.Segment)
 	if err != nil {
 		// Unreachable while New validates the configuration.
-		jsonError(w, http.StatusInternalServerError, "segmentation misconfigured: "+err.Error())
+		jsonError(w, st, http.StatusInternalServerError, "segmentation misconfigured: "+err.Error())
 		return
 	}
 	st.docs.Add(1)
@@ -496,17 +473,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, st *endpoin
 	defer b.release()
 	body, err := s.readBody(w, r, b)
 	if err != nil {
-		httpReadError(w, err)
+		httpReadError(w, st, err)
 		return
 	}
 	var n int
 	b.ids, b.texts, n, err = b.dec.batch(body, s.cfg.MaxBatchDocs, b.ids[:0], b.texts[:0])
 	if err != nil {
-		jsonError(w, http.StatusBadRequest, "body must be a JSON array of documents: "+err.Error())
+		jsonError(w, st, http.StatusBadRequest, "body must be a JSON array of documents: "+err.Error())
 		return
 	}
 	if n > s.cfg.MaxBatchDocs {
-		jsonError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch of %d documents exceeds limit %d", n, s.cfg.MaxBatchDocs))
+		jsonError(w, st, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch of %d documents exceeds limit %d", n, s.cfg.MaxBatchDocs))
 		return
 	}
 	var bytes int64
@@ -555,11 +532,14 @@ const maxPendingBytes = 64 << 10
 // document-level detection, so spans mode still extracts and hashes
 // each n-gram exactly once. Result lines collect in a pooled buffer
 // that the scanner's reader (streamBody) writes and flushes just
-// before each read from the request body — the only point where the
-// handler can block — and that goes out at the end (and early past
-// maxPendingBytes), so a client that sends one line at a time gets
-// each answer before it must send the next, and a client that sends
-// many lines at once gets their answers in a few writes.
+// before a read from the request body — the only point where the
+// handler can block — when the bytes read so far end with '\n', and
+// that goes out at the end (and, unflushed, early past
+// maxPendingBytes). So a client that sends one whole line and waits
+// gets each answer before it must send the next; a client that stops
+// in the middle of a line gets no answers until that line is complete;
+// and a body that arrives in several reads, each but the last ending
+// inside a line, is answered in one write.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	snap := s.cur.Load()
 	det := snap.det
@@ -570,7 +550,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpoi
 	stream, err := det.BorrowStream(seg)
 	if err != nil {
 		// Unreachable while New validates the configuration.
-		jsonError(w, http.StatusInternalServerError, "segmentation misconfigured: "+err.Error())
+		jsonError(w, st, http.StatusInternalServerError, "segmentation misconfigured: "+err.Error())
 		return
 	}
 	defer det.ReturnStream(stream)
@@ -657,12 +637,12 @@ type ProfilesStatus struct {
 func (s *Server) handleAdminProfiles(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	versions, err := s.reg.List()
 	if err != nil {
-		jsonError(w, http.StatusInternalServerError, err.Error())
+		jsonError(w, st, http.StatusInternalServerError, err.Error())
 		return
 	}
 	active, err := s.reg.ActiveVersion()
 	if err != nil && !errors.Is(err, registry.ErrNoActive) {
-		jsonError(w, http.StatusInternalServerError, err.Error())
+		jsonError(w, st, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeJSON(w, ProfilesStatus{
@@ -675,7 +655,7 @@ func (s *Server) handleAdminProfiles(w http.ResponseWriter, r *http.Request, st 
 func (s *Server) handleAdminReload(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	status, err := s.Reload()
 	if err != nil {
-		jsonError(w, http.StatusInternalServerError, err.Error())
+		jsonError(w, st, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeJSON(w, status)
@@ -759,8 +739,11 @@ type errorBody struct {
 	Status int    `json:"status"`
 }
 
-// jsonError writes a JSON error response with the given status.
-func jsonError(w http.ResponseWriter, status int, msg string) {
+// jsonError writes a JSON error response with the given status and
+// counts it on the endpoint's error counter: every 4xx and 5xx answer
+// goes through here.
+func jsonError(w http.ResponseWriter, st *endpointStats, status int, msg string) {
+	st.errors.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 	w.WriteHeader(status)
@@ -770,16 +753,16 @@ func jsonError(w http.ResponseWriter, status int, msg string) {
 // httpReadError maps body-read failures to statuses: the MaxBytesReader
 // limit becomes 413, a tripped read deadline (Config.ReadTimeout)
 // becomes 408, everything else 400.
-func httpReadError(w http.ResponseWriter, err error) {
+func httpReadError(w http.ResponseWriter, st *endpointStats, err error) {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		jsonError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+		jsonError(w, st, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
 		return
 	}
 	var netErr net.Error
 	if errors.Is(err, os.ErrDeadlineExceeded) || (errors.As(err, &netErr) && netErr.Timeout()) {
-		jsonError(w, http.StatusRequestTimeout, "timed out reading request body")
+		jsonError(w, st, http.StatusRequestTimeout, "timed out reading request body")
 		return
 	}
-	jsonError(w, http.StatusBadRequest, err.Error())
+	jsonError(w, st, http.StatusBadRequest, err.Error())
 }

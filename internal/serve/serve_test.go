@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -20,6 +21,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"bloomlang/internal/core"
 	"bloomlang/internal/corpus"
@@ -699,6 +701,89 @@ func TestStatszCountsErrors(t *testing.T) {
 	}
 	if got := snap.Endpoints["/detect"].Requests; got != 2 {
 		t.Errorf("detect requests = %d, want 2", got)
+	}
+}
+
+// TestStatszCountsEveryErrorStatus: each failed request — 405, 408,
+// 413 (body over the limit, batch over its document limit), 422 and
+// 400 — adds exactly one error and one request to its endpoint's
+// counters, and a successful one adds no error. A body over the limit
+// is answered with Connection: close, so the server does not read the
+// rest of it.
+func TestStatszCountsEveryErrorStatus(t *testing.T) {
+	_, ps := fixtures(t)
+	srv, err := serve.New(ps, serve.Config{MaxBodyBytes: 1024, MaxBatchDocs: 2, ReadTimeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpSrv := srv.HTTPServer("127.0.0.1:0")
+	ln, err := net.Listen("tcp", httpSrv.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go httpSrv.Serve(ln)
+	t.Cleanup(func() { httpSrv.Close() })
+	base := "http://" + ln.Addr().String()
+	post := func(path, body string) func() (*http.Response, error) {
+		return func() (*http.Response, error) {
+			return http.Post(base+path, "text/plain", strings.NewReader(body))
+		}
+	}
+	batch, _ := json.Marshal([]string{"a", "b", "c"})
+	cases := []struct {
+		name, path string
+		do         func() (*http.Response, error)
+		status     int
+	}{
+		{"success", "/detect", post("/detect", "el consejo adopta las medidas necesarias"), http.StatusOK},
+		{"wrong method", "/detect", func() (*http.Response, error) { return http.Get(base + "/detect") }, http.StatusMethodNotAllowed},
+		{"wrong method", "/stream", func() (*http.Response, error) { return http.Get(base + "/stream") }, http.StatusMethodNotAllowed},
+		{"stalled body", "/detect", func() (*http.Response, error) {
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				return nil, err
+			}
+			defer conn.Close()
+			// Promise 1000 body bytes, send 4, then stall past the deadline.
+			fmt.Fprintf(conn, "POST /detect HTTP/1.1\r\nHost: test\r\nContent-Length: 1000\r\n\r\nabcd")
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+			if err == nil {
+				io.ReadAll(resp.Body)
+			}
+			return resp, err
+		}, http.StatusRequestTimeout},
+		{"oversized body", "/detect", post("/detect", strings.Repeat("word ", 1024)), http.StatusRequestEntityTooLarge},
+		{"oversized body", "/batch", post("/batch", strings.Repeat("word ", 1024)), http.StatusRequestEntityTooLarge},
+		{"over-limit batch", "/batch", post("/batch", string(batch)), http.StatusRequestEntityTooLarge},
+		{"empty document", "/detect", post("/detect", ""), http.StatusUnprocessableEntity},
+		{"empty document", "/segment", post("/segment", ""), http.StatusUnprocessableEntity},
+		{"malformed batch", "/batch", post("/batch", "{nope"), http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		before := srv.Stats().Endpoints[c.path]
+		resp, err := c.do()
+		if err != nil {
+			t.Fatalf("%s %s: %v", c.name, c.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.status {
+			t.Errorf("%s %s: status %d, want %d", c.name, c.path, resp.StatusCode, c.status)
+		}
+		if c.name == "oversized body" && !resp.Close {
+			t.Errorf("%s %s: 413 without Connection: close", c.name, c.path)
+		}
+		after := srv.Stats().Endpoints[c.path]
+		wantErrors := int64(0)
+		if c.status >= 400 {
+			wantErrors = 1
+		}
+		if got := after.Errors - before.Errors; got != wantErrors {
+			t.Errorf("%s %s: errors went up by %d, want %d", c.name, c.path, got, wantErrors)
+		}
+		if got := after.Requests - before.Requests; got != 1 {
+			t.Errorf("%s %s: requests went up by %d, want 1", c.name, c.path, got)
+		}
 	}
 }
 

@@ -843,24 +843,33 @@ func (b *buffers) scanLines(src io.Reader, w http.ResponseWriter, max int) *stre
 }
 
 // streamBody is a /stream request body as its line scanner reads it:
-// before each read from src, the one point where the handler can
-// block, it writes the answers pending in out to w and flushes them.
-// The scanner reads no more once src has ended, so the last answers
-// go out with the end of the response.
+// before a read from src, the one point where the handler can block,
+// it writes the answers pending in out to w and flushes them, but only
+// when the bytes read so far end a line. Only there can a client that
+// sends whole lines be waiting for an answer; a read that ends inside
+// a line leaves the rest of that line on its way, so the answers wait
+// for it and go out in one write. The scanner reads no more once src
+// has ended, so the last answers go out with the end of the response.
 type streamBody struct {
 	src     io.Reader
 	w       http.ResponseWriter
 	flusher http.Flusher
 	out     []byte
+	// atLine reports that the last byte read from src was '\n'.
+	atLine bool
 }
 
 func (s *streamBody) Read(p []byte) (int, error) {
-	if len(s.out) > 0 {
+	if s.atLine && len(s.out) > 0 {
 		s.w.Write(s.out)
 		s.out = s.out[:0]
 		if s.flusher != nil {
 			s.flusher.Flush()
 		}
 	}
-	return s.src.Read(p)
+	n, err := s.src.Read(p)
+	if n > 0 {
+		s.atLine = p[n-1] == '\n'
+	}
+	return n, err
 }

@@ -52,6 +52,16 @@ detect=$(curl -fsS -X POST --data \
   "$base/detect")
 echo "$detect" | grep -q '"language":"es"' || fail "/detect did not say es: $detect"
 
+echo "smoke: /stream?spans=1 answers each NDJSON line with its language and spans"
+printf '%s\n' \
+  '{"id":"a","text":"el consejo y la comision adoptan todas las medidas necesarias para la aplicacion del presente reglamento"}' \
+  '{"id":"b","text":"the council shall adopt the measures necessary for the application of this regulation"}' \
+  >"$tmp/stream.ndjson"
+curl -fsS -X POST --data-binary @"$tmp/stream.ndjson" "$base/stream?spans=1" >"$tmp/stream.out"
+[ "$(wc -l <"$tmp/stream.out")" -eq 2 ] || fail "/stream?spans=1 did not answer two lines: $(cat "$tmp/stream.out")"
+grep -q '^{"id":"a","language":"es".*"spans":\[{' "$tmp/stream.out" || fail "/stream line a: $(cat "$tmp/stream.out")"
+grep -q '^{"id":"b","language":"en".*"spans":\[{' "$tmp/stream.out" || fail "/stream line b: $(cat "$tmp/stream.out")"
+
 echo "smoke: /statsz reports v000001"
 curl -fsS "$base/statsz" | grep -q '"profile_version":"v000001"' || fail "statsz not on v000001"
 
@@ -79,11 +89,12 @@ for i in $(seq 1 50); do
 done
 curl -fsS "$base/statsz" | grep -q '"profile_version":"v000001"' || fail "SIGHUP did not roll back to v000001"
 
-echo "smoke: oversized body answers 413 JSON"
+echo "smoke: oversized body answers 413 JSON and closes the connection"
 code=$(head -c 200000 /dev/zero | tr '\0' 'a' | \
-  curl -s -o "$tmp/413.json" -w '%{http_code}' -X POST --data-binary @- "$base/detect" || true)
+  curl -s -D "$tmp/413.head" -o "$tmp/413.json" -w '%{http_code}' -X POST --data-binary @- "$base/detect" || true)
 [ "$code" = "413" ] || fail "oversized body got $code, want 413"
 grep -q '"status":413' "$tmp/413.json" || fail "413 body is not the JSON envelope: $(cat "$tmp/413.json")"
+grep -qi '^connection: close' "$tmp/413.head" || fail "413 without Connection: close: $(cat "$tmp/413.head")"
 
 kill "$daemon_pid"
 wait "$daemon_pid" 2>/dev/null || true
