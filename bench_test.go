@@ -1,13 +1,14 @@
 package bloomlang
 
 import (
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
 )
 
 // Benchmarks of the software classifier: the membership backend,
-// worker and subsampling ablations, plus micro-benchmarks of the
+// parallelism and subsampling ablations, plus micro-benchmarks of the
 // pipeline stages. The paper's tables and figures are benchmarked in
 // cmd/experiments.
 
@@ -66,8 +67,8 @@ func BenchmarkAblationBackends(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationWorkers measures software engine scaling with worker
-// count — the document-level parallelism knob.
+// BenchmarkAblationWorkers measures software engine scaling with
+// GOMAXPROCS, which bounds DetectBatch's document-level parallelism.
 func BenchmarkAblationWorkers(b *testing.B) {
 	corp, ps := benchFixtures(b)
 	docs := corp.TestDocuments("")
@@ -76,12 +77,14 @@ func BenchmarkAblationWorkers(b *testing.B) {
 	for _, d := range docs {
 		bytes += int64(len(d.Text))
 	}
+	det, err := NewDetector(ps, WithBackend(BackendBloom))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 2, 4, 8, 16} {
 		b.Run("workers_"+strconv.Itoa(workers), func(b *testing.B) {
-			det, err := NewDetector(ps, WithBackend(BackendBloom), WithWorkers(workers))
-			if err != nil {
-				b.Fatal(err)
-			}
+			runtime.GOMAXPROCS(workers)
 			b.SetBytes(bytes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -93,7 +93,7 @@ type Match = core.Match
 type DetectorOption = core.DetectorOption
 
 // NewDetector builds a detector over trained profiles. Options:
-// WithBackend, WithWorkers, WithMinMargin, WithMinNGrams.
+// WithBackend, WithMinMargin, WithMinNGrams.
 func NewDetector(ps *ProfileSet, opts ...DetectorOption) (*Detector, error) {
 	return core.NewDetector(ps, opts...)
 }
@@ -112,9 +112,6 @@ func WithBackend(b Backend) DetectorOption {
 		return nil, fmt.Errorf("bloomlang: unknown backend %q", b)
 	})
 }
-
-// WithWorkers bounds DetectBatch fan-out; n <= 0 means GOMAXPROCS.
-func WithWorkers(n int) DetectorOption { return core.WithWorkers(n) }
 
 // WithMinMargin makes Detect answer Unknown when the normalized winner
 // margin falls below m (0 accepts everything, including exact ties).

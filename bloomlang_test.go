@@ -1,6 +1,7 @@
 package bloomlang
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -59,9 +60,9 @@ func TestDetectorFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	det, err := NewDetector(ps,
 		WithBackend(be),
-		WithWorkers(4),
 		WithMinMargin(0.001),
 		WithMinNGrams(4))
 	if err != nil {

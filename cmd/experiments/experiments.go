@@ -37,8 +37,6 @@ type Scale struct {
 	TrainFraction float64
 	// Seed fixes the corpus and hash matrices.
 	Seed int64
-	// Workers bounds parallelism in software runs; 0 = GOMAXPROCS.
-	Workers int
 }
 
 // DefaultScale returns a scale that runs every experiment in seconds.
@@ -57,7 +55,6 @@ func (s Scale) corpusConfig() corpus.Config {
 		WordsPerDoc:     s.WordsPerDoc,
 		TrainFraction:   s.TrainFraction,
 		Seed:            s.Seed,
-		Workers:         s.Workers,
 	}
 }
 
@@ -129,7 +126,7 @@ func RunTable1(scale Scale) ([]Table1Row, error) {
 		cfg.K = c.K
 		cfg.MBits = uint32(c.MKbits) * 1024
 		psC := &core.ProfileSet{Config: cfg, Profiles: ps.Profiles}
-		det, err := core.NewDetector(psC, core.WithKernel(bloom.Backend, bloom.NewKernel), core.WithWorkers(scale.Workers))
+		det, err := core.NewDetector(psC, core.WithKernel(bloom.Backend, bloom.NewKernel))
 		if err != nil {
 			return nil, err
 		}
@@ -618,7 +615,7 @@ func RunConfusion(scale Scale) (ConfusionResult, error) {
 	if err != nil {
 		return out, err
 	}
-	det, err := core.NewDetector(ps, core.WithKernel(bloom.Backend, bloom.NewKernel), core.WithWorkers(scale.Workers))
+	det, err := core.NewDetector(ps, core.WithKernel(bloom.Backend, bloom.NewKernel))
 	if err != nil {
 		return out, err
 	}

@@ -23,15 +23,12 @@ func main() {
 	log.SetPrefix("experiments: ")
 	scaleName := flag.String("scale", "default", "corpus scale: small, default, large or paper")
 	only := flag.String("only", "", "run a single experiment: 1, 2, 3, 4, fig4, confusion or subsample")
-	workers := flag.Int("workers", 0, "software parallelism (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	scale, figScale, err := scales(*scaleName)
 	if err != nil {
 		log.Fatal(err)
 	}
-	scale.Workers = *workers
-	figScale.Workers = *workers
 
 	run := func(name string) bool { return *only == "" || *only == name }
 

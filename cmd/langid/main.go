@@ -33,10 +33,11 @@
 //	langid segment -profiles profiles.bin -tsv file1.txt | cut -f4
 //	langid segment -profiles profiles.bin -color mixed.txt
 //
-// Score profiles against a corpus directory's test split, on the
-// direct-lookup backend langidd serves unless -backend says otherwise:
+// Score profiles against a corpus directory's test split on GOMAXPROCS
+// goroutines (the header line names the count), on the direct-lookup
+// backend langidd serves unless -backend says otherwise:
 //
-//	langid eval -corpus corpusdir -profiles profiles.bin [-backend bloom] [-workers 4]
+//	langid eval -corpus corpusdir -profiles profiles.bin [-backend bloom]
 package main
 
 import (
@@ -46,6 +47,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"runtime"
 	"sort"
 
 	"bloomlang"
@@ -89,7 +91,6 @@ func eval(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("eval", flag.ExitOnError)
 	corpusDir := fs.String("corpus", "", "corpus directory (corpusgen layout)")
 	load := detectorFlags(fs)
-	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	fs.Parse(args)
 	if *corpusDir == "" {
 		return errors.New("eval: -corpus is required")
@@ -98,13 +99,13 @@ func eval(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	det, err := load(bloomlang.WithWorkers(*workers))
+	det, err := load()
 	if err != nil {
 		return err
 	}
 	rep := bloomlang.Measure(det, corp.TestDocuments(""))
 	ev := bloomlang.Evaluate(det, corp)
-	fmt.Fprintf(w, "evaluated %d documents on %s at %.1f MB/s with %d workers\n\n", ev.Docs, det.Backend(), rep.MBPerSec(), det.Workers())
+	fmt.Fprintf(w, "evaluated %d documents on %s at %.1f MB/s with GOMAXPROCS %d\n\n", ev.Docs, det.Backend(), rep.MBPerSec(), runtime.GOMAXPROCS(0))
 	fmt.Fprintln(w, "per-language accuracy:")
 	for _, lang := range ev.Languages {
 		if acc, ok := ev.PerLanguage[lang]; ok {

@@ -33,7 +33,6 @@
 //
 //	det, _ := bloomlang.NewDetector(profiles,
 //		bloomlang.WithBackend(bloomlang.BackendBloom), // default direct
-//		bloomlang.WithWorkers(8),                      // DetectBatch fan-out
 //		bloomlang.WithMinMargin(0.02),                 // ties and near-ties -> Unknown
 //		bloomlang.WithMinNGrams(8),                    // short docs -> Unknown
 //	)
@@ -42,7 +41,7 @@
 // batches, and consumes streams:
 //
 //	ranked := det.Rank(doc, 3)                  // top-3 languages by match count
-//	matches := det.DetectBatch(docs)            // docs [][]byte; input order kept
+//	matches := det.DetectBatch(docs)            // on GOMAXPROCS goroutines; input order kept
 //	st := det.NewStream()                       // incremental: Write chunks, or
 //	io.Copy(st, file); m := st.Match()          // copy a reader, then read the decision
 //

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -10,9 +11,9 @@ import (
 
 // miniDetector is the exact detector over the n = 6 mini set, which
 // counts on the generic Stream path.
-func miniDetector(t testing.TB, workers int) *Detector {
+func miniDetector(t testing.TB) *Detector {
 	t.Helper()
-	det, err := NewDetector(sixGramSet(t), WithWorkers(workers))
+	det, err := NewDetector(sixGramSet(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,12 +21,17 @@ func miniDetector(t testing.TB, workers int) *Detector {
 }
 
 func TestDetectBatchDefaults(t *testing.T) {
-	det := miniDetector(t, 0)
-	if det.Workers() <= 0 {
-		t.Errorf("Workers = %d, want positive default", det.Workers())
-	}
+	det := miniDetector(t)
 	if det.Classifier() != det {
 		t.Error("Classifier accessor is not the detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	if got := det.DetectBatch([][]byte{}); len(got) != 0 {
+		t.Errorf("DetectBatch of an empty batch returned %d matches", len(got))
+	}
+	doc := getMiniCorpus(t).Test["fi"][0].Text
+	if got := det.DetectBatch([][]byte{doc}); len(got) != 1 || got[0] != det.Detect(doc) {
+		t.Errorf("DetectBatch of one document = %+v, want [%+v]", got, det.Detect(doc))
 	}
 }
 
@@ -33,7 +39,8 @@ func TestDetectBatchDefaults(t *testing.T) {
 // document, the sequential Detect match, whose count is the staged
 // reference's count for its language.
 func TestDetectBatchMatchesSequential(t *testing.T) {
-	det := miniDetector(t, 8)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	det := miniDetector(t)
 	docs := getMiniCorpus(t).TestDocuments("")
 	par := det.DetectBatch(corpus.Texts(docs))
 	if len(par) != len(docs) {
@@ -50,14 +57,16 @@ func TestDetectBatchMatchesSequential(t *testing.T) {
 }
 
 func TestDetectBatchEmpty(t *testing.T) {
-	det := miniDetector(t, 4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	det := miniDetector(t)
 	if got := det.DetectBatch(nil); len(got) != 0 {
 		t.Errorf("DetectBatch(nil) returned %d matches", len(got))
 	}
 }
 
 func TestDetectBatchMoreWorkersThanDocs(t *testing.T) {
-	det := miniDetector(t, 64)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(64))
+	det := miniDetector(t)
 	docs := getMiniCorpus(t).Test["en"][:2]
 	matches := det.DetectBatch(corpus.Texts(docs))
 	if len(matches) != 2 {
@@ -71,11 +80,14 @@ func TestDetectBatchMoreWorkersThanDocs(t *testing.T) {
 }
 
 func TestDetectBatchWorkerScalingConsistency(t *testing.T) {
-	// Same inputs, different worker counts: identical outputs.
+	// Same inputs, different GOMAXPROCS: identical outputs.
 	docs := getMiniCorpus(t).TestDocuments("")
-	r1 := miniDetector(t, 1).DetectBatch(corpus.Texts(docs))
-	r8 := miniDetector(t, 8).DetectBatch(corpus.Texts(docs))
+	det := miniDetector(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	r1 := det.DetectBatch(corpus.Texts(docs))
+	runtime.GOMAXPROCS(8)
+	r8 := det.DetectBatch(corpus.Texts(docs))
 	if !reflect.DeepEqual(r1, r8) {
-		t.Fatal("batch classified differently under different worker counts")
+		t.Fatal("batch classified differently under GOMAXPROCS 1 and 8")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Match is one classified document: the winning language with a
@@ -40,7 +41,6 @@ type Match struct {
 type detectorOptions struct {
 	backend   Backend
 	build     func(*ProfileSet) (Kernel, error)
-	workers   int
 	minMargin float64
 	minNGrams int
 }
@@ -56,11 +56,6 @@ type DetectorOption func(*detectorOptions)
 // BackendDirect.
 func WithKernel(name Backend, build func(*ProfileSet) (Kernel, error)) DetectorOption {
 	return func(o *detectorOptions) { o.backend, o.build = name, build }
-}
-
-// WithWorkers bounds DetectBatch fan-out; n <= 0 means GOMAXPROCS.
-func WithWorkers(n int) DetectorOption {
-	return func(o *detectorOptions) { o.workers = n }
 }
 
 // WithMinMargin makes Detect return Unknown when the normalized winner
@@ -79,16 +74,15 @@ func WithMinNGrams(n int) DetectorOption {
 }
 
 // Detector is the single entry point for language detection: it owns
-// the membership kernel, a worker bound for DetectBatch, the
-// unknown-thresholding policy, and a pool of reusable counting streams,
-// so the one-document hot path allocates nothing after warm-up. A Detector is safe for concurrent use by any
+// the membership kernel, the unknown-thresholding policy, and a pool of
+// reusable counting streams, so the one-document hot path allocates
+// nothing after warm-up. A Detector is safe for concurrent use by any
 // number of goroutines.
 type Detector struct {
 	cfg       Config
 	backend   Backend
 	langs     []string
 	kernel    Kernel
-	workers   int
 	minMargin float64
 	minNGrams int
 	pool      sync.Pool // of *Stream; every detection path borrows one
@@ -110,7 +104,6 @@ func NewDetector(ps *ProfileSet, opts ...DetectorOption) (*Detector, error) {
 	d := &Detector{
 		cfg:       cfg,
 		backend:   BackendDirect,
-		workers:   o.workers,
 		minMargin: max(o.minMargin, 0),
 		minNGrams: max(o.minNGrams, 1),
 	}
@@ -129,9 +122,6 @@ func NewDetector(ps *ProfileSet, opts ...DetectorOption) (*Detector, error) {
 	}
 	if err != nil {
 		return nil, err
-	}
-	if d.workers <= 0 {
-		d.workers = runtime.GOMAXPROCS(0)
 	}
 	d.pool.New = func() any { return &Stream{d: d} }
 	return d, nil
@@ -183,9 +173,6 @@ func (d *Detector) Config() Config { return d.cfg }
 
 // Backend returns the name of the kernel the detector counts with.
 func (d *Detector) Backend() Backend { return d.backend }
-
-// Workers returns the DetectBatch fan-out bound.
-func (d *Detector) Workers() int { return d.workers }
 
 // MinMargin returns the unknown-thresholding margin floor.
 func (d *Detector) MinMargin() float64 { return d.minMargin }
@@ -311,29 +298,28 @@ func (d *Detector) rankCounts(counts []int, ngrams, k int) []Match {
 	return ms
 }
 
-// DetectBatch classifies every document over the detector's worker
-// pool, preserving input order — the document-level parallelism of the
-// paper's hardware, each document counted on a pooled stream.
+// DetectBatch classifies every document on min(GOMAXPROCS, len(docs))
+// goroutines, preserving input order — the document-level parallelism
+// of the paper's hardware, each document counted on a pooled stream.
+// Each goroutine claims the next index from one counter and writes only
+// that result slot.
 func (d *Detector) DetectBatch(docs [][]byte) []Match {
 	out := make([]Match, len(docs))
-	if len(docs) == 0 {
-		return out
-	}
-	next := make(chan int)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < min(d.workers, len(docs)); w++ {
+	for range min(runtime.GOMAXPROCS(0), len(docs)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(docs) {
+					return
+				}
 				out[i] = d.Detect(docs[i])
 			}
 		}()
 	}
-	for i := range docs {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
 	return out
 }

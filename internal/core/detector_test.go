@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"bloomlang/internal/corpus"
@@ -170,8 +171,9 @@ func TestMatchSingleLanguageProfileSet(t *testing.T) {
 func TestDetectorAgreesWithLegacyClassifier(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
 	corp := getMiniCorpus(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	for _, backend := range equivBackends() {
-		det, err := NewDetector(ps, withBackend(backend), WithWorkers(3))
+		det, err := NewDetector(ps, withBackend(backend))
 		if err != nil {
 			t.Fatal(err)
 		}

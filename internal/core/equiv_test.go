@@ -14,6 +14,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"bloomlang/internal/alphabet"
@@ -328,21 +329,23 @@ func TestDetectBatchPreservesInputOrder(t *testing.T) {
 			wantLangs = append(wantLangs, lang)
 		}
 	}
-	for _, workers := range []int{1, 3, len(docs) * 4} {
-		det, err := NewDetector(ps, WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
+	det, err := NewDetector(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3, len(docs) * 4} {
+		runtime.GOMAXPROCS(procs)
 		got := det.DetectBatch(corpus.Texts(docs))
 		if len(got) != len(docs) {
-			t.Fatalf("workers=%d: %d results for %d docs", workers, len(got), len(docs))
+			t.Fatalf("GOMAXPROCS=%d: %d results for %d docs", procs, len(got), len(docs))
 		}
 		for i, d := range docs {
 			if got[i] != det.Detect(d.Text) {
-				t.Errorf("workers=%d: result %d differs from sequential", workers, i)
+				t.Errorf("GOMAXPROCS=%d: result %d differs from sequential", procs, i)
 			}
 			if got[i].Lang != wantLangs[i] {
-				t.Errorf("workers=%d: position %d classified %q, want %q", workers, i, got[i].Lang, wantLangs[i])
+				t.Errorf("GOMAXPROCS=%d: position %d classified %q, want %q", procs, i, got[i].Lang, wantLangs[i])
 			}
 		}
 	}

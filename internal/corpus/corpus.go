@@ -3,7 +3,9 @@ package corpus
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Config describes a corpus to generate. The defaults mirror the paper's
@@ -11,8 +13,8 @@ import (
 // language with an average of 1,300 words per document, 10% of the
 // corpus used as the training set.
 type Config struct {
-	// Languages is the set of language codes; nil means all ten of the
-	// paper's languages.
+	// Languages is the set of language codes, each at most once; nil
+	// means all ten of the paper's languages.
 	Languages []string
 	// DocsPerLanguage is the number of documents generated per language.
 	DocsPerLanguage int
@@ -24,8 +26,6 @@ type Config struct {
 	// Seed makes generation reproducible. Two corpora generated with
 	// equal Config are byte-identical regardless of GOMAXPROCS.
 	Seed int64
-	// Workers bounds generation parallelism; 0 means GOMAXPROCS.
-	Workers int
 }
 
 // PaperConfig returns the full-scale configuration matching the paper's
@@ -62,9 +62,6 @@ func (c *Config) applyDefaults() {
 	if c.TrainFraction <= 0 || c.TrainFraction >= 1 {
 		c.TrainFraction = 0.10
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 }
 
 // Document is one generated text with its true language label.
@@ -89,8 +86,9 @@ type Corpus struct {
 }
 
 // Generate builds the corpus described by cfg. Documents are generated
-// in parallel but each document's bytes depend only on (Seed, language,
-// document index), so output is reproducible.
+// on min(GOMAXPROCS, documents) goroutines, but each document's bytes
+// depend only on (Seed, language, document index), so output is
+// reproducible.
 func Generate(cfg Config) (*Corpus, error) {
 	cfg.applyDefaults()
 	c := &Corpus{
@@ -100,6 +98,9 @@ func Generate(cfg Config) (*Corpus, error) {
 	for _, code := range cfg.Languages {
 		if _, err := ByCode(code); err != nil {
 			return nil, err
+		}
+		if slices.Contains(c.Languages, code) {
+			return nil, fmt.Errorf("corpus: language %q listed twice", code)
 		}
 		c.Languages = append(c.Languages, code)
 	}
@@ -112,42 +113,33 @@ func Generate(cfg Config) (*Corpus, error) {
 		return nil, fmt.Errorf("corpus: train fraction %.2f leaves no test documents", cfg.TrainFraction)
 	}
 
-	type job struct {
-		lang string
-		id   int
-	}
-	jobs := make(chan job)
+	// Job j is document j%DocsPerLanguage of language j/DocsPerLanguage;
+	// each goroutine claims the next job and writes only its slot.
+	docs := make([]Document, len(c.Languages)*cfg.DocsPerLanguage)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	results := make(map[string][]Document, len(cfg.Languages))
-	for _, code := range cfg.Languages {
-		results[code] = make([]Document, cfg.DocsPerLanguage)
-	}
-
-	for w := 0; w < cfg.Workers; w++ {
+	for range min(runtime.GOMAXPROCS(0), len(docs)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				spec, _ := ByCode(j.lang)
-				gen := NewGenerator(spec, docSeed(cfg.Seed, j.lang, j.id))
-				// Each job owns its slot, so the write below is race-free;
-				// wg.Wait establishes happens-before for the reads that follow.
-				results[j.lang][j.id] = Document{Language: j.lang, ID: j.id, Text: gen.Document(cfg.WordsPerDoc)}
+			for {
+				j := int(next.Add(1)) - 1
+				if j >= len(docs) {
+					return
+				}
+				lang, id := c.Languages[j/cfg.DocsPerLanguage], j%cfg.DocsPerLanguage
+				spec, _ := ByCode(lang)
+				gen := NewGenerator(spec, docSeed(cfg.Seed, lang, id))
+				docs[j] = Document{Language: lang, ID: id, Text: gen.Document(cfg.WordsPerDoc)}
 			}
 		}()
 	}
-	for _, code := range cfg.Languages {
-		for id := 0; id < cfg.DocsPerLanguage; id++ {
-			jobs <- job{lang: code, id: id}
-		}
-	}
-	close(jobs)
 	wg.Wait()
 
-	for _, code := range cfg.Languages {
-		docs := results[code]
-		c.Train[code] = docs[:nTrain]
-		c.Test[code] = docs[nTrain:]
+	for i, code := range c.Languages {
+		lang := docs[i*cfg.DocsPerLanguage : (i+1)*cfg.DocsPerLanguage]
+		c.Train[code] = lang[:nTrain]
+		c.Test[code] = lang[nTrain:]
 	}
 	return c, nil
 }

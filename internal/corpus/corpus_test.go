@@ -3,6 +3,8 @@ package corpus
 import (
 	"bytes"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -226,12 +228,12 @@ func TestGenerateDeterministicAcrossWorkerCounts(t *testing.T) {
 	cfg := TestConfig()
 	cfg.DocsPerLanguage = 8
 	cfg.Languages = []string{"en", "fi"}
-	cfg.Workers = 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	a, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 8
+	runtime.GOMAXPROCS(8)
 	b, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +241,7 @@ func TestGenerateDeterministicAcrossWorkerCounts(t *testing.T) {
 	for _, lang := range a.Languages {
 		for i := range a.Test[lang] {
 			if !bytes.Equal(a.Test[lang][i].Text, b.Test[lang][i].Text) {
-				t.Fatalf("%s test doc %d differs between worker counts", lang, i)
+				t.Fatalf("%s test doc %d differs between GOMAXPROCS 1 and 8", lang, i)
 			}
 		}
 	}
@@ -255,6 +257,11 @@ func TestGenerateValidation(t *testing.T) {
 	cfg.DocsPerLanguage = 1 // the minimum one train doc leaves no test docs
 	if _, err := Generate(cfg); err == nil {
 		t.Error("Generate with no test docs succeeded")
+	}
+	cfg = TestConfig()
+	cfg.Languages = []string{"en", "fi", "en"}
+	if _, err := Generate(cfg); err == nil || !strings.Contains(err.Error(), `"en"`) {
+		t.Errorf("Generate with a repeated language: err = %v, want one naming \"en\"", err)
 	}
 }
 

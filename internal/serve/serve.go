@@ -554,7 +554,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpoi
 		return
 	}
 	defer det.ReturnStream(stream)
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header()["Content-Type"] = ndjsonContentType
 	// Result lines go out while request lines are still coming in; for
 	// HTTP/1 the server would otherwise cut off the request body at the
 	// first flush.
@@ -694,9 +694,13 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// jsonContentType is the Content-Type header value of the document
-// endpoints, shared so setting it allocates nothing.
-var jsonContentType = []string{"application/json"}
+// jsonContentType and ndjsonContentType are the Content-Type header
+// values of the document endpoints and /stream, shared so setting them
+// allocates nothing.
+var (
+	jsonContentType   = []string{"application/json"}
+	ndjsonContentType = []string{"application/x-ndjson"}
+)
 
 // writeJSONBytes writes an encoded JSON response body in one Write, as
 // json.Encoder does.

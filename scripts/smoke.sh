@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the profile lifecycle: generate a corpus,
-# train a registry version with the streaming trainer, serve it with
-# langidd, detect over HTTP, train + activate a second version, hot
-# swap it via /admin/reload, and assert /statsz reports the new
-# version. Run from the repository root: scripts/smoke.sh
+# train a registry version with the streaming trainer, run langid's
+# eval, classify and segment on it, serve it with langidd, detect over
+# HTTP, train + activate a second version, hot swap it via
+# /admin/reload, and assert /statsz reports the new version. Run from
+# the repository root: scripts/smoke.sh
 set -euo pipefail
 
 tmp=$(mktemp -d)
@@ -31,10 +32,29 @@ if "$tmp/bin/langidd" -addr "$addr" 2>"$tmp/nosource.err"; then
 fi
 grep -q "no profiles to serve" "$tmp/nosource.err" || fail "unclear no-source error: $(cat "$tmp/nosource.err")"
 
-echo "smoke: training v000001 into the registry"
-"$tmp/bin/langid" train -corpus "$tmp/corpus" -registry "$tmp/registry" -activate >/dev/null
+echo "smoke: training v000001 into the registry and a profile file"
+"$tmp/bin/langid" train -corpus "$tmp/corpus" -registry "$tmp/registry" -activate -out "$tmp/profiles.bin" >/dev/null
 "$tmp/bin/langid" profiles -registry "$tmp/registry" | grep -q '^\* v000001' \
   || fail "v000001 not listed as active"
+
+echo "smoke: langid eval scores the test split on direct-lookup"
+"$tmp/bin/langid" eval -corpus "$tmp/corpus" -profiles "$tmp/profiles.bin" >"$tmp/eval.out"
+head -n 1 "$tmp/eval.out" | grep -q ' on direct-lookup ' \
+  || fail "eval header does not name direct-lookup: $(head -n 1 "$tmp/eval.out")"
+
+fi_docs=("$tmp"/corpus/fi/test/*.txt)
+fi_doc=${fi_docs[0]}
+echo "smoke: langid classify calls a Finnish test file fi"
+classified=$("$tmp/bin/langid" classify -profiles "$tmp/profiles.bin" "$fi_doc")
+echo "$classified" | grep -q "^$fi_doc: fi " || fail "classify did not say fi: $classified"
+
+echo "smoke: langid segment -tsv rows tile the file from byte 0 to its size"
+"$tmp/bin/langid" segment -profiles "$tmp/profiles.bin" -tsv "$fi_doc" >"$tmp/segment.tsv"
+awk -F '\t' -v end=0 -v size="$(wc -c <"$fi_doc")" '
+  $2 != end { bad = 1 }
+  { end = $3 }
+  END { exit (bad || NR == 0 || end != size) }
+' "$tmp/segment.tsv" || fail "segment rows do not tile 0..$(wc -c <"$fi_doc"): $(cat "$tmp/segment.tsv")"
 
 echo "smoke: starting langidd"
 "$tmp/bin/langidd" -registry "$tmp/registry" -addr "$addr" -max-body 65536 &
