@@ -33,12 +33,16 @@ type Result struct {
 
 // BestLanguage returns the language with the most matches, ties broken
 // towards the lower index (the lexicographically earlier language), or
-// "" when no n-grams were tested.
+// "" when no language matched any n-gram.
 func (r Result) BestLanguage(langs []string) string {
-	if r.NGrams == 0 || len(r.Counts) == 0 {
+	if len(r.Counts) == 0 {
 		return ""
 	}
-	return langs[slices.Index(r.Counts, slices.Max(r.Counts))]
+	best := slices.Max(r.Counts)
+	if best == 0 {
+		return ""
+	}
+	return langs[slices.Index(r.Counts, best)]
 }
 
 // Margin returns the winner's lead over the runner-up in match counts,

@@ -180,6 +180,9 @@ func TestWideClassifyEmpty(t *testing.T) {
 	if r.NGrams != 9 || ngrams != 9 || !slices.Equal(r.Counts, counts) || !slices.Equal(counts, []int{0, 0, 0, 0}) {
 		t.Errorf("letterless text: %d n-grams, counts %v; reference %d, %v", r.NGrams, r.Counts, ngrams, counts)
 	}
+	if got := r.BestLanguage(c.Languages()); got != "" {
+		t.Errorf("letterless text matched no language but is classified as %q", got)
+	}
 }
 
 // wideReference counts text's wide n-grams, and per language, in

@@ -104,6 +104,7 @@ func Generate(cfg Config) (*Corpus, error) {
 		}
 		c.Languages = append(c.Languages, code)
 	}
+	slices.Sort(c.Languages)
 
 	nTrain := int(float64(cfg.DocsPerLanguage) * cfg.TrainFraction)
 	if nTrain < 1 {

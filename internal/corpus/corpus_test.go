@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -262,6 +263,40 @@ func TestGenerateValidation(t *testing.T) {
 	cfg.Languages = []string{"en", "fi", "en"}
 	if _, err := Generate(cfg); err == nil || !strings.Contains(err.Error(), `"en"`) {
 		t.Errorf("Generate with a repeated language: err = %v, want one naming \"en\"", err)
+	}
+}
+
+// TestGenerateSortsLanguages: Corpus.Languages is sorted whatever
+// order Config.Languages lists them in, so a generated corpus
+// interleaves its test documents as the same corpus read back from
+// disk does.
+func TestGenerateSortsLanguages(t *testing.T) {
+	cfg := TestConfig()
+	cfg.Languages = []string{"fi", "en"}
+	cfg.DocsPerLanguage = 6
+	c, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(c.Languages, []string{"en", "fi"}) {
+		t.Fatalf("Languages = %v, want [en fi]", c.Languages)
+	}
+	root := filepath.Join(t.TempDir(), "corpus")
+	if err := c.WriteDir(root); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := c.TestDocuments(""), back.TestDocuments("")
+	if len(got) != len(want) {
+		t.Fatalf("generated corpus has %d test documents, read back %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Language != want[i].Language || !bytes.Equal(got[i].Text, want[i].Text) {
+			t.Fatalf("test document %d: generated a %s document, read back another %s one", i, got[i].Language, want[i].Language)
+		}
 	}
 }
 

@@ -606,6 +606,41 @@ func batchBody(tb testing.TB) []byte {
 	return body
 }
 
+// TestBatchFallbackCountsWithoutKeeping: a 10 MiB /batch body of
+// {"x":1} objects, which the decoder leaves to encoding/json, is
+// answered 413 for its document count, and costs at most twice the
+// memory of a same-size body of fast-path documents: the fallback
+// counts the documents past the limit without keeping them.
+func TestBatchFallbackCountsWithoutKeeping(t *testing.T) {
+	_, ps := fixtures(t)
+	srv, err := serve.New(ps, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	array := func(doc string) []byte {
+		n := (10<<20 - 2) / (len(doc) + 1)
+		return []byte("[" + strings.Repeat(doc+",", n-1) + doc + "]")
+	}
+	alloc := func(body []byte) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader(body)))
+		runtime.ReadMemStats(&after)
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("body of %d bytes: status %d, want 413: %s", len(body), w.Code, w.Body.Bytes())
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	fast := alloc(array(`{"id":"d","text":"el consejo adopta las medidas"}`))
+	hostile := alloc(array(`{"x":1}`))
+	t.Logf("allocated %d MiB for fast-path documents, %d MiB for {\"x\":1}", fast>>20, hostile>>20)
+	if hostile > 2*fast {
+		t.Errorf("{\"x\":1} body allocates %d bytes, more than twice the %d of fast-path documents", hostile, fast)
+	}
+}
+
 func benchmarkHandler(b *testing.B, cfg serve.Config, path string, body []byte) {
 	_, ps := fixtures(b)
 	srv, err := serve.New(ps, cfg)

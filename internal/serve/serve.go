@@ -29,11 +29,13 @@
 // as 408.
 //
 // The document endpoints speak JSON through one small codec (wire.go):
-// its decoder reads the document shapes — a string, null, or an
-// {"id", "text"} object — in one pass over the request's pooled
-// buffer, and their text goes straight to the counting stream; the
-// value of any other key is checked by json.Valid, and a malformed
-// request is reported with encoding/json's own syntax error. Responses
+// its decoder reads the documents JSON clients send — a string, null,
+// or an object with only the keys "id" and "text", holding strings or
+// null — in one pass over the request's pooled buffer, and their text
+// goes straight to the counting stream. Any other request (another key, a
+// value of another type, invalid UTF-8, malformed JSON) goes whole to
+// encoding/json, which validates it, reports a malformed one with its
+// own syntax error and reads the documents of the rest. Responses
 // are appended into a pooled buffer straight from core's matches and
 // spans, with each snapshot's language codes and names quoted once,
 // when the snapshot is built. The codec accepts exactly the documents

@@ -1,21 +1,24 @@
 package serve
 
-// The wire codec of the document endpoints. The decoder reads only the
-// document shapes: a JSON string, null, or an object whose "id" and
-// "text" keys hold a string or null. It walks an NDJSON line or a
-// /batch body once and yields each document's id and text as byte
-// slices of the input, or, for a string with an escape or invalid
-// UTF-8, built in a scratch buffer; it never writes into the input.
-// The value of any other key is found by matching brackets outside
-// strings and checked by json.Valid, small values together in batches
-// of up to 4 KiB, and a syntax error is reported in encoding/json's
-// own words by running json.Unmarshal on the input, once the decoder
-// has failed. The encoder appends Detection, SpanDetection and
-// Segmentation JSON straight from core.Match and core.Span. Both are
-// held to encoding/json: the decoder accepts exactly what
-// json.Unmarshal accepts into the document shape and yields the same
-// bytes, and the encoder writes the bytes json.Encoder.Encode writes.
-// FuzzWireCodec checks both halves against encoding/json.
+// The wire codec of the document endpoints. The decoder reads a
+// /stream line or a /batch body on a fast path when it holds only what
+// JSON clients send: documents that are a JSON string, null, or an
+// object whose keys are exactly "id" and "text" and hold a string or
+// null, alone or in an array, with whitespace between the tokens. That
+// path walks the input once and yields each document's id and text as
+// byte slices of the input, or, for a string with an escape, built in
+// a scratch buffer; it never writes into the input. Every other input
+// (another key, a key in another case, a value of another type, a
+// string holding invalid UTF-8, a syntax error) goes whole to
+// encoding/json: json.Valid checks it, a malformed one is reported
+// with encoding/json's own syntax error, and one json.Decoder reads
+// the documents of a valid one, one element at a time. The encoder
+// appends Detection, SpanDetection and Segmentation JSON straight from
+// core.Match and core.Span. Both are held to encoding/json: the
+// decoder accepts exactly what json.Unmarshal accepts into the
+// document shape and yields the same bytes, and the encoder writes the
+// bytes json.Encoder.Encode writes. FuzzWireCodec checks both halves
+// against encoding/json.
 
 import (
 	"bufio"
@@ -35,65 +38,36 @@ import (
 	"bloomlang/internal/core"
 )
 
-// maxDepth is encoding/json's nesting limit; sharing it keeps the two
-// decoders accepting the same bodies.
-const maxDepth = 10000
-
-// errSyntax marks malformed input inside the decoder, which then
-// stands at or past the first byte encoding/json rejects (at the end
-// when the input stops inside a value); line and batch replace it with
-// encoding/json's report of the error.
-var errSyntax = errors.New("invalid JSON")
-
 // decoder decodes documents from one NDJSON line or one /batch body.
 // A document is a JSON string (its text), null (an empty document), or
 // an object whose keys equal "id" or "text" under bytes.EqualFold and
 // hold a string or null; the last such key wins, null leaves the field
-// as it was, and every other key's value is validated and skipped.
-// Yielded slices stay valid until buf or scratch is reused.
+// as it was, and every other key is ignored. Yielded slices stay valid
+// until buf or scratch is reused.
 type decoder struct {
 	buf     []byte
 	pos     int
-	depth   int // open arrays and objects
-	elem    int // where the /batch document after the first starts, else 0
 	scratch []byte
-	// unchecked holds the skipped values json.Valid has yet to check,
-	// as the elements of one JSON array: "[v1,v2,". deferred records
-	// that the input put any there; eager has skip check each value at
-	// once instead.
-	unchecked       []byte
-	deferred, eager bool
 }
 
-// checkBatch is the most bytes of skipped values checked in one
-// json.Valid call; a larger value is checked on its own.
-const checkBatch = 4 << 10
-
 func (d *decoder) reset(buf []byte) {
-	d.buf, d.pos, d.depth, d.elem = buf, 0, 0, 0
+	d.buf, d.pos = buf, 0
 	d.scratch = d.scratch[:0]
-	d.unchecked, d.deferred = append(d.unchecked[:0], '['), false
 }
 
 // line decodes one NDJSON document line.
 func (d *decoder) line(line []byte) (id, text []byte, err error) {
 	d.reset(line)
 	d.ws()
-	if id, text, err = d.doc(); err == nil {
-		err = d.end()
+	id, text, ok := d.doc()
+	if ok && d.end() {
+		return id, text, nil
 	}
-	if err == nil {
-		err = d.check()
-	}
-	if err != nil && d.deferred {
-		d.eager = true
-		defer func() { d.eager = false }()
-		return d.line(line)
-	}
+	ids, texts, _, err := d.fallback(line, false, 1, nil, nil)
 	if err != nil {
-		return nil, nil, d.report(err)
+		return nil, nil, err
 	}
-	return id, text, nil
+	return ids[0], texts[0], nil
 }
 
 // batch decodes a /batch body: a JSON array of documents, or null for
@@ -104,47 +78,33 @@ func (d *decoder) line(line []byte) (id, text []byte, err error) {
 func (d *decoder) batch(body []byte, limit int, ids, texts [][]byte) ([][]byte, [][]byte, int, error) {
 	d.reset(body)
 	d.ws()
-	var n int
-	var err error
-	gotIDs, gotTexts := ids, texts
+	gotIDs, gotTexts, n, ok := ids, texts, 0, false
 	switch d.peek() {
 	case 'n':
-		err = d.null()
+		ok = d.lit(litNull)
 	case '[':
-		gotIDs, gotTexts, n, err = d.docs(limit, ids, texts)
-	default:
-		err = d.notA("an array of documents")
+		gotIDs, gotTexts, n, ok = d.docs(limit, ids, texts)
 	}
-	if err == nil {
-		err = d.end()
+	if ok && d.end() {
+		return gotIDs, gotTexts, n, nil
 	}
-	if err == nil {
-		err = d.check()
-	}
-	if err != nil && d.deferred {
-		d.eager = true
-		defer func() { d.eager = false }()
-		return d.batch(body, limit, ids, texts)
-	}
-	return gotIDs, gotTexts, n, d.report(err)
+	return d.fallback(body, true, limit, gotIDs[:len(ids)], gotTexts[:len(texts)])
 }
 
-// docs decodes the array of documents at d.pos, appending the ids and
-// texts of the first limit to ids and texts.
-func (d *decoder) docs(limit int, ids, texts [][]byte) ([][]byte, [][]byte, int, error) {
+// docs reads the array of documents at d.pos on the fast path,
+// appending the ids and texts of the first limit to ids and texts.
+func (d *decoder) docs(limit int, ids, texts [][]byte) ([][]byte, [][]byte, int, bool) {
 	d.pos++
-	d.depth++
 	d.ws()
 	if d.peek() == ']' {
 		d.pos++
-		d.depth--
-		return ids, texts, 0, nil
+		return ids, texts, 0, true
 	}
 	for n := 0; ; {
 		d.ws()
-		id, text, err := d.doc()
-		if err != nil {
-			return ids, texts, n, err
+		id, text, ok := d.doc()
+		if !ok {
+			return ids, texts, n, false
 		}
 		if n < limit {
 			ids, texts = append(ids, id), append(texts, text)
@@ -154,192 +114,86 @@ func (d *decoder) docs(limit int, ids, texts [][]byte) ([][]byte, [][]byte, int,
 		switch d.peek() {
 		case ']':
 			d.pos++
-			d.depth--
-			return ids, texts, n, nil
+			return ids, texts, n, true
 		case ',':
 			d.pos++
-			d.elem = d.pos
 		default:
-			return ids, texts, n, errSyntax
+			return ids, texts, n, false
 		}
 	}
 }
 
-// doc decodes the document value at d.pos.
-func (d *decoder) doc() (id, text []byte, err error) {
+// doc reads the document at d.pos on the fast path.
+func (d *decoder) doc() (id, text []byte, ok bool) {
 	switch d.peek() {
 	case '"':
-		text, err = d.str()
-		return nil, text, err
+		text, ok = d.str()
+		return nil, text, ok
 	case 'n':
-		return nil, nil, d.null()
+		return nil, nil, d.lit(litNull)
 	case '{':
 	default:
-		return nil, nil, d.notA("a document (a string, null or an object)")
+		return nil, nil, false
 	}
 	d.pos++
-	d.depth++
 	d.ws()
 	if d.peek() == '}' {
 		d.pos++
-		d.depth--
-		return nil, nil, nil
+		return nil, nil, true
 	}
 	for {
-		if d.peek() != '"' {
-			return nil, nil, errSyntax
+		dst := &text
+		if !d.lit(keyText) {
+			if !d.lit(keyID) {
+				return nil, nil, false
+			}
+			dst = &id
 		}
-		// A key built in scratch is dropped from it once compared.
-		mark := len(d.scratch)
-		key, err := d.str()
-		if err != nil {
-			return nil, nil, err
-		}
-		var dst *[]byte
-		name := "text"
-		switch {
-		case bytes.EqualFold(key, keyText):
-			dst = &text
-		case bytes.EqualFold(key, keyID):
-			dst, name = &id, "id"
-		}
-		d.scratch = d.scratch[:mark]
 		d.ws()
 		if d.peek() != ':' {
-			return nil, nil, errSyntax
+			return nil, nil, false
 		}
 		d.pos++
 		d.ws()
-		if dst != nil {
-			err = d.field(dst, name)
-		} else {
-			err = d.skip()
-		}
-		if err != nil {
-			return nil, nil, err
+		if d.peek() == '"' {
+			if *dst, ok = d.str(); !ok {
+				return nil, nil, false
+			}
+		} else if !d.lit(litNull) { // null leaves the field as it was
+			return nil, nil, false
 		}
 		d.ws()
 		switch d.peek() {
 		case '}':
 			d.pos++
-			d.depth--
-			return id, text, nil
+			return id, text, true
 		case ',':
 			d.pos++
 			d.ws()
 		default:
-			return nil, nil, errSyntax
+			return nil, nil, false
 		}
 	}
 }
 
-var keyText, keyID = []byte("text"), []byte("id")
+var litNull, keyText, keyID = []byte("null"), []byte(`"text"`), []byte(`"id"`)
 
-// field decodes the value of a document's id or text key into dst; a
-// null leaves dst as it was.
-func (d *decoder) field(dst *[]byte, name string) error {
-	switch d.peek() {
-	case '"':
-		v, err := d.str()
-		*dst = v
-		return err
-	case 'n':
-		return d.null()
+// lit consumes s when the input at d.pos starts with it.
+func (d *decoder) lit(s []byte) bool {
+	ok := bytes.HasPrefix(d.buf[d.pos:], s)
+	if ok {
+		d.pos += len(s)
 	}
-	return d.notA(`document field "` + name + `" of type string`)
+	return ok
 }
 
-// null consumes the null at d.pos.
-func (d *decoder) null() error {
-	if !bytes.HasPrefix(d.buf[d.pos:], litNull) {
-		d.pos += len(litNull) // past the byte that differs
-		return errSyntax
-	}
-	d.pos += len(litNull)
-	return nil
-}
-
-var litNull = []byte("null")
-
-// skip consumes one value of any type, as encoding/json validates the
-// unknown fields it ignores. A value other than a string runs to the
-// first comma, closing bracket or whitespace outside strings and
-// outside the arrays and objects it opens, whose nesting limit it
-// checks, and json.Valid checks it, with the values batched before it
-// unless it is empty, large or d is eager; str reads and checks the
-// strings.
-func (d *decoder) skip() error {
-	start, depth, mark := d.pos, d.depth, len(d.scratch)
-	for d.pos < len(d.buf) {
-		c := d.buf[d.pos]
-		if c == '"' {
-			_, err := d.str()
-			d.scratch = d.scratch[:mark]
-			if err != nil || d.buf[start] == '"' {
-				return err // a string value ends with its string
-			}
-			continue
-		}
-		if depth == d.depth && delimiter[c] {
-			break
-		}
-		switch c {
-		case '{', '[':
-			if depth++; depth > maxDepth {
-				return errSyntax
-			}
-		case '}', ']':
-			depth--
-		}
-		d.pos++
-	}
-	v := d.buf[start:d.pos]
-	if d.eager || len(v) == 0 || len(v) > checkBatch {
-		if !json.Valid(v) {
-			return errSyntax
-		}
-		return nil
-	}
-	d.unchecked = append(append(d.unchecked, v...), ',')
-	d.deferred = true
-	if len(d.unchecked) > checkBatch {
-		return d.check()
-	}
-	return nil
-}
-
-// check validates the values skip batched, in one json.Valid call
-// over them as one array. It may fail past the document that holds
-// the malformed value, so line and batch then decode the input again,
-// eager, to stop where encoding/json does.
-func (d *decoder) check() error {
-	if len(d.unchecked) == 1 {
-		return nil
-	}
-	d.unchecked[len(d.unchecked)-1] = ']'
-	ok := json.Valid(d.unchecked)
-	d.unchecked = d.unchecked[:1]
-	if !ok {
-		return errSyntax
-	}
-	return nil
-}
-
-// delimiter marks the bytes that end a value: a comma, a closing
-// bracket or whitespace.
-var delimiter = func() (t [256]bool) {
-	for _, c := range []byte(",}] \t\n\r") {
-		t[c] = true
-	}
-	return t
-}()
-
-// str consumes the JSON string at d.pos and returns its value exactly
-// as encoding/json unquotes it: escapes decoded, a UTF-16 surrogate
-// escape that does not pair with the next escape and each invalid
-// UTF-8 byte replaced by U+FFFD. A string with neither is a slice of
-// buf; any other is built in scratch.
-func (d *decoder) str() ([]byte, error) {
+// str consumes the JSON string at d.pos and returns its value as
+// encoding/json unquotes it: escapes decoded, and a UTF-16 surrogate
+// escape that does not pair with the next escape replaced by U+FFFD. A
+// string without escapes is a slice of buf; any other is built in
+// scratch. ok is false for a string the fast path leaves to
+// encoding/json: a malformed one, or one holding invalid UTF-8.
+func (d *decoder) str() (v []byte, ok bool) {
 	buf := d.buf
 	start := d.pos + 1
 	r := start   // read position
@@ -348,8 +202,7 @@ func (d *decoder) str() ([]byte, error) {
 	for {
 		r = skipVerbatim(buf, r)
 		if r == len(buf) {
-			d.pos = r
-			return nil, errSyntax
+			return nil, false
 		}
 		c := buf[r]
 		if c >= utf8.RuneSelf {
@@ -357,40 +210,35 @@ func (d *decoder) str() ([]byte, error) {
 				r += 2 // a well-formed two-byte rune
 				continue
 			}
-			if rr, size := utf8.DecodeRune(buf[r:]); rr != utf8.RuneError || size > 1 {
-				r += size
-				continue
+			rr, size := utf8.DecodeRune(buf[r:])
+			if rr == utf8.RuneError && size == 1 {
+				return nil, false
 			}
-		} else if c < ' ' {
-			d.pos = r
-			return nil, errSyntax
+			r += size
+			continue
 		}
-		// c ends the string, starts an escape or is invalid UTF-8.
-		if c == '"' {
+		switch c {
+		case '"':
 			d.pos = r + 1
 			if built < 0 {
-				return buf[start:r], nil
+				return buf[start:r], true
 			}
 			d.scratch = append(d.scratch, buf[seg:r]...)
-			return d.scratch[built:], nil
-		}
-		if built < 0 {
-			built = len(d.scratch)
-		}
-		d.scratch = append(d.scratch, buf[seg:r]...)
-		if c == '\\' {
+			return d.scratch[built:], true
+		case '\\':
 			rr, n, ok := unescapeAt(buf[r:])
 			if !ok {
-				d.pos = r + len(`\uXXXX`) // past the byte that breaks it
-				return nil, errSyntax
+				return nil, false
 			}
-			d.scratch = utf8.AppendRune(d.scratch, rr)
+			if built < 0 {
+				built = len(d.scratch)
+			}
+			d.scratch = utf8.AppendRune(append(d.scratch, buf[seg:r]...), rr)
 			r += n
-		} else {
-			d.scratch = utf8.AppendRune(d.scratch, utf8.RuneError)
-			r++
+			seg = r
+		default:
+			return nil, false // a control character
 		}
-		seg = r
 	}
 }
 
@@ -509,53 +357,76 @@ func (d *decoder) peek() byte {
 	return 0
 }
 
-// end checks that only whitespace follows the top-level value.
-func (d *decoder) end() error {
+// end reports whether only whitespace follows the top-level value.
+func (d *decoder) end() bool {
 	d.ws()
-	if d.pos < len(d.buf) {
-		return errSyntax
-	}
-	return nil
+	return d.pos == len(d.buf)
 }
 
-// notA reports the value at d.pos, which is not want: as a syntax error
-// when it is malformed, as encoding/json reports it, else by its type.
-func (d *decoder) notA(want string) error {
-	start := d.pos
-	if err := d.skip(); err != nil {
-		return err
-	}
-	kind := "number"
-	switch d.buf[start] {
-	case '"':
-		kind = "string"
-	case '{':
-		kind = "object"
-	case '[':
-		kind = "array"
-	case 't', 'f':
-		kind = "bool"
-	}
-	return errors.New("json: cannot unmarshal " + kind + " into " + want)
+// jsonDoc is a document object as encoding/json reads it.
+type jsonDoc struct {
+	ID   string `json:"id"`
+	Text string `json:"text"`
 }
 
-// report returns err, or for errSyntax the syntax error json.Unmarshal
-// reports in the input. The input before the failing document is
-// valid, so json.Unmarshal reads only that document, up to where the
-// decoder stopped; after "[0," when it follows another in a /batch
-// array, which puts it where it stands there.
-func (d *decoder) report(err error) error {
-	if err != errSyntax {
+// fallback decodes with encoding/json a line (body false: one
+// document) or a /batch body that the fast path does not read, and
+// returns what line and batch return. A malformed input gets
+// encoding/json's syntax error. Otherwise one json.Decoder reads the
+// documents one at a time, a bare string as the text and any other
+// value as a jsonDoc; the ids and texts of the first limit are copied
+// into scratch, and the rest only counted.
+func (d *decoder) fallback(in []byte, body bool, limit int, ids, texts [][]byte) ([][]byte, [][]byte, int, error) {
+	if !json.Valid(in) {
+		return ids, texts, 0, json.Unmarshal(in, new(any))
+	}
+	d.scratch = d.scratch[:0]
+	dec := json.NewDecoder(bytes.NewReader(in))
+	if body {
+		if first(in) != '[' { // null, or a type error
+			return ids, texts, 0, typeError(dec.Decode(new([]jsonDoc)), "an array of documents")
+		}
+		dec.Token() // the '[' of a valid body
+	}
+	var doc jsonDoc
+	n := 0
+	for ; dec.More(); n++ {
+		doc = jsonDoc{}
+		var v any = &doc
+		if first(in[dec.InputOffset():]) == '"' {
+			v = &doc.Text
+		}
+		if err := dec.Decode(v); err != nil {
+			return ids, texts, n, typeError(err, "a document (a string, null or an object)")
+		}
+		if n < limit {
+			at := len(d.scratch)
+			d.scratch = append(append(d.scratch, doc.ID...), doc.Text...)
+			ids = append(ids, d.scratch[at:at+len(doc.ID)])
+			texts = append(texts, d.scratch[at+len(doc.ID):])
+		}
+	}
+	return ids, texts, n, nil
+}
+
+// first returns the first byte of the JSON value that starts b after
+// whitespace and a separating comma.
+func first(b []byte) byte {
+	return bytes.TrimLeft(b, ", \t\n\r")[0]
+}
+
+// typeError words encoding/json's type error as the decoder's: the
+// kind of the value and what it could not be read into, want or the
+// document field. Any other error, nil included, is returned as it is.
+func typeError(err error, want string) error {
+	var te *json.UnmarshalTypeError
+	if !errors.As(err, &te) {
 		return err
 	}
-	in := d.buf[d.elem:min(d.pos+1, len(d.buf))]
-	if d.elem > 0 {
-		in = append([]byte("[0,"), in...)
+	if te.Field != "" {
+		want = `document field "` + te.Field + `" of type string`
 	}
-	if err := json.Unmarshal(in, new(json.RawMessage)); err != nil {
-		return err
-	}
-	return errSyntax
+	return errors.New("json: cannot unmarshal " + te.Value + " into " + want)
 }
 
 // langTable is one serving snapshot's languages, quoted once for the

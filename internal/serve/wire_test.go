@@ -4,15 +4,23 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf16"
+	"unicode/utf8"
 
 	"bloomlang/internal/core"
+	"bloomlang/internal/corpus"
 )
+
+// maxDepth is encoding/json's nesting limit.
+const maxDepth = 10000
 
 // refDoc is the reference decoding of one document: what
 // encoding/json makes of a bare string, null or an {"id", "text"}
@@ -79,16 +87,14 @@ func checkBatchDecode(t *testing.T, data []byte) {
 	}
 }
 
-// sameSyntaxError reports whether a syntax error from the decoder, if
-// err is one, reads as encoding/json's error on the whole input. (The
-// decoder reports a type error it meets before a syntax error, where
-// encoding/json reports the syntax error.)
+// sameSyntaxError reports whether err reads exactly as wantErr when
+// encoding/json reports a syntax error in the input.
 func sameSyntaxError(err, wantErr error) bool {
 	var syntax *json.SyntaxError
-	if !errors.As(err, &syntax) {
-		return err != errSyntax
+	if !errors.As(wantErr, &syntax) {
+		return true
 	}
-	return wantErr != nil && err.Error() == wantErr.Error()
+	return err != nil && err.Error() == wantErr.Error()
 }
 
 // checkEncode holds the encoder's Detection and Segmentation to
@@ -230,36 +236,6 @@ func TestDecoderNestingLimit(t *testing.T) {
 	}
 }
 
-// TestDecoderBatchesSkippedValues: small unknown values are checked
-// together, across documents and across more than one batch of
-// checkBatch bytes. A malformed one is still reported as
-// encoding/json reports it, also when a type error or the end of the
-// body comes first in the decoder's own reading, and whichever batch
-// it falls in.
-func TestDecoderBatchesSkippedValues(t *testing.T) {
-	doc := `{"x":12345678,"y":[true,{"z":null}]},`
-	many := strings.Repeat(doc, 3*checkBatch/len(doc))
-	half := len(many) / len(doc) / 2 * len(doc)
-	for _, body := range []string{
-		"[" + many + `"last"]`,
-		"[" + many[:half] + `{"x":1.},` + many[half:] + `"last"]`,
-		"[" + many[:half] + `{"x":[1,,2]},{"text":5},` + many[half:] + `"last"]`,
-		"[" + many + `{"x":01,"text":"t"}]`,
-		"[" + many + `{"x":tru}`,
-		`[{"x":1.},{"text":5}]`,
-	} {
-		checkBatchDecode(t, []byte(body))
-		want := json.Unmarshal([]byte(body), new([]refDoc))
-		var d decoder
-		_, _, _, err := d.batch([]byte(body), math.MaxInt, nil, nil)
-		if (err == nil) != (want == nil) || err != nil && err.Error() != want.Error() {
-			t.Errorf("body of %d bytes: decoder err %v, encoding/json err %v", len(body), err, want)
-		}
-	}
-	checkLineDecode(t, []byte(`{"x":1.,"text":5}`))
-	checkLineDecode(t, []byte(`{"a":1,"b":[2],"c":{"d":3},"text":"t"}`))
-}
-
 // TestQueryFlagMatchesURLValues holds the raw-query reader to what
 // strconv.ParseBool makes of url.Values.Get on the same query.
 func TestQueryFlagMatchesURLValues(t *testing.T) {
@@ -279,10 +255,104 @@ func TestQueryFlagMatchesURLValues(t *testing.T) {
 	}
 }
 
+// clientText encodes Latin-1 corpus text as the UTF-8 a JSON client
+// sends.
+func clientText(b []byte) string {
+	r := make([]rune, len(b))
+	for i, c := range b {
+		r[i] = rune(c)
+	}
+	return string(r)
+}
+
+// escapeNonASCII writes every non-ASCII character of the JSON text js
+// as a \uXXXX escape, as Python's json.dumps does by default.
+func escapeNonASCII(js []byte) []byte {
+	var out []byte
+	for _, r := range string(js) {
+		if r < utf8.RuneSelf {
+			out = append(out, byte(r))
+			continue
+		}
+		for _, u := range utf16.Encode([]rune{r}) {
+			out = fmt.Appendf(out, `\u%04x`, u)
+		}
+	}
+	return out
+}
+
+// clientDocs returns documents built the way the serving benchmark's
+// clients build them: json.Marshal of {id, text} over
+// corpus.GenerateMixed documents and over 5–50-word snippets of every
+// language, the text encoded as UTF-8.
+func clientDocs(tb testing.TB) [][]byte {
+	tb.Helper()
+	type item struct {
+		ID   string `json:"id"`
+		Text string `json:"text"`
+	}
+	marshal := func(id, text string) []byte {
+		doc, err := json.Marshal(item{id, text})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return doc
+	}
+	mixed, err := corpus.GenerateMixed(corpus.MixedConfig{Docs: 12, Seed: 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var docs [][]byte
+	for _, d := range mixed {
+		docs = append(docs, marshal(fmt.Sprintf("m%d", d.ID), clientText(d.Text)))
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	for _, lang := range corpus.Languages() {
+		spec, _ := corpus.ByCode(lang)
+		gen := corpus.NewGenerator(spec, 5)
+		for i := range 4 {
+			words := bytes.Fields(gen.Document(100))
+			snippet := bytes.Join(words[:min(len(words), 5+rng.IntN(46))], []byte{' '})
+			docs = append(docs, marshal(fmt.Sprintf("b%s-%d", lang, i), clientText(snippet)))
+		}
+	}
+	return docs
+}
+
+// TestDecoderReadsClientDocumentsInPlace: /stream lines and /batch
+// bodies of the documents JSON clients send — json.Marshal's UTF-8, or
+// every non-ASCII letter escaped — decode as encoding/json decodes
+// them and with no allocation, so the fast path reads them all and
+// none reaches the encoding/json fallback.
+func TestDecoderReadsClientDocumentsInPlace(t *testing.T) {
+	var docs [][]byte
+	for _, doc := range clientDocs(t) {
+		docs = append(docs, doc, escapeNonASCII(doc))
+	}
+	var d decoder
+	for _, doc := range docs {
+		checkLineDecode(t, doc)
+		if a := testing.AllocsPerRun(10, func() { d.line(doc) }); a != 0 {
+			t.Fatalf("line %.60q...: %.1f allocations, want 0", doc, a)
+		}
+	}
+	ids, texts := make([][]byte, 0, 32), make([][]byte, 0, 32)
+	for start := 0; start < len(docs); start += 32 {
+		body := fmt.Appendf(nil, "[%s]", bytes.Join(docs[start:min(start+32, len(docs))], []byte(",")))
+		checkBatchDecode(t, body)
+		if a := testing.AllocsPerRun(10, func() { d.batch(body, 32, ids, texts) }); a != 0 {
+			t.Fatalf("body of %d documents: %.1f allocations, want 0", min(32, len(docs)-start), a)
+		}
+	}
+}
+
 // BenchmarkServeDecode times the /batch decoder on 10 MiB bodies:
-// plain documents, and crafted bodies whose cost lies in the values
-// the decoder skips (small numbers, strings, one large array, values
-// 5000 levels deep) or in a syntax error at the last byte.
+// documents as clients send them, on the fast path — short plain ones,
+// and corpus text as UTF-8 or with every non-ASCII letter escaped —
+// and crafted bodies that the fast path leaves to encoding/json, whose
+// cost lies in values of other keys (small numbers, strings, one large
+// array, values 5000 levels deep) or in a syntax error at the last
+// byte.
 func BenchmarkServeDecode(b *testing.B) {
 	const size = 10 << 20
 	array := func(elem string) []byte {
@@ -295,12 +365,16 @@ func BenchmarkServeDecode(b *testing.B) {
 	}
 	text := strings.Repeat("el consejo adopta las medidas ", 10)
 	doc := `{"id":"doc-1","text":"` + text + `"}`
+	docs := clientDocs(b)
+	client := string(bytes.Join(docs, []byte(",")))
 	deep := strings.Repeat("[", 5000) + strings.Repeat("]", 5000)
 	for _, shape := range []struct {
 		name string
 		body func() []byte
 	}{
 		{"docs", func() []byte { return array(doc) }},
+		{"client-utf8", func() []byte { return array(client) }},
+		{"client-escaped", func() []byte { return array(string(escapeNonASCII([]byte(client)))) }},
 		{"numbers", func() []byte { return array(`{"x":1}`) }},
 		{"strings", func() []byte { return array(`{"x":"` + text + `"}`) }},
 		{"one-array", func() []byte { return []byte(`[{"x":` + string(array(`"a",1`)) + `}]`) }},
@@ -316,6 +390,7 @@ func BenchmarkServeDecode(b *testing.B) {
 			wantErr := shape.name == "error-at-end"
 			var d decoder
 			var ids, texts [][]byte
+			b.ReportAllocs()
 			b.SetBytes(int64(len(body)))
 			for b.Loop() {
 				var err error

@@ -73,14 +73,23 @@ detect=$(curl -fsS -X POST --data \
 echo "$detect" | grep -q '"language":"es"' || fail "/detect did not say es: $detect"
 
 echo "smoke: /stream?spans=1 answers each NDJSON line with its language and spans"
+# Line c is line a with another key and escaped letters, which the
+# decoder leaves to encoding/json: it must read the same text.
 printf '%s\n' \
   '{"id":"a","text":"el consejo y la comision adoptan todas las medidas necesarias para la aplicacion del presente reglamento"}' \
   '{"id":"b","text":"the council shall adopt the measures necessary for the application of this regulation"}' \
+  '{"id":"c","meta":{"src":"smoke"},"text":"el cons\u0065jo y la comisi\u006fn adoptan todas las medidas necesarias para la aplic\u0061cion del presente reglamento"}' \
   >"$tmp/stream.ndjson"
 curl -fsS -X POST --data-binary @"$tmp/stream.ndjson" "$base/stream?spans=1" >"$tmp/stream.out"
-[ "$(wc -l <"$tmp/stream.out")" -eq 2 ] || fail "/stream?spans=1 did not answer two lines: $(cat "$tmp/stream.out")"
+[ "$(wc -l <"$tmp/stream.out")" -eq 3 ] || fail "/stream?spans=1 did not answer three lines: $(cat "$tmp/stream.out")"
 grep -q '^{"id":"a","language":"es".*"spans":\[{' "$tmp/stream.out" || fail "/stream line a: $(cat "$tmp/stream.out")"
 grep -q '^{"id":"b","language":"en".*"spans":\[{' "$tmp/stream.out" || fail "/stream line b: $(cat "$tmp/stream.out")"
+# answer ID prints the language, ngrams and count of line ID's answer.
+answer() {
+  grep "^{\"id\":\"$1\"" "$tmp/stream.out" | grep -o '"language":"[^"]*"\|"ngrams":[0-9]*\|"count":[0-9]*' | head -n 3 | tr '\n' ' '
+}
+[ -n "$(answer a)" ] && [ "$(answer c)" = "$(answer a)" ] \
+  || fail "/stream line c answered $(answer c), line a $(answer a): $(cat "$tmp/stream.out")"
 
 echo "smoke: /statsz reports v000001"
 curl -fsS "$base/statsz" | grep -q '"profile_version":"v000001"' || fail "statsz not on v000001"
