@@ -9,21 +9,17 @@
 //
 //	langidd -registry /var/lib/langid -addr :8080
 //
-// Serve from a flat trained profile file (see langid train -out or
-// -save):
+// Serve from a flat trained profile file (see langid train -out):
 //
 //	langidd -profiles profiles.bin -addr :8080
 //
-// Train from a corpus directory (cmd/corpusgen layout), save the
-// profiles, then serve:
-//
-//	langidd -corpus corpusdir -save profiles.bin
-//
-// For development without a real corpus, generate a synthetic one
-// first:
+// The daemon only serves: langid train builds the profiles, into a
+// registry or a file. For development without a real corpus, generate
+// a synthetic one, train on it, then serve:
 //
 //	corpusgen -out corpusdir -docs 80 -words 300 -train 0.2 -seed 8
-//	langidd -corpus corpusdir -save profiles.bin
+//	langid train -corpus corpusdir -out profiles.bin
+//	langidd -profiles profiles.bin
 //
 // Endpoints: POST /detect, POST /batch, POST /stream (NDJSON; ?spans=1
 // adds per-document mixed-language spans), POST /segment
@@ -38,8 +34,9 @@
 // There is no backend flag: profiles are served on the exact
 // direct-lookup kernel at every n, 6-grams included; /statsz names it.
 //
-// The daemon links the product packages alone (internal/core, serve,
-// registry and train); the paper's Bloom filters, hardware models and
+// The daemon links the product packages alone (internal/core, serve
+// and registry, and the alphabet, ngram and train packages they
+// import); the paper's Bloom filters, hardware models and
 // experiment harness live with their own commands.
 package main
 
@@ -57,7 +54,6 @@ import (
 	"bloomlang/internal/core"
 	"bloomlang/internal/registry"
 	"bloomlang/internal/serve"
-	"bloomlang/internal/train"
 )
 
 func main() {
@@ -67,8 +63,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	registryDir := flag.String("registry", "", "profile registry directory to serve the active version of")
 	profilePath := flag.String("profiles", "", "trained profile file to serve from")
-	corpusDir := flag.String("corpus", "", "corpus directory to train from (corpusgen layout)")
-	savePath := flag.String("save", "", "write trained profiles to this file before serving")
 	minMargin := flag.Float64("min-margin", 0, "answer unknown below this normalized winner margin")
 	minNGrams := flag.Int("min-ngrams", 1, "answer unknown below this many testable n-grams")
 	maxBody := flag.Int64("max-body", 10<<20, "max /detect and /batch body bytes")
@@ -104,16 +98,7 @@ func main() {
 			Penalty: *segPenalty,
 		},
 	}
-	if err := cfg.Validate(); err != nil {
-		log.Fatal(err)
-	}
-
-	srv, version, err := buildServer(profileSource{
-		registryDir: *registryDir,
-		profilePath: *profilePath,
-		corpusDir:   *corpusDir,
-		savePath:    *savePath,
-	}, cfg)
+	srv, err := buildServer(*registryDir, *profilePath, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,6 +111,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	stats := srv.Stats()
+	version := stats.ProfileVersion
 	if version == "" {
 		version = "unversioned"
 	}
@@ -159,78 +145,36 @@ func main() {
 	}
 }
 
-// profileSource names where the daemon's profiles come from.
-type profileSource struct {
-	registryDir string
-	profilePath string
-	corpusDir   string
-	savePath    string
-}
-
-// buildServer resolves the profile source and constructs the serving
-// subsystem, returning the served profile version ("" for
-// non-registry sources). Every misconfiguration fails fast with a
-// clear message instead of falling through to a half-configured
-// server.
-func buildServer(src profileSource, cfg serve.Config) (*serve.Server, string, error) {
-	if src.registryDir != "" {
-		if src.profilePath != "" || src.corpusDir != "" || src.savePath != "" {
-			return nil, "", errors.New("-registry cannot be combined with -profiles, -corpus or -save")
-		}
-		reg, err := registry.Open(src.registryDir)
-		if err != nil {
-			return nil, "", err
-		}
-		srv, err := serve.NewFromRegistry(reg, cfg)
-		if errors.Is(err, registry.ErrNoActive) {
-			return nil, "", fmt.Errorf("registry %s has no active version: create one with 'langid train -registry %s -activate'",
-				src.registryDir, src.registryDir)
-		}
-		if err != nil {
-			return nil, "", err
-		}
-		return srv, srv.Stats().ProfileVersion, nil
-	}
-	ps, err := resolveProfiles(src)
-	if err != nil {
-		return nil, "", err
-	}
-	if src.savePath != "" {
-		if err := ps.SaveFile(src.savePath); err != nil {
-			return nil, "", fmt.Errorf("saving profiles: %w", err)
-		}
-		log.Printf("saved %d profiles to %s", len(ps.Profiles), src.savePath)
-	}
-	srv, err := serve.New(ps, cfg)
-	return srv, "", err
-}
-
-// resolveProfiles resolves a non-registry profile source from, in
-// order of preference: an existing profile file or a corpus directory.
-func resolveProfiles(src profileSource) (*core.ProfileSet, error) {
-	if src.profilePath != "" {
-		ps, err := core.LoadProfileSetFile(src.profilePath)
-		if err == nil {
-			log.Printf("loaded %d profiles from %s", len(ps.Profiles), src.profilePath)
-			return ps, nil
-		}
-		if errors.Is(err, os.ErrNotExist) && src.corpusDir != "" {
-			log.Printf("profile file %s not found, training", src.profilePath)
-		} else if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("profile file %s does not exist: train one with 'langid train -out %s', or pass -corpus to train at startup",
-				src.profilePath, src.profilePath)
-		} else {
-			return nil, fmt.Errorf("loading profiles: %w", err)
-		}
-	}
-	if src.corpusDir != "" {
-		log.Printf("training from corpus %s (streaming)", src.corpusDir)
-		ps, stats, err := train.Dir(core.DefaultConfig(), src.corpusDir)
+// buildServer constructs the serving subsystem over the registry's
+// active version or over a trained profile file, exactly one of the
+// two. Every misconfiguration fails fast with a clear message instead
+// of falling through to a half-configured server.
+func buildServer(registryDir, profilePath string, cfg serve.Config) (*serve.Server, error) {
+	switch {
+	case registryDir != "" && profilePath != "":
+		return nil, errors.New("-registry cannot be combined with -profiles")
+	case registryDir != "":
+		reg, err := registry.Open(registryDir)
 		if err != nil {
 			return nil, err
 		}
-		log.Printf("trained on %d documents (%.1f MB)", stats.Docs, float64(stats.Bytes)/1e6)
-		return ps, nil
+		srv, err := serve.NewFromRegistry(reg, cfg)
+		if errors.Is(err, registry.ErrNoActive) {
+			return nil, fmt.Errorf("registry %s has no active version: create one with 'langid train -registry %s -activate'",
+				registryDir, registryDir)
+		}
+		return srv, err
+	case profilePath != "":
+		ps, err := core.LoadProfileSetFile(profilePath)
+		if errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("profile file %s does not exist: train one with 'langid train -out %s'",
+				profilePath, profilePath)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("loading profiles: %w", err)
+		}
+		log.Printf("loaded %d profiles from %s", len(ps.Profiles), profilePath)
+		return serve.New(ps, cfg)
 	}
-	return nil, errors.New("no profiles to serve: pass -registry DIR, -profiles FILE or -corpus DIR")
+	return nil, errors.New("no profiles to serve: pass -registry DIR or -profiles FILE")
 }

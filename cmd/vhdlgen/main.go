@@ -1,9 +1,8 @@
 // Command vhdlgen exports a trained classifier configuration as
 // synthesizable VHDL — the form the paper's implementation took (§4).
-// Profiles come from cmd/langid train (or langidd -save); the H3
-// matrices are fixed by the seed, so software classification, the
-// cycle simulator, and the generated hardware all implement the same
-// function.
+// Profiles come from cmd/langid train -out; the H3 matrices are fixed
+// by the seed, so software classification, the cycle simulator, and
+// the generated hardware all implement the same function.
 //
 // Usage:
 //
@@ -40,7 +39,7 @@ func main() {
 // to -out (stdout for "-").
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("vhdlgen", flag.ContinueOnError)
-	profilePath := fs.String("profiles", "profiles.bin", "trained profile file (langid train -out, langidd -save)")
+	profilePath := fs.String("profiles", "profiles.bin", "trained profile file (langid train -out)")
 	k := fs.Int("k", 4, "hash functions per Bloom filter (default: the file's)")
 	m := fs.Uint("m", 16*1024, "bits per bit-vector, a power of two (default: the file's)")
 	seed := fs.Int64("seed", 1, "H3 matrix seed (default: the file's; must match the software deployment)")

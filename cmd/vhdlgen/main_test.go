@@ -23,10 +23,10 @@ func vhdlOf(t *testing.T, args ...string) string {
 }
 
 // TestRunReadsSavedAndLegacyProfiles checks that vhdlgen reads both
-// profile formats: the set file SaveFile (langid train -out, langidd
-// -save) writes, generated under the file's recorded configuration,
-// and a legacy bare-profile file, read under the defaults unless -k,
-// -m and -seed say otherwise.
+// profile formats: the set file SaveFile (langid train -out) writes,
+// generated under the file's recorded configuration, and a legacy
+// bare-profile file, read under the defaults unless -k, -m and -seed
+// say otherwise.
 func TestRunReadsSavedAndLegacyProfiles(t *testing.T) {
 	ps, err := core.TrainFromTexts(core.Config{TopT: 300, K: 6, MBits: 4 * 1024, Seed: 9}, map[string][][]byte{
 		"en": {[]byte("the quick brown fox jumps over the lazy dog repeatedly and often")},

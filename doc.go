@@ -272,9 +272,9 @@
 //
 // cmd/langidd is the production daemon around this handler: flags for
 // address, confidence thresholds (-min-margin, -min-ngrams),
-// body/batch/line limits and read/write/idle timeouts, profile sources
-// (-registry, -profiles, -corpus, with -save), SIGHUP hot reload, and
-// graceful drain on SIGINT/SIGTERM.
+// body/batch/line limits and read/write/idle timeouts, one profile
+// source (-registry or -profiles; langid train builds both), SIGHUP
+// hot reload, and graceful drain on SIGINT/SIGTERM.
 // examples/server walks the full serving surface, admin plane
 // included, in one self-contained program.
 package bloomlang

@@ -73,14 +73,7 @@ type Config struct {
 // DefaultConfig returns the paper's most conservative configuration:
 // 4-grams, t=5000, k=4 hash functions, m=16 Kbit vectors.
 func DefaultConfig() Config {
-	return Config{
-		N:         ngram.DefaultN,
-		TopT:      ngram.DefaultProfileSize,
-		K:         4,
-		MBits:     16 * 1024,
-		Seed:      1,
-		Subsample: 1,
-	}
+	return Config{Seed: 1}.WithDefaults()
 }
 
 func (c *Config) applyDefaults() {

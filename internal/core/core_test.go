@@ -61,6 +61,9 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.N != 4 || cfg.TopT != 5000 || cfg.K != 4 || cfg.MBits != 16*1024 {
 		t.Errorf("DefaultConfig = %+v, want the paper's §4 parameters", cfg)
 	}
+	if want := (Config{N: 4, TopT: 5000, K: 4, MBits: 16384, Seed: 1, Subsample: 1}); cfg != want {
+		t.Errorf("DefaultConfig = %+v, want %+v", cfg, want)
+	}
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("DefaultConfig invalid: %v", err)
 	}

@@ -360,13 +360,22 @@ func TestWriteReadDirRoundTrip(t *testing.T) {
 	if len(back.Languages) != 2 {
 		t.Fatalf("reloaded %d languages, want 2", len(back.Languages))
 	}
+	// Every document keeps its language, ID and text, test IDs
+	// (numbered after the training ones) included.
 	for _, lang := range back.Languages {
-		if len(back.Train[lang]) != len(c.Train[lang]) {
-			t.Errorf("%s: reloaded %d train docs, want %d", lang, len(back.Train[lang]), len(c.Train[lang]))
-		}
-		for i := range back.Train[lang] {
-			if !bytes.Equal(back.Train[lang][i].Text, c.Train[lang][i].Text) {
-				t.Errorf("%s train doc %d corrupted in round trip", lang, i)
+		for split, docs := range map[string][2][]Document{
+			"train": {c.Train[lang], back.Train[lang]},
+			"test":  {c.Test[lang], back.Test[lang]},
+		} {
+			want, got := docs[0], docs[1]
+			if len(got) != len(want) {
+				t.Fatalf("%s: reloaded %d %s docs, want %d", lang, len(got), split, len(want))
+			}
+			for i := range want {
+				if got[i].Language != want[i].Language || got[i].ID != want[i].ID || !bytes.Equal(got[i].Text, want[i].Text) {
+					t.Errorf("%s %s doc %d: reloaded %s/%d, want %s/%d (texts equal: %v)", lang, split, i,
+						got[i].Language, got[i].ID, want[i].Language, want[i].ID, bytes.Equal(got[i].Text, want[i].Text))
+				}
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -102,7 +103,13 @@ func readSplit(root, lang, split string) ([]Document, error) {
 		if err != nil {
 			return nil, err
 		}
-		docs = append(docs, Document{Language: lang, ID: len(docs), Text: text})
+		// WriteDir names each file by its document's ID; a file named
+		// otherwise is numbered by its position.
+		id, err := strconv.Atoi(strings.TrimSuffix(e.Name(), ".txt"))
+		if err != nil || id < 0 {
+			id = len(docs)
+		}
+		docs = append(docs, Document{Language: lang, ID: id, Text: text})
 	}
 	return docs, nil
 }

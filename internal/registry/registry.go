@@ -25,6 +25,7 @@
 package registry
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -139,39 +140,30 @@ func (r *Registry) Create(ps *core.ProfileSet, stats train.Stats) (*Manifest, er
 	}
 	defer os.RemoveAll(staging)
 
-	profilePath := filepath.Join(staging, profilesFile)
-	if err := ps.SaveFile(profilePath); err != nil {
-		return nil, fmt.Errorf("registry: writing profiles: %w", err)
-	}
-	sum, size, err := checksumFile(profilePath)
-	if err != nil {
-		return nil, err
-	}
 	m := &Manifest{
-		Version:      id,
-		CreatedAt:    time.Now().UTC().Truncate(time.Second),
-		Config:       ps.Config.WithDefaults(),
-		Languages:    ps.Languages(),
-		Stats:        stats,
-		Checksum:     sum,
-		ProfileBytes: size,
+		Version:   id,
+		CreatedAt: time.Now().UTC().Truncate(time.Second),
+		Config:    ps.Config.WithDefaults(),
+		Languages: ps.Languages(),
+		Stats:     stats,
+	}
+	m.Checksum, m.ProfileBytes, err = writeFile(filepath.Join(staging, profilesFile), ps.WriteTo)
+	if err != nil {
+		return nil, fmt.Errorf("registry: writing profiles: %w", err)
 	}
 	mj, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("registry: encoding manifest: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(staging, manifestFile), append(mj, '\n'), 0o644); err != nil {
+	if _, _, err := writeFile(filepath.Join(staging, manifestFile), bytes.NewReader(append(mj, '\n')).WriteTo); err != nil {
 		return nil, fmt.Errorf("registry: writing manifest: %w", err)
 	}
 	if err := os.Chmod(staging, 0o755); err != nil {
 		return nil, fmt.Errorf("registry: %w", err)
 	}
-	// Flush the version's contents before publishing it, so a crash
-	// after the rename can never surface a truncated profile file or
-	// manifest under versions/. SaveFile synced the profile file.
-	if err := syncFile(filepath.Join(staging, manifestFile)); err != nil {
-		return nil, err
-	}
+	// Both files are synced; sync the directory too before publishing
+	// it, so a crash after the rename can never surface a truncated
+	// profile file or manifest under versions/.
 	if err := syncDir(staging); err != nil {
 		return nil, err
 	}
@@ -260,13 +252,6 @@ func (r *Registry) List() ([]*Manifest, error) {
 	return ms, nil
 }
 
-// Get returns one version's manifest.
-func (r *Registry) Get(version string) (*Manifest, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.manifestLocked(version)
-}
-
 func (r *Registry) manifestLocked(version string) (*Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(r.root, versionsDir, version, manifestFile))
 	if err != nil {
@@ -302,17 +287,6 @@ func (r *Registry) activeLocked() (string, error) {
 		return "", ErrNoActive
 	}
 	return id, nil
-}
-
-// Active returns the active version's manifest, or ErrNoActive.
-func (r *Registry) Active() (*Manifest, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id, err := r.activeLocked()
-	if err != nil {
-		return nil, err
-	}
-	return r.manifestLocked(id)
 }
 
 // Activate makes version the active one, recording the previously
@@ -431,18 +405,28 @@ func (r *Registry) writeAtomicLocked(name, content string) error {
 	return syncDir(r.root)
 }
 
-// syncFile fsyncs an already-written file by path (opening read-only
-// is enough to flush its data on the platforms we target).
-func syncFile(path string) error {
-	f, err := os.Open(path)
+// writeFile creates path, writes it through write and fsyncs it, and
+// returns the hex SHA-256 and size of the bytes written: the file is
+// hashed on its way out, never read back. Its mode is 0644 whatever the
+// umask, so a daemon under another account can read it.
+func writeFile(path string, write func(io.Writer) (int64, error)) (string, int64, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
-		return fmt.Errorf("registry: %w", err)
+		return "", 0, err
 	}
 	defer f.Close()
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("registry: syncing %s: %w", path, err)
+	h := sha256.New()
+	n, err := write(io.MultiWriter(f, h))
+	if err != nil {
+		return "", 0, err
 	}
-	return nil
+	if err := f.Chmod(0o644); err != nil {
+		return "", 0, err
+	}
+	if err := f.Sync(); err != nil {
+		return "", 0, err
+	}
+	return hex.EncodeToString(h.Sum(nil)), n, f.Close()
 }
 
 // syncDir fsyncs a directory so a rename inside it is durable.
@@ -566,19 +550,4 @@ func (r *Registry) LoadActive() (*core.ProfileSet, *Manifest, error) {
 		return nil, nil, err
 	}
 	return ps, m, nil
-}
-
-// checksumFile returns the hex SHA-256 and size of the file at path.
-func checksumFile(path string) (string, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", 0, fmt.Errorf("registry: %w", err)
-	}
-	defer f.Close()
-	h := sha256.New()
-	n, err := io.Copy(h, f)
-	if err != nil {
-		return "", 0, fmt.Errorf("registry: checksumming %s: %w", path, err)
-	}
-	return hex.EncodeToString(h.Sum(nil)), n, nil
 }

@@ -1,9 +1,12 @@
 package registry_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -172,7 +175,7 @@ func TestLifecycle(t *testing.T) {
 	if len(removed) != 1 || removed[0] != m2.Version {
 		t.Fatalf("GC removed %v, want [%s]", removed, m2.Version)
 	}
-	if _, err := reg.Get(m2.Version); err == nil {
+	if _, err := reg.Load(m2.Version); err == nil {
 		t.Fatal("GC'd version still readable")
 	}
 	if _, err := reg.Load(m1.Version); err != nil {
@@ -186,6 +189,60 @@ func TestLifecycle(t *testing.T) {
 	}
 	if m3.Version != "v000003" {
 		t.Errorf("post-GC version id %q, want v000003", m3.Version)
+	}
+}
+
+// TestManifestMatchesFiles: each version directory holds exactly its
+// profile file and manifest, and the manifest's checksum and size are
+// those of the profile file on disk, as Create hashed it on the way out.
+func TestManifestMatchesFiles(t *testing.T) {
+	sets, stats := fixtures(t)
+	root := filepath.Join(t.TempDir(), "registry")
+	reg, err := registry.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ps := range sets {
+		if _, err := reg.Create(ps, stats[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ms, err := reg.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) != len(sets) {
+		t.Fatalf("List = %d versions, want %d", len(ms), len(sets))
+	}
+	for _, m := range ms {
+		dir := filepath.Join(root, "versions", m.Version)
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Mode().Perm() != 0o644 {
+				t.Errorf("%s/%s: mode %v, want 0644", m.Version, e.Name(), info.Mode().Perm())
+			}
+		}
+		if !slices.Equal(names, []string{"manifest.json", "profiles.bin"}) {
+			t.Errorf("%s holds %v, want [manifest.json profiles.bin]", m.Version, names)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "profiles.bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		if m.Checksum != hex.EncodeToString(sum[:]) || m.ProfileBytes != int64(len(data)) {
+			t.Errorf("%s manifest: checksum %s, %d bytes; profiles.bin on disk: %x, %d bytes",
+				m.Version, m.Checksum, m.ProfileBytes, sum, len(data))
+		}
 	}
 }
 

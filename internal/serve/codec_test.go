@@ -636,6 +636,15 @@ func TestBatchFallbackCountsWithoutKeeping(t *testing.T) {
 	fast := alloc(array(`{"id":"d","text":"el consejo adopta las medidas"}`))
 	hostile := alloc(array(`{"x":1}`))
 	t.Logf("allocated %d MiB for fast-path documents, %d MiB for {\"x\":1}", fast>>20, hostile>>20)
+	// The body's buffer grows at least twofold per step, so all its
+	// copies together stay under three times the body (-race's
+	// sync.Pool drops pooled buffers at random, so it is held only
+	// without).
+	for _, got := range []uint64{fast, hostile} {
+		if !raceEnabled && got >= 3*10<<20 {
+			t.Errorf("10 MiB body allocates %d MiB, not less than 3 times its size", got>>20)
+		}
+	}
 	if hostile > 2*fast {
 		t.Errorf("{\"x\":1} body allocates %d bytes, more than twice the %d of fast-path documents", hostile, fast)
 	}

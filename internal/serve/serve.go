@@ -111,9 +111,6 @@ type Config struct {
 	// IdleTimeout bounds keep-alive idleness on servers built by
 	// HTTPServer; 0 means no limit.
 	IdleTimeout time.Duration
-	// Registry, when set, enables the /admin/profiles and /admin/reload
-	// endpoints and SIGHUP-style Reload against this profile store.
-	Registry *registry.Registry
 }
 
 func (c *Config) applyDefaults() {
@@ -169,27 +166,27 @@ type snapshot struct {
 	langs   *langTable
 }
 
-// New builds a server from trained profiles. The profiles serve under
-// the empty version id unless the server is registry-backed and later
-// reloaded.
+// New builds a server from trained profiles, served under the empty
+// version id for its whole life: it has no registry, so no /admin
+// endpoints and no Reload.
 func New(ps *core.ProfileSet, cfg Config) (*Server, error) {
-	return newServer(ps, "", cfg)
+	return newServer(nil, ps, "", cfg)
 }
 
 // NewFromRegistry builds a server from the registry's active profile
-// version; cfg.Registry is overridden with reg. The server then serves
-// that version until Reload (or /admin/reload) swaps in a newer one.
+// version. The server serves that version until Reload (SIGHUP in
+// langidd, or /admin/reload) swaps in the version then active.
 func NewFromRegistry(reg *registry.Registry, cfg Config) (*Server, error) {
-	cfg.Registry = reg
 	ps, m, err := reg.LoadActive()
 	if err != nil {
 		return nil, err
 	}
-	return newServer(ps, m.Version, cfg)
+	return newServer(reg, ps, m.Version, cfg)
 }
 
-// newServer builds a server serving ps under the given version id.
-func newServer(ps *core.ProfileSet, version string, cfg Config) (*Server, error) {
+// newServer builds a server serving ps under the given version id,
+// reloading from reg when reg is not nil.
+func newServer(reg *registry.Registry, ps *core.ProfileSet, version string, cfg Config) (*Server, error) {
 	cfg.applyDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -198,7 +195,7 @@ func newServer(ps *core.ProfileSet, version string, cfg Config) (*Server, error)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, reg: cfg.Registry, start: time.Now()}
+	s := &Server{cfg: cfg, reg: reg, start: time.Now()}
 	s.cur.Store(snap)
 	return s, nil
 }
@@ -724,7 +721,9 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, b *buffers) ([
 	}
 	for {
 		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
+			// Grow at least twofold: append's growth of large slices
+			// (1.25x) would copy a 10 MiB body about five times over.
+			buf = slices.Grow(buf, max(cap(buf), 512))
 		}
 		n, err := body.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]

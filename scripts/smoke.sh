@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the profile lifecycle: generate a corpus,
-# train a registry version with the streaming trainer, run langid's
-# eval, classify and segment on it, serve it with langidd, detect over
-# HTTP, train + activate a second version, hot swap it via
-# /admin/reload, and assert /statsz reports the new version. Run from
-# the repository root: scripts/smoke.sh
+# train a registry version and a profile file with the streaming
+# trainer, run langid's eval, classify and segment on them, serve the
+# file and then the registry with langidd, detect over HTTP, train +
+# activate a second version, hot swap it via /admin/reload, and assert
+# /statsz reports the new version. Run from the repository root:
+# scripts/smoke.sh
 set -euo pipefail
 
 tmp=$(mktemp -d)
@@ -32,6 +33,13 @@ if "$tmp/bin/langidd" -addr "$addr" 2>"$tmp/nosource.err"; then
 fi
 grep -q "no profiles to serve" "$tmp/nosource.err" || fail "unclear no-source error: $(cat "$tmp/nosource.err")"
 
+echo "smoke: langidd does not train: -corpus and -save are unknown flags (exit 2)"
+for flag in -corpus -save; do
+  status=0
+  "$tmp/bin/langidd" -addr "$addr" "$flag" "$tmp/corpus" 2>"$tmp/flag.err" || status=$?
+  [ "$status" -eq 2 ] || fail "langidd $flag exited $status, want 2: $(cat "$tmp/flag.err")"
+done
+
 echo "smoke: training v000001 into the registry and a profile file"
 "$tmp/bin/langid" train -corpus "$tmp/corpus" -registry "$tmp/registry" -activate -out "$tmp/profiles.bin" >/dev/null
 "$tmp/bin/langid" profiles -registry "$tmp/registry" | grep -q '^\* v000001' \
@@ -56,21 +64,41 @@ awk -F '\t' -v end=0 -v size="$(wc -c <"$fi_doc")" '
   END { exit (bad || NR == 0 || end != size) }
 ' "$tmp/segment.tsv" || fail "segment rows do not tile 0..$(wc -c <"$fi_doc"): $(cat "$tmp/segment.tsv")"
 
+# wait_healthy URL polls the daemon at URL until it answers /healthz.
+wait_healthy() {
+  for i in $(seq 1 50); do
+    curl -fsS "$1/healthz" >/dev/null 2>&1 && return
+    kill -0 "$daemon_pid" 2>/dev/null || fail "daemon died during startup"
+    sleep 0.1
+  done
+  curl -fsS "$1/healthz" >/dev/null || fail "daemon never became healthy"
+}
+
+# detect_es URL checks that the daemon at URL calls a Spanish sentence es.
+detect_es() {
+  detect=$(curl -fsS -X POST --data \
+    "el consejo y la comision adoptan todas las medidas necesarias para la aplicacion del presente reglamento" \
+    "$1/detect")
+  echo "$detect" | grep -q '"language":"es"' || fail "/detect on $1 did not say es: $detect"
+}
+
+echo "smoke: langidd serves the profile file on a second port"
+file_base="http://127.0.0.1:18322"
+"$tmp/bin/langidd" -profiles "$tmp/profiles.bin" -addr "${file_base#http://}" &
+daemon_pid=$!
+wait_healthy "$file_base"
+detect_es "$file_base"
+kill "$daemon_pid"
+wait "$daemon_pid" 2>/dev/null || true
+daemon_pid=""
+
 echo "smoke: starting langidd"
 "$tmp/bin/langidd" -registry "$tmp/registry" -addr "$addr" -max-body 65536 &
 daemon_pid=$!
-for i in $(seq 1 50); do
-  curl -fsS "$base/healthz" >/dev/null 2>&1 && break
-  kill -0 "$daemon_pid" 2>/dev/null || fail "daemon died during startup"
-  sleep 0.1
-done
-curl -fsS "$base/healthz" >/dev/null || fail "daemon never became healthy"
+wait_healthy "$base"
 
 echo "smoke: /detect"
-detect=$(curl -fsS -X POST --data \
-  "el consejo y la comision adoptan todas las medidas necesarias para la aplicacion del presente reglamento" \
-  "$base/detect")
-echo "$detect" | grep -q '"language":"es"' || fail "/detect did not say es: $detect"
+detect_es "$base"
 
 echo "smoke: /stream?spans=1 answers each NDJSON line with its language and spans"
 # Line c is line a with another key and escaped letters, which the

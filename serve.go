@@ -5,8 +5,8 @@ import (
 )
 
 // ServeConfig carries the serving-layer knobs: detection thresholds,
-// batch worker pool, request/line/batch size limits, segmentation
-// geometry and HTTP timeouts.
+// request/line/batch size limits, segmentation geometry and HTTP
+// timeouts.
 type ServeConfig = serve.Config
 
 // Server is the HTTP serving subsystem over a trained detector; see
