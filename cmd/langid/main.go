@@ -426,12 +426,6 @@ func printColored(text []byte, spans []bloomlang.Span) {
 	}
 }
 
-// loadProfiles reads either the current profile-set format or legacy
-// bare-profile files; see bloomlang.LoadProfiles.
-func loadProfiles(path string) (*bloomlang.ProfileSet, error) {
-	return bloomlang.LoadProfiles(path)
-}
-
 // detectorFlags declares on fs the flags that choose the profiles and
 // the detector classify, segment and eval run, and returns the function
 // that loads the profiles and builds the detector once fs is parsed.
@@ -444,7 +438,7 @@ func detectorFlags(fs *flag.FlagSet) func(opts ...bloomlang.DetectorOption) (*bl
 	m := fs.Uint("m", 16*1024, "bits per Bloom filter vector (power of two)")
 	backend := fs.String("backend", "direct", "membership backend: direct (exact table, the one langidd serves) or bloom (parallel Bloom filter)")
 	return func(opts ...bloomlang.DetectorOption) (*bloomlang.Detector, error) {
-		ps, err := loadProfiles(*profilePath)
+		ps, err := bloomlang.LoadProfiles(*profilePath)
 		if err != nil {
 			return nil, err
 		}

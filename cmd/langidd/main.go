@@ -165,7 +165,7 @@ func buildServer(registryDir, profilePath string, cfg serve.Config) (*serve.Serv
 		}
 		return srv, err
 	case profilePath != "":
-		ps, err := core.LoadProfileSetFile(profilePath)
+		ps, err := registry.LoadFile(profilePath)
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, fmt.Errorf("profile file %s does not exist: train one with 'langid train -out %s'",
 				profilePath, profilePath)

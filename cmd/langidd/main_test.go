@@ -74,7 +74,7 @@ func TestResolveProfilesCorruptFileIsNotFallthrough(t *testing.T) {
 func TestBuildServerFromProfileFile(t *testing.T) {
 	ps, _ := trainTiny(t)
 	path := filepath.Join(t.TempDir(), "profiles.bin")
-	if err := ps.SaveFile(path); err != nil {
+	if err := registry.SaveFile(path, ps); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := buildServer("", path, serve.Config{})

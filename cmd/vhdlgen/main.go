@@ -10,8 +10,7 @@
 //
 // The hardware is generated for the configuration recorded in the
 // profile file, the one the software serving that file runs; -k, -m and
-// -seed override it only when given. Legacy bare-profile files carry no
-// configuration and are read under the defaults.
+// -seed override it only when given.
 package main
 
 import (
@@ -23,7 +22,7 @@ import (
 	"os"
 
 	"bloomlang/internal/bloom"
-	"bloomlang/internal/core"
+	"bloomlang/internal/registry"
 	"bloomlang/internal/vhdl"
 )
 
@@ -48,7 +47,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	ps, err := core.LoadProfileSetFile(*profilePath)
+	ps, err := registry.LoadFile(*profilePath)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"bloomlang/internal/bloom"
 	"bloomlang/internal/core"
+	"bloomlang/internal/registry"
 	"bloomlang/internal/vhdl"
 )
 
@@ -22,12 +24,12 @@ func vhdlOf(t *testing.T, args ...string) string {
 	return out.String()
 }
 
-// TestRunReadsSavedAndLegacyProfiles checks that vhdlgen reads both
-// profile formats: the set file SaveFile (langid train -out) writes,
-// generated under the file's recorded configuration, and a legacy
-// bare-profile file, read under the defaults unless -k, -m and -seed
-// say otherwise.
-func TestRunReadsSavedAndLegacyProfiles(t *testing.T) {
+// TestRunReadsSavedProfiles checks that vhdlgen generates a profile
+// file (langid train -out) under the file's recorded configuration,
+// that -k, -m and -seed override it only when given, and that a bare
+// concatenation of profiles, the format before profile files carried a
+// configuration, is refused.
+func TestRunReadsSavedProfiles(t *testing.T) {
 	ps, err := core.TrainFromTexts(core.Config{TopT: 300, K: 6, MBits: 4 * 1024, Seed: 9}, map[string][][]byte{
 		"en": {[]byte("the quick brown fox jumps over the lazy dog repeatedly and often")},
 		"fi": {[]byte("nopea ruskea kettu hyppii laiskan koiran yli usein ja uudelleen")},
@@ -37,7 +39,7 @@ func TestRunReadsSavedAndLegacyProfiles(t *testing.T) {
 	}
 	dir := t.TempDir()
 	saved := filepath.Join(dir, "profiles.bin")
-	if err := ps.SaveFile(saved); err != nil {
+	if err := registry.SaveFile(saved, ps); err != nil {
 		t.Fatal(err)
 	}
 	var bare bytes.Buffer
@@ -68,17 +70,18 @@ func TestRunReadsSavedAndLegacyProfiles(t *testing.T) {
 		t.Errorf("saved file not generated under its recorded k and m:\n%s", got[:400])
 	}
 
-	// A legacy file records no configuration: defaults apply, and the
-	// flags restore the training configuration exactly.
-	if def := vhdlOf(t, "-profiles", legacy); !strings.Contains(def, "k=4, m=16384 bits") {
-		t.Errorf("legacy file not generated under the default k and m:\n%s", def[:400])
-	}
-	if over := vhdlOf(t, "-profiles", legacy, "-k", "6", "-m", "4096", "-seed", "9"); over != got {
-		t.Error("legacy file with -k/-m/-seed differs from the saved file's listing")
-	}
-
 	// A flag that is given overrides the recorded configuration.
 	if over := vhdlOf(t, "-profiles", saved, "-k", "2"); !strings.Contains(over, "k=2, m=4096 bits") {
 		t.Errorf("-k 2 did not override the file's k:\n%s", over[:400])
+	}
+
+	// A bare-profile file records no configuration and is refused,
+	// flags or not.
+	var out bytes.Buffer
+	if err := run([]string{"-profiles", legacy, "-k", "6", "-m", "4096", "-seed", "9", "-out", "-"}, &out); !errors.Is(err, core.ErrCorruptProfiles) {
+		t.Errorf("bare-profile file: err = %v, want ErrCorruptProfiles", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("bare-profile file produced %d bytes of VHDL", out.Len())
 	}
 }

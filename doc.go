@@ -95,11 +95,12 @@
 //
 // Use "bloom" when software classifications must match the simulated
 // hardware bit-for-bit (the XD1000 and VHDL models build the same
-// parallel filters from the profile set). Profile files written by
-// older builds with an embedded filter layout (NGPS v2) still load:
-// the layout is skipped and only the configuration and profiles are
-// read. v1 files and legacy NGPF streams remain readable, and damaged
-// files fail with errors tagged ErrCorruptProfiles.
+// parallel filters from the profile set). Profile files hold the
+// configuration and the profiles, languages in increasing order, in
+// one format (NGPS version 1). Files in any other format, such as the
+// NGPS version 2 and bare NGPF streams of older builds, are refused
+// (rebuild them with langid train), and damaged files fail with errors
+// tagged ErrCorruptProfiles.
 //
 // # Segmentation
 //

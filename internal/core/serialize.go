@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"bloomlang/internal/ngram"
 )
@@ -24,22 +22,17 @@ import (
 //	magic "NGPS" | version u8 | config JSON len u32 | config JSON |
 //	profile count u32 | count * NGPF profile records
 //
-// Version 2 appended a programmed filter layout for a since-removed
-// backend after the profiles. That layout was a pure function of the
-// config and the profiles, so readers take the config and profiles of
-// a version-2 file and ignore the rest. Legacy bare-NGPF streams remain
-// readable too.
+// Version 1 is the only version; older files (version 2, bare NGPF
+// streams) are refused. Languages are non-empty, unique and sorted, as
+// every trainer writes them: detectors break ties by that order.
+// Profile files on disk are internal/registry's.
 
 // profileSetMagic identifies the on-disk profile-set format.
 const profileSetMagic = "NGPS"
 
-// Profile-set serialization versions: WriteTo emits version 1
-// (config+profiles, byte-identical to historical files); readers also
-// accept version 2, whose trailing layout section they skip.
-const (
-	profileSetVersion       = 1
-	profileSetVersionLayout = 2
-)
+// profileSetVersion is the one NGPS version WriteTo writes and
+// ReadProfileSet reads.
+const profileSetVersion = 1
 
 // maxConfigJSON bounds the config header a reader will accept.
 const maxConfigJSON = 1 << 20
@@ -67,33 +60,15 @@ func (ps *ProfileSet) WriteTo(w io.Writer) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("core: encoding profile set config: %w", err)
 	}
-	bw := bufio.NewWriter(w)
-	var written int64
-	if _, err := bw.WriteString(profileSetMagic); err != nil {
-		return written, err
-	}
-	written += int64(len(profileSetMagic))
-	put := func(data any) error {
-		if err := binary.Write(bw, binary.LittleEndian, data); err != nil {
-			return err
-		}
-		written += int64(binary.Size(data))
-		return nil
-	}
-	if err := put(uint8(profileSetVersion)); err != nil {
-		return written, err
-	}
-	if err := put(uint32(len(cfgJSON))); err != nil {
-		return written, err
-	}
-	if _, err := bw.Write(cfgJSON); err != nil {
-		return written, err
-	}
-	written += int64(len(cfgJSON))
-	if err := put(uint32(len(ps.Profiles))); err != nil {
-		return written, err
-	}
-	if err := bw.Flush(); err != nil {
+	head := make([]byte, 0, len(profileSetMagic)+1+4+len(cfgJSON)+4)
+	head = append(head, profileSetMagic...)
+	head = append(head, profileSetVersion)
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(cfgJSON)))
+	head = append(head, cfgJSON...)
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(ps.Profiles)))
+	n, err := w.Write(head)
+	written := int64(n)
+	if err != nil {
 		return written, err
 	}
 	for _, p := range ps.Profiles {
@@ -106,34 +81,27 @@ func (ps *ProfileSet) WriteTo(w io.Writer) (int64, error) {
 	return written, nil
 }
 
-// ReadProfileSet deserializes a profile set written by WriteTo, or a
-// version-2 file, whose layout section it skips. For compatibility
-// with profile files produced before the set format existed (bare
-// concatenated NGPF records, as older cmd/langid train wrote), a
-// stream that starts with a profile record
-// instead of the set header is read as a legacy set under
-// DefaultConfig adjusted to the profiles' n. Malformed input comes
-// back as a wrapped ErrCorruptProfiles naming the structure that
-// failed.
+// ReadProfileSet deserializes a profile set written by WriteTo.
+// Malformed input, a bare NGPF stream and profiles whose languages are
+// not strictly increasing included, comes back as a wrapped
+// ErrCorruptProfiles naming the structure that failed; another NGPS
+// version is an unsupported-version error.
 func ReadProfileSet(r io.Reader) (*ProfileSet, error) {
 	br := bufio.NewReader(r)
-	magic, err := br.Peek(len(profileSetMagic))
-	if err != nil {
-		return nil, corruptf("profile data ends before the %d-byte NGPS magic (%d bytes available): file is empty or truncated", len(profileSetMagic), len(magic))
+	var magic [len(profileSetMagic)]byte
+	if n, err := io.ReadFull(br, magic[:]); err != nil {
+		return nil, corruptf("profile data ends before the %d-byte NGPS magic (%d bytes available): file is empty or truncated", len(magic), n)
 	}
-	if string(magic) != profileSetMagic {
-		return readLegacyProfileSet(br)
-	}
-	if _, err := br.Discard(len(profileSetMagic)); err != nil {
-		return nil, err
+	if string(magic[:]) != profileSetMagic {
+		return nil, corruptf("data starts with %q, not the NGPS magic %q: not a profile set (bare NGPF profile streams are no longer read; rebuild the file with langid train)", magic[:], profileSetMagic)
 	}
 	var version uint8
 	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
 		return nil, corruptf("profile set header truncated after the magic (%v)", err)
 	}
-	if version != profileSetVersion && version != profileSetVersionLayout {
-		return nil, fmt.Errorf("core: unsupported profile set version %d (this build reads versions %d and %d; the file was written by a newer build or is corrupt)",
-			version, profileSetVersion, profileSetVersionLayout)
+	if version != profileSetVersion {
+		return nil, fmt.Errorf("core: unsupported profile set version %d (this build reads version %d only; rebuild the file with langid train)",
+			version, profileSetVersion)
 	}
 	var cfgLen uint32
 	if err := binary.Read(br, binary.LittleEndian, &cfgLen); err != nil {
@@ -170,77 +138,10 @@ func ReadProfileSet(r io.Reader) (*ProfileSet, error) {
 		if p.N != cfg.N {
 			return nil, fmt.Errorf("core: profile %q has n=%d, set config has n=%d", p.Language, p.N, cfg.N)
 		}
-		ps.Profiles = append(ps.Profiles, p)
-	}
-	return ps, nil
-}
-
-// readLegacyProfileSet reads bare concatenated NGPF records until EOF.
-func readLegacyProfileSet(br *bufio.Reader) (*ProfileSet, error) {
-	cfg := DefaultConfig()
-	ps := &ProfileSet{Config: cfg}
-	for {
-		p, err := ngram.ReadProfile(br)
-		if err != nil {
-			// A clean end of file shows up as a wrapped io.EOF from the
-			// magic read; anything else is a real error.
-			if errors.Is(err, io.EOF) && len(ps.Profiles) > 0 {
-				break
-			}
-			if len(ps.Profiles) == 0 {
-				return nil, corruptf("data is neither an NGPS profile set nor a legacy NGPF profile stream (%v)", err)
-			}
-			return nil, corruptf("legacy profile stream damaged after %d profiles (%v)", len(ps.Profiles), err)
+		if p.Language == "" || i > 0 && p.Language <= ps.Profiles[i-1].Language {
+			return nil, corruptf("profile %d of %d has language %q: language codes must be non-empty, unique and in increasing order", i+1, count, p.Language)
 		}
-		ps.Config.N = p.N
 		ps.Profiles = append(ps.Profiles, p)
 	}
 	return ps, nil
-}
-
-// SaveFile writes the profile set to path atomically: a temp file in
-// the same directory is synced to disk and renamed into place, so a
-// crash mid-write never leaves a truncated profile file for a daemon
-// to trip over. Making the rename itself durable is up to the caller,
-// by syncing the directory.
-func (ps *ProfileSet) SaveFile(path string) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := ps.WriteTo(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	// CreateTemp opens 0600; match the 0644-modulo-umask a plain create
-	// would give, so other users (e.g. the daemon's service account)
-	// can read the saved profiles.
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// LoadProfileSetFile reads a profile set from a file written by
-// SaveFile (or a legacy bare-profile file).
-func LoadProfileSetFile(path string) (*ProfileSet, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadProfileSet(f)
 }

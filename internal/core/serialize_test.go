@@ -3,11 +3,12 @@ package core
 import (
 	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"bloomlang/internal/ngram"
 )
 
 func TestProfileSetRoundTrip(t *testing.T) {
@@ -68,126 +69,6 @@ func TestProfileSetRoundTripProducesIdenticalClassifier(t *testing.T) {
 	}
 }
 
-func TestProfileSetSaveLoadFile(t *testing.T) {
-	ps := trainMini(t, Config{TopT: 500})
-	path := filepath.Join(t.TempDir(), "profiles.bin")
-	if err := ps.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadProfileSetFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Config != ps.Config || len(got.Profiles) != len(ps.Profiles) {
-		t.Errorf("file round-trip mismatch: %+v", got.Config)
-	}
-}
-
-func TestReadProfileSetLegacyFormat(t *testing.T) {
-	// Bare concatenated NGPF records, as older cmd/langid train wrote.
-	ps := trainMini(t, Config{TopT: 300})
-	var buf bytes.Buffer
-	for _, p := range ps.Profiles {
-		if _, err := p.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := ReadProfileSet(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Profiles) != len(ps.Profiles) {
-		t.Fatalf("legacy read: got %d profiles, want %d", len(got.Profiles), len(ps.Profiles))
-	}
-	if got.Config.N != ps.Config.N {
-		t.Errorf("legacy read: config n=%d, want %d", got.Config.N, ps.Config.N)
-	}
-	for i, p := range ps.Profiles {
-		if !reflect.DeepEqual(got.Profiles[i].Grams, p.Grams) {
-			t.Errorf("legacy profile %q did not round-trip", p.Language)
-		}
-	}
-}
-
-// TestReadProfileSetLegacyCutAfterMagic: a legacy stream that ends
-// inside a record, after that record's magic, is damaged, not a clean
-// end of the stream after the records before it.
-func TestReadProfileSetLegacyCutAfterMagic(t *testing.T) {
-	ps := trainMini(t, Config{TopT: 300})
-	var buf bytes.Buffer
-	if _, err := ps.Profiles[0].WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, tail := range []string{"NGPF", "NGPF\x01\x04"} {
-		data := append(bytes.Clone(buf.Bytes()), tail...)
-		_, err := ReadProfileSet(bytes.NewReader(data))
-		if !errors.Is(err, ErrCorruptProfiles) || !strings.Contains(err.Error(), "damaged after 1 profiles") {
-			t.Errorf("legacy stream ending in %q: %v, want damaged after 1 profile", tail, err)
-		}
-	}
-}
-
-// TestReadProfileSetVersion2Fixture loads an NGPS version-2 file,
-// written with the embedded filter layout of a since-removed backend,
-// and checks it against its version-1 rewrite: the rewrite is the file
-// up to the layout section under version byte 1, and it reads back to
-// the same Config, the same Profiles and the same detections.
-func TestReadProfileSetVersion2Fixture(t *testing.T) {
-	v2, err := os.ReadFile(filepath.Join("testdata", "profiles_v2_blocked.ngps"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := ReadProfileSet(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ps.Languages(); !reflect.DeepEqual(got, []string{"en", "es", "fi"}) {
-		t.Fatalf("fixture languages = %v", got)
-	}
-	var v1 bytes.Buffer
-	if _, err := ps.WriteTo(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if v1.Len() >= len(v2) {
-		t.Fatalf("v1 rewrite is %d bytes, v2 file only %d", v1.Len(), len(v2))
-	}
-	want := append([]byte(nil), v2[:v1.Len()]...)
-	want[len(profileSetMagic)] = profileSetVersion
-	if !bytes.Equal(v1.Bytes(), want) {
-		t.Error("v1 rewrite is not the v2 file without its layout section")
-	}
-	rewritten, err := ReadProfileSet(&v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rewritten.Config != ps.Config {
-		t.Errorf("config: v2 %+v, v1 rewrite %+v", ps.Config, rewritten.Config)
-	}
-	if !reflect.DeepEqual(rewritten.Profiles, ps.Profiles) {
-		t.Error("profiles differ between the v2 file and its v1 rewrite")
-	}
-	corp := getMiniCorpus(t)
-	for _, backend := range equivBackends() {
-		a, err := NewDetector(ps, withBackend(backend))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := NewDetector(rewritten, withBackend(backend))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, lang := range []string{"en", "es", "fi", "pt"} {
-			for _, doc := range corp.Test[lang][:3] {
-				ca, ma := a.DetectCounts(nil, doc.Text)
-				cb, mb := b.DetectCounts(nil, doc.Text)
-				if ma != mb || !reflect.DeepEqual(ca, cb) {
-					t.Errorf("%s %s: v2 %+v %v, v1 rewrite %+v %v", backend, lang, ma, ca, mb, cb)
-				}
-			}
-		}
-	}
-}
-
 // TestReadProfileSetCorruptInputs pins the actionable-error contract:
 // every malformed input fails with a wrapped ErrCorruptProfiles whose
 // message names the structure that failed to parse, instead of a raw
@@ -199,6 +80,26 @@ func TestReadProfileSetCorruptInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	hugeCfgLen := append([]byte("NGPS\x01"), []byte{0xff, 0xff, 0xff, 0xff}...)
+	// encode writes a version-1 set of the given profiles, in the given
+	// order, as no trainer would.
+	encode := func(profiles ...*ngram.Profile) []byte {
+		var buf bytes.Buffer
+		if _, err := (&ProfileSet{Config: ps.Config, Profiles: profiles}).WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	en, fi := ps.Profiles[0], ps.Profiles[2] // of en, es, fi, pt
+	blank := *en
+	blank.Language = ""
+	// Bare concatenated NGPF records, as langid train wrote before the
+	// set format existed.
+	var bare bytes.Buffer
+	for _, p := range ps.Profiles {
+		if _, err := p.WriteTo(&bare); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cases := []struct {
 		name string
 		data []byte
@@ -206,7 +107,8 @@ func TestReadProfileSetCorruptInputs(t *testing.T) {
 	}{
 		{"empty input", nil, "truncated"},
 		{"three-byte file", []byte("NGP"), "NGPS magic"},
-		{"garbage without magic", []byte("this is not a profile file at all"), "neither an NGPS profile set nor a legacy NGPF"},
+		{"garbage without magic", []byte("this is not a profile file at all"), "not the NGPS magic"},
+		{"bare NGPF stream", bare.Bytes(), "not the NGPS magic"},
 		{"header cut after magic", []byte("NGPS"), "truncated after the magic"},
 		{"header cut in config length", []byte("NGPS\x01\x10"), "config length"},
 		{"config length overflow", hugeCfgLen, "refusing"},
@@ -214,6 +116,9 @@ func TestReadProfileSetCorruptInputs(t *testing.T) {
 		{"config not JSON", append([]byte("NGPS\x01"), 0x02, 0, 0, 0, 'h', 'i'), "not valid JSON"},
 		{"cut before profile count", v1.Bytes()[:bytes.IndexByte(v1.Bytes(), '}')+1], "profile count"},
 		{"profile record truncated", v1.Bytes()[:v1.Len()-10], "reading profile"},
+		{"languages out of order", encode(fi, en), "increasing order"},
+		{"language repeated", encode(en, fi, fi), "increasing order"},
+		{"empty language code", encode(&blank, fi), "non-empty"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -229,11 +134,14 @@ func TestReadProfileSetCorruptInputs(t *testing.T) {
 			}
 		})
 	}
-	// An unsupported version is a version error, not corruption.
-	bumped := append([]byte("NGPS\x07"), v1.Bytes()[5:]...)
-	_, err := ReadProfileSet(bytes.NewReader(bumped))
-	if err == nil || !strings.Contains(err.Error(), "version 7") {
-		t.Errorf("version bump error = %v, want an unsupported-version message", err)
+	// An unsupported version is a version error, not corruption: 2 is
+	// the layout of a since-removed backend, 7 one no build wrote.
+	for _, version := range []byte{2, 7} {
+		bumped := append([]byte{'N', 'G', 'P', 'S', version}, v1.Bytes()[5:]...)
+		_, err := ReadProfileSet(bytes.NewReader(bumped))
+		if err == nil || errors.Is(err, ErrCorruptProfiles) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", version)) {
+			t.Errorf("version %d error = %v, want an unsupported-version message", version, err)
+		}
 	}
 }
 
@@ -269,4 +177,43 @@ func TestReadProfileSetRejectsMismatchedN(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "n=") {
 		t.Errorf("mismatched profile n not rejected: %v", err)
 	}
+}
+
+// FuzzReadProfileSet: no input panics the reader, and every input it
+// accepts holds non-empty, strictly increasing languages, every profile
+// at the set's n, and goes back through WriteTo to the same set.
+func FuzzReadProfileSet(f *testing.F) {
+	var buf bytes.Buffer
+	if _, err := trainMini(f, Config{TopT: 20}).WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	data := buf.Bytes()
+	for _, cut := range []int{len(data), len(data) - 1, len(data) / 2, 10, 5, 4, 0} {
+		f.Add(data[:cut])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ps, err := ReadProfileSet(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i, p := range ps.Profiles {
+			if p.N != ps.Config.N {
+				t.Errorf("profile %q has n=%d in a set at n=%d", p.Language, p.N, ps.Config.N)
+			}
+			if p.Language == "" || i > 0 && p.Language <= ps.Profiles[i-1].Language {
+				t.Errorf("profile %d language %q accepted after %v", i, p.Language, ps.Languages()[:i])
+			}
+		}
+		var out bytes.Buffer
+		if _, err := ps.WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadProfileSet(&out)
+		if err != nil {
+			t.Fatalf("rewritten set refused: %v", err)
+		}
+		if !reflect.DeepEqual(back, ps) {
+			t.Errorf("rewritten set reads back as %+v, want %+v", back, ps)
+		}
+	})
 }

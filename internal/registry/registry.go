@@ -22,6 +22,10 @@
 // half-written state. A Registry value serializes its own operations;
 // coordination between processes is the deployment's concern (run one
 // writer — the trainer — per registry).
+//
+// The package also writes and reads unversioned profile files
+// (SaveFile, LoadFile), so every profile file, manifest and pointer
+// file reaches the disk through the same durable write.
 package registry
 
 import (
@@ -147,7 +151,15 @@ func (r *Registry) Create(ps *core.ProfileSet, stats train.Stats) (*Manifest, er
 		Languages: ps.Languages(),
 		Stats:     stats,
 	}
-	m.Checksum, m.ProfileBytes, err = writeFile(filepath.Join(staging, profilesFile), ps.WriteTo)
+	// Each file is new: O_EXCL refuses anything already in staging.
+	create := func(name string, write func(io.Writer) (int64, error)) (string, int64, error) {
+		f, err := os.OpenFile(filepath.Join(staging, name), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		if err != nil {
+			return "", 0, err
+		}
+		return writeSynced(f, write)
+	}
+	m.Checksum, m.ProfileBytes, err = create(profilesFile, ps.WriteTo)
 	if err != nil {
 		return nil, fmt.Errorf("registry: writing profiles: %w", err)
 	}
@@ -155,7 +167,7 @@ func (r *Registry) Create(ps *core.ProfileSet, stats train.Stats) (*Manifest, er
 	if err != nil {
 		return nil, fmt.Errorf("registry: encoding manifest: %w", err)
 	}
-	if _, _, err := writeFile(filepath.Join(staging, manifestFile), bytes.NewReader(append(mj, '\n')).WriteTo); err != nil {
+	if _, _, err := create(manifestFile, bytes.NewReader(append(mj, '\n')).WriteTo); err != nil {
 		return nil, fmt.Errorf("registry: writing manifest: %w", err)
 	}
 	if err := os.Chmod(staging, 0o755); err != nil {
@@ -375,45 +387,55 @@ func (r *Registry) writeHistoryLocked(hist []string) error {
 	return r.writeAtomicLocked(historyFile, b.String())
 }
 
-// writeAtomicLocked replaces root/name via temp file + fsync + rename
-// + directory fsync, so the pointer files survive power loss with
-// either the old or the new content, never a truncated one.
+// writeAtomicLocked replaces root/name with content through
+// replaceFile, so the pointer files survive power loss with either the
+// old or the new content, never a truncated one.
 func (r *Registry) writeAtomicLocked(name, content string) error {
-	tmp, err := os.CreateTemp(r.root, "."+name+".tmp*")
+	return replaceFile(filepath.Join(r.root, name), strings.NewReader(content).WriteTo)
+}
+
+// SaveFile writes ps to path as an unversioned profile file (langid
+// train -out) through replaceFile, so a crash mid-write never leaves a
+// truncated profile file for a daemon to trip over.
+func SaveFile(path string, ps *core.ProfileSet) error {
+	return replaceFile(path, ps.WriteTo)
+}
+
+// LoadFile reads an unversioned profile file written by SaveFile.
+func LoadFile(path string) (*core.ProfileSet, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return core.ReadProfileSet(f)
+}
+
+// replaceFile writes path whole: a temp file beside it (".*.tmp*", the
+// shape Open sweeps in a registry) goes through writeSynced, is renamed
+// over path, and the directory is synced. A crash leaves the old file
+// or the new one, never a mix.
+func replaceFile(path string, write func(io.Writer) (int64, error)) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("registry: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := io.WriteString(tmp, content); err != nil {
-		tmp.Close()
+	if _, _, err := writeSynced(tmp, write); err != nil {
+		return fmt.Errorf("registry: writing %s: %w", path, err)
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("registry: %w", err)
 	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return fmt.Errorf("registry: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("registry: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("registry: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(r.root, name)); err != nil {
-		return fmt.Errorf("registry: %w", err)
-	}
-	return syncDir(r.root)
+	return syncDir(dir)
 }
 
-// writeFile creates path, writes it through write and fsyncs it, and
-// returns the hex SHA-256 and size of the bytes written: the file is
-// hashed on its way out, never read back. Its mode is 0644 whatever the
-// umask, so a daemon under another account can read it.
-func writeFile(path string, write func(io.Writer) (int64, error)) (string, int64, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return "", 0, err
-	}
+// writeSynced writes f through write, sets mode 0644 whatever the umask
+// (so a daemon under another account can read it), fsyncs and closes
+// it, and returns the hex SHA-256 and size of the bytes written: files
+// are hashed on their way out, never read back.
+func writeSynced(f *os.File, write func(io.Writer) (int64, error)) (string, int64, error) {
 	defer f.Close()
 	h := sha256.New()
 	n, err := write(io.MultiWriter(f, h))

@@ -26,6 +26,7 @@ import (
 	"bloomlang/internal/core"
 	"bloomlang/internal/corpus"
 	"bloomlang/internal/ngram"
+	"bloomlang/internal/registry"
 	"bloomlang/internal/serve"
 	"bloomlang/internal/train"
 )
@@ -63,12 +64,12 @@ func fixtures(t testing.TB) (*corpus.Corpus, *core.ProfileSet) {
 			return
 		}
 		path := filepath.Join(t.TempDir(), "profiles.bin")
-		if err := trained.SaveFile(path); err != nil {
+		if err := registry.SaveFile(path, trained); err != nil {
 			fixErr = err
 			return
 		}
 		fixCorpus = corp
-		fixSet, fixErr = core.LoadProfileSetFile(path)
+		fixSet, fixErr = registry.LoadFile(path)
 	})
 	if fixErr != nil {
 		t.Fatal(fixErr)

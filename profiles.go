@@ -5,13 +5,15 @@ import (
 
 	"bloomlang/internal/bloom"
 	"bloomlang/internal/core"
+	"bloomlang/internal/registry"
 )
 
 // SaveProfiles writes a trained profile set (configuration included)
-// to path atomically, in the format LoadProfiles reads. A daemon
-// restart then costs a file read instead of a training run.
+// to path durably (temp file, fsync, rename, directory sync), in the
+// format LoadProfiles reads. A daemon restart then costs a file read
+// instead of a training run.
 func SaveProfiles(ps *ProfileSet, path string) error {
-	return ps.SaveFile(path)
+	return registry.SaveFile(path, ps)
 }
 
 // ErrCorruptProfiles tags ReadProfiles/LoadProfiles errors caused by
@@ -19,11 +21,11 @@ func SaveProfiles(ps *ProfileSet, path string) error {
 // version mismatches: errors.Is(err, ErrCorruptProfiles).
 var ErrCorruptProfiles = core.ErrCorruptProfiles
 
-// LoadProfiles reads a profile file written by SaveProfiles (or a
-// legacy bare-profile file from older cmd/langid builds), ready to
-// hand to NewDetector or NewServer without re-training.
+// LoadProfiles reads a profile file written by SaveProfiles (or
+// langid train -out), ready to hand to NewDetector or NewServer
+// without re-training.
 func LoadProfiles(path string) (*ProfileSet, error) {
-	return core.LoadProfileSetFile(path)
+	return registry.LoadFile(path)
 }
 
 // WriteProfiles serializes a profile set, configuration included, to a
@@ -33,8 +35,8 @@ func WriteProfiles(w io.Writer, ps *ProfileSet) (int64, error) {
 }
 
 // ReadProfiles deserializes a profile set written by WriteProfiles.
-// Legacy streams of bare profiles are read under the default
-// configuration.
+// Any other data, older formats included, is refused; damaged data
+// with ErrCorruptProfiles.
 func ReadProfiles(r io.Reader) (*ProfileSet, error) {
 	return core.ReadProfileSet(r)
 }

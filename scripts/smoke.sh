@@ -44,6 +44,8 @@ echo "smoke: training v000001 into the registry and a profile file"
 "$tmp/bin/langid" train -corpus "$tmp/corpus" -registry "$tmp/registry" -activate -out "$tmp/profiles.bin" >/dev/null
 "$tmp/bin/langid" profiles -registry "$tmp/registry" | grep -q '^\* v000001' \
   || fail "v000001 not listed as active"
+leftover=$(find "$tmp" -maxdepth 1 -name '*.tmp*')
+[ -z "$leftover" ] || fail "langid train -out left temp entries beside the profile file: $leftover"
 
 echo "smoke: langid eval scores the test split on direct-lookup"
 "$tmp/bin/langid" eval -corpus "$tmp/corpus" -profiles "$tmp/profiles.bin" >"$tmp/eval.out"
