@@ -2,6 +2,7 @@ package bloomlang
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -48,6 +49,23 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		if ev.Average < 0.9 {
 			t.Errorf("%v: accuracy %.3f below 0.9", backend, ev.Average)
 		}
+	}
+}
+
+// TestTrainRefusesEmptyLanguage: both facade trainers refuse an empty
+// language code, as the streaming trainer does, instead of building a
+// set no profile file may hold.
+func TestTrainRefusesEmptyLanguage(t *testing.T) {
+	doc := []byte("the quick brown fox jumps over the lazy dog")
+	corp := &Corpus{
+		Languages: []string{"", "en"},
+		Train:     map[string][]Document{"": {{Text: doc}}, "en": {{Language: "en", Text: doc}}},
+	}
+	if _, err := Train(DefaultConfig(), corp); err == nil || !strings.Contains(err.Error(), "empty language label") {
+		t.Errorf("Train with an empty language code: %v, want an empty-label error", err)
+	}
+	if _, err := TrainFromTexts(DefaultConfig(), corp.TrainTextsByLanguage()); err == nil || !strings.Contains(err.Error(), "empty language label") {
+		t.Errorf("TrainFromTexts with an empty language code: %v, want an empty-label error", err)
 	}
 }
 

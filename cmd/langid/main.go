@@ -48,7 +48,6 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"sort"
 
 	"bloomlang"
 )
@@ -65,7 +64,9 @@ func main() {
 	case "profiles":
 		profiles(os.Args[2:])
 	case "classify":
-		classify(os.Args[2:])
+		if err := classify(os.Args[2:], os.Stdout); err != nil {
+			log.Fatal(err)
+		}
 	case "segment":
 		segment(os.Args[2:])
 	case "eval":
@@ -265,7 +266,10 @@ func profiles(args []string) {
 	}
 }
 
-func classify(args []string) {
+// classify writes each file's match, under the detector's thresholds,
+// to w; with -v it adds the full ranking, best first, ties in language
+// order.
+func classify(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("classify", flag.ExitOnError)
 	load := detectorFlags(fs)
 	minMargin := fs.Float64("min-margin", 0, "answer unknown below this normalized winner margin")
@@ -274,33 +278,21 @@ func classify(args []string) {
 	fs.Parse(args)
 	det, err := load(bloomlang.WithMinMargin(*minMargin), bloomlang.WithMinNGrams(*minNGrams))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	classifyOne := func(name string, text []byte) {
-		// One pipeline pass covers both outputs: the match under the
-		// detector's thresholds and the per-language counts -v prints.
-		counts, match := det.DetectCounts(nil, text)
+		match := det.Detect(text)
 		if match.Unknown {
-			fmt.Printf("%s: unknown (%d n-grams, score %.3f, margin %.3f)\n",
+			fmt.Fprintf(w, "%s: unknown (%d n-grams, score %.3f, margin %.3f)\n",
 				name, match.NGrams, match.Score, match.Margin)
 		} else {
-			fmt.Printf("%s: %s (%s), score %.3f, margin %.3f over %d n-grams\n",
+			fmt.Fprintf(w, "%s: %s (%s), score %.3f, margin %.3f over %d n-grams\n",
 				name, match.Lang, bloomlang.LanguageName(match.Lang), match.Score, match.Margin, match.NGrams)
 		}
 		if *verbose {
-			langs := det.Languages()
-			order := make([]int, len(langs))
-			for i := range order {
-				order[i] = i
-			}
-			sort.SliceStable(order, func(a, b int) bool { return counts[order[a]] > counts[order[b]] })
-			for _, i := range order {
-				score := 0.0
-				if match.NGrams > 0 {
-					score = float64(counts[i]) / float64(match.NGrams)
-				}
-				fmt.Printf("  %-3s %6d  score %.3f\n", langs[i], counts[i], score)
+			for _, m := range det.Rank(text, 0) {
+				fmt.Fprintf(w, "  %-3s %6d  score %.3f\n", m.Lang, m.Count, m.Score)
 			}
 		}
 	}
@@ -308,18 +300,19 @@ func classify(args []string) {
 	if fs.NArg() == 0 {
 		text, err := io.ReadAll(os.Stdin)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		classifyOne("stdin", text)
-		return
+		return nil
 	}
 	for _, path := range fs.Args() {
 		text, err := os.ReadFile(path)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		classifyOne(path, text)
 	}
+	return nil
 }
 
 // segment splits mixed-language files into contiguous single-language

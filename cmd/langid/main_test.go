@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -110,4 +111,63 @@ func saveProfiles(t *testing.T, cfg bloomlang.Config, corp *bloomlang.Corpus) st
 		t.Fatal(err)
 	}
 	return path
+}
+
+// TestClassifyVerboseRanking pins the output of classify -v: the match
+// line, then every language's count and score, best first, equal
+// counts in language order.
+func TestClassifyVerboseRanking(t *testing.T) {
+	corp, err := bloomlang.GenerateCorpus(bloomlang.CorpusConfig{
+		Languages:       []string{"en", "es", "fi", "pt"},
+		DocsPerLanguage: 4,
+		WordsPerDoc:     200,
+		TrainFraction:   0.5,
+		Seed:            3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := bloomlang.DefaultConfig()
+	cfg.TopT = 1000
+	profiles := saveProfiles(t, cfg, corp)
+	dir := t.TempDir()
+	var files []string
+	for _, f := range []struct {
+		name string
+		text []byte
+	}{
+		{"fi.txt", corp.TestDocuments("fi")[0].Text},
+		{"es.txt", []byte("el consejo adopta las medidas")},
+		{"tie.txt", []byte("qqq xxx zzz")},
+	} {
+		path := filepath.Join(dir, f.name)
+		if err := os.WriteFile(path, f.text, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, path)
+	}
+	var out bytes.Buffer
+	if err := classify(append([]string{"-profiles", profiles, "-v"}, files...), &out); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.ReplaceAll(out.String(), dir+string(filepath.Separator), "")
+	want := `fi.txt: fi (Finnish), score 0.667, margin 0.435 over 664 n-grams
+  fi     443  score 0.667
+  es     154  score 0.232
+  en     137  score 0.206
+  pt     122  score 0.184
+es.txt: es (Spanish), score 0.308, margin 0.115 over 26 n-grams
+  es       8  score 0.308
+  pt       5  score 0.192
+  en       1  score 0.038
+  fi       1  score 0.038
+tie.txt: en (English), score 0.000, margin 0.000 over 8 n-grams
+  en       0  score 0.000
+  es       0  score 0.000
+  fi       0  score 0.000
+  pt       0  score 0.000
+`
+	if got != want {
+		t.Errorf("classify -v printed\n%s\nwant\n%s", got, want)
+	}
 }

@@ -65,7 +65,7 @@ func main() {
 	profilePath := flag.String("profiles", "", "trained profile file to serve from")
 	minMargin := flag.Float64("min-margin", 0, "answer unknown below this normalized winner margin")
 	minNGrams := flag.Int("min-ngrams", 1, "answer unknown below this many testable n-grams")
-	maxBody := flag.Int64("max-body", 10<<20, "max /detect and /batch body bytes")
+	maxBody := flag.Int64("max-body", 10<<20, "max /detect, /batch and /segment body bytes")
 	maxBatch := flag.Int("max-batch", 1024, "max documents per /batch request")
 	maxLine := flag.Int("max-line", 1<<20, "max NDJSON line bytes on /stream")
 	// Read/write timeouts are absolute per-request limits, not idle

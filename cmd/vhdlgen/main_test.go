@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -42,14 +43,18 @@ func TestRunReadsSavedProfiles(t *testing.T) {
 	if err := registry.SaveFile(saved, ps); err != nil {
 		t.Fatal(err)
 	}
-	var bare bytes.Buffer
-	for _, p := range ps.Profiles {
-		if _, err := p.WriteTo(&bare); err != nil {
-			t.Fatal(err)
-		}
+	// The bare records are the saved file's bytes after its header:
+	// magic, version, config length, config JSON and profile count.
+	set, err := os.ReadFile(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := set[4+1+4+binary.LittleEndian.Uint32(set[5:9])+4:]
+	if !bytes.HasPrefix(bare, []byte("NGPF")) {
+		t.Fatalf("saved file's records start with %q, want the NGPF magic", bare[:4])
 	}
 	legacy := filepath.Join(dir, "legacy.bin")
-	if err := os.WriteFile(legacy, bare.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(legacy, bare, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -41,9 +41,9 @@ func ParseBackend(name string) (Backend, error) {
 // newExactKernel builds core's exact kernel over the profile set: the
 // mask planes where the 2^(5n)-entry table fits, the compact probe
 // tables above.
-func newExactKernel(cfg Config, ps *ProfileSet) (Kernel, error) {
+func newExactKernel(cfg Config, ps *ProfileSet) Kernel {
 	if cfg.N > maxMaskN {
-		return buildProbeKernel(cfg, ps)
+		return buildProbeKernel(ps)
 	}
 	return buildMaskKernel(cfg, ps)
 }

@@ -41,6 +41,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -135,9 +136,10 @@ type ProfileSet struct {
 // keyed by language code, counting every language over one shared
 // n-gram vocabulary, as the streaming trainer does, and releasing the
 // vocabulary before ranking, so the next mask plane built takes its
-// flat index (ngram.NewTable). A language's texts
-// may hold at most ngram.MaxTotal n-grams; the document that would
-// pass that is refused, with an error naming the language.
+// flat index (ngram.NewTable). An empty language code is refused
+// before counting. A language's texts may hold at most
+// ngram.MaxTotal n-grams; the document that would pass that is
+// refused, with an error naming the language.
 func TrainFromTexts(cfg Config, texts map[string][][]byte) (*ProfileSet, error) {
 	cfg.applyDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -148,6 +150,9 @@ func TrainFromTexts(cfg Config, texts map[string][][]byte) (*ProfileSet, error) 
 	}
 	langs := make([]string, 0, len(texts))
 	for lang := range texts {
+		if lang == "" {
+			return nil, errors.New("core: empty language label")
+		}
 		langs = append(langs, lang)
 	}
 	sort.Strings(langs)
@@ -174,6 +179,37 @@ func TrainFromTexts(cfg Config, texts map[string][][]byte) (*ProfileSet, error) 
 		ps.Profiles[i] = r.Profile(lang, counters[i], cfg.TopT)
 	}
 	return ps, nil
+}
+
+// validate is the one check of a set's rules, made on every set read
+// from a file and every set a detector is built over: the config is
+// valid, the set holds at least one profile, every profile has the
+// set's n and only n-grams inside the n-bit space, and the language
+// codes are non-empty, unique and in increasing order, the order
+// detectors break ties by.
+func (ps *ProfileSet) validate() error {
+	cfg := ps.Config.WithDefaults()
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("core: profile set config invalid: %w", err)
+	}
+	if len(ps.Profiles) == 0 {
+		return errors.New("core: empty profile set")
+	}
+	nBits := ngram.Bits(cfg.N)
+	for i, p := range ps.Profiles {
+		if p.Language == "" || i > 0 && p.Language <= ps.Profiles[i-1].Language {
+			return fmt.Errorf("core: profile %d of %d has language %q: language codes must be non-empty, unique and in increasing order", i+1, len(ps.Profiles), p.Language)
+		}
+		if p.N != cfg.N {
+			return fmt.Errorf("core: profile %q has n=%d, set config has n=%d", p.Language, p.N, cfg.N)
+		}
+		for _, g := range p.Grams {
+			if g>>nBits != 0 {
+				return fmt.Errorf("core: profile %q holds n-gram %#x outside the %d-bit n=%d space", p.Language, g, nBits, cfg.N)
+			}
+		}
+	}
+	return nil
 }
 
 // Languages returns the trained language codes in classifier order.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"bloomlang/internal/corpus"
@@ -133,6 +134,36 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := NewDetector(ps, withBackend("classic")); err == nil {
 		t.Error("NewDetector with a kernel that fails to build succeeded")
+	}
+}
+
+// TestNewDetectorRefusesLanguageOrder: a detector breaks ties towards
+// the earlier language of its set, so it serves only sets whose
+// language codes are non-empty, unique and in increasing order, as
+// ReadProfileSet demands of a file.
+func TestNewDetectorRefusesLanguageOrder(t *testing.T) {
+	ps := trainMini(t, Config{TopT: 200})
+	en, fi := ps.Profiles[0], ps.Profiles[2] // of en, es, fi, pt
+	blank := *en
+	blank.Language = ""
+	for _, profiles := range [][]*ngram.Profile{{fi, en, en}, {fi, en}, {&blank, fi}, {en, &blank}} {
+		bad := &ProfileSet{Config: ps.Config, Profiles: profiles}
+		for _, b := range equivBackends() {
+			_, err := NewDetector(bad, withBackend(b))
+			if err == nil || !strings.Contains(err.Error(), "increasing order") {
+				t.Errorf("%s: NewDetector over languages %q: %v, want a language-order error", b, bad.Languages(), err)
+			}
+		}
+	}
+}
+
+// TestTrainRefusesEmptyLanguage: an empty language code is refused
+// before counting, as the streaming trainer refuses it, so training
+// never builds a set ReadProfileSet or NewDetector would refuse.
+func TestTrainRefusesEmptyLanguage(t *testing.T) {
+	texts := map[string][][]byte{"": {[]byte("hello world")}, "en": {[]byte("hello world")}}
+	if ps, err := TrainFromTexts(DefaultConfig(), texts); err == nil || !strings.Contains(err.Error(), "empty language label") {
+		t.Errorf("TrainFromTexts with an empty language code: %v, %v; want an empty-label error", ps, err)
 	}
 }
 

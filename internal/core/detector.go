@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -88,40 +87,31 @@ type Detector struct {
 	pool      sync.Pool // of *Stream; every detection path borrows one
 }
 
-// NewDetector builds a detector over trained profiles.
+// NewDetector builds a detector over trained profiles. It refuses a
+// set that does not hold the rules ReadProfileSet enforces on a file.
 func NewDetector(ps *ProfileSet, opts ...DetectorOption) (*Detector, error) {
+	if err := ps.validate(); err != nil {
+		return nil, err
+	}
 	var o detectorOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	cfg := ps.Config.WithDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(ps.Profiles) == 0 {
-		return nil, fmt.Errorf("core: empty profile set")
-	}
 	d := &Detector{
-		cfg:       cfg,
+		cfg:       ps.Config.WithDefaults(),
 		backend:   BackendDirect,
+		langs:     ps.Languages(),
 		minMargin: max(o.minMargin, 0),
 		minNGrams: max(o.minNGrams, 1),
 	}
-	for _, p := range ps.Profiles {
-		if p.N != cfg.N {
-			return nil, fmt.Errorf("core: profile %q has n=%d, config has n=%d", p.Language, p.N, cfg.N)
-		}
-		d.langs = append(d.langs, p.Language)
-	}
-	var err error
 	if o.build == nil {
-		d.kernel, err = newExactKernel(cfg, ps)
+		d.kernel = newExactKernel(d.cfg, ps)
 	} else {
+		var err error
 		d.backend = o.backend
-		d.kernel, err = o.build(ps)
-	}
-	if err != nil {
-		return nil, err
+		if d.kernel, err = o.build(ps); err != nil {
+			return nil, err
+		}
 	}
 	d.pool.New = func() any { return &Stream{d: d} }
 	return d, nil

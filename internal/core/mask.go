@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 
 	"bloomlang/internal/alphabet"
@@ -73,7 +72,7 @@ const maxMaskN = 5
 // buildMaskKernel programs the mask planes from the profiles. A plane
 // is an ngram.NewTable, so the first one takes the flat index a
 // training run just released when the sizes match.
-func buildMaskKernel(cfg Config, ps *ProfileSet) (Kernel, error) {
+func buildMaskKernel(cfg Config, ps *ProfileSet) Kernel {
 	nBits := ngram.Bits(cfg.N)
 	k := &maskKernel{planes: make([][]uint16, (len(ps.Profiles)+maskPlaneLangs-1)/maskPlaneLangs)}
 	for p := range k.planes {
@@ -82,19 +81,10 @@ func buildMaskKernel(cfg Config, ps *ProfileSet) (Kernel, error) {
 	for i, prof := range ps.Profiles {
 		plane, bit := k.planes[i/maskPlaneLangs], uint16(1)<<(i%maskPlaneLangs)
 		for _, g := range prof.Grams {
-			if g>>nBits != 0 {
-				return nil, gramError(cfg, prof, g)
-			}
 			plane[g] |= bit
 		}
 	}
-	return k, nil
-}
-
-// gramError refuses profile n-gram g, which lies outside the packed
-// n-gram space.
-func gramError(cfg Config, prof *ngram.Profile, g uint32) error {
-	return fmt.Errorf("core: profile %q holds n-gram %#x outside the %d-bit n=%d space", prof.Language, g, ngram.Bits(cfg.N), cfg.N)
+	return k
 }
 
 // AccumulateInto adds each language's match count over gs into counts:
@@ -143,7 +133,7 @@ const probeHash = 0x9e3779b97f4a7c15
 // buildProbeKernel fills the probe tables from the profiles, each with
 // more than twice as many slots, a power of two, as its languages hold
 // n-grams.
-func buildProbeKernel(cfg Config, ps *ProfileSet) (Kernel, error) {
+func buildProbeKernel(ps *ProfileSet) Kernel {
 	k := &probeKernel{tables: make([][]uint64, (len(ps.Profiles)+maskPlaneLangs-1)/maskPlaneLangs)}
 	for p := range k.tables {
 		profs := ps.Profiles[p*maskPlaneLangs : min(len(ps.Profiles), (p+1)*maskPlaneLangs)]
@@ -155,9 +145,6 @@ func buildProbeKernel(cfg Config, ps *ProfileSet) (Kernel, error) {
 		shift, last := probeShift(t), uint64(len(t)-1)
 		for i, prof := range profs {
 			for _, g := range prof.Grams {
-				if g>>ngram.Bits(cfg.N) != 0 {
-					return nil, gramError(cfg, prof, g)
-				}
 				key := uint64(g)
 				j := key * probeHash >> shift
 				for t[j] != 0 && t[j]>>16 != key {
@@ -168,7 +155,7 @@ func buildProbeKernel(cfg Config, ps *ProfileSet) (Kernel, error) {
 		}
 		k.tables[p] = t
 	}
-	return k, nil
+	return k
 }
 
 // probeShift is the shift that takes a hash to a slot of t.

@@ -2,11 +2,17 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"bloomlang/internal/ngram"
 )
@@ -82,24 +88,24 @@ func TestReadProfileSetCorruptInputs(t *testing.T) {
 	hugeCfgLen := append([]byte("NGPS\x01"), []byte{0xff, 0xff, 0xff, 0xff}...)
 	// encode writes a version-1 set of the given profiles, in the given
 	// order, as no trainer would.
-	encode := func(profiles ...*ngram.Profile) []byte {
+	encodeUnder := func(cfg Config, profiles ...*ngram.Profile) []byte {
 		var buf bytes.Buffer
-		if _, err := (&ProfileSet{Config: ps.Config, Profiles: profiles}).WriteTo(&buf); err != nil {
+		if _, err := (&ProfileSet{Config: cfg, Profiles: profiles}).WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
+	encode := func(profiles ...*ngram.Profile) []byte { return encodeUnder(ps.Config, profiles...) }
 	en, fi := ps.Profiles[0], ps.Profiles[2] // of en, es, fi, pt
-	blank := *en
+	blank, three, wide := *en, *en, *en
 	blank.Language = ""
+	three.N = 3
+	wide.Grams = append(slices.Clip(en.Grams), 1<<ngram.Bits(en.N))
+	badM := ps.Config
+	badM.MBits = 3000
 	// Bare concatenated NGPF records, as langid train wrote before the
 	// set format existed.
-	var bare bytes.Buffer
-	for _, p := range ps.Profiles {
-		if _, err := p.WriteTo(&bare); err != nil {
-			t.Fatal(err)
-		}
-	}
+	bare := recordsOf(t, ps.Profiles...)
 	cases := []struct {
 		name string
 		data []byte
@@ -108,7 +114,7 @@ func TestReadProfileSetCorruptInputs(t *testing.T) {
 		{"empty input", nil, "truncated"},
 		{"three-byte file", []byte("NGP"), "NGPS magic"},
 		{"garbage without magic", []byte("this is not a profile file at all"), "not the NGPS magic"},
-		{"bare NGPF stream", bare.Bytes(), "not the NGPS magic"},
+		{"bare NGPF stream", bare, "not the NGPS magic"},
 		{"header cut after magic", []byte("NGPS"), "truncated after the magic"},
 		{"header cut in config length", []byte("NGPS\x01\x10"), "config length"},
 		{"config length overflow", hugeCfgLen, "refusing"},
@@ -119,6 +125,10 @@ func TestReadProfileSetCorruptInputs(t *testing.T) {
 		{"languages out of order", encode(fi, en), "increasing order"},
 		{"language repeated", encode(en, fi, fi), "increasing order"},
 		{"empty language code", encode(&blank, fi), "non-empty"},
+		{"profile n differs from the set's", encode(&three, fi), "n=3"},
+		{"config invalid", encodeUnder(badM, en, fi), "config invalid"},
+		{"no profiles", encode(), "empty profile set"},
+		{"n-gram outside the n-bit space", encode(&wide), "outside the 20-bit n=4 space"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -177,6 +187,9 @@ func TestReadProfileSetRejectsMismatchedN(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "n=") {
 		t.Errorf("mismatched profile n not rejected: %v", err)
 	}
+	if !errors.Is(err, ErrCorruptProfiles) {
+		t.Errorf("mismatched profile n error %v is not tagged ErrCorruptProfiles", err)
+	}
 }
 
 // FuzzReadProfileSet: no input panics the reader, and every input it
@@ -214,6 +227,167 @@ func FuzzReadProfileSet(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, ps) {
 			t.Errorf("rewritten set reads back as %+v, want %+v", back, ps)
+		}
+	})
+}
+
+// recordsOf returns the NGPF records of profiles: the bytes WriteTo
+// writes for a set of them, after the set's header.
+func recordsOf(tb testing.TB, profiles ...*ngram.Profile) []byte {
+	tb.Helper()
+	ps := &ProfileSet{Profiles: profiles}
+	var buf bytes.Buffer
+	if _, err := ps.WriteTo(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()[headerSize(tb, ps.Config):]
+}
+
+// headerSize is the size of the NGPS header of a set under cfg.
+func headerSize(tb testing.TB, cfg Config) int {
+	cfgJSON, err := json.Marshal(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return len(profileSetMagic) + 1 + 4 + len(cfgJSON) + 4
+}
+
+// sampleProfile is a small English 4-gram profile.
+func sampleProfile(t *testing.T) *ngram.Profile {
+	t.Helper()
+	ps, err := TrainFromTexts(Config{N: 4, TopT: 50}, map[string][][]byte{"en": {
+		[]byte("the quick brown fox jumps over the lazy dog"),
+		[]byte("pack my box with five dozen liquor jugs"),
+		[]byte("the five boxing wizards jump quickly"),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps.Profiles[0]
+}
+
+func TestProfileSerializationRoundTrip(t *testing.T) {
+	p := sampleProfile(t)
+	q, err := readProfile(bytes.NewReader(recordsOf(t, p)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Language != p.Language || q.N != p.N || len(q.Grams) != len(p.Grams) {
+		t.Fatalf("round trip changed metadata: %+v vs %+v", q, p)
+	}
+	for i := range p.Grams {
+		if q.Grams[i] != p.Grams[i] {
+			t.Errorf("gram %d differs after round trip", i)
+		}
+	}
+}
+
+// TestProfileCodecLargeProfile round-trips a set of one profile of more
+// n-grams than WriteTo's buffer and readProfile's first step hold, read
+// in short reads: WriteTo reports every byte it wrote, the bytes are
+// the format's little-endian words, and Grams come back whole.
+func TestProfileCodecLargeProfile(t *testing.T) {
+	p := &ngram.Profile{Language: strings.Repeat("x", writeChunk+3), N: 4}
+	for i := range 3*readStep + 5 {
+		p.Grams = append(p.Grams, uint32(i*2654435761)>>12)
+	}
+	ps := &ProfileSet{Config: DefaultConfig(), Profiles: []*ngram.Profile{p}}
+	var buf bytes.Buffer
+	n, err := ps.WriteTo(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if n != int64(len(data)) || len(data) != headerSize(t, ps.Config)+4+4+len(p.Language)+4+4*len(p.Grams) {
+		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, len(data))
+	}
+	last := data[len(data)-4:]
+	if got := binary.LittleEndian.Uint32(last); got != p.Grams[len(p.Grams)-1] {
+		t.Fatalf("last word %#x, want %#x", got, p.Grams[len(p.Grams)-1])
+	}
+	back, err := ReadProfileSet(iotest.HalfReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := back.Profiles[0]; len(back.Profiles) != 1 || q.Language != p.Language || q.N != p.N || !slices.Equal(q.Grams, p.Grams) {
+		t.Fatal("round trip changed the profile")
+	}
+}
+
+// TestReadProfileTruncatedClaimAllocatesLittle: a 22-byte profile that
+// claims 2^26 n-grams fails as truncated having allocated no more than
+// a step of Grams, not the 256 MiB its header asks for.
+func TestReadProfileTruncatedClaimAllocatesLittle(t *testing.T) {
+	data := []byte("NGPF\x01\x04\x02\x00es")
+	data = binary.LittleEndian.AppendUint32(data, maxProfileGrams)
+	data = append(data, 1, 0, 0, 0, 2, 0, 0, 0)
+	if len(data) != 22 {
+		t.Fatalf("fixture is %d bytes", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readProfile(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("readProfile: %v, want unexpected EOF", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("readProfile allocated %d bytes on a 22-byte input, want at most 1 MiB", alloc)
+	}
+}
+
+func TestReadProfileRejectsGarbage(t *testing.T) {
+	cases := map[string][]byte{
+		"empty":     {},
+		"bad magic": []byte("XXXX\x01\x04\x00\x00\x00\x00\x00\x00"),
+		"truncated": []byte("NGPF\x01"),
+	}
+	for name, data := range cases {
+		if _, err := readProfile(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: readProfile succeeded, want error", name)
+		}
+	}
+}
+
+func TestReadProfileRejectsBadVersion(t *testing.T) {
+	data := recordsOf(t, sampleProfile(t))
+	data[4] = 99 // version byte
+	if _, err := readProfile(bytes.NewReader(data)); err == nil {
+		t.Error("readProfile accepted bad version")
+	}
+}
+
+func TestReadProfileRejectsOverwideGram(t *testing.T) {
+	p := &ngram.Profile{Language: "xx", N: 2, Grams: []uint32{1 << 20}} // 2-gram is 10 bits
+	var buf bytes.Buffer
+	if _, err := (&ProfileSet{Config: Config{N: 2}, Profiles: []*ngram.Profile{p}}).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadProfileSet(&buf); !errors.Is(err, ErrCorruptProfiles) {
+		t.Errorf("ReadProfileSet of a gram wider than packing: %v, want ErrCorruptProfiles", err)
+	}
+}
+
+// FuzzReadProfile hardens the record reader against malformed input:
+// it must never panic, and anything it accepts must round-trip.
+func FuzzReadProfile(f *testing.F) {
+	// Seed with a valid serialized profile and some mutations.
+	f.Add(recordsOf(f, &ngram.Profile{Language: "es", N: 4, Grams: []uint32{1, 2, 0xFFFFF}}))
+	f.Add([]byte("NGPF"))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := readProfile(bytes.NewReader(data))
+		if err != nil {
+			return // rejected, fine
+		}
+		// Accepted: must survive a round trip unchanged.
+		back, err := readProfile(bytes.NewReader(recordsOf(t, got)))
+		if err != nil {
+			t.Fatalf("round trip failed: %v", err)
+		}
+		if back.Language != got.Language || back.N != got.N || !slices.Equal(back.Grams, got.Grams) {
+			t.Fatal("round trip changed the profile")
 		}
 	})
 }

@@ -11,39 +11,6 @@ import (
 	"bloomlang/internal/alphabet"
 )
 
-// FuzzReadProfile hardens the deserializer against malformed input: it
-// must never panic, and anything it accepts must round-trip.
-func FuzzReadProfile(f *testing.F) {
-	// Seed with a valid serialized profile and some mutations.
-	p := &Profile{Language: "es", N: 4, Grams: []uint32{1, 2, 0xFFFFF}}
-	var buf bytes.Buffer
-	if _, err := p.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte("NGPF"))
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xFF}, 64))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadProfile(bytes.NewReader(data))
-		if err != nil {
-			return // rejected, fine
-		}
-		// Accepted: must survive a round trip unchanged.
-		var out bytes.Buffer
-		if _, err := got.WriteTo(&out); err != nil {
-			t.Fatalf("accepted profile failed to serialize: %v", err)
-		}
-		back, err := ReadProfile(&out)
-		if err != nil {
-			t.Fatalf("round trip failed: %v", err)
-		}
-		if back.Language != got.Language || back.N != got.N || len(back.Grams) != len(got.Grams) {
-			t.Fatal("round trip changed the profile")
-		}
-	})
-}
-
 // FuzzExtractBytes checks the extractor on arbitrary byte streams: the
 // n-gram count invariant must hold for any input, and the fused
 // byte-level window must give exactly the n-grams of the staged

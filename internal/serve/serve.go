@@ -84,9 +84,9 @@ type Config struct {
 	// MinNGrams is the minimum testable n-grams for a known outcome;
 	// effective minimum 1.
 	MinNGrams int
-	// MaxBodyBytes caps /detect and /batch request bodies; default 10 MiB.
-	// /stream is unbounded in total size by design and bounded per line
-	// instead.
+	// MaxBodyBytes caps /detect, /batch and /segment request bodies;
+	// default 10 MiB. /stream is unbounded in total size by design and
+	// bounded per line instead.
 	MaxBodyBytes int64
 	// MaxBatchDocs caps the number of documents in one /batch request;
 	// default 1024.
