@@ -8,6 +8,7 @@ import (
 	"bloomlang/internal/core"
 	"bloomlang/internal/corpus"
 	"bloomlang/internal/ngram"
+	"bloomlang/internal/train"
 )
 
 // Config carries the classifier parameters the paper studies (§4,
@@ -143,13 +144,14 @@ type Stream = core.Stream
 
 // Train builds per-language profiles from a corpus's training split.
 func Train(cfg Config, corp *Corpus) (*ProfileSet, error) {
-	return core.TrainFromTexts(cfg, corp.TrainTextsByLanguage())
+	return TrainFromTexts(cfg, corp.TrainTextsByLanguage())
 }
 
 // TrainFromTexts builds profiles from raw training texts keyed by
-// language code.
+// language code, through the streaming trainer.
 func TrainFromTexts(cfg Config, texts map[string][][]byte) (*ProfileSet, error) {
-	return core.TrainFromTexts(cfg, texts)
+	ps, _, err := train.Texts(cfg, texts)
+	return ps, err
 }
 
 // Corpus is a multilingual labelled document collection with train and

@@ -12,6 +12,7 @@ import (
 	"bloomlang/internal/bloom"
 	"bloomlang/internal/core"
 	"bloomlang/internal/registry"
+	"bloomlang/internal/train"
 	"bloomlang/internal/vhdl"
 )
 
@@ -31,7 +32,7 @@ func vhdlOf(t *testing.T, args ...string) string {
 // concatenation of profiles, the format before profile files carried a
 // configuration, is refused.
 func TestRunReadsSavedProfiles(t *testing.T) {
-	ps, err := core.TrainFromTexts(core.Config{TopT: 300, K: 6, MBits: 4 * 1024, Seed: 9}, map[string][][]byte{
+	ps, _, err := train.Texts(core.Config{TopT: 300, K: 6, MBits: 4 * 1024, Seed: 9}, map[string][][]byte{
 		"en": {[]byte("the quick brown fox jumps over the lazy dog repeatedly and often")},
 		"fi": {[]byte("nopea ruskea kettu hyppii laiskan koiran yli usein ja uudelleen")},
 	})

@@ -191,16 +191,16 @@
 //
 // Training, versioning, activation and serving are decoupled, the way
 // the paper's deployment separates offline profile construction from
-// the hardware that serves them (§2). The streaming trainer ingests
+// the hardware that serves them (§2). The streaming trainer is the one
+// trainer (Train and TrainFromTexts run through it too). It ingests
 // documents incrementally — whole documents, io.Readers, NDJSON
 // streams, or corpus directory trees — and counts n-grams in the
-// caller, through the same translate-and-shift loop the Bloom
-// backends serve with, over one n-gram vocabulary shared by all
+// caller, in one loop of its own that translates, shifts, numbers and
+// counts each n-gram, over one n-gram vocabulary shared by all
 // languages with dense counts per language, so a training corpus never
 // has to fit in memory; each language keeps its top t through a
 // selection over its counts that sorts only the t winners, the
-// languages ranked in parallel, and the output is byte-identical to
-// Train on the same documents:
+// languages ranked in parallel:
 //
 //	tr, _ := bloomlang.NewTrainer(bloomlang.DefaultConfig())
 //	tr.Add("es", doc)                       // one document at a time

@@ -59,9 +59,10 @@ func (r Result) Margin() int {
 
 // TrainWide builds a wide classifier from UTF-8 training texts keyed by
 // language. The Config fields have their usual meanings and are
-// validated as core.TrainFromTexts validates them; N is capped at 4 (a
-// 4-gram of 16-bit characters fills the 64-bit hash input), and
-// Subsample must be 1, because the wide classifier tests every n-gram.
+// validated as the trainer validates them (Config.Validate); N is
+// capped at 4 (a 4-gram of 16-bit characters fills the 64-bit hash
+// input), and Subsample must be 1, because the wide classifier tests
+// every n-gram.
 func TrainWide(cfg core.Config, texts map[string][]string) (*WideClassifier, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {

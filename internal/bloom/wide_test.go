@@ -69,7 +69,7 @@ func TestTrainWideValidation(t *testing.T) {
 }
 
 // TestTrainWideRejectsInvalidConfig: TrainWide validates its Config as
-// TrainFromTexts does, and refuses subsampling, which the wide
+// the trainer does, and refuses subsampling, which the wide
 // classifier never does, instead of ignoring it.
 func TestTrainWideRejectsInvalidConfig(t *testing.T) {
 	for _, c := range []struct {

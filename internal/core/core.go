@@ -5,7 +5,9 @@
 // The flow is exactly the paper's:
 //
 //  1. Preprocessing generates an n-gram profile per language from a
-//     representative sample of documents (TrainFromTexts).
+//     representative sample of documents, offline: internal/train is
+//     the one trainer, and this package only checks, stores and serves
+//     the profile sets it builds.
 //  2. A document's n-grams are tested for membership in every language
 //     profile; each match increments that language's counter.
 //  3. The language with the highest match count is the classification.
@@ -43,7 +45,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"bloomlang/internal/ngram"
 )
@@ -96,7 +97,7 @@ func (c *Config) applyDefaults() {
 }
 
 // WithDefaults returns the configuration with zero fields replaced by
-// the package defaults — the effective configuration TrainFromTexts and
+// the package defaults — the effective configuration the trainer and
 // NewDetector operate under, and the one a trained ProfileSet records.
 func (c Config) WithDefaults() Config {
 	c.applyDefaults()
@@ -130,55 +131,6 @@ func (c Config) Validate() error {
 type ProfileSet struct {
 	Config   Config
 	Profiles []*ngram.Profile // sorted by language code
-}
-
-// TrainFromTexts builds per-language profiles from raw training texts
-// keyed by language code, counting every language over one shared
-// n-gram vocabulary, as the streaming trainer does, and releasing the
-// vocabulary before ranking, so the next mask plane built takes its
-// flat index (ngram.NewTable). An empty language code is refused
-// before counting. A language's texts may hold at most
-// ngram.MaxTotal n-grams; the document that would pass that is
-// refused, with an error naming the language.
-func TrainFromTexts(cfg Config, texts map[string][][]byte) (*ProfileSet, error) {
-	cfg.applyDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(texts) == 0 {
-		return nil, fmt.Errorf("core: no training languages")
-	}
-	langs := make([]string, 0, len(texts))
-	for lang := range texts {
-		if lang == "" {
-			return nil, errors.New("core: empty language label")
-		}
-		langs = append(langs, lang)
-	}
-	sort.Strings(langs)
-	v, err := ngram.NewVocabulary(cfg.N)
-	if err != nil {
-		return nil, err
-	}
-	counters := make([]*ngram.Counter, len(langs))
-	for i, lang := range langs {
-		if len(texts[lang]) == 0 {
-			return nil, fmt.Errorf("core: language %q has no training documents", lang)
-		}
-		counters[i] = v.NewCounter()
-		for _, text := range texts[lang] {
-			if err := counters[i].AddText(text); err != nil {
-				return nil, fmt.Errorf("core: language %q: %w", lang, err)
-			}
-		}
-	}
-	v.Release()
-	ps := &ProfileSet{Config: cfg, Profiles: make([]*ngram.Profile, len(langs))}
-	var r ngram.Ranker
-	for i, lang := range langs {
-		ps.Profiles[i] = r.Profile(lang, counters[i], cfg.TopT)
-	}
-	return ps, nil
 }
 
 // validate is the one check of a set's rules, made on every set read

@@ -32,7 +32,7 @@ func getMiniCorpus(t testing.TB) *corpus.Corpus {
 
 func trainMini(t testing.TB, cfg Config) *ProfileSet {
 	t.Helper()
-	ps, err := TrainFromTexts(cfg, getMiniCorpus(t).TrainTextsByLanguage())
+	ps, err := trainTexts(cfg, getMiniCorpus(t).TrainTextsByLanguage())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,41 +85,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestTrainProducesSortedProfiles(t *testing.T) {
-	ps := trainMini(t, Config{TopT: 500})
-	langs := ps.Languages()
-	want := []string{"en", "es", "fi", "pt"}
-	if len(langs) != len(want) {
-		t.Fatalf("trained languages %v, want %v", langs, want)
-	}
-	for i := range want {
-		if langs[i] != want[i] {
-			t.Errorf("language %d = %q, want %q", i, langs[i], want[i])
-		}
-	}
-	for _, p := range ps.Profiles {
-		if p.Size() == 0 {
-			t.Errorf("%s: empty profile", p.Language)
-		}
-		if p.Size() > 500 {
-			t.Errorf("%s: profile size %d exceeds TopT", p.Language, p.Size())
-		}
-	}
-}
-
-func TestTrainErrors(t *testing.T) {
-	if _, err := TrainFromTexts(DefaultConfig(), nil); err == nil {
-		t.Error("TrainFromTexts with no languages succeeded")
-	}
-	if _, err := TrainFromTexts(DefaultConfig(), map[string][][]byte{"en": nil}); err == nil {
-		t.Error("TrainFromTexts with empty language succeeded")
-	}
-	bad := Config{MBits: 1000}
-	if _, err := TrainFromTexts(bad, map[string][][]byte{"en": {[]byte("hello world")}}); err == nil {
-		t.Error("TrainFromTexts with invalid config succeeded")
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 200})
 	for _, b := range equivBackends() {
@@ -154,16 +119,6 @@ func TestNewDetectorRefusesLanguageOrder(t *testing.T) {
 				t.Errorf("%s: NewDetector over languages %q: %v, want a language-order error", b, bad.Languages(), err)
 			}
 		}
-	}
-}
-
-// TestTrainRefusesEmptyLanguage: an empty language code is refused
-// before counting, as the streaming trainer refuses it, so training
-// never builds a set ReadProfileSet or NewDetector would refuse.
-func TestTrainRefusesEmptyLanguage(t *testing.T) {
-	texts := map[string][][]byte{"": {[]byte("hello world")}, "en": {[]byte("hello world")}}
-	if ps, err := TrainFromTexts(DefaultConfig(), texts); err == nil || !strings.Contains(err.Error(), "empty language label") {
-		t.Errorf("TrainFromTexts with an empty language code: %v, %v; want an empty-label error", ps, err)
 	}
 }
 

@@ -141,7 +141,7 @@ func TestMatchThresholding(t *testing.T) {
 // runner-up exists, so Margin equals Score and detection still works.
 func TestMatchSingleLanguageProfileSet(t *testing.T) {
 	corp := getMiniCorpus(t)
-	ps, err := TrainFromTexts(Config{TopT: 500}, map[string][][]byte{
+	ps, err := trainTexts(Config{TopT: 500}, map[string][][]byte{
 		"en": {corp.Test["en"][0].Text, corp.Test["en"][1].Text},
 	})
 	if err != nil {

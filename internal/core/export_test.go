@@ -10,3 +10,14 @@ func AddTestKernel(name Backend, build func(*ProfileSet) (Kernel, error)) {
 
 // TrainMini trains the tests' small four-language corpus under cfg.
 var TrainMini = trainMini
+
+// trainTexts trains this package's test profile sets. internal/train,
+// the one trainer, imports core, so core's own tests cannot import it:
+// the external test package sets the hook to train.Texts through
+// SetTrainTexts before any test runs.
+var trainTexts func(Config, map[string][][]byte) (*ProfileSet, error)
+
+// SetTrainTexts sets the trainer this package's tests train with.
+func SetTrainTexts(train func(Config, map[string][][]byte) (*ProfileSet, error)) {
+	trainTexts = train
+}

@@ -476,7 +476,7 @@ func BenchmarkDetectCount(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ps, err := TrainFromTexts(DefaultConfig(), corp.TrainTextsByLanguage())
+	ps, err := trainTexts(DefaultConfig(), corp.TrainTextsByLanguage())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,7 +4,8 @@ package core_test
 // so core's own tests cannot import it. This file, in the external
 // test package, adds the parallel-bloom kernel to the matrix core's
 // equivalence, span and allocation suites run over, and holds the tests
-// of the Bloom pieces that moved out of core.
+// of the Bloom pieces that moved out of core. internal/train imports
+// core too, so it also hands core's tests their trainer.
 
 import (
 	"math/rand"
@@ -13,9 +14,16 @@ import (
 	"bloomlang/internal/bloom"
 	"bloomlang/internal/core"
 	"bloomlang/internal/ngram"
+	"bloomlang/internal/train"
 )
 
-func init() { core.AddTestKernel(bloom.Backend, bloom.NewKernel) }
+func init() {
+	core.AddTestKernel(bloom.Backend, bloom.NewKernel)
+	core.SetTrainTexts(func(cfg core.Config, texts map[string][][]byte) (*core.ProfileSet, error) {
+		ps, _, err := train.Texts(cfg, texts)
+		return ps, err
+	})
+}
 
 func TestConfigExpectedFalsePositiveRate(t *testing.T) {
 	cfg := core.DefaultConfig()

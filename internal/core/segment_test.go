@@ -48,7 +48,7 @@ func getSegCorpus(t testing.TB) *corpus.Corpus {
 func segDetector(t testing.TB, backend Backend) *Detector {
 	t.Helper()
 	if segProfiles == nil {
-		ps, err := TrainFromTexts(Config{TopT: 1000}, getSegCorpus(t).TrainTextsByLanguage())
+		ps, err := trainTexts(Config{TopT: 1000}, getSegCorpus(t).TrainTextsByLanguage())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -553,7 +553,7 @@ func TestDetectSpansMatchesReferenceViterbi(t *testing.T) {
 	for _, backend := range equivBackends() {
 		dets = append(dets, segDetector(t, backend))
 	}
-	six, err := TrainFromTexts(Config{N: 6, TopT: 1000}, getSegCorpus(t).TrainTextsByLanguage())
+	six, err := trainTexts(Config{N: 6, TopT: 1000}, getSegCorpus(t).TrainTextsByLanguage())
 	if err != nil {
 		t.Fatal(err)
 	}

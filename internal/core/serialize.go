@@ -153,8 +153,12 @@ func ReadProfileSet(r io.Reader) (*ProfileSet, error) {
 	if cfgLen > maxConfigJSON {
 		return nil, corruptf("profile set config claims %d bytes (limit %d), refusing", cfgLen, maxConfigJSON)
 	}
-	cfgJSON := make([]byte, cfgLen)
-	if _, err := io.ReadFull(br, cfgJSON); err != nil {
+	// The config grows as its bytes arrive, not to what the header claims.
+	cfgJSON, err := io.ReadAll(io.LimitReader(br, int64(cfgLen)))
+	if err == nil && len(cfgJSON) < int(cfgLen) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, corruptf("profile set config truncated: wanted %d bytes (%v)", cfgLen, err)
 	}
 	var cfg Config
@@ -169,13 +173,14 @@ func ReadProfileSet(r io.Reader) (*ProfileSet, error) {
 	if count > maxProfileCount {
 		return nil, corruptf("profile set claims %d profiles (limit %d), refusing", count, maxProfileCount)
 	}
-	ps := &ProfileSet{Config: cfg, Profiles: make([]*ngram.Profile, count)}
-	for i := range ps.Profiles {
+	// The profile table grows as records arrive, not to the count.
+	ps := &ProfileSet{Config: cfg}
+	for i := range count {
 		p, err := readProfile(br)
 		if err != nil {
 			return nil, corruptf("reading profile %d of %d: %v", i+1, count, err)
 		}
-		ps.Profiles[i] = p
+		ps.Profiles = append(ps.Profiles, p)
 	}
 	if err := ps.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %w", err, ErrCorruptProfiles)

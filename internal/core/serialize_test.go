@@ -255,7 +255,7 @@ func headerSize(tb testing.TB, cfg Config) int {
 // sampleProfile is a small English 4-gram profile.
 func sampleProfile(t *testing.T) *ngram.Profile {
 	t.Helper()
-	ps, err := TrainFromTexts(Config{N: 4, TopT: 50}, map[string][][]byte{"en": {
+	ps, err := trainTexts(Config{N: 4, TopT: 50}, map[string][][]byte{"en": {
 		[]byte("the quick brown fox jumps over the lazy dog"),
 		[]byte("pack my box with five dozen liquor jugs"),
 		[]byte("the five boxing wizards jump quickly"),
@@ -333,6 +333,30 @@ func TestReadProfileTruncatedClaimAllocatesLittle(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
 		t.Errorf("readProfile allocated %d bytes on a 22-byte input, want at most 1 MiB", alloc)
+	}
+}
+
+// TestReadProfileSetTruncatedClaimsAllocateLittle: a set header's
+// claims cost memory only as the bytes behind them arrive. A 20-byte
+// file that claims 65536 profiles and a 9-byte one that claims a 1 MiB
+// config each fail as corrupt having allocated under 64 KiB, not the
+// profile table or the config buffer their headers ask for.
+func TestReadProfileSetTruncatedClaimsAllocateLittle(t *testing.T) {
+	manyProfiles := []byte("NGPS\x01\x02\x00\x00\x00{}")
+	manyProfiles = binary.LittleEndian.AppendUint32(manyProfiles, maxProfileCount)
+	manyProfiles = append(manyProfiles, "NGPF\x01"...)
+	bigConfig := binary.LittleEndian.AppendUint32([]byte("NGPS\x01"), maxConfigJSON)
+	for name, data := range map[string][]byte{"65536 profiles": manyProfiles, "1 MiB config": bigConfig} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadProfileSet(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorruptProfiles) {
+			t.Errorf("%s: ReadProfileSet: %v, want a corrupt-profiles error", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+			t.Errorf("%s: ReadProfileSet allocated %d bytes on a %d-byte input, want under 64 KiB", name, alloc, len(data))
+		}
 	}
 }
 

@@ -167,7 +167,7 @@ func docSeed(seed int64, lang string, id int) int64 {
 func (c *Corpus) TrainTexts(lang string) [][]byte { return Texts(c.Train[lang]) }
 
 // TrainTextsByLanguage returns every language's training texts keyed
-// by language code, the input of core.TrainFromTexts.
+// by language code, the input of train.Texts.
 func (c *Corpus) TrainTextsByLanguage() map[string][][]byte {
 	texts := make(map[string][][]byte, len(c.Languages))
 	for _, lang := range c.Languages {

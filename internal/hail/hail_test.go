@@ -7,6 +7,7 @@ import (
 	"bloomlang/internal/core"
 	"bloomlang/internal/corpus"
 	"bloomlang/internal/ngram"
+	"bloomlang/internal/train"
 )
 
 func miniSetup(t testing.TB) (*Classifier, *corpus.Corpus) {
@@ -22,7 +23,7 @@ func miniSetup(t testing.TB) (*Classifier, *corpus.Corpus) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := core.TrainFromTexts(core.Config{N: 4, TopT: 2000}, corp.TrainTextsByLanguage())
+	ps, _, err := train.Texts(core.Config{N: 4, TopT: 2000}, corp.TrainTextsByLanguage())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -426,11 +426,5 @@ func (c *Counter) fits(grams int) error {
 	return nil
 }
 
-// AddText counts the n-grams of one whole document through AddBytes.
-func (c *Counter) AddText(text []byte) error {
-	w := Window{N: c.v.n}
-	return c.AddBytes(&w, text)
-}
-
 // Total returns the number of n-grams accumulated.
 func (c *Counter) Total() uint64 { return c.total }

@@ -188,6 +188,13 @@ func newCounter(t *testing.T, n int) *Counter {
 	return v.NewCounter()
 }
 
+// addText counts one whole document through AddBytes, in a window of
+// its own.
+func (c *Counter) addText(text []byte) error {
+	w := Window{N: c.v.n}
+	return c.AddBytes(&w, text)
+}
+
 // countsOf reads every count of c back through an unbounded ranking.
 func countsOf(c *Counter) map[uint32]uint32 {
 	m := map[uint32]uint32{}
@@ -206,7 +213,7 @@ func TestCounterFlatAndMapAgree(t *testing.T) {
 		if n == 4 && c.v.index16 == nil || n == 5 && c.v.ids == nil {
 			t.Fatalf("n=%d: vocabulary not indexed as expected", n)
 		}
-		c.AddText(text)
+		c.addText(text)
 		gs, _ := ExtractBytes(text, n)
 		if c.Total() != uint64(len(gs)) {
 			t.Errorf("n=%d: Total = %d, want %d", n, c.Total(), len(gs))
@@ -222,8 +229,8 @@ func TestCounterFlatAndMapAgree(t *testing.T) {
 func TestCounterTopOrdering(t *testing.T) {
 	c := newCounter(t, 4)
 	// "aaaa" appears 3 times (sliding), "bbbb" 1, via carefully built text.
-	c.AddText([]byte("aaaaaa")) // AAAA x3
-	c.AddText([]byte("bbbb"))   // BBBB x1
+	c.addText([]byte("aaaaaa")) // AAAA x3
+	c.addText([]byte("bbbb"))   // BBBB x1
 	best := top(c, 10)
 	if len(best) != 2 {
 		t.Fatalf("top returned %d entries, want 2", len(best))
@@ -238,9 +245,9 @@ func TestCounterTopOrdering(t *testing.T) {
 
 func TestCounterTopTruncatesAndTieBreaks(t *testing.T) {
 	c := newCounter(t, 4)
-	c.AddText([]byte("abcd"))
-	c.AddText([]byte("bcde"))
-	c.AddText([]byte("cdef"))
+	c.addText([]byte("abcd"))
+	c.addText([]byte("bcde"))
+	c.addText([]byte("cdef"))
 	best := top(c, 2)
 	if len(best) != 2 {
 		t.Fatalf("top(2) returned %d entries", len(best))
@@ -260,7 +267,7 @@ func TestCounterTopTruncatesAndTieBreaks(t *testing.T) {
 
 // TestCounterAddBytesSplitMatchesWhole: counting a document one byte
 // per AddBytes call, the window carried across the calls, gives the
-// counts of one AddText over all of it.
+// counts of one addText over all of it.
 func TestCounterAddBytesSplitMatchesWhole(t *testing.T) {
 	doc := []byte("counting n-grams one at a time")
 	for _, n := range []int{1, 4, 5} {
@@ -269,7 +276,7 @@ func TestCounterAddBytesSplitMatchesWhole(t *testing.T) {
 		for i := range doc {
 			a.AddBytes(&w, doc[i:i+1])
 		}
-		b.AddText(doc)
+		b.addText(doc)
 		if a.Total() != b.Total() {
 			t.Fatalf("n=%d: totals differ: %d vs %d", n, a.Total(), b.Total())
 		}
@@ -299,13 +306,13 @@ func TestCountersShareVocabulary(t *testing.T) {
 		}
 		for d := range docs[0] {
 			for l := range docs {
-				shared[l].AddText([]byte(docs[l][d]))
+				shared[l].addText([]byte(docs[l][d]))
 			}
 		}
 		for l := range docs {
 			own := newCounter(t, n)
 			for _, doc := range docs[l] {
-				own.AddText([]byte(doc))
+				own.addText([]byte(doc))
 			}
 			if got, want := countsOf(shared[l]), countsOf(own); !maps.Equal(got, want) {
 				t.Errorf("n=%d language %d: shared-vocabulary counts %v, own %v", n, l, got, want)
@@ -400,12 +407,12 @@ func countsOfGrams(gs []uint32) map[uint32]uint32 {
 // is counted.
 func TestCounterRefusesPastMaxTotal(t *testing.T) {
 	c := newCounter(t, 4)
-	c.AddText([]byte("abcdef"))
+	c.addText([]byte("abcdef"))
 	before := countsOf(c)
 	PresetTotal(c, MaxTotal-4)
 	doc := []byte("abcdefgh") // 5 n-grams
-	if err := c.AddText(doc); err == nil {
-		t.Fatal("AddText past MaxTotal succeeded")
+	if err := c.addText(doc); err == nil {
+		t.Fatal("addText past MaxTotal succeeded")
 	}
 	w := Window{N: 4}
 	if err := c.AddBytes(&w, doc[:3]); err != nil { // no n-gram yet
@@ -417,8 +424,8 @@ func TestCounterRefusesPastMaxTotal(t *testing.T) {
 	if got := countsOf(c); !maps.Equal(got, before) || c.Total() != MaxTotal-4 {
 		t.Fatalf("a refused batch changed the counter: %v, total %d", got, c.Total())
 	}
-	if err := c.AddText(doc[:7]); err != nil {
-		t.Fatalf("AddText up to MaxTotal: %v", err)
+	if err := c.addText(doc[:7]); err != nil {
+		t.Fatalf("addText up to MaxTotal: %v", err)
 	}
 	if c.Total() != MaxTotal {
 		t.Fatalf("Total %d, want %d", c.Total(), uint64(MaxTotal))
@@ -487,7 +494,7 @@ func BenchmarkExtract64KiB(b *testing.B) {
 // does not pack.
 func TestCounterN(t *testing.T) {
 	c := newCounter(t, 5)
-	c.AddText([]byte("abcdefg"))
+	c.addText([]byte("abcdefg"))
 	if p := new(Ranker).Profile("xx", c, 10); p.N != 5 {
 		t.Fatalf("profile N = %d, want 5", p.N)
 	}

@@ -17,7 +17,7 @@ func profileFromTexts(t *testing.T, language string, texts [][]byte, n, top int)
 	}
 	c := v.NewCounter()
 	for _, text := range texts {
-		if err := c.AddText(text); err != nil {
+		if err := c.addText(text); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,7 +75,7 @@ func TestBuildProfileDeterministic(t *testing.T) {
 	mk := func() *Profile {
 		v, _ := NewVocabulary(4)
 		c := v.NewCounter()
-		c.AddText([]byte("determinism is a property worth testing for always"))
+		c.addText([]byte("determinism is a property worth testing for always"))
 		return new(Ranker).Profile("en", c, 10)
 	}
 	a, b := mk(), mk()

@@ -58,7 +58,7 @@ func fixtures(t testing.TB) (*corpus.Corpus, *core.ProfileSet) {
 			fixErr = err
 			return
 		}
-		trained, err := core.TrainFromTexts(core.Config{TopT: 1500}, corp.TrainTextsByLanguage())
+		trained, _, err := train.Texts(core.Config{TopT: 1500}, corp.TrainTextsByLanguage())
 		if err != nil {
 			fixErr = err
 			return

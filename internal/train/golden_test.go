@@ -14,8 +14,8 @@ import (
 // goldenProfiles pins the serialized profiles of perfbench's training
 // split (perfbenchTexts) at n = 2 to 6: the sha256 of ProfileSet.WriteTo,
 // recorded once and never regenerated, so a change to counting,
-// ranking or the codec that alters a single byte fails here even when
-// the Trainer and core.TrainFromTexts change together.
+// ranking or the codec that alters a single byte fails here, even one
+// that changes every training path alike.
 var goldenProfiles = []struct {
 	cfg    core.Config
 	sha256 string
@@ -47,11 +47,11 @@ func TestProfilesGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch, err := core.TrainFromTexts(g.cfg, texts)
+			batch, _, err := train.Texts(g.cfg, texts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, ps := range map[string]*core.ProfileSet{"Trainer": streamed, "core.TrainFromTexts": batch} {
+			for name, ps := range map[string]*core.ProfileSet{"Trainer": streamed, "train.Texts": batch} {
 				sum := sha256.Sum256(serialize(t, ps))
 				if got := hex.EncodeToString(sum[:]); got != g.sha256 {
 					t.Errorf("%s: profiles hash to %s, want %s", name, got, g.sha256)

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -126,6 +128,26 @@ func NDJSON(cfg core.Config, r io.Reader) (*core.ProfileSet, Stats, error) {
 // one call; see (*Trainer).AddDir for the layout.
 func Dir(cfg core.Config, root string) (*core.ProfileSet, Stats, error) {
 	return run(cfg, func(t *Trainer) error { return t.AddDir(root) })
+}
+
+// Texts trains profiles from in-memory training texts keyed by
+// language code in one call, adding each language's documents through
+// Add, the languages in increasing order. A language with no documents
+// is refused, with an error naming it.
+func Texts(cfg core.Config, texts map[string][][]byte) (*core.ProfileSet, Stats, error) {
+	return run(cfg, func(t *Trainer) error {
+		for _, lang := range slices.Sorted(maps.Keys(texts)) {
+			if len(texts[lang]) == 0 {
+				return fmt.Errorf("train: language %q has no training documents", lang)
+			}
+			for _, doc := range texts[lang] {
+				if err := t.Add(lang, doc); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
 }
 
 // run trains a new Trainer through add, aborting it if add fails.

@@ -1,14 +1,14 @@
-// Package train is the streaming profile trainer: the offline
-// preprocessing step of the paper (§2, step 1) rebuilt for production
-// scale. Where core.TrainFromTexts consumes fully materialized texts,
-// a Trainer ingests documents incrementally — one Add call, one
-// io.Reader, one NDJSON line, or one file of a directory tree at a
-// time — and counts each one in the caller through
-// ngram.Counter.AddBytes, one loop from raw bytes to counts. Finalize
-// ranks the top-t n-grams per language into a core.ProfileSet
-// byte-identical to what core.TrainFromTexts builds from the same
-// documents: counting is additive, and the ranking breaks ties
-// deterministically. It ranks the languages on at most GOMAXPROCS
+// Package train is the one profile trainer: the offline preprocessing
+// step of the paper (§2, step 1) rebuilt for production scale; core
+// only checks, stores and serves the sets it builds. A Trainer ingests
+// documents incrementally — one Add call, one io.Reader, one NDJSON
+// line, or one file of a directory tree at a time — and counts each
+// one in the caller through ngram.Counter.AddBytes, one loop from raw
+// bytes to counts; Texts, NDJSON and Dir run a whole source through
+// one. Finalize ranks the top-t n-grams per language into a
+// core.ProfileSet that depends only on the documents each language
+// was given, not on their order or chunking: counting is additive, and
+// the ranking breaks ties deterministically. It ranks the languages on at most GOMAXPROCS
 // goroutines, each through one ngram.Ranker, a selection that sorts
 // only the t winners and allocates only the profile.
 //
@@ -72,8 +72,7 @@ type Trainer struct {
 }
 
 // New builds a trainer for the given classifier configuration; the
-// finalized ProfileSet records cfg (with defaults applied) exactly as
-// core.TrainFromTexts would.
+// finalized ProfileSet records cfg with defaults applied.
 func New(cfg core.Config) (*Trainer, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -207,8 +206,7 @@ type Stats struct {
 
 // Finalize ends ingest and ranks each language's top-t n-grams, the
 // languages concurrently on at most GOMAXPROCS goroutines, into a
-// ProfileSet identical to what core.TrainFromTexts builds from the
-// same documents. All Add/AddReader/AddNDJSON/AddDir calls must have
+// ProfileSet. All Add/AddReader/AddNDJSON/AddDir calls must have
 // returned before Finalize starts (concurrent ingest is fine; ingest
 // concurrent with Finalize is not). The trainer cannot be reused
 // afterwards. If any document failed after part of it was counted,

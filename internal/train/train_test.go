@@ -65,17 +65,17 @@ func serialize(t testing.TB, ps *core.ProfileSet) []byte {
 	return buf.Bytes()
 }
 
-// TestStreamedEqualsCoreTrain is the acceptance criterion: profiles
-// built by the streaming trainer are byte-identical to core.Train on
-// the same documents, across configs.
-func TestStreamedEqualsCoreTrain(t *testing.T) {
+// TestStreamedEqualsTexts is the acceptance criterion: profiles built
+// by Add calls in the corpus's own order are byte-identical to Texts
+// on the same documents, across configs.
+func TestStreamedEqualsTexts(t *testing.T) {
 	corp := testCorpus(t)
 	for _, cfg := range []core.Config{
 		{},
 		{N: 3, TopT: 800},
 		{N: 5, TopT: 200}, // map-backed counters
 	} {
-		want, err := core.TrainFromTexts(cfg, corp.TrainTextsByLanguage())
+		want, _, err := train.Texts(cfg, corp.TrainTextsByLanguage())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestStreamedEqualsCoreTrain(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got, wantBytes := serialize(t, ps), serialize(t, want); !bytes.Equal(got, wantBytes) {
-			t.Errorf("cfg %+v: streamed profiles differ from core.Train (%d vs %d bytes)",
+			t.Errorf("cfg %+v: streamed profiles differ from Texts (%d vs %d bytes)",
 				cfg, len(got), len(wantBytes))
 		}
 		if stats.Docs != 4*12 {
@@ -108,13 +108,13 @@ func TestStreamedEqualsCoreTrain(t *testing.T) {
 	}
 }
 
-// TestNDJSONEqualsCoreTrain streams the training split through the
-// NDJSON source and checks the result against core.TrainFromTexts on
-// the same documents — without the corpus ever being in the trainer's
+// TestNDJSONEqualsTexts streams the training split through the
+// NDJSON source and checks the result against Texts on the same
+// documents — without the corpus ever being in the trainer's
 // memory. The baseline consumes the texts as they come out of the JSON
 // round-trip (NDJSON is UTF-8; raw ISO-8859-1 high bytes do not
 // survive encoding), so both sides see byte-identical documents.
-func TestNDJSONEqualsCoreTrain(t *testing.T) {
+func TestNDJSONEqualsTexts(t *testing.T) {
 	corp := testCorpus(t)
 	var ndjson bytes.Buffer
 	texts := make(map[string][][]byte)
@@ -133,7 +133,7 @@ func TestNDJSONEqualsCoreTrain(t *testing.T) {
 		}
 		texts[lang] = append(texts[lang], []byte(rt.Text))
 	}
-	want, err := core.TrainFromTexts(core.Config{}, texts)
+	want, _, err := train.Texts(core.Config{}, texts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,22 +142,22 @@ func TestNDJSONEqualsCoreTrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(serialize(t, ps), serialize(t, want)) {
-		t.Error("NDJSON-trained profiles differ from core.TrainFromTexts")
+		t.Error("NDJSON-trained profiles differ from Texts")
 	}
 	if stats.Docs != 4*12 || stats.Bytes == 0 {
 		t.Errorf("stats = %+v", stats)
 	}
 }
 
-// TestDirEqualsCoreTrain round-trips the corpus through the on-disk
+// TestDirEqualsTexts round-trips the corpus through the on-disk
 // layout and streams it back file by file.
-func TestDirEqualsCoreTrain(t *testing.T) {
+func TestDirEqualsTexts(t *testing.T) {
 	corp := testCorpus(t)
 	root := t.TempDir()
 	if err := corp.WriteDir(root); err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.TrainFromTexts(core.Config{}, corp.TrainTextsByLanguage())
+	want, _, err := train.Texts(core.Config{}, corp.TrainTextsByLanguage())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestDirEqualsCoreTrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(serialize(t, ps), serialize(t, want)) {
-		t.Error("directory-trained profiles differ from core.Train")
+		t.Error("directory-trained profiles differ from Texts")
 	}
 }
 
@@ -216,7 +216,7 @@ func TestAddReaderChunksMatchAdd(t *testing.T) {
 // sequential baseline.
 func TestConcurrentAdd(t *testing.T) {
 	corp := testCorpus(t)
-	want, err := core.TrainFromTexts(core.Config{}, corp.TrainTextsByLanguage())
+	want, _, err := train.Texts(core.Config{}, corp.TrainTextsByLanguage())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestConcurrentAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(serialize(t, ps), serialize(t, want)) {
-		t.Error("concurrently-ingested profiles differ from core.Train")
+		t.Error("concurrently-ingested profiles differ from Texts")
 	}
 }
 
@@ -321,6 +321,58 @@ func TestTrainerErrors(t *testing.T) {
 
 	if _, err := train.New(core.Config{N: 99}); err == nil {
 		t.Error("invalid config accepted")
+	}
+}
+
+func TestTrainProducesSortedProfiles(t *testing.T) {
+	ps, _, err := train.Texts(core.Config{TopT: 500}, testCorpus(t).TrainTextsByLanguage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	langs := ps.Languages()
+	want := []string{"en", "es", "fi", "pt"}
+	if len(langs) != len(want) {
+		t.Fatalf("trained languages %v, want %v", langs, want)
+	}
+	for i := range want {
+		if langs[i] != want[i] {
+			t.Errorf("language %d = %q, want %q", i, langs[i], want[i])
+		}
+	}
+	for _, p := range ps.Profiles {
+		if p.Size() == 0 {
+			t.Errorf("%s: empty profile", p.Language)
+		}
+		if p.Size() > 500 {
+			t.Errorf("%s: profile size %d exceeds TopT", p.Language, p.Size())
+		}
+	}
+}
+
+func TestTrainErrors(t *testing.T) {
+	if _, _, err := train.Texts(core.DefaultConfig(), nil); err == nil {
+		t.Error("Texts with no languages succeeded")
+	}
+	if _, _, err := train.Texts(core.DefaultConfig(), map[string][][]byte{"en": nil}); err == nil {
+		t.Error("Texts with empty language succeeded")
+	}
+	bad := core.Config{MBits: 1000}
+	if _, _, err := train.Texts(bad, map[string][][]byte{"en": {[]byte("hello world")}}); err == nil {
+		t.Error("Texts with invalid config succeeded")
+	}
+	texts := map[string][][]byte{"en": {[]byte("hello world")}, "fi": {}}
+	if _, _, err := train.Texts(core.DefaultConfig(), texts); err == nil || !strings.Contains(err.Error(), `"fi"`) {
+		t.Errorf("Texts with an empty document list for fi: %v, want an error naming fi", err)
+	}
+}
+
+// TestTrainRefusesEmptyLanguage: an empty language code is refused
+// before counting, so training never builds a set ReadProfileSet or
+// NewDetector would refuse.
+func TestTrainRefusesEmptyLanguage(t *testing.T) {
+	texts := map[string][][]byte{"": {[]byte("hello world")}, "en": {[]byte("hello world")}}
+	if ps, _, err := train.Texts(core.DefaultConfig(), texts); err == nil || !strings.Contains(err.Error(), "empty language label") {
+		t.Errorf("Texts with an empty language code: %v, %v; want an empty-label error", ps, err)
 	}
 }
 
@@ -476,8 +528,8 @@ func TestAbort(t *testing.T) {
 
 // TestFinalizeRanksConcurrently: the training split relabelled
 // round-robin as more languages than GOMAXPROCS, so every ranking
-// goroutine ranks several, gives the same profiles as core.TrainFromTexts
-// in each of 20 runs. Under -race it checks that the languages share
+// goroutine ranks several, gives the same profiles as Texts in each of
+// 20 runs. Under -race it checks that the languages share
 // their vocabulary safely while they rank.
 func TestFinalizeRanksConcurrently(t *testing.T) {
 	langs := 2*runtime.GOMAXPROCS(0) + 3
@@ -490,7 +542,7 @@ func TestFinalizeRanksConcurrently(t *testing.T) {
 		i++
 	}
 	cfg := core.Config{TopT: 300}
-	want, err := core.TrainFromTexts(cfg, texts)
+	want, _, err := train.Texts(cfg, texts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +564,7 @@ func TestFinalizeRanksConcurrently(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(ps.Profiles) != langs || !bytes.Equal(serialize(t, ps), wantBytes) {
-			t.Fatalf("run %d: %d profiles differ from core.TrainFromTexts' %d", run, len(ps.Profiles), langs)
+			t.Fatalf("run %d: %d profiles differ from Texts' %d", run, len(ps.Profiles), langs)
 		}
 	}
 }
@@ -526,7 +578,7 @@ func TestFinalizeRanksConcurrently(t *testing.T) {
 // before, go wrong.
 func TestTableHandoffUnderConcurrency(t *testing.T) {
 	corp := testCorpus(t)
-	ps, err := core.TrainFromTexts(core.Config{}, corp.TrainTextsByLanguage())
+	ps, _, err := train.Texts(core.Config{}, corp.TrainTextsByLanguage())
 	if err != nil {
 		t.Fatal(err)
 	}

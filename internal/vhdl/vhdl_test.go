@@ -8,12 +8,13 @@ import (
 
 	"bloomlang/internal/bloom"
 	"bloomlang/internal/core"
+	"bloomlang/internal/train"
 )
 
 func testProfiles(t *testing.T, k int, mBits uint32) *core.ProfileSet {
 	t.Helper()
 	cfg := core.Config{TopT: 200, K: k, MBits: mBits, Seed: 5}
-	ps, err := core.TrainFromTexts(cfg, map[string][][]byte{
+	ps, _, err := train.Texts(cfg, map[string][][]byte{
 		"en": {[]byte("the quick brown fox jumps over the lazy dog repeatedly and often")},
 		"fi": {[]byte("nopea ruskea kettu hyppii laiskan koiran yli usein ja uudelleen")},
 	})

@@ -7,12 +7,13 @@ import (
 	"bloomlang/internal/bloom"
 	"bloomlang/internal/core"
 	"bloomlang/internal/ht"
+	"bloomlang/internal/train"
 )
 
 // testProfiles trains a small two-language profile set.
 func testProfiles(t *testing.T) *core.ProfileSet {
 	t.Helper()
-	ps, err := core.TrainFromTexts(core.Config{TopT: 500, Seed: 3}, map[string][][]byte{
+	ps, _, err := train.Texts(core.Config{TopT: 500, Seed: 3}, map[string][][]byte{
 		"en": {[]byte("the quick brown fox jumps over the lazy dog and then the fox rests")},
 		"fi": {[]byte("nopea ruskea kettu hyppii laiskan koiran yli ja sitten kettu nukkuu")},
 	})
@@ -47,7 +48,7 @@ func sendDoc(d *Device, at ht.Time, doc []byte) {
 }
 
 func TestNewDeviceValidation(t *testing.T) {
-	ps, _ := core.TrainFromTexts(core.Config{TopT: 100, Seed: 1}, map[string][][]byte{
+	ps, _, _ := train.Texts(core.Config{TopT: 100, Seed: 1}, map[string][][]byte{
 		"en": {[]byte("validation text that is long enough for n-grams")},
 	})
 	filters, _ := bloom.ParallelFilters(ps)

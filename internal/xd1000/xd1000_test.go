@@ -7,6 +7,7 @@ import (
 	"bloomlang/internal/core"
 	"bloomlang/internal/corpus"
 	"bloomlang/internal/ht"
+	"bloomlang/internal/train"
 )
 
 // testCorpus generates a paper-shaped corpus (10 languages, 1300-word
@@ -29,7 +30,7 @@ func setup(t testing.TB) (*corpus.Corpus, *core.ProfileSet) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, err := core.TrainFromTexts(core.DefaultConfig(), c.TrainTextsByLanguage())
+		ps, _, err := train.Texts(core.DefaultConfig(), c.TrainTextsByLanguage())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +59,7 @@ func TestNewValidatesFit(t *testing.T) {
 	big := *ps
 	big.Config.K = 8
 	big.Config.MBits = 64 * 1024
-	bigPS, err := core.TrainFromTexts(big.Config, map[string][][]byte{
+	bigPS, _, err := train.Texts(big.Config, map[string][][]byte{
 		"aa": {[]byte("some training text for a fake language")},
 	})
 	if err != nil {
