@@ -195,12 +195,12 @@
 // trainer (Train and TrainFromTexts run through it too). It ingests
 // documents incrementally — whole documents, io.Readers, NDJSON
 // streams, or corpus directory trees — and counts n-grams in the
-// caller, in one loop of its own that translates, shifts, numbers and
-// counts each n-gram, over one n-gram vocabulary shared by all
-// languages with dense counts per language, so a training corpus never
-// has to fit in memory; each language keeps its top t through a
-// selection over its counts that sorts only the t winners, the
-// languages ranked in parallel:
+// caller: the window that turns a detector's bytes into n-grams emits
+// them a block at a time, and the trainer numbers and counts them, over
+// one n-gram vocabulary shared by all languages with dense counts per
+// language, so a training corpus never has to fit in memory; each
+// language keeps its top t through a selection over its counts that
+// sorts only the t winners, the languages ranked in parallel:
 //
 //	tr, _ := bloomlang.NewTrainer(bloomlang.DefaultConfig())
 //	tr.Add("es", doc)                       // one document at a time

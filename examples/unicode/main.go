@@ -59,17 +59,17 @@ func main() {
 	fmt.Printf("(a direct lookup table over 3-grams of a 16-bit alphabet would need 2^48 entries —\n")
 	fmt.Printf(" the Bloom filter still uses %d Kbit per language)\n\n", cfg.K*int(cfg.MBits)/1024)
 
-	tests := map[string]string{
-		"Greek":     "το ευρωπαϊκό κοινοβούλιο θεσπίζει μέτρα για την εφαρμογή",
-		"Russian":   "европейский парламент принимает меры для применения",
-		"Ukrainian": "європейський парламент вживає заходів для застосування",
-		"Bulgarian": "европейският парламент приема мерки за прилагането",
-		"English":   "the european parliament shall adopt measures for the application",
+	tests := []struct{ name, text string }{
+		{"Greek", "το ευρωπαϊκό κοινοβούλιο θεσπίζει μέτρα για την εφαρμογή"},
+		{"Russian", "европейский парламент принимает меры для применения"},
+		{"Ukrainian", "європейський парламент вживає заходів для застосування"},
+		{"Bulgarian", "европейският парламент приема мерки за прилагането"},
+		{"English", "the european parliament shall adopt measures for the application"},
 	}
-	for name, text := range tests {
-		r := clf.Classify(text)
+	for _, tc := range tests {
+		r := clf.Classify(tc.text)
 		lang := r.BestLanguage(clf.Languages())
-		fmt.Printf("%-10s -> %-3s  margin %d over %d n-grams\n", name, lang, r.Margin(), r.NGrams)
+		fmt.Printf("%-10s -> %-3s  margin %d over %d n-grams\n", tc.name, lang, r.Margin(), r.NGrams)
 	}
 
 	fmt.Println("\nnote how the three Cyrillic languages separate: the 16-bit alphabet")

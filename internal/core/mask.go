@@ -190,27 +190,25 @@ func (k *probeKernel) AccumulateInto(counts []int, gs []uint32) {
 // single mask plane: translate each byte, shift it into the n-gram
 // register w, look the n-gram's language mask up and add it into the
 // lane counters, with no n-gram stored on the way; counts gains the
-// matches and the result is the number of n-grams p completes. The
-// loop takes four characters per step: their codes form one 20-bit
-// word q, w = w<<20 | q in a uint64, and the step's four n-grams are
-// read off w by shifting, so the serial shift chain runs once per four
-// characters. That is exact for every n <= 5 (the deepest read, 15+5n
-// bits, fits in 64). A Stream runs it when the profile set fits one
-// plane (Stream.configure).
+// matches and the result is the number of n-grams p completes. While
+// the register is not full, w.FeedBytes takes the bytes that fill it,
+// which complete no n-gram. The loop takes four characters per step:
+// their codes form one 20-bit word q, w = w<<20 | q in a uint64, and
+// the step's four n-grams are read off w by shifting, so the serial
+// shift chain runs once per four characters. That is exact for every
+// n <= 5 (the deepest read, 15+5n bits, fits in 64). A Stream runs it
+// when the profile set fits one plane (Stream.configure).
 func countFused(plane []uint16, w *ngram.Window, counts []int, p []byte) int {
-	reg, filled := w.Reg, w.Filled
-	for ; filled < w.N-1 && len(p) > 0; filled++ {
-		reg = reg<<alphabet.Bits | uint64(alphabet.Translate(p[0]))
-		p = p[1:]
+	if k := min(w.N-1-w.Filled, len(p)); k > 0 {
+		w.FeedBytes(nil, p[:k])
+		p = p[k:]
 	}
-	w.Filled = filled
 	grams := len(p)
 	for len(p) > 0 {
 		b := p[:min(len(p), laneFlush)]
 		p = p[len(b):]
-		reg, _, _ = countLanes(plane, reg, b, counts, counts)
+		w.Reg, _, _ = countLanes(plane, w.Reg, b, counts, counts)
 	}
-	w.Reg = reg
 	return grams
 }
 

@@ -126,7 +126,7 @@ func counterOf(counts map[uint32]uint32) *Counter {
 	return c
 }
 
-// FuzzCounterBytes checks the fused counting loop, Counter.AddBytes,
+// FuzzCounterBytes checks the training counter, Counter.AddBytes,
 // against ExtractBytes and a map count at n = 2..6: the fuzzer's text
 // is cut at random points into separate calls that carry one Window.
 // At n = 4 the vocabulary starts with close to 65535 other n-grams

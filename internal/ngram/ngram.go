@@ -341,70 +341,68 @@ func (v *Vocabulary) NewCounter() *Counter { return &Counter{v: v} }
 func PresetTotal(c *Counter, total uint64) { c.total = total }
 
 // AddBytes counts the n-grams the ISO-8859-1 bytes of p complete in
-// the window w, numbering new ones: translate, shift, index and count
-// in one loop. The caller carries w, of the vocabulary's n and keeping
-// every n-gram, from one piece of a document to the next. AddBytes
-// refuses p, counting none of it, if its n-grams would take the total
-// past MaxTotal.
+// the window w, numbering new ones: w.FeedBytes turns a block of bytes
+// at a time into n-grams, and AddBytes only indexes and counts them.
+// The caller carries w, of the vocabulary's n and keeping every
+// n-gram, from one piece of a document to the next. AddBytes refuses
+// p, counting none of it, if its n-grams would take the total past
+// MaxTotal.
 func (c *Counter) AddBytes(w *Window, p []byte) error {
 	v := c.v
 	grams := Count(w.Filled+len(p), v.n)
 	if err := c.fits(grams); err != nil {
 		return err
 	}
-	reg, mask := uint32(w.Reg), uint32(1)<<Bits(v.n)-1
-	for ; w.Filled < v.n-1 && len(p) > 0; w.Filled++ {
-		reg = reg<<alphabet.Bits | uint32(alphabet.Translate(p[0]))
-		p = p[1:]
-	}
 	// Catch up with the numbers other languages added, so that each
 	// number added below is the next element of counts.
 	counts := grow(c.counts, v.size-len(c.counts))
-	// The uint16 index counts until an n-gram needs a wider number, the
-	// uint32 one the rest; a map vocabulary has neither and counts all.
-	if counts, reg, p = countFlat(v, v.index16, counts, reg, p); len(p) > 0 && v.index16 != nil {
-		v.widen()
-	}
-	counts, reg, p = countFlat(v, v.index32, counts, reg, p)
-	for _, b := range p {
-		reg = (reg<<alphabet.Bits | uint32(alphabet.Translate(b))) & mask
-		id := v.ids[reg]
-		if id == 0 {
-			id = v.number()
-			v.ids[reg] = id
-			counts = grow(counts, 1)
+	var block [256]uint32
+	for len(p) > 0 {
+		k := min(len(p), len(block))
+		gs := w.FeedBytes(block[:0], p[:k])
+		p = p[k:]
+		// The uint16 index counts until an n-gram needs a wider number,
+		// the uint32 one the rest; a map vocabulary has neither and
+		// counts all.
+		if counts, gs = countFlat(v, v.index16, counts, gs); len(gs) > 0 && v.index16 != nil {
+			v.widen()
 		}
-		counts[id-1]++
+		counts, gs = countFlat(v, v.index32, counts, gs)
+		for _, g := range gs {
+			id := v.ids[g]
+			if id == 0 {
+				id = v.number()
+				v.ids[g] = id
+				counts = grow(counts, 1)
+			}
+			counts[id-1]++
+		}
 	}
-	w.Reg = uint64(reg & mask)
 	c.counts = counts
 	c.total += uint64(grams)
 	return nil
 }
 
-// countFlat counts the n-grams p completes after reg through the flat
-// index until one needs a number I cannot hold; it returns the counts,
-// the register and the bytes from that one on: all of p for no index.
-func countFlat[I uint16 | uint32](v *Vocabulary, index []I, counts []uint32, reg uint32, p []byte) ([]uint32, uint32, []byte) {
+// countFlat counts the n-grams gs through the flat index until one
+// needs a number I cannot hold; it returns the counts and the n-grams
+// from that one on: all of gs for no index.
+func countFlat[I uint16 | uint32](v *Vocabulary, index []I, counts, gs []uint32) ([]uint32, []uint32) {
 	if index == nil {
-		return counts, reg, p
+		return counts, gs
 	}
-	mask := uint32(len(index) - 1)
-	for i, b := range p {
-		g := (reg<<alphabet.Bits | uint32(alphabet.Translate(b))) & mask
+	for i, g := range gs {
 		id := index[g]
 		if id == 0 {
 			if v.size == int(^I(0)) {
-				return counts, reg, p[i:]
+				return counts, gs[i:]
 			}
 			id = I(v.number())
 			index[g] = id
 			counts = grow(counts, 1)
 		}
 		counts[id-1]++
-		reg = g
 	}
-	return counts, reg, nil
+	return counts, nil
 }
 
 // grow returns counts k zero counts longer, moving past its capacity to

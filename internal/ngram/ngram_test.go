@@ -328,9 +328,11 @@ func TestCountersShareVocabulary(t *testing.T) {
 // most the uint16 index numbers, with the AddBytes call that crosses
 // the limit cut so the vocabulary holds 65534, 65535 or 65536 n-grams
 // after it: the index widens within a call, in the next one's first
-// new n-gram, and a little way into it. A second language counts
-// n-grams on both sides of the widening. Counts and ranking equal a
-// map-based count throughout.
+// new n-gram, and a little way into it. Two more cuts put the n-gram
+// that widens the index at the edges of AddBytes' 256-byte blocks:
+// first in the next call's second block, and last in its first. A
+// second language counts n-grams on both sides of the widening. Counts
+// and ranking equal a map-based count throughout.
 func TestVocabularyWidens(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 2))
 	text := make([]byte, 200_000)
@@ -367,7 +369,13 @@ func TestVocabularyWidens(t *testing.T) {
 	}
 	otherGrams, _ := ExtractBytes(other, 4)
 	otherDistinct := len(countsOfGrams(otherGrams))
-	for _, split := range []int{1<<16 - 2, 1<<16 - 1, 1 << 16} {
+	head, _ := ExtractBytes(other[:8], 4)
+	headDistinct := len(countsOfGrams(head)) // numbered before text's
+	// numbering returns the bytes of text that take the vocabulary to
+	// split n-grams.
+	numbering := func(split int) int { return first[split-headDistinct-1] + 4 }
+	widening := numbering(1<<16) - 1 // the last byte of the 65536th
+	for _, end := range []int{numbering(1<<16 - 2), numbering(1<<16 - 1), numbering(1 << 16), widening - 256, widening - 255} {
 		v, err := NewVocabulary(4)
 		if err != nil {
 			t.Fatal(err)
@@ -376,19 +384,20 @@ func TestVocabularyWidens(t *testing.T) {
 		var wa, wb Window
 		wa.N, wb.N = 4, 4
 		b.AddBytes(&wb, other[:8])
-		end := first[split-v.size-1] + 4 // the bytes that number split n-grams
 		a.AddBytes(&wa, text[:end])
-		if wide := split > 1<<16-1; (v.index32 != nil) != wide || (v.index16 != nil) == wide || v.size != split {
-			t.Fatalf("split %d: %d n-grams numbered, index16 %t, index32 %t", split, v.size, v.index16 != nil, v.index32 != nil)
+		distinct, _ := slices.BinarySearch(first, end-3)
+		numbered := headDistinct + distinct
+		if wide := numbered > 1<<16-1; (v.index32 != nil) != wide || (v.index16 != nil) == wide || v.size != numbered {
+			t.Fatalf("cut %d: %d n-grams numbered, want %d, index16 %t, index32 %t", end, v.size, numbered, v.index16 != nil, v.index32 != nil)
 		}
-		check(fmt.Sprintf("split %d, before", split), a, gs[:end-3])
+		check(fmt.Sprintf("cut %d, before", end), a, gs[:end-3])
 		a.AddBytes(&wa, text[end:])
 		b.AddBytes(&wb, other[8:])
 		if v.index16 != nil || v.index32 == nil || v.size != len(first)+otherDistinct {
-			t.Fatalf("split %d: %d n-grams numbered, index not widened", split, v.size)
+			t.Fatalf("cut %d: %d n-grams numbered, index not widened", end, v.size)
 		}
-		check(fmt.Sprintf("split %d, after", split), a, gs)
-		check(fmt.Sprintf("split %d, other language", split), b, otherGrams)
+		check(fmt.Sprintf("cut %d, after", end), a, gs)
+		check(fmt.Sprintf("cut %d, other language", end), b, otherGrams)
 	}
 }
 

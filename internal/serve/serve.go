@@ -499,19 +499,32 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, st *endpoin
 		if i > 0 {
 			out = append(out, ',')
 		}
-		stream.Reset()
-		stream.Write(text)
-		var counts []int
-		if s.cfg.IncludeCounts {
-			b.counts = stream.AppendCounts(b.counts[:0])
-			counts = b.counts
-		}
-		m := stream.Match()
-		st.countUnknown(m)
-		out = langs.appendDetection(out, b.ids[i], m, counts, nil, "")
+		out = s.appendDocument(out, b, st, langs, stream, b.ids[i], text, false)
 	}
 	b.out = append(out, "]\n"...)
 	writeJSONBytes(w, b.out)
+}
+
+// appendDocument is the per-document step of /batch and /stream: it
+// counts text on stream, reset for it, and appends its Detection under
+// id to out, with the counts when the server includes them. With spans
+// the stream segments, and the Detection carries the document's spans.
+func (s *Server) appendDocument(out []byte, b *buffers, st *endpointStats, langs *langTable, stream *core.Stream, id, text []byte, spans bool) []byte {
+	stream.Reset()
+	stream.Write(text)
+	var tiling []core.Span
+	if spans {
+		tiling = stream.Finish()
+		st.spans.Add(int64(len(tiling)))
+	}
+	var counts []int
+	if s.cfg.IncludeCounts {
+		b.counts = stream.AppendCounts(b.counts[:0])
+		counts = b.counts
+	}
+	m := stream.Match()
+	st.countUnknown(m)
+	return langs.appendDetection(out, id, m, counts, tiling, "")
 }
 
 // maxPendingBytes bounds the /stream answers held back between reads.
@@ -575,18 +588,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpoi
 		}
 		st.bytes.Add(int64(len(text)))
 		st.docs.Add(1)
-		stream.Reset()
-		stream.Write(text)
-		spans := stream.Finish()
-		var counts []int
-		if s.cfg.IncludeCounts {
-			b.counts = stream.AppendCounts(b.counts[:0])
-			counts = b.counts
-		}
-		m := stream.Match()
-		st.countUnknown(m)
-		st.spans.Add(int64(len(spans)))
-		body.out = langs.appendDetection(body.out, id, m, counts, spans, "")
+		body.out = s.appendDocument(body.out, b, st, langs, stream, id, text, seg != nil)
 		body.out = append(body.out, '\n')
 		if len(body.out) >= maxPendingBytes {
 			// Many short lines read at once: bound the answers held back.

@@ -3,9 +3,10 @@
 // only checks, stores and serves the sets it builds. A Trainer ingests
 // documents incrementally — one Add call, one io.Reader, one NDJSON
 // line, or one file of a directory tree at a time — and counts each
-// one in the caller through ngram.Counter.AddBytes, one loop from raw
-// bytes to counts; Texts, NDJSON and Dir run a whole source through
-// one. Finalize ranks the top-t n-grams per language into a
+// one in the caller through ngram.Counter.AddBytes, which counts the
+// n-grams ngram.Window.FeedBytes emits, the step from bytes to n-grams
+// a detector's stream takes too; Texts, NDJSON and Dir run a whole
+// source through one. Finalize ranks the top-t n-grams per language into a
 // core.ProfileSet that depends only on the documents each language
 // was given, not on their order or chunking: counting is additive, and
 // the ranking breaks ties deterministically. It ranks the languages on at most GOMAXPROCS

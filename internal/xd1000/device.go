@@ -159,7 +159,7 @@ func (d *Device) Watchdog() *ht.Watchdog { return d.watchdog }
 // expected have been received via DMA").
 func (d *Device) Command(now ht.Time, cmd ht.Command) {
 	if d.watchdog.Check(now) {
-		d.watchdogReset()
+		d.dropDocument()
 	}
 	if cmd.Type == ht.CmdReset {
 		d.reset()
@@ -178,7 +178,7 @@ func (d *Device) Command(now ht.Time, cmd ht.Command) {
 // words against the announced size.
 func (d *Device) DeliverData(now ht.Time, data []byte) {
 	if d.watchdog.Check(now) {
-		d.watchdogReset()
+		d.dropDocument()
 	}
 	if d.state != stateReceiving {
 		// Data with no announced document: protocol violation.
@@ -212,7 +212,7 @@ func (d *Device) execute(now ht.Time, cmd ht.Command) {
 	case ht.CmdSize:
 		if d.state != stateIdle {
 			d.Errors++
-			d.protocolReset()
+			d.dropDocument()
 		}
 		d.expectWords = int64(cmd.Arg)
 		d.gotWords = 0
@@ -223,7 +223,7 @@ func (d *Device) execute(now ht.Time, cmd ht.Command) {
 	case ht.CmdEndOfDocument:
 		if d.state != stateDocReady {
 			d.Errors++
-			d.protocolReset()
+			d.dropDocument()
 			return
 		}
 		d.fold()
@@ -317,33 +317,22 @@ func (d *Device) Result() (QueryResult, error) {
 	return *d.lastResult, nil
 }
 
-// reset implements CmdReset and the watchdog reset: the full §4 "reset
-// the state machine" path. Bloom filter contents are preserved (the
-// hardware clears them only when reprogramming).
+// reset implements CmdReset, the full §4 "reset the state machine"
+// path: it drops the document in flight, then clears the last result,
+// the watchdog and the counters. Bloom filter contents are preserved
+// (the hardware clears them only when reprogramming).
 func (d *Device) reset() {
-	d.state = stateIdle
-	d.expectWords = 0
-	d.gotWords = 0
-	d.docBuf = d.docBuf[:0]
-	d.checksum = 0
-	d.pending = nil
+	d.dropDocument()
 	d.lastResult = nil
 	d.watchdog.Disarm()
 	d.resetCounters()
 }
 
-// watchdogReset is the recovery path when a transfer stalls.
-func (d *Device) watchdogReset() {
-	d.state = stateIdle
-	d.expectWords = 0
-	d.gotWords = 0
-	d.docBuf = d.docBuf[:0]
-	d.checksum = 0
-	d.pending = nil
-}
-
-// protocolReset recovers from an out-of-order command.
-func (d *Device) protocolReset() {
+// dropDocument drops the document in flight and the commands queued
+// behind it, returning the state machine to idle: the recovery path
+// when a transfer stalls (the watchdog) or a command arrives out of
+// order.
+func (d *Device) dropDocument() {
 	d.state = stateIdle
 	d.expectWords = 0
 	d.gotWords = 0
