@@ -327,7 +327,7 @@ func segment(args []string) {
 	minMargin := fs.Float64("min-margin", 0, "mark spans unknown below this normalized span margin")
 	minNGrams := fs.Int("min-ngrams", 1, "answer unknown below this many testable n-grams")
 	window := fs.Int("window", 0, "commit horizon in n-grams, a multiple of the stride (0 = default 4096)")
-	stride := fs.Int("stride", 0, "chunk length in n-grams, the boundary granularity (0 = default 16)")
+	stride := fs.Int("stride", 0, "chunk length in n-grams, the boundary granularity, at most 255 (0 = default 16)")
 	penalty := fs.Int("penalty", 0, "score one language change costs, in n-gram matches (0 = default 8)")
 	tsv := fs.Bool("tsv", false, "tab-separated output: file, start, end, lang, score, margin")
 	colored := fs.Bool("color", false, "print the document text with one ANSI color per language")

@@ -77,7 +77,7 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive idle timeout (0 = unlimited)")
 	counts := flag.Bool("counts", false, "include per-language match counts in batch/stream responses")
 	segWindow := flag.Int("segment-window", 0, "/segment and /stream?spans=1 commit horizon in n-grams, a multiple of the stride (0 = default 4096)")
-	segStride := flag.Int("segment-stride", 0, "/segment and /stream?spans=1 chunk length in n-grams, the boundary granularity (0 = default 16)")
+	segStride := flag.Int("segment-stride", 0, "/segment and /stream?spans=1 chunk length in n-grams, the boundary granularity, at most 255 (0 = default 16)")
 	segPenalty := flag.Int("segment-penalty", 0, "/segment and /stream?spans=1 score one language change costs, in n-gram matches (0 = default 8)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 	flag.Parse()

@@ -56,11 +56,11 @@ func BenchmarkDetectorBackends(b *testing.B) {
 
 // BenchmarkDetectSpans measures the mixed-language segmentation hot
 // path on every backend, at n = 4 and (n6) at n = 6: one counting pass
-// over a paper-sized document, cut into 16-gram chunks, one cumulative
-// count row and one Viterbi step per chunk. With pooled scratch warm
+// over a paper-sized document, cut into 16-gram chunks, one count
+// record and one Viterbi step per chunk. With pooled scratch warm
 // and a reused destination slice the discipline bar is 0 allocs/op; the
 // gap to BenchmarkDetectorBackends on the same backend is the cost of
-// the chunk rows, the steps and the trace back (scripts/bench.sh gates
+// the chunk records, the steps and the trace back (scripts/bench.sh gates
 // the n = 4 direct-lookup ratio).
 func BenchmarkDetectSpans(b *testing.B) {
 	_, ps := benchFixtures(b)

@@ -85,7 +85,12 @@
 // count is the paper's datapath in one loop: translate a byte, shift it
 // into the n-gram register, load the n-gram's language mask, and add
 // the mask into per-language byte lanes held in two registers, four
-// characters per step, with no n-gram stored on the way. At n = 6 a
+// characters per step, with no n-gram stored on the way. On amd64 CPUs
+// with AVX2 the same loop runs sixteen n-grams at a time, chosen once
+// at start: a vector translate, eight mask loads per gather
+// instruction and a byte-lane count per group of sixteen, which
+// counts a 5 KB document in about half the time (BenchmarkDetectCount
+// times both loops). At n = 6 a
 // plane would take 2 GiB, so the same masks sit in a compact
 // open-addressed table over only the profiles' n-grams (one uint64 slot
 // per n-gram, 2 MiB for 16 languages at t = 5000), probed once per
@@ -116,9 +121,9 @@
 //
 // The mechanism reuses the counting pass unchanged and runs it exactly
 // once per document: the bytes are cut where each Stride of n-grams
-// completes, each piece is counted by the document's Stream into a
-// cumulative count row, and each completed chunk takes one step of an
-// exact integer Viterbi pass. The labelling it finds maximises the
+// completes, each piece is counted by the document's Stream, each
+// completed chunk keeps its counts as one byte per language, and takes
+// one step of an exact integer Viterbi pass. The labelling it finds maximises the
 // paper's match count summed over each span, less Penalty per language
 // change (the language-switch model of Lui, Lau & Baldwin, TACL 2014).
 // No n-gram is ever re-extracted or re-hashed, and warm segmentation
@@ -126,13 +131,14 @@
 // BenchmarkDetectSpans).
 //
 // Each span is decided by Detect's own rule over the span's n-grams:
-// its counts are one difference of cumulative rows, so Score, Margin
+// its counts are the sum of its chunks' counts, so Score, Margin
 // and the MinMargin / MinNGrams policy (explicit Unknown spans) mean
 // what they mean for Detect. The returned spans always tile
 // [0, len(doc)) with no gaps or overlaps, and boundaries fall on chunk
-// edges. On a document of at most 2·Window n-grams, a Penalty at least
-// its n-gram count makes the whole document one span, decided exactly
-// as Detect decides it; past that, horizon commits can split it.
+// edges, every Stride n-grams (at most 255). On a document of at most
+// 2·Window n-grams, a Penalty at least its n-gram count makes the whole
+// document one span, decided exactly as Detect decides it; past that,
+// horizon commits can split it.
 //
 // Both backends segment; the configuration is per call:
 //

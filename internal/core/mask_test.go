@@ -470,7 +470,8 @@ func FuzzMaskKernelVsReference(f *testing.F) {
 // chunk. It is the per-stage figure for the counting layer. The
 // 5KB-bytes case times the serving stage instead: a Stream counting the
 // raw document, translation and extraction included (the fused loop on
-// direct-lookup, n-gram blocks on parallel-bloom).
+// direct-lookup, n-gram blocks on parallel-bloom); where the fused loop
+// runs the AVX2 kernel, 5KB-bytes-go-loop times it on the Go loop.
 func BenchmarkDetectCount(b *testing.B) {
 	corp, err := corpus.Generate(corpus.Config{DocsPerLanguage: 30, WordsPerDoc: 300, TrainFraction: 0.5, Seed: 17})
 	if err != nil {
@@ -503,13 +504,20 @@ func BenchmarkDetectCount(b *testing.B) {
 				}
 			})
 		}
-		b.Run(backend.String()+"/5KB-bytes", func(b *testing.B) {
+		countBytes := func(b *testing.B) {
 			s := det.NewStream()
 			b.ReportAllocs()
 			for b.Loop() {
 				s.Reset()
 				s.Write(doc)
 			}
-		})
+		}
+		b.Run(backend.String()+"/5KB-bytes", countBytes)
+		if backend == BackendDirect && useGroups {
+			b.Run(backend.String()+"/5KB-bytes-go-loop", func(b *testing.B) {
+				goLoop(b)
+				countBytes(b)
+			})
+		}
 	}
 }

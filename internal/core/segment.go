@@ -10,9 +10,10 @@ package core
 // detection path uses, so it reuses the backend's counting pass
 // unchanged and runs it exactly once per document. The byte stream is
 // cut where each stride of n-grams completes, and each piece goes
-// straight from bytes to counts (Stream.countBytes) into the open row
-// of the stream's cumulative counts. Each completed chunk c then takes
-// one Viterbi step over its row r_c: the path score to maximise is
+// straight from bytes to counts (Stream.countBytes) into the stream's
+// running totals. Each completed chunk c keeps its counts r_c, one
+// byte per language, and takes one Viterbi step over them: the path
+// score to maximise is
 // Σ r_c[label_c] − Penalty·(label changes), the paper's
 // match count summed over each span with a fixed price per boundary
 // (the language-switch model of Lui, Lau & Baldwin, TACL 2014, kept
@@ -22,10 +23,12 @@ package core
 //
 // so one shared maximum serves every language, and the back-pointer
 // per chunk is that maximum's language plus one "switched" bit per
-// language. Spans come from tracing the best path back; because the
-// rows are cumulative, a span's counts are one row difference and the
-// span is decided by Detect's own rule over its n-grams. The mask
-// kernel runs the same step on its byte lanes (countChunks, mask.go).
+// language. Spans come from tracing the best path back; a span's
+// counts are the sum of its chunks' counts, taken as the trace-back's
+// commit walks them, and the span is decided by Detect's own rule over
+// its n-grams. The mask kernel's chunk counts are its lane words as
+// they come out of the fused loop, and it runs the same step on them
+// (countChunks, mask.go).
 
 import (
 	"fmt"
@@ -82,13 +85,14 @@ type SegmentConfig struct {
 	// 2·Window n-grams are in, and after every further Window, all
 	// more than Window n-grams behind the head is committed along the
 	// best path so far, whether or not every survivor path agrees on
-	// it. A stream so keeps at most 2·Window/Stride chunk rows —
+	// it. A stream so keeps at most 2·Window/Stride chunk records, each
+	// a back-pointer and one count byte per language —
 	// O(Window/Stride × languages) memory whatever the document length.
 	// It must be a multiple of Stride.
 	Window int
 	// Stride is the chunk length in n-grams (default 16, or the
-	// largest divisor of Window below that); boundaries fall on chunk
-	// edges. The counting work does not depend on it: every n-gram is
+	// largest divisor of Window below that), at most MaxSegmentStride;
+	// boundaries fall on chunk edges. The counting work does not depend on it: every n-gram is
 	// still hashed exactly once.
 	Stride int
 	// Penalty is the score one language change costs, in n-gram
@@ -100,6 +104,10 @@ type SegmentConfig struct {
 	// still split them.
 	Penalty int
 }
+
+// MaxSegmentStride is the largest chunk length: a chunk's count for
+// each language is kept in one byte.
+const MaxSegmentStride = 255
 
 // WithDefaults returns the configuration with zero fields replaced by
 // the package defaults — the effective configuration segmentation runs
@@ -133,6 +141,9 @@ func (c SegmentConfig) Validate() error {
 	}
 	if cfg.Stride < 1 || cfg.Window%cfg.Stride != 0 {
 		return fmt.Errorf("core: segment stride %d must be a positive divisor of window %d (the horizon is a whole number of chunks)", cfg.Stride, cfg.Window)
+	}
+	if cfg.Stride > MaxSegmentStride {
+		return fmt.Errorf("core: segment stride %d is over %d (a chunk keeps one count byte per language)", cfg.Stride, MaxSegmentStride)
 	}
 	if cfg.Penalty < 0 {
 		return fmt.Errorf("core: segment penalty %d must not be negative", cfg.Penalty)
@@ -180,8 +191,8 @@ func (d *Detector) AppendSpans(dst []Span, doc []byte, cfg SegmentConfig) ([]Spa
 // A stream from NewStream counts each write whole into the document
 // totals. A stream from NewSpanStream also segments: each write is cut
 // at the bytes that complete a stride of n-grams, each piece is counted
-// straight into the open cumulative row, and each completed chunk takes
-// one Viterbi step. Spans returns the spans every survivor path agrees
+// straight into the running totals, and each completed chunk keeps its
+// counts and takes one Viterbi step. Spans returns the spans every survivor path agrees
 // on so far, and Finish returns the complete tiling — identical output
 // for identical bytes, any chunking. Either way every n-gram is counted
 // exactly once, and Match and AppendCounts give the whole-document
@@ -197,12 +208,10 @@ type Stream struct {
 	// this stream (countFused), else nil.
 	plane []uint16
 
-	// rows holds cumulative count rows, langs wide: the counts before
-	// chunk base, after each chunk completed since, and last the open
-	// row, which counts everything written so far. Without segmentation
-	// the open row is the only one.
-	rows []int
+	// open counts everything written so far, langs wide; with
+	// segmentation prev is open as it stood when the open chunk began.
 	open []int
+	prev []int
 
 	bytesSeen int
 	gramsSeen int
@@ -210,22 +219,28 @@ type Stream struct {
 
 	// Viterbi state. Chunks before base are committed; back holds, per
 	// chunk from base on, bw words: the arg-max language of the scores
-	// before the chunk, then one "switched" bit per language.
+	// before the chunk, then nsw words of one "switched" bit per
+	// language, then the chunk's counts, one byte lane per language and
+	// two words per 16 languages, as the mask kernel's lo and hi.
 	nextCommit int   // chunk count of the next horizon commit
 	chunks     int   // completed chunks
 	base       int   // first uncommitted chunk
 	score      []int // S per language after the last completed chunk
 	best       int   // arg-max of score, lowest index on ties
-	bw         int
+	bw, nsw    int
 	back       []uint64
 	changes    [][2]int // scratch: a traced path's language changes
 	agree      []uint64 // scratch: the survivor set of the agreement walk
 
 	// The committed run still open at the frontier: its label
-	// (-1 before the first commit), first chunk and cumulative row.
-	runLabel int
-	runStart int
-	runCum   []int
+	// (-1 before the first commit), its first chunk, and the counts of
+	// its chunks committed so far, the latest runSummed of them still
+	// in byte lanes in runLanes, the others in runCounts.
+	runLabel  int
+	runStart  int
+	runCounts []int
+	runLanes  []uint64
+	runSummed int
 
 	spans []Span
 	done  bool
@@ -271,22 +286,23 @@ func (s *Stream) configure(cfg SegmentConfig) {
 	s.bytesSeen, s.gramsSeen, s.fill, s.chunks, s.base = 0, 0, 0, 0, 0
 	s.done = false
 	s.spans = s.spans[:0]
-	rows := 1
+	s.open = zeroed(s.open, L)
 	if cfg.Stride > 0 {
-		rows = 2
 		// The first commit comes two horizons in; one past the int
 		// range never comes.
 		h := cfg.Window / cfg.Stride
 		s.nextCommit = h + min(h, math.MaxInt-h)
 		s.best = 0
-		s.bw = 1 + (L+63)/64
+		lanes := 2 * ((L + maskPlaneLangs - 1) / maskPlaneLangs)
+		s.nsw = (L + 63) / 64
+		s.bw = 1 + s.nsw + lanes
 		s.back = s.back[:0]
+		s.prev = zeroed(s.prev, L)
 		s.score = zeroed(s.score, L)
-		s.runLabel, s.runStart = -1, 0
-		s.runCum = zeroed(s.runCum, L)
+		s.runLabel, s.runStart, s.runSummed = -1, 0, 0
+		s.runCounts = zeroed(s.runCounts, L)
+		s.runLanes = zeroed(s.runLanes, lanes)
 	}
-	s.rows = zeroed(s.rows, rows*L)
-	s.open = s.rows[(rows-1)*L:]
 }
 
 // zeroed returns b resized to n zeroed elements, reusing its storage.
@@ -326,7 +342,7 @@ const gramBlock = 256
 
 // countBytes is the one pass from bytes to counts: it shifts p through
 // the stream's window and adds the matches of every n-gram it
-// completes into the open row, returning how many that was. The fused
+// completes into the totals, returning how many that was. The fused
 // mask loop counts straight from the bytes; any other kernel gets the
 // n-grams a block at a time. The window carries across calls, so a
 // document counted in any number of pieces gets the counts of one call
@@ -346,10 +362,10 @@ func (s *Stream) countBytes(p []byte) (grams int) {
 }
 
 // count is the one counting step. Without segmentation the whole write
-// goes through countBytes into the open row. With segmentation the
-// write is cut where each stride of n-grams completes, and each piece
-// is counted into the open row; where the fused loop applies, runs of
-// whole chunks are counted and stepped on its lanes (countChunks).
+// goes through countBytes into the totals. With segmentation the write
+// is cut where each stride of n-grams completes, and each piece is
+// counted into the totals; where the fused loop applies, runs of whole
+// chunks are counted and stepped on its lanes (countChunks).
 func (s *Stream) count(p []byte) {
 	s.bytesSeen += len(p)
 	if s.cfg.Stride == 0 {
@@ -361,8 +377,7 @@ func (s *Stream) count(p []byte) {
 	for len(p) > 0 {
 		if fused && s.fill == 0 && s.w.Filled == s.w.N-1 && len(p) >= stride {
 			k := min(len(p)/stride, s.nextCommit-s.chunks)
-			rows, back := s.grow(k)
-			s.w.Reg = s.countChunks(s.plane, s.w.Reg, p[:k*stride], rows, back)
+			s.w.Reg = s.countChunks(s.plane, s.w.Reg, p[:k*stride], s.grow(k))
 			p = p[k*stride:]
 			s.gramsSeen += k * stride
 			s.closed(k)
@@ -373,29 +388,21 @@ func (s *Stream) count(p []byte) {
 		p = p[n:]
 		s.gramsSeen += grams
 		if s.fill += grams; s.fill == stride {
-			s.stepRows(s.grow(1))
+			s.stepOpen(s.grow(1))
 			s.closed(1)
 		}
 	}
 }
 
-// grow makes room for k more chunks: it returns the cumulative rows
-// from the one before the open row on — the open row becomes the first
-// chunk's, and k more follow it — and the k chunks' back-pointers.
-func (s *Stream) grow(k int) ([]int, []uint64) {
-	L := s.langs
-	s.rows = extend(s.rows, k*L)
+// grow makes room for k more chunks and returns their records.
+func (s *Stream) grow(k int) []uint64 {
 	s.back = extend(s.back, k*s.bw)
-	return s.rows[len(s.rows)-(k+2)*L:], s.back[len(s.back)-k*s.bw:]
+	return s.back[len(s.back)-k*s.bw:]
 }
 
-// closed finishes k chunks whose rows and steps are in place: the last
-// row opens as a copy of the last chunk's, and every horizon the
-// undecided tail is committed.
+// closed finishes k chunks whose records and steps are in place, and
+// every horizon commits the undecided tail.
 func (s *Stream) closed(k int) {
-	L := s.langs
-	copy(s.rows[len(s.rows)-L:], s.rows[len(s.rows)-2*L:])
-	s.open = s.rows[len(s.rows)-L:]
 	s.fill = 0
 	s.chunks += k
 	if s.chunks == s.nextCommit {
@@ -411,29 +418,30 @@ func (s *Stream) closed(k int) {
 	}
 }
 
-// stepRows runs the Viterbi steps for the chunks between the
-// cumulative rows, writing one back-pointer per chunk.
-func (s *Stream) stepRows(rows []int, back []uint64) {
-	L, bw := s.langs, s.bw
+// stepOpen closes the open chunk, whose counts are open less prev: it
+// writes them into the chunk's record bp, in its byte lanes, and takes
+// the chunk's Viterbi step.
+func (s *Stream) stepOpen(bp []uint64) {
+	L := s.langs
 	score, best := s.score[:L], s.best
-	for c := range len(back) / bw {
-		prev, cur := rows[c*L:][:L], rows[(c+1)*L:][:L]
-		bp := back[c*bw:][:bw]
-		bp[0] = uint64(best)
-		clear(bp[1:])
-		// A language switches in only when the best score, less the
-		// penalty, beats staying: ties stay, and the arg-max keeps the
-		// lowest index, as Detect does.
-		thr := score[best] - s.cfg.Penalty
-		best = 0
-		for l, v := range score {
-			bp[1+l>>6] |= uint64(v-thr) >> 63 << (l & 63)
-			score[l] = max(v, thr) + cur[l] - prev[l]
-			if score[l] > score[best] {
-				best = l
-			}
+	clear(bp)
+	bp[0] = uint64(best)
+	sw, lanes := bp[1:1+s.nsw], bp[1+s.nsw:]
+	// A language switches in only when the best score, less the
+	// penalty, beats staying: ties stay, and the arg-max keeps the
+	// lowest index, as Detect does.
+	thr := score[best] - s.cfg.Penalty
+	best = 0
+	for l, v := range score {
+		r := s.open[l] - s.prev[l]
+		lanes[l>>3] |= uint64(r) << (l & 7 * 8)
+		sw[l>>6] |= uint64(v-thr) >> 63 << (l & 63)
+		score[l] = max(v, thr) + r
+		if score[l] > score[best] {
+			best = l
 		}
 	}
+	copy(s.prev, s.open)
 	s.best = best
 }
 
@@ -463,39 +471,71 @@ func (s *Stream) commit(last, label, upto int) {
 			label = int(s.back[(c-s.base)*s.bw])
 		}
 	}
-	s.change(s.base, label)
+	// Walk the committed chunks in order, adding each to its run.
+	c := s.base
+	s.change(c, label)
 	for i := len(s.changes) - 1; i >= 0 && s.changes[i][0] < upto; i-- {
-		s.change(s.changes[i][0], s.changes[i][1])
+		s.addRun(c, s.changes[i][0])
+		c = s.changes[i][0]
+		s.change(c, s.changes[i][1])
 	}
-	// Drop the committed chunks' rows and back-pointers.
-	L, k := s.langs, upto-s.base
-	s.rows = s.rows[:copy(s.rows, s.rows[k*L:])]
-	s.open = s.rows[len(s.rows)-L:]
+	s.addRun(c, upto)
+	// Drop the committed chunks' records.
+	k := upto - s.base
 	s.back = s.back[:copy(s.back, s.back[k*s.bw:])]
 	s.base = upto
 }
 
-// change moves the committed path to language l at uncommitted chunk
-// c, emitting the run it ends.
+// change moves the committed path to language l at chunk c, emitting
+// the run it ends.
 func (s *Stream) change(c, l int) {
 	if l == s.runLabel {
 		return
 	}
 	if s.runLabel >= 0 {
-		s.emit(s.rows[(c-s.base)*s.langs:][:s.langs], c*s.cfg.Stride)
+		s.emit(c * s.cfg.Stride)
 	}
 	s.runLabel, s.runStart = l, c
 }
 
-// emit closes the open run at cumulative row cum, n-gram endGram: the
-// span is decided by Detect's rule over its own counts.
-func (s *Stream) emit(cum []int, endGram int) {
-	startGram := s.runStart * s.cfg.Stride
-	for i, v := range cum {
-		s.runCum[i] = v - s.runCum[i]
+// addRun adds the counts of uncommitted chunks [from, to) to the open
+// run: lane words add as they are, a plane's two words at a time, and
+// reach runCounts before a byte lane could overflow.
+func (s *Stream) addRun(from, to int) {
+	perFlush := MaxSegmentStride / s.cfg.Stride
+	for from < to {
+		k := min(to-from, perFlush-s.runSummed)
+		recs := s.back[(from-s.base)*s.bw:][:k*s.bw]
+		for q := 0; q < len(s.runLanes); q += 2 {
+			lo, hi := s.runLanes[q], s.runLanes[q+1]
+			for i := 1 + s.nsw + q; i+1 < len(recs); i += s.bw {
+				lo, hi = lo+recs[i], hi+recs[i+1]
+			}
+			s.runLanes[q], s.runLanes[q+1] = lo, hi
+		}
+		from += k
+		if s.runSummed += k; s.runSummed == perFlush {
+			s.flushRun()
+		}
 	}
-	m := s.d.match(s.runCum, endGram-startGram)
-	copy(s.runCum, cum)
+}
+
+// flushRun moves the run's lane words into runCounts.
+func (s *Stream) flushRun() {
+	for i := 0; i < len(s.runLanes); i += 2 {
+		addLanes(s.runCounts[i*8:], s.runLanes[i], s.runLanes[i+1])
+	}
+	clear(s.runLanes)
+	s.runSummed = 0
+}
+
+// emit closes the open run at n-gram endGram: the span is decided by
+// Detect's rule over its own counts.
+func (s *Stream) emit(endGram int) {
+	s.flushRun()
+	startGram := s.runStart * s.cfg.Stride
+	m := s.d.match(s.runCounts, endGram-startGram)
+	clear(s.runCounts)
 	s.spans = append(s.spans, Span{
 		Start: s.gramByte(startGram), End: s.gramByte(endGram),
 		Lang: m.Lang, Score: m.Score, Margin: m.Margin, Unknown: m.Unknown,
@@ -520,7 +560,7 @@ func (s *Stream) Spans() []Span {
 	// Walk the survivors back together: a switched survivor moves to
 	// the chunk's shared arg-max, the others stay. Where only one state
 	// is left, every path agrees on it and on all before it.
-	set := zeroed(s.agree, s.bw-1)
+	set := zeroed(s.agree, s.nsw)
 	for l := range s.langs {
 		set[l>>6] |= 1 << (l & 63)
 	}
@@ -537,7 +577,7 @@ func (s *Stream) Spans() []Span {
 		}
 		bp := s.back[(c-s.base)*s.bw:][:s.bw]
 		moved := false
-		for i, sw := range bp[1:] {
+		for i, sw := range bp[1 : 1+s.nsw] {
 			moved = moved || set[i]&sw != 0
 			set[i] &^= sw
 		}
@@ -566,13 +606,13 @@ func (s *Stream) Finish() []Span {
 		return s.spans
 	}
 	if s.fill > 0 {
-		s.stepRows(s.grow(1))
+		s.stepOpen(s.grow(1))
 		s.closed(1)
 	}
 	if s.chunks > s.base {
 		s.commit(s.chunks-1, s.best, s.chunks)
 	}
-	s.emit(s.open, s.gramsSeen)
+	s.emit(s.gramsSeen)
 	s.spans[len(s.spans)-1].End = s.bytesSeen
 	return s.spans
 }
@@ -580,7 +620,7 @@ func (s *Stream) Finish() []Span {
 // Match reports the whole-document detection over everything written
 // so far, under the detector's policy — the same answer Detect gives
 // on the same bytes; the stream stays usable for more chunks. On a
-// segmenting stream the open row counts the whole document, so a
+// segmenting stream the totals count the whole document, so a
 // caller wanting both the document-level match and its spans (the
 // serving layer's /stream spans mode) pays for one counting pass, not
 // two.

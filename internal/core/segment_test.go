@@ -741,6 +741,33 @@ func TestSegmentConfigValidate(t *testing.T) {
 	}
 }
 
+// TestSegmentStrideFitsAByte: a chunk keeps one count byte per
+// language, so MaxSegmentStride is the largest stride accepted. At
+// that stride a chunk whose every n-gram matches fills its byte, and
+// the spans still match the reference on every backend.
+func TestSegmentStrideFitsAByte(t *testing.T) {
+	over := SegmentConfig{Window: 2 * (MaxSegmentStride + 1), Stride: MaxSegmentStride + 1}
+	if err := over.Validate(); err == nil {
+		t.Errorf("stride %d accepted", over.Stride)
+	}
+	cfg := wholeDocument(SegmentConfig{Stride: MaxSegmentStride, Penalty: 8})
+	full := []byte(strings.Repeat("the ", 200))
+	docs := append(segReferenceDocs(t), full)
+	for _, backend := range equivBackends() {
+		det := segDetector(t, backend)
+		row, _ := det.DetectCounts(nil, full[:MaxSegmentStride+det.Config().N-1])
+		if slices.Max(row) != MaxSegmentStride {
+			t.Fatalf("%s: no language matches every n-gram of the first chunk: %v", backend, row)
+		}
+		for i, doc := range docs {
+			want := referenceSpans(t, det, doc, cfg)
+			if got, err := det.DetectSpans(doc, cfg); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s doc %d: spans\n%+v (%v)\nreference\n%+v", backend, i, got, err, want)
+			}
+		}
+	}
+}
+
 // TestDetectSpansUnknownPolicy: under an unattainable margin floor
 // every window is unknown, so the whole document merges into one
 // Unknown span — the segmentation analogue of Detect's unknown
