@@ -13,16 +13,18 @@ const Backend core.Backend = "parallel-bloom"
 // per language, queried in the languages×grams loop.
 type kernel struct{ filters []*Parallel }
 
-// AccumulateInto adds each language's match count over gs into counts.
-func (k *kernel) AccumulateInto(counts []int, gs []uint32) {
-	for i, f := range k.filters {
-		n := 0
+// AddLanes adds, for each n-gram of gs, one to the byte lane of every
+// language whose filter holds it: language l's is byte l&7 of
+// lanes[l>>3].
+func (k *kernel) AddLanes(lanes []uint64, gs []uint32) {
+	for l, f := range k.filters {
+		n := uint64(0)
 		for _, g := range gs {
 			if f.Test(g) {
 				n++
 			}
 		}
-		counts[i] += n
+		lanes[l>>3] += n << (l & 7 * 8)
 	}
 }
 

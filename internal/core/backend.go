@@ -2,17 +2,16 @@ package core
 
 import "fmt"
 
-// Kernel is a backend's membership-counting kernel: AccumulateInto
-// scores every language for each packed n-gram of gs in one call — the
+// Kernel is a backend's membership-counting kernel: AddLanes scores
+// every language for each packed n-gram of gs in one call — the
 // software analogue of the hardware testing one n-gram against all
-// language classifiers in the same clock (§3.2) — and adds each
-// language's match count into counts (len(Languages()), in profile
-// order). It may not allocate, write to gs, or keep its arguments past
-// the call. Stream is the one place bytes become n-grams: it feeds
-// them to AccumulateInto in blocks, or runs the mask kernel's fused
-// loop where that applies.
+// language classifiers in the same clock (§3.2) — adding one to the
+// byte lane of each language that holds it: byte l&7 of lanes[l>>3]
+// for language l, two words per 16 languages. The caller keeps each
+// lane plus len(gs) within 255. AddLanes may not allocate, write to
+// gs, or keep its arguments past the call.
 type Kernel interface {
-	AccumulateInto(counts []int, gs []uint32)
+	AddLanes(lanes []uint64, gs []uint32)
 }
 
 // Backend names the kernel a Detector counts with, as Detector.Backend

@@ -30,7 +30,7 @@ func TestBackendStringUnregisteredValue(t *testing.T) {
 
 // FuzzKernelCount is the differential check of the serving path against
 // the staged reference on every backend of the matrix and on core's
-// exact kernel at n = 6 (the generic FeedBytes → AccumulateInto path),
+// exact kernel at n = 6 (the generic FeedBytes → AddLanes path),
 // over profile sets recording subsample 1 and 3 — a detector counts
 // every n-gram whatever Subsample says, since only the paper models
 // subsample:

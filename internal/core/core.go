@@ -16,9 +16,10 @@
 // DetectBatch, Rank and the segmentation paths all count through one
 // Stream type, borrowed from the detector's pool. The Stream turns
 // bytes into n-grams, and the membership structure is one Kernel with
-// one method, AccumulateInto, which scores every language for each
-// n-gram in one call (§3.2); where the direct-lookup table fits one
-// plane, the Stream runs its fused loop from bytes to counts instead.
+// one method, AddLanes, which scores every language for each n-gram in
+// one call (§3.2) and adds the matches into byte-lane counters; where
+// the direct-lookup table fits one plane, the Stream runs its fused
+// loop from bytes to counts instead.
 // NewStream and NewSpanStream hand out the same Stream for incremental
 // input, with segmentation off or on; BorrowStream and ReturnStream lend
 // pooled ones to servers. Every path counts every n-gram of the
@@ -78,7 +79,10 @@ func DefaultConfig() Config {
 	return Config{Seed: 1}.WithDefaults()
 }
 
-func (c *Config) applyDefaults() {
+// WithDefaults returns the configuration with zero fields replaced by
+// the package defaults — the effective configuration the trainer and
+// NewDetector operate under, and the one a trained ProfileSet records.
+func (c Config) WithDefaults() Config {
 	if c.N == 0 {
 		c.N = ngram.DefaultN
 	}
@@ -94,20 +98,12 @@ func (c *Config) applyDefaults() {
 	if c.Subsample == 0 {
 		c.Subsample = 1
 	}
-}
-
-// WithDefaults returns the configuration with zero fields replaced by
-// the package defaults — the effective configuration the trainer and
-// NewDetector operate under, and the one a trained ProfileSet records.
-func (c Config) WithDefaults() Config {
-	c.applyDefaults()
 	return c
 }
 
 // Validate reports configuration errors early.
 func (c Config) Validate() error {
-	cfg := c
-	cfg.applyDefaults()
+	cfg := c.WithDefaults()
 	if cfg.N < 1 || cfg.N > ngram.MaxN {
 		return fmt.Errorf("core: n=%d out of range [1,%d]", cfg.N, ngram.MaxN)
 	}

@@ -150,7 +150,7 @@ func (d *Detector) Classifier() *Detector { return d }
 // counting apart from extraction.
 func (d *Detector) ClassifyGrams(gs []uint32) Result {
 	r := Result{Counts: make([]int, len(d.langs)), NGrams: len(gs)}
-	d.kernel.AccumulateInto(r.Counts, gs)
+	kernelCounts(d.kernel, r.Counts, gs)
 	return r
 }
 
@@ -254,7 +254,7 @@ func (d *Detector) match(counts []int, ngrams int) Match {
 // applies to Detect, not to the list.
 func (d *Detector) Rank(doc []byte, k int) []Match {
 	s := d.borrow(doc)
-	ms := d.rankCounts(s.open, s.gramsSeen, k)
+	ms := d.rankCounts(s.totals, s.gramsSeen, k)
 	d.ReturnStream(s)
 	return ms
 }

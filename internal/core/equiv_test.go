@@ -68,7 +68,7 @@ func withBackend(b Backend) DetectorOption {
 
 // sixGramSet is the mini corpus trained at n = 6, where core's exact
 // kernel is the probe table and a Stream counts through the generic
-// FeedBytes → AccumulateInto path.
+// FeedBytes → AddLanes path.
 func sixGramSet(t testing.TB) *ProfileSet { return trainMini(t, Config{N: 6, TopT: 1000}) }
 
 // rowName names a detector's row of the matrix: its backend, with the
@@ -211,8 +211,8 @@ func (d *bloomDiff) check(t testing.TB, doc []byte) {
 		// Counting one n-gram answers its membership per language.
 		clear(exact)
 		clear(member)
-		d.direct.kernel.AccumulateInto(exact, gs[j:j+1])
-		c.kernel.AccumulateInto(member, gs[j:j+1])
+		kernelCounts(d.direct.kernel, exact, gs[j:j+1])
+		kernelCounts(c.kernel, member, gs[j:j+1])
 		for i, lang := range d.direct.langs {
 			if exact[i] > member[i] {
 				t.Fatalf("%s false negative: lang %s gram %#x", c.Backend(), lang, gs[j])

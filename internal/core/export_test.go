@@ -21,3 +21,7 @@ var trainTexts func(Config, map[string][][]byte) (*ProfileSet, error)
 func SetTrainTexts(train func(Config, map[string][][]byte) (*ProfileSet, error)) {
 	trainTexts = train
 }
+
+// KernelCounts adds each language's match count over gs into counts
+// through k's AddLanes, laneFlush n-grams to a fold.
+var KernelCounts = kernelCounts

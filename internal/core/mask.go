@@ -12,21 +12,19 @@ import (
 // eight 8-bit lanes (lane j is 1 iff bit j of b is set), and adding
 // spread values into two uint64 accumulators counts eight languages
 // per add — a positional population count held in registers
-// (Klarqvist, Muła & Lemire, arXiv:1911.02696). A lane holds at most
-// 255, so the accumulators flush into the int counters at least once
-// every laneFlush n-grams.
+// (Klarqvist, Muła & Lemire, arXiv:1911.02696). Every kernel counts in
+// these lane words (Kernel.AddLanes); a lane holds at most 255, so they
+// fold into int counters at least once every laneFlush n-grams.
 //
 // Two loops produce those lane words from bytes. countLanes, in Go,
 // takes four characters per step and one plane load per n-gram; it
 // runs on every CPU and is the reference. countGroups, in amd64
 // assembly, takes 16 n-grams per group: it translates 32 bytes per
 // step, gathers eight masks per instruction and counts a group's 16
-// masks with byte compares, about twice the Go loop's speed on a 5 KB
-// document, since the Go loop waits on one plane load at a time. It
-// runs wherever the CPU has AVX2 (useGroups, decided once at start).
-// Both fused loops take groups from it: countFused for every 16 bytes
-// after the register is full, countChunks when a chunk is one group
-// (Stride 16, the default).
+// masks with byte compares, about twice the Go loop's speed. It runs
+// wherever the CPU has AVX2 (useGroups, decided once at start), for
+// countFused on every 16 bytes after the register is full, and for
+// countChunks when a chunk is one group (Stride 16, the default).
 
 // maskPlaneLangs is the number of languages one uint16 mask plane holds.
 const maskPlaneLangs = 16
@@ -45,6 +43,26 @@ var spread = func() (t [256]uint64) {
 	}
 	return t
 }()
+
+// foldLanes adds the counts held in lane words into counts.
+func foldLanes(counts []int, lanes []uint64) {
+	for i := 0; i < len(lanes); i += 2 {
+		addLanes(counts[i*8:], lanes[i], lanes[i+1])
+	}
+}
+
+// kernelCounts adds each language's match count over gs into counts,
+// folding k's lane words every laneFlush n-grams.
+func kernelCounts(k Kernel, counts []int, gs []uint32) {
+	lanes := make([]uint64, 2*((len(counts)+maskPlaneLangs-1)/maskPlaneLangs))
+	for len(gs) > 0 {
+		b := gs[:min(len(gs), laneFlush)]
+		gs = gs[len(b):]
+		k.AddLanes(lanes, b)
+		foldLanes(counts, lanes)
+		clear(lanes)
+	}
+}
 
 // addLanes adds the lane counts of one plane's low and high mask
 // bytes into dst, for the plane's up to 16 languages from its start.
@@ -95,29 +113,24 @@ func buildMaskKernel(cfg Config, ps *ProfileSet) Kernel {
 	return k
 }
 
-// AccumulateInto adds each language's match count over gs into counts:
-// per plane, one table load and two lane adds per n-gram, four n-grams
-// per step so the adds form a tree instead of one serial chain.
-func (k *maskKernel) AccumulateInto(counts []int, gs []uint32) {
+// AddLanes adds each n-gram's language masks into lanes: per plane,
+// one table load and two lane adds per n-gram, four n-grams per step so
+// the adds form a tree instead of one serial chain.
+func (k *maskKernel) AddLanes(lanes []uint64, gs []uint32) {
 	for p, plane := range k.planes {
-		c := counts[p*maskPlaneLangs:]
-		for rest := gs; len(rest) > 0; {
-			b := rest[:min(len(rest), laneFlush)]
-			rest = rest[len(b):]
-			var lo, hi uint64
-			i := 0
-			for ; i+4 <= len(b); i += 4 {
-				m0, m1, m2, m3 := plane[b[i]], plane[b[i+1]], plane[b[i+2]], plane[b[i+3]]
-				lo += spread[uint8(m0)] + spread[uint8(m1)] + spread[uint8(m2)] + spread[uint8(m3)]
-				hi += spread[m0>>8] + spread[m1>>8] + spread[m2>>8] + spread[m3>>8]
-			}
-			for ; i < len(b); i++ {
-				m := plane[b[i]]
-				lo += spread[uint8(m)]
-				hi += spread[m>>8]
-			}
-			addLanes(c, lo, hi)
+		lo, hi := lanes[2*p], lanes[2*p+1]
+		i := 0
+		for ; i+4 <= len(gs); i += 4 {
+			m0, m1, m2, m3 := plane[gs[i]], plane[gs[i+1]], plane[gs[i+2]], plane[gs[i+3]]
+			lo += spread[uint8(m0)] + spread[uint8(m1)] + spread[uint8(m2)] + spread[uint8(m3)]
+			hi += spread[m0>>8] + spread[m1>>8] + spread[m2>>8] + spread[m3>>8]
 		}
+		for ; i < len(gs); i++ {
+			m := plane[gs[i]]
+			lo += spread[uint8(m)]
+			hi += spread[m>>8]
+		}
+		lanes[2*p], lanes[2*p+1] = lo, hi
 	}
 }
 
@@ -169,28 +182,23 @@ func buildProbeKernel(ps *ProfileSet) Kernel {
 // probeShift is the shift that takes a hash to a slot of t.
 func probeShift(t []uint64) uint { return 64 - uint(bits.TrailingZeros(uint(len(t)))) }
 
-// AccumulateInto adds each language's match count over gs into counts:
-// per table, one probe and two lane adds per n-gram.
-func (k *probeKernel) AccumulateInto(counts []int, gs []uint32) {
+// AddLanes adds each n-gram's language masks into lanes: per table,
+// one probe and two lane adds per n-gram.
+func (k *probeKernel) AddLanes(lanes []uint64, gs []uint32) {
 	for p, t := range k.tables {
-		c := counts[p*maskPlaneLangs:]
 		shift, last := probeShift(t), uint64(len(t)-1)
-		for rest := gs; len(rest) > 0; {
-			b := rest[:min(len(rest), laneFlush)]
-			rest = rest[len(b):]
-			var lo, hi uint64
-			for _, g := range b {
-				key := uint64(g)
-				j := key * probeHash >> shift
-				for t[j] != 0 && t[j]>>16 != key {
-					j = (j + 1) & last
-				}
-				m := uint16(t[j])
-				lo += spread[uint8(m)]
-				hi += spread[m>>8]
+		lo, hi := lanes[2*p], lanes[2*p+1]
+		for _, g := range gs {
+			key := uint64(g)
+			j := key * probeHash >> shift
+			for t[j] != 0 && t[j]>>16 != key {
+				j = (j + 1) & last
 			}
-			addLanes(c, lo, hi)
+			m := uint16(t[j])
+			lo += spread[uint8(m)]
+			hi += spread[m>>8]
 		}
+		lanes[2*p], lanes[2*p+1] = lo, hi
 	}
 }
 
@@ -272,32 +280,39 @@ func countLanes(plane []uint16, reg uint64, b []byte) (_, lo, hi uint64) {
 }
 
 // chunkLanes sets out[2c] and out[2c+1] to the lane words of chunk c,
-// the n-grams that bytes c·stride to (c+1)·stride-1 of p complete, for
-// each of the len(p)/stride chunks (at most maxGroups), and returns the
-// register after them: countGroups where it runs and a chunk is one
-// group, countLanes per chunk otherwise.
-func chunkLanes(plane []uint16, reg uint64, p []byte, stride int, out []uint64) uint64 {
-	if useGroups && stride == groupLen {
-		return countGroups(plane, reg, p, out)
+// the n-grams bytes c·stride to (c+1)·stride-1 of p complete, for each
+// of the len(p)/stride chunks (at most maxGroups): through countGroups
+// where it runs and a chunk is one group, else countLanes on the one
+// mask plane, and feed (the lanes are clear between chunks) otherwise.
+func (s *Stream) chunkLanes(p []byte, out []uint64) {
+	stride := s.cfg.Stride
+	if s.plane != nil && useGroups && stride == groupLen {
+		s.w.Reg = countGroups(s.plane, s.w.Reg, p, out)
+		return
 	}
 	for c := range len(p) / stride {
-		reg, out[2*c], out[2*c+1] = countLanes(plane, reg, p[c*stride:][:stride])
+		b := p[c*stride:][:stride]
+		if s.plane != nil {
+			s.w.Reg, out[2*c], out[2*c+1] = countLanes(s.plane, s.w.Reg, b)
+			continue
+		}
+		s.feed(b)
+		out[2*c], out[2*c+1] = s.lanes[0], s.lanes[1]
+		clear(s.lanes)
 	}
-	return reg
 }
 
-// countChunks counts whole chunks through the fused mask loop, with
-// the register full and no chunk open, and takes their Viterbi steps.
-// chunkLanes counts up to maxGroups chunks a call; each chunk's two
-// lane words are its counts, kept as they are in its record (back holds
-// four words a chunk: the arg-max, the switched bits and the two lane
-// words), and their running sum reaches the document totals every
-// 255/Stride chunks. The step runs on the lanes too, with
-// Penalty+Stride below 128: every language's deficit behind the best
-// score is then at most Penalty+Stride, so the deficits fit byte lanes,
-// and one step is a few word operations on eight languages at a time —
-// the same decisions as stepOpen, ties included.
-func (s *Stream) countChunks(plane []uint16, reg uint64, p []byte, back []uint64) uint64 {
+// countChunks counts whole chunks, with the register full and no chunk
+// open, and takes their Viterbi steps, on any kernel over at most 16
+// languages with Penalty+Stride below 128. Each chunk's two lane words
+// from chunkLanes are its counts, kept as they are in its record (the
+// arg-max, the switched bits, the two lane words), and their running
+// sum reaches the totals every 255/Stride chunks. The step runs on the
+// lanes too: every deficit behind the best score is at most
+// Penalty+Stride, so it fits a byte lane, and one step is a few word
+// operations on eight languages at a time — the same decisions as
+// stepOpen, ties included.
+func (s *Stream) countChunks(p []byte, back []uint64) {
 	L, stride := s.langs, s.cfg.Stride
 	const ones, high = 0x0101010101010101, 0x8080808080808080
 	// ge has 0x7f in each byte lane where x >= y (lanes below 128).
@@ -317,7 +332,7 @@ func (s *Stream) countChunks(plane []uint16, reg uint64, p []byte, back []uint64
 	perFlush, summed := MaxSegmentStride/stride, 0
 	for len(back) > 0 {
 		k := min(len(back)/4, maxGroups)
-		reg = chunkLanes(plane, reg, p[:k*stride], stride, out[:2*k])
+		s.chunkLanes(p[:k*stride], out[:2*k])
 		p = p[k*stride:]
 		for c := range k {
 			r0, r1 := out[2*c], out[2*c+1]
@@ -335,7 +350,7 @@ func (s *Stream) countChunks(plane []uint16, reg uint64, p []byte, back []uint64
 			back = back[4:]
 			tot0, tot1 = tot0+r0, tot1+r1
 			if summed++; summed == perFlush {
-				addLanes(s.open, tot0, tot1)
+				addLanes(s.totals, tot0, tot1)
 				tot0, tot1, summed = 0, 0, 0
 			}
 			// The top is usually still the old best's; the byte tree finds
@@ -361,12 +376,10 @@ func (s *Stream) countChunks(plane []uint16, reg uint64, p []byte, back []uint64
 			}
 		}
 	}
-	addLanes(s.open, tot0, tot1)
-	copy(s.prev, s.open)
+	addLanes(s.totals, tot0, tot1)
 	d = [2]uint64{d0, d1}
 	for l := range s.score[:L] {
 		s.score[l] = top - int(d[l>>3]>>(l&7*8)&0xff)
 	}
 	s.best = best
-	return reg
 }

@@ -120,10 +120,10 @@ func exactKernelFor(t testing.TB, ps *ProfileSet) Kernel {
 // exact kernel, for the mask planes at n = 4 and the probe tables at
 // n = 6: for language counts inside one plane or table, exactly
 // filling one, and spilling into further ones, the kernel's counts
-// equal the naive per-language sets', through AccumulateInto and
-// through a Stream over the bytes (the fused loop for one n = 4 plane,
-// n-gram blocks otherwise), and counting one n-gram agrees with set
-// membership on members and non-members. The sizes straddle the old
+// equal the naive per-language sets', through AddLanes (kernelCounts)
+// and through a Stream over the bytes (the fused loop for one n = 4
+// plane, n-gram blocks otherwise), and counting one n-gram agrees with
+// set membership on members and non-members. The sizes straddle the old
 // histogram cut-over (159–161), one lane flush (255–257) and many
 // flushes (8192).
 func TestMaskKernelMatchesReference(t *testing.T) {
@@ -171,7 +171,7 @@ func checkExactKernel(t *testing.T, n, langs int) {
 	counts := make([]int, len(ref))
 	for _, g := range probe {
 		clear(counts)
-		k.AccumulateInto(counts, []uint32{g})
+		kernelCounts(k, counts, []uint32{g})
 		for lang, set := range ref {
 			if _, want := set[g]; (counts[lang] == 1) != want {
 				t.Fatalf("language %d gram %#x: count %d, reference member %v", lang, g, counts[lang], want)
@@ -180,12 +180,58 @@ func checkExactKernel(t *testing.T, n, langs int) {
 	}
 }
 
+// TestKernelLaneContract holds every kernel of the matrix to AddLanes'
+// contract: the mask planes at n = 4 and the probe tables at n = 6,
+// within one plane and past it, and the paper kernels (parallel-bloom).
+// On calls of exactly laneFlush n-grams that every profile holds, each
+// language's byte lane reads laneFlush, the bytes past the last
+// language stay 0, and a second call adds into the words instead of
+// overwriting them.
+func TestKernelLaneContract(t *testing.T) {
+	for _, n := range []int{4, 6} {
+		for _, langs := range []int{10, 17} {
+			ps, pool := synthMaskProfiles(t, n, langs, int64(langs))
+			gs := make([]uint32, laneFlush)
+			for i := range gs {
+				gs[i] = pool[i%20]
+			}
+			for _, b := range equivBackends() {
+				t.Run(fmt.Sprintf("%s/n%d/L=%d", b, n, langs), func(t *testing.T) {
+					k := mustDetector(t, ps, withBackend(b)).kernel
+					lanes := make([]uint64, 2*((langs+maskPlaneLangs-1)/maskPlaneLangs))
+					check := func(call, want int) {
+						t.Helper()
+						for i := range 8 * len(lanes) {
+							got := int(lanes[i>>3] >> (i & 7 * 8) & 0xff)
+							if i >= langs {
+								want = 0
+							}
+							if got != want {
+								t.Fatalf("call %d: lane %d of %d languages reads %d, want %d (words %#x)", call, i, langs, got, want, lanes)
+							}
+						}
+					}
+					k.AddLanes(lanes, gs)
+					check(1, laneFlush)
+					// Leave 3 in each language's lane: a second call that
+					// adds reaches 255, one that overwrites laneFlush.
+					for l := range langs {
+						lanes[l>>3] -= (laneFlush - 3) << (l & 7 * 8)
+					}
+					k.AddLanes(lanes, gs)
+					check(2, 255)
+				})
+			}
+		}
+	}
+}
+
 func checkMaskAccumulate(t *testing.T, k Kernel, ref maskReference, gs []uint32) {
 	t.Helper()
 	got := make([]int, len(ref))
-	k.AccumulateInto(got, gs)
+	kernelCounts(k, got, gs)
 	if want := ref.counts(gs); !reflect.DeepEqual(got, want) {
-		t.Errorf("%d grams: AccumulateInto counts %v, reference %v", len(gs), got, want)
+		t.Errorf("%d grams: kernel counts %v, reference %v", len(gs), got, want)
 	}
 }
 
@@ -445,14 +491,14 @@ func FuzzMaskKernelVsReference(f *testing.F) {
 			}
 			want := ec.ref.counts(gs)
 			whole := make([]int, len(ec.ref))
-			ec.k.AccumulateInto(whole, gs)
+			kernelCounts(ec.k, whole, gs)
 			if !reflect.DeepEqual(whole, want) {
 				t.Fatalf("n=%d, %d grams: kernel counts %v, reference %v", ec.n, len(gs), whole, want)
 			}
 			cut := int(split) % (len(gs) + 1)
 			parts := make([]int, len(ec.ref))
-			ec.k.AccumulateInto(parts, gs[:cut])
-			ec.k.AccumulateInto(parts, gs[cut:])
+			kernelCounts(ec.k, parts, gs[:cut])
+			kernelCounts(ec.k, parts, gs[cut:])
 			if !reflect.DeepEqual(parts, want) {
 				t.Fatalf("n=%d, split at %d of %d: kernel counts %v, reference %v", ec.n, cut, len(gs), parts, want)
 			}
@@ -465,9 +511,9 @@ func FuzzMaskKernelVsReference(f *testing.F) {
 }
 
 // BenchmarkDetectCount times the membership-counting stage alone —
-// the kernel's AccumulateInto over pre-extracted grams — on every
-// backend, for a whole 5 KB document and for one 16-gram segmentation
-// chunk. It is the per-stage figure for the counting layer. The
+// the kernel's AddLanes over pre-extracted grams, folded by
+// kernelCounts — on every backend, for a whole 5 KB document and for
+// one 16-gram segmentation chunk. It is the per-stage figure for the counting layer. The
 // 5KB-bytes case times the serving stage instead: a Stream counting the
 // raw document, translation and extraction included (the fused loop on
 // direct-lookup, n-gram blocks on parallel-bloom); where the fused loop
@@ -500,7 +546,7 @@ func BenchmarkDetectCount(b *testing.B) {
 			b.Run(backend.String()+"/"+size.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					det.kernel.AccumulateInto(counts, size.gs)
+					kernelCounts(det.kernel, counts, size.gs)
 				}
 			})
 		}

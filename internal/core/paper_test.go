@@ -70,7 +70,7 @@ func TestFilterAccessor(t *testing.T) {
 	counts := make([]int, len(ps.Profiles))
 	for _, g := range grams {
 		clear(counts)
-		k.AccumulateInto(counts, []uint32{g})
+		core.KernelCounts(k, counts, []uint32{g})
 		for l, f := range filters {
 			if got := f.Test(g); got != (counts[l] == 1) {
 				t.Fatalf("language %d gram %#x: filter Test = %v, kernel count %d", l, g, got, counts[l])

@@ -9,11 +9,10 @@ package core
 // Segmentation is a mode of Stream, the one counting stream every
 // detection path uses, so it reuses the backend's counting pass
 // unchanged and runs it exactly once per document. The byte stream is
-// cut where each stride of n-grams completes, and each piece goes
-// straight from bytes to counts (Stream.countBytes) into the stream's
-// running totals. Each completed chunk c keeps its counts r_c, one
-// byte per language, and takes one Viterbi step over them: the path
-// score to maximise is
+// cut where each stride of n-grams completes, and each piece adds its
+// lane words (Kernel.AddLanes) into the open chunk's. Each completed
+// chunk c keeps its counts r_c, one byte per language, and takes one
+// Viterbi step over them: the path score to maximise is
 // Σ r_c[label_c] − Penalty·(label changes), the paper's
 // match count summed over each span with a fixed price per boundary
 // (the language-switch model of Lui, Lau & Baldwin, TACL 2014, kept
@@ -26,9 +25,8 @@ package core
 // language. Spans come from tracing the best path back; a span's
 // counts are the sum of its chunks' counts, taken as the trace-back's
 // commit walks them, and the span is decided by Detect's own rule over
-// its n-grams. The mask kernel's chunk counts are its lane words as
-// they come out of the fused loop, and it runs the same step on them
-// (countChunks, mask.go).
+// its n-grams. Runs of whole chunks take the same step on their lane
+// words, eight languages at a time (countChunks, mask.go).
 
 import (
 	"fmt"
@@ -183,18 +181,18 @@ func (d *Detector) AppendSpans(dst []Span, doc []byte, cfg SegmentConfig) ([]Spa
 // become counts: every write is shifted through the n-gram register
 // carried in the stream's window, and the n-grams it completes are
 // counted by the mask kernel's fused loop, which stores none of them,
-// or handed to the backend Kernel a block of at most 256 at a time.
+// or handed to the backend Kernel's AddLanes a block at a time.
 // Reset starts the next document, the End-of-Document boundary. Every
 // detection path counts through a Stream: Detect and the batch workers
 // borrow pooled ones.
 //
 // A stream from NewStream counts each write whole into the document
 // totals. A stream from NewSpanStream also segments: each write is cut
-// at the bytes that complete a stride of n-grams, each piece is counted
-// straight into the running totals, and each completed chunk keeps its
-// counts and takes one Viterbi step. Spans returns the spans every survivor path agrees
-// on so far, and Finish returns the complete tiling — identical output
-// for identical bytes, any chunking. Either way every n-gram is counted
+// at the bytes that complete a stride of n-grams, and each completed
+// chunk keeps its counts, adds them to the totals and takes one Viterbi
+// step. Spans returns the spans every survivor path agrees on so far,
+// and Finish returns the complete tiling — identical output for
+// identical bytes, any chunking. Either way every n-gram is counted
 // exactly once, and Match and AppendCounts give the whole-document
 // answer. A Stream is not safe for concurrent use; create one per
 // goroutine.
@@ -208,10 +206,11 @@ type Stream struct {
 	// this stream (countFused), else nil.
 	plane []uint16
 
-	// open counts everything written so far, langs wide; with
-	// segmentation prev is open as it stood when the open chunk began.
-	open []int
-	prev []int
+	// totals counts everything written but the n-grams still in lanes
+	// (an open chunk's); sum is Match's scratch for both.
+	totals []int
+	lanes  []uint64
+	sum    []int
 
 	bytesSeen int
 	gramsSeen int
@@ -245,10 +244,10 @@ type Stream struct {
 	spans []Span
 	done  bool
 
-	// block holds the n-grams of up to gramBlock bytes on their way to
-	// the kernel when the fused loop does not apply. It sits last, so
-	// the counting state above shares cache lines.
-	block [gramBlock]uint32
+	// block holds up to MaxSegmentStride n-grams on their way to the
+	// kernel when the fused loop does not apply. It sits last, so the
+	// counting state above shares cache lines.
+	block [MaxSegmentStride]uint32
 }
 
 // NewStream starts an empty document stream on the detector, counting
@@ -286,22 +285,21 @@ func (s *Stream) configure(cfg SegmentConfig) {
 	s.bytesSeen, s.gramsSeen, s.fill, s.chunks, s.base = 0, 0, 0, 0, 0
 	s.done = false
 	s.spans = s.spans[:0]
-	s.open = zeroed(s.open, L)
+	s.totals = zeroed(s.totals, L)
+	s.lanes = zeroed(s.lanes, 2*((L+maskPlaneLangs-1)/maskPlaneLangs))
 	if cfg.Stride > 0 {
 		// The first commit comes two horizons in; one past the int
 		// range never comes.
 		h := cfg.Window / cfg.Stride
 		s.nextCommit = h + min(h, math.MaxInt-h)
 		s.best = 0
-		lanes := 2 * ((L + maskPlaneLangs - 1) / maskPlaneLangs)
 		s.nsw = (L + 63) / 64
-		s.bw = 1 + s.nsw + lanes
+		s.bw = 1 + s.nsw + len(s.lanes)
 		s.back = s.back[:0]
-		s.prev = zeroed(s.prev, L)
 		s.score = zeroed(s.score, L)
 		s.runLabel, s.runStart, s.runSummed = -1, 0, 0
 		s.runCounts = zeroed(s.runCounts, L)
-		s.runLanes = zeroed(s.runLanes, lanes)
+		s.runLanes = zeroed(s.runLanes, len(s.lanes))
 	}
 }
 
@@ -336,55 +334,48 @@ func (s *Stream) WriteString(p string) (int, error) {
 
 var errStreamFinished = fmt.Errorf("core: Stream written after Finish (Reset starts a new document)")
 
-// gramBlock is the most bytes, and so the most n-grams, a Stream hands
-// the kernel's AccumulateInto at once.
-const gramBlock = 256
-
-// countBytes is the one pass from bytes to counts: it shifts p through
-// the stream's window and adds the matches of every n-gram it
-// completes into the totals, returning how many that was. The fused
-// mask loop counts straight from the bytes; any other kernel gets the
-// n-grams a block at a time. The window carries across calls, so a
-// document counted in any number of pieces gets the counts of one call
-// over all of it.
-func (s *Stream) countBytes(p []byte) (grams int) {
-	if s.plane != nil {
-		return countFused(s.plane, &s.w, s.open, p)
-	}
-	for len(p) > 0 {
-		n := min(len(p), gramBlock)
-		gs := s.w.FeedBytes(s.block[:0], p[:n])
-		s.d.kernel.AccumulateInto(s.open, gs)
-		grams += len(gs)
-		p = p[n:]
-	}
-	return grams
+// feed shifts p through the window and adds the n-grams it completes,
+// at most MaxSegmentStride, into the lanes; it returns their number.
+func (s *Stream) feed(p []byte) int {
+	gs := s.w.FeedBytes(s.block[:0], p)
+	s.d.kernel.AddLanes(s.lanes, gs)
+	return len(gs)
 }
 
-// count is the one counting step. Without segmentation the whole write
-// goes through countBytes into the totals. With segmentation the write
-// is cut where each stride of n-grams completes, and each piece is
-// counted into the totals; where the fused loop applies, runs of whole
-// chunks are counted and stepped on its lanes (countChunks).
+// count is the one counting step. Without segmentation the write goes
+// into the totals through the fused loop, or laneFlush bytes at a time
+// through the kernel. With segmentation it is cut where each stride of
+// n-grams completes, each piece fed into the open chunk, and runs of
+// whole chunks are counted and stepped on lane words (countChunks).
 func (s *Stream) count(p []byte) {
 	s.bytesSeen += len(p)
 	if s.cfg.Stride == 0 {
-		s.gramsSeen += s.countBytes(p)
+		if s.plane != nil {
+			s.gramsSeen += countFused(s.plane, &s.w, s.totals, p)
+			return
+		}
+		for len(p) > 0 {
+			n := min(len(p), laneFlush)
+			s.gramsSeen += s.feed(p[:n])
+			foldLanes(s.totals, s.lanes)
+			clear(s.lanes)
+			p = p[n:]
+		}
 		return
 	}
 	stride := s.cfg.Stride
-	fused := s.plane != nil && s.cfg.Penalty < 128-stride
+	laneStep := s.langs <= maskPlaneLangs && s.cfg.Penalty < 128-stride
 	for len(p) > 0 {
-		if fused && s.fill == 0 && s.w.Filled == s.w.N-1 && len(p) >= stride {
+		if laneStep && s.fill == 0 && s.w.Filled == s.w.N-1 && len(p) >= stride {
 			k := min(len(p)/stride, s.nextCommit-s.chunks)
-			s.w.Reg = s.countChunks(s.plane, s.w.Reg, p[:k*stride], s.grow(k))
+			s.countChunks(p[:k*stride], s.grow(k))
 			p = p[k*stride:]
 			s.gramsSeen += k * stride
 			s.closed(k)
 			continue
 		}
 		n := min(s.w.BytesFor(stride-s.fill), len(p))
-		grams := s.countBytes(p[:n])
+		grams := s.feed(p[:n])
 		p = p[n:]
 		s.gramsSeen += grams
 		if s.fill += grams; s.fill == stride {
@@ -418,30 +409,31 @@ func (s *Stream) closed(k int) {
 	}
 }
 
-// stepOpen closes the open chunk, whose counts are open less prev: it
-// writes them into the chunk's record bp, in its byte lanes, and takes
-// the chunk's Viterbi step.
+// stepOpen closes the open chunk: it copies the chunk's lane words into
+// its record bp, takes the chunk's Viterbi step on each language's
+// count read from them, and folds them into the totals.
 func (s *Stream) stepOpen(bp []uint64) {
 	L := s.langs
 	score, best := s.score[:L], s.best
 	clear(bp)
 	bp[0] = uint64(best)
-	sw, lanes := bp[1:1+s.nsw], bp[1+s.nsw:]
+	sw := bp[1 : 1+s.nsw]
+	copy(bp[1+s.nsw:], s.lanes)
 	// A language switches in only when the best score, less the
 	// penalty, beats staying: ties stay, and the arg-max keeps the
 	// lowest index, as Detect does.
 	thr := score[best] - s.cfg.Penalty
 	best = 0
 	for l, v := range score {
-		r := s.open[l] - s.prev[l]
-		lanes[l>>3] |= uint64(r) << (l & 7 * 8)
+		r := int(s.lanes[l>>3] >> (l & 7 * 8) & 0xff)
 		sw[l>>6] |= uint64(v-thr) >> 63 << (l & 63)
 		score[l] = max(v, thr) + r
 		if score[l] > score[best] {
 			best = l
 		}
 	}
-	copy(s.prev, s.open)
+	foldLanes(s.totals, s.lanes)
+	clear(s.lanes)
 	s.best = best
 }
 
@@ -451,22 +443,17 @@ func extend[T any](b []T, n int) []T {
 	return slices.Grow(b, n)[:len(b)+n]
 }
 
-// switched reports whether the best path into language l at chunk c
-// came from another language.
-func (s *Stream) switched(c, l int) bool {
-	return s.back[(c-s.base)*s.bw+1+l>>6]>>(l&63)&1 != 0
-}
-
 // commit traces the best path into language label at chunk last back
 // to the frontier, commits its labels for chunks [base, upto) and
 // emits the spans that end there. The run still open at upto stays
 // open.
 func (s *Stream) commit(last, label, upto int) {
 	// Keep only where the path changes language, latest first: the
-	// chunk each change happens at and the language it changes to.
+	// chunk each change happens at and the language it changes to, read
+	// off the chunk's switched bit for the path's language.
 	s.changes = s.changes[:0]
 	for c := last; c > s.base; c-- {
-		if s.switched(c, label) {
+		if s.back[(c-s.base)*s.bw+1+label>>6]>>(label&63)&1 != 0 {
 			s.changes = append(s.changes, [2]int{c, label})
 			label = int(s.back[(c-s.base)*s.bw])
 		}
@@ -522,9 +509,7 @@ func (s *Stream) addRun(from, to int) {
 
 // flushRun moves the run's lane words into runCounts.
 func (s *Stream) flushRun() {
-	for i := 0; i < len(s.runLanes); i += 2 {
-		addLanes(s.runCounts[i*8:], s.runLanes[i], s.runLanes[i+1])
-	}
+	foldLanes(s.runCounts, s.runLanes)
 	clear(s.runLanes)
 	s.runSummed = 0
 }
@@ -536,17 +521,11 @@ func (s *Stream) emit(endGram int) {
 	startGram := s.runStart * s.cfg.Stride
 	m := s.d.match(s.runCounts, endGram-startGram)
 	clear(s.runCounts)
+	// N-gram i starts at byte i: translation is one code per byte.
 	s.spans = append(s.spans, Span{
-		Start: s.gramByte(startGram), End: s.gramByte(endGram),
+		Start: min(startGram, s.bytesSeen), End: min(endGram, s.bytesSeen),
 		Lang: m.Lang, Score: m.Score, Margin: m.Margin, Unknown: m.Unknown,
 	})
-}
-
-// gramByte maps an n-gram index to the byte offset where that n-gram
-// starts. Alphabet translation is one code per byte, so n-gram i
-// begins at character — byte — i.
-func (s *Stream) gramByte(g int) int {
-	return min(g, s.bytesSeen)
 }
 
 // Spans returns the spans finalized so far: those every survivor path
@@ -624,9 +603,19 @@ func (s *Stream) Finish() []Span {
 // caller wanting both the document-level match and its spans (the
 // serving layer's /stream spans mode) pays for one counting pass, not
 // two.
-func (s *Stream) Match() Match { return s.d.match(s.open, s.gramsSeen) }
+func (s *Stream) Match() Match { return s.d.match(s.counts(), s.gramsSeen) }
 
 // AppendCounts appends the whole-document per-language match counts
 // over everything written so far, in Languages() order, to dst. With
 // room in dst it allocates nothing.
-func (s *Stream) AppendCounts(dst []int) []int { return append(dst, s.open...) }
+func (s *Stream) AppendCounts(dst []int) []int { return append(dst, s.counts()...) }
+
+// counts returns the totals, plus a partly counted open chunk in sum.
+func (s *Stream) counts() []int {
+	if s.fill == 0 {
+		return s.totals
+	}
+	s.sum = append(s.sum[:0], s.totals...)
+	foldLanes(s.sum, s.lanes)
+	return s.sum
+}

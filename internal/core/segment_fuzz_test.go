@@ -6,12 +6,13 @@ import (
 )
 
 // FuzzDetectSpans is the differential guarantee for segmentation: on
-// any input the fuzzer invents, both backends' spans equal the
-// brute-force reference Viterbi's (referenceSpans) under a horizon over
-// the whole input, the paper's parallel-bloom backend's spans agree
-// with the exact direct-table backend's wherever the decision is
-// confident, and both satisfy the structural invariants (spans tile
-// the document, Unknown ⇔ empty language).
+// any input the fuzzer invents, both backends' spans, and those of the
+// exact detector at n = 6 (the probe tables), equal the brute-force
+// reference Viterbi's (referenceSpans) under a horizon over the whole
+// input, the paper's parallel-bloom backend's spans agree with the
+// exact direct-table backend's wherever the decision is confident, and
+// both satisfy the structural invariants (spans tile the document,
+// Unknown ⇔ empty language).
 //
 // Exact agreement everywhere would be too strong to fuzz: a Bloom
 // backend may only err towards false positives, so on near-tied
@@ -33,6 +34,7 @@ func FuzzDetectSpans(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	six := mustDetector(f, sixGramSet(f))
 	cfg := SegmentConfig{Window: 64, Stride: 16, Penalty: 8}
 	corp := getMiniCorpus(f)
 	for _, lang := range []string{"en", "es", "fi", "pt"} {
@@ -44,7 +46,7 @@ func FuzzDetectSpans(f *testing.F) {
 	f.Add([]byte("\x00\xff un documento tr\xe8s fran\xe7ais \x01\x02"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if whole := wholeDocument(cfg); len(data) < whole.Window {
-			for _, det := range []*Detector{direct, parallel} {
+			for _, det := range []*Detector{direct, parallel, six} {
 				got, err := det.DetectSpans(data, whole)
 				if err != nil {
 					t.Fatal(err)

@@ -643,7 +643,9 @@ func TestDetectSpansHugeWindow(t *testing.T) {
 
 // TestDetectSpansManyLanguages runs the reference check on a 70-language
 // profile set — several mask planes and a two-word switched bitset —
-// with near-duplicate profiles, so ties are everywhere.
+// with near-duplicate profiles, so ties are everywhere, and on its
+// first 17 languages, one past what the lane step takes; each document
+// in one piece and streamed in random splits.
 func TestDetectSpansManyLanguages(t *testing.T) {
 	getSegCorpus(t)
 	segDetector(t, BackendDirect)
@@ -665,16 +667,33 @@ func TestDetectSpansManyLanguages(t *testing.T) {
 		ps.Profiles = append(ps.Profiles, &p)
 	}
 	docs := segReferenceDocs(t)
-	for _, backend := range equivBackends() {
-		det := mustDetector(t, ps, withBackend(backend))
-		cfg := wholeDocument(SegmentConfig{Stride: 16, Penalty: 4})
-		for i, doc := range docs {
-			got, err := det.DetectSpans(doc, cfg)
+	cfg := wholeDocument(SegmentConfig{Stride: 16, Penalty: 4})
+	for _, langs := range []int{17, 70} {
+		set := &ProfileSet{Config: ps.Config, Profiles: ps.Profiles[:langs]}
+		for _, backend := range equivBackends() {
+			det := mustDetector(t, set, withBackend(backend))
+			st, err := det.NewSpanStream(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := referenceSpans(t, det, doc, cfg); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s doc %d: spans\n%+v\nreference\n%+v", backend, i, got, want)
+			rng := rand.New(rand.NewSource(int64(langs)))
+			for i, doc := range docs {
+				got, err := det.DetectSpans(doc, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := referenceSpans(t, det, doc, cfg)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, %d languages, doc %d: spans\n%+v\nreference\n%+v", backend, langs, i, got, want)
+				}
+				st.Reset()
+				pts := splitPoints(rng, len(doc), 1+rng.Intn(12))
+				for j := 1; j < len(pts); j++ {
+					st.Write(doc[pts[j-1]:pts[j]])
+				}
+				if got := st.Finish(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, %d languages, doc %d split at %v: spans\n%+v\nreference\n%+v", backend, langs, i, pts, got, want)
+				}
 			}
 		}
 	}

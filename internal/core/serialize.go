@@ -165,7 +165,7 @@ func ReadProfileSet(r io.Reader) (*ProfileSet, error) {
 	if err := json.Unmarshal(cfgJSON, &cfg); err != nil {
 		return nil, corruptf("profile set config is not valid JSON (%v)", err)
 	}
-	cfg.applyDefaults()
+	cfg = cfg.WithDefaults()
 	var count uint32
 	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
 		return nil, corruptf("profile set truncated before the profile count (%v)", err)

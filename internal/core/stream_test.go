@@ -12,7 +12,7 @@ import (
 // (NewStream) or segmentation (NewSpanStream). Every stream test runs
 // both, because Match and AppendCounts must not depend on the mode.
 // Tests on the n = 6 set (sixGramSet) count on the generic
-// FeedBytes → AccumulateInto path, the others on the fused loop.
+// FeedBytes → AddLanes path, the others on the fused loop.
 type streamMode struct {
 	name      string
 	windowed  bool
