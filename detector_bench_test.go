@@ -1,6 +1,7 @@
 package bloomlang
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -29,7 +30,8 @@ func BenchmarkDetector(b *testing.B) {
 // BenchmarkDetectorBackends runs the same hot path on every membership
 // backend, then again over the same corpus trained at n = 6 (the n6
 // sub-benchmarks), where core's exact kernel probes its compact tables
-// on the generic counting path.
+// on the generic counting path, and over 17 languages (the l17
+// sub-benchmarks), one past what one mask plane holds.
 func BenchmarkDetectorBackends(b *testing.B) {
 	_, ps := benchFixtures(b)
 	doc := benchBigDocs[0].Text
@@ -52,16 +54,18 @@ func BenchmarkDetectorBackends(b *testing.B) {
 	}
 	detect(b, ps)
 	b.Run("n6", func(b *testing.B) { detect(b, sixGramFixtures(b)) })
+	b.Run("l17", func(b *testing.B) { detect(b, seventeenLanguages(ps)) })
 }
 
 // BenchmarkDetectSpans measures the mixed-language segmentation hot
-// path on every backend, at n = 4 and (n6) at n = 6: one counting pass
+// path on every backend, at n = 4, (n6) at n = 6 and (l17) over 17
+// languages, where every chunk takes the int step: one counting pass
 // over a paper-sized document, cut into 16-gram chunks, one count
 // record and one Viterbi step per chunk. With pooled scratch warm
 // and a reused destination slice the discipline bar is 0 allocs/op; the
 // gap to BenchmarkDetectorBackends on the same backend is the cost of
 // the chunk records, the steps and the trace back (scripts/bench.sh gates
-// the n = 4 direct-lookup ratio).
+// the n = 4 direct-lookup ratio and reports the n6 and l17 ones).
 func BenchmarkDetectSpans(b *testing.B) {
 	_, ps := benchFixtures(b)
 	doc := benchBigDocs[0].Text
@@ -88,6 +92,20 @@ func BenchmarkDetectSpans(b *testing.B) {
 	}
 	segment(b, ps)
 	b.Run("n6", func(b *testing.B) { segment(b, sixGramFixtures(b)) })
+	b.Run("l17", func(b *testing.B) { segment(b, seventeenLanguages(ps)) })
+}
+
+// seventeenLanguages returns ps's profiles copied, under new codes, to
+// 17 languages: one past what one mask plane and the lane Viterbi step
+// hold.
+func seventeenLanguages(ps *ProfileSet) *ProfileSet {
+	out := &ProfileSet{Config: ps.Config}
+	for i := range 17 {
+		p := *ps.Profiles[i%len(ps.Profiles)]
+		p.Language = fmt.Sprintf("l%02d", i)
+		out.Profiles = append(out.Profiles, &p)
+	}
+	return out
 }
 
 var (

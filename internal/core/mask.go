@@ -302,84 +302,74 @@ func (s *Stream) chunkLanes(p []byte, out []uint64) {
 	}
 }
 
-// countChunks counts whole chunks, with the register full and no chunk
-// open, and takes their Viterbi steps, on any kernel over at most 16
-// languages with Penalty+Stride below 128. Each chunk's two lane words
-// from chunkLanes are its counts, kept as they are in its record (the
-// arg-max, the switched bits, the two lane words), and their running
-// sum reaches the totals every 255/Stride chunks. The step runs on the
-// lanes too: every deficit behind the best score is at most
-// Penalty+Stride, so it fits a byte lane, and one step is a few word
-// operations on eight languages at a time — the same decisions as
-// stepOpen, ties included.
+// countChunks counts the whole chunks of p, at most maxGroups, on a
+// lane stream with the register full and no chunk open: chunkLanes
+// gives each chunk's two lane words, and stepLanes takes their steps
+// and writes their records into back.
 func (s *Stream) countChunks(p []byte, back []uint64) {
-	L, stride := s.langs, s.cfg.Stride
+	var out [2 * maxGroups]uint64
+	rs := out[:2*len(p)/s.cfg.Stride]
+	s.chunkLanes(p, rs)
+	s.stepLanes(rs, back)
+}
+
+// stepLanes is a lane stream's one Viterbi step, taken for each chunk
+// whose counts are a pair of lane words in rs. It writes the chunk's
+// record into back (the arg-max, the switched bits, the two lane
+// words) and adds its counts to the totals, summed in lanes for up to
+// 255/Stride chunks at a time. The state is each language's deficit
+// behind the best score, one byte lane each: every deficit is at most
+// Penalty+Stride, so it fits, and one step is a few word operations on
+// eight languages at a time, with the decisions of stepOpen's int
+// step, ties included.
+func (s *Stream) stepLanes(rs, back []uint64) {
 	const ones, high = 0x0101010101010101, 0x8080808080808080
 	// ge has 0x7f in each byte lane where x >= y (lanes below 128).
 	ge := func(x, y uint64) uint64 { t := ((x | high) - y) & high; return t - t>>7 }
 	max8 := func(x, y uint64) uint64 { return y ^ (x^y)&ge(x, y) }
-	// Deficits per lane. A lane past the last language starts at 127,
-	// at least Penalty, so it always switches in and scores 0.
-	d := [2]uint64{^uint64(0) >> 1 &^ high, ^uint64(0) >> 1 &^ high}
-	top := s.score[s.best]
-	for l, v := range s.score[:L] {
-		d[l>>3] ^= (0x7f ^ uint64(top-v)) << (l & 7 * 8)
-	}
 	pen, best := uint64(s.cfg.Penalty)*ones, s.best
-	d0, d1 := d[0], d[1]
-	var out [2 * maxGroups]uint64
+	d0, d1 := s.dl[0], s.dl[1]
 	var tot0, tot1 uint64
-	perFlush, summed := MaxSegmentStride/stride, 0
-	for len(back) > 0 {
-		k := min(len(back)/4, maxGroups)
-		s.chunkLanes(p[:k*stride], out[:2*k])
-		p = p[k*stride:]
-		for c := range k {
-			r0, r1 := out[2*c], out[2*c+1]
-			// over has 0x80 in each lane whose deficit exceeds Penalty:
-			// that language switches in, so its deficit clamps to
-			// Penalty. u = new score − old best + Penalty, in
-			// [0, Penalty+Stride].
-			over0 := ((d0 | high) - pen - ones) & high
-			over1 := ((d1 | high) - pen - ones) & high
-			u0 := pen - (d0 ^ (d0^pen)&(over0-over0>>7)) + r0
-			u1 := pen - (d1 ^ (d1^pen)&(over1-over1>>7)) + r1
-			const gather = 0x0002040810204081 // the 0x80 bits into one byte
-			back[0], back[1] = uint64(best), over0*gather>>56|over1*gather>>56<<8
-			back[2], back[3] = r0, r1
-			back = back[4:]
-			tot0, tot1 = tot0+r0, tot1+r1
-			if summed++; summed == perFlush {
-				addLanes(s.totals, tot0, tot1)
-				tot0, tot1, summed = 0, 0, 0
-			}
-			// The top is usually still the old best's; the byte tree finds
-			// it when another language has overtaken.
-			ub := u0
-			if best >= 8 {
-				ub = u1
-			}
-			m := ub >> (best & 7 * 8) & 0xff
-			if above := (m + 1) * ones; ge(u0, above)|ge(u1, above) != 0 {
-				m = max8(u0, u1)
-				m = max8(m, m>>32)
-				m = max8(m, m>>16)
-				m = max8(m, m>>8) & 0xff
-			}
-			top += int(m) - s.cfg.Penalty
-			// The new best is the lowest lane left with deficit 0.
-			d0, d1 = m*ones-u0, m*ones-u1
-			if z := (d0 - ones) &^ d0 & high; z != 0 {
-				best = bits.TrailingZeros64(z) >> 3
-			} else {
-				best = 8 + bits.TrailingZeros64((d1-ones)&^d1&high)>>3
-			}
+	perFlush, summed := MaxSegmentStride/s.cfg.Stride, 0
+	for len(rs) >= 2 && len(back) >= 4 {
+		r0, r1 := rs[0], rs[1]
+		// over has 0x80 in each lane whose deficit exceeds Penalty:
+		// that language switches in, so its deficit clamps to Penalty.
+		// u = new score − old best + Penalty, in [0, Penalty+Stride].
+		over0 := ((d0 | high) - pen - ones) & high
+		over1 := ((d1 | high) - pen - ones) & high
+		u0 := pen - (d0 ^ (d0^pen)&(over0-over0>>7)) + r0
+		u1 := pen - (d1 ^ (d1^pen)&(over1-over1>>7)) + r1
+		const gather = 0x0002040810204081 // the 0x80 bits into one byte
+		back[0], back[1] = uint64(best), over0*gather>>56|over1*gather>>56<<8
+		back[2], back[3] = r0, r1
+		rs, back = rs[2:], back[4:]
+		tot0, tot1 = tot0+r0, tot1+r1
+		if summed++; summed == perFlush {
+			addLanes(s.totals, tot0, tot1)
+			tot0, tot1, summed = 0, 0, 0
+		}
+		// The top is usually still the old best's; the byte tree finds
+		// it when another language has overtaken.
+		ub := u0
+		if best >= 8 {
+			ub = u1
+		}
+		m := ub >> (best & 7 * 8) & 0xff
+		if above := (m + 1) * ones; ge(u0, above)|ge(u1, above) != 0 {
+			m = max8(u0, u1)
+			m = max8(m, m>>32)
+			m = max8(m, m>>16)
+			m = max8(m, m>>8) & 0xff
+		}
+		// The new best is the lowest lane left with deficit 0.
+		d0, d1 = m*ones-u0, m*ones-u1
+		if z := (d0 - ones) &^ d0 & high; z != 0 {
+			best = bits.TrailingZeros64(z) >> 3
+		} else {
+			best = 8 + bits.TrailingZeros64((d1-ones)&^d1&high)>>3
 		}
 	}
 	addLanes(s.totals, tot0, tot1)
-	d = [2]uint64{d0, d1}
-	for l := range s.score[:L] {
-		s.score[l] = top - int(d[l>>3]>>(l&7*8)&0xff)
-	}
-	s.best = best
+	s.dl, s.best = [2]uint64{d0, d1}, best
 }

@@ -511,8 +511,9 @@ func FuzzMaskKernelVsReference(f *testing.F) {
 }
 
 // BenchmarkDetectCount times the membership-counting stage alone —
-// the kernel's AddLanes over pre-extracted grams, folded by
-// kernelCounts — on every backend, for a whole 5 KB document and for
+// the kernel's AddLanes over pre-extracted grams into a lane buffer
+// the benchmark owns, folded every laneFlush n-grams, so it allocates
+// nothing — on every backend, for a whole 5 KB document and for
 // one 16-gram segmentation chunk. It is the per-stage figure for the counting layer. The
 // 5KB-bytes case times the serving stage instead: a Stream counting the
 // raw document, translation and extraction included (the fused loop on
@@ -539,6 +540,7 @@ func BenchmarkDetectCount(b *testing.B) {
 		}
 		gs := extractGrams(det, doc)
 		counts := make([]int, len(det.Languages()))
+		lanes := make([]uint64, 2*((len(counts)+maskPlaneLangs-1)/maskPlaneLangs))
 		for _, size := range []struct {
 			name string
 			gs   []uint32
@@ -546,7 +548,11 @@ func BenchmarkDetectCount(b *testing.B) {
 			b.Run(backend.String()+"/"+size.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					kernelCounts(det.kernel, counts, size.gs)
+					for gs := size.gs; len(gs) > 0; gs = gs[min(len(gs), laneFlush):] {
+						det.kernel.AddLanes(lanes, gs[:min(len(gs), laneFlush)])
+						foldLanes(counts, lanes)
+						clear(lanes)
+					}
 				}
 			})
 		}

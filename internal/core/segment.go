@@ -25,8 +25,16 @@ package core
 // language. Spans come from tracing the best path back; a span's
 // counts are the sum of its chunks' counts, taken as the trace-back's
 // commit walks them, and the span is decided by Detect's own rule over
-// its n-grams. Runs of whole chunks take the same step on their lane
-// words, eight languages at a time (countChunks, mask.go).
+// its n-grams.
+//
+// A stream takes every step in one of two forms, chosen once per
+// configuration. With at most 16 languages and Penalty+Stride below
+// 128 (a lane stream) it keeps, for each language, its deficit behind
+// the best score in a byte lane, and every chunk — whole chunks counted
+// in runs, and chunks closed across writes or at the document's end —
+// steps through stepLanes (mask.go), a few word operations on eight
+// languages at a time. Any other stream keeps the scores S as ints and
+// steps language by language (stepOpen). Both make the same decisions.
 
 import (
 	"fmt"
@@ -90,8 +98,10 @@ type SegmentConfig struct {
 	Window int
 	// Stride is the chunk length in n-grams (default 16, or the
 	// largest divisor of Window below that), at most MaxSegmentStride;
-	// boundaries fall on chunk edges. The counting work does not depend on it: every n-gram is
-	// still hashed exactly once.
+	// boundaries fall on chunk edges. The counting work does not depend
+	// on it: every n-gram is still counted exactly once. With at most 16
+	// languages and Penalty+Stride below 128, every chunk's Viterbi step
+	// runs on byte lanes.
 	Stride int
 	// Penalty is the score one language change costs, in n-gram
 	// matches (default 8). Raising it suppresses short spans; on a
@@ -190,12 +200,13 @@ func (d *Detector) AppendSpans(dst []Span, doc []byte, cfg SegmentConfig) ([]Spa
 // totals. A stream from NewSpanStream also segments: each write is cut
 // at the bytes that complete a stride of n-grams, and each completed
 // chunk keeps its counts, adds them to the totals and takes one Viterbi
-// step. Spans returns the spans every survivor path agrees on so far,
-// and Finish returns the complete tiling — identical output for
-// identical bytes, any chunking. Either way every n-gram is counted
-// exactly once, and Match and AppendCounts give the whole-document
-// answer. A Stream is not safe for concurrent use; create one per
-// goroutine.
+// step, through the one step function of the form configure chose
+// (stepLanes on a lane stream, else the int step). Spans returns the
+// spans every survivor path agrees on so far, and Finish returns the
+// complete tiling — identical output for identical bytes, any
+// chunking. Either way every n-gram is counted exactly once, and Match
+// and AppendCounts give the whole-document answer. A Stream is not
+// safe for concurrent use; create one per goroutine.
 type Stream struct {
 	d     *Detector
 	cfg   SegmentConfig // resolved; the zero value turns segmentation off
@@ -220,12 +231,18 @@ type Stream struct {
 	// chunk from base on, bw words: the arg-max language of the scores
 	// before the chunk, then nsw words of one "switched" bit per
 	// language, then the chunk's counts, one byte lane per language and
-	// two words per 16 languages, as the mask kernel's lo and hi.
-	nextCommit int   // chunk count of the next horizon commit
-	chunks     int   // completed chunks
-	base       int   // first uncommitted chunk
-	score      []int // S per language after the last completed chunk
-	best       int   // arg-max of score, lowest index on ties
+	// two words per 16 languages, as the mask kernel's lo and hi. The
+	// scores after the last completed chunk take one of two forms,
+	// chosen by configure: on a lane stream (laneStep) each language's
+	// deficit behind the best, one byte lane each in dl, and S per
+	// language in score otherwise.
+	nextCommit int // chunk count of the next horizon commit
+	chunks     int // completed chunks
+	base       int // first uncommitted chunk
+	laneStep   bool
+	dl         [2]uint64
+	score      []int
+	best       int // the best score's language, lowest index on ties
 	bw, nsw    int
 	back       []uint64
 	changes    [][2]int // scratch: a traced path's language changes
@@ -296,7 +313,15 @@ func (s *Stream) configure(cfg SegmentConfig) {
 		s.nsw = (L + 63) / 64
 		s.bw = 1 + s.nsw + len(s.lanes)
 		s.back = s.back[:0]
-		s.score = zeroed(s.score, L)
+		// A lane stream holds every deficit in a byte lane. A lane past
+		// the last language starts 127 behind, more than Penalty, so it
+		// always switches in and scores nothing.
+		s.laneStep = L <= maskPlaneLangs && cfg.Penalty < 128-cfg.Stride
+		if s.laneStep {
+			s.dl = [2]uint64{0x7f7f7f7f7f7f7f7f << (8 * min(L, 8)), 0x7f7f7f7f7f7f7f7f << (8 * max(L-8, 0))}
+		} else {
+			s.score = zeroed(s.score, L)
+		}
 		s.runLabel, s.runStart, s.runSummed = -1, 0, 0
 		s.runCounts = zeroed(s.runCounts, L)
 		s.runLanes = zeroed(s.runLanes, len(s.lanes))
@@ -345,8 +370,9 @@ func (s *Stream) feed(p []byte) int {
 // count is the one counting step. Without segmentation the write goes
 // into the totals through the fused loop, or laneFlush bytes at a time
 // through the kernel. With segmentation it is cut where each stride of
-// n-grams completes, each piece fed into the open chunk, and runs of
-// whole chunks are counted and stepped on lane words (countChunks).
+// n-grams completes and each piece fed into the open chunk; on a lane
+// stream, runs of whole chunks are counted and stepped on lane words
+// (countChunks) without passing through the open chunk.
 func (s *Stream) count(p []byte) {
 	s.bytesSeen += len(p)
 	if s.cfg.Stride == 0 {
@@ -364,10 +390,9 @@ func (s *Stream) count(p []byte) {
 		return
 	}
 	stride := s.cfg.Stride
-	laneStep := s.langs <= maskPlaneLangs && s.cfg.Penalty < 128-stride
 	for len(p) > 0 {
-		if laneStep && s.fill == 0 && s.w.Filled == s.w.N-1 && len(p) >= stride {
-			k := min(len(p)/stride, s.nextCommit-s.chunks)
+		if s.laneStep && s.fill == 0 && s.w.Filled == s.w.N-1 && len(p) >= stride {
+			k := min(len(p)/stride, s.nextCommit-s.chunks, maxGroups)
 			s.countChunks(p[:k*stride], s.grow(k))
 			p = p[k*stride:]
 			s.gramsSeen += k * stride
@@ -409,12 +434,17 @@ func (s *Stream) closed(k int) {
 	}
 }
 
-// stepOpen closes the open chunk: it copies the chunk's lane words into
+// stepOpen closes the open chunk, whose counts are the lane words in
+// lanes: on a lane stream through stepLanes, else it copies them into
 // its record bp, takes the chunk's Viterbi step on each language's
 // count read from them, and folds them into the totals.
 func (s *Stream) stepOpen(bp []uint64) {
-	L := s.langs
-	score, best := s.score[:L], s.best
+	if s.laneStep {
+		s.stepLanes(s.lanes, bp)
+		clear(s.lanes)
+		return
+	}
+	score, best := s.score[:s.langs], s.best
 	clear(bp)
 	bp[0] = uint64(best)
 	sw := bp[1 : 1+s.nsw]

@@ -9,7 +9,9 @@ import (
 // any input the fuzzer invents, both backends' spans, and those of the
 // exact detector at n = 6 (the probe tables), equal the brute-force
 // reference Viterbi's (referenceSpans) under a horizon over the whole
-// input, the paper's parallel-bloom backend's spans agree with the
+// input, at Penalty 8, where every detector takes the lane step, and
+// at Penalty 112, where Penalty+Stride reaches 128 and each takes the
+// int step; the paper's parallel-bloom backend's spans agree with the
 // exact direct-table backend's wherever the decision is confident, and
 // both satisfy the structural invariants (spans tile the document,
 // Unknown ⇔ empty language).
@@ -45,14 +47,18 @@ func FuzzDetectSpans(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("\x00\xff un documento tr\xe8s fran\xe7ais \x01\x02"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if whole := wholeDocument(cfg); len(data) < whole.Window {
+		for _, penalty := range []int{cfg.Penalty, 112} {
+			whole := wholeDocument(SegmentConfig{Stride: cfg.Stride, Penalty: penalty})
+			if len(data) >= whole.Window {
+				break
+			}
 			for _, det := range []*Detector{direct, parallel, six} {
 				got, err := det.DetectSpans(data, whole)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if want := referenceSpans(t, det, data, whole); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s spans\n%+v\nreference\n%+v", det.Backend(), got, want)
+					t.Fatalf("%s penalty %d spans\n%+v\nreference\n%+v", det.Backend(), penalty, got, want)
 				}
 			}
 		}

@@ -536,9 +536,11 @@ func segReferenceDocs(t testing.TB) [][]byte {
 
 // TestDetectSpansMatchesReferenceViterbi pins the segmenter to the
 // brute-force reference span for span, on every backend and on the
-// exact kernel at n = 6, one-shot and streamed in random splits, under
-// configurations that take the lane step (Penalty+Stride below 128),
-// the row step, and odd strides.
+// exact kernel at n = 6, one-shot, streamed in random splits and
+// streamed one byte per write (so every chunk closes as an open
+// chunk), under configurations that take the lane step (Penalty+Stride
+// below 128), the int step, both sides of that gate's edge, and odd
+// strides.
 func TestDetectSpansMatchesReferenceViterbi(t *testing.T) {
 	docs := segReferenceDocs(t)
 	cfgs := []SegmentConfig{
@@ -547,6 +549,8 @@ func TestDetectSpansMatchesReferenceViterbi(t *testing.T) {
 		{Stride: 24, Penalty: 120},
 		{Stride: 7, Penalty: 3},
 		{Stride: 1, Penalty: 2},
+		{Stride: 16, Penalty: 111},
+		{Stride: 16, Penalty: 112},
 	}
 	rng := rand.New(rand.NewSource(5))
 	var dets []*Detector
@@ -581,6 +585,13 @@ func TestDetectSpansMatchesReferenceViterbi(t *testing.T) {
 					}
 					if got := st.Finish(); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%+v doc %d split at %v: spans\n%+v\nreference\n%+v", cfg, i, pts, got, want)
+					}
+					st.Reset()
+					for j := range doc {
+						st.Write(doc[j : j+1])
+					}
+					if got := st.Finish(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%+v doc %d one byte per write: spans\n%+v\nreference\n%+v", cfg, i, got, want)
 					}
 				}
 			}

@@ -28,8 +28,9 @@
 # interleaved runs at -cpu 1. Both numbers come from this run on this
 # machine, so the gate holds whatever machine the baseline was
 # measured on. The same ratio at n = 6 (the n6 rows, where the probe
-# tables count through the kernel interface) is measured the same way
-# and reported, not gated.
+# tables count through the kernel interface) and over 17 languages (the
+# l17 rows, past one mask plane, where every chunk takes the int
+# Viterbi step) is measured the same way and reported, not gated.
 set -euo pipefail
 
 out=${1:-BENCH.json}
@@ -105,16 +106,21 @@ END {
   exit 1
 }
 
-# Go matches each "/" level of -test.bench on its own, so the n6 rows
-# need their own pattern.
-pair '(DetectorBackends|DetectSpans)/n6/direct-lookup'
-awk "$median"'
-$1 ~ /^BenchmarkDetectSpans\/n6\/direct-lookup/ { spans[++ns] = $3 }
-$1 ~ /^BenchmarkDetectorBackends\/n6\/direct-lookup/ { detect[++nd] = $3 }
-END {
-  if (ns == 0 || nd == 0) { print "bench: n = 6 segmentation ratio: benchmarks missing" > "/dev/stderr"; exit }
-  printf "bench:   report DetectSpans/n6/direct-lookup = %.2fx DetectorBackends/n6/direct-lookup (medians of %d runs at -cpu 1, not gated)\n", median(spans, ns) / median(detect, nd), ns > "/dev/stderr"
-}' "$raw"
+# report ROW measures the ratio on the ROW sub-benchmarks and prints
+# it, not gated. Go matches each "/" level of -test.bench on its own,
+# so each row needs its own pattern.
+report() {
+  pair "(DetectorBackends|DetectSpans)/$1/direct-lookup"
+  awk -v row="$1" "$median"'
+  $1 ~ "^BenchmarkDetectSpans/" row "/direct-lookup" { spans[++ns] = $3 }
+  $1 ~ "^BenchmarkDetectorBackends/" row "/direct-lookup" { detect[++nd] = $3 }
+  END {
+    if (ns == 0 || nd == 0) { print "bench: " row " segmentation ratio: benchmarks missing" > "/dev/stderr"; exit }
+    printf "bench:   report DetectSpans/%s/direct-lookup = %.2fx DetectorBackends/%s/direct-lookup (medians of %d runs at -cpu 1, not gated)\n", row, median(spans, ns) / median(detect, nd), row, ns > "/dev/stderr"
+  }' "$raw"
+}
+report n6
+report l17
 
 if [ -n "$baseline" ]; then
   if [ ! -r "$baseline" ]; then
