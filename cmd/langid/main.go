@@ -26,10 +26,11 @@
 //	echo "el consejo de la unión europea" | langid classify -profiles profiles.bin
 //
 // Segment mixed-language files into per-language spans (or stdin when
-// no files are given); -tsv emits machine-readable rows, -color paints
-// the document text span by span:
+// no files are given), with span boundaries every 16 n-grams; -tsv
+// emits machine-readable rows, -color paints the document text span by
+// span:
 //
-//	langid segment -profiles profiles.bin [-backend bloom] [-stride 16] [-penalty 8] file1.txt
+//	langid segment -profiles profiles.bin [-backend bloom] [-window 4096] [-penalty 8] file1.txt
 //	langid segment -profiles profiles.bin -tsv file1.txt | cut -f4
 //	langid segment -profiles profiles.bin -color mixed.txt
 //
@@ -326,8 +327,7 @@ func segment(args []string) {
 	load := detectorFlags(fs)
 	minMargin := fs.Float64("min-margin", 0, "mark spans unknown below this normalized span margin")
 	minNGrams := fs.Int("min-ngrams", 1, "answer unknown below this many testable n-grams")
-	window := fs.Int("window", 0, "commit horizon in n-grams, a multiple of the stride (0 = default 4096)")
-	stride := fs.Int("stride", 0, "chunk length in n-grams, the boundary granularity, at most 255 (0 = default 16)")
+	window := fs.Int("window", 0, "commit horizon in n-grams, a multiple of 16 (0 = default 4096)")
 	penalty := fs.Int("penalty", 0, "score one language change costs, in n-gram matches (0 = default 8)")
 	tsv := fs.Bool("tsv", false, "tab-separated output: file, start, end, lang, score, margin")
 	colored := fs.Bool("color", false, "print the document text with one ANSI color per language")
@@ -338,7 +338,6 @@ func segment(args []string) {
 	}
 	segCfg := bloomlang.SegmentConfig{
 		Window:  *window,
-		Stride:  *stride,
 		Penalty: *penalty,
 	}
 	if err := segCfg.Validate(); err != nil {

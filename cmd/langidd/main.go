@@ -24,7 +24,8 @@
 // Endpoints: POST /detect, POST /batch, POST /stream (NDJSON; ?spans=1
 // adds per-document mixed-language spans), POST /segment
 // (mixed-language span tiling; /segment and /stream?spans=1 are both
-// tuned via -segment-window, -segment-stride, -segment-penalty),
+// tuned via -segment-window and -segment-penalty; chunks are always
+// 16 n-grams),
 // GET /healthz, GET /statsz, and — when registry-backed —
 // GET /admin/profiles and POST /admin/reload. Failed requests are
 // answered with JSON error bodies (413 for oversized bodies, 408 for
@@ -76,8 +77,7 @@ func main() {
 	writeTimeout := flag.Duration("write-timeout", 0, "max time to write one response, including long /stream downloads (0 = unlimited)")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive idle timeout (0 = unlimited)")
 	counts := flag.Bool("counts", false, "include per-language match counts in batch/stream responses")
-	segWindow := flag.Int("segment-window", 0, "/segment and /stream?spans=1 commit horizon in n-grams, a multiple of the stride (0 = default 4096)")
-	segStride := flag.Int("segment-stride", 0, "/segment and /stream?spans=1 chunk length in n-grams, the boundary granularity, at most 255 (0 = default 16)")
+	segWindow := flag.Int("segment-window", 0, "/segment and /stream?spans=1 commit horizon in n-grams, a multiple of 16 (0 = default 4096)")
 	segPenalty := flag.Int("segment-penalty", 0, "/segment and /stream?spans=1 score one language change costs, in n-gram matches (0 = default 8)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 	flag.Parse()
@@ -94,7 +94,6 @@ func main() {
 		IncludeCounts: *counts,
 		Segment: core.SegmentConfig{
 			Window:  *segWindow,
-			Stride:  *segStride,
 			Penalty: *segPenalty,
 		},
 	}

@@ -120,7 +120,7 @@
 //	}
 //
 // The mechanism reuses the counting pass unchanged and runs it exactly
-// once per document: the bytes are cut where each Stride of n-grams
+// once per document: the bytes are cut where each chunk of 16 n-grams
 // completes, each piece is counted by the document's Stream, each
 // completed chunk keeps its counts as one byte per language, and takes
 // one step of an exact integer Viterbi pass. The labelling it finds maximises the
@@ -135,15 +135,16 @@
 // and the MinMargin / MinNGrams policy (explicit Unknown spans) mean
 // what they mean for Detect. The returned spans always tile
 // [0, len(doc)) with no gaps or overlaps, and boundaries fall on chunk
-// edges, every Stride n-grams (at most 255). On a document of at most
+// edges, every 16 n-grams (the counting kernel's group; Stride is fixed
+// at 16, and Window must be a multiple of it). On a document of at most
 // 2·Window n-grams, a Penalty at least its n-gram count makes the whole
 // document one span, decided exactly as Detect decides it; past that,
 // horizon commits can split it.
 //
 // Both backends segment; the configuration is per call:
 //
-//	SegmentConfig{Stride: 8}    // finer boundaries: smaller Stride
 //	SegmentConfig{Penalty: 16}  // fewer, longer spans: a dearer change
+//	SegmentConfig{Penalty: 4}   // more, shorter spans: a cheaper change
 //
 // NewSpanStream gives incremental segmentation: the same Stream type as
 // NewStream with segmentation on (Write chunks in any splits; Spans

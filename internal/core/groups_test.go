@@ -41,6 +41,7 @@ func TestGoLoop(t *testing.T) {
 		{"SpansReferenceViterbi", TestDetectSpansMatchesReferenceViterbi},
 		{"SpansPenaltyOverDocument", TestDetectSpansPenaltyOverDocumentIsDetect},
 		{"SpansManyLanguages", TestDetectSpansManyLanguages},
+		{"SegmentStrideFitsAByte", TestSegmentStrideFitsAByte},
 	} {
 		t.Run(tc.name, tc.test)
 	}

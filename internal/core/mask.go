@@ -24,7 +24,7 @@ import (
 // masks with byte compares, about twice the Go loop's speed. It runs
 // wherever the CPU has AVX2 (useGroups, decided once at start), for
 // countFused on every 16 bytes after the register is full, and for
-// countChunks when a chunk is one group (Stride 16, the default).
+// countChunks on every whole chunk: a segmentation chunk is one group.
 
 // maskPlaneLangs is the number of languages one uint16 mask plane holds.
 const maskPlaneLangs = 16
@@ -48,6 +48,22 @@ var spread = func() (t [256]uint64) {
 func foldLanes(counts []int, lanes []uint64) {
 	for i := 0; i < len(lanes); i += 2 {
 		addLanes(counts[i*8:], lanes[i], lanes[i+1])
+	}
+}
+
+// sumChunks adds into counts the lane counts of the chunks whose lo
+// and hi words sit at rs[i] and rs[i+1], for every i a multiple of
+// step: one plane's up to 16 languages, summed in lanes groupsPerFlush
+// chunks at a time, so no lane passes 255.
+func sumChunks(counts []int, rs []uint64, step int) {
+	for len(rs) > 0 {
+		n := min(len(rs), groupsPerFlush*step)
+		var lo, hi uint64
+		for i := 0; i+1 < n; i += step {
+			lo, hi = lo+rs[i], hi+rs[i+1]
+		}
+		addLanes(counts, lo, hi)
+		rs = rs[n:]
 	}
 }
 
@@ -209,10 +225,10 @@ func (k *probeKernel) AddLanes(lanes []uint64, gs []uint32) {
 // matches and the result is the number of n-grams p completes. While
 // the register is not full, w.FeedBytes takes the bytes that fill it,
 // which complete no n-gram. With AVX2, countGroups then counts whole
-// 16-n-gram groups, up to maxGroups a call, and their lane words are
-// summed, 15 groups to a flush; countLanes takes the rest, and all of
-// it on any other CPU. A Stream runs it when the profile set fits one
-// plane (Stream.configure).
+// 16-n-gram groups, up to maxGroups a call, and sumChunks adds their
+// lane words; countLanes takes the rest, and all of it on any other
+// CPU. A Stream runs it when the profile set fits one plane
+// (Stream.configure).
 func countFused(plane []uint16, w *ngram.Window, counts []int, p []byte) int {
 	if k := min(w.N-1-w.Filled, len(p)); k > 0 {
 		w.FeedBytes(nil, p[:k])
@@ -225,13 +241,7 @@ func countFused(plane []uint16, w *ngram.Window, counts []int, p []byte) int {
 			k := min(len(p)/groupLen, maxGroups)
 			w.Reg = countGroups(plane, w.Reg, p[:k*groupLen], out[:2*k])
 			p = p[k*groupLen:]
-			for g := 0; g < k; g += laneFlush / groupLen {
-				var lo, hi uint64
-				for i := 2 * g; i < 2*min(k, g+laneFlush/groupLen); i += 2 {
-					lo, hi = lo+out[i], hi+out[i+1]
-				}
-				addLanes(counts, lo, hi)
-			}
+			sumChunks(counts, out[:2*k], 2)
 		}
 	}
 	for len(p) > 0 {
@@ -244,11 +254,13 @@ func countFused(plane []uint16, w *ngram.Window, counts []int, p []byte) int {
 	return grams
 }
 
-// groupLen is the n-grams in one of countGroups' groups, and
-// maxGroups the most groups one call counts.
+// groupLen is the n-grams in one of countGroups' groups, and in one
+// segmentation chunk; maxGroups is the most groups one call counts,
+// and groupsPerFlush the most whose lane words add up in lanes.
 const (
-	groupLen  = 16
-	maxGroups = 64
+	groupLen       = 16
+	maxGroups      = 64
+	groupsPerFlush = laneFlush / groupLen
 )
 
 // countLanes is the Go loop: it shifts the bytes of b (at most
@@ -280,18 +292,17 @@ func countLanes(plane []uint16, reg uint64, b []byte) (_, lo, hi uint64) {
 }
 
 // chunkLanes sets out[2c] and out[2c+1] to the lane words of chunk c,
-// the n-grams bytes c·stride to (c+1)·stride-1 of p complete, for each
-// of the len(p)/stride chunks (at most maxGroups): through countGroups
-// where it runs and a chunk is one group, else countLanes on the one
-// mask plane, and feed (the lanes are clear between chunks) otherwise.
+// the n-grams bytes 16c to 16c+15 of p complete, for each of the
+// len(p)/16 chunks (at most maxGroups): through countGroups where it
+// runs, else countLanes on the one mask plane, one chunk at a time,
+// and feed (the lanes are clear between chunks) otherwise.
 func (s *Stream) chunkLanes(p []byte, out []uint64) {
-	stride := s.cfg.Stride
-	if s.plane != nil && useGroups && stride == groupLen {
+	if s.plane != nil && useGroups {
 		s.w.Reg = countGroups(s.plane, s.w.Reg, p, out)
 		return
 	}
-	for c := range len(p) / stride {
-		b := p[c*stride:][:stride]
+	for c := range len(p) / groupLen {
+		b := p[c*groupLen:][:groupLen]
 		if s.plane != nil {
 			s.w.Reg, out[2*c], out[2*c+1] = countLanes(s.plane, s.w.Reg, b)
 			continue
@@ -304,24 +315,25 @@ func (s *Stream) chunkLanes(p []byte, out []uint64) {
 
 // countChunks counts the whole chunks of p, at most maxGroups, on a
 // lane stream with the register full and no chunk open: chunkLanes
-// gives each chunk's two lane words, and stepLanes takes their steps
-// and writes their records into back.
+// gives each chunk's two lane words, sumChunks adds them to the
+// totals, and stepLanes takes their steps and writes their records
+// into back.
 func (s *Stream) countChunks(p []byte, back []uint64) {
 	var out [2 * maxGroups]uint64
-	rs := out[:2*len(p)/s.cfg.Stride]
+	rs := out[:2*len(p)/groupLen]
 	s.chunkLanes(p, rs)
+	sumChunks(s.totals, rs, 2)
 	s.stepLanes(rs, back)
 }
 
 // stepLanes is a lane stream's one Viterbi step, taken for each chunk
 // whose counts are a pair of lane words in rs. It writes the chunk's
 // record into back (the arg-max, the switched bits, the two lane
-// words) and adds its counts to the totals, summed in lanes for up to
-// 255/Stride chunks at a time. The state is each language's deficit
-// behind the best score, one byte lane each: every deficit is at most
-// Penalty+Stride, so it fits, and one step is a few word operations on
-// eight languages at a time, with the decisions of stepOpen's int
-// step, ties included.
+// words); the caller adds the counts to the totals. The state is each
+// language's deficit behind the best score, one byte lane each: every
+// deficit is at most Penalty+16, so it fits, and one step is a few
+// word operations on eight languages at a time, with the decisions of
+// stepOpen's int step, ties included.
 func (s *Stream) stepLanes(rs, back []uint64) {
 	const ones, high = 0x0101010101010101, 0x8080808080808080
 	// ge has 0x7f in each byte lane where x >= y (lanes below 128).
@@ -329,13 +341,11 @@ func (s *Stream) stepLanes(rs, back []uint64) {
 	max8 := func(x, y uint64) uint64 { return y ^ (x^y)&ge(x, y) }
 	pen, best := uint64(s.cfg.Penalty)*ones, s.best
 	d0, d1 := s.dl[0], s.dl[1]
-	var tot0, tot1 uint64
-	perFlush, summed := MaxSegmentStride/s.cfg.Stride, 0
 	for len(rs) >= 2 && len(back) >= 4 {
 		r0, r1 := rs[0], rs[1]
 		// over has 0x80 in each lane whose deficit exceeds Penalty:
 		// that language switches in, so its deficit clamps to Penalty.
-		// u = new score − old best + Penalty, in [0, Penalty+Stride].
+		// u = new score − old best + Penalty, in [0, Penalty+16].
 		over0 := ((d0 | high) - pen - ones) & high
 		over1 := ((d1 | high) - pen - ones) & high
 		u0 := pen - (d0 ^ (d0^pen)&(over0-over0>>7)) + r0
@@ -344,11 +354,6 @@ func (s *Stream) stepLanes(rs, back []uint64) {
 		back[0], back[1] = uint64(best), over0*gather>>56|over1*gather>>56<<8
 		back[2], back[3] = r0, r1
 		rs, back = rs[2:], back[4:]
-		tot0, tot1 = tot0+r0, tot1+r1
-		if summed++; summed == perFlush {
-			addLanes(s.totals, tot0, tot1)
-			tot0, tot1, summed = 0, 0, 0
-		}
 		// The top is usually still the old best's; the byte tree finds
 		// it when another language has overtaken.
 		ub := u0
@@ -370,6 +375,5 @@ func (s *Stream) stepLanes(rs, back []uint64) {
 			best = 8 + bits.TrailingZeros64((d1-ones)&^d1&high)>>3
 		}
 	}
-	addLanes(s.totals, tot0, tot1)
 	s.dl, s.best = [2]uint64{d0, d1}, best
 }

@@ -9,8 +9,10 @@ package core
 // Segmentation is a mode of Stream, the one counting stream every
 // detection path uses, so it reuses the backend's counting pass
 // unchanged and runs it exactly once per document. The byte stream is
-// cut where each stride of n-grams completes, and each piece adds its
-// lane words (Kernel.AddLanes) into the open chunk's. Each completed
+// cut where each chunk of 16 n-grams completes — the group the AVX2
+// kernel counts at once (countGroups), the datapath's fixed width — and
+// each piece adds its lane words (Kernel.AddLanes) into the open
+// chunk's. Each completed
 // chunk c keeps its counts r_c, one byte per language, and takes one
 // Viterbi step over them: the path score to maximise is
 // Σ r_c[label_c] − Penalty·(label changes), the paper's
@@ -28,8 +30,8 @@ package core
 // its n-grams.
 //
 // A stream takes every step in one of two forms, chosen once per
-// configuration. With at most 16 languages and Penalty+Stride below
-// 128 (a lane stream) it keeps, for each language, its deficit behind
+// configuration. With at most 16 languages and Penalty below 128-16
+// (a lane stream) it keeps, for each language, its deficit behind
 // the best score in a byte lane, and every chunk — whole chunks counted
 // in runs, and chunks closed across writes or at the document's end —
 // steps through stepLanes (mask.go), a few word operations on eight
@@ -74,9 +76,10 @@ const (
 	// bounds a stream's memory, and at 4096 n-grams documents under
 	// 8 KB never reach a horizon commit, so they decode exactly.
 	DefaultSegmentWindow = 4096
-	// DefaultSegmentStride is the default chunk length in n-grams, the
-	// granularity of span boundaries.
-	DefaultSegmentStride = 16
+	// DefaultSegmentStride is the chunk length in n-grams, the
+	// granularity of span boundaries, and the only one: one group of
+	// the counting kernel.
+	DefaultSegmentStride = groupLen
 	// DefaultSegmentPenalty is the default price of one language
 	// change, in n-gram matches. It was tuned on held-out mixed
 	// documents: lower values split single-language documents at
@@ -87,21 +90,20 @@ const (
 // SegmentConfig carries the segmentation knobs. The zero value selects
 // the defaults.
 type SegmentConfig struct {
-	// Window is the commit horizon in n-grams (default 4096). Once
-	// 2·Window n-grams are in, and after every further Window, all
-	// more than Window n-grams behind the head is committed along the
-	// best path so far, whether or not every survivor path agrees on
-	// it. A stream so keeps at most 2·Window/Stride chunk records, each
-	// a back-pointer and one count byte per language —
-	// O(Window/Stride × languages) memory whatever the document length.
-	// It must be a multiple of Stride.
+	// Window is the commit horizon in n-grams (default 4096), a
+	// positive multiple of 16. Once 2·Window n-grams are in, and after
+	// every further Window, all more than Window n-grams behind the
+	// head is committed along the best path so far, whether or not
+	// every survivor path agrees on it. A stream so keeps at most
+	// 2·Window/16 chunk records, each a back-pointer and one count byte
+	// per language — O(Window/16 × languages) memory whatever the
+	// document length.
 	Window int
-	// Stride is the chunk length in n-grams (default 16, or the
-	// largest divisor of Window below that), at most MaxSegmentStride;
-	// boundaries fall on chunk edges. The counting work does not depend
-	// on it: every n-gram is still counted exactly once. With at most 16
-	// languages and Penalty+Stride below 128, every chunk's Viterbi step
-	// runs on byte lanes.
+	// Stride is the chunk length in n-grams, fixed at 16
+	// (DefaultSegmentStride): zero selects it, and Validate refuses any
+	// other value. Boundaries fall on chunk edges. With at most 16
+	// languages and Penalty below 112, every chunk's Viterbi step runs
+	// on byte lanes.
 	Stride int
 	// Penalty is the score one language change costs, in n-gram
 	// matches (default 8). Raising it suppresses short spans; on a
@@ -113,10 +115,6 @@ type SegmentConfig struct {
 	Penalty int
 }
 
-// MaxSegmentStride is the largest chunk length: a chunk's count for
-// each language is kept in one byte.
-const MaxSegmentStride = 255
-
 // WithDefaults returns the configuration with zero fields replaced by
 // the package defaults — the effective configuration segmentation runs
 // under.
@@ -125,13 +123,7 @@ func (c SegmentConfig) WithDefaults() SegmentConfig {
 		c.Window = DefaultSegmentWindow
 	}
 	if c.Stride == 0 {
-		// Nudged down to a divisor so any Window validates out of the
-		// box.
-		s := max(min(DefaultSegmentStride, c.Window), 1)
-		for c.Window%s != 0 {
-			s--
-		}
-		c.Stride = s
+		c.Stride = DefaultSegmentStride
 	}
 	if c.Penalty == 0 {
 		c.Penalty = DefaultSegmentPenalty
@@ -144,14 +136,11 @@ func (c SegmentConfig) WithDefaults() SegmentConfig {
 // way they will run.
 func (c SegmentConfig) Validate() error {
 	cfg := c.WithDefaults()
-	if cfg.Window < 1 {
-		return fmt.Errorf("core: segment window %d must be positive", cfg.Window)
+	if cfg.Stride != groupLen {
+		return fmt.Errorf("core: segment stride %d is not %d (chunks are the counting kernel's %d-n-gram groups; 0 selects it)", cfg.Stride, groupLen, groupLen)
 	}
-	if cfg.Stride < 1 || cfg.Window%cfg.Stride != 0 {
-		return fmt.Errorf("core: segment stride %d must be a positive divisor of window %d (the horizon is a whole number of chunks)", cfg.Stride, cfg.Window)
-	}
-	if cfg.Stride > MaxSegmentStride {
-		return fmt.Errorf("core: segment stride %d is over %d (a chunk keeps one count byte per language)", cfg.Stride, MaxSegmentStride)
+	if cfg.Window < 1 || cfg.Window%groupLen != 0 {
+		return fmt.Errorf("core: segment window %d must be a positive multiple of %d (the horizon is a whole number of chunks)", cfg.Window, groupLen)
 	}
 	if cfg.Penalty < 0 {
 		return fmt.Errorf("core: segment penalty %d must not be negative", cfg.Penalty)
@@ -198,7 +187,7 @@ func (d *Detector) AppendSpans(dst []Span, doc []byte, cfg SegmentConfig) ([]Spa
 //
 // A stream from NewStream counts each write whole into the document
 // totals. A stream from NewSpanStream also segments: each write is cut
-// at the bytes that complete a stride of n-grams, and each completed
+// at the bytes that complete a chunk of 16 n-grams, and each completed
 // chunk keeps its counts, adds them to the totals and takes one Viterbi
 // step, through the one step function of the form configure chose
 // (stepLanes on a lane stream, else the int step). Spans returns the
@@ -250,21 +239,18 @@ type Stream struct {
 
 	// The committed run still open at the frontier: its label
 	// (-1 before the first commit), its first chunk, and the counts of
-	// its chunks committed so far, the latest runSummed of them still
-	// in byte lanes in runLanes, the others in runCounts.
+	// its chunks committed so far.
 	runLabel  int
 	runStart  int
 	runCounts []int
-	runLanes  []uint64
-	runSummed int
 
 	spans []Span
 	done  bool
 
-	// block holds up to MaxSegmentStride n-grams on their way to the
-	// kernel when the fused loop does not apply. It sits last, so the
-	// counting state above shares cache lines.
-	block [MaxSegmentStride]uint32
+	// block holds up to laneFlush n-grams on their way to the kernel
+	// when the fused loop does not apply. It sits last, so the counting
+	// state above shares cache lines.
+	block [laneFlush]uint32
 }
 
 // NewStream starts an empty document stream on the detector, counting
@@ -304,10 +290,10 @@ func (s *Stream) configure(cfg SegmentConfig) {
 	s.spans = s.spans[:0]
 	s.totals = zeroed(s.totals, L)
 	s.lanes = zeroed(s.lanes, 2*((L+maskPlaneLangs-1)/maskPlaneLangs))
-	if cfg.Stride > 0 {
+	if cfg.Window > 0 {
 		// The first commit comes two horizons in; one past the int
 		// range never comes.
-		h := cfg.Window / cfg.Stride
+		h := cfg.Window / groupLen
 		s.nextCommit = h + min(h, math.MaxInt-h)
 		s.best = 0
 		s.nsw = (L + 63) / 64
@@ -316,15 +302,14 @@ func (s *Stream) configure(cfg SegmentConfig) {
 		// A lane stream holds every deficit in a byte lane. A lane past
 		// the last language starts 127 behind, more than Penalty, so it
 		// always switches in and scores nothing.
-		s.laneStep = L <= maskPlaneLangs && cfg.Penalty < 128-cfg.Stride
+		s.laneStep = L <= maskPlaneLangs && cfg.Penalty < 128-groupLen
 		if s.laneStep {
 			s.dl = [2]uint64{0x7f7f7f7f7f7f7f7f << (8 * min(L, 8)), 0x7f7f7f7f7f7f7f7f << (8 * max(L-8, 0))}
 		} else {
 			s.score = zeroed(s.score, L)
 		}
-		s.runLabel, s.runStart, s.runSummed = -1, 0, 0
+		s.runLabel, s.runStart = -1, 0
 		s.runCounts = zeroed(s.runCounts, L)
-		s.runLanes = zeroed(s.runLanes, len(s.lanes))
 	}
 }
 
@@ -360,7 +345,7 @@ func (s *Stream) WriteString(p string) (int, error) {
 var errStreamFinished = fmt.Errorf("core: Stream written after Finish (Reset starts a new document)")
 
 // feed shifts p through the window and adds the n-grams it completes,
-// at most MaxSegmentStride, into the lanes; it returns their number.
+// at most laneFlush, into the lanes; it returns their number.
 func (s *Stream) feed(p []byte) int {
 	gs := s.w.FeedBytes(s.block[:0], p)
 	s.d.kernel.AddLanes(s.lanes, gs)
@@ -369,13 +354,13 @@ func (s *Stream) feed(p []byte) int {
 
 // count is the one counting step. Without segmentation the write goes
 // into the totals through the fused loop, or laneFlush bytes at a time
-// through the kernel. With segmentation it is cut where each stride of
-// n-grams completes and each piece fed into the open chunk; on a lane
+// through the kernel. With segmentation it is cut where each chunk of
+// 16 n-grams completes and each piece fed into the open chunk; on a lane
 // stream, runs of whole chunks are counted and stepped on lane words
 // (countChunks) without passing through the open chunk.
 func (s *Stream) count(p []byte) {
 	s.bytesSeen += len(p)
-	if s.cfg.Stride == 0 {
+	if s.cfg.Window == 0 {
 		if s.plane != nil {
 			s.gramsSeen += countFused(s.plane, &s.w, s.totals, p)
 			return
@@ -389,21 +374,20 @@ func (s *Stream) count(p []byte) {
 		}
 		return
 	}
-	stride := s.cfg.Stride
 	for len(p) > 0 {
-		if s.laneStep && s.fill == 0 && s.w.Filled == s.w.N-1 && len(p) >= stride {
-			k := min(len(p)/stride, s.nextCommit-s.chunks, maxGroups)
-			s.countChunks(p[:k*stride], s.grow(k))
-			p = p[k*stride:]
-			s.gramsSeen += k * stride
+		if s.laneStep && s.fill == 0 && s.w.Filled == s.w.N-1 && len(p) >= groupLen {
+			k := min(len(p)/groupLen, s.nextCommit-s.chunks, maxGroups)
+			s.countChunks(p[:k*groupLen], s.grow(k))
+			p = p[k*groupLen:]
+			s.gramsSeen += k * groupLen
 			s.closed(k)
 			continue
 		}
-		n := min(s.w.BytesFor(stride-s.fill), len(p))
+		n := min(s.w.BytesFor(groupLen-s.fill), len(p))
 		grams := s.feed(p[:n])
 		p = p[n:]
 		s.gramsSeen += grams
-		if s.fill += grams; s.fill == stride {
+		if s.fill += grams; s.fill == groupLen {
 			s.stepOpen(s.grow(1))
 			s.closed(1)
 		}
@@ -426,7 +410,7 @@ func (s *Stream) closed(k int) {
 		// the head along today's best path. The schedule depends on the
 		// chunk count alone, so the output does not depend on how the
 		// bytes were split or on when Spans was called.
-		h := s.cfg.Window / s.cfg.Stride
+		h := s.cfg.Window / groupLen
 		s.nextCommit += h
 		if s.chunks-h > s.base {
 			s.commit(s.chunks-1, s.best, s.chunks-h)
@@ -436,35 +420,34 @@ func (s *Stream) closed(k int) {
 
 // stepOpen closes the open chunk, whose counts are the lane words in
 // lanes: on a lane stream through stepLanes, else it copies them into
-// its record bp, takes the chunk's Viterbi step on each language's
-// count read from them, and folds them into the totals.
+// its record bp and takes the chunk's Viterbi step on each language's
+// count read from them. Either way it folds them into the totals.
 func (s *Stream) stepOpen(bp []uint64) {
 	if s.laneStep {
 		s.stepLanes(s.lanes, bp)
-		clear(s.lanes)
-		return
-	}
-	score, best := s.score[:s.langs], s.best
-	clear(bp)
-	bp[0] = uint64(best)
-	sw := bp[1 : 1+s.nsw]
-	copy(bp[1+s.nsw:], s.lanes)
-	// A language switches in only when the best score, less the
-	// penalty, beats staying: ties stay, and the arg-max keeps the
-	// lowest index, as Detect does.
-	thr := score[best] - s.cfg.Penalty
-	best = 0
-	for l, v := range score {
-		r := int(s.lanes[l>>3] >> (l & 7 * 8) & 0xff)
-		sw[l>>6] |= uint64(v-thr) >> 63 << (l & 63)
-		score[l] = max(v, thr) + r
-		if score[l] > score[best] {
-			best = l
+	} else {
+		score, best := s.score[:s.langs], s.best
+		clear(bp)
+		bp[0] = uint64(best)
+		sw := bp[1 : 1+s.nsw]
+		copy(bp[1+s.nsw:], s.lanes)
+		// A language switches in only when the best score, less the
+		// penalty, beats staying: ties stay, and the arg-max keeps the
+		// lowest index, as Detect does.
+		thr := score[best] - s.cfg.Penalty
+		best = 0
+		for l, v := range score {
+			r := int(s.lanes[l>>3] >> (l & 7 * 8) & 0xff)
+			sw[l>>6] |= uint64(v-thr) >> 63 << (l & 63)
+			score[l] = max(v, thr) + r
+			if score[l] > score[best] {
+				best = l
+			}
 		}
+		s.best = best
 	}
 	foldLanes(s.totals, s.lanes)
 	clear(s.lanes)
-	s.best = best
 }
 
 // extend returns b lengthened by n elements, reusing its storage when
@@ -510,45 +493,24 @@ func (s *Stream) change(c, l int) {
 		return
 	}
 	if s.runLabel >= 0 {
-		s.emit(c * s.cfg.Stride)
+		s.emit(c * groupLen)
 	}
 	s.runLabel, s.runStart = l, c
 }
 
 // addRun adds the counts of uncommitted chunks [from, to) to the open
-// run: lane words add as they are, a plane's two words at a time, and
-// reach runCounts before a byte lane could overflow.
+// run, one plane's two lane words at a time through sumChunks.
 func (s *Stream) addRun(from, to int) {
-	perFlush := MaxSegmentStride / s.cfg.Stride
-	for from < to {
-		k := min(to-from, perFlush-s.runSummed)
-		recs := s.back[(from-s.base)*s.bw:][:k*s.bw]
-		for q := 0; q < len(s.runLanes); q += 2 {
-			lo, hi := s.runLanes[q], s.runLanes[q+1]
-			for i := 1 + s.nsw + q; i+1 < len(recs); i += s.bw {
-				lo, hi = lo+recs[i], hi+recs[i+1]
-			}
-			s.runLanes[q], s.runLanes[q+1] = lo, hi
-		}
-		from += k
-		if s.runSummed += k; s.runSummed == perFlush {
-			s.flushRun()
-		}
+	recs := s.back[(from-s.base)*s.bw : (to-s.base)*s.bw]
+	for q := 0; q < len(s.lanes); q += 2 {
+		sumChunks(s.runCounts[8*q:], recs[1+s.nsw+q:], s.bw)
 	}
-}
-
-// flushRun moves the run's lane words into runCounts.
-func (s *Stream) flushRun() {
-	foldLanes(s.runCounts, s.runLanes)
-	clear(s.runLanes)
-	s.runSummed = 0
 }
 
 // emit closes the open run at n-gram endGram: the span is decided by
 // Detect's rule over its own counts.
 func (s *Stream) emit(endGram int) {
-	s.flushRun()
-	startGram := s.runStart * s.cfg.Stride
+	startGram := s.runStart * groupLen
 	m := s.d.match(s.runCounts, endGram-startGram)
 	clear(s.runCounts)
 	// N-gram i starts at byte i: translation is one code per byte.
@@ -611,7 +573,7 @@ func (s *Stream) Finish() []Span {
 		return s.spans
 	}
 	s.done = true
-	if s.cfg.Stride == 0 || s.bytesSeen == 0 {
+	if s.cfg.Window == 0 || s.bytesSeen == 0 {
 		return s.spans
 	}
 	if s.fill > 0 {

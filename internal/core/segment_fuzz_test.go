@@ -10,7 +10,7 @@ import (
 // exact detector at n = 6 (the probe tables), equal the brute-force
 // reference Viterbi's (referenceSpans) under a horizon over the whole
 // input, at Penalty 8, where every detector takes the lane step, and
-// at Penalty 112, where Penalty+Stride reaches 128 and each takes the
+// at Penalty 112, where Penalty+16 reaches 128 and each takes the
 // int step; the paper's parallel-bloom backend's spans agree with the
 // exact direct-table backend's wherever the decision is confident, and
 // both satisfy the structural invariants (spans tile the document,

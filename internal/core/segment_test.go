@@ -65,7 +65,7 @@ func segDetector(t testing.TB, backend Backend) *Detector {
 // commit horizon of four chunks, short enough that the 150-word test
 // documents are committed along the best path many times before they
 // end.
-var segTestConfig = SegmentConfig{Window: 96, Stride: 24, Penalty: 8}
+var segTestConfig = SegmentConfig{Window: 64, Penalty: 8}
 
 // checkTiling asserts the fundamental structural guarantee: spans tile
 // [0, docLen) in order with no gaps and no overlaps.
@@ -538,19 +538,16 @@ func segReferenceDocs(t testing.TB) [][]byte {
 // brute-force reference span for span, on every backend and on the
 // exact kernel at n = 6, one-shot, streamed in random splits and
 // streamed one byte per write (so every chunk closes as an open
-// chunk), under configurations that take the lane step (Penalty+Stride
-// below 128), the int step, both sides of that gate's edge, and odd
-// strides.
+// chunk), under penalties that take the lane step (Penalty+16 below
+// 128), the int step, and both sides of that gate's edge, 111 and 112.
 func TestDetectSpansMatchesReferenceViterbi(t *testing.T) {
 	docs := segReferenceDocs(t)
 	cfgs := []SegmentConfig{
-		{Stride: 16, Penalty: 8},
-		{Stride: 24, Penalty: 8},
-		{Stride: 24, Penalty: 120},
-		{Stride: 7, Penalty: 3},
-		{Stride: 1, Penalty: 2},
-		{Stride: 16, Penalty: 111},
-		{Stride: 16, Penalty: 112},
+		{Penalty: 8},
+		{Penalty: 3},
+		{Penalty: 120},
+		{Penalty: 111},
+		{Penalty: 112},
 	}
 	rng := rand.New(rand.NewSource(5))
 	var dets []*Detector
@@ -631,11 +628,18 @@ func TestDetectSpansPenaltyOverDocumentIsDetect(t *testing.T) {
 	}
 }
 
-// TestDetectSpansHugeWindow: a horizon near the int range is valid and
-// never commits early, so it segments as a horizon over the document.
+// TestDetectSpansHugeWindow: the largest horizon, the last multiple of
+// 16 in the int range, is valid and never commits early, so it
+// segments as a horizon over the document; the int range's end and
+// any stride but 16 are refused.
 func TestDetectSpansHugeWindow(t *testing.T) {
 	det := segDetector(t, BackendDirect)
-	for _, cfg := range []SegmentConfig{{Window: math.MaxInt - 15}, {Window: math.MaxInt - 15, Stride: 1}, {Window: math.MaxInt}} {
+	for _, cfg := range []SegmentConfig{{Window: math.MaxInt - 15, Stride: 1}, {Window: math.MaxInt}} {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%+v accepted", cfg)
+		}
+	}
+	for _, cfg := range []SegmentConfig{{Window: math.MaxInt - 15}} {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
@@ -733,34 +737,44 @@ func mustDetector(t testing.TB, ps *ProfileSet, opts ...DetectorOption) *Detecto
 	return det
 }
 
-// TestSegmentConfigValidate exercises the configuration guard rails.
+// TestSegmentConfigValidate exercises the configuration guard rails:
+// the chunk is 16 n-grams and the horizon a positive multiple of it,
+// and every refusal of a window or stride names 16.
 func TestSegmentConfigValidate(t *testing.T) {
 	good := []SegmentConfig{
 		{},
 		{Window: 32},
-		{Window: 90}, // the default stride does not divide: nudged to a divisor
-		{Window: 9},
-		{Window: 32, Stride: 32}, // a one-chunk horizon
-		{Window: 30, Stride: 10, Penalty: 5},
+		{Window: 16}, // a one-chunk horizon
+		{Window: 48, Penalty: 5},
 	}
 	for i, cfg := range good {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("good config %d rejected: %v", i, err)
 		}
-		if eff := cfg.WithDefaults(); eff.Window%eff.Stride != 0 {
-			t.Errorf("good config %d: default stride %d does not divide window %d", i, eff.Stride, eff.Window)
+		if eff := cfg.WithDefaults(); eff.Stride != DefaultSegmentStride || eff.Window%eff.Stride != 0 {
+			t.Errorf("good config %d: stride %d, window %d", i, eff.Stride, eff.Window)
 		}
 	}
 	bad := []SegmentConfig{
 		{Window: -1},
+		{Window: 90}, // not a whole number of chunks
+		{Window: 9},
+		{Window: 32, Stride: 32},
+		{Window: 30, Stride: 10, Penalty: 5},
 		{Window: 64, Stride: -2},
 		{Window: 64, Stride: 65},
-		{Window: 64, Stride: 24}, // does not divide
+		{Window: 64, Stride: 24},
+		{Stride: 8},
+		{Stride: 17},
+		{Stride: 255},
 		{Penalty: -3},
 	}
 	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
+		err := cfg.Validate()
+		if err == nil {
 			t.Errorf("bad config %d (%+v) accepted", i, cfg)
+		} else if cfg.Penalty >= 0 && !strings.Contains(err.Error(), "16") {
+			t.Errorf("bad config %d (%+v): error %q does not name 16", i, cfg, err)
 		}
 		if _, err := segDetector(t, BackendDirect).DetectSpans([]byte("doc"), cfg); err == nil {
 			t.Errorf("DetectSpans accepted bad config %d (%+v)", i, cfg)
@@ -772,27 +786,41 @@ func TestSegmentConfigValidate(t *testing.T) {
 }
 
 // TestSegmentStrideFitsAByte: a chunk keeps one count byte per
-// language, so MaxSegmentStride is the largest stride accepted. At
-// that stride a chunk whose every n-gram matches fills its byte, and
-// the spans still match the reference on every backend.
+// language and is 16 n-grams; no other stride is accepted. Chunk lane
+// words add up in lanes groupsPerFlush chunks at a time, so a document
+// of about 50 chunks in which one language matches every n-gram
+// crosses that fold in the totals and in its span's run, and its spans
+// and counts still match the reference on every backend, on the lane
+// step and on the int step.
 func TestSegmentStrideFitsAByte(t *testing.T) {
-	over := SegmentConfig{Window: 2 * (MaxSegmentStride + 1), Stride: MaxSegmentStride + 1}
-	if err := over.Validate(); err == nil {
-		t.Errorf("stride %d accepted", over.Stride)
+	for _, stride := range []int{17, 255} {
+		if err := (SegmentConfig{Stride: stride}).Validate(); err == nil {
+			t.Errorf("stride %d accepted", stride)
+		}
 	}
-	cfg := wholeDocument(SegmentConfig{Stride: MaxSegmentStride, Penalty: 8})
 	full := []byte(strings.Repeat("the ", 200))
 	docs := append(segReferenceDocs(t), full)
 	for _, backend := range equivBackends() {
 		det := segDetector(t, backend)
-		row, _ := det.DetectCounts(nil, full[:MaxSegmentStride+det.Config().N-1])
-		if slices.Max(row) != MaxSegmentStride {
-			t.Fatalf("%s: no language matches every n-gram of the first chunk: %v", backend, row)
+		row, whole := det.DetectCounts(nil, full)
+		if slices.Max(row) != whole.NGrams || whole.NGrams < 3*groupsPerFlush*groupLen {
+			t.Fatalf("%s: no language matches all %d n-grams: %v", backend, whole.NGrams, row)
 		}
-		for i, doc := range docs {
-			want := referenceSpans(t, det, doc, cfg)
-			if got, err := det.DetectSpans(doc, cfg); err != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s doc %d: spans\n%+v (%v)\nreference\n%+v", backend, i, got, err, want)
+		for _, penalty := range []int{8, 112} {
+			cfg := wholeDocument(SegmentConfig{Penalty: penalty})
+			for i, doc := range docs {
+				want := referenceSpans(t, det, doc, cfg)
+				if got, err := det.DetectSpans(doc, cfg); err != nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s penalty %d doc %d: spans\n%+v (%v)\nreference\n%+v", backend, penalty, i, got, err, want)
+				}
+			}
+			st, err := det.NewSpanStream(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Write(full)
+			if got := st.AppendCounts(nil); !reflect.DeepEqual(got, row) {
+				t.Errorf("%s penalty %d: stream counts %v, DetectCounts %v", backend, penalty, got, row)
 			}
 		}
 	}

@@ -99,11 +99,11 @@ func TestSegmentSingleLanguage(t *testing.T) {
 	}
 }
 
-// TestSegmentConfiguredGeometry: a custom window/stride flows from the
-// server config to the response echo.
+// TestSegmentConfiguredGeometry: a custom window flows from the server
+// config to the response echo, beside the fixed 16-n-gram stride.
 func TestSegmentConfiguredGeometry(t *testing.T) {
 	_, ps := fixtures(t)
-	srv, err := serve.New(ps, serve.Config{Segment: core.SegmentConfig{Window: 128, Stride: 32}})
+	srv, err := serve.New(ps, serve.Config{Segment: core.SegmentConfig{Window: 128}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +111,14 @@ func TestSegmentConfiguredGeometry(t *testing.T) {
 	t.Cleanup(ts.Close)
 	corp, _ := fixtures(t)
 	seg := postSegment(t, ts, corp.Test["en"][0].Text)
-	if seg.Window != 128 || seg.Stride != 32 {
-		t.Errorf("geometry echo = %d/%d, want 128/32", seg.Window, seg.Stride)
+	if seg.Window != 128 || seg.Stride != 16 {
+		t.Errorf("geometry echo = %d/%d, want 128/16", seg.Window, seg.Stride)
 	}
 	// Invalid geometry fails server construction, not request time.
-	if _, err := serve.New(ps, serve.Config{Segment: core.SegmentConfig{Window: 64, Stride: 24}}); err == nil {
-		t.Error("server accepted a stride that does not divide the window")
+	for _, bad := range []core.SegmentConfig{{Window: 64, Stride: 24}, {Window: 100}} {
+		if _, err := serve.New(ps, serve.Config{Segment: bad}); err == nil || !strings.Contains(err.Error(), "16") {
+			t.Errorf("serve.New(%+v): error %v, want a refusal naming 16", bad, err)
+		}
 	}
 }
 

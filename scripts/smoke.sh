@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the profile lifecycle: generate a corpus,
 # train a registry version and a profile file with the streaming
-# trainer, run langid's eval, classify and segment on them, serve the
+# trainer, run langid's eval, classify and segment on them, check the
+# segmentation flags (chunks are fixed at 16 n-grams), serve the
 # file and then the registry with langidd, detect over HTTP, train +
 # activate a second version, hot swap it via /admin/reload, and assert
 # /statsz reports the new version. Run from the repository root:
@@ -65,6 +66,18 @@ awk -F '\t' -v end=0 -v size="$(wc -c <"$fi_doc")" '
   { end = $3 }
   END { exit (bad || NR == 0 || end != size) }
 ' "$tmp/segment.tsv" || fail "segment rows do not tile 0..$(wc -c <"$fi_doc"): $(cat "$tmp/segment.tsv")"
+
+echo "smoke: chunks are 16 n-grams: the stride flags are unknown (exit 2), a window off a multiple of 16 is refused"
+status=0
+"$tmp/bin/langid" segment -profiles "$tmp/profiles.bin" -stride 8 "$fi_doc" >/dev/null 2>"$tmp/flag.err" || status=$?
+[ "$status" -eq 2 ] || fail "langid segment -stride 8 exited $status, want 2: $(cat "$tmp/flag.err")"
+status=0
+timeout 10 "$tmp/bin/langidd" -profiles "$tmp/profiles.bin" -addr "$addr" -segment-stride 8 2>"$tmp/flag.err" || status=$?
+[ "$status" -eq 2 ] || fail "langidd -segment-stride 8 exited $status, want 2: $(cat "$tmp/flag.err")"
+if timeout 10 "$tmp/bin/langidd" -profiles "$tmp/profiles.bin" -addr "$addr" -segment-window 100 2>"$tmp/window.err"; then
+  fail "langidd -segment-window 100 exited zero"
+fi
+grep -q "multiple of 16" "$tmp/window.err" || fail "-segment-window 100 error does not name 16: $(cat "$tmp/window.err")"
 
 # wait_healthy URL polls the daemon at URL until it answers /healthz.
 wait_healthy() {
