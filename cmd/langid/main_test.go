@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -169,5 +171,70 @@ tie.txt: en (English), score 0.000, margin 0.000 over 8 n-grams
 `
 	if got != want {
 		t.Errorf("classify -v printed\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestClassifyFileMatchesDetect: classify -v on a file prints the
+// detector's answer for the file's bytes, whatever their length: the
+// match line from Detect, then every language's count from
+// DetectCounts, best first, equal counts in language order. The rows
+// end inside a chunk of 16 n-grams, on one, and after many.
+func TestClassifyFileMatchesDetect(t *testing.T) {
+	corp := testCorpus(t)
+	cfg := bloomlang.DefaultConfig()
+	cfg.TopT = 1000
+	profiles := saveProfiles(t, cfg, corp)
+	ps, err := bloomlang.LoadProfiles(profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := bloomlang.NewDetector(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi := corp.TestDocuments("fi")[0].Text
+	for _, tc := range []struct {
+		name string
+		text []byte
+	}{
+		{"empty", nil},
+		{"no n-gram", []byte("ab")},
+		{"part of a chunk", []byte("the house")},
+		{"one chunk", fi[:cfg.N-1+16]},
+		{"chunks and a tail", fi[:cfg.N-1+5*16+7]},
+		{"whole document", fi},
+		{"latin-1", []byte("caf\xe9 fran\xe7ais avec des accents")},
+	} {
+		path := filepath.Join(t.TempDir(), "doc.txt")
+		if err := os.WriteFile(path, tc.text, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := classify([]string{"-profiles", profiles, "-v", path}, &out); err != nil {
+			t.Fatal(err)
+		}
+		counts, m := det.DetectCounts(nil, tc.text)
+		var want strings.Builder
+		if m.Unknown {
+			fmt.Fprintf(&want, "%s: unknown (%d n-grams, score %.3f, margin %.3f)\n", path, m.NGrams, m.Score, m.Margin)
+		} else {
+			fmt.Fprintf(&want, "%s: %s (%s), score %.3f, margin %.3f over %d n-grams\n",
+				path, m.Lang, bloomlang.LanguageName(m.Lang), m.Score, m.Margin, m.NGrams)
+		}
+		order := make([]int, len(counts))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return counts[b] - counts[a] })
+		for _, i := range order {
+			score := 0.0
+			if m.NGrams > 0 {
+				score = float64(counts[i]) / float64(m.NGrams)
+			}
+			fmt.Fprintf(&want, "  %-3s %6d  score %.3f\n", det.Languages()[i], counts[i], score)
+		}
+		if out.String() != want.String() {
+			t.Errorf("%s: classify -v printed\n%s\nwant\n%s", tc.name, out.String(), want.String())
+		}
 	}
 }

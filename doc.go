@@ -47,7 +47,9 @@
 //
 // All of these count through one Stream type: Detect, Rank and the
 // batch workers borrow pooled Streams, so there is one counting loop
-// for every path, and it runs from raw bytes to counts in one pass.
+// for every path, and it runs from raw bytes to counts in one pass. It
+// cuts every document into chunks of 16 n-grams, whether or not the
+// stream segments; a stream that does not only adds them up.
 // Raw per-language match counts are appended to caller scratch in
 // Languages() order, and corpus scoring (Evaluate, Measure) runs over
 // the batch path:
@@ -121,9 +123,9 @@
 //
 // The mechanism reuses the counting pass unchanged and runs it exactly
 // once per document: the bytes are cut where each chunk of 16 n-grams
-// completes, each piece is counted by the document's Stream, each
-// completed chunk keeps its counts as one byte per language, and takes
-// one step of an exact integer Viterbi pass. The labelling it finds maximises the
+// completes, as every Stream cuts them, each piece is counted by the
+// document's Stream, each completed chunk keeps its counts as one byte
+// per language, and takes one step of an exact integer Viterbi pass. The labelling it finds maximises the
 // paper's match count summed over each span, less Penalty per language
 // change (the language-switch model of Lui, Lau & Baldwin, TACL 2014).
 // No n-gram is ever re-extracted or re-hashed, and warm segmentation

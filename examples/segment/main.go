@@ -60,7 +60,7 @@ func main() {
 
 	// 4. One-shot segmentation: the best labelling of 16-gram chunks,
 	// each language change costing 8 n-gram matches (the defaults).
-	segCfg := bloomlang.SegmentConfig{Stride: 16, Penalty: 8}
+	segCfg := bloomlang.SegmentConfig{Penalty: 8}
 	spans, err := det.DetectSpans(doc.Text, segCfg)
 	if err != nil {
 		log.Fatal(err)

@@ -38,7 +38,9 @@ func TestBackendStringUnregisteredValue(t *testing.T) {
 // fuzzer-chosen points, must give the counts and n-gram total of
 // the staged reference (classify) of the same bytes. A whole-document
 // stream and a segmenting one (which cuts each write where a stride of
-// n-grams completes) are both checked.
+// n-grams completes) are both checked, each input once on the loop
+// the CPU runs and once more on the Go loop (useGroups off), the only
+// loop of CPUs without AVX2.
 func FuzzKernelCount(f *testing.F) {
 	base, six := trainMini(f, Config{TopT: 800}), sixGramSet(f)
 	var dets []*Detector
@@ -61,19 +63,29 @@ func FuzzKernelCount(f *testing.F) {
 		if a > b {
 			a, b = b, a
 		}
-		for _, d := range dets {
-			want := classify(d, data)
-			spans, err := d.NewSpanStream(SegmentConfig{Window: 64, Stride: 16})
-			if err != nil {
-				t.Fatal(err)
+		groups := useGroups
+		defer func(old bool) {
+			useGroups = old
+			if t.Failed() {
+				t.Logf("counted with useGroups %v", groups)
 			}
-			for _, s := range []*Stream{d.NewStream(), spans} {
-				s.Write(data[:a])
-				s.Write(data[a:b])
-				s.Write(data[b:])
-				if got, n := s.AppendCounts(nil), s.Match().NGrams; n != want.NGrams || !reflect.DeepEqual(got, want.Counts) {
-					t.Fatalf("%s subsample %d, segmenting %v, %d bytes cut at %d,%d: stream counts %v over %d grams; reference %v over %d",
-						rowName(d), d.Config().Subsample, s.cfg.Stride > 0, len(data), a, b, got, n, want.Counts, want.NGrams)
+		}(useGroups)
+		for _, groups = range []bool{useGroups, false} {
+			useGroups = groups
+			for _, d := range dets {
+				want := classify(d, data)
+				spans, err := d.NewSpanStream(SegmentConfig{Window: 64, Stride: 16})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range []*Stream{d.NewStream(), spans} {
+					s.Write(data[:a])
+					s.Write(data[a:b])
+					s.Write(data[b:])
+					if got, n := s.AppendCounts(nil), s.Match().NGrams; n != want.NGrams || !reflect.DeepEqual(got, want.Counts) {
+						t.Fatalf("%s subsample %d, segmenting %v, %d bytes cut at %d,%d: stream counts %v over %d grams; reference %v over %d",
+							rowName(d), d.Config().Subsample, s.cfg.Stride > 0, len(data), a, b, got, n, want.Counts, want.NGrams)
+					}
 				}
 			}
 		}

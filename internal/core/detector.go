@@ -254,7 +254,7 @@ func (d *Detector) match(counts []int, ngrams int) Match {
 // applies to Detect, not to the list.
 func (d *Detector) Rank(doc []byte, k int) []Match {
 	s := d.borrow(doc)
-	ms := d.rankCounts(s.totals, s.gramsSeen, k)
+	ms := d.rankCounts(s.counts(), s.gramsSeen, k)
 	d.ReturnStream(s)
 	return ms
 }

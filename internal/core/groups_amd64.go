@@ -2,7 +2,7 @@ package core
 
 import "bloomlang/internal/alphabet"
 
-// countGroups is the fused loop's AVX2 kernel (groups_amd64.s). It
+// countGroups is the mask plane's AVX2 kernel (groups_amd64.s). It
 // shifts p through reg, whose earlier characters are in place, and sets
 // out[2g] and out[2g+1] to the lo and hi lane words of group g: the 16
 // n-grams that bytes 16g to 16g+15 of p complete, counted against the
@@ -33,7 +33,7 @@ func xgetbv() (eax, edx uint32)
 // the half.
 var xlat [8][32]byte
 
-// useGroups reports that the fused loops count through countGroups:
+// useGroups reports that whole chunks count through countGroups:
 // the CPU has AVX2 with the OS saving its registers, and the alphabet
 // fits the kernel (translateFits). It is set once, here; tests switch
 // it off to run the Go loop.

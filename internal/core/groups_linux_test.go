@@ -8,7 +8,7 @@ import (
 
 // TestFusedLoopsReadNothingPastTheDocument puts a document's last byte
 // just before a PROT_NONE page, for every length from 0 to 64, and
-// counts and segments it on the fused loops (the AVX2 kernel where the
+// counts and segments it on the mask plane's loops (the AVX2 kernel where the
 // CPU has it): any read past the document faults. The answers must
 // equal those for a copy of the document on the heap.
 func TestFusedLoopsReadNothingPastTheDocument(t *testing.T) {

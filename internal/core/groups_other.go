@@ -2,7 +2,7 @@
 
 package core
 
-// useGroups is false off amd64: the fused loops run the Go loop.
+// useGroups is false off amd64: the mask plane runs the Go loop.
 var useGroups = false
 
 // countGroups is the AVX2 kernel on amd64; elsewhere it is never

@@ -13,7 +13,7 @@ import (
 	"bloomlang/internal/ngram"
 )
 
-// goLoop makes the fused loops count on the Go loop, countLanes, for
+// goLoop makes the mask plane count on the Go loop, countLanes, for
 // the rest of the test: the path of every CPU without AVX2.
 func goLoop(t testing.TB) {
 	old := useGroups
@@ -44,49 +44,6 @@ func TestGoLoop(t *testing.T) {
 		{"SegmentStrideFitsAByte", TestSegmentStrideFitsAByte},
 	} {
 		t.Run(tc.name, tc.test)
-	}
-}
-
-// TestGoLoopKernelCountSeeds checks FuzzKernelCount's seed inputs on
-// the Go loop: whole-document and segmenting streams, written in three
-// pieces, against the staged reference.
-func TestGoLoopKernelCountSeeds(t *testing.T) {
-	goLoop(t)
-	base, six := trainMini(t, Config{TopT: 800}), sixGramSet(t)
-	dets := []*Detector{mustDetector(t, six)}
-	for _, b := range equivBackends() {
-		dets = append(dets, mustDetector(t, base, withBackend(b)))
-	}
-	seeds := []struct {
-		data []byte
-		a, b int
-	}{
-		{[]byte(""), 0, 0},
-		{[]byte("the quick brown fox"), 2, 9},
-		{[]byte("\x00\xff un documento tr\xe8s fran\xe7ais \x01\x02"), 7, 3},
-		{getMiniCorpus(t).Test["fi"][0].Text, 301, 1000},
-	}
-	for _, seed := range seeds {
-		seed.a, seed.b = seed.a%(len(seed.data)+1), seed.b%(len(seed.data)+1)
-		if seed.a > seed.b {
-			seed.a, seed.b = seed.b, seed.a
-		}
-		for _, d := range dets {
-			want := classify(d, seed.data)
-			spans, err := d.NewSpanStream(SegmentConfig{Window: 64, Stride: 16})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range []*Stream{d.NewStream(), spans} {
-				s.Write(seed.data[:seed.a])
-				s.Write(seed.data[seed.a:seed.b])
-				s.Write(seed.data[seed.b:])
-				if got, n := s.AppendCounts(nil), s.Match().NGrams; n != want.NGrams || !reflect.DeepEqual(got, want.Counts) {
-					t.Errorf("%s, segmenting %v, %d bytes: counts %v over %d grams; reference %v over %d",
-						rowName(d), s.cfg.Stride > 0, len(seed.data), got, n, want.Counts, want.NGrams)
-				}
-			}
-		}
 	}
 }
 

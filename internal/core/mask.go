@@ -16,22 +16,22 @@ import (
 // these lane words (Kernel.AddLanes); a lane holds at most 255, so they
 // fold into int counters at least once every laneFlush n-grams.
 //
-// Two loops produce those lane words from bytes. countLanes, in Go,
-// takes four characters per step and one plane load per n-gram; it
-// runs on every CPU and is the reference. countGroups, in amd64
-// assembly, takes 16 n-grams per group: it translates 32 bytes per
-// step, gathers eight masks per instruction and counts a group's 16
-// masks with byte compares, about twice the Go loop's speed. It runs
-// wherever the CPU has AVX2 (useGroups, decided once at start), for
-// countFused on every 16 bytes after the register is full, and for
-// countChunks on every whole chunk: a segmentation chunk is one group.
+// Two loops produce those lane words from bytes on the one mask plane.
+// countLanes, in Go, takes four characters per step and one plane load
+// per n-gram; it runs on every CPU and is the reference. countGroups,
+// in amd64 assembly, takes 16 n-grams per group: it translates 32
+// bytes per step, gathers eight masks per instruction and counts a
+// group's 16 masks with byte compares, about twice the Go loop's
+// speed. It runs wherever the CPU has AVX2 (useGroups, decided once at
+// start), for countChunks on every whole chunk of every stream: a
+// chunk is one group.
 
 // maskPlaneLangs is the number of languages one uint16 mask plane holds.
 const maskPlaneLangs = 16
 
 // laneFlush is the most n-grams counted into the lane accumulators
 // between flushes: below the 255 a byte lane can hold, and a multiple
-// of the fused loop's four-character step.
+// of the Go loop's four-character step.
 const laneFlush = 252
 
 // spread maps a mask byte to its eight bits, one per byte lane.
@@ -218,42 +218,6 @@ func (k *probeKernel) AddLanes(lanes []uint64, gs []uint32) {
 	}
 }
 
-// countFused is the fused datapath of §3.2–3.3 in one loop over the
-// single mask plane: translate each byte, shift it into the n-gram
-// register w, look the n-gram's language mask up and add it into the
-// lane counters, with no n-gram stored on the way; counts gains the
-// matches and the result is the number of n-grams p completes. While
-// the register is not full, w.FeedBytes takes the bytes that fill it,
-// which complete no n-gram. With AVX2, countGroups then counts whole
-// 16-n-gram groups, up to maxGroups a call, and sumChunks adds their
-// lane words; countLanes takes the rest, and all of it on any other
-// CPU. A Stream runs it when the profile set fits one plane
-// (Stream.configure).
-func countFused(plane []uint16, w *ngram.Window, counts []int, p []byte) int {
-	if k := min(w.N-1-w.Filled, len(p)); k > 0 {
-		w.FeedBytes(nil, p[:k])
-		p = p[k:]
-	}
-	grams := len(p)
-	if useGroups && len(p) >= groupLen {
-		var out [2 * maxGroups]uint64
-		for len(p) >= groupLen {
-			k := min(len(p)/groupLen, maxGroups)
-			w.Reg = countGroups(plane, w.Reg, p[:k*groupLen], out[:2*k])
-			p = p[k*groupLen:]
-			sumChunks(counts, out[:2*k], 2)
-		}
-	}
-	for len(p) > 0 {
-		b := p[:min(len(p), laneFlush)]
-		p = p[len(b):]
-		var lo, hi uint64
-		w.Reg, lo, hi = countLanes(plane, w.Reg, b)
-		addLanes(counts, lo, hi)
-	}
-	return grams
-}
-
 // groupLen is the n-grams in one of countGroups' groups, and in one
 // segmentation chunk; maxGroups is the most groups one call counts,
 // and groupsPerFlush the most whose lane words add up in lanes.
@@ -313,12 +277,30 @@ func (s *Stream) chunkLanes(p []byte, out []uint64) {
 	}
 }
 
-// countChunks counts the whole chunks of p, at most maxGroups, on a
-// lane stream with the register full and no chunk open: chunkLanes
-// gives each chunk's two lane words, sumChunks adds them to the
-// totals, and stepLanes takes their steps and writes their records
-// into back.
+// countChunks counts the whole chunks of p, at most maxGroups, with the
+// register full and no chunk open: chunkLanes gives each chunk's two
+// lane words, sumChunks adds them to the totals, and stepLanes takes
+// their steps and writes their records into back. With no records to
+// write (a stream without segmentation) and no countGroups to run, it
+// counts laneFlush bytes at a time instead, the Go loop or feed folding
+// each into the totals: chunk by chunk is slower there.
 func (s *Stream) countChunks(p []byte, back []uint64) {
+	if len(back) == 0 && (s.plane == nil || !useGroups) {
+		for len(p) > 0 {
+			b := p[:min(len(p), laneFlush)]
+			p = p[len(b):]
+			if s.plane != nil {
+				var lo, hi uint64
+				s.w.Reg, lo, hi = countLanes(s.plane, s.w.Reg, b)
+				addLanes(s.totals, lo, hi)
+				continue
+			}
+			s.feed(b)
+			foldLanes(s.totals, s.lanes)
+			clear(s.lanes)
+		}
+		return
+	}
 	var out [2 * maxGroups]uint64
 	rs := out[:2*len(p)/groupLen]
 	s.chunkLanes(p, rs)

@@ -121,8 +121,8 @@ func exactKernelFor(t testing.TB, ps *ProfileSet) Kernel {
 // n = 6: for language counts inside one plane or table, exactly
 // filling one, and spilling into further ones, the kernel's counts
 // equal the naive per-language sets', through AddLanes (kernelCounts)
-// and through a Stream over the bytes (the fused loop for one n = 4
-// plane, n-gram blocks otherwise), and counting one n-gram agrees with
+// and through a Stream over the bytes (the mask plane's loops for one
+// n = 4 plane, n-gram blocks otherwise), and counting one n-gram agrees with
 // set membership on members and non-members. The sizes straddle the old
 // histogram cut-over (159–161), one lane flush (255–257) and many
 // flushes (8192).
@@ -237,8 +237,8 @@ func checkMaskAccumulate(t *testing.T, k Kernel, ref maskReference, gs []uint32)
 
 // checkMaskCount writes doc to a direct-backend Stream over ps in one
 // piece and in three, against the reference over the document's
-// extracted n-grams. The stream must run the fused loop exactly when
-// the languages fit one mask plane.
+// extracted n-grams. The stream must count on the plane's loops exactly
+// when the languages fit one mask plane.
 func checkMaskCount(t *testing.T, ps *ProfileSet, ref maskReference, doc []byte) {
 	t.Helper()
 	det := mustDetector(t, ps)
@@ -516,9 +516,9 @@ func FuzzMaskKernelVsReference(f *testing.F) {
 // nothing — on every backend, for a whole 5 KB document and for
 // one 16-gram segmentation chunk. It is the per-stage figure for the counting layer. The
 // 5KB-bytes case times the serving stage instead: a Stream counting the
-// raw document, translation and extraction included (the fused loop on
-// direct-lookup, n-gram blocks on parallel-bloom); where the fused loop
-// runs the AVX2 kernel, 5KB-bytes-go-loop times it on the Go loop.
+// raw document, translation and extraction included (the mask plane's
+// loops on direct-lookup, n-gram blocks on parallel-bloom); where the
+// plane runs the AVX2 kernel, 5KB-bytes-go-loop times it on the Go loop.
 func BenchmarkDetectCount(b *testing.B) {
 	corp, err := corpus.Generate(corpus.Config{DocsPerLanguage: 30, WordsPerDoc: 300, TrainFraction: 0.5, Seed: 17})
 	if err != nil {

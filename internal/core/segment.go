@@ -178,18 +178,17 @@ func (d *Detector) AppendSpans(dst []Span, doc []byte, cfg SegmentConfig) ([]Spa
 // datapath, which consumes the DMA stream burst by burst and never
 // buffers whole documents (§3.3). The Stream is the one place bytes
 // become counts: every write is shifted through the n-gram register
-// carried in the stream's window, and the n-grams it completes are
-// counted by the mask kernel's fused loop, which stores none of them,
-// or handed to the backend Kernel's AddLanes a block at a time.
-// Reset starts the next document, the End-of-Document boundary. Every
-// detection path counts through a Stream: Detect and the batch workers
-// borrow pooled ones.
+// carried in the stream's window, cut at the bytes that complete each
+// chunk of 16 n-grams, and counted chunk by chunk, on the one mask
+// plane's loops, which store no n-gram, or through the backend
+// Kernel's AddLanes. Reset starts the next document, the
+// End-of-Document boundary. Every detection path counts through a
+// Stream: Detect and the batch workers borrow pooled ones.
 //
-// A stream from NewStream counts each write whole into the document
-// totals. A stream from NewSpanStream also segments: each write is cut
-// at the bytes that complete a chunk of 16 n-grams, and each completed
-// chunk keeps its counts, adds them to the totals and takes one Viterbi
-// step, through the one step function of the form configure chose
+// A stream from NewStream adds each chunk's counts to the document
+// totals and nothing else. A stream from NewSpanStream also segments:
+// each completed chunk keeps its counts and takes one Viterbi step,
+// through the one step function of the form configure chose
 // (stepLanes on a lane stream, else the int step). Spans returns the
 // spans every survivor path agrees on so far, and Finish returns the
 // complete tiling — identical output for identical bytes, any
@@ -202,8 +201,8 @@ type Stream struct {
 	w     ngram.Window
 	langs int
 
-	// plane is the mask kernel's one plane when its fused loop counts
-	// this stream (countFused), else nil.
+	// plane is the mask kernel's one plane when the profile set fits
+	// it, so countChunks runs countGroups or countLanes; else nil.
 	plane []uint16
 
 	// totals counts everything written but the n-grams still in lanes
@@ -220,15 +219,17 @@ type Stream struct {
 	// chunk from base on, bw words: the arg-max language of the scores
 	// before the chunk, then nsw words of one "switched" bit per
 	// language, then the chunk's counts, one byte lane per language and
-	// two words per 16 languages, as the mask kernel's lo and hi. The
+	// two words per 16 languages, as the mask kernel's lo and hi. A
+	// stream without segmentation has bw 0: no records, no steps. The
 	// scores after the last completed chunk take one of two forms,
-	// chosen by configure: on a lane stream (laneStep) each language's
-	// deficit behind the best, one byte lane each in dl, and S per
-	// language in score otherwise.
+	// chosen by configure: on a lane stream each language's deficit
+	// behind the best, one byte lane each in dl, and S per language in
+	// score on an intStep stream, which steps language by language and
+	// so counts no runs of whole chunks.
 	nextCommit int // chunk count of the next horizon commit
 	chunks     int // completed chunks
 	base       int // first uncommitted chunk
-	laneStep   bool
+	intStep    bool
 	dl         [2]uint64
 	score      []int
 	best       int // the best score's language, lowest index on ties
@@ -247,9 +248,9 @@ type Stream struct {
 	spans []Span
 	done  bool
 
-	// block holds up to laneFlush n-grams on their way to the kernel
-	// when the fused loop does not apply. It sits last, so the counting
-	// state above shares cache lines.
+	// block holds up to laneFlush n-grams on their way to the kernel's
+	// AddLanes (feed). It sits last, so the counting state above shares
+	// cache lines.
 	block [laneFlush]uint32
 }
 
@@ -290,6 +291,9 @@ func (s *Stream) configure(cfg SegmentConfig) {
 	s.spans = s.spans[:0]
 	s.totals = zeroed(s.totals, L)
 	s.lanes = zeroed(s.lanes, 2*((L+maskPlaneLangs-1)/maskPlaneLangs))
+	// A stream without segmentation keeps no records and never commits:
+	// its chunks only count.
+	s.back, s.bw, s.nextCommit, s.intStep = s.back[:0], 0, math.MaxInt, false
 	if cfg.Window > 0 {
 		// The first commit comes two horizons in; one past the int
 		// range never comes.
@@ -298,12 +302,11 @@ func (s *Stream) configure(cfg SegmentConfig) {
 		s.best = 0
 		s.nsw = (L + 63) / 64
 		s.bw = 1 + s.nsw + len(s.lanes)
-		s.back = s.back[:0]
 		// A lane stream holds every deficit in a byte lane. A lane past
 		// the last language starts 127 behind, more than Penalty, so it
 		// always switches in and scores nothing.
-		s.laneStep = L <= maskPlaneLangs && cfg.Penalty < 128-groupLen
-		if s.laneStep {
+		s.intStep = L > maskPlaneLangs || cfg.Penalty >= 128-groupLen
+		if !s.intStep {
 			s.dl = [2]uint64{0x7f7f7f7f7f7f7f7f << (8 * min(L, 8)), 0x7f7f7f7f7f7f7f7f << (8 * max(L-8, 0))}
 		} else {
 			s.score = zeroed(s.score, L)
@@ -352,30 +355,20 @@ func (s *Stream) feed(p []byte) int {
 	return len(gs)
 }
 
-// count is the one counting step. Without segmentation the write goes
-// into the totals through the fused loop, or laneFlush bytes at a time
-// through the kernel. With segmentation it is cut where each chunk of
-// 16 n-grams completes and each piece fed into the open chunk; on a lane
-// stream, runs of whole chunks are counted and stepped on lane words
-// (countChunks) without passing through the open chunk.
+// count is the one counting step. The bytes that only fill the n-gram
+// register go in first; then the write is cut where each chunk of 16
+// n-grams completes. Runs of whole chunks are counted (and, on a
+// segmenting stream, stepped) on lane words by countChunks without
+// passing through the open chunk; other pieces feed the open chunk,
+// which stepOpen closes.
 func (s *Stream) count(p []byte) {
 	s.bytesSeen += len(p)
-	if s.cfg.Window == 0 {
-		if s.plane != nil {
-			s.gramsSeen += countFused(s.plane, &s.w, s.totals, p)
-			return
-		}
-		for len(p) > 0 {
-			n := min(len(p), laneFlush)
-			s.gramsSeen += s.feed(p[:n])
-			foldLanes(s.totals, s.lanes)
-			clear(s.lanes)
-			p = p[n:]
-		}
-		return
+	if k := min(s.w.N-1-s.w.Filled, len(p)); k > 0 {
+		s.w.FeedBytes(nil, p[:k])
+		p = p[k:]
 	}
 	for len(p) > 0 {
-		if s.laneStep && s.fill == 0 && s.w.Filled == s.w.N-1 && len(p) >= groupLen {
+		if !s.intStep && s.fill == 0 && len(p) >= groupLen {
 			k := min(len(p)/groupLen, s.nextCommit-s.chunks, maxGroups)
 			s.countChunks(p[:k*groupLen], s.grow(k))
 			p = p[k*groupLen:]
@@ -421,9 +414,11 @@ func (s *Stream) closed(k int) {
 // stepOpen closes the open chunk, whose counts are the lane words in
 // lanes: on a lane stream through stepLanes, else it copies them into
 // its record bp and takes the chunk's Viterbi step on each language's
-// count read from them. Either way it folds them into the totals.
+// count read from them. Either way it folds them into the totals. On a
+// stream without segmentation bp is empty, so stepLanes takes no step
+// and the chunk only folds.
 func (s *Stream) stepOpen(bp []uint64) {
-	if s.laneStep {
+	if !s.intStep {
 		s.stepLanes(s.lanes, bp)
 	} else {
 		score, best := s.score[:s.langs], s.best
@@ -525,7 +520,7 @@ func (s *Stream) emit(endGram int) {
 // slice is valid until the next Reset. A stream without segmentation
 // has no spans.
 func (s *Stream) Spans() []Span {
-	if s.done || s.chunks == s.base {
+	if s.done || s.chunks == s.base || s.bw == 0 {
 		return s.spans
 	}
 	// Walk the survivors back together: a switched survivor moves to

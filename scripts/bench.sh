@@ -30,7 +30,11 @@
 # measured on. The same ratio at n = 6 (the n6 rows, where the probe
 # tables count through the kernel interface) and over 17 languages (the
 # l17 rows, past one mask plane, where every chunk takes the int
-# Viterbi step) is measured the same way and reported, not gated.
+# Viterbi step) is measured the same way and reported, not gated. So is
+# BenchmarkDetectCount/direct-lookup/5KB-bytes-go-loop over 5KB-bytes
+# (internal/core): the Go loop, all that CPUs without AVX2 run, against
+# the AVX2 kernel on the same document; only the go-loop row runs where
+# the kernel does, so the report is empty elsewhere.
 set -euo pipefail
 
 out=${1:-BENCH.json}
@@ -80,10 +84,11 @@ echo "bench: wrote $count results to $out" >&2
 # at -cpu 1, and compares medians: one run of each on a shared runner
 # is too noisy to gate on.
 go test -c -o "$tmp/bloomlang.test" .
-# pair PATTERN runs the benchmarks PATTERN matches 5 times at -cpu 1.
+# pair PATTERN [TEST] runs the benchmarks PATTERN matches 5 times at
+# -cpu 1 in the test binary TEST (default: the root package's).
 pair() {
   for _ in 1 2 3 4 5; do
-    "$tmp/bloomlang.test" -test.run '^$' -test.bench "$1" -test.cpu 1 -test.benchtime "$benchtime"
+    "${2:-$tmp/bloomlang.test}" -test.run '^$' -test.bench "$1" -test.cpu 1 -test.benchtime "$benchtime"
   done | tee "$raw" >&2
 }
 median='
@@ -121,6 +126,16 @@ report() {
 }
 report n6
 report l17
+
+go test -c -o "$tmp/core.test" ./internal/core
+pair 'DetectCount/direct-lookup/5KB-bytes' "$tmp/core.test"
+awk "$median"'
+$1 == "BenchmarkDetectCount/direct-lookup/5KB-bytes-go-loop" { goloop[++ng] = $3 }
+$1 == "BenchmarkDetectCount/direct-lookup/5KB-bytes" { kernel[++nk] = $3 }
+END {
+  if (ng == 0 || nk == 0) { print "bench: Go loop ratio: no go-loop row (no AVX2 kernel on this CPU)" > "/dev/stderr"; exit }
+  printf "bench:   report DetectCount/direct-lookup/5KB-bytes-go-loop = %.2fx 5KB-bytes (medians of %d runs at -cpu 1, not gated)\n", median(goloop, ng) / median(kernel, nk), ng > "/dev/stderr"
+}' "$raw"
 
 if [ -n "$baseline" ]; then
   if [ ! -r "$baseline" ]; then
